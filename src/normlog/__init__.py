@@ -9,6 +9,8 @@ identities that constrain two logarithms of the same exponential.
 __version__ = "0.1.0"
 
 from .checks import (
+    CHECK_NAMES,
+    PairAnalysis,
     check_congruence_free,
     check_corollary_cases,
     check_difference_formula,
@@ -21,6 +23,7 @@ from .checks import (
     check_spectral_agreement,
     check_square_commute,
     check_y_in_bicommutant_of_exp,
+    run_check,
 )
 from .config import DEFAULT_TOL, Tolerances
 from .errors import (

@@ -1,9 +1,12 @@
 """Identity checks for pairs of matrix logarithms.
 
-Each function verifies one consequence of the exponential equation
-(exp(X) = exp(Y), or exp(iX) = exp(Y) for self-adjoint X) on a concrete
-instance and returns a :class:`CheckReport`. Preconditions act as
-hypothesis gates: an instance violating them is reported with
+Each ``check_<name>`` verifies one consequence of the exponential
+equation (exp(X) = exp(Y), or exp(iX) = exp(Y) for self-adjoint X) on a
+concrete instance and returns a :class:`CheckReport`. Every check takes
+one :class:`PairAnalysis`, which computes the facts the checks share
+(normality, spectral decompositions, exponentials, moduli) at most once
+per pair. Preconditions act as hypothesis gates, named in the order a
+check tests them: an instance violating one is reported with
 ``hypothesis_met=False`` and is never marked passed.
 
 All residuals are relative, normalized by operand norms with a
@@ -13,6 +16,7 @@ All residuals are relative, normalized by operand norms with a
 from __future__ import annotations
 
 import math
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -27,6 +31,7 @@ from .linalg import (
     in_double_commutant,
     is_normal,
     modulus,
+    re_part,
 )
 from .logs import TWO_PI, exp_general, kurepa_decompose
 from .report import CheckReport
@@ -36,26 +41,23 @@ from .spectral import (
     Rect,
     SpectralDecomposition,
     _fold_branch,
+    _odd_pi_distance,
     borel_calculus,
     normal_eig,
     spectral_measure,
     strip_projections,
 )
 
-__all__ = [
-    "check_congruence_free",
-    "check_corollary_cases",
-    "check_difference_formula",
-    "check_double_commutant",
-    "check_kurepa",
-    "check_modulus_commute",
-    "check_modulus_equal",
-    "check_one_boundary_eigenvalue",
-    "check_real_part",
-    "check_spectral_agreement",
-    "check_square_commute",
-    "check_y_in_bicommutant_of_exp",
-]
+# The check registry: ``check_<name>`` exists for every name here.
+CHECK_NAMES = (
+    "real_part", "spectral_agreement", "modulus_equal", "modulus_commute",
+    "square_commute", "corollary_cases", "difference_formula",
+    "congruence_free", "double_commutant", "one_boundary_eigenvalue",
+    "y_in_bicommutant_of_exp", "kurepa",
+)
+
+__all__ = ["CHECK_NAMES", "PairAnalysis", "run_check",
+           *(f"check_{name}" for name in CHECK_NAMES)]
 
 _FINITE_DIM_NOTE = ("verified on finite-dimensional input; the unbounded "
                     "self-adjoint case is outside this toolkit's scope")
@@ -68,24 +70,112 @@ def _rel(value: float, *norms: float) -> float:
     return value / max(1.0, denom)
 
 
-def _exp_gate(ex: np.ndarray, ey: np.ndarray, tol: Tolerances):
-    residual = frob(ex - ey) / max(frob(ex), 1e-300)
-    return residual <= tol.gate, residual
+def _exp_gap(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    return frob(lhs - rhs) / max(frob(lhs), 1e-300)
 
 
-def _is_hermitian(x: np.ndarray, tol: Tolerances) -> bool:
-    return frob(x - dagger(x)) <= tol.herm * max(1.0, frob(x))
+class PairAnalysis:
+    """One instance (X, Y) and the facts its checks share.
+
+    Each fact is computed on first use and kept for the life of the
+    object, so the checks run on one pair never repeat a decomposition
+    or an exponential. ``[k_lo, k_hi]`` is the branch window of
+    :func:`check_difference_formula`.
+    """
+
+    def __init__(self, x, y, *, tol: Tolerances = DEFAULT_TOL,
+                 k_lo: int = -1, k_hi: int = 0):
+        self.x = as_square_matrix(x)
+        self.y = as_square_matrix(y)
+        self.tol = tol
+        self.k_lo = k_lo
+        self.k_hi = k_hi
+
+    @cached_property
+    def normal_x(self) -> bool:
+        return is_normal(self.x, tol=self.tol)
+
+    @cached_property
+    def normal_y(self) -> bool:
+        return is_normal(self.y, tol=self.tol)
+
+    @cached_property
+    def hermitian_x(self) -> bool:
+        x = self.x
+        return frob(x - dagger(x)) <= self.tol.herm * max(1.0, frob(x))
+
+    @cached_property
+    def dec_x(self) -> SpectralDecomposition:
+        """Spectral decomposition of X; raises NotNormal if X is not normal."""
+        return normal_eig(self.x, tol=self.tol)
+
+    @cached_property
+    def dec_y(self) -> SpectralDecomposition:
+        """Spectral decomposition of Y; raises NotNormal if Y is not normal."""
+        return normal_eig(self.y, tol=self.tol)
+
+    @cached_property
+    def exp_x(self) -> np.ndarray:
+        return exp_general(self.x)
+
+    @cached_property
+    def exp_ix(self) -> np.ndarray:
+        return exp_general(1j * self.x)
+
+    @cached_property
+    def exp_y(self) -> np.ndarray:
+        return exp_general(self.y)
+
+    @cached_property
+    def exp_residual(self) -> float:
+        """Relative gap between exp(X) and exp(Y)."""
+        return _exp_gap(self.exp_x, self.exp_y)
+
+    @cached_property
+    def exp_i_residual(self) -> float:
+        """Relative gap between exp(iX) and exp(Y)."""
+        return _exp_gap(self.exp_ix, self.exp_y)
+
+    @cached_property
+    def modulus_x(self) -> np.ndarray:
+        return modulus(self.x, tol=self.tol)
+
+    @cached_property
+    def modulus_y(self) -> np.ndarray:
+        return modulus(self.y, tol=self.tol)
 
 
-def _spectrum_in_strip(dec: SpectralDecomposition, tol: Tolerances) -> bool:
+def _in_strip(dec: SpectralDecomposition, tol: Tolerances) -> bool:
     return all(abs(lam.imag) <= math.pi + tol.boundary
                for lam in dec.eigenvalues)
 
 
-def _odd_pi_distance(t: float) -> float:
-    """Distance from a real number to the nearest odd multiple of pi."""
-    k = round((t - math.pi) / TWO_PI)
-    return abs(t - (2 * k + 1) * math.pi)
+# Hypothesis gates: name -> (test on the pair, note of the skipped report).
+# A strip gate reads a decomposition, so a normality gate must precede it.
+_GATES = {
+    "normal": (lambda p: p.normal_x and p.normal_y,
+               "inputs must both be normal"),
+    "normal_x": (lambda p: p.normal_x, "X must be normal"),
+    "normal_y": (lambda p: p.normal_y, "Y must be normal"),
+    "hermitian_x": (lambda p: p.hermitian_x, "X must be self-adjoint"),
+    "strip": (lambda p: (_in_strip(p.dec_x, p.tol)
+                         and _in_strip(p.dec_y, p.tol)),
+              "spectra must lie in the closed strip |Im z| <= pi"),
+    "strip_x": (lambda p: _in_strip(p.dec_x, p.tol),
+                "spectrum of X must lie in |Im z| <= pi"),
+    "strip_y": (lambda p: _in_strip(p.dec_y, p.tol),
+                "spectrum of Y must lie in |Im z| <= pi"),
+    "exp": (lambda p: p.exp_residual <= p.tol.gate,
+            "exponentials differ; hypothesis not met"),
+    "exp_i": (lambda p: p.exp_i_residual <= p.tol.gate,
+              "exp(iX) and exp(Y) differ; hypothesis not met"),
+}
+# The exponential gates, with the residual each reports as ``exp_gate``.
+_EXP_GATES = {"exp": "exp_residual", "exp_i": "exp_i_residual"}
+
+
+class _Unmet(Exception):
+    """A check's own hypothesis fails; the message is the skip note."""
 
 
 def _fail(name: str, note: str, residuals=None, tolerances=None) -> CheckReport:
@@ -94,22 +184,58 @@ def _fail(name: str, note: str, residuals=None, tolerances=None) -> CheckReport:
                        notes=note)
 
 
-def check_real_part(x, y, *, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
+def _gated(*gates: str):
+    """Declare a check's hypotheses as ``_GATES`` names, tested in order.
+
+    The decorated body runs once every gate holds and returns
+    ``(residuals, tolerances, notes)``, or raises :class:`_Unmet` for a
+    hypothesis of its own. The report passes when every residual is
+    within its tolerance. Once an exponential gate has been tested, its
+    residual is part of every report, skipped or not.
+    """
+    def decorate(body):
+        name = body.__name__.removeprefix("check_")
+
+        @wraps(body)
+        def check(pair: PairAnalysis) -> CheckReport:
+            residuals, tols = {}, {}
+            try:
+                for gate in gates:
+                    holds, note = _GATES[gate]
+                    if gate in _EXP_GATES:
+                        residuals["exp_gate"] = getattr(pair, _EXP_GATES[gate])
+                        tols["exp_gate"] = pair.tol.gate
+                    if not holds(pair):
+                        raise _Unmet(note)
+                found, bounds, notes = body(pair)
+            except _Unmet as unmet:
+                return _fail(name, str(unmet), residuals, tols)
+            residuals.update(found)
+            tols.update(bounds)
+            passed = all(residuals[k] <= tols[k] for k in residuals)
+            return CheckReport(check_name=name, passed=passed,
+                               hypothesis_met=True, residuals=residuals,
+                               tolerances=tols, notes=notes)
+        return check
+    return decorate
+
+
+def run_check(name: str, pair: PairAnalysis) -> CheckReport:
+    """Run the registered check ``name`` on a pair.
+
+    ``check_<name>`` is looked up in this module when called, so a
+    rebinding of it (such as a tracing wrapper) is the one that runs.
+    """
+    if name not in CHECK_NAMES:
+        raise ValueError(f"unknown check {name!r}")
+    return globals()[f"check_{name}"](pair)
+
+
+@_gated("normal", "exp")
+def check_real_part(pair: PairAnalysis):
     """Re(X) = Re(Y) whenever X, Y are normal with equal exponentials."""
-    name = "real_part"
-    x = as_square_matrix(x)
-    y = as_square_matrix(y)
-    if not (is_normal(x, tol=tol) and is_normal(y, tol=tol)):
-        return _fail(name, "inputs must both be normal")
-    ok, gate = _exp_gate(exp_general(x), exp_general(y), tol)
-    if not ok:
-        return _fail(name, "exponentials differ; hypothesis not met",
-                     {"exp_gate": gate}, {"exp_gate": tol.gate})
-    r = _rel(frob((x + dagger(x)) / 2 - (y + dagger(y)) / 2), frob(x))
-    return CheckReport(
-        check_name=name, passed=r <= tol.check, hypothesis_met=True,
-        residuals={"exp_gate": gate, "real_part": r},
-        tolerances={"exp_gate": tol.gate, "real_part": tol.check})
+    r = _rel(frob(re_part(pair.x) - re_part(pair.y)), frob(pair.x))
+    return {"real_part": r}, {"real_part": pair.tol.check}, ""
 
 
 def _interior_region_family(dec_x: SpectralDecomposition,
@@ -137,28 +263,16 @@ def _interior_region_family(dec_x: SpectralDecomposition,
     return regions
 
 
-def check_spectral_agreement(x, y, *, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
+@_gated("normal", "strip", "exp")
+def check_spectral_agreement(pair: PairAnalysis):
     """Spectral measures of X and Y agree inside the open strip, their
     boundary-line projections have equal sums, and the real parts match,
     exactly when the exponentials coincide (both directions reported).
     """
-    name = "spectral_agreement"
-    x = as_square_matrix(x)
-    y = as_square_matrix(y)
-    if not (is_normal(x, tol=tol) and is_normal(y, tol=tol)):
-        return _fail(name, "inputs must both be normal")
-    dec_x = normal_eig(x, tol=tol)
-    dec_y = normal_eig(y, tol=tol)
-    if not (_spectrum_in_strip(dec_x, tol) and _spectrum_in_strip(dec_y, tol)):
-        return _fail(name, "spectra must lie in the closed strip |Im z| <= pi")
-    ok, gate = _exp_gate(exp_general(x), exp_general(y), tol)
-    if not ok:
-        return _fail(name, "exponentials differ; hypothesis not met",
-                     {"exp_gate": gate}, {"exp_gate": tol.gate})
-
-    scale = frob(x)
+    x, y, tol = pair.x, pair.y, pair.tol
+    dec_x, dec_y = pair.dec_x, pair.dec_y
     interior = 0.0
-    for omega in _interior_region_family(dec_x, dec_y, scale, tol):
+    for omega in _interior_region_family(dec_x, dec_y, frob(x), tol):
         diff = spectral_measure(dec_x, omega, tol=tol) \
             - spectral_measure(dec_y, omega, tol=tol)
         interior = max(interior, frob(diff))
@@ -166,165 +280,91 @@ def check_spectral_agreement(x, y, *, tol: Tolerances = DEFAULT_TOL) -> CheckRep
     lines = (HLine(math.pi), HLine(-math.pi))
     bx = sum(spectral_measure(dec_x, l, tol=tol) for l in lines)
     by = sum(spectral_measure(dec_y, l, tol=tol) for l in lines)
-    boundary = frob(bx - by)
-    r_re = _rel(frob((x + dagger(x)) / 2 - (y + dagger(y)) / 2), frob(x))
+    r_re = _rel(frob(re_part(x) - re_part(y)), frob(x))
 
     bound = tol.check * dec_x.n
-    residuals = {"exp_gate": gate, "interior_measure": interior,
-                 "boundary_sum": boundary, "real_part": r_re}
-    tols = {"exp_gate": tol.gate, "interior_measure": bound,
-            "boundary_sum": bound, "real_part": bound}
-    passed = all(residuals[k] <= tols[k] for k in residuals)
-    return CheckReport(check_name=name, passed=passed, hypothesis_met=True,
-                       residuals=residuals, tolerances=tols,
-                       notes="equality of exponentials re-verified against "
-                             "the measure/real-part conditions (converse "
-                             "direction included)")
+    return ({"interior_measure": interior, "boundary_sum": frob(bx - by),
+             "real_part": r_re},
+            {"interior_measure": bound, "boundary_sum": bound,
+             "real_part": bound},
+            "equality of exponentials re-verified against the "
+            "measure/real-part conditions (converse direction included)")
 
 
-def check_modulus_equal(x, y, *, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
+@_gated("normal", "strip", "exp")
+def check_modulus_equal(pair: PairAnalysis):
     """|X| = |Y| for normal X, Y with spectra in the strip and e^X = e^Y."""
-    name = "modulus_equal"
-    x = as_square_matrix(x)
-    y = as_square_matrix(y)
-    if not (is_normal(x, tol=tol) and is_normal(y, tol=tol)):
-        return _fail(name, "inputs must both be normal")
-    if not (_spectrum_in_strip(normal_eig(x, tol=tol), tol)
-            and _spectrum_in_strip(normal_eig(y, tol=tol), tol)):
-        return _fail(name, "spectra must lie in the closed strip |Im z| <= pi")
-    ok, gate = _exp_gate(exp_general(x), exp_general(y), tol)
-    if not ok:
-        return _fail(name, "exponentials differ; hypothesis not met",
-                     {"exp_gate": gate}, {"exp_gate": tol.gate})
-    r = _rel(frob(modulus(x, tol=tol) - modulus(y, tol=tol)), frob(x))
-    return CheckReport(
-        check_name=name, passed=r <= tol.check, hypothesis_met=True,
-        residuals={"exp_gate": gate, "modulus": r},
-        tolerances={"exp_gate": tol.gate, "modulus": tol.check})
+    r = _rel(frob(pair.modulus_x - pair.modulus_y), frob(pair.x))
+    return {"modulus": r}, {"modulus": pair.tol.check}, ""
 
 
-def check_modulus_commute(x, y, *, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
+@_gated("normal_x", "strip_x", "exp")
+def check_modulus_commute(pair: PairAnalysis):
     """|X| commutes with Y for normal X (spectrum in the strip) and any
     bounded Y with e^X = e^Y."""
-    name = "modulus_commute"
-    x = as_square_matrix(x)
-    y = as_square_matrix(y)
-    if not is_normal(x, tol=tol):
-        return _fail(name, "X must be normal")
-    if not _spectrum_in_strip(normal_eig(x, tol=tol), tol):
-        return _fail(name, "spectrum of X must lie in |Im z| <= pi")
-    ok, gate = _exp_gate(exp_general(x), exp_general(y), tol)
-    if not ok:
-        return _fail(name, "exponentials differ; hypothesis not met",
-                     {"exp_gate": gate}, {"exp_gate": tol.gate})
-    mx = modulus(x, tol=tol)
-    r = _rel(frob(commutator(mx, y)), frob(x), frob(y))
-    return CheckReport(
-        check_name=name, passed=r <= tol.check, hypothesis_met=True,
-        residuals={"exp_gate": gate, "modulus_commutator": r},
-        tolerances={"exp_gate": tol.gate, "modulus_commutator": tol.check})
+    r = _rel(frob(commutator(pair.modulus_x, pair.y)),
+             frob(pair.x), frob(pair.y))
+    return ({"modulus_commutator": r},
+            {"modulus_commutator": pair.tol.check}, "")
 
 
-def check_square_commute(x, y, *, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
+@_gated("normal_x", "strip_x", "exp")
+def check_square_commute(pair: PairAnalysis):
     """X^2 commutes with Y when the boundary spectrum of X (apart from
     the two corner points +/- i*pi) is free of conjugate pairs."""
-    name = "square_commute"
-    x = as_square_matrix(x)
-    y = as_square_matrix(y)
-    if not is_normal(x, tol=tol):
-        return _fail(name, "X must be normal")
-    dec_x = normal_eig(x, tol=tol)
-    if not _spectrum_in_strip(dec_x, tol):
-        return _fail(name, "spectrum of X must lie in |Im z| <= pi")
-    ok, gate = _exp_gate(exp_general(x), exp_general(y), tol)
-    if not ok:
-        return _fail(name, "exponentials differ; hypothesis not met",
-                     {"exp_gate": gate}, {"exp_gate": tol.gate})
-
+    x, y, tol = pair.x, pair.y, pair.tol
+    eigenvalues = pair.dec_x.eigenvalues
     radius = tol.cluster * max(1.0, frob(x))
     corner = complex(0.0, math.pi)
-    for lam in dec_x.eigenvalues:
+    for lam in eigenvalues:
         if math.pi - abs(lam.imag) > tol.boundary:
             continue  # interior eigenvalue
         if abs(lam - corner) <= tol.boundary or abs(lam + corner) <= tol.boundary:
             continue  # the corner points are exempt
-        if any(abs(lam.conjugate() - mu) <= radius for mu in dec_x.eigenvalues):
-            return _fail(name, f"conjugate pair on the strip boundary at "
-                               f"{lam:.6g}; hypothesis not met",
-                         {"exp_gate": gate}, {"exp_gate": tol.gate})
+        if any(abs(lam.conjugate() - mu) <= radius for mu in eigenvalues):
+            raise _Unmet(f"conjugate pair on the strip boundary at "
+                         f"{lam:.6g}; hypothesis not met")
 
-    x2 = x @ x
-    r = _rel(frob(commutator(x2, y)), frob(x) ** 2, frob(y))
-    return CheckReport(
-        check_name=name, passed=r <= tol.check, hypothesis_met=True,
-        residuals={"exp_gate": gate, "square_commutator": r},
-        tolerances={"exp_gate": tol.gate, "square_commutator": tol.check})
+    r = _rel(frob(commutator(x @ x, y)), frob(x) ** 2, frob(y))
+    return {"square_commutator": r}, {"square_commutator": tol.check}, ""
 
 
-def check_difference_formula(x, y, k_lo: int, k_hi: int, *,
-                             tol: Tolerances = DEFAULT_TOL) -> CheckReport:
+@_gated("normal", "exp")
+def check_difference_formula(pair: PairAnalysis):
     """X - Y equals the weighted sum of strip and boundary-line
-    projections over the branch window [k_lo, k_hi]."""
-    name = "difference_formula"
-    x = as_square_matrix(x)
-    y = as_square_matrix(y)
-    if not (is_normal(x, tol=tol) and is_normal(y, tol=tol)):
-        return _fail(name, "inputs must both be normal")
-    ok, gate = _exp_gate(exp_general(x), exp_general(y), tol)
-    if not ok:
-        return _fail(name, "exponentials differ; hypothesis not met",
-                     {"exp_gate": gate}, {"exp_gate": tol.gate})
-    dec_x = normal_eig(x, tol=tol)
-    dec_y = normal_eig(y, tol=tol)
-    sp = strip_projections(dec_x, dec_y, k_lo, k_hi, tol=tol)
+    projections over the pair's branch window [k_lo, k_hi]."""
+    k_lo, k_hi = pair.k_lo, pair.k_hi
+    sp = strip_projections(pair.dec_x, pair.dec_y, k_lo, k_hi, tol=pair.tol)
 
-    n = dec_x.n
+    n = pair.dec_x.n
     rhs = np.zeros((n, n), dtype=complex)
     for k in range(k_lo, k_hi + 1):
         rhs += 2 * k * math.pi * 1j * (sp.p[k] - sp.q[k])
         rhs += (2 * k + 1) * math.pi * 1j * (sp.e[k] - sp.f[k])
-    r = _rel(frob((x - y) - rhs), frob(x))
-    bound = tol.check * n
-    return CheckReport(
-        check_name=name, passed=r <= bound, hypothesis_met=True,
-        residuals={"exp_gate": gate, "difference": r},
-        tolerances={"exp_gate": tol.gate, "difference": bound},
-        notes=f"branch window [{k_lo}, {k_hi}]")
+    r = _rel(frob((pair.x - pair.y) - rhs), frob(pair.x))
+    return ({"difference": r}, {"difference": pair.tol.check * n},
+            f"branch window [{k_lo}, {k_hi}]")
 
 
-def check_corollary_cases(x, y, *, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
+@_gated("normal", "strip", "exp")
+def check_corollary_cases(pair: PairAnalysis):
     """Vanishing boundary-line projections of X force commutation:
     no spectrum on Im z = pi gives XY = YX with X - Y = -2*pi*i*F1, the
     mirror case on Im z = -pi gives X - Y = +2*pi*i*F{-1}, and both
     together force X = Y."""
-    name = "corollary_cases"
-    x = as_square_matrix(x)
-    y = as_square_matrix(y)
-    if not (is_normal(x, tol=tol) and is_normal(y, tol=tol)):
-        return _fail(name, "inputs must both be normal")
-    dec_x = normal_eig(x, tol=tol)
-    dec_y = normal_eig(y, tol=tol)
-    if not (_spectrum_in_strip(dec_x, tol) and _spectrum_in_strip(dec_y, tol)):
-        return _fail(name, "spectra must lie in the closed strip |Im z| <= pi")
-    ok, gate = _exp_gate(exp_general(x), exp_general(y), tol)
-    if not ok:
-        return _fail(name, "exponentials differ; hypothesis not met",
-                     {"exp_gate": gate}, {"exp_gate": tol.gate})
-
-    e1 = spectral_measure(dec_x, HLine(math.pi), tol=tol)
-    em1 = spectral_measure(dec_x, HLine(-math.pi), tol=tol)
-    f1 = spectral_measure(dec_y, HLine(math.pi), tol=tol)
-    fm1 = spectral_measure(dec_y, HLine(-math.pi), tol=tol)
+    x, y, tol = pair.x, pair.y, pair.tol
+    e1 = spectral_measure(pair.dec_x, HLine(math.pi), tol=tol)
+    em1 = spectral_measure(pair.dec_x, HLine(-math.pi), tol=tol)
+    f1 = spectral_measure(pair.dec_y, HLine(math.pi), tol=tol)
+    fm1 = spectral_measure(pair.dec_y, HLine(-math.pi), tol=tol)
     top_empty = frob(e1) <= tol.gate
     bottom_empty = frob(em1) <= tol.gate
     if not (top_empty or bottom_empty):
-        return _fail(name, "spectrum of X meets both boundary lines; "
-                           "no case applies",
-                     {"exp_gate": gate}, {"exp_gate": tol.gate})
+        raise _Unmet("spectrum of X meets both boundary lines; "
+                     "no case applies")
 
-    residuals = {"exp_gate": gate,
-                 "commutator": _rel(frob(commutator(x, y)), frob(x), frob(y))}
-    tols = {"exp_gate": tol.gate, "commutator": tol.check}
+    residuals = {"commutator": _rel(frob(commutator(x, y)), frob(x), frob(y))}
+    tols = {"commutator": tol.check}
     cases = []
     if top_empty:
         cases.append("top line empty")
@@ -340,18 +380,17 @@ def check_corollary_cases(x, y, *, tol: Tolerances = DEFAULT_TOL) -> CheckReport
         cases.append("both empty: X = Y")
         residuals["equality"] = _rel(frob(x - y), frob(x))
         tols["equality"] = tol.check
-
-    passed = all(residuals[k] <= tols[k] for k in residuals)
-    return CheckReport(check_name=name, passed=passed, hypothesis_met=True,
-                       residuals=residuals, tolerances=tols,
-                       notes="; ".join(cases))
+    return residuals, tols, "; ".join(cases)
 
 
-def check_congruence_free(dec_x: SpectralDecomposition, *,
-                          tol: Tolerances = DEFAULT_TOL) -> CheckReport:
-    """No two eigenvalues of a self-adjoint matrix differ by a nonzero
-    multiple of 2*pi (within the cluster radius)."""
+def check_congruence_free(pair: PairAnalysis) -> CheckReport:
+    """No two eigenvalues of a self-adjoint X differ by a nonzero
+    multiple of 2*pi (within the cluster radius). Y is not read.
+
+    Raises NotNormal when X is not normal.
+    """
     name = "congruence_free"
+    dec_x, tol = pair.dec_x, pair.tol
     scale = math.sqrt(sum(c.mult * abs(c.lam) ** 2 for c in dec_x.clusters))
     if any(abs(lam.imag) > tol.boundary for lam in dec_x.eigenvalues):
         return _fail(name, "input must be self-adjoint (real spectrum)")
@@ -374,122 +413,71 @@ def check_congruence_free(dec_x: SpectralDecomposition, *,
               "stays farther than the cluster radius from the spectrum")
 
 
-def check_double_commutant(x, y, *, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
+@_gated("hermitian_x", "exp_i")
+def check_double_commutant(pair: PairAnalysis):
     """Every spectral projection of a congruence-free self-adjoint X lies
     in the double commutant of Y when exp(iX) = exp(Y); in particular X
     and Y commute."""
-    name = "double_commutant"
-    x = as_square_matrix(x)
-    y = as_square_matrix(y)
-    if not _is_hermitian(x, tol):
-        return _fail(name, "X must be self-adjoint")
-    ok, gate = _exp_gate(exp_general(1j * x), exp_general(y), tol)
-    if not ok:
-        return _fail(name, "exp(iX) and exp(Y) differ; hypothesis not met",
-                     {"exp_gate": gate}, {"exp_gate": tol.gate})
-    dec_x = normal_eig(x, tol=tol)
-    gatecheck = check_congruence_free(dec_x, tol=tol)
-    if not gatecheck.passed:
-        return _fail(name, "spectrum is not 2*pi-congruence-free; "
-                           "hypothesis not met",
-                     {"exp_gate": gate}, {"exp_gate": tol.gate})
+    x, y, tol = pair.x, pair.y, pair.tol
+    if not check_congruence_free(pair).passed:
+        raise _Unmet("spectrum is not 2*pi-congruence-free; "
+                     "hypothesis not met")
 
     basis = commutant_basis(y, tol=tol)
     worst = 0.0
-    for c in dec_x.clusters:
+    for c in pair.dec_x.clusters:
         _, res = in_double_commutant(c.proj, y, tol=tol, basis=basis)
         worst = max(worst, res)
     r_comm = _rel(frob(commutator(x, y)), frob(x), frob(y))
-    residuals = {"exp_gate": gate, "double_commutant": worst,
-                 "commutator": r_comm}
-    tols = {"exp_gate": tol.gate, "double_commutant": tol.check,
-            "commutator": tol.check}
-    passed = all(residuals[k] <= tols[k] for k in residuals)
-    return CheckReport(check_name=name, passed=passed, hypothesis_met=True,
-                       residuals=residuals, tolerances=tols,
-                       notes=_FINITE_DIM_NOTE)
+    return ({"double_commutant": worst, "commutator": r_comm},
+            {"double_commutant": tol.check, "commutator": tol.check},
+            _FINITE_DIM_NOTE)
 
 
-def check_one_boundary_eigenvalue(x, y, *,
-                                  tol: Tolerances = DEFAULT_TOL) -> CheckReport:
+@_gated("hermitian_x", "normal_y", "strip_y", "exp_i")
+def check_one_boundary_eigenvalue(pair: PairAnalysis):
     """X and Y commute when exp(iX) = exp(Y), Y is normal with spectrum
     in the strip, and at most one eigenvalue of the self-adjoint X is an
     odd multiple of pi."""
-    name = "one_boundary_eigenvalue"
-    x = as_square_matrix(x)
-    y = as_square_matrix(y)
-    if not _is_hermitian(x, tol):
-        return _fail(name, "X must be self-adjoint")
-    if not is_normal(y, tol=tol):
-        return _fail(name, "Y must be normal")
-    if not _spectrum_in_strip(normal_eig(y, tol=tol), tol):
-        return _fail(name, "spectrum of Y must lie in |Im z| <= pi")
-    ok, gate = _exp_gate(exp_general(1j * x), exp_general(y), tol)
-    if not ok:
-        return _fail(name, "exp(iX) and exp(Y) differ; hypothesis not met",
-                     {"exp_gate": gate}, {"exp_gate": tol.gate})
-    dec_x = normal_eig(x, tol=tol)
+    x, y, tol = pair.x, pair.y, pair.tol
     radius = tol.cluster * max(1.0, frob(x))
-    odd_hits = sum(1 for lam in dec_x.eigenvalues
+    odd_hits = sum(1 for lam in pair.dec_x.eigenvalues
                    if _odd_pi_distance(lam.real) <= radius)
     if odd_hits > 1:
-        return _fail(name, f"{odd_hits} distinct odd-pi eigenvalues; "
-                           "hypothesis not met",
-                     {"exp_gate": gate}, {"exp_gate": tol.gate})
+        raise _Unmet(f"{odd_hits} distinct odd-pi eigenvalues; "
+                     "hypothesis not met")
     r = _rel(frob(commutator(x, y)), frob(x), frob(y))
-    return CheckReport(
-        check_name=name, passed=r <= tol.check, hypothesis_met=True,
-        residuals={"exp_gate": gate, "commutator": r},
-        tolerances={"exp_gate": tol.gate, "commutator": tol.check},
-        notes=_FINITE_DIM_NOTE)
+    return {"commutator": r}, {"commutator": tol.check}, _FINITE_DIM_NOTE
 
 
-def check_y_in_bicommutant_of_exp(x, y, *,
-                                  tol: Tolerances = DEFAULT_TOL) -> CheckReport:
+@_gated("hermitian_x", "normal_y", "strip_y", "exp_i")
+def check_y_in_bicommutant_of_exp(pair: PairAnalysis):
     """Y lies in the double commutant of exp(iX) when exp(iX) = exp(Y),
     Y is normal with spectrum in the strip, and no eigenvalue of the
     self-adjoint X is an odd multiple of pi. Also verifies the folded
     form of X reproduces Y (through multiplication by i)."""
-    name = "y_in_bicommutant_of_exp"
-    x = as_square_matrix(x)
-    y = as_square_matrix(y)
-    if not _is_hermitian(x, tol):
-        return _fail(name, "X must be self-adjoint")
-    if not is_normal(y, tol=tol):
-        return _fail(name, "Y must be normal")
-    if not _spectrum_in_strip(normal_eig(y, tol=tol), tol):
-        return _fail(name, "spectrum of Y must lie in |Im z| <= pi")
-    exp_ix = exp_general(1j * x)
-    ok, gate = _exp_gate(exp_ix, exp_general(y), tol)
-    if not ok:
-        return _fail(name, "exp(iX) and exp(Y) differ; hypothesis not met",
-                     {"exp_gate": gate}, {"exp_gate": tol.gate})
-    dec_x = normal_eig(x, tol=tol)
+    x, y, tol = pair.x, pair.y, pair.tol
     radius = tol.cluster * max(1.0, frob(x))
-    if any(_odd_pi_distance(lam.real) <= radius for lam in dec_x.eigenvalues):
-        return _fail(name, "an eigenvalue of X is an odd multiple of pi; "
-                           "hypothesis not met",
-                     {"exp_gate": gate}, {"exp_gate": tol.gate})
+    if any(_odd_pi_distance(lam.real) <= radius
+           for lam in pair.dec_x.eigenvalues):
+        raise _Unmet("an eigenvalue of X is an odd multiple of pi; "
+                     "hypothesis not met")
 
-    _, r_bicomm = in_double_commutant(y, exp_ix, tol=tol)
+    _, r_bicomm = in_double_commutant(y, pair.exp_ix, tol=tol)
     folded = borel_calculus(
-        dec_x, lambda lam: 1j * _fold_branch(lam.real, tol.on_feature)[1])
+        pair.dec_x, lambda lam: 1j * _fold_branch(lam.real, tol.on_feature)[1])
     r_fold = _rel(frob(folded - y), frob(y))
-    residuals = {"exp_gate": gate, "double_commutant": r_bicomm,
-                 "fold_identity": r_fold}
-    tols = {"exp_gate": tol.gate, "double_commutant": tol.check,
-            "fold_identity": tol.check}
-    passed = all(residuals[k] <= tols[k] for k in residuals)
-    return CheckReport(check_name=name, passed=passed, hypothesis_met=True,
-                       residuals=residuals, tolerances=tols,
-                       notes=_FINITE_DIM_NOTE)
+    return ({"double_commutant": r_bicomm, "fold_identity": r_fold},
+            {"double_commutant": tol.check, "fold_identity": tol.check},
+            _FINITE_DIM_NOTE)
 
 
-def check_kurepa(y, *, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
+def check_kurepa(pair: PairAnalysis) -> CheckReport:
     """The principal-log splitting of Y reconstructs it, commutes, and
-    carries integer branch weights whenever exp(Y) is normal."""
+    carries integer branch weights whenever exp(Y) is normal. X is not
+    read."""
     name = "kurepa"
-    y = as_square_matrix(y)
+    y, tol = pair.y, pair.tol
     try:
         dec = kurepa_decompose(y, tol=tol)
     except (ExpNotNormal, Singular) as exc:

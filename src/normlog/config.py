@@ -20,7 +20,6 @@ class Tolerances:
 
     herm        Hermitian precondition: ||H - H*|| <= herm * ||H||.
     norm        normality test: ||X*X - XX*|| <= norm * ||X||^2.
-    eig         eigensolver residual factor (times n * ||H||).
     comm        commutation preconditions and basis orthonormality.
     check       generic pass/fail threshold for identity checks.
     gate        hypothesis-gate threshold (exponential equality and case
@@ -38,7 +37,6 @@ class Tolerances:
 
     herm: float = 1e-10
     norm: float = 1e-10
-    eig: float = 1e-12
     comm: float = 1e-10
     check: float = 1e-8
     gate: float = 1e-8

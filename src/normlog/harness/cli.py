@@ -19,18 +19,12 @@ import json
 import sys
 
 from .. import __version__
+from ..checks import CHECK_NAMES, run_check
 from ..config import DEFAULT_TOL
 from ..errors import NormLogError
 from .generators import Family, InstanceSpec, make_pair
 from .io import read_pair, write_pair, write_report
-from .suite import default_config, run_check, run_suite
-
-CHECK_NAMES = (
-    "real_part", "spectral_agreement", "modulus_equal", "modulus_commute",
-    "square_commute", "corollary_cases", "difference_formula",
-    "congruence_free", "double_commutant", "one_boundary_eigenvalue",
-    "y_in_bicommutant_of_exp", "kurepa",
-)
+from .suite import analyze_pair, default_config, run_suite
 
 
 def _parse_params(items):
@@ -63,7 +57,7 @@ def _cmd_check(args) -> int:
     if args.k_hi is not None:
         metadata["k_hi"] = args.k_hi
     tol = DEFAULT_TOL if args.tol is None else DEFAULT_TOL.replace(check=args.tol)
-    report = run_check(args.name, x, y, metadata, tol)
+    report = run_check(args.name, analyze_pair(x, y, metadata, tol))
 
     status = "PASS" if report.passed else (
         "SKIP" if not report.hypothesis_met else "FAIL")

@@ -20,7 +20,7 @@ import numpy as np
 from ..errors import ConstructionFailed
 from ..linalg import dagger, frob
 from ..logs import TWO_PI, exp_general
-from ..spectral import _fold_branch
+from ..spectral import _fold_branch, _odd_pi_distance
 from .rng import Stream, random_unitary
 
 __all__ = ["Family", "InstanceSpec", "make_pair"]
@@ -209,11 +209,6 @@ def _non_normal_log_pair(spec: InstanceSpec, stream: Stream):
 
 
 _ODD_PI_SET_RADIUS = 0.15
-
-
-def _odd_pi_distance(t: float) -> float:
-    k = round((t - _PI) / TWO_PI)
-    return abs(t - (2 * k + 1) * _PI)
 
 
 def _congruence_free_reals(stream: Stream, count: int, span: float,

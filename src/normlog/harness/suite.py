@@ -9,28 +9,17 @@ stays fixed.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from concurrent.futures import ProcessPoolExecutor
 
-from ..checks import (
-    check_congruence_free,
-    check_corollary_cases,
-    check_difference_formula,
-    check_double_commutant,
-    check_kurepa,
-    check_modulus_commute,
-    check_modulus_equal,
-    check_one_boundary_eigenvalue,
-    check_real_part,
-    check_spectral_agreement,
-    check_square_commute,
-    check_y_in_bicommutant_of_exp,
-)
+from ..checks import CHECK_NAMES, PairAnalysis, run_check
 from ..config import DEFAULT_TOL, Tolerances
-from ..spectral import normal_eig
 from .generators import Family, InstanceSpec, make_pair
 from .rng import mix64
 
-__all__ = ["default_config", "run_suite", "tolerances_from_config"]
+__all__ = ["analyze_pair", "default_config", "run_suite",
+           "tolerances_from_config"]
 
 # Checks per family; difference_formula windows come from instance metadata.
 _FAMILY_CHECKS = {
@@ -86,8 +75,30 @@ def default_config() -> dict:
     }
 
 
-def tolerances_from_config(overrides: dict) -> Tolerances:
+def tolerances_from_config(overrides) -> Tolerances:
+    """Default tolerances with a config's ``tol`` overrides applied.
+
+    Raises ValueError unless ``overrides`` maps field names to finite
+    positive numbers.
+    """
+    if not isinstance(overrides, dict):
+        raise ValueError(f"tol must be an object, got {overrides!r}")
+    fields = {f.name for f in dataclasses.fields(Tolerances)}
+    for key, value in overrides.items():
+        if key not in fields:
+            raise ValueError(f"unknown tolerance {key!r}; expected one of "
+                             f"{sorted(fields)}")
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not (math.isfinite(value) and value > 0)):
+            raise ValueError(f"tolerance {key!r} must be a finite positive "
+                             f"number, got {value!r}")
     return DEFAULT_TOL.replace(**overrides) if overrides else DEFAULT_TOL
+
+
+def analyze_pair(x, y, metadata: dict, tol: Tolerances) -> PairAnalysis:
+    """The pair's analysis, with the branch window its metadata names."""
+    return PairAnalysis(x, y, tol=tol, k_lo=int(metadata.get("k_lo", -1)),
+                        k_hi=int(metadata.get("k_hi", 0)))
 
 
 def _derive_seed(base: int, label: str, n: int, index: int) -> int:
@@ -98,48 +109,16 @@ def _derive_seed(base: int, label: str, n: int, index: int) -> int:
     return mix64(h ^ index)
 
 
-def run_check(name: str, x, y, metadata: dict, tol: Tolerances):
-    """Dispatch one named check against a generated pair."""
-    if name == "real_part":
-        return check_real_part(x, y, tol=tol)
-    if name == "spectral_agreement":
-        return check_spectral_agreement(x, y, tol=tol)
-    if name == "modulus_equal":
-        return check_modulus_equal(x, y, tol=tol)
-    if name == "modulus_commute":
-        return check_modulus_commute(x, y, tol=tol)
-    if name == "square_commute":
-        return check_square_commute(x, y, tol=tol)
-    if name == "corollary_cases":
-        return check_corollary_cases(x, y, tol=tol)
-    if name == "difference_formula":
-        k_lo = int(metadata.get("k_lo", -1))
-        k_hi = int(metadata.get("k_hi", 0))
-        return check_difference_formula(x, y, k_lo, k_hi, tol=tol)
-    if name == "congruence_free":
-        return check_congruence_free(normal_eig(x, tol=tol), tol=tol)
-    if name == "double_commutant":
-        return check_double_commutant(x, y, tol=tol)
-    if name == "one_boundary_eigenvalue":
-        return check_one_boundary_eigenvalue(x, y, tol=tol)
-    if name == "y_in_bicommutant_of_exp":
-        return check_y_in_bicommutant_of_exp(x, y, tol=tol)
-    if name == "kurepa":
-        return check_kurepa(y, tol=tol)
-    raise ValueError(f"unknown check {name!r}")
-
-
 def _run_instance(task) -> list[dict]:
-    label, family, params, n, seed, tol_overrides, checks = task
-    tol = tolerances_from_config(tol_overrides)
+    label, family, params, n, seed, tol, checks = task
     spec = InstanceSpec(family=Family(family), n=n, seed=seed,
                         params=dict(params))
     x, y, metadata = make_pair(spec)
+    pair = analyze_pair(x, y, metadata, tol)
     rows = []
     for check_name in checks:
-        report = run_check(check_name, x, y, metadata, tol)
         row = {"family": label, "n": n, "seed": seed}
-        row.update(report.to_dict())
+        row.update(run_check(check_name, pair).to_dict())
         rows.append(row)
     return rows
 
@@ -155,7 +134,7 @@ def run_suite(config: dict | None = None, jobs: int = 1) -> dict:
     base = int(config.get("base_seed", 0))
     sizes = list(config.get("sizes", [2, 4, 8, 16]))
     n_seeds = int(config.get("seeds", 25))
-    tol_overrides = dict(config.get("tol", {}))
+    tol = tolerances_from_config(config.get("tol", {}))
 
     tasks = []
     for entry in config.get("families", []):
@@ -163,11 +142,14 @@ def run_suite(config: dict | None = None, jobs: int = 1) -> dict:
         label = entry.get("label", family)
         params = entry.get("params", {})
         checks = tuple(entry.get("checks", _FAMILY_CHECKS[Family(family)]))
+        unknown = [name for name in checks if name not in CHECK_NAMES]
+        if unknown:
+            raise ValueError(f"unknown checks {unknown} for {label!r}; "
+                             f"expected names from {list(CHECK_NAMES)}")
         for n in sizes:
             for i in range(n_seeds):
                 seed = _derive_seed(base, label, n, i)
-                tasks.append((label, family, params, n, seed, tol_overrides,
-                              checks))
+                tasks.append((label, family, params, n, seed, tol, checks))
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

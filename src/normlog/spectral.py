@@ -391,6 +391,12 @@ def _fold_branch(t: float, eps_on: float) -> tuple[int, float]:
     return k, r
 
 
+def _odd_pi_distance(t: float) -> float:
+    """Distance from a real number to the nearest odd multiple of pi."""
+    k = round((t - math.pi) / (2.0 * math.pi))
+    return abs(t - (2 * k + 1) * math.pi)
+
+
 def fold_scalar(t: float, k_lo: int, k_hi: int, *,
                 tol: Tolerances = DEFAULT_TOL) -> float:
     """Sawtooth fold t -> t - 2*k*pi onto (-pi, pi].

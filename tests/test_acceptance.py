@@ -12,6 +12,7 @@ import time
 import numpy as np
 
 from normlog.checks import (
+    PairAnalysis,
     check_corollary_cases,
     check_difference_formula,
     check_double_commutant,
@@ -134,7 +135,7 @@ def test_criterion_4_modulus_equality():
     for family, seed0 in ((Family.BOUNDARY_FLIP_PAIR, 40_000),
                           (Family.DISTINCT_PROJECTION_PAIR, 41_000)):
         for x, y, _ in _instances(family, 100, seed0):
-            rep = check_modulus_equal(x, y)
+            rep = check_modulus_equal(PairAnalysis(x, y))
             assert rep.passed and rep.residuals["modulus"] <= 1e-8
             total += 1
     assert total == 200
@@ -145,7 +146,7 @@ def test_criterion_4_modulus_equality():
 def test_criterion_5_modulus_commute_and_kurepa():
     total = 0
     for x, y, _ in _instances(Family.NON_NORMAL_LOG_PAIR, 100, 50_000):
-        rep = check_modulus_commute(x, y)
+        rep = check_modulus_commute(PairAnalysis(x, y))
         assert rep.passed and rep.residuals["modulus_commutator"] <= 1e-8
         kd = kurepa_decompose(y)
         assert kd.commute_residual <= 1e-8
@@ -172,20 +173,21 @@ def test_criterion_6_difference_formula():
         x, y, meta = make_pair(InstanceSpec(
             family=Family.SHIFTED_BRANCH_PAIR, n=n, seed=60_000 + i,
             params={"k_lo": k_lo, "k_hi": k_hi}))
-        rep = check_difference_formula(x, y, k_lo, k_hi)
+        rep = check_difference_formula(PairAnalysis(x, y, k_lo=k_lo,
+                                                    k_hi=k_hi))
         assert rep.passed and rep.residuals["difference"] <= 1e-8 * n
         total += 1
     for family, seed0 in ((Family.BOUNDARY_FLIP_PAIR, 61_000),
                           (Family.DISTINCT_PROJECTION_PAIR, 62_000)):
         for x, y, _ in _instances(family, 52, seed0):
             n = x.shape[0]
-            rep = check_difference_formula(x, y, -1, 0)
+            rep = check_difference_formula(PairAnalysis(x, y, k_lo=-1, k_hi=0))
             assert rep.passed and rep.residuals["difference"] <= 1e-8 * n
             total += 1
     assert total >= 200
     # hand oracle: X - Y = 2*pi*i*diag(1, -1), reproduced essentially exactly
     x = np.diag([PI * 1j, -PI * 1j])
-    rep = check_difference_formula(x, -x, -1, 0)
+    rep = check_difference_formula(PairAnalysis(x, -x, k_lo=-1, k_hi=0))
     assert rep.passed and rep.residuals["difference"] <= 1e-12
     print(f"\n[acceptance 6] PASS - projection difference formula on {total} "
           f"instances across branch windows within [-3, 3]")
@@ -195,18 +197,18 @@ def test_criterion_7_corollary_cases():
     cases = 0
     for x, y, _ in _instances(Family.BOUNDARY_FLIP_PAIR, 40, 70_000,
                               params={"side": -1}):
-        rep = check_corollary_cases(x, y)
+        rep = check_corollary_cases(PairAnalysis(x, y))
         assert rep.passed and "top line empty" in rep.notes
         assert rep.residuals["difference_top"] <= 1e-8
         cases += 1
     for x, y, _ in _instances(Family.BOUNDARY_FLIP_PAIR, 40, 71_000,
                               params={"side": 1}):
-        rep = check_corollary_cases(x, y)
+        rep = check_corollary_cases(PairAnalysis(x, y))
         assert rep.passed and "bottom line empty" in rep.notes
         assert rep.residuals["difference_bottom"] <= 1e-8
         cases += 1
     for x, y, _ in _instances(Family.INTERIOR_PAIR, 40, 72_000):
-        rep = check_corollary_cases(x, y)
+        rep = check_corollary_cases(PairAnalysis(x, y))
         assert rep.passed and "X = Y" in rep.notes
         assert rep.residuals["equality"] <= 1e-8
         cases += 1
@@ -217,22 +219,22 @@ def test_criterion_7_corollary_cases():
 def test_criterion_8_unbounded_style_commutation():
     for x, y, _ in _instances(Family.SELF_ADJOINT_CONGRUENCE_FREE,
                               100, 80_000):
-        rep = check_double_commutant(x, y)
+        rep = check_double_commutant(PairAnalysis(x, y))
         assert rep.passed and rep.residuals["double_commutant"] <= 1e-8
-        rep3 = check_y_in_bicommutant_of_exp(x, y)
+        rep3 = check_y_in_bicommutant_of_exp(PairAnalysis(x, y))
         assert rep3.passed
         assert rep3.residuals["fold_identity"] <= 1e-8
     for x, y, _ in _instances(Family.ODD_PI_EIGENVALUE, 100, 81_000):
-        rep = check_one_boundary_eigenvalue(x, y)
+        rep = check_one_boundary_eigenvalue(PairAnalysis(x, y))
         assert rep.passed
     # negative controls must gate out, never pass
     for x, y, _ in _instances(Family.SELF_ADJOINT_CONGRUENCE_FREE, 12, 82_000,
                               params={"violate": 1}):
-        rep = check_double_commutant(x, y)
+        rep = check_double_commutant(PairAnalysis(x, y))
         assert not rep.hypothesis_met and not rep.passed
     for x, y, _ in _instances(Family.ODD_PI_EIGENVALUE, 12, 83_000,
                               params={"violate": 1}):
-        rep = check_one_boundary_eigenvalue(x, y)
+        rep = check_one_boundary_eigenvalue(PairAnalysis(x, y))
         assert not rep.hypothesis_met and not rep.passed
     print("\n[acceptance 8] PASS - double-commutant membership, single "
           "odd-pi commutation, folded-identity checks, and gated negative "
@@ -244,13 +246,13 @@ def test_criterion_9_square_commutation():
     for family, seed0 in ((Family.BOUNDARY_FLIP_PAIR, 90_000),
                           (Family.DISTINCT_PROJECTION_PAIR, 91_000)):
         for x, y, _ in _instances(family, 52, seed0):
-            rep = check_square_commute(x, y)
+            rep = check_square_commute(PairAnalysis(x, y))
             assert rep.passed and rep.residuals["square_commutator"] <= 1e-8
             total += 1
     violations = 0
     for x, y, _ in _instances(Family.BOUNDARY_FLIP_PAIR, 12, 92_000,
                               params={"conjugate_pair": 1, "boundary": 2}):
-        rep = check_square_commute(x, y)
+        rep = check_square_commute(PairAnalysis(x, y))
         assert not rep.hypothesis_met and not rep.passed
         violations += 1
     print(f"\n[acceptance 9] PASS - square commutation on {total} "

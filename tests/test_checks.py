@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from normlog.checks import (
+    PairAnalysis,
     check_congruence_free,
     check_corollary_cases,
     check_difference_formula,
@@ -45,57 +46,63 @@ class TestReportInvariants:
 
 class TestRealPart:
     def test_pure_imaginary_flip(self):
-        rep = check_real_part(np.diag([PI * 1j]), np.diag([-PI * 1j]))
+        rep = check_real_part(PairAnalysis(np.diag([PI * 1j]),
+                                           np.diag([-PI * 1j])))
         assert rep.passed and rep.residuals["real_part"] <= 1e-12
 
     def test_shared_real_part(self):
-        rep = check_real_part(np.diag([1 + PI * 1j]), np.diag([1 - PI * 1j]))
+        rep = check_real_part(PairAnalysis(np.diag([1 + PI * 1j]),
+                                           np.diag([1 - PI * 1j])))
         assert rep.passed
 
     def test_gate_failure(self):
-        rep = check_real_part(np.diag([1.0 + 0j]), np.diag([2.0 + 0j]))
+        rep = check_real_part(PairAnalysis(np.diag([1.0 + 0j]),
+                                           np.diag([2.0 + 0j])))
         assert not rep.hypothesis_met and not rep.passed
 
 
 class TestSpectralAgreement:
     def test_identical_inputs(self):
         x, _, _ = random_normal_matrix(6, 31, im_range=PI - 0.2)
-        rep = check_spectral_agreement(x, x.copy())
+        rep = check_spectral_agreement(PairAnalysis(x, x.copy()))
         assert rep.passed
 
     def test_distinct_boundary_bases(self):
         d = np.diag([PI * 1j, -PI * 1j])
         x = conj_by(random_unitary(2, 11), d)
         y = conj_by(random_unitary(2, 12), d)
-        rep = check_spectral_agreement(x, y)
+        rep = check_spectral_agreement(PairAnalysis(x, y))
         assert rep.passed
         assert rep.residuals["boundary_sum"] <= 1e-10
 
     def test_boundary_flip_diagonal(self):
-        rep = check_spectral_agreement(np.diag([PI * 1j, 0]),
-                                       np.diag([-PI * 1j, 0]))
+        rep = check_spectral_agreement(PairAnalysis(np.diag([PI * 1j, 0]),
+                                                    np.diag([-PI * 1j, 0])))
         assert rep.passed
 
     def test_gate_failure_out_of_strip(self):
-        rep = check_spectral_agreement(np.diag([5j]), np.diag([5j]))
+        rep = check_spectral_agreement(PairAnalysis(np.diag([5j]),
+                                                    np.diag([5j])))
         assert not rep.hypothesis_met
 
 
 class TestModulusEqual:
     def test_scalar_flip(self):
-        rep = check_modulus_equal(np.diag([PI * 1j]), np.diag([-PI * 1j]))
+        rep = check_modulus_equal(PairAnalysis(np.diag([PI * 1j]),
+                                               np.diag([-PI * 1j])))
         assert rep.passed
 
     def test_distinct_bases(self):
         d = np.diag([PI * 1j, -PI * 1j])
         x = conj_by(random_unitary(2, 21), d)
         y = conj_by(random_unitary(2, 22), d)
-        rep = check_modulus_equal(x, y)
+        rep = check_modulus_equal(PairAnalysis(x, y))
         assert rep.passed and rep.residuals["modulus"] <= 1e-8
 
     def test_mixed_spectrum(self):
-        rep = check_modulus_equal(np.diag([1 + PI * 1j, -2 + 0j]),
-                                  np.diag([1 - PI * 1j, -2 + 0j]))
+        rep = check_modulus_equal(
+            PairAnalysis(np.diag([1 + PI * 1j, -2 + 0j]),
+                         np.diag([1 - PI * 1j, -2 + 0j])))
         assert rep.passed
 
 
@@ -103,7 +110,7 @@ class TestModulusCommute:
     def test_similarity_partner(self):
         x = np.diag([PI * 1j, -PI * 1j])
         y = np.array([[PI * 1j, -2 * PI * 1j], [0, -PI * 1j]])  # T D T^-1
-        rep = check_modulus_commute(x, y)
+        rep = check_modulus_commute(PairAnalysis(x, y))
         assert rep.passed
 
     def test_block_scalar_modulus(self):
@@ -113,50 +120,53 @@ class TestModulusCommute:
         s[0, 1] = 0.7
         d = np.diag([PI * 1j, -PI * 1j, 0])
         y = s @ d @ np.linalg.inv(s)
-        rep = check_modulus_commute(x, y)
+        rep = check_modulus_commute(PairAnalysis(x, y))
         assert rep.passed
 
     def test_self_pair(self):
         x, _, _ = random_normal_matrix(4, 41, im_range=PI - 0.2)
-        rep = check_modulus_commute(x, x.copy())
+        rep = check_modulus_commute(PairAnalysis(x, x.copy()))
         assert rep.passed
 
 
 class TestSquareCommute:
     def test_clean_boundary(self):
-        rep = check_square_commute(np.diag([1 + PI * 1j, 2 + PI * 1j]),
-                                   np.diag([1 - PI * 1j, 2 + PI * 1j]))
+        rep = check_square_commute(
+            PairAnalysis(np.diag([1 + PI * 1j, 2 + PI * 1j]),
+                         np.diag([1 - PI * 1j, 2 + PI * 1j])))
         assert rep.passed
 
     def test_conjugate_pair_violates_hypothesis(self):
         x = np.diag([1 + PI * 1j, 1 - PI * 1j])
         y = np.diag([1 + PI * 1j, 1 + PI * 1j])    # exp(Y) = -e I = exp(X)
-        rep = check_square_commute(x, y)
+        rep = check_square_commute(PairAnalysis(x, y))
         assert not rep.hypothesis_met and not rep.passed
 
     def test_corner_points_exempt(self):
-        rep = check_square_commute(np.diag([PI * 1j]), np.diag([-PI * 1j]))
+        rep = check_square_commute(PairAnalysis(np.diag([PI * 1j]),
+                                                np.diag([-PI * 1j])))
         assert rep.passed
 
 
 class TestDifferenceFormula:
     def test_boundary_oracle_tight(self):
         x = np.diag([PI * 1j, -PI * 1j])
-        rep = check_difference_formula(x, -x, -1, 0)
+        rep = check_difference_formula(PairAnalysis(x, -x, k_lo=-1, k_hi=0))
         assert rep.passed
         # X - Y = 2*pi*i*diag(1, -1) is reproduced essentially exactly
         assert rep.residuals["difference"] <= 1e-12
 
     def test_equal_inputs(self):
         x, _, _ = random_normal_matrix(5, 51, im_range=PI - 0.2)
-        rep = check_difference_formula(x, x.copy(), -1, 0)
+        rep = check_difference_formula(PairAnalysis(x, x.copy(), k_lo=-1,
+                                                    k_hi=0))
         assert rep.passed
 
     def test_distinct_bases_boundary(self):
         d = np.diag([PI * 1j, -PI * 1j])
         x = conj_by(random_unitary(2, 61), d)
         y = conj_by(random_unitary(2, 62), d)
-        rep = check_difference_formula(x, y, -1, 0)
+        rep = check_difference_formula(PairAnalysis(x, y, k_lo=-1, k_hi=0))
         assert rep.passed
 
 
@@ -164,38 +174,41 @@ class TestCorollaryCases:
     def test_case_top_empty(self):
         x = np.diag([-PI * 1j, 0])
         y = np.diag([PI * 1j, 0])
-        rep = check_corollary_cases(x, y)
+        rep = check_corollary_cases(PairAnalysis(x, y))
         assert rep.passed and "top line empty" in rep.notes
         # X - Y = -2*pi*i*F1 with F1 = diag(1, 0) by direct arithmetic
         assert rep.residuals["difference_top"] <= 1e-12
 
     def test_case_bottom_empty(self):
-        rep = check_corollary_cases(np.diag([PI * 1j, 0]),
-                                    np.diag([-PI * 1j, 0]))
+        rep = check_corollary_cases(PairAnalysis(np.diag([PI * 1j, 0]),
+                                                 np.diag([-PI * 1j, 0])))
         assert rep.passed and "bottom line empty" in rep.notes
 
     def test_case_both_empty_forces_equality(self):
         x, _, _ = random_normal_matrix(4, 71, im_range=PI - 0.3)
-        rep = check_corollary_cases(x, x.copy())
+        rep = check_corollary_cases(PairAnalysis(x, x.copy()))
         assert rep.passed and "X = Y" in rep.notes
 
     def test_no_case_applies(self):
         x = np.diag([PI * 1j, -PI * 1j])
-        rep = check_corollary_cases(x, x.copy())
+        rep = check_corollary_cases(PairAnalysis(x, x.copy()))
         assert not rep.hypothesis_met
 
 
 class TestCongruenceFree:
     def test_small_gap_is_free(self):
-        rep = check_congruence_free(normal_eig(np.diag([0.0, PI])))
+        x = np.diag([0.0, PI])
+        rep = check_congruence_free(PairAnalysis(x, x))
         assert rep.passed
 
     def test_exact_collision(self):
-        rep = check_congruence_free(normal_eig(np.diag([0.0, TWO_PI])))
+        x = np.diag([0.0, TWO_PI])
+        rep = check_congruence_free(PairAnalysis(x, x))
         assert not rep.passed
 
     def test_gaps_below_two_pi(self):
-        rep = check_congruence_free(normal_eig(np.diag([1.0, 2.0, 3.0])))
+        x = np.diag([1.0, 2.0, 3.0])
+        rep = check_congruence_free(PairAnalysis(x, x))
         assert rep.passed
 
 
@@ -203,60 +216,65 @@ class TestDoubleCommutant:
     def test_diagonal_instance(self):
         x = np.diag([0.0, PI])
         y = np.diag([0.0, PI * 1j - TWO_PI * 1j])
-        rep = check_double_commutant(x, y)
+        rep = check_double_commutant(PairAnalysis(x, y))
         assert rep.passed
 
     def test_zero_pair(self):
-        rep = check_double_commutant(np.zeros((2, 2)), np.zeros((2, 2)))
+        rep = check_double_commutant(PairAnalysis(np.zeros((2, 2)),
+                                                  np.zeros((2, 2))))
         assert rep.passed
 
     def test_congruent_spectrum_skipped(self):
-        rep = check_double_commutant(np.diag([0.0, TWO_PI]), np.zeros((2, 2)))
+        rep = check_double_commutant(PairAnalysis(np.diag([0.0, TWO_PI]),
+                                                  np.zeros((2, 2))))
         assert not rep.hypothesis_met and not rep.passed
 
 
 class TestOneBoundaryEigenvalue:
     def test_single_odd_pi(self):
-        rep = check_one_boundary_eigenvalue(np.diag([PI, 0.0]),
-                                            np.diag([PI * 1j, 0]))
+        rep = check_one_boundary_eigenvalue(
+            PairAnalysis(np.diag([PI, 0.0]), np.diag([PI * 1j, 0])))
         assert rep.passed
 
     def test_mirror_log(self):
-        rep = check_one_boundary_eigenvalue(np.diag([PI, 0.0]),
-                                            np.diag([-PI * 1j, 0]))
+        rep = check_one_boundary_eigenvalue(
+            PairAnalysis(np.diag([PI, 0.0]), np.diag([-PI * 1j, 0])))
         assert rep.passed
 
     def test_two_odd_pi_skipped(self):
         x = np.diag([PI, 3 * PI])
         y = np.diag([PI * 1j, PI * 1j])
-        rep = check_one_boundary_eigenvalue(x, y)
+        rep = check_one_boundary_eigenvalue(PairAnalysis(x, y))
         assert not rep.hypothesis_met and not rep.passed
 
 
 class TestYInBicommutant:
     def test_interior_diagonal(self):
-        rep = check_y_in_bicommutant_of_exp(np.diag([0.0, 1.0]),
-                                            np.diag([0.0, 1j]))
+        rep = check_y_in_bicommutant_of_exp(PairAnalysis(np.diag([0.0, 1.0]),
+                                                         np.diag([0.0, 1j])))
         assert rep.passed
         assert rep.residuals["fold_identity"] <= 1e-12
 
     def test_full_turn_folds_to_zero(self):
-        rep = check_y_in_bicommutant_of_exp(np.diag([TWO_PI]), np.diag([0.0j]))
+        rep = check_y_in_bicommutant_of_exp(PairAnalysis(np.diag([TWO_PI]),
+                                                         np.diag([0.0j])))
         assert rep.passed
 
     def test_odd_pi_skipped(self):
-        rep = check_y_in_bicommutant_of_exp(np.diag([PI]), np.diag([PI * 1j]))
+        rep = check_y_in_bicommutant_of_exp(PairAnalysis(np.diag([PI]),
+                                                         np.diag([PI * 1j])))
         assert not rep.hypothesis_met and not rep.passed
 
 
 class TestKurepaCheck:
     def test_oracle(self):
         y = np.array([[PI * 1j, -2 * PI * 1j], [0, -PI * 1j]])
-        rep = check_kurepa(y)
+        rep = check_kurepa(PairAnalysis(y, y))
         assert rep.passed
 
     def test_non_normal_exponential_skipped(self):
-        rep = check_kurepa(np.array([[0, 1], [0, 0]], dtype=complex))
+        y = np.array([[0, 1], [0, 0]], dtype=complex)
+        rep = check_kurepa(PairAnalysis(y, y))
         assert not rep.hypothesis_met and not rep.passed
 
 
@@ -267,10 +285,10 @@ class TestCrossTheoremConsistency:
     def test_agreement_implies_real_part_and_modulus(self, seed):
         x, y, _ = make_pair(InstanceSpec(
             family=Family.BOUNDARY_FLIP_PAIR, n=4, seed=900 + seed))
-        agree = check_spectral_agreement(x, y)
+        agree = check_spectral_agreement(PairAnalysis(x, y))
         assert agree.passed
-        assert check_real_part(x, y).passed
-        assert check_modulus_equal(x, y).passed
+        assert check_real_part(PairAnalysis(x, y)).passed
+        assert check_modulus_equal(PairAnalysis(x, y)).passed
 
     @pytest.mark.parametrize("seed", range(6))
     def test_strip_formula_specializes_to_corollary(self, seed):

@@ -4,6 +4,9 @@ import math
 import numpy as np
 import pytest
 
+import normlog.checks
+import normlog.harness.suite
+from normlog.checks import CHECK_NAMES, PairAnalysis, run_check
 from normlog.errors import ConstructionFailed
 from normlog.harness import (
     Family,
@@ -204,6 +207,129 @@ class TestSuite:
         families = {e["family"] for e in default_config()["families"]}
         assert families == {f.value for f in Family}
 
+    @staticmethod
+    def _count_make_pair(monkeypatch) -> list:
+        calls = []
+        real = normlog.harness.suite.make_pair
+
+        def counting(spec):
+            calls.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(normlog.harness.suite, "make_pair", counting)
+        return calls
+
+    @pytest.mark.parametrize("tol", [
+        {"bogus": 1}, {"eig": 1e-12}, {"check": 0}, {"check": -1e-8},
+        {"check": "1e-8"}, {"check": math.inf}, {"check": math.nan},
+        {"check": True}, [1e-8]])
+    def test_bad_tolerances_rejected_before_work(self, tol, monkeypatch):
+        calls = self._count_make_pair(monkeypatch)
+        with pytest.raises(ValueError, match="tol"):
+            run_suite({"sizes": [2], "seeds": 1, "tol": tol,
+                       "families": [{"family": "InteriorPair"}]})
+        assert calls == []
+
+    def test_integer_tolerance_accepted(self):
+        rep = run_suite({"base_seed": 5, "sizes": [2], "seeds": 1,
+                         "tol": {"check": 1},
+                         "families": [{"family": "InteriorPair"}]})
+        assert rep["summary"]["failed"] == 0
+
+    def test_unknown_check_rejected_before_work(self, monkeypatch):
+        calls = self._count_make_pair(monkeypatch)
+        cfg = {"sizes": [2], "seeds": 1,
+               "families": [{"family": "InteriorPair"},
+                            {"family": "OddPiEigenvalue",
+                             "checks": ["double_commutant", "nope"]}]}
+        with pytest.raises(ValueError, match="nope"):
+            run_suite(cfg)
+        assert calls == []
+
+
+def _one_of_each() -> dict:
+    """The default config's entries, negative controls included, at one
+    seed and one size."""
+    cfg = default_config()
+    cfg.update(sizes=[4], seeds=1)
+    return cfg
+
+
+def _regenerate(cfg: dict, row: dict):
+    entry = next(e for e in cfg["families"]
+                 if e.get("label", e["family"]) == row["family"])
+    return make_pair(InstanceSpec(family=Family(entry["family"]), n=row["n"],
+                                  seed=row["seed"],
+                                  params=entry.get("params", {})))
+
+
+class TestSharedAnalysis:
+    def test_registry_names_resolve(self):
+        for name in CHECK_NAMES:
+            assert callable(getattr(normlog.checks, f"check_{name}"))
+        with pytest.raises(ValueError):
+            run_check("nope", PairAnalysis(np.eye(2), np.eye(2)))
+
+    def test_dispatch_reads_module_attribute_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(normlog.checks, "check_real_part",
+                            lambda pair: "rebound")
+        assert run_check("real_part", PairAnalysis(np.eye(2), np.eye(2))) \
+            == "rebound"
+
+    def test_sharing_never_changes_a_verdict(self):
+        cfg = _one_of_each()
+        rows = run_suite(cfg)["results"]
+        assert len({r["family"] for r in rows}) == len(cfg["families"])
+        assert any(not r["hypothesis_met"] for r in rows)
+        for row in rows:
+            x, y, meta = _regenerate(cfg, row)
+            fresh = PairAnalysis(x, y, k_lo=meta.get("k_lo", -1),
+                                 k_hi=meta.get("k_hi", 0))
+            report = getattr(normlog.checks, f"check_{row['check']}")(fresh)
+            expected = {"family": row["family"], "n": row["n"],
+                        "seed": row["seed"]}
+            expected.update(report.to_dict())
+            assert row == expected
+
+    def test_each_operand_analysed_once_per_instance(self, monkeypatch):
+        # calls of the checks layer per (instance, operand); operands are
+        # told apart by identity, since InteriorPair has X equal to Y
+        calls = []
+        pairs = []
+        real_make_pair = normlog.harness.suite.make_pair
+        real_normal_eig = normlog.checks.normal_eig
+        real_exp = normlog.checks.exp_general
+
+        def make_pair_spy(spec):
+            pairs.append(real_make_pair(spec))
+            return pairs[-1]
+
+        def operand(arg):
+            x, y, _ = pairs[-1]
+            if arg is x:
+                return "x"
+            if arg is y:
+                return "y"
+            return "ix" if np.array_equal(arg, 1j * x) else "unknown"
+
+        def normal_eig_spy(arg, **kwargs):
+            calls.append((len(pairs), "normal_eig", operand(arg)))
+            return real_normal_eig(arg, **kwargs)
+
+        def exp_spy(arg):
+            calls.append((len(pairs), "exp_general", operand(arg)))
+            return real_exp(arg)
+
+        monkeypatch.setattr(normlog.harness.suite, "make_pair", make_pair_spy)
+        monkeypatch.setattr(normlog.checks, "normal_eig", normal_eig_spy)
+        monkeypatch.setattr(normlog.checks, "exp_general", exp_spy)
+        run_suite(_one_of_each())
+
+        assert len(pairs) == len(_one_of_each()["families"])
+        assert {c[1] for c in calls} == {"normal_eig", "exp_general"}
+        assert all(c[2] != "unknown" for c in calls)
+        assert len(calls) == len(set(calls))
+
 
 class TestCli:
     def test_version(self, capsys):
@@ -257,6 +383,20 @@ class TestCli:
         doc = json.loads(open(report).read())
         assert doc["summary"]["failed"] == 0
         assert "total" in capsys.readouterr().out
+
+    def test_bad_tolerance_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sizes": [2], "seeds": 1,
+                                   "tol": {"bogus": 1},
+                                   "families": [{"family": "InteriorPair"}]}))
+        assert cli_main(["suite", "--config", str(cfg)]) == 2
+        assert "bogus" in capsys.readouterr().err
+
+    def test_check_choices_come_from_registry(self, capsys):
+        with pytest.raises(SystemExit):
+            cli_main(["check", "--name", "nope", "--in", "pair.json"])
+        err = capsys.readouterr().err
+        assert all(name in err for name in CHECK_NAMES)
 
     def test_missing_file_is_usage_error(self, capsys):
         assert cli_main(["check", "--name", "real_part",
