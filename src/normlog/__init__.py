@@ -59,14 +59,11 @@ from .logs import (
 )
 from .report import CheckReport
 from .spectral import (
-    Conjugate,
     HLine,
-    Negate,
     Points,
     Rect,
     Region,
     RegionUnion,
-    Shift,
     SpectralDecomposition,
     StripProjections,
     borel_calculus,

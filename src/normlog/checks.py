@@ -15,6 +15,7 @@ All residuals are relative, normalized by operand norms with a
 
 from __future__ import annotations
 
+import cmath
 import math
 from functools import cached_property, wraps
 
@@ -391,7 +392,8 @@ def check_congruence_free(pair: PairAnalysis) -> CheckReport:
     """
     name = "congruence_free"
     dec_x, tol = pair.dec_x, pair.tol
-    scale = math.sqrt(sum(c.mult * abs(c.lam) ** 2 for c in dec_x.clusters))
+    scale = math.sqrt(sum(m * abs(lam) ** 2 for m, lam
+                          in zip(dec_x.multiplicities, dec_x.eigenvalues)))
     if any(abs(lam.imag) > tol.boundary for lam in dec_x.eigenvalues):
         return _fail(name, "input must be self-adjoint (real spectrum)")
     radius = tol.cluster * max(1.0, scale)
@@ -417,17 +419,26 @@ def check_congruence_free(pair: PairAnalysis) -> CheckReport:
 def check_double_commutant(pair: PairAnalysis):
     """Every spectral projection of a congruence-free self-adjoint X lies
     in the double commutant of Y when exp(iX) = exp(Y); in particular X
-    and Y commute."""
+    and Y commute.
+
+    For a normal Y, {Y}'' is the span of Y's eigenprojections, so the
+    residual is the distance to that span; a non-normal Y needs the
+    commutant basis.
+    """
     x, y, tol = pair.x, pair.y, pair.tol
     if not check_congruence_free(pair).passed:
         raise _Unmet("spectrum is not 2*pi-congruence-free; "
                      "hypothesis not met")
 
-    basis = commutant_basis(y, tol=tol)
-    worst = 0.0
-    for c in pair.dec_x.clusters:
-        _, res = in_double_commutant(c.proj, y, tol=tol, basis=basis)
-        worst = max(worst, res)
+    dec_x = pair.dec_x
+    projections = [dec_x.projection(j) for j in range(len(dec_x.eigenvalues))]
+    if pair.normal_y:
+        worst = max(pair.dec_y.bicommutant_distance(p, tol=tol)
+                    for p in projections)
+    else:
+        basis = commutant_basis(y, tol=tol)
+        worst = max(in_double_commutant(p, y, tol=tol, basis=basis)[1]
+                    for p in projections)
     r_comm = _rel(frob(commutator(x, y)), frob(x), frob(y))
     return ({"double_commutant": worst, "commutator": r_comm},
             {"double_commutant": tol.check, "commutator": tol.check},
@@ -463,7 +474,10 @@ def check_y_in_bicommutant_of_exp(pair: PairAnalysis):
         raise _Unmet("an eigenvalue of X is an odd multiple of pi; "
                      "hypothesis not met")
 
-    _, r_bicomm = in_double_commutant(y, pair.exp_ix, tol=tol)
+    # exp(iX) = V diag(e^{i lam}) V*, so {exp(iX)}'' is spanned by sums of
+    # the projections of X that share a value e^{i lam}
+    r_bicomm = pair.dec_x.bicommutant_distance(
+        y, lambda lam: cmath.exp(1j * lam), tol=tol)
     folded = borel_calculus(
         pair.dec_x, lambda lam: 1j * _fold_branch(lam.real, tol.on_feature)[1])
     r_fold = _rel(frob(folded - y), frob(y))
@@ -472,22 +486,18 @@ def check_y_in_bicommutant_of_exp(pair: PairAnalysis):
             _FINITE_DIM_NOTE)
 
 
-def check_kurepa(pair: PairAnalysis) -> CheckReport:
+@_gated()
+def check_kurepa(pair: PairAnalysis):
     """The principal-log splitting of Y reconstructs it, commutes, and
     carries integer branch weights whenever exp(Y) is normal. X is not
     read."""
-    name = "kurepa"
     y, tol = pair.y, pair.tol
     try:
         dec = kurepa_decompose(y, tol=tol)
     except (ExpNotNormal, Singular) as exc:
-        return _fail(name, f"hypothesis not met: {exc}")
-    r_recon = _rel(frob(dec.reconstruct() - y), frob(y))
-    residuals = {"reconstruction": r_recon,
-                 "commute": dec.commute_residual,
-                 "integer_spectrum": dec.integer_spectrum_residual}
-    tols = {"reconstruction": tol.check, "commute": tol.check,
-            "integer_spectrum": tol.integer}
-    passed = all(residuals[k] <= tols[k] for k in residuals)
-    return CheckReport(check_name=name, passed=passed, hypothesis_met=True,
-                       residuals=residuals, tolerances=tols)
+        raise _Unmet(f"hypothesis not met: {exc}") from exc
+    return ({"reconstruction": _rel(frob(dec.reconstruct() - y), frob(y)),
+             "commute": dec.commute_residual,
+             "integer_spectrum": dec.integer_spectrum_residual},
+            {"reconstruction": tol.check, "commute": tol.check,
+             "integer_spectrum": tol.integer}, "")

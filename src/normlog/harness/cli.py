@@ -20,11 +20,11 @@ import sys
 
 from .. import __version__
 from ..checks import CHECK_NAMES, run_check
-from ..config import DEFAULT_TOL
 from ..errors import NormLogError
 from .generators import Family, InstanceSpec, make_pair
 from .io import read_pair, write_pair, write_report
-from .suite import analyze_pair, default_config, run_suite
+from .suite import (analyze_pair, default_config, run_suite,
+                    tolerances_from_config)
 
 
 def _parse_params(items):
@@ -51,12 +51,12 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    tol = tolerances_from_config({} if args.tol is None else {"check": args.tol})
     x, y, metadata = read_pair(args.infile)
     if args.k_lo is not None:
         metadata["k_lo"] = args.k_lo
     if args.k_hi is not None:
         metadata["k_hi"] = args.k_hi
-    tol = DEFAULT_TOL if args.tol is None else DEFAULT_TOL.replace(check=args.tol)
     report = run_check(args.name, analyze_pair(x, y, metadata, tol))
 
     status = "PASS" if report.passed else (

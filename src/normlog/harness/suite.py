@@ -128,8 +128,10 @@ def run_suite(config: dict | None = None, jobs: int = 1) -> dict:
 
     The returned report is a plain dict ready for JSON serialization;
     ``summary.failed == 0`` is the success criterion (hypothesis-skipped
-    checks do not fail the suite).
+    checks do not fail the suite). Raises ValueError for ``jobs < 1``.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     config = config or default_config()
     base = int(config.get("base_seed", 0))
     sizes = list(config.get("sizes", [2, 4, 8, 16]))

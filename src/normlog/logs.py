@@ -34,7 +34,7 @@ TWO_PI = 2.0 * math.pi
 
 
 def exp_normal(dec: SpectralDecomposition) -> np.ndarray:
-    """Exponential through the spectral decomposition: sum e^lam_j proj_j."""
+    """Exponential through the spectral decomposition: V diag(e^lam) V*."""
     return borel_calculus(dec, cmath.exp)
 
 
@@ -115,17 +115,15 @@ def branch_log(dec_n: SpectralDecomposition, shift: BranchShift, *,
                tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Normal logarithm with per-cluster branch offsets.
 
-    Returns sum (Log lam_j + 2*pi*i*k_j) proj_j over the clusters of an
-    invertible normal matrix; offset 0 everywhere reproduces
-    :func:`principal_log`.
+    Returns sum (Log lam_j + 2*pi*i*k_j) P_j over the clusters of an
+    invertible normal matrix, P_j the eigenprojection of cluster j;
+    offset 0 everywhere reproduces :func:`principal_log`.
     """
     scale = frob(dec_n.reconstruct())
     _require_invertible(dec_n, scale, tol)
-    out = np.zeros((dec_n.n, dec_n.n), dtype=complex)
-    for j, c in enumerate(dec_n.clusters):
-        w = _principal_scalar_log(c.lam, tol.on_feature)
-        out += (w + TWO_PI * 1j * shift.offset(j)) * c.proj
-    return out
+    return dec_n.combination([
+        _principal_scalar_log(lam, tol.on_feature) + TWO_PI * 1j * shift.offset(j)
+        for j, lam in enumerate(dec_n.eigenvalues)])
 
 
 def principal_log(n_mat, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

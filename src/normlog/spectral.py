@@ -1,9 +1,10 @@
 """Spectral decompositions of normal matrices and plane-region measures.
 
-A normal matrix is decomposed into eigenvalue clusters with orthogonal
-eigenprojections; a projection-valued measure then assigns to each
-plane :class:`Region` the sum of projections whose eigenvalue lies in
-it. Regions carry explicit edge-inclusivity so open/closed strips are
+A normal matrix is decomposed into one unitary eigenbasis whose columns
+are grouped into eigenvalue clusters; the eigenprojection of a cluster
+is V_j V_j*, and a projection-valued measure assigns to each plane
+:class:`Region` the sum of projections whose eigenvalue lies in it.
+Regions carry explicit edge-inclusivity so open/closed strips are
 distinguished exactly, with a two-scale tolerance:
 
 * a point within ``tol.on_feature`` of an edge or line is treated as
@@ -36,15 +37,11 @@ from .linalg import (
 from .report import CheckReport
 
 __all__ = [
-    "Cluster",
-    "Conjugate",
     "HLine",
-    "Negate",
     "Points",
     "Rect",
     "Region",
     "RegionUnion",
-    "Shift",
     "SpectralDecomposition",
     "StripProjections",
     "borel_calculus",
@@ -168,37 +165,6 @@ class RegionUnion(Region):
         return _OUT
 
 
-@dataclass(frozen=True)
-class Conjugate(Region):
-    """Mirror of ``inner`` across the real axis."""
-
-    inner: Region
-
-    def _status(self, z, tol):
-        return self.inner._status(z.conjugate(), tol)
-
-
-@dataclass(frozen=True)
-class Negate(Region):
-    """Point reflection of ``inner`` through the origin."""
-
-    inner: Region
-
-    def _status(self, z, tol):
-        return self.inner._status(-z, tol)
-
-
-@dataclass(frozen=True)
-class Shift(Region):
-    """Translate of ``inner`` by ``delta``."""
-
-    inner: Region
-    delta: complex
-
-    def _status(self, z, tol):
-        return self.inner._status(z - complex(self.delta), tol)
-
-
 def whole_plane() -> Region:
     return Rect()
 
@@ -230,52 +196,102 @@ def odd_line(k: int) -> Region:
     return HLine((2 * k + 1) * math.pi)
 
 
-@dataclass(frozen=True)
-class Cluster:
-    lam: complex
-    proj: np.ndarray
-    mult: int
+def _merge(values, radius: float) -> list[list[int]]:
+    """Greedy clustering: each value joins the first group whose running
+    mean lies within ``radius``, else it starts a new group."""
+    groups: list[list[int]] = []
+    sums: list = []
+    for j, z in enumerate(values):
+        for gi, g in enumerate(groups):
+            if abs(z - sums[gi] / len(g)) <= radius:
+                g.append(j)
+                sums[gi] += z
+                break
+        else:
+            groups.append([j])
+            sums.append(z)
+    return groups
 
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalue clusters of a normal matrix with their eigenprojections.
+    """Eigenvalue clusters of a normal matrix in one unitary eigenbasis.
 
-    Each projection is Hermitian idempotent, projections are mutually
-    orthogonal and sum to the identity, and the matrix is reconstructed
-    by sum(lam_j * proj_j). Representatives are pairwise separated by
-    more than the merge radius used to build them.
+    Cluster j owns the contiguous columns ``bounds[j]:bounds[j + 1]`` of
+    ``v`` and has representative eigenvalue ``eigenvalues[j]``; clusters
+    are sorted by (Re, Im). Its eigenprojection is V_j V_j*, so the
+    projections are Hermitian idempotent, mutually orthogonal and sum to
+    the identity, and the matrix is V diag(lam) V*. Representatives are
+    pairwise separated by more than the merge radius used to build them.
     """
 
-    n: int
-    clusters: tuple
+    v: np.ndarray
+    eigenvalues: tuple
+    bounds: tuple
 
     @property
-    def eigenvalues(self) -> list[complex]:
-        return [c.lam for c in self.clusters]
+    def n(self) -> int:
+        return self.v.shape[0]
+
+    @property
+    def multiplicities(self) -> np.ndarray:
+        return np.diff(self.bounds)
+
+    def projection(self, j: int) -> np.ndarray:
+        """Eigenprojection of cluster ``j``."""
+        cols = self.v[:, self.bounds[j]:self.bounds[j + 1]]
+        return cols @ dagger(cols)
+
+    def select(self, mask) -> np.ndarray:
+        """Sum of the eigenprojections of the clusters where ``mask`` holds."""
+        cols = self.v[:, np.repeat(np.asarray(mask, dtype=bool),
+                                   self.multiplicities)]
+        return cols @ dagger(cols)
+
+    def combination(self, values) -> np.ndarray:
+        """Sum of values[j] times the eigenprojection of cluster j."""
+        d = np.repeat(np.asarray(values, dtype=complex), self.multiplicities)
+        return (self.v * d) @ dagger(self.v)
 
     def reconstruct(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n), dtype=complex)
-        for c in self.clusters:
-            out += c.lam * c.proj
-        return out
+        return self.combination(self.eigenvalues)
 
-    def identity_sum(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n), dtype=complex)
-        for c in self.clusters:
-            out += c.proj
-        return out
+    def bicommutant_distance(self, w, key=None, *,
+                             tol: Tolerances = DEFAULT_TOL) -> float:
+        """Relative distance from ``w`` to the double commutant {X}''.
+
+        {X}'' is the span of the eigenprojections, whose members are
+        diagonal and constant per cluster in the eigenbasis: the distance
+        is ||M - D|| / ||w||, M = V* w V, D the cluster means of diag(M).
+        With ``key``, clusters whose key(lam) merge as normal_eig would
+        merge them share one projection, which gives the distance to
+        {key(X)}''.
+        """
+        w = as_square_matrix(w)
+        nw = frob(w)
+        if nw == 0.0:
+            return 0.0
+        group = np.arange(len(self.eigenvalues))
+        if key is not None:
+            values = [complex(key(lam)) for lam in self.eigenvalues]
+            scale = np.linalg.norm(np.repeat(values, self.multiplicities))
+            for gi, g in enumerate(_merge(values, tol.cluster * max(1.0, scale))):
+                group[g] = gi
+        labels = np.repeat(group, self.multiplicities)
+        m = dagger(self.v) @ w @ self.v
+        d = np.diag(m)
+        means = ((np.bincount(labels, d.real) + 1j * np.bincount(labels, d.imag))
+                 / np.bincount(labels))
+        return frob(m - np.diag(means[labels])) / nw
 
     def validate(self, x=None) -> dict[str, float]:
         """Residuals of the decomposition invariants (not thresholded)."""
-        res = {"idempotent": 0.0, "hermitian": 0.0, "orthogonal": 0.0}
-        for c in self.clusters:
-            res["idempotent"] = max(res["idempotent"], frob(c.proj @ c.proj - c.proj))
-            res["hermitian"] = max(res["hermitian"], frob(c.proj - dagger(c.proj)))
-        for i, ci in enumerate(self.clusters):
-            for cj in self.clusters[i + 1:]:
-                res["orthogonal"] = max(res["orthogonal"], frob(ci.proj @ cj.proj))
-        res["resolution"] = frob(self.identity_sum() - np.eye(self.n))
+        projs = [self.projection(j) for j in range(len(self.eigenvalues))]
+        res = {"idempotent": max(frob(p @ p - p) for p in projs),
+               "hermitian": max(frob(p - dagger(p)) for p in projs),
+               "orthogonal": max((frob(p @ q) for i, p in enumerate(projs)
+                                  for q in projs[i + 1:]), default=0.0),
+               "resolution": frob(self.v @ dagger(self.v) - np.eye(self.n))}
         if x is not None:
             res["reconstruction"] = frob(self.reconstruct() - x)
         return res
@@ -286,7 +302,7 @@ def normal_eig(x, *, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
 
     The commuting Hermitian parts Re(X), Im(X) are diagonalized in a
     common basis; eigenvalue pairs are merged into clusters within the
-    radius ``tol.cluster * max(1, ||X||)``.
+    radius ``tol.cluster * max(1, ||X||)``, each represented by its mean.
 
     Raises NotNormal when ``X*X != XX*`` beyond tolerance.
     """
@@ -294,33 +310,18 @@ def normal_eig(x, *, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
     if not is_normal(x, tol=tol):
         raise NotNormal(f"commutator of X with X* has norm "
                         f"{frob(commutator(dagger(x), x)):.3e}")
-    n = x.shape[0]
     v = simultaneous_diagonalize(re_part(x), im_part(x), tol=tol)
     diag_a = np.real(np.diag(dagger(v) @ re_part(x) @ v))
     diag_b = np.real(np.diag(dagger(v) @ im_part(x) @ v))
     lams = diag_a + 1j * diag_b
 
-    radius = tol.cluster * max(1.0, frob(x))
-    groups: list[list[int]] = []
-    sums: list[complex] = []
-    for j in range(n):
-        for gi, g in enumerate(groups):
-            if abs(lams[j] - sums[gi] / len(g)) <= radius:
-                g.append(j)
-                sums[gi] += lams[j]
-                break
-        else:
-            groups.append([j])
-            sums.append(lams[j])
-
-    clusters = []
-    for g, s in zip(groups, sums):
-        rep = s / len(g)
-        cols = v[:, g]
-        clusters.append(Cluster(lam=complex(rep), proj=cols @ dagger(cols),
-                                mult=len(g)))
-    clusters.sort(key=lambda c: (c.lam.real, c.lam.imag))
-    return SpectralDecomposition(n=n, clusters=tuple(clusters))
+    groups = _merge(lams, tol.cluster * max(1.0, frob(x)))
+    reps = [complex(sum(lams[j] for j in g) / len(g)) for g in groups]
+    order = sorted(range(len(groups)), key=lambda i: (reps[i].real, reps[i].imag))
+    groups = [groups[i] for i in order]
+    return SpectralDecomposition(
+        v=v[:, sum(groups, [])], eigenvalues=tuple(reps[i] for i in order),
+        bounds=tuple(np.cumsum([0] + [len(g) for g in groups]).tolist()))
 
 
 def spectral_measure(dec: SpectralDecomposition, omega: Region, *,
@@ -330,20 +331,13 @@ def spectral_measure(dec: SpectralDecomposition, omega: Region, *,
     An empty selection yields the zero matrix. AmbiguousBoundary
     propagates from membership testing.
     """
-    out = np.zeros((dec.n, dec.n), dtype=complex)
-    for c in dec.clusters:
-        if omega.contains(c.lam, tol=tol):
-            out += c.proj
-    return out
+    return dec.select([omega.contains(lam, tol=tol) for lam in dec.eigenvalues])
 
 
 def borel_calculus(dec: SpectralDecomposition,
                    f: Callable[[complex], complex]) -> np.ndarray:
-    """Apply a scalar function to a normal matrix: sum f(lam_j) proj_j."""
-    out = np.zeros((dec.n, dec.n), dtype=complex)
-    for c in dec.clusters:
-        out += complex(f(c.lam)) * c.proj
-    return out
+    """Apply a scalar function to a normal matrix: V diag(f(lam)) V*."""
+    return dec.combination([f(lam) for lam in dec.eigenvalues])
 
 
 def verify_pushforward(dec: SpectralDecomposition,
@@ -358,10 +352,8 @@ def verify_pushforward(dec: SpectralDecomposition,
     fx = borel_calculus(dec, f)
     dec_f = normal_eig(fx, tol=tol)
     left = spectral_measure(dec_f, omega, tol=tol)
-    right = np.zeros((dec.n, dec.n), dtype=complex)
-    for c in dec.clusters:
-        if omega.contains(complex(f(c.lam)), tol=tol):
-            right += c.proj
+    right = dec.select([omega.contains(complex(f(lam)), tol=tol)
+                        for lam in dec.eigenvalues])
     residual = frob(left - right)
     bound = tol.check * dec.n
     return CheckReport(

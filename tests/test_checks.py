@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import normlog.checks
 from normlog.checks import (
     PairAnalysis,
     check_congruence_free,
@@ -228,6 +229,37 @@ class TestDoubleCommutant:
         rep = check_double_commutant(PairAnalysis(np.diag([0.0, TWO_PI]),
                                                   np.zeros((2, 2))))
         assert not rep.hypothesis_met and not rep.passed
+
+    def test_normal_y_needs_no_commutant_basis(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("commutant_basis called for a normal Y")
+
+        monkeypatch.setattr(normlog.checks, "commutant_basis", no_svd)
+        x, y, _ = make_pair(InstanceSpec(Family.SELF_ADJOINT_CONGRUENCE_FREE,
+                                         6, 11))
+        rep = check_double_commutant(PairAnalysis(x, y))
+        assert rep.passed and rep.residuals["double_commutant"] <= 1e-12
+
+    def test_non_normal_y_uses_commutant_basis(self, monkeypatch):
+        # exp(iX) = diag(-1, -1, e^{0.5i}) = exp(Y) with Y not normal
+        t = np.array([[1.0, 0.7], [0.0, 1.0]], dtype=complex)
+        y = np.zeros((3, 3), dtype=complex)
+        y[:2, :2] = t @ np.diag([PI * 1j, -PI * 1j]) @ np.linalg.inv(t)
+        y[2, 2] = 0.5j
+        x = np.diag([PI, PI, 0.5])
+        calls = []
+        real = normlog.checks.commutant_basis
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(normlog.checks, "commutant_basis", spy)
+        pair = PairAnalysis(x, y)
+        rep = check_double_commutant(pair)
+        assert not pair.normal_y
+        assert rep.passed and rep.residuals["double_commutant"] <= 1e-12
+        assert len(calls) == 1
 
 
 class TestOneBoundaryEigenvalue:

@@ -392,6 +392,30 @@ class TestCli:
         assert cli_main(["suite", "--config", str(cfg)]) == 2
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_bad_check_tolerance_is_usage_error(self, tmp_path, capsys, tol):
+        # the pair's real parts agree exactly, so only a bad --tol can fail it
+        pair = str(tmp_path / "pair.json")
+        write_pair(pair, np.eye(2, dtype=complex), np.eye(2, dtype=complex),
+                   {"family": "file"})
+        assert cli_main(["check", "--name", "real_part", "--in", pair]) == 0
+        assert cli_main(["check", "--name", "real_part", "--in", pair,
+                         f"--tol={tol}"]) == 2
+        assert "tolerance 'check'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_suite_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs,
+                                                 monkeypatch):
+        def no_make_pair(spec):
+            raise AssertionError("an instance was built")
+
+        monkeypatch.setattr(normlog.harness.suite, "make_pair", no_make_pair)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sizes": [2], "seeds": 1,
+                                   "families": [{"family": "InteriorPair"}]}))
+        assert cli_main(["suite", "--config", str(cfg), "--jobs", jobs]) == 2
+        assert "jobs must be >= 1" in capsys.readouterr().err
+
     def test_check_choices_come_from_registry(self, capsys):
         with pytest.raises(SystemExit):
             cli_main(["check", "--name", "nope", "--in", "pair.json"])

@@ -174,6 +174,17 @@ class TestCommutant:
             assert frob(y @ b - b @ y) <= 1e-10 * frob(y) * frob(b)
 
 
+def _repeated_eigenvalue_normal(n, seed):
+    """Random normal matrix whose first eigenvalue is repeated, so its
+    commutant is larger than its double commutant."""
+    stream = Stream(7000 + seed)
+    u = random_unitary(n, stream.subseed())
+    eigs = [complex(stream.uniform(-2, 2), stream.uniform(-2, 2))
+            for _ in range(max(1, n - 1))]
+    eigs = (eigs + [eigs[0]])[:n]
+    return u @ np.diag(eigs) @ dagger(u)
+
+
 class TestDoubleCommutant:
     def test_identity_always_in(self):
         ok, res = in_double_commutant(np.eye(3), np.diag([1.0, 2.0, 2.0]))
@@ -189,15 +200,49 @@ class TestDoubleCommutant:
                                       np.diag([1.0, 2.0]))
         assert not ok and res > 1e-8
 
-    @pytest.mark.parametrize("n,seed", [(2, 1), (3, 2), (4, 3), (6, 4)])
+    CASES = [(2, 1), (3, 2), (4, 3), (6, 4)]
+
+    @pytest.mark.parametrize("n,seed", CASES)
     def test_spectral_projections_in_bicommutant(self, n, seed):
-        stream = Stream(7000 + seed)
-        u = random_unitary(n, stream.subseed())
-        # force a repeated eigenvalue so the commutant is nontrivial
-        eigs = [complex(stream.uniform(-2, 2), stream.uniform(-2, 2))
-                for _ in range(max(1, n - 1))]
-        eigs = (eigs + [eigs[0]])[:n]
-        y = u @ np.diag(eigs) @ dagger(u)
-        for cluster in normal_eig(y).clusters:
-            ok, res = in_double_commutant(cluster.proj, y)
+        # the commutant-SVD reference and the O(n^3) eigenbasis distance
+        # both accept the eigenprojections of Y and polynomials in Y
+        y = _repeated_eigenvalue_normal(n, seed)
+        dec = normal_eig(y)
+        members = [dec.projection(j) for j in range(len(dec.eigenvalues))]
+        members += [y, y @ y, 2 * np.eye(n) + y - 0.5 * y @ y @ y]
+        for w in members:
+            ok, res = in_double_commutant(w, y)
             assert ok, res
+            assert dec.bicommutant_distance(w) <= 1e-12
+
+    @pytest.mark.parametrize("n,seed", CASES)
+    def test_rejects_rank_one_inside_repeated_eigenspace(self, n, seed):
+        y = _repeated_eigenvalue_normal(n, seed)
+        dec = normal_eig(y)
+        j = int(np.argmax(dec.multiplicities))
+        assert dec.multiplicities[j] >= 2
+        v = dec.v[:, dec.bounds[j]:dec.bounds[j] + 1]
+        w = v @ dagger(v)               # commutes with Y, not a function of it
+        assert frob(y @ w - w @ y) <= 1e-10 * frob(y)
+        ok, res = in_double_commutant(w, y)
+        assert not ok and res > 1e-2
+        assert dec.bicommutant_distance(w) > 1e-2
+
+    def test_key_groups_clusters_with_equal_values(self):
+        # exp(iX) merges the eigenvalues 0 and 2*pi of X, so the
+        # projection onto the eigenvalue 0 lies in {X}'' but not {exp(iX)}''
+        x = np.diag([0.0, 2 * np.pi, 1.0]).astype(complex)
+        e = np.diag(np.exp(1j * np.diag(x)))
+        dec = normal_eig(x)
+        expi = lambda lam: np.exp(1j * lam)
+        merged = np.diag([1.0, 1.0, 0.0]).astype(complex)
+        split = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        assert in_double_commutant(merged, e)[0]
+        assert dec.bicommutant_distance(merged, expi) <= 1e-12
+        assert dec.bicommutant_distance(split) <= 1e-12
+        assert not in_double_commutant(split, e)[0]
+        assert dec.bicommutant_distance(split, expi) > 0.1
+
+    def test_zero_is_a_member(self):
+        dec = normal_eig(np.diag([1.0, 2.0]))
+        assert dec.bicommutant_distance(np.zeros((2, 2))) == 0.0

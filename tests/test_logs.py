@@ -103,7 +103,7 @@ class TestBranchLog:
 
     def test_negative_identity_down_shift(self):
         dec = normal_eig(-np.eye(2))       # single cluster at -1
-        assert len(dec.clusters) == 1
+        assert len(dec.eigenvalues) == 1
         got = branch_log(dec, BranchShift({0: -1}))
         assert np.allclose(got, np.diag([-PI * 1j, -PI * 1j]), atol=1e-14)
 

@@ -5,15 +5,12 @@ import numpy as np
 import pytest
 
 from normlog.errors import AmbiguousBoundary, NotNormal, OutOfFoldRange
-from normlog.linalg import dagger, frob
+from normlog.linalg import frob
 from normlog.spectral import (
-    Conjugate,
     HLine,
-    Negate,
     Points,
     Rect,
     RegionUnion,
-    Shift,
     borel_calculus,
     fold_scalar,
     normal_eig,
@@ -70,13 +67,11 @@ class TestRegions:
         assert pts.contains(1 + 1j + 1e-8)
         assert not pts.contains(1 + 1j + 1e-3)
 
-    def test_union_conjugate_negate_shift(self):
-        upper = Rect(im_lo=1.0)
-        assert RegionUnion((upper, HLine(-5.0))).contains(-5j)
-        assert Conjugate(upper).contains(-2j)       # conjugate of 2j is in upper
-        assert Negate(upper).contains(-2j)
-        assert Shift(upper, 10j).contains(12j)
-        assert not Shift(upper, 10j).contains(2j)
+    def test_union(self):
+        union = RegionUnion((Rect(im_lo=1.0), HLine(-5.0)))
+        assert union.contains(-5j)
+        assert union.contains(2j)
+        assert not union.contains(-2j)
 
     def test_strip_constructors(self):
         z_on = 1 + PI * 1j
@@ -91,22 +86,23 @@ class TestRegions:
 class TestNormalEig:
     def test_diagonal_with_multiplicity(self):
         dec = normal_eig(np.diag([1 + 1j, 1 + 1j, 2 + 0j]))
-        assert sorted(c.mult for c in dec.clusters) == [1, 2]
-        assert len(dec.clusters) == 2
+        assert sorted(dec.multiplicities) == [1, 2]
+        assert len(dec.eigenvalues) == 2
 
     def test_rotation_projections(self):
         # hand eigenvectors (1, +/-i)/sqrt2: projections (I -/+ iX)/2
         x = np.array([[0, 1], [-1, 0]], dtype=complex)
         dec = normal_eig(x)
-        by_eig = {round(c.lam.imag): c.proj for c in dec.clusters}
+        by_eig = {round(lam.imag): dec.projection(j)
+                  for j, lam in enumerate(dec.eigenvalues)}
         assert set(by_eig) == {-1, 1}
         assert np.allclose(by_eig[1], (np.eye(2) - 1j * x) / 2, atol=1e-12)
         assert np.allclose(by_eig[-1], (np.eye(2) + 1j * x) / 2, atol=1e-12)
 
     def test_zero_matrix(self):
         dec = normal_eig(np.zeros((3, 3)))
-        assert len(dec.clusters) == 1
-        assert np.allclose(dec.clusters[0].proj, np.eye(3))
+        assert len(dec.eigenvalues) == 1
+        assert np.allclose(dec.projection(0), np.eye(3))
 
     def test_rejects_non_normal(self):
         with pytest.raises(NotNormal):
@@ -148,22 +144,6 @@ class TestSpectralMeasure:
         far = Points((1000 + 1000j,), radius=1e-9)
         assert np.allclose(spectral_measure(dec, far), np.zeros((5, 5)))
         assert np.allclose(spectral_measure(dec, Points(())), np.zeros((5, 5)))
-
-    def test_transformed_regions_match_transformed_matrices(self):
-        x, _, _ = random_normal_matrix(5, 919)
-        dec = normal_eig(x)
-        omega = Rect(-0.7, 1.3, -1.1, 0.9)
-        # conjugating the region is conjugating the operator
-        assert np.allclose(spectral_measure(dec, Conjugate(omega)),
-                           spectral_measure(normal_eig(dagger(x)), omega),
-                           atol=1e-10)
-        assert np.allclose(spectral_measure(dec, Negate(omega)),
-                           spectral_measure(normal_eig(-x), omega),
-                           atol=1e-10)
-        delta = 0.3 - 0.2j
-        shifted = normal_eig(x + delta * np.eye(5))
-        assert np.allclose(spectral_measure(shifted, Shift(omega, delta)),
-                           spectral_measure(dec, omega), atol=1e-10)
 
     def test_additivity_disjoint(self):
         x, eigs, _ = random_normal_matrix(6, 353)
