@@ -247,16 +247,20 @@ def _interior_region_family(dec_x: SpectralDecomposition,
     Edges are kept clear of every eigenvalue and of the strip boundary so
     membership is never ambiguous.
     """
-    reps = list(dec_x.eigenvalues) + list(dec_y.eigenvalues)
     margin = 10 * tol.boundary
     radius = tol.cluster * max(1.0, scale)
+    # gaps[i]: distance from eigenvalue i of X to the nearest representative
+    # of X or Y farther than the merge radius (1.0 if there is none)
+    d = dec_x.eigenvalue_array[:, None] - np.concatenate(
+        (dec_x.eigenvalue_array, dec_y.eigenvalue_array))[None, :]
+    dist = np.hypot(d.real, d.imag)  # equals abs() of each complex difference
+    far = dist > radius
+    gaps = np.where(far.any(axis=1), np.where(far, dist, np.inf).min(axis=1), 1.0)
     regions = []
-    for lam in dec_x.eigenvalues:
+    for lam, gap in zip(dec_x.eigenvalues, gaps.tolist()):
         if math.pi - abs(lam.imag) <= margin:
             continue  # boundary eigenvalue: not an interior region target
         regions.append(Points((lam,), radius=radius))
-        gap = min((abs(lam - mu) for mu in reps if abs(lam - mu) > radius),
-                  default=1.0)
         half = min(gap / 3.0, (math.pi - abs(lam.imag)) / 2.0, 0.5)
         if half > margin:
             regions.append(Rect(lam.real - half, lam.real + half,
@@ -272,11 +276,16 @@ def check_spectral_agreement(pair: PairAnalysis):
     """
     x, y, tol = pair.x, pair.y, pair.tol
     dec_x, dec_y = pair.dec_x, pair.dec_y
-    interior = 0.0
+    # Regions that pick the same clusters of X and of Y give the same
+    # measure difference, so each distinct selection is measured once.
+    selections = {}
     for omega in _interior_region_family(dec_x, dec_y, frob(x), tol):
-        diff = spectral_measure(dec_x, omega, tol=tol) \
-            - spectral_measure(dec_y, omega, tol=tol)
-        interior = max(interior, frob(diff))
+        mx = omega.contains(dec_x.eigenvalue_array, tol=tol)
+        my = omega.contains(dec_y.eigenvalue_array, tol=tol)
+        selections.setdefault((mx.tobytes(), my.tobytes()), (mx, my))
+    interior = 0.0
+    for mx, my in selections.values():
+        interior = max(interior, frob(dec_x.select(mx) - dec_y.select(my)))
 
     lines = (HLine(math.pi), HLine(-math.pi))
     bx = sum(spectral_measure(dec_x, l, tol=tol) for l in lines)

@@ -12,6 +12,12 @@ finalizer::
 Uniform doubles take the top 53 bits; Gaussian variates come from
 Box-Muller on consecutive uniforms. Every draw is a pure function of
 (seed, counter), so any consumer can reproduce an instance exactly.
+
+``Stream.complex_gaussian_matrix`` draws a whole matrix at once: it
+hashes all its counters with wrapping numpy ``uint64`` arithmetic and
+equals the scalar ``normal()`` stream bit for bit. For that reason its
+log, cos and sin come from ``math`` element by element: numpy's
+vectorized transcendentals may round differently from libm.
 """
 
 from __future__ import annotations
@@ -24,6 +30,11 @@ __all__ = ["Stream", "mix64", "random_unitary"]
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+# mix64 and the counter step as numpy uint64 constants (arithmetic wraps)
+_GAMMA_U64 = np.uint64(_GAMMA)
+_MIX_U64 = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
+            (np.uint64(27), np.uint64(0x94D049BB133111EB)))
+_SHIFT_31, _SHIFT_11 = np.uint64(31), np.uint64(11)
 
 
 def mix64(z: int) -> int:
@@ -74,11 +85,32 @@ class Stream:
         return self.u64()
 
     def complex_gaussian_matrix(self, n: int) -> np.ndarray:
-        out = np.empty((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                out[i, j] = complex(self.normal(), self.normal()) / math.sqrt(2)
-        return out
+        """n x n matrix of complex(normal(), normal()) / sqrt(2), row-major.
+
+        Equal bit for bit to that scalar loop, including a pending spare
+        normal, and leaves the stream where the loop would.
+        """
+        pairs = n * n
+        z = np.arange(self.counter + 1, self.counter + 2 * pairs + 1, dtype=np.uint64)
+        z *= _GAMMA_U64
+        z += np.uint64(self.seed)
+        for shift, mult in _MIX_U64:
+            z ^= z >> shift
+            z *= mult
+        z ^= z >> _SHIFT_31
+        u = (z >> _SHIFT_11) * 2.0 ** -53
+        self.counter += 2 * pairs
+        u1 = u[0::2] + 2.0 ** -54
+        theta = 2.0 * math.pi * u[1::2]
+        radius = np.sqrt(-2.0 * np.array(list(map(math.log, u1.tolist()))))
+        normals = np.empty(2 * pairs + 1)
+        normals[1::2] = radius * np.array(list(map(math.cos, theta.tolist())))
+        normals[2::2] = radius * np.array(list(map(math.sin, theta.tolist())))
+        if self._spare_normal is None or not pairs:
+            normals = normals[1:]
+        else:
+            normals[0], self._spare_normal = self._spare_normal, float(normals[-1])
+        return (normals[:2 * pairs] / math.sqrt(2)).view(complex).reshape(n, n)
 
 
 def random_unitary(n: int, seed: int) -> np.ndarray:

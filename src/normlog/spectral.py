@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -58,47 +59,62 @@ __all__ = [
     "whole_plane",
 ]
 
-_IN, _OUT, _AMBIG = 1, 0, -1
-
-
 class Region:
-    """Finite description of a plane subset with decidable membership."""
+    """Finite description of a plane subset with decidable membership.
 
-    def _status(self, z: complex, tol: Tolerances) -> int:
+    ``_status`` maps a complex point, or an array of them, to a pair
+    ``(yes, maybe)``: ``yes`` where the point is decidedly inside,
+    ``maybe`` where it is not decidedly outside. Points with ``maybe``
+    but not ``yes`` are ambiguous. Intersections combine both with
+    ``&``, unions with ``|``.
+    """
+
+    def _status(self, z, tol: Tolerances):
         raise NotImplementedError
 
-    def contains(self, z: complex, *, tol: Tolerances = DEFAULT_TOL) -> bool:
+    def contains(self, z, *, tol: Tolerances = DEFAULT_TOL):
         """Membership with boundary-band safety.
 
-        Raises AmbiguousBoundary when ``z`` falls in the uncertainty band
-        of an excluded edge and no other feature decides the point.
+        ``z`` is one point (the result is a bool) or an array of points
+        (the result is a bool array of the same shape); both follow the
+        same rule. Raises AmbiguousBoundary for the first point, in
+        input order, that falls in the uncertainty band of an excluded
+        edge with no other feature deciding it.
         """
-        s = self._status(complex(z), tol)
-        if s == _AMBIG:
-            raise AmbiguousBoundary(
-                f"point {z} lies within {tol.boundary:.1e} of an excluded "
-                f"edge of {self!r}")
-        return s == _IN
+        if not isinstance(z, (np.ndarray, list, tuple)):
+            yes, maybe = self._status(complex(z), tol)
+            if maybe and not yes:
+                self._ambiguous(z, tol)
+            return bool(yes)
+        pts = np.asarray(z, dtype=complex)
+        yes, maybe = self._status(pts, tol)
+        if not isinstance(yes, np.ndarray):  # decided without a feature
+            return np.full(pts.shape, bool(yes))
+        ambiguous = maybe ^ yes
+        if ambiguous.any():
+            self._ambiguous(complex(pts.ravel()[ambiguous.ravel().argmax()]), tol)
+        return yes
+
+    def _ambiguous(self, z, tol: Tolerances):
+        raise AmbiguousBoundary(
+            f"point {z} lies within {tol.boundary:.1e} of an excluded "
+            f"edge of {self!r}")
 
 
-def _interval_status(x: float, lo: float, hi: float, incl_lo: bool,
-                     incl_hi: bool, tol: Tolerances) -> int:
-    statuses = []
-    for edge, incl, sign in ((lo, incl_lo, 1.0), (hi, incl_hi, -1.0)):
-        if math.isinf(edge):
-            continue
-        d = (x - edge) * sign  # positive on the interior side
-        if abs(d) <= tol.on_feature:
-            statuses.append(_IN if incl else _OUT)
-        elif abs(d) <= tol.boundary:
-            statuses.append(_IN if incl else _AMBIG)
-        else:
-            statuses.append(_IN if d > 0 else _OUT)
-    if _OUT in statuses:
-        return _OUT
-    if _AMBIG in statuses:
-        return _AMBIG
-    return _IN
+def _edge_status(x, edge: float, incl: bool, sign: float, tol: Tolerances):
+    """``(yes, maybe)`` for the side of one edge where ``sign*(x - edge) > 0``.
+
+    Within ``tol.on_feature`` of the edge a point lies on it; farther but
+    within ``tol.boundary`` it lies on it if the edge is included and is
+    ambiguous otherwise; beyond both it is decided by its side.
+    """
+    d = (x - edge) * sign  # positive on the interior side
+    far = max(tol.on_feature, tol.boundary)
+    if incl:
+        inside = d >= -far
+        return inside, inside
+    ad = abs(d)
+    return d > far, (ad > tol.on_feature) & ((ad <= tol.boundary) | (d > 0))
 
 
 @dataclass(frozen=True)
@@ -115,19 +131,23 @@ class Rect(Region):
     incl_im_hi: bool = True
 
     def __post_init__(self):
+        if any(math.isnan(e) for e in (self.re_lo, self.re_hi, self.im_lo,
+                                       self.im_hi)):
+            raise ValueError("rectangle edges must not be NaN")
         if self.re_lo > self.re_hi or self.im_lo > self.im_hi:
             raise ValueError("rectangle bounds must satisfy lo <= hi")
 
     def _status(self, z, tol):
-        s_re = _interval_status(z.real, self.re_lo, self.re_hi,
-                                self.incl_re_lo, self.incl_re_hi, tol)
-        s_im = _interval_status(z.imag, self.im_lo, self.im_hi,
-                                self.incl_im_lo, self.incl_im_hi, tol)
-        if _OUT in (s_re, s_im):
-            return _OUT
-        if _AMBIG in (s_re, s_im):
-            return _AMBIG
-        return _IN
+        yes = maybe = True
+        for x, edge, incl, sign in (
+                (z.real, self.re_lo, self.incl_re_lo, 1.0),
+                (z.real, self.re_hi, self.incl_re_hi, -1.0),
+                (z.imag, self.im_lo, self.incl_im_lo, 1.0),
+                (z.imag, self.im_hi, self.incl_im_hi, -1.0)):
+            if not math.isinf(edge):
+                y, m = _edge_status(x, edge, incl, sign, tol)
+                yes, maybe = yes & y, maybe & m
+        return yes, maybe
 
 
 @dataclass(frozen=True)
@@ -136,8 +156,13 @@ class HLine(Region):
 
     c: float
 
+    def __post_init__(self):
+        if math.isnan(self.c):
+            raise ValueError("line level must not be NaN")
+
     def _status(self, z, tol):
-        return _IN if abs(z.imag - self.c) <= tol.boundary else _OUT
+        on = abs(z.imag - self.c) <= tol.boundary
+        return on, on
 
 
 @dataclass(frozen=True)
@@ -147,9 +172,17 @@ class Points(Region):
     points: tuple
     radius: float = 1e-9
 
+    def __post_init__(self):
+        if not self.radius >= 0.0:
+            raise ValueError("match radius must be a non-negative number")
+
     def _status(self, z, tol):
-        return _IN if any(abs(z - complex(p)) <= self.radius
-                          for p in self.points) else _OUT
+        near = False
+        for p in self.points:
+            d = z - complex(p)
+            # hypot, not a complex abs: numpy's may differ from abs(complex)
+            near = near | (np.hypot(d.real, d.imag) <= self.radius)
+        return near, near
 
 
 @dataclass(frozen=True)
@@ -157,12 +190,11 @@ class RegionUnion(Region):
     members: tuple
 
     def _status(self, z, tol):
-        statuses = [m._status(z, tol) for m in self.members]
-        if _IN in statuses:
-            return _IN
-        if _AMBIG in statuses:
-            return _AMBIG
-        return _OUT
+        yes = maybe = False
+        for m in self.members:
+            y, mb = m._status(z, tol)
+            yes, maybe = yes | y, maybe | mb
+        return yes, maybe
 
 
 def whole_plane() -> Region:
@@ -233,9 +265,16 @@ class SpectralDecomposition:
     def n(self) -> int:
         return self.v.shape[0]
 
-    @property
+    @cached_property
     def multiplicities(self) -> np.ndarray:
-        return np.diff(self.bounds)
+        m = np.diff(self.bounds)
+        m.flags.writeable = False
+        return m
+
+    @cached_property
+    def eigenvalue_array(self) -> np.ndarray:
+        """The representatives as one complex array, for region membership."""
+        return np.array(self.eigenvalues, dtype=complex)
 
     def projection(self, j: int) -> np.ndarray:
         """Eigenprojection of cluster ``j``."""
@@ -331,7 +370,7 @@ def spectral_measure(dec: SpectralDecomposition, omega: Region, *,
     An empty selection yields the zero matrix. AmbiguousBoundary
     propagates from membership testing.
     """
-    return dec.select([omega.contains(lam, tol=tol) for lam in dec.eigenvalues])
+    return dec.select(omega.contains(dec.eigenvalue_array, tol=tol))
 
 
 def borel_calculus(dec: SpectralDecomposition,
@@ -352,8 +391,8 @@ def verify_pushforward(dec: SpectralDecomposition,
     fx = borel_calculus(dec, f)
     dec_f = normal_eig(fx, tol=tol)
     left = spectral_measure(dec_f, omega, tol=tol)
-    right = dec.select([omega.contains(complex(f(lam)), tol=tol)
-                        for lam in dec.eigenvalues])
+    right = dec.select(omega.contains([complex(f(lam)) for lam in dec.eigenvalues],
+                                      tol=tol))
     residual = frob(left - right)
     bound = tol.check * dec.n
     return CheckReport(
@@ -434,11 +473,12 @@ def strip_projections(dec_x: SpectralDecomposition,
     lo_line = (2 * k_lo + 1) * math.pi
     hi_line = (2 * k_hi + 1) * math.pi
     for name, dec in (("X", dec_x), ("Y", dec_y)):
-        for lam in dec.eigenvalues:
-            if not (lo_line - tol.boundary <= lam.imag <= hi_line + tol.boundary):
-                raise SpectrumOutOfRange(
-                    f"eigenvalue {lam} of {name} outside "
-                    f"Im in [{lo_line:.6f}, {hi_line:.6f}]")
+        im = dec.eigenvalue_array.imag
+        outside = ~((lo_line - tol.boundary <= im) & (im <= hi_line + tol.boundary))
+        if outside.any():
+            raise SpectrumOutOfRange(
+                f"eigenvalue {dec.eigenvalues[outside.argmax()]} of {name} "
+                f"outside Im in [{lo_line:.6f}, {hi_line:.6f}]")
     out = StripProjections(k_lo=k_lo, k_hi=k_hi)
     for k in range(k_lo, k_hi + 1):
         band = open_branch_strip(k)

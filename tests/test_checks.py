@@ -86,6 +86,22 @@ class TestSpectralAgreement:
                                                     np.diag([5j])))
         assert not rep.hypothesis_met
 
+    def test_interior_residual_equals_plain_loop(self):
+        # the check measures each distinct selection once; its residual
+        # must be the maximum over every region, bit for bit
+        x, y, _ = make_pair(InstanceSpec(Family.BOUNDARY_FLIP_PAIR, 64, 5))
+        pair = PairAnalysis(x, y)
+        regions = normlog.checks._interior_region_family(
+            pair.dec_x, pair.dec_y, frob(x), pair.tol)
+        assert len(regions) > 64
+        plain = 0.0
+        for omega in regions:
+            plain = max(plain, frob(spectral_measure(pair.dec_x, omega)
+                                    - spectral_measure(pair.dec_y, omega)))
+        rep = check_spectral_agreement(pair)
+        assert rep.hypothesis_met
+        assert rep.residuals["interior_measure"].hex() == plain.hex()
+
 
 class TestModulusEqual:
     def test_scalar_flip(self):

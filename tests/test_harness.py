@@ -62,6 +62,32 @@ class TestStream:
         assert abs(mean) < 0.1 and abs(var - 1.0) < 0.15
 
 
+def _scalar_gaussian_matrix(stream, n):
+    out = np.empty((n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            out[i, j] = complex(stream.normal(), stream.normal()) / math.sqrt(2)
+    return out
+
+
+class TestGaussianMatrix:
+    @pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, 2**64 - 1])
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 128])
+    @pytest.mark.parametrize("spare", [False, True], ids=["fresh", "spare"])
+    def test_equals_scalar_stream(self, n, seed, spare):
+        array, scalar = Stream(seed), Stream(seed)
+        if spare:  # one normal() leaves its Box-Muller partner pending
+            array.normal()
+            scalar.normal()
+        got = array.complex_gaussian_matrix(n)
+        want = _scalar_gaussian_matrix(scalar, n)
+        assert got.shape == (n, n) and got.dtype == complex
+        assert got.tobytes() == want.tobytes()
+        assert array.counter == scalar.counter
+        assert [array.normal() for _ in range(3)] == [scalar.normal() for _ in range(3)]
+        assert array.u64() == scalar.u64()
+
+
 class TestRandomUnitary:
     def test_scalar_case(self):
         u = random_unitary(1, 5)

@@ -83,6 +83,88 @@ class TestRegions:
         assert whole_plane().contains(1e6 - 1e6j)
 
 
+    @pytest.mark.parametrize("build", [
+        lambda: Rect(re_lo=math.nan),
+        lambda: Rect(0, 1, math.nan, 1),
+        lambda: HLine(math.nan),
+        lambda: Points((0j,), radius=-1.0),
+        lambda: Points((0j,), radius=math.nan),
+    ], ids=["rect-re-lo", "rect-im-lo", "hline", "negative-radius", "nan-radius"])
+    def test_rejects_non_finite_parameters(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_infinite_rect_edges_allowed(self):
+        assert Rect(re_lo=-math.inf, re_hi=math.inf).contains(1e300 + 0j)
+
+
+# Offsets from an edge or line: on the feature (within on_feature), in the
+# boundary band (within boundary), and far away, on both sides.
+_OFFSETS = (0.0, 5e-13, -5e-13, 5e-10, -5e-10, 2e-9, -2e-9, 0.3, -0.3, 7.0, -7.0)
+
+
+def _grid(res, ims):
+    return np.array([complex(r + dr, i + di) for r in res for i in ims
+                     for dr in _OFFSETS for di in _OFFSETS])
+
+
+_MEMBERSHIP_CASES = {
+    "closed-rect": (Rect(0, 1, 0, 1), (0.0, 1.0), (0.0, 1.0)),
+    "open-rect": (Rect(0, 1, 0, 1, False, False, False, False), (0.0, 1.0), (0.0, 1.0)),
+    "half-open-rect": (Rect(-1, 2, 0, 1, incl_re_hi=False, incl_im_lo=False),
+                       (-1.0, 2.0), (0.0, 1.0)),
+    "unbounded-rect": (Rect(im_lo=-PI, im_hi=PI, incl_im_lo=False), (0.0,), (-PI, PI)),
+    "whole-plane": (whole_plane(), (0.0,), (0.0,)),
+    "hline": (HLine(PI), (0.0,), (PI,)),
+    "points": (Points((1 + 1j, 1 + 1.5j), radius=1e-9), (1.0,), (1.0, 1.5)),
+    "union": (RegionUnion((strip_interior(), strip_boundary(), Points((4j,)))),
+              (0.0,), (-PI, PI, 4.0)),
+}
+
+
+class TestArrayMembership:
+    @staticmethod
+    def _scalar(region, z):
+        try:
+            return region.contains(z)
+        except AmbiguousBoundary:
+            return None
+
+    @pytest.mark.parametrize("case", sorted(_MEMBERSHIP_CASES))
+    def test_array_matches_scalar(self, case):
+        region, res, ims = _MEMBERSHIP_CASES[case]
+        pts = _grid(res, ims)
+        scalar = [self._scalar(region, z) for z in pts]
+        decided = np.array([s is not None for s in scalar])
+        assert decided.any()
+        got = region.contains(pts[decided])
+        assert got.dtype == bool and got.shape == (int(decided.sum()),)
+        assert got.tolist() == [s for s in scalar if s is not None]
+        assert region.contains(pts[decided].reshape(1, -1)).shape == (1, got.size)
+        assert region.contains(list(pts[decided])).tolist() == got.tolist()
+        if not decided.all():
+            with pytest.raises(AmbiguousBoundary):
+                region.contains(pts)
+
+    def test_scalar_returns_bool(self):
+        assert Rect(0, 1, 0, 1).contains(0.5 + 0.5j) is True
+        assert Points((0j,)).contains(1.0) is False
+        assert whole_plane().contains(np.complex128(3 + 4j)) is True
+
+    def test_ambiguous_names_first_point_in_input_order(self):
+        r = Rect(0, 1, 0, 1, incl_im_hi=False)
+        first, second = 0.5 + (1 - 5e-10) * 1j, 0.25 + (1 + 5e-10) * 1j
+        with pytest.raises(AmbiguousBoundary) as scalar:
+            r.contains(first)
+        with pytest.raises(AmbiguousBoundary) as array:
+            r.contains(np.array([0.5 + 0.5j, first, 5 + 0j, second]))
+        assert str(array.value) == str(scalar.value)
+        assert str(first) in str(array.value)
+
+    def test_empty_array(self):
+        assert Rect(0, 1).contains(np.array([], dtype=complex)).shape == (0,)
+
+
 class TestNormalEig:
     def test_diagonal_with_multiplicity(self):
         dec = normal_eig(np.diag([1 + 1j, 1 + 1j, 2 + 0j]))
