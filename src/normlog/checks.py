@@ -4,9 +4,9 @@ Each ``check_<name>`` verifies one consequence of the exponential
 equation (exp(X) = exp(Y), or exp(iX) = exp(Y) for self-adjoint X) on a
 concrete instance and returns a :class:`CheckReport`. Every check takes
 one :class:`PairAnalysis`, which computes the facts the checks share
-(normality, spectral decompositions, exponentials, moduli) at most once
-per pair. Preconditions act as hypothesis gates, named in the order a
-check tests them: an instance violating one is reported with
+(normality, norms, spectral decompositions, exponentials, moduli) at
+most once per pair. Preconditions act as hypothesis gates, named in the
+order a check tests them: an instance violating one is reported with
 ``hypothesis_met=False`` and is never marked passed.
 
 All residuals are relative, normalized by operand norms with a
@@ -22,7 +22,7 @@ from functools import cached_property, wraps
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .errors import ExpNotNormal, Singular
+from .errors import ExpNotNormal, NormLogError, NotNormal, Singular
 from .linalg import (
     as_square_matrix,
     commutant_basis,
@@ -30,7 +30,6 @@ from .linalg import (
     dagger,
     frob,
     in_double_commutant,
-    is_normal,
     modulus,
     re_part,
 )
@@ -75,6 +74,29 @@ def _exp_gap(lhs: np.ndarray, rhs: np.ndarray) -> float:
     return frob(lhs - rhs) / max(frob(lhs), 1e-300)
 
 
+# Each exponential equation and the PairAnalysis property measuring it.
+_EQUATIONS = {"exp(X)=exp(Y)": "exp_residual",
+              "exp(iX)=exp(Y)": "exp_i_residual"}
+
+
+def _decompose(m: np.ndarray, tol: Tolerances):
+    """normal_eig(m), or the NormLogError it raised.
+
+    normal_eig tests normality first, so NotNormal is exactly is_normal's
+    verdict; any other error comes from a normal input.
+    """
+    try:
+        return normal_eig(m, tol=tol)
+    except NormLogError as exc:
+        return exc
+
+
+def _unwrap(attempt) -> SpectralDecomposition:
+    if isinstance(attempt, NormLogError):
+        raise attempt
+    return attempt
+
+
 class PairAnalysis:
     """One instance (X, Y) and the facts its checks share.
 
@@ -82,46 +104,70 @@ class PairAnalysis:
     object, so the checks run on one pair never repeat a decomposition
     or an exponential. ``[k_lo, k_hi]`` is the branch window of
     :func:`check_difference_formula`.
+
+    ``exp_gap`` is ``(equation, residual)``: the relative gap of
+    ``"exp(X)=exp(Y)"`` or ``"exp(iX)=exp(Y)"`` already measured on these
+    same arrays, as :func:`~normlog.harness.make_pair`'s self-test does.
+    The matching exponential gate then reads it instead of evaluating
+    the exponentials again. A residual read from a file must not be
+    passed here.
     """
 
     def __init__(self, x, y, *, tol: Tolerances = DEFAULT_TOL,
-                 k_lo: int = -1, k_hi: int = 0):
+                 k_lo: int = -1, k_hi: int = 0, exp_gap=None):
         self.x = as_square_matrix(x)
         self.y = as_square_matrix(y)
         self.tol = tol
         self.k_lo = k_lo
         self.k_hi = k_hi
+        if exp_gap is not None:
+            equation, residual = exp_gap
+            if equation not in _EQUATIONS:
+                raise ValueError(f"unknown equation {equation!r}; expected "
+                                 f"one of {sorted(_EQUATIONS)}")
+            # seeds the cached property that measures this equation
+            self.__dict__[_EQUATIONS[equation]] = residual
 
     @cached_property
+    def _attempt_x(self):
+        return _decompose(self.x, self.tol)
+
+    @cached_property
+    def _attempt_y(self):
+        return _decompose(self.y, self.tol)
+
+    @property
     def normal_x(self) -> bool:
-        return is_normal(self.x, tol=self.tol)
+        return not isinstance(self._attempt_x, NotNormal)
+
+    @property
+    def normal_y(self) -> bool:
+        return not isinstance(self._attempt_y, NotNormal)
 
     @cached_property
-    def normal_y(self) -> bool:
-        return is_normal(self.y, tol=self.tol)
+    def norm_x(self) -> float:
+        return frob(self.x)
+
+    @cached_property
+    def norm_y(self) -> float:
+        return frob(self.y)
 
     @cached_property
     def hermitian_x(self) -> bool:
         x = self.x
-        return frob(x - dagger(x)) <= self.tol.herm * max(1.0, frob(x))
+        return frob(x - dagger(x)) <= self.tol.herm * max(1.0, self.norm_x)
 
-    @cached_property
+    @property
     def dec_x(self) -> SpectralDecomposition:
-        """Spectral decomposition of X; raises NotNormal if X is not normal."""
-        return normal_eig(self.x, tol=self.tol)
+        """Spectral decomposition of X; raises NotNormal if X is not normal,
+        or the error its decomposition raised."""
+        return _unwrap(self._attempt_x)
 
-    @cached_property
+    @property
     def dec_y(self) -> SpectralDecomposition:
-        """Spectral decomposition of Y; raises NotNormal if Y is not normal."""
-        return normal_eig(self.y, tol=self.tol)
-
-    @cached_property
-    def exp_x(self) -> np.ndarray:
-        return exp_general(self.x)
-
-    @cached_property
-    def exp_ix(self) -> np.ndarray:
-        return exp_general(1j * self.x)
+        """Spectral decomposition of Y; raises NotNormal if Y is not normal,
+        or the error its decomposition raised."""
+        return _unwrap(self._attempt_y)
 
     @cached_property
     def exp_y(self) -> np.ndarray:
@@ -130,12 +176,12 @@ class PairAnalysis:
     @cached_property
     def exp_residual(self) -> float:
         """Relative gap between exp(X) and exp(Y)."""
-        return _exp_gap(self.exp_x, self.exp_y)
+        return _exp_gap(exp_general(self.x), self.exp_y)
 
     @cached_property
     def exp_i_residual(self) -> float:
         """Relative gap between exp(iX) and exp(Y)."""
-        return _exp_gap(self.exp_ix, self.exp_y)
+        return _exp_gap(exp_general(1j * self.x), self.exp_y)
 
     @cached_property
     def modulus_x(self) -> np.ndarray:
@@ -235,7 +281,7 @@ def run_check(name: str, pair: PairAnalysis) -> CheckReport:
 @_gated("normal", "exp")
 def check_real_part(pair: PairAnalysis):
     """Re(X) = Re(Y) whenever X, Y are normal with equal exponentials."""
-    r = _rel(frob(re_part(pair.x) - re_part(pair.y)), frob(pair.x))
+    r = _rel(frob(re_part(pair.x) - re_part(pair.y)), pair.norm_x)
     return {"real_part": r}, {"real_part": pair.tol.check}, ""
 
 
@@ -279,7 +325,7 @@ def check_spectral_agreement(pair: PairAnalysis):
     # Regions that pick the same clusters of X and of Y give the same
     # measure difference, so each distinct selection is measured once.
     selections = {}
-    for omega in _interior_region_family(dec_x, dec_y, frob(x), tol):
+    for omega in _interior_region_family(dec_x, dec_y, pair.norm_x, tol):
         mx = omega.contains(dec_x.eigenvalue_array, tol=tol)
         my = omega.contains(dec_y.eigenvalue_array, tol=tol)
         selections.setdefault((mx.tobytes(), my.tobytes()), (mx, my))
@@ -290,7 +336,7 @@ def check_spectral_agreement(pair: PairAnalysis):
     lines = (HLine(math.pi), HLine(-math.pi))
     bx = sum(spectral_measure(dec_x, l, tol=tol) for l in lines)
     by = sum(spectral_measure(dec_y, l, tol=tol) for l in lines)
-    r_re = _rel(frob(re_part(x) - re_part(y)), frob(x))
+    r_re = _rel(frob(re_part(x) - re_part(y)), pair.norm_x)
 
     bound = tol.check * dec_x.n
     return ({"interior_measure": interior, "boundary_sum": frob(bx - by),
@@ -304,7 +350,7 @@ def check_spectral_agreement(pair: PairAnalysis):
 @_gated("normal", "strip", "exp")
 def check_modulus_equal(pair: PairAnalysis):
     """|X| = |Y| for normal X, Y with spectra in the strip and e^X = e^Y."""
-    r = _rel(frob(pair.modulus_x - pair.modulus_y), frob(pair.x))
+    r = _rel(frob(pair.modulus_x - pair.modulus_y), pair.norm_x)
     return {"modulus": r}, {"modulus": pair.tol.check}, ""
 
 
@@ -313,7 +359,7 @@ def check_modulus_commute(pair: PairAnalysis):
     """|X| commutes with Y for normal X (spectrum in the strip) and any
     bounded Y with e^X = e^Y."""
     r = _rel(frob(commutator(pair.modulus_x, pair.y)),
-             frob(pair.x), frob(pair.y))
+             pair.norm_x, pair.norm_y)
     return ({"modulus_commutator": r},
             {"modulus_commutator": pair.tol.check}, "")
 
@@ -324,7 +370,7 @@ def check_square_commute(pair: PairAnalysis):
     the two corner points +/- i*pi) is free of conjugate pairs."""
     x, y, tol = pair.x, pair.y, pair.tol
     eigenvalues = pair.dec_x.eigenvalues
-    radius = tol.cluster * max(1.0, frob(x))
+    radius = tol.cluster * max(1.0, pair.norm_x)
     corner = complex(0.0, math.pi)
     for lam in eigenvalues:
         if math.pi - abs(lam.imag) > tol.boundary:
@@ -335,7 +381,7 @@ def check_square_commute(pair: PairAnalysis):
             raise _Unmet(f"conjugate pair on the strip boundary at "
                          f"{lam:.6g}; hypothesis not met")
 
-    r = _rel(frob(commutator(x @ x, y)), frob(x) ** 2, frob(y))
+    r = _rel(frob(commutator(x @ x, y)), pair.norm_x ** 2, pair.norm_y)
     return {"square_commutator": r}, {"square_commutator": tol.check}, ""
 
 
@@ -351,7 +397,7 @@ def check_difference_formula(pair: PairAnalysis):
     for k in range(k_lo, k_hi + 1):
         rhs += 2 * k * math.pi * 1j * (sp.p[k] - sp.q[k])
         rhs += (2 * k + 1) * math.pi * 1j * (sp.e[k] - sp.f[k])
-    r = _rel(frob((pair.x - pair.y) - rhs), frob(pair.x))
+    r = _rel(frob((pair.x - pair.y) - rhs), pair.norm_x)
     return ({"difference": r}, {"difference": pair.tol.check * n},
             f"branch window [{k_lo}, {k_hi}]")
 
@@ -373,22 +419,23 @@ def check_corollary_cases(pair: PairAnalysis):
         raise _Unmet("spectrum of X meets both boundary lines; "
                      "no case applies")
 
-    residuals = {"commutator": _rel(frob(commutator(x, y)), frob(x), frob(y))}
+    residuals = {"commutator": _rel(frob(commutator(x, y)),
+                                    pair.norm_x, pair.norm_y)}
     tols = {"commutator": tol.check}
     cases = []
     if top_empty:
         cases.append("top line empty")
         residuals["difference_top"] = _rel(frob((x - y) + TWO_PI * 1j * f1),
-                                           frob(x))
+                                           pair.norm_x)
         tols["difference_top"] = tol.check
     if bottom_empty:
         cases.append("bottom line empty")
         residuals["difference_bottom"] = _rel(frob((x - y) - TWO_PI * 1j * fm1),
-                                              frob(x))
+                                              pair.norm_x)
         tols["difference_bottom"] = tol.check
     if top_empty and bottom_empty:
         cases.append("both empty: X = Y")
-        residuals["equality"] = _rel(frob(x - y), frob(x))
+        residuals["equality"] = _rel(frob(x - y), pair.norm_x)
         tols["equality"] = tol.check
     return residuals, tols, "; ".join(cases)
 
@@ -448,7 +495,7 @@ def check_double_commutant(pair: PairAnalysis):
         basis = commutant_basis(y, tol=tol)
         worst = max(in_double_commutant(p, y, tol=tol, basis=basis)[1]
                     for p in projections)
-    r_comm = _rel(frob(commutator(x, y)), frob(x), frob(y))
+    r_comm = _rel(frob(commutator(x, y)), pair.norm_x, pair.norm_y)
     return ({"double_commutant": worst, "commutator": r_comm},
             {"double_commutant": tol.check, "commutator": tol.check},
             _FINITE_DIM_NOTE)
@@ -460,13 +507,13 @@ def check_one_boundary_eigenvalue(pair: PairAnalysis):
     in the strip, and at most one eigenvalue of the self-adjoint X is an
     odd multiple of pi."""
     x, y, tol = pair.x, pair.y, pair.tol
-    radius = tol.cluster * max(1.0, frob(x))
+    radius = tol.cluster * max(1.0, pair.norm_x)
     odd_hits = sum(1 for lam in pair.dec_x.eigenvalues
                    if _odd_pi_distance(lam.real) <= radius)
     if odd_hits > 1:
         raise _Unmet(f"{odd_hits} distinct odd-pi eigenvalues; "
                      "hypothesis not met")
-    r = _rel(frob(commutator(x, y)), frob(x), frob(y))
+    r = _rel(frob(commutator(x, y)), pair.norm_x, pair.norm_y)
     return {"commutator": r}, {"commutator": tol.check}, _FINITE_DIM_NOTE
 
 
@@ -477,7 +524,7 @@ def check_y_in_bicommutant_of_exp(pair: PairAnalysis):
     self-adjoint X is an odd multiple of pi. Also verifies the folded
     form of X reproduces Y (through multiplication by i)."""
     x, y, tol = pair.x, pair.y, pair.tol
-    radius = tol.cluster * max(1.0, frob(x))
+    radius = tol.cluster * max(1.0, pair.norm_x)
     if any(_odd_pi_distance(lam.real) <= radius
            for lam in pair.dec_x.eigenvalues):
         raise _Unmet("an eigenvalue of X is an odd multiple of pi; "
@@ -489,7 +536,7 @@ def check_y_in_bicommutant_of_exp(pair: PairAnalysis):
         y, lambda lam: cmath.exp(1j * lam), tol=tol)
     folded = borel_calculus(
         pair.dec_x, lambda lam: 1j * _fold_branch(lam.real, tol.on_feature)[1])
-    r_fold = _rel(frob(folded - y), frob(y))
+    r_fold = _rel(frob(folded - y), pair.norm_y)
     return ({"double_commutant": r_bicomm, "fold_identity": r_fold},
             {"double_commutant": tol.check, "fold_identity": tol.check},
             _FINITE_DIM_NOTE)
@@ -505,7 +552,7 @@ def check_kurepa(pair: PairAnalysis):
         dec = kurepa_decompose(y, tol=tol)
     except (ExpNotNormal, Singular) as exc:
         raise _Unmet(f"hypothesis not met: {exc}") from exc
-    return ({"reconstruction": _rel(frob(dec.reconstruct() - y), frob(y)),
+    return ({"reconstruction": _rel(frob(dec.reconstruct() - y), pair.norm_y),
              "commute": dec.commute_residual,
              "integer_spectrum": dec.integer_spectrum_residual},
             {"reconstruction": tol.check, "commute": tol.check,

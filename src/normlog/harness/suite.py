@@ -95,10 +95,14 @@ def tolerances_from_config(overrides) -> Tolerances:
     return DEFAULT_TOL.replace(**overrides) if overrides else DEFAULT_TOL
 
 
-def analyze_pair(x, y, metadata: dict, tol: Tolerances) -> PairAnalysis:
-    """The pair's analysis, with the branch window its metadata names."""
+def analyze_pair(x, y, metadata: dict, tol: Tolerances, *,
+                 exp_gap=None) -> PairAnalysis:
+    """The pair's analysis, with the branch window its metadata names.
+
+    ``exp_gap`` is passed on to :class:`PairAnalysis` unchanged.
+    """
     return PairAnalysis(x, y, tol=tol, k_lo=int(metadata.get("k_lo", -1)),
-                        k_hi=int(metadata.get("k_hi", 0)))
+                        k_hi=int(metadata.get("k_hi", 0)), exp_gap=exp_gap)
 
 
 def _derive_seed(base: int, label: str, n: int, index: int) -> int:
@@ -114,7 +118,9 @@ def _run_instance(task) -> list[dict]:
     spec = InstanceSpec(family=Family(family), n=n, seed=seed,
                         params=dict(params))
     x, y, metadata = make_pair(spec)
-    pair = analyze_pair(x, y, metadata, tol)
+    # make_pair's self-test measured the exponential gap on these arrays
+    pair = analyze_pair(x, y, metadata, tol, exp_gap=(
+        metadata["equation"], metadata["self_test_residual"]))
     rows = []
     for check_name in checks:
         row = {"family": label, "n": n, "seed": seed}

@@ -283,8 +283,10 @@ class SpectralDecomposition:
 
     def select(self, mask) -> np.ndarray:
         """Sum of the eigenprojections of the clusters where ``mask`` holds."""
-        cols = self.v[:, np.repeat(np.asarray(mask, dtype=bool),
-                                   self.multiplicities)]
+        mask = np.asarray(mask, dtype=bool)
+        if not mask.any():
+            return np.zeros((self.n, self.n), dtype=self.v.dtype)
+        cols = self.v[:, np.repeat(mask, self.multiplicities)]
         return cols @ dagger(cols)
 
     def combination(self, values) -> np.ndarray:
@@ -349,9 +351,11 @@ def normal_eig(x, *, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
     if not is_normal(x, tol=tol):
         raise NotNormal(f"commutator of X with X* has norm "
                         f"{frob(commutator(dagger(x), x)):.3e}")
-    v = simultaneous_diagonalize(re_part(x), im_part(x), tol=tol)
-    diag_a = np.real(np.diag(dagger(v) @ re_part(x) @ v))
-    diag_b = np.real(np.diag(dagger(v) @ im_part(x) @ v))
+    re, im = re_part(x), im_part(x)
+    v = simultaneous_diagonalize(re, im, tol=tol)
+    v_star = dagger(v)
+    diag_a = np.real(np.diag(v_star @ re @ v))
+    diag_b = np.real(np.diag(v_star @ im @ v))
     lams = diag_a + 1j * diag_b
 
     groups = _merge(lams, tol.cluster * max(1.0, frob(x)))
@@ -479,12 +483,39 @@ def strip_projections(dec_x: SpectralDecomposition,
             raise SpectrumOutOfRange(
                 f"eigenvalue {dec.eigenvalues[outside.argmax()]} of {name} "
                 f"outside Im in [{lo_line:.6f}, {hi_line:.6f}]")
+    # the odd lines (2j+1)pi, j = k_lo-1..k_hi: strip k lies between lines
+    # k-1 and k, and line k is odd_line(k)
+    lines = np.array([(2 * j + 1) * math.pi
+                      for j in range(k_lo - 1, k_hi + 1)])
+    x_strip, x_line, x_ambiguous = _branch_classes(dec_x, lines, tol)
+    y_strip, y_line, y_ambiguous = _branch_classes(dec_y, lines, tol)
+    # raise as the first ambiguous strip measure, X before Y per k, would
+    for j in range(k_hi - k_lo + 1):
+        for dec, ambiguous in ((dec_x, x_ambiguous), (dec_y, y_ambiguous)):
+            if ambiguous[:, j].any():
+                open_branch_strip(k_lo + j)._ambiguous(
+                    complex(dec.eigenvalue_array[ambiguous[:, j].argmax()]), tol)
     out = StripProjections(k_lo=k_lo, k_hi=k_hi)
-    for k in range(k_lo, k_hi + 1):
-        band = open_branch_strip(k)
-        line = odd_line(k)
-        out.p[k] = spectral_measure(dec_x, band, tol=tol)
-        out.q[k] = spectral_measure(dec_y, band, tol=tol)
-        out.e[k] = spectral_measure(dec_x, line, tol=tol)
-        out.f[k] = spectral_measure(dec_y, line, tol=tol)
+    for j, k in enumerate(range(k_lo, k_hi + 1)):
+        out.p[k] = dec_x.select(x_strip[:, j])
+        out.q[k] = dec_y.select(y_strip[:, j])
+        out.e[k] = dec_x.select(x_line[:, j])
+        out.f[k] = dec_y.select(y_line[:, j])
     return out
+
+
+def _branch_classes(dec: SpectralDecomposition, lines: np.ndarray,
+                    tol: Tolerances):
+    """Masks ``(in_strip, on_line, ambiguous)`` with one column per branch.
+
+    Column j classifies the clusters against open_branch_strip(k_lo + j),
+    which lies between ``lines[j]`` and ``lines[j + 1]``, and against
+    odd_line(k_lo + j) at ``lines[j + 1]``, by the rules of those regions
+    in one pass over all branches.
+    """
+    im = dec.eigenvalue_array.imag[:, None]
+    above, maybe_above = _edge_status(im, lines[:-1], False, 1.0, tol)
+    below, maybe_below = _edge_status(im, lines[1:], False, -1.0, tol)
+    in_strip = above & below
+    on_line = abs(im - lines[1:]) <= tol.boundary
+    return in_strip, on_line, (maybe_above & maybe_below) ^ in_strip

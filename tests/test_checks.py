@@ -19,8 +19,9 @@ from normlog.checks import (
     check_square_commute,
     check_y_in_bicommutant_of_exp,
 )
+from normlog.errors import NotCommuting, NotNormal
 from normlog.harness import Family, InstanceSpec, make_pair, random_unitary
-from normlog.linalg import dagger, frob
+from normlog.linalg import dagger, frob, is_normal
 from normlog.logs import TWO_PI
 from normlog.report import CheckReport
 from normlog.spectral import HLine, normal_eig, spectral_measure
@@ -32,6 +33,50 @@ PI = math.pi
 
 def conj_by(u, d):
     return u @ d @ dagger(u)
+
+
+class TestPairAnalysis:
+    def test_normality_is_is_normal_verdict(self):
+        rot = np.array([[0, -1], [1, 0]], dtype=complex)
+        nilpotent = np.array([[0, 1], [0, 0]], dtype=complex)
+        _, y, _ = make_pair(InstanceSpec(Family.NON_NORMAL_LOG_PAIR, 4, 5))
+        x, _, _ = random_normal_matrix(5, 3)
+        for m in (rot, nilpotent, y, x, np.zeros((3, 3))):
+            pair = PairAnalysis(m, nilpotent)
+            assert pair.normal_x == is_normal(m)
+            assert pair.normal_y is False
+
+    def test_non_normal_decomposition_raises_not_normal(self):
+        pair = PairAnalysis(np.eye(2), np.array([[0, 1], [0, 0]]))
+        for _ in range(2):
+            with pytest.raises(NotNormal):
+                pair.dec_y
+
+    def test_normal_input_whose_parts_fail_to_commute(self):
+        # normal within tol.norm, but its Hermitian parts fail the tighter
+        # commutation test of the simultaneous diagonalization
+        x = np.diag([100.0, 0.0]) + 1e-10j * np.array([[0, 1], [1, 0]])
+        pair = PairAnalysis(x, x)
+        assert is_normal(x) and pair.normal_x is True
+        for _ in range(2):
+            with pytest.raises(NotCommuting):
+                pair.dec_x
+
+    def test_given_exp_gap_is_not_recomputed(self, monkeypatch):
+        def no_exp(arg):
+            raise AssertionError("exponential evaluated")
+
+        monkeypatch.setattr(normlog.checks, "exp_general", no_exp)
+        x = np.diag([0.5 + 1j])
+        pair = PairAnalysis(x, x, exp_gap=("exp(X)=exp(Y)", 0.25))
+        rep = check_real_part(pair)
+        assert not rep.hypothesis_met and rep.residuals["exp_gate"] == 0.25
+        pair = PairAnalysis(x.real, x.real, exp_gap=("exp(iX)=exp(Y)", 0.0))
+        assert pair.exp_i_residual == 0.0
+
+    def test_rejects_unknown_equation(self):
+        with pytest.raises(ValueError):
+            PairAnalysis(np.eye(2), np.eye(2), exp_gap=("exp(X)=Y", 0.0))
 
 
 class TestReportInvariants:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import normlog.checks
+import normlog.harness.generators
 import normlog.harness.suite
 from normlog.checks import CHECK_NAMES, PairAnalysis, run_check
 from normlog.errors import ConstructionFailed
@@ -318,17 +319,16 @@ class TestSharedAnalysis:
             assert row == expected
 
     def test_each_operand_analysed_once_per_instance(self, monkeypatch):
-        # calls of the checks layer per (instance, operand); operands are
-        # told apart by identity, since InteriorPair has X equal to Y
+        # calls per (instance, operand); operands are told apart by
+        # identity, since InteriorPair has X equal to Y. The exponentials
+        # are evaluated once, by make_pair's self-test, whose residual the
+        # suite hands to the pair's gate.
         calls = []
         pairs = []
+        self_test_args = []
         real_make_pair = normlog.harness.suite.make_pair
         real_normal_eig = normlog.checks.normal_eig
-        real_exp = normlog.checks.exp_general
-
-        def make_pair_spy(spec):
-            pairs.append(real_make_pair(spec))
-            return pairs[-1]
+        real_exp = normlog.harness.generators.exp_general
 
         def operand(arg):
             x, y, _ = pairs[-1]
@@ -338,23 +338,49 @@ class TestSharedAnalysis:
                 return "y"
             return "ix" if np.array_equal(arg, 1j * x) else "unknown"
 
+        def make_pair_spy(spec):
+            self_test_args.clear()
+            pairs.append(real_make_pair(spec))
+            calls.extend((len(pairs), "exp_general", operand(arg))
+                         for arg in self_test_args)
+            return pairs[-1]
+
+        def self_test_exp_spy(arg):
+            self_test_args.append(arg)
+            return real_exp(arg)
+
+        def checks_exp_spy(arg):
+            calls.append((len(pairs), "checks.exp_general", operand(arg)))
+            return real_exp(arg)
+
         def normal_eig_spy(arg, **kwargs):
             calls.append((len(pairs), "normal_eig", operand(arg)))
             return real_normal_eig(arg, **kwargs)
 
-        def exp_spy(arg):
-            calls.append((len(pairs), "exp_general", operand(arg)))
-            return real_exp(arg)
-
         monkeypatch.setattr(normlog.harness.suite, "make_pair", make_pair_spy)
+        monkeypatch.setattr(normlog.harness.generators, "exp_general",
+                            self_test_exp_spy)
+        monkeypatch.setattr(normlog.checks, "exp_general", checks_exp_spy)
         monkeypatch.setattr(normlog.checks, "normal_eig", normal_eig_spy)
-        monkeypatch.setattr(normlog.checks, "exp_general", exp_spy)
         run_suite(_one_of_each())
 
         assert len(pairs) == len(_one_of_each()["families"])
         assert {c[1] for c in calls} == {"normal_eig", "exp_general"}
         assert all(c[2] != "unknown" for c in calls)
         assert len(calls) == len(set(calls))
+        # both sides of each pair's equation, each once
+        assert sum(c[1] == "exp_general" for c in calls) == 2 * len(pairs)
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_self_test_residual_is_the_gate_residual(self, family):
+        for n in (2, 8):
+            for seed in range(3):
+                x, y, meta = make_pair(InstanceSpec(family, n, seed))
+                fresh = PairAnalysis(x, y)
+                gate = (fresh.exp_i_residual
+                        if meta["equation"] == "exp(iX)=exp(Y)"
+                        else fresh.exp_residual)
+                assert meta["self_test_residual"].hex() == gate.hex()
 
 
 class TestCli:
@@ -390,6 +416,19 @@ class TestCli:
         assert cli_main(["check", "--name", "real_part", "--in", pair,
                          "--tol", "1e-30"]) == 1
         assert "[FAIL]" in capsys.readouterr().out
+
+    def test_check_recomputes_exp_gate_from_matrices(self, tmp_path, capsys):
+        # a pair file's self_test_residual is not trusted for the gate
+        path = str(tmp_path / "pair.json")
+        assert cli_main(["generate", "--family", "InteriorPair", "--n", "4",
+                         "--seed", "7", "--out", path]) == 0
+        x, y, meta = read_pair(path)
+        meta["self_test_residual"] = 0.0
+        write_pair(path, x, y + 0.5 * np.eye(4), meta)  # still normal
+        capsys.readouterr()
+        assert cli_main(["check", "--name", "real_part", "--in", path]) == 0
+        out = capsys.readouterr().out
+        assert "[SKIP] real_part" in out and "exponentials differ" in out
 
     def test_skip_exit_code_is_zero(self, tmp_path, capsys):
         pair = str(tmp_path / "pair.json")

@@ -18,6 +18,36 @@ from normlog.spectral import normal_eig
 from util import random_hermitian, random_normal_matrix
 
 
+def _frob_inputs(n):
+    g = Stream(n).complex_gaussian_matrix(n)
+    yield "complex", g
+    yield "real", g.real.copy()
+    yield "complex F", np.asfortranarray(g)
+    yield "real F", np.asfortranarray(g.real)
+    yield "transposed", g.T
+    yield "conjugate transposed", dagger(g)
+    yield "real view", g.real
+    yield "rows sliced", g[::2]
+    yield "columns sliced", g[:, ::-2]
+    yield "integer", np.arange(n * n).reshape(n, n)
+
+
+class TestFrob:
+    @pytest.mark.parametrize("n", [1, 2, 16, 128])
+    def test_equals_numpy_norm_bit_for_bit(self, n):
+        for name, a in _frob_inputs(n):
+            assert frob(a).hex() == float(np.linalg.norm(a, "fro")).hex(), name
+
+    def test_returns_float(self):
+        assert type(frob(np.eye(3, dtype=complex))) is float
+        assert frob([[3.0, 4.0]]) == 5.0
+
+    @pytest.mark.parametrize("a", [np.ones(3), np.ones((2, 2, 2))])
+    def test_rejects_non_matrix(self, a):
+        with pytest.raises(ValueError):
+            frob(a)
+
+
 class TestHermEig:
     def test_already_diagonal(self):
         w, v = herm_eig(np.diag([3.0, 1.0]))

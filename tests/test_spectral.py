@@ -14,6 +14,8 @@ from normlog.spectral import (
     borel_calculus,
     fold_scalar,
     normal_eig,
+    odd_line,
+    open_branch_strip,
     spectral_measure,
     strip,
     strip_boundary,
@@ -22,6 +24,8 @@ from normlog.spectral import (
     verify_pushforward,
     whole_plane,
 )
+
+from normlog.harness import Family, InstanceSpec, make_pair
 
 from util import random_normal_matrix
 
@@ -349,3 +353,69 @@ class TestStripProjections:
         dec = normal_eig(np.diag([5j]))
         with pytest.raises(SpectrumOutOfRange):
             strip_projections(dec, dec, -1, 0)
+
+
+def _strip_cases():
+    for seed in range(3):
+        x, _, _ = random_normal_matrix(6, seed, re_range=2.0, im_range=9.0)
+        y, _, _ = random_normal_matrix(6, seed + 10, re_range=2.0, im_range=9.0)
+        yield f"random normal {seed}", x, y, -2, 2
+    for n, seed in ((4, 0), (8, 1), (16, 2)):
+        x, y, meta = make_pair(InstanceSpec(Family.SHIFTED_BRANCH_PAIR, n, seed,
+                                            params={"k_lo": -3, "k_hi": 3}))
+        yield f"ShiftedBranchPair/wide n={n}", x, y, meta["k_lo"], meta["k_hi"]
+    x = np.diag([PI * 1j, -PI * 1j, 0.5, 1 + 3 * PI * 1j, -PI * 1j])
+    y = np.diag([-PI * 1j, PI * 1j, 0.5 + 2 * PI * 1j, 1 + PI * 1j, 2.0])
+    yield "exact odd-pi lines", x, y, -1, 1
+
+
+def _first_ambiguous_strip(dec_x, dec_y, k_lo, k_hi):
+    """Per branch, measure X's and then Y's open strip; the first raise."""
+    for k in range(k_lo, k_hi + 1):
+        for dec in (dec_x, dec_y):
+            try:
+                spectral_measure(dec, open_branch_strip(k))
+            except AmbiguousBoundary as exc:
+                return str(exc)
+    return None
+
+
+class TestStripProjectionsOnePass:
+    @pytest.mark.parametrize("case", list(_strip_cases()),
+                             ids=lambda case: case[0])
+    def test_equals_region_measures(self, case):
+        _, x, y, k_lo, k_hi = case
+        dec_x, dec_y = normal_eig(x), normal_eig(y)
+        sp = strip_projections(dec_x, dec_y, k_lo, k_hi)
+        assert sorted(sp.p) == sorted(sp.e) == list(range(k_lo, k_hi + 1))
+        for k in range(k_lo, k_hi + 1):
+            for got, dec, region in (
+                    (sp.p[k], dec_x, open_branch_strip(k)),
+                    (sp.q[k], dec_y, open_branch_strip(k)),
+                    (sp.e[k], dec_x, odd_line(k)),
+                    (sp.f[k], dec_y, odd_line(k))):
+                want = spectral_measure(dec, region)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (k, region)
+
+    @pytest.mark.parametrize("x_imag, y_imag", [
+        ([PI - 5e-10, 0.5], [0.1, 0.2]),                 # X only
+        ([0.1, 0.2], [PI - 5e-10, 0.5]),                 # Y only
+        ([3 * PI + 5e-10, 0.1], [-PI + 5e-10, 0.2]),     # Y at a lower k
+        ([-PI - 5e-10, 0.1], [-PI + 5e-10, 0.2]),        # both, same k
+    ])
+    def test_ambiguous_eigenvalue_raises_as_region_measures(self, x_imag,
+                                                            y_imag):
+        dec_x = normal_eig(np.diag([0.5 + 1j * t for t in x_imag]))
+        dec_y = normal_eig(np.diag([-0.5 + 1j * t for t in y_imag]))
+        expected = _first_ambiguous_strip(dec_x, dec_y, -1, 1)
+        assert expected is not None
+        with pytest.raises(AmbiguousBoundary) as info:
+            strip_projections(dec_x, dec_y, -1, 1)
+        assert str(info.value) == expected
+
+    def test_empty_selection_is_zero(self):
+        dec = normal_eig(np.diag([0.5, 1.5j]))
+        zero = dec.select([False, False])
+        assert zero.dtype == complex and zero.shape == (2, 2)
+        assert not zero.any() and not np.signbit(zero.view(float)).any()
