@@ -37,9 +37,8 @@ from .logs import TWO_PI, exp_general, kurepa_decompose
 from .report import CheckReport
 from .spectral import (
     HLine,
-    Points,
-    Rect,
     SpectralDecomposition,
+    _edge_status,
     _fold_branch,
     _odd_pi_distance,
     borel_calculus,
@@ -184,12 +183,27 @@ class PairAnalysis:
         return _exp_gap(exp_general(1j * self.x), self.exp_y)
 
     @cached_property
+    def boundary_x(self) -> tuple:
+        """Spectral measures of X on the lines Im z = pi and Im z = -pi."""
+        return _boundary_measures(self.dec_x, self.tol)
+
+    @cached_property
+    def boundary_y(self) -> tuple:
+        """Spectral measures of Y on the lines Im z = pi and Im z = -pi."""
+        return _boundary_measures(self.dec_y, self.tol)
+
+    @cached_property
     def modulus_x(self) -> np.ndarray:
         return modulus(self.x, tol=self.tol)
 
     @cached_property
     def modulus_y(self) -> np.ndarray:
         return modulus(self.y, tol=self.tol)
+
+
+def _boundary_measures(dec: SpectralDecomposition, tol: Tolerances) -> tuple:
+    return (spectral_measure(dec, HLine(math.pi), tol=tol),
+            spectral_measure(dec, HLine(-math.pi), tol=tol))
 
 
 def _in_strip(dec: SpectralDecomposition, tol: Tolerances) -> bool:
@@ -288,30 +302,45 @@ def check_real_part(pair: PairAnalysis):
 def _interior_region_family(dec_x: SpectralDecomposition,
                             dec_y: SpectralDecomposition,
                             scale: float, tol: Tolerances):
-    """Rectangles isolating each interior eigenvalue plus point singletons.
+    """Regions isolating each interior eigenvalue of X, as arrays.
 
-    Edges are kept clear of every eigenvalue and of the strip boundary so
-    membership is never ambiguous.
+    Returns ``(centres, radius, half, has_rect)``: for each eigenvalue of
+    X farther than a margin from the strip boundary, the disc
+    ``Points((centre,), radius)`` and, where ``has_rect``, the closed
+    square ``Rect`` of half-width ``half`` about the centre. Edges are
+    kept clear of every eigenvalue and of the strip boundary.
     """
     margin = 10 * tol.boundary
     radius = tol.cluster * max(1.0, scale)
+    lam = dec_x.eigenvalue_array
     # gaps[i]: distance from eigenvalue i of X to the nearest representative
     # of X or Y farther than the merge radius (1.0 if there is none)
-    d = dec_x.eigenvalue_array[:, None] - np.concatenate(
-        (dec_x.eigenvalue_array, dec_y.eigenvalue_array))[None, :]
+    d = lam[:, None] - np.concatenate((lam, dec_y.eigenvalue_array))[None, :]
     dist = np.hypot(d.real, d.imag)  # equals abs() of each complex difference
     far = dist > radius
     gaps = np.where(far.any(axis=1), np.where(far, dist, np.inf).min(axis=1), 1.0)
-    regions = []
-    for lam, gap in zip(dec_x.eigenvalues, gaps.tolist()):
-        if math.pi - abs(lam.imag) <= margin:
-            continue  # boundary eigenvalue: not an interior region target
-        regions.append(Points((lam,), radius=radius))
-        half = min(gap / 3.0, (math.pi - abs(lam.imag)) / 2.0, 0.5)
-        if half > margin:
-            regions.append(Rect(lam.real - half, lam.real + half,
-                                lam.imag - half, lam.imag + half))
-    return regions
+    room = math.pi - np.abs(lam.imag)
+    interior = room > margin  # boundary eigenvalues are not targets
+    half = np.minimum(np.minimum(gaps[interior] / 3.0, room[interior] / 2.0), 0.5)
+    return lam[interior], radius, half, half > margin
+
+
+def _isolating_masks(z: np.ndarray, family, tol: Tolerances) -> np.ndarray:
+    """Membership of the points ``z`` in each region of the family.
+
+    One row per region, discs first, then squares, by the rules of
+    ``Points`` and ``Rect``. Every edge of a square is included, so no
+    point is ambiguous.
+    """
+    centres, radius, half, has_rect = family
+    d = z[None, :] - centres[:, None]
+    discs = np.hypot(d.real, d.imag) <= radius
+    c, h = centres[has_rect, None], half[has_rect, None]
+    squares = True
+    for x, edge, sign in ((z.real, c.real - h, 1.0), (z.real, c.real + h, -1.0),
+                          (z.imag, c.imag - h, 1.0), (z.imag, c.imag + h, -1.0)):
+        squares = squares & _edge_status(x, edge, True, sign, tol)[0]
+    return np.concatenate((discs, squares))
 
 
 @_gated("normal", "strip", "exp")
@@ -324,18 +353,17 @@ def check_spectral_agreement(pair: PairAnalysis):
     dec_x, dec_y = pair.dec_x, pair.dec_y
     # Regions that pick the same clusters of X and of Y give the same
     # measure difference, so each distinct selection is measured once.
+    family = _interior_region_family(dec_x, dec_y, pair.norm_x, tol)
     selections = {}
-    for omega in _interior_region_family(dec_x, dec_y, pair.norm_x, tol):
-        mx = omega.contains(dec_x.eigenvalue_array, tol=tol)
-        my = omega.contains(dec_y.eigenvalue_array, tol=tol)
+    for mx, my in zip(_isolating_masks(dec_x.eigenvalue_array, family, tol),
+                      _isolating_masks(dec_y.eigenvalue_array, family, tol)):
         selections.setdefault((mx.tobytes(), my.tobytes()), (mx, my))
     interior = 0.0
     for mx, my in selections.values():
         interior = max(interior, frob(dec_x.select(mx) - dec_y.select(my)))
 
-    lines = (HLine(math.pi), HLine(-math.pi))
-    bx = sum(spectral_measure(dec_x, l, tol=tol) for l in lines)
-    by = sum(spectral_measure(dec_y, l, tol=tol) for l in lines)
+    bx = sum(pair.boundary_x)
+    by = sum(pair.boundary_y)
     r_re = _rel(frob(re_part(x) - re_part(y)), pair.norm_x)
 
     bound = tol.check * dec_x.n
@@ -409,10 +437,8 @@ def check_corollary_cases(pair: PairAnalysis):
     mirror case on Im z = -pi gives X - Y = +2*pi*i*F{-1}, and both
     together force X = Y."""
     x, y, tol = pair.x, pair.y, pair.tol
-    e1 = spectral_measure(pair.dec_x, HLine(math.pi), tol=tol)
-    em1 = spectral_measure(pair.dec_x, HLine(-math.pi), tol=tol)
-    f1 = spectral_measure(pair.dec_y, HLine(math.pi), tol=tol)
-    fm1 = spectral_measure(pair.dec_y, HLine(-math.pi), tol=tol)
+    e1, em1 = pair.boundary_x
+    f1, fm1 = pair.boundary_y
     top_empty = frob(e1) <= tol.gate
     bottom_empty = frob(em1) <= tol.gate
     if not (top_empty or bottom_empty):

@@ -43,7 +43,7 @@ def as_square_matrix(a) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] < 1:
         raise ValueError("matrix dimension must be >= 1")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 

@@ -229,19 +229,63 @@ def odd_line(k: int) -> Region:
 
 
 def _merge(values, radius: float) -> list[list[int]]:
-    """Greedy clustering: each value joins the first group whose running
-    mean lies within ``radius``, else it starts a new group."""
-    groups: list[list[int]] = []
-    sums: list = []
-    for j, z in enumerate(values):
-        for gi, g in enumerate(groups):
-            if abs(z - sums[gi] / len(g)) <= radius:
-                g.append(j)
-                sums[gi] += z
-                break
-        else:
-            groups.append([j])
-            sums.append(z)
+    """Connected components of the graph joining the complex numbers in
+    the list ``values`` that lie within ``radius`` of each other.
+
+    The indices are sorted by Re and split wherever consecutive values
+    lie more than ``radius`` apart, then each run likewise by Im; no edge
+    crosses such a gap, so only values left in one run are compared
+    pairwise. The components depend on the values alone, not on their
+    order. Each lists its indices in ascending order, and components are
+    ordered by their smallest index. Plain Python, because most calls
+    are at n <= 4, where numpy's per-call overhead exceeds the loop.
+    """
+    re = [z.real for z in values]
+    im = [z.imag for z in values]
+    groups = []
+    for run in _runs(range(len(values)), re, radius):
+        if len(run) == 1:
+            groups.append(run)
+            continue
+        for sub in _runs(run, im, radius):
+            groups += _components(sub, values, radius)
+    for g in groups:
+        g.sort()
+    groups.sort(key=lambda g: g[0])
+    return groups
+
+
+def _runs(indices, coord: list, radius: float) -> list[list[int]]:
+    """``indices`` sorted by ``coord``, split where consecutive coordinates
+    differ by more than ``radius``."""
+    order = sorted(indices, key=coord.__getitem__)
+    runs, start = [], 0
+    for k in range(1, len(order)):
+        if coord[order[k]] - coord[order[k - 1]] > radius:
+            runs.append(order[start:k])
+            start = k
+    runs.append(order[start:])
+    return runs
+
+
+def _components(indices: list, zs: list, radius: float) -> list[list[int]]:
+    """Connected components of ``indices`` under ``abs(zs[i] - zs[j]) <= radius``."""
+    if len(indices) == 1:
+        return [indices]
+    unseen = set(indices)
+    groups = []
+    for i in indices:
+        if i not in unseen:
+            continue
+        unseen.discard(i)
+        group, stack = [i], [i]
+        while stack:
+            z = zs[stack.pop()]
+            near = [j for j in unseen if abs(zs[j] - z) <= radius]
+            unseen.difference_update(near)
+            group += near
+            stack += near
+        groups.append(group)
     return groups
 
 
@@ -253,8 +297,9 @@ class SpectralDecomposition:
     ``v`` and has representative eigenvalue ``eigenvalues[j]``; clusters
     are sorted by (Re, Im). Its eigenprojection is V_j V_j*, so the
     projections are Hermitian idempotent, mutually orthogonal and sum to
-    the identity, and the matrix is V diag(lam) V*. Representatives are
-    pairwise separated by more than the merge radius used to build them.
+    the identity, and the matrix is V diag(lam) V*. Eigenvalues in
+    different clusters lie more than the merge radius apart; their
+    representatives (cluster means) need not.
     """
 
     v: np.ndarray
@@ -342,8 +387,10 @@ def normal_eig(x, *, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
     """Spectral decomposition of a normal matrix.
 
     The commuting Hermitian parts Re(X), Im(X) are diagonalized in a
-    common basis; eigenvalue pairs are merged into clusters within the
-    radius ``tol.cluster * max(1, ||X||)``, each represented by its mean.
+    common basis; the clusters are the connected components of the graph
+    joining eigenvalues within ``tol.cluster * max(1, ||X||)`` of each
+    other, so they do not depend on the order the eigenvalues are found
+    in, and each is represented by its mean.
 
     Raises NotNormal when ``X*X != XX*`` beyond tolerance.
     """
@@ -358,12 +405,13 @@ def normal_eig(x, *, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
     diag_b = np.real(np.diag(v_star @ im @ v))
     lams = diag_a + 1j * diag_b
 
-    groups = _merge(lams, tol.cluster * max(1.0, frob(x)))
+    groups = _merge(lams.tolist(), tol.cluster * max(1.0, frob(x)))
     reps = [complex(sum(lams[j] for j in g) / len(g)) for g in groups]
     order = sorted(range(len(groups)), key=lambda i: (reps[i].real, reps[i].imag))
     groups = [groups[i] for i in order]
     return SpectralDecomposition(
-        v=v[:, sum(groups, [])], eigenvalues=tuple(reps[i] for i in order),
+        v=v[:, [j for g in groups for j in g]],
+        eigenvalues=tuple(reps[i] for i in order),
         bounds=tuple(np.cumsum([0] + [len(g) for g in groups]).tolist()))
 
 

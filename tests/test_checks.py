@@ -24,7 +24,7 @@ from normlog.harness import Family, InstanceSpec, make_pair, random_unitary
 from normlog.linalg import dagger, frob, is_normal
 from normlog.logs import TWO_PI
 from normlog.report import CheckReport
-from normlog.spectral import HLine, normal_eig, spectral_measure
+from normlog.spectral import HLine, Points, Rect, normal_eig, spectral_measure
 
 from util import random_normal_matrix
 
@@ -78,6 +78,24 @@ class TestPairAnalysis:
         with pytest.raises(ValueError):
             PairAnalysis(np.eye(2), np.eye(2), exp_gap=("exp(X)=Y", 0.0))
 
+    def test_boundary_lines_measured_once_per_operand(self, monkeypatch):
+        x, y, _ = make_pair(InstanceSpec(Family.BOUNDARY_FLIP_PAIR, 8, 2))
+        pair = PairAnalysis(x, y)
+        for got, dec in ((pair.boundary_x, pair.dec_x),
+                         (pair.boundary_y, pair.dec_y)):
+            assert [m.tobytes() for m in got] == [
+                spectral_measure(dec, HLine(c)).tobytes() for c in (PI, -PI)]
+        assert pair.boundary_x[0].any() or pair.boundary_x[1].any()
+
+        calls = []
+        real = normlog.checks.spectral_measure
+        monkeypatch.setattr(normlog.checks, "spectral_measure",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        pair = PairAnalysis(x, y)
+        assert check_spectral_agreement(pair).passed
+        assert check_corollary_cases(pair).passed
+        assert len(calls) == 4
+
 
 class TestReportInvariants:
     def test_passed_requires_hypothesis(self):
@@ -105,6 +123,35 @@ class TestRealPart:
         rep = check_real_part(PairAnalysis(np.diag([1.0 + 0j]),
                                            np.diag([2.0 + 0j])))
         assert not rep.hypothesis_met and not rep.passed
+
+
+def _family_regions(family):
+    """The region objects of an isolating family: discs, then squares."""
+    centres, radius, half, has_rect = family
+    return ([Points((c,), radius=radius) for c in centres.tolist()]
+            + [Rect(c.real - h, c.real + h, c.imag - h, c.imag + h)
+               for c, h in zip(centres[has_rect].tolist(),
+                               half[has_rect].tolist())])
+
+
+def _loop_region_family(dec_x, dec_y, scale, tol):
+    """The isolating family as built region by region before it became
+    arrays: the reference for its discs and squares."""
+    margin = 10 * tol.boundary
+    radius = tol.cluster * max(1.0, scale)
+    reps = dec_x.eigenvalues + dec_y.eigenvalues
+    regions = []
+    for lam in dec_x.eigenvalues:
+        if math.pi - abs(lam.imag) <= margin:
+            continue
+        regions.append(Points((lam,), radius=radius))
+        gap = min((abs(lam - mu) for mu in reps if abs(lam - mu) > radius),
+                  default=1.0)
+        half = min(gap / 3.0, (math.pi - abs(lam.imag)) / 2.0, 0.5)
+        if half > margin:
+            regions.append(Rect(lam.real - half, lam.real + half,
+                                lam.imag - half, lam.imag + half))
+    return regions
 
 
 class TestSpectralAgreement:
@@ -136,8 +183,8 @@ class TestSpectralAgreement:
         # must be the maximum over every region, bit for bit
         x, y, _ = make_pair(InstanceSpec(Family.BOUNDARY_FLIP_PAIR, 64, 5))
         pair = PairAnalysis(x, y)
-        regions = normlog.checks._interior_region_family(
-            pair.dec_x, pair.dec_y, frob(x), pair.tol)
+        regions = _family_regions(normlog.checks._interior_region_family(
+            pair.dec_x, pair.dec_y, frob(x), pair.tol))
         assert len(regions) > 64
         plain = 0.0
         for omega in regions:
@@ -146,6 +193,37 @@ class TestSpectralAgreement:
         rep = check_spectral_agreement(pair)
         assert rep.hypothesis_met
         assert rep.residuals["interior_measure"].hex() == plain.hex()
+
+    # every family whose operands are both normal
+    @pytest.mark.parametrize("family", [f for f in Family
+                                        if f is not Family.NON_NORMAL_LOG_PAIR],
+                             ids=lambda f: f.value)
+    @pytest.mark.parametrize("n", [2, 8, 64])
+    def test_one_pass_masks_equal_region_membership(self, family, n):
+        x, y, _ = make_pair(InstanceSpec(family, n, 3))
+        pair = PairAnalysis(x, y)
+        tol = pair.tol
+        arrays = normlog.checks._interior_region_family(
+            pair.dec_x, pair.dec_y, pair.norm_x, tol)
+        regions = _family_regions(arrays)
+        loop = _loop_region_family(pair.dec_x, pair.dec_y, pair.norm_x, tol)
+        assert regions == ([r for r in loop if isinstance(r, Points)]
+                           + [r for r in loop if isinstance(r, Rect)])
+        # probes on, inside and outside each disc rim and square edge
+        centres, radius, half, _ = arrays
+        steps = np.array([0.75, 1.0, 1.5]) * radius
+        edge = half[:, None] + np.array([-1.0, 0.0, 0.5, 2.0]) * tol.boundary
+        probes = np.concatenate(
+            [(centres[:, None] + u * steps).ravel()
+             for u in (1, np.exp(1j * math.pi / 4))]
+            + [(centres[:, None] + u * edge).ravel()
+               for u in (1, -1, 1j, -1j, 1 + 1j)])
+        for z in (pair.dec_x.eigenvalue_array, pair.dec_y.eigenvalue_array,
+                  probes):
+            masks = normlog.checks._isolating_masks(z, arrays, tol)
+            assert masks.shape == (len(regions), len(z))
+            for row, omega in zip(masks, regions):
+                assert row.tolist() == omega.contains(z, tol=tol).tolist()
 
 
 class TestModulusEqual:

@@ -1,9 +1,11 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import normlog.spectral
 from normlog.errors import AmbiguousBoundary, NotNormal, OutOfFoldRange
 from normlog.linalg import frob
 from normlog.spectral import (
@@ -206,6 +208,117 @@ class TestNormalEig:
             for i, a in enumerate(reps):
                 for b in reps[i + 1:]:
                     assert abs(a - b) > 1e-8
+
+
+def _greedy_merge(values, radius):
+    """The running-mean clustering normal_eig used before the connected
+    components, on numpy scalars as it was called: the reference its
+    decompositions must keep."""
+    groups, sums = [], []
+    for j, z in enumerate(np.asarray(values, dtype=complex)):
+        for gi, g in enumerate(groups):
+            if abs(z - sums[gi] / len(g)) <= radius:
+                g.append(j)
+                sums[gi] += z
+                break
+        else:
+            groups.append([j])
+            sums.append(z)
+    return groups
+
+
+def _union_find_components(values, radius):
+    """Connected components over the full distance matrix."""
+    zs = [complex(z) for z in values]
+    parent = list(range(len(zs)))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in itertools.combinations(range(len(zs)), 2):
+        if abs(zs[i] - zs[j]) <= radius:
+            parent[root(i)] = root(j)
+    groups = {}
+    for i in range(len(zs)):
+        groups.setdefault(root(i), []).append(i)
+    return sorted(groups.values())
+
+
+def _clustered_spectrum(n, seed, radius):
+    """n values in a few clumps whose members sit about one radius apart,
+    so chains, near misses and exact repeats all occur."""
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(-2, 2, (max(1, n // 6), 2)) @ [1, 1j]
+    values = (centres[rng.integers(len(centres), size=n)]
+              + radius * rng.uniform(-1.5, 1.5, (n, 2)) @ [1, 1j])
+    values[rng.random(n) < 0.2] = centres[0]
+    return values.tolist()
+
+
+class TestMerge:
+    R = 1e-3
+
+    def test_chain_is_one_group_in_every_order(self):
+        chain = [0.0, 0.6 * self.R, 1.2 * self.R]
+        greedy_split = False
+        for order in itertools.permutations(range(3)):
+            values = [complex(chain[i]) for i in order]
+            assert normlog.spectral._merge(values, self.R) == [[0, 1, 2]]
+            greedy_split |= len(_greedy_merge(values, self.R)) > 1
+        assert greedy_split  # the greedy depends on the order
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 33, 64])
+    def test_equals_union_find(self, n):
+        for seed in range(20):
+            values = _clustered_spectrum(n, 1000 * n + seed, self.R)
+            assert (normlog.spectral._merge(values, self.R)
+                    == _union_find_components(values, self.R)), seed
+
+    def test_independent_of_input_order(self):
+        values = _clustered_spectrum(40, 7, self.R)
+        groups = normlog.spectral._merge(values, self.R)
+        perm = np.random.default_rng(8).permutation(len(values)).tolist()
+        permuted = normlog.spectral._merge([values[i] for i in perm], self.R)
+        assert sorted(sorted(perm[i] for i in g) for g in permuted) == groups
+
+    def test_vertical_line(self):
+        # one Re run: only the Im sweep separates the groups
+        rng = np.random.default_rng(3)
+        steps = np.where(rng.random(127) < 0.3, 0.7, 1.6) * self.R
+        values = (0.5 + 1j * np.concatenate(([0.0], np.cumsum(steps)))).tolist()
+        groups = normlog.spectral._merge(values, self.R)
+        assert groups == _union_find_components(values, self.R)
+        assert 1 < len(groups) < 128
+
+    def test_empty(self):
+        assert normlog.spectral._merge([], self.R) == []
+
+
+class TestNormalEigClusters:
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    @pytest.mark.parametrize("n", [2, 8, 64])
+    def test_equals_greedy_decomposition(self, family, n, monkeypatch):
+        # on every generated operand the components are the greedy's groups
+        operands = []
+        for seed in range(3):
+            x, y, _ = make_pair(InstanceSpec(family, n, seed))
+            operands += [x, y]
+        decs = []
+        for m in operands:
+            try:
+                decs.append((m, normal_eig(m)))
+            except NotNormal:
+                pass
+        assert decs
+        monkeypatch.setattr(normlog.spectral, "_merge", _greedy_merge)
+        for m, dec in decs:
+            ref = normal_eig(m)
+            assert (np.array(dec.eigenvalues).tobytes()
+                    == np.array(ref.eigenvalues).tobytes())
+            assert dec.bounds == ref.bounds
+            assert dec.v.tobytes() == ref.v.tobytes()
 
 
 class TestSpectralMeasure:
