@@ -38,13 +38,13 @@ from .report import CheckReport
 from .spectral import (
     HLine,
     SpectralDecomposition,
+    _branch_window,
     _edge_status,
     _fold_branch,
     _odd_pi_distance,
     borel_calculus,
     normal_eig,
     spectral_measure,
-    strip_projections,
 )
 
 # The check registry: ``check_<name>`` exists for every name here.
@@ -191,6 +191,12 @@ class PairAnalysis:
     def boundary_y(self) -> tuple:
         """Spectral measures of Y on the lines Im z = pi and Im z = -pi."""
         return _boundary_measures(self.dec_y, self.tol)
+
+    @cached_property
+    def congruence(self) -> CheckReport:
+        """The report of :func:`check_congruence_free`; raises NotNormal
+        when X is not normal."""
+        return _congruence_report(self.dec_x, self.tol)
 
     @cached_property
     def modulus_x(self) -> np.ndarray:
@@ -343,24 +349,50 @@ def _isolating_masks(z: np.ndarray, family, tol: Tolerances) -> np.ndarray:
     return np.concatenate((discs, squares))
 
 
+def _interior_measure(dec_x: SpectralDecomposition,
+                      dec_y: SpectralDecomposition, scale: float,
+                      tol: Tolerances) -> float:
+    """Largest ||E_X(O) - E_Y(O)||_F over the isolating family, or 0.0
+    when the family is empty; no projection is formed.
+
+    For orthogonal projections P and Q,
+    ||P - Q||^2 = ||(I - Q)P||^2 + ||(I - P)Q||^2 (Stewart & Sun, 1990,
+    ch. I.5). The bases V_x and V_y must be unitary, as ``normal_eig``
+    builds them from ``eigh``. Then, with E_ij = |(V_y* V_x)_ij|^2 and
+    S, S' the eigenvector columns of X and of Y that O selects, the first
+    term is the sum of E_ij over j in S, i not in S', and the second the
+    sum over i in S', j not in S. Every term is non-negative, so nothing
+    cancels, unlike the trace form k_x + k_y - 2||V_y,S'* V_x,S||^2.
+    """
+    family = _interior_region_family(dec_x, dec_y, scale, tol)
+    # 0/1 membership of each eigenvector column, one row per region
+    mx = np.repeat(_isolating_masks(dec_x.eigenvalue_array, family, tol),
+                   dec_x.multiplicities, axis=1).astype(float)
+    my = np.repeat(_isolating_masks(dec_y.eigenvalue_array, family, tol),
+                   dec_y.multiplicities, axis=1).astype(float)
+    if not len(mx):
+        return 0.0
+    g = dagger(dec_y.v) @ dec_x.v
+    e = g.real ** 2 + g.imag ** 2
+    mass = (((1.0 - my) @ e) * mx).sum(axis=1) + ((my @ e) * (1.0 - mx)).sum(axis=1)
+    return math.sqrt(mass.max())
+
+
 @_gated("normal", "strip", "exp")
 def check_spectral_agreement(pair: PairAnalysis):
     """Spectral measures of X and Y agree inside the open strip, their
     boundary-line projections have equal sums, and the real parts match,
     exactly when the exponentials coincide (both directions reported).
+
+    ``interior_measure`` is the largest ||E_X(O) - E_Y(O)||_F over
+    regions O isolating each interior eigenvalue, taken from the overlap
+    matrix V_y* V_x by ||P - Q||^2 = ||(I - Q)P||^2 + ||(I - P)Q||^2,
+    which needs the unitary eigenbases ``normal_eig`` builds (see
+    :func:`_interior_measure`).
     """
     x, y, tol = pair.x, pair.y, pair.tol
     dec_x, dec_y = pair.dec_x, pair.dec_y
-    # Regions that pick the same clusters of X and of Y give the same
-    # measure difference, so each distinct selection is measured once.
-    family = _interior_region_family(dec_x, dec_y, pair.norm_x, tol)
-    selections = {}
-    for mx, my in zip(_isolating_masks(dec_x.eigenvalue_array, family, tol),
-                      _isolating_masks(dec_y.eigenvalue_array, family, tol)):
-        selections.setdefault((mx.tobytes(), my.tobytes()), (mx, my))
-    interior = 0.0
-    for mx, my in selections.values():
-        interior = max(interior, frob(dec_x.select(mx) - dec_y.select(my)))
+    interior = _interior_measure(dec_x, dec_y, pair.norm_x, tol)
 
     bx = sum(pair.boundary_x)
     by = sum(pair.boundary_y)
@@ -416,17 +448,24 @@ def check_square_commute(pair: PairAnalysis):
 @_gated("normal", "exp")
 def check_difference_formula(pair: PairAnalysis):
     """X - Y equals the weighted sum of strip and boundary-line
-    projections over the pair's branch window [k_lo, k_hi]."""
-    k_lo, k_hi = pair.k_lo, pair.k_hi
-    sp = strip_projections(pair.dec_x, pair.dec_y, k_lo, k_hi, tol=pair.tol)
+    projections over the pair's branch window [k_lo, k_hi].
 
-    n = pair.dec_x.n
-    rhs = np.zeros((n, n), dtype=complex)
-    for k in range(k_lo, k_hi + 1):
-        rhs += 2 * k * math.pi * 1j * (sp.p[k] - sp.q[k])
-        rhs += (2 * k + 1) * math.pi * 1j * (sp.e[k] - sp.f[k])
+    The sum of 2k*pi*i (P_k - Q_k) + (2k+1)*pi*i (E_k - F_k) is formed
+    as V_x diag(w_x) V_x* - V_y diag(w_y) V_y*, where a cluster weighs
+    2k*pi*i in open strip k, (2k+1)*pi*i on line k and 0 elsewhere. The
+    clusters are classified, and out-of-range or ambiguous spectra
+    raised, exactly as :func:`~normlog.spectral.strip_projections` does.
+    """
+    k_lo, k_hi = pair.k_lo, pair.k_hi
+    dec_x, dec_y = pair.dec_x, pair.dec_y
+    x_strip, x_line, y_strip, y_line = _branch_window(dec_x, dec_y, k_lo,
+                                                      k_hi, tol=pair.tol)
+    k = np.arange(k_lo, k_hi + 1)
+    strip_w, line_w = 2 * k * math.pi * 1j, (2 * k + 1) * math.pi * 1j
+    rhs = (dec_x.combination(x_strip @ strip_w + x_line @ line_w)
+           - dec_y.combination(y_strip @ strip_w + y_line @ line_w))
     r = _rel(frob((pair.x - pair.y) - rhs), pair.norm_x)
-    return ({"difference": r}, {"difference": pair.tol.check * n},
+    return ({"difference": r}, {"difference": pair.tol.check * dec_x.n},
             f"branch window [{k_lo}, {k_hi}]")
 
 
@@ -470,10 +509,16 @@ def check_congruence_free(pair: PairAnalysis) -> CheckReport:
     """No two eigenvalues of a self-adjoint X differ by a nonzero
     multiple of 2*pi (within the cluster radius). Y is not read.
 
+    The report is computed once per pair and shared with
+    :func:`check_double_commutant`, whose hypothesis it is.
     Raises NotNormal when X is not normal.
     """
+    return pair.congruence
+
+
+def _congruence_report(dec_x: SpectralDecomposition,
+                       tol: Tolerances) -> CheckReport:
     name = "congruence_free"
-    dec_x, tol = pair.dec_x, pair.tol
     scale = math.sqrt(sum(m * abs(lam) ** 2 for m, lam
                           in zip(dec_x.multiplicities, dec_x.eigenvalues)))
     if any(abs(lam.imag) > tol.boundary for lam in dec_x.eigenvalues):
@@ -508,7 +553,7 @@ def check_double_commutant(pair: PairAnalysis):
     commutant basis.
     """
     x, y, tol = pair.x, pair.y, pair.tol
-    if not check_congruence_free(pair).passed:
+    if not pair.congruence.passed:
         raise _Unmet("spectrum is not 2*pi-congruence-free; "
                      "hypothesis not met")
 

@@ -519,6 +519,32 @@ def strip_projections(dec_x: SpectralDecomposition,
 
     Requires every eigenvalue of both inputs to satisfy
     (2*k_lo+1)pi <= Im z <= (2*k_hi+1)pi (within the boundary band).
+    The clusters are classified by :func:`_branch_window`, which
+    :func:`~normlog.checks.check_difference_formula` shares; each
+    projection is then the dense sum V_S V_S* of its clusters.
+    """
+    x_strip, x_line, y_strip, y_line = _branch_window(dec_x, dec_y, k_lo,
+                                                     k_hi, tol=tol)
+    out = StripProjections(k_lo=k_lo, k_hi=k_hi)
+    for j, k in enumerate(range(k_lo, k_hi + 1)):
+        out.p[k] = dec_x.select(x_strip[:, j])
+        out.q[k] = dec_y.select(y_strip[:, j])
+        out.e[k] = dec_x.select(x_line[:, j])
+        out.f[k] = dec_y.select(y_line[:, j])
+    return out
+
+
+def _branch_window(dec_x: SpectralDecomposition,
+                  dec_y: SpectralDecomposition, k_lo: int, k_hi: int, *,
+                  tol: Tolerances = DEFAULT_TOL):
+    """Cluster masks ``(x_strip, x_line, y_strip, y_line)`` of a branch window.
+
+    Column j of a strip mask marks the clusters in
+    open_branch_strip(k_lo + j), column j of a line mask those on
+    odd_line(k_lo + j). Raises SpectrumOutOfRange for an eigenvalue
+    outside (2*k_lo+1)pi <= Im z <= (2*k_hi+1)pi (X checked before Y),
+    then AmbiguousBoundary as the first ambiguous strip measure would,
+    k ascending and X before Y within each k.
     """
     if k_hi < k_lo:
         raise ValueError("k_hi must be >= k_lo")
@@ -537,19 +563,12 @@ def strip_projections(dec_x: SpectralDecomposition,
                       for j in range(k_lo - 1, k_hi + 1)])
     x_strip, x_line, x_ambiguous = _branch_classes(dec_x, lines, tol)
     y_strip, y_line, y_ambiguous = _branch_classes(dec_y, lines, tol)
-    # raise as the first ambiguous strip measure, X before Y per k, would
     for j in range(k_hi - k_lo + 1):
         for dec, ambiguous in ((dec_x, x_ambiguous), (dec_y, y_ambiguous)):
             if ambiguous[:, j].any():
                 open_branch_strip(k_lo + j)._ambiguous(
                     complex(dec.eigenvalue_array[ambiguous[:, j].argmax()]), tol)
-    out = StripProjections(k_lo=k_lo, k_hi=k_hi)
-    for j, k in enumerate(range(k_lo, k_hi + 1)):
-        out.p[k] = dec_x.select(x_strip[:, j])
-        out.q[k] = dec_y.select(y_strip[:, j])
-        out.e[k] = dec_x.select(x_line[:, j])
-        out.f[k] = dec_y.select(y_line[:, j])
-    return out
+    return x_strip, x_line, y_strip, y_line
 
 
 def _branch_classes(dec: SpectralDecomposition, lines: np.ndarray,

@@ -19,12 +19,33 @@ from normlog.checks import (
     check_square_commute,
     check_y_in_bicommutant_of_exp,
 )
-from normlog.errors import NotCommuting, NotNormal
-from normlog.harness import Family, InstanceSpec, make_pair, random_unitary
+from normlog.config import DEFAULT_TOL
+from normlog.errors import (
+    AmbiguousBoundary,
+    NotCommuting,
+    NotNormal,
+    SpectrumOutOfRange,
+)
+from normlog.harness import (
+    Family,
+    InstanceSpec,
+    analyze_pair,
+    default_config,
+    make_pair,
+    random_unitary,
+)
 from normlog.linalg import dagger, frob, is_normal
 from normlog.logs import TWO_PI
 from normlog.report import CheckReport
-from normlog.spectral import HLine, Points, Rect, normal_eig, spectral_measure
+from normlog.spectral import (
+    HLine,
+    Points,
+    Rect,
+    SpectralDecomposition,
+    normal_eig,
+    spectral_measure,
+    strip_projections,
+)
 
 from util import random_normal_matrix
 
@@ -154,6 +175,43 @@ def _loop_region_family(dec_x, dec_y, scale, tol):
     return regions
 
 
+def _plain_interior_measure(dec_x, dec_y, scale):
+    """The largest measured projection difference over the isolating
+    family, region by region: the reference for the eigenbasis measure."""
+    regions = _family_regions(normlog.checks._interior_region_family(
+        dec_x, dec_y, scale, DEFAULT_TOL))
+    return max((frob(spectral_measure(dec_x, omega)
+                     - spectral_measure(dec_y, omega)) for omega in regions),
+               default=0.0)
+
+
+def _block_decomposition(n, seed):
+    """Decomposition with n distinct interior eigenvalues whose basis is
+    block diagonal in random 2x2 unitaries.
+
+    Columns from different blocks have disjoint supports, so turning one
+    into another is exact in floating point and sqrt(2)*sin(theta) is the
+    true measure even at theta = 1e-12.
+    """
+    v = np.zeros((n, n), dtype=complex)
+    for b in range(0, n, 2):
+        v[b:b + 2, b:b + 2] = random_unitary(2, seed + b)
+    eigs = tuple(complex(-1.5 + 3.0 * j / n, 0.8 * math.sin(j))
+                 for j in range(n))
+    return SpectralDecomposition(v=v, eigenvalues=eigs,
+                                 bounds=tuple(range(n + 1)))
+
+
+def _rotated(dec, a, b, theta):
+    """``dec`` with eigenvector columns a and b turned by theta."""
+    c, s = math.cos(theta), math.sin(theta)
+    v = dec.v.copy()
+    v[:, a] = c * dec.v[:, a] + s * dec.v[:, b]
+    v[:, b] = -s * dec.v[:, a] + c * dec.v[:, b]
+    return SpectralDecomposition(v=v, eigenvalues=dec.eigenvalues,
+                                 bounds=dec.bounds)
+
+
 class TestSpectralAgreement:
     def test_identical_inputs(self):
         x, _, _ = random_normal_matrix(6, 31, im_range=PI - 0.2)
@@ -179,20 +237,69 @@ class TestSpectralAgreement:
         assert not rep.hypothesis_met
 
     def test_interior_residual_equals_plain_loop(self):
-        # the check measures each distinct selection once; its residual
-        # must be the maximum over every region, bit for bit
-        x, y, _ = make_pair(InstanceSpec(Family.BOUNDARY_FLIP_PAIR, 64, 5))
-        pair = PairAnalysis(x, y)
-        regions = _family_regions(normlog.checks._interior_region_family(
-            pair.dec_x, pair.dec_y, frob(x), pair.tol))
-        assert len(regions) > 64
-        plain = 0.0
-        for omega in regions:
-            plain = max(plain, frob(spectral_measure(pair.dec_x, omega)
-                                    - spectral_measure(pair.dec_y, omega)))
+        # the measure is taken in the eigenbases, not from projections, so
+        # it equals the maximum over every region of the measured
+        # projection difference up to rounding, not bit for bit
+        for family in (Family.BOUNDARY_FLIP_PAIR,
+                       Family.DISTINCT_PROJECTION_PAIR, Family.INTERIOR_PAIR):
+            for n in (8, 64):
+                for seed in (5, 6, 7):
+                    x, y, _ = make_pair(InstanceSpec(family, n, seed))
+                    pair = PairAnalysis(x, y)
+                    rep = check_spectral_agreement(pair)
+                    assert rep.hypothesis_met
+                    plain = _plain_interior_measure(pair.dec_x, pair.dec_y,
+                                                    pair.norm_x)
+                    got = rep.residuals["interior_measure"]
+                    assert abs(got - plain) <= 1e-14, (family, n, seed)
+
+    @pytest.mark.parametrize("theta", [1e-12, 1e-8, 1e-4, 0.1])
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_rotated_eigenvectors_measure_sqrt2_sin_theta(self, n, theta):
+        # two eigenvectors of different clusters turned by theta move the
+        # projections of both clusters by sqrt(2)*sin(theta); the trace
+        # form k_x + k_y - 2||V_y,S'* V_x,S||^2 loses this at small theta
+        dec_x = _block_decomposition(n, seed=n)
+        dec_y = _rotated(dec_x, 0, 3, theta)
+        scale = float(np.linalg.norm(dec_x.eigenvalue_array))
+        got = normlog.checks._interior_measure(dec_x, dec_y, scale, DEFAULT_TOL)
+        want = math.sqrt(2.0) * math.sin(theta)
+        assert got == pytest.approx(want, rel=1e-6)
+        assert _plain_interior_measure(dec_x, dec_y, scale) == pytest.approx(
+            want, rel=1e-6)
+
+    @pytest.mark.parametrize("theta", [1e-4, 0.1])
+    def test_double_eigenvalue_rotations(self, theta):
+        eigs = [0.5 + 0.2j, 0.5 + 0.2j, -1.0 + 1.0j, 1.2 - 2.0j, -0.3 - 0.7j]
+        u = random_unitary(5, 81)
+        x = conj_by(u, np.diag(eigs))
+        dec = normal_eig(x)
+        assert sorted(dec.multiplicities.tolist()) == [1, 1, 1, 2]
+        double = int(np.argmax(dec.multiplicities))
+        lo = dec.bounds[double]
+        other = 0 if lo != 0 else 2
+        scale = frob(x)
+        # a rotation inside the eigenspace leaves every projection as it was
+        inside = normlog.checks._interior_measure(
+            dec, _rotated(dec, lo, lo + 1, theta), scale, DEFAULT_TOL)
+        assert inside <= 1e-14
+        # a rotation across two eigenspaces moves both projections
+        across = normlog.checks._interior_measure(
+            dec, _rotated(dec, lo, other, theta), scale, DEFAULT_TOL)
+        assert across == pytest.approx(math.sqrt(2.0) * math.sin(theta),
+                                       rel=1e-6)
+
+    def test_empty_isolating_family_measures_zero(self):
+        # every eigenvalue lies on a boundary line: no region isolates one
+        x = conj_by(random_unitary(3, 91), np.diag([PI * 1j, -PI * 1j,
+                                                   0.5 + PI * 1j]))
+        pair = PairAnalysis(x, x.copy())
+        centres = normlog.checks._interior_region_family(
+            pair.dec_x, pair.dec_y, pair.norm_x, pair.tol)[0]
+        assert len(centres) == 0
         rep = check_spectral_agreement(pair)
         assert rep.hypothesis_met
-        assert rep.residuals["interior_measure"].hex() == plain.hex()
+        assert rep.residuals["interior_measure"] == 0.0
 
     # every family whose operands are both normal
     @pytest.mark.parametrize("family", [f for f in Family
@@ -310,6 +417,58 @@ class TestDifferenceFormula:
         assert rep.passed
 
 
+def _strip_sum_residual(pair):
+    """The difference residual from the explicit sum over
+    strip_projections: the reference for the per-cluster weights."""
+    sp = strip_projections(pair.dec_x, pair.dec_y, pair.k_lo, pair.k_hi)
+    n = pair.dec_x.n
+    rhs = np.zeros((n, n), dtype=complex)
+    for k in range(pair.k_lo, pair.k_hi + 1):
+        rhs += 2 * k * PI * 1j * (sp.p[k] - sp.q[k])
+        rhs += (2 * k + 1) * PI * 1j * (sp.e[k] - sp.f[k])
+    return frob((pair.x - pair.y) - rhs) / max(1.0, pair.norm_x)
+
+
+# every default suite entry whose operands are both normal, with its params
+_NORMAL_ENTRIES = [(e["family"], e.get("params", {}))
+                   for e in default_config()["families"]
+                   if e["family"] != Family.NON_NORMAL_LOG_PAIR.value]
+
+
+class TestDifferenceFormulaWeights:
+    @pytest.mark.parametrize("entry", _NORMAL_ENTRIES,
+                             ids=lambda e: "-".join([e[0], *map(str, e[1])]))
+    @pytest.mark.parametrize("n", [2, 8, 64])
+    def test_equals_sum_over_strip_projections(self, entry, n):
+        family, params = entry
+        for seed in (1, 2):
+            x, y, meta = make_pair(InstanceSpec(Family(family), n, seed,
+                                                params=params))
+            pair = analyze_pair(x, y, meta, DEFAULT_TOL)
+            # the body, past the gates: the self-adjoint families have
+            # exp(iX) = exp(Y), so their exp gate fails
+            found, _, _ = check_difference_formula.__wrapped__(pair)
+            assert abs(found["difference"] - _strip_sum_residual(pair)) <= 1e-14
+
+    @pytest.mark.parametrize("x_imag, y_imag, k_lo, k_hi, error", [
+        ([5.0, 0.2], [5.0 - TWO_PI, 0.2], -1, 0, SpectrumOutOfRange),
+        ([0.2, -0.3], [0.2, -0.3 - 2 * TWO_PI], -1, 0, SpectrumOutOfRange),
+        ([PI - 5e-10, 0.5], [PI - 5e-10, 0.5], -1, 1, AmbiguousBoundary),
+        ([3 * PI + 5e-10, 0.1], [-PI + 5e-10, 0.1], -1, 1, AmbiguousBoundary),
+    ])
+    def test_raises_as_strip_projections(self, x_imag, y_imag, k_lo, k_hi,
+                                         error):
+        x = np.diag([0.5 + 1j * t for t in x_imag])
+        y = np.diag([0.5 + 1j * t for t in y_imag])
+        pair = PairAnalysis(x, y, k_lo=k_lo, k_hi=k_hi)
+        assert pair.exp_residual <= pair.tol.gate
+        with pytest.raises(error) as expected:
+            strip_projections(pair.dec_x, pair.dec_y, k_lo, k_hi)
+        with pytest.raises(error) as got:
+            check_difference_formula(pair)
+        assert str(got.value) == str(expected.value)
+
+
 class TestCorollaryCases:
     def test_case_top_empty(self):
         x = np.diag([-PI * 1j, 0])
@@ -368,6 +527,27 @@ class TestDoubleCommutant:
         rep = check_double_commutant(PairAnalysis(np.diag([0.0, TWO_PI]),
                                                   np.zeros((2, 2))))
         assert not rep.hypothesis_met and not rep.passed
+
+    def test_congruence_report_computed_once_per_pair(self, monkeypatch):
+        real = normlog.checks._congruence_report
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        def not_called(pair):
+            raise AssertionError("double_commutant re-ran congruence_free")
+
+        monkeypatch.setattr(normlog.checks, "_congruence_report", spy)
+        x, y, _ = make_pair(InstanceSpec(Family.SELF_ADJOINT_CONGRUENCE_FREE,
+                                         6, 12))
+        pair = PairAnalysis(x, y)
+        first = check_congruence_free(pair)
+        monkeypatch.setattr(normlog.checks, "check_congruence_free", not_called)
+        assert check_double_commutant(pair).passed
+        assert check_congruence_free(pair) is first and first.passed
+        assert len(calls) == 1
 
     def test_normal_y_needs_no_commutant_basis(self, monkeypatch):
         def no_svd(*args, **kwargs):
@@ -472,7 +652,6 @@ class TestCrossTheoremConsistency:
         e1 = spectral_measure(dec_x, HLine(PI))
         if frob(e1) > 1e-8:
             pytest.skip("instance has spectrum on the top line")
-        from normlog.spectral import strip_projections
         sp = strip_projections(dec_x, dec_y, -1, 0)
         rhs = sum(2 * k * PI * 1j * (sp.p[k] - sp.q[k])
                   + (2 * k + 1) * PI * 1j * (sp.e[k] - sp.f[k])

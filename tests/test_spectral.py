@@ -7,7 +7,7 @@ import pytest
 
 import normlog.spectral
 from normlog.errors import AmbiguousBoundary, NotNormal, OutOfFoldRange
-from normlog.linalg import frob
+from normlog.linalg import frob, is_normal
 from normlog.spectral import (
     HLine,
     Points,
@@ -208,6 +208,20 @@ class TestNormalEig:
             for i, a in enumerate(reps):
                 for b in reps[i + 1:]:
                     assert abs(a - b) > 1e-8
+
+
+class TestUnitaryBasis:
+    # the eigenbasis measures of spectral_agreement assume V*V = I
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    @pytest.mark.parametrize("n", [2, 8, 64, 128])
+    def test_every_normal_operand(self, family, n):
+        bound = 10 * n * np.finfo(float).eps
+        for seed in range(3):
+            for m in make_pair(InstanceSpec(family, n, seed))[:2]:
+                if not is_normal(m):
+                    continue  # the Y of NonNormalLogPair
+                v = normal_eig(m).v
+                assert frob(v.conj().T @ v - np.eye(n)) <= bound, seed
 
 
 def _greedy_merge(values, radius):
