@@ -43,7 +43,7 @@ from .spectral import (
     _fold_branch,
     _odd_pi_distance,
     borel_calculus,
-    normal_eig,
+    normal_eig_stack,
     spectral_measure,
 )
 
@@ -55,7 +55,7 @@ CHECK_NAMES = (
     "y_in_bicommutant_of_exp", "kurepa",
 )
 
-__all__ = ["CHECK_NAMES", "PairAnalysis", "run_check",
+__all__ = ["CHECK_NAMES", "PairAnalysis", "decompose_pairs", "run_check",
            *(f"check_{name}" for name in CHECK_NAMES)]
 
 _FINITE_DIM_NOTE = ("verified on finite-dimensional input; the unbounded "
@@ -76,18 +76,6 @@ def _exp_gap(lhs: np.ndarray, rhs: np.ndarray) -> float:
 # Each exponential equation and the PairAnalysis property measuring it.
 _EQUATIONS = {"exp(X)=exp(Y)": "exp_residual",
               "exp(iX)=exp(Y)": "exp_i_residual"}
-
-
-def _decompose(m: np.ndarray, tol: Tolerances):
-    """normal_eig(m), or the NormLogError it raised.
-
-    normal_eig tests normality first, so NotNormal is exactly is_normal's
-    verdict; any other error comes from a normal input.
-    """
-    try:
-        return normal_eig(m, tol=tol)
-    except NormLogError as exc:
-        return exc
 
 
 def _unwrap(attempt) -> SpectralDecomposition:
@@ -127,13 +115,15 @@ class PairAnalysis:
             # seeds the cached property that measures this equation
             self.__dict__[_EQUATIONS[equation]] = residual
 
+    # normal_eig(x), or the NormLogError it raised; normal_eig tests
+    # normality first, so NotNormal is exactly is_normal's verdict
     @cached_property
     def _attempt_x(self):
-        return _decompose(self.x, self.tol)
+        return normal_eig_stack(self.x[None], tol=self.tol)[0]
 
     @cached_property
     def _attempt_y(self):
-        return _decompose(self.y, self.tol)
+        return normal_eig_stack(self.y[None], tol=self.tol)[0]
 
     @property
     def normal_x(self) -> bool:
@@ -205,6 +195,26 @@ class PairAnalysis:
     @cached_property
     def modulus_y(self) -> np.ndarray:
         return modulus(self.y, tol=self.tol)
+
+
+def decompose_pairs(pairs) -> None:
+    """Decompose the X and Y of every pair in one stacked call.
+
+    The result seeds each pair's decompositions, as ``exp_gap`` seeds its
+    exponential gate, so its checks read them instead of decomposing on
+    first use; a decomposition is bit for bit the one a lone pair would
+    compute. The pairs must share their tolerances and dimension.
+    """
+    if not pairs:
+        return
+    tol = pairs[0].tol
+    if any(pair.tol != tol for pair in pairs):
+        raise ValueError("pairs decomposed together must share tolerances")
+    attempts = normal_eig_stack([m for pair in pairs for m in (pair.x, pair.y)],
+                                tol=tol)
+    for pair, x, y in zip(pairs, attempts[0::2], attempts[1::2]):
+        pair.__dict__["_attempt_x"] = x
+        pair.__dict__["_attempt_y"] = y
 
 
 def _boundary_measures(dec: SpectralDecomposition, tol: Tolerances) -> tuple:

@@ -102,10 +102,13 @@ class Stream:
         self.counter += 2 * pairs
         u1 = u[0::2] + 2.0 ** -54
         theta = 2.0 * math.pi * u[1::2]
-        radius = np.sqrt(-2.0 * np.array(list(map(math.log, u1.tolist()))))
+        radius = np.sqrt(-2.0 * np.fromiter(map(math.log, u1.tolist()), float,
+                                            pairs))
         normals = np.empty(2 * pairs + 1)
-        normals[1::2] = radius * np.array(list(map(math.cos, theta.tolist())))
-        normals[2::2] = radius * np.array(list(map(math.sin, theta.tolist())))
+        normals[1::2] = radius * np.fromiter(map(math.cos, theta.tolist()),
+                                             float, pairs)
+        normals[2::2] = radius * np.fromiter(map(math.sin, theta.tolist()),
+                                             float, pairs)
         if self._spare_normal is None or not pairs:
             normals = normals[1:]
         else:

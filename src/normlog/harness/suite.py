@@ -2,18 +2,18 @@
 
 Instance seeds derive deterministically from (base seed, family label,
 size, index) through the counter hash, so two runs of the same config
-produce byte-identical reports. Instances are independent; with
-``jobs > 1`` they fan out across processes while the aggregation order
-stays fixed.
+produce byte-identical reports. The instances of one (entry, size) run
+in chunks of consecutive seeds, whose operands are decomposed in one
+stacked call; with ``jobs > 1`` the chunks fan out across processes
+while the aggregation order stays fixed.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ProcessPoolExecutor
 
-from ..checks import CHECK_NAMES, PairAnalysis, run_check
+from ..checks import CHECK_NAMES, PairAnalysis, decompose_pairs, run_check
 from ..config import DEFAULT_TOL, Tolerances
 from .generators import Family, InstanceSpec, make_pair
 from .rng import mix64
@@ -113,19 +113,29 @@ def _derive_seed(base: int, label: str, n: int, index: int) -> int:
     return mix64(h ^ index)
 
 
-def _run_instance(task) -> list[dict]:
-    label, family, params, n, seed, tol, checks = task
-    spec = InstanceSpec(family=Family(family), n=n, seed=seed,
-                        params=dict(params))
-    x, y, metadata = make_pair(spec)
-    # make_pair's self-test measured the exponential gap on these arrays
-    pair = analyze_pair(x, y, metadata, tol, exp_gap=(
-        metadata["equation"], metadata["self_test_residual"]))
+# Matrix entries per chunk: a chunk holds at most max(1, this // n^2)
+# instances, so no stacked array outgrows one n = 128 matrix.
+_CHUNK_ENTRIES = 8192
+
+
+def _run_chunk(task) -> list[dict]:
+    label, family, params, n, seeds, tol, checks = task
+    pairs = []
+    for seed in seeds:
+        spec = InstanceSpec(family=Family(family), n=n, seed=seed,
+                            params=dict(params))
+        x, y, metadata = make_pair(spec)
+        # make_pair's self-test measured the exponential gap on these arrays
+        pairs.append(analyze_pair(x, y, metadata, tol, exp_gap=(
+            metadata["equation"], metadata["self_test_residual"])))
+    decompose_pairs(pairs)
     rows = []
-    for check_name in checks:
-        row = {"family": label, "n": n, "seed": seed}
-        row.update(run_check(check_name, pair).to_dict())
-        rows.append(row)
+    for i, seed in enumerate(seeds):
+        pair, pairs[i] = pairs[i], None  # freed once its rows are written
+        for check_name in checks:
+            row = {"family": label, "n": n, "seed": seed}
+            row.update(run_check(check_name, pair).to_dict())
+            rows.append(row)
     return rows
 
 
@@ -155,15 +165,19 @@ def run_suite(config: dict | None = None, jobs: int = 1) -> dict:
             raise ValueError(f"unknown checks {unknown} for {label!r}; "
                              f"expected names from {list(CHECK_NAMES)}")
         for n in sizes:
-            for i in range(n_seeds):
-                seed = _derive_seed(base, label, n, i)
-                tasks.append((label, family, params, n, seed, tol, checks))
+            seeds = [_derive_seed(base, label, n, i) for i in range(n_seeds)]
+            size = max(1, _CHUNK_ENTRIES // (n * n))
+            for start in range(0, n_seeds, size):
+                tasks.append((label, family, params, n,
+                              seeds[start:start + size], tol, checks))
 
     if jobs > 1:
+        # imported here: serial runs never pay for the process pool
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            all_rows = list(pool.map(_run_instance, tasks, chunksize=4))
+            all_rows = list(pool.map(_run_chunk, tasks, chunksize=1))
     else:
-        all_rows = [_run_instance(t) for t in tasks]
+        all_rows = [_run_chunk(t) for t in tasks]
 
     results = [row for rows in all_rows for row in rows]
     passed = sum(r["passed"] for r in results)

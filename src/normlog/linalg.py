@@ -48,8 +48,23 @@ def as_square_matrix(a) -> np.ndarray:
     return m
 
 
+def _as_square_stack(a) -> np.ndarray:
+    """Coerce to a (k, n, n) stack of square complex matrices, rejecting
+    NaN/Inf entries."""
+    m = np.asarray(a, dtype=complex)
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got shape "
+                         f"{m.shape}")
+    if m.shape[1] < 1:
+        raise ValueError("matrix dimension must be >= 1")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
+    return m
+
+
 def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def frob(a: np.ndarray) -> float:
@@ -98,17 +113,25 @@ def herm_eig(h, *, tol: Tolerances = DEFAULT_TOL):
         if the underlying iteration fails.
     """
     h = as_square_matrix(h)
-    h_star = dagger(h)
-    asymmetry = frob(h - h_star)
+    _require_hermitian(h, tol)
+    return _eigh(h)
+
+
+def _require_hermitian(h: np.ndarray, tol: Tolerances) -> None:
+    asymmetry = frob(h - dagger(h))
     if asymmetry > tol.herm * max(frob(h), 1e-300):
         raise NotHermitian(f"asymmetry {asymmetry:.3e} exceeds "
                            f"{tol.herm:.1e} * ||H||")
+
+
+def _eigh(h: np.ndarray):
+    """``eigh`` of the Hermitian part of a matrix or of each matrix of a
+    stack; one LAPACK call per matrix, in one numpy call."""
     try:
         # a complex Hermitian eigh already returns float w and complex v
-        w, v = np.linalg.eigh((h + h_star) / 2)
+        return np.linalg.eigh((h + dagger(h)) / 2)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergence(str(exc)) from exc
-    return w, v
 
 
 def _cluster_slices(values: np.ndarray, radius: float):
@@ -131,44 +154,84 @@ def simultaneous_diagonalize(a, b, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarr
 
     Diagonalizes ``a`` first, then re-diagonalizes the compression of
     ``b`` inside every eigenvalue cluster of ``a``. Returns a unitary
-    ``v`` with both ``v* a v`` and ``v* b v`` diagonal.
+    ``v`` with both ``v* a v`` and ``v* b v`` diagonal. The commutation
+    test and the re-diagonalization are those of
+    :func:`~normlog.spectral.normal_eig_stack`, on a stack of one.
 
     Raises
     ------
+    NotHermitian
+        if ``a`` is not Hermitian, as :func:`herm_eig` tests it.
     NotCommuting
-        if ``||ab - ba|| > tol.comm * ||a|| ||b||``.
+        if ``||ab - ba|| > tol.comm * max(1, ||a|| ||b||)``.
     """
     a = as_square_matrix(a)
     b = as_square_matrix(b)
     if a.shape != b.shape:
         raise ValueError("matrices must share a dimension")
-    # max(1, .) keeps the bound above rounding noise when either part is
-    # near zero (e.g. the Hermitian part of a skew-adjoint input)
-    norm_a = frob(a)
-    norm_ab = max(1.0, norm_a * frob(b))
-    residual = frob(commutator(a, b))
-    if residual > tol.comm * norm_ab:
-        raise NotCommuting(
-            f"commutator norm {residual:.3e} exceeds "
-            f"{tol.comm:.1e} * max(1, ||A|| ||B||)")
+    _require_hermitian(a, tol)
+    v, errors = _common_eigenbases(a[None], b[None], tol)
+    if errors:
+        raise errors[0]
+    return v[0]
 
-    wa, v = herm_eig(a, tol=tol)
-    radius = tol.cluster * max(1.0, norm_a)
-    for sl in _cluster_slices(wa, radius):
-        if sl.stop - sl.start == 1:
-            continue
-        block = v[:, sl]
-        comp = dagger(block) @ b @ block
-        _, u = herm_eig((comp + dagger(comp)) / 2, tol=tol)
-        v[:, sl] = block @ u
-    return v
+
+def _common_eigenbases(a: np.ndarray, b: np.ndarray, tol: Tolerances):
+    """Common eigenbases of the Hermitian pairs ``(a[i], b[i])`` of two
+    (k, n, n) stacks.
+
+    Returns ``(v, errors)``: ``errors`` maps the index of each pair with
+    ``||ab - ba|| > tol.comm * max(1, ||a|| ||b||)`` to its NotCommuting
+    error, and ``v`` stacks, in index order, a unitary basis diagonalizing
+    both matrices of every other pair. The commutators are one stacked
+    product and the eigenbases of the ``a[i]`` one stacked ``eigh``; each
+    pair is then tested, and the compression of ``b[i]`` re-diagonalized
+    inside every eigenvalue cluster of ``a[i]``, on its own.
+    """
+    comm = a @ b - b @ a
+    errors, keep, radii = {}, [], []
+    for i, (ai, bi, ci) in enumerate(zip(a, b, comm)):
+        # max(1, .) keeps the bound above rounding noise when either part
+        # is near zero (e.g. the Hermitian part of a skew-adjoint input)
+        norm_a = frob(ai)
+        residual = frob(ci)
+        if residual > tol.comm * max(1.0, norm_a * frob(bi)):
+            errors[i] = NotCommuting(
+                f"commutator norm {residual:.3e} exceeds "
+                f"{tol.comm:.1e} * max(1, ||A|| ||B||)")
+        else:
+            keep.append(i)
+            radii.append(tol.cluster * max(1.0, norm_a))
+    if errors:
+        a, b = a[keep], b[keep]
+    wa, v = _eigh(a)
+    for w, vi, bi, radius in zip(wa, v, b, radii):
+        for sl in _cluster_slices(w, radius):
+            if sl.stop - sl.start == 1:
+                continue
+            block = vi[:, sl]
+            comp = dagger(block) @ bi @ block
+            _, u = herm_eig((comp + dagger(comp)) / 2, tol=tol)
+            vi[:, sl] = block @ u
+    return v, errors
+
+
+def _normality(x: np.ndarray, tol: Tolerances) -> list:
+    """``(||X||, ||X*X - XX*||, normal)`` for each matrix X of the (k, n, n)
+    stack ``x``, with ``normal`` iff the residual is at most
+    ``tol.norm * ||X||^2``; the products are one stacked call."""
+    x_star = dagger(x)
+    out = []
+    for xi, ci in zip(x, x_star @ x - x @ x_star):
+        norm, residual = frob(xi), frob(ci)
+        out.append((norm, residual,
+                    residual <= tol.norm * max(norm ** 2, 1e-300)))
+    return out
 
 
 def is_normal(x, *, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True iff ``||x*x - xx*|| <= tol.norm * ||x||^2``."""
-    x = as_square_matrix(x)
-    scale = frob(x) ** 2
-    return frob(dagger(x) @ x - x @ dagger(x)) <= tol.norm * max(scale, 1e-300)
+    return _normality(as_square_matrix(x)[None], tol)[0][2]
 
 
 def modulus(x, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

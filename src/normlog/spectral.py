@@ -24,16 +24,22 @@ from typing import Callable
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .errors import AmbiguousBoundary, NotNormal, OutOfFoldRange, SpectrumOutOfRange
+from .errors import (
+    AmbiguousBoundary,
+    NormLogError,
+    NotNormal,
+    OutOfFoldRange,
+    SpectrumOutOfRange,
+)
 from .linalg import (
+    _as_square_stack,
+    _common_eigenbases,
+    _normality,
     as_square_matrix,
-    commutator,
     dagger,
     frob,
     im_part,
-    is_normal,
     re_part,
-    simultaneous_diagonalize,
 )
 from .report import CheckReport
 
@@ -48,6 +54,7 @@ __all__ = [
     "borel_calculus",
     "fold_scalar",
     "normal_eig",
+    "normal_eig_stack",
     "odd_line",
     "open_branch_strip",
     "spectral_measure",
@@ -390,29 +397,70 @@ def normal_eig(x, *, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
     common basis; the clusters are the connected components of the graph
     joining eigenvalues within ``tol.cluster * max(1, ||X||)`` of each
     other, so they do not depend on the order the eigenvalues are found
-    in, and each is represented by its mean.
+    in, and each is represented by its mean. This is
+    :func:`normal_eig_stack` on a stack of one.
 
     Raises NotNormal when ``X*X != XX*`` beyond tolerance.
     """
-    x = as_square_matrix(x)
-    if not is_normal(x, tol=tol):
-        raise NotNormal(f"commutator of X with X* has norm "
-                        f"{frob(commutator(dagger(x), x)):.3e}")
-    re, im = re_part(x), im_part(x)
-    v = simultaneous_diagonalize(re, im, tol=tol)
-    v_star = dagger(v)
-    diag_a = np.real(np.diag(v_star @ re @ v))
-    diag_b = np.real(np.diag(v_star @ im @ v))
-    lams = diag_a + 1j * diag_b
+    (dec,) = _decompose_stack(as_square_matrix(x)[None], tol)
+    if isinstance(dec, NormLogError):
+        raise dec
+    return dec
 
-    groups = _merge(lams.tolist(), tol.cluster * max(1.0, frob(x)))
-    reps = [complex(sum(lams[j] for j in g) / len(g)) for g in groups]
-    order = sorted(range(len(groups)), key=lambda i: (reps[i].real, reps[i].imag))
-    groups = [groups[i] for i in order]
-    return SpectralDecomposition(
-        v=v[:, [j for g in groups for j in g]],
-        eigenvalues=tuple(reps[i] for i in order),
-        bounds=tuple(np.cumsum([0] + [len(g) for g in groups]).tolist()))
+
+def normal_eig_stack(xs, *, tol: Tolerances = DEFAULT_TOL) -> list:
+    """Spectral decompositions of a stack of n x n matrices.
+
+    ``xs`` is a sequence of matrices or a (k, n, n) array. Entry i of the
+    result is ``normal_eig(xs[i])``, bit for bit, or the NormLogError it
+    would raise; an error leaves the other entries unchanged.
+    """
+    return _decompose_stack(_as_square_stack(xs), tol)
+
+
+def _decompose_stack(x: np.ndarray, tol: Tolerances) -> list:
+    """The decompositions of :func:`normal_eig_stack`, of a validated stack.
+
+    The normality products, the commutation products of the Hermitian
+    parts, their ``eigh`` and the two diagonal products V* Re(X) V and
+    V* Im(X) V are each one stacked numpy call, which performs one BLAS
+    or LAPACK call per matrix, so each entry is computed as if alone. The
+    tests, the re-resolution of clusters and the clustering run per
+    matrix.
+    """
+    out = [None] * len(x)
+    keep, norms = [], []
+    for i, (norm, residual, normal) in enumerate(_normality(x, tol)):
+        if normal:
+            keep.append(i)
+            norms.append(norm)
+        else:
+            out[i] = NotNormal(f"commutator of X with X* has norm "
+                               f"{residual:.3e}")
+    if len(keep) < len(x):
+        x = x[keep]
+    re, im = re_part(x), im_part(x)
+    v, errors = _common_eigenbases(re, im, tol)
+    for j, exc in errors.items():
+        out[keep[j]] = exc
+    if errors:
+        good = [j for j in range(len(keep)) if j not in errors]
+        keep, norms = [keep[j] for j in good], [norms[j] for j in good]
+        re, im = re[good], im[good]
+    v_star = dagger(v)
+    lams = (np.diagonal(v_star @ re @ v, axis1=1, axis2=2).real
+            + 1j * np.diagonal(v_star @ im @ v, axis1=1, axis2=2).real)
+    for i, vi, li, norm in zip(keep, v, lams, norms):
+        groups = _merge(li.tolist(), tol.cluster * max(1.0, norm))
+        reps = [complex(sum(li[j] for j in g) / len(g)) for g in groups]
+        order = sorted(range(len(groups)),
+                       key=lambda g: (reps[g].real, reps[g].imag))
+        groups = [groups[g] for g in order]
+        out[i] = SpectralDecomposition(
+            v=vi[:, [j for g in groups for j in g]],
+            eigenvalues=tuple(reps[g] for g in order),
+            bounds=tuple(np.cumsum([0] + [len(g) for g in groups]).tolist()))
+    return out
 
 
 def spectral_measure(dec: SpectralDecomposition, omega: Region, *,

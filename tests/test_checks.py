@@ -18,6 +18,7 @@ from normlog.checks import (
     check_spectral_agreement,
     check_square_commute,
     check_y_in_bicommutant_of_exp,
+    decompose_pairs,
 )
 from normlog.config import DEFAULT_TOL
 from normlog.errors import (
@@ -82,6 +83,13 @@ class TestPairAnalysis:
         for _ in range(2):
             with pytest.raises(NotCommuting):
                 pair.dec_x
+
+    def test_pairs_decomposed_together_share_tolerances(self):
+        x = np.diag([1.0 + 0j, 2.0])
+        pairs = [PairAnalysis(x, x), PairAnalysis(x, x, tol=DEFAULT_TOL.replace(
+            cluster=1e-6))]
+        with pytest.raises(ValueError, match="tolerances"):
+            decompose_pairs(pairs)
 
     def test_given_exp_gap_is_not_recomputed(self, monkeypatch):
         def no_exp(arg):

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from normlog.logs import TWO_PI
 from normlog.spectral import normal_eig
 
 PI = math.pi
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 class TestStream:
@@ -216,6 +220,29 @@ class TestSuite:
     def test_parallel_matches_serial(self):
         assert run_suite(self.CFG, jobs=2) == run_suite(self.CFG, jobs=1)
 
+    def test_parallel_matches_serial_across_chunks(self):
+        # 25 seeds at n = 24 run as chunks of 14 and 11 instances; n = 64
+        # is left out, where the pool's workers contend for BLAS threads
+        cfg = dict(_chunked(), sizes=[24])
+        assert run_suite(cfg, jobs=2) == run_suite(cfg, jobs=1)
+
+    def test_process_pool_imported_only_for_parallel_runs(self):
+        # a fresh interpreter, so this session's imports do not count
+        code = ("import sys\n"
+                "import normlog.harness as h\n"
+                "pool = {'concurrent.futures.process', 'multiprocessing'}\n"
+                "assert not pool & set(sys.modules), pool & set(sys.modules)\n"
+                f"cfg = {self.CFG!r}\n"
+                "assert h.run_suite(cfg, jobs=2) == h.run_suite(cfg, jobs=1)\n"
+                "assert pool <= set(sys.modules)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(ROOT, "src")]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
     def test_negative_controls_skip(self):
         rep = run_suite({"base_seed": 5, "sizes": [4], "seeds": 2,
                          "families": [{"family": "OddPiEigenvalue",
@@ -282,6 +309,19 @@ def _one_of_each() -> dict:
     return cfg
 
 
+def _chunked() -> dict:
+    """25 seeds at n in {24, 64}: the suite splits each (entry, n) into
+    chunks of 14 + 11 and of 2 instances (the last one alone). Every
+    NonNormalLogPair Y fails normality inside a stack, and the control
+    skips two of its checks."""
+    cfg = default_config()
+    cfg.update(sizes=[24, 64], seeds=25, families=[
+        e for e in cfg["families"]
+        if e.get("label", e["family"]) in (
+            "BoundaryFlipPair/conjugate-control", "NonNormalLogPair")])
+    return cfg
+
+
 def _regenerate(cfg: dict, row: dict):
     entry = next(e for e in cfg["families"]
                  if e.get("label", e["family"]) == row["family"])
@@ -303,13 +343,20 @@ class TestSharedAnalysis:
         assert run_check("real_part", PairAnalysis(np.eye(2), np.eye(2))) \
             == "rebound"
 
-    def test_sharing_never_changes_a_verdict(self):
-        cfg = _one_of_each()
+    @pytest.mark.parametrize("make_config", [_one_of_each, _chunked])
+    def test_sharing_never_changes_a_verdict(self, make_config):
+        cfg = make_config()
         rows = run_suite(cfg)["results"]
         assert len({r["family"] for r in rows}) == len(cfg["families"])
         assert any(not r["hypothesis_met"] for r in rows)
+        assert len({(r["family"], r["n"], r["seed"]) for r in rows}) == (
+            len(cfg["families"]) * len(cfg["sizes"]) * cfg["seeds"])
+        instances = {}
         for row in rows:
-            x, y, meta = _regenerate(cfg, row)
+            key = (row["family"], row["n"], row["seed"])
+            if key not in instances:
+                instances[key] = _regenerate(cfg, row)
+            x, y, meta = instances[key]
             fresh = PairAnalysis(x, y, k_lo=meta.get("k_lo", -1),
                                  k_hi=meta.get("k_hi", 0))
             report = getattr(normlog.checks, f"check_{row['check']}")(fresh)
@@ -320,28 +367,36 @@ class TestSharedAnalysis:
 
     def test_each_operand_analysed_once_per_instance(self, monkeypatch):
         # calls per (instance, operand); operands are told apart by
-        # identity, since InteriorPair has X equal to Y. The exponentials
-        # are evaluated once, by make_pair's self-test, whose residual the
-        # suite hands to the pair's gate.
+        # identity, since InteriorPair has X equal to Y. Each chunk's
+        # operands are decomposed in one stacked call, whose argument
+        # lists them. The exponentials are evaluated once, by make_pair's
+        # self-test, whose residual the suite hands to the pair's gate.
+        cfg = _one_of_each()
+        cfg.update(seeds=3)
         calls = []
         pairs = []
         self_test_args = []
         real_make_pair = normlog.harness.suite.make_pair
-        real_normal_eig = normlog.checks.normal_eig
+        real_stack = normlog.checks.normal_eig_stack
         real_exp = normlog.harness.generators.exp_general
 
-        def operand(arg):
-            x, y, _ = pairs[-1]
+        def operand(arg, k):
+            x, y, _ = pairs[k]
             if arg is x:
                 return "x"
             if arg is y:
                 return "y"
             return "ix" if np.array_equal(arg, 1j * x) else "unknown"
 
+        def instance(arg):
+            return next((k for k, (x, y, _) in enumerate(pairs)
+                         if arg is x or arg is y), len(pairs) - 1)
+
         def make_pair_spy(spec):
             self_test_args.clear()
             pairs.append(real_make_pair(spec))
-            calls.extend((len(pairs), "exp_general", operand(arg))
+            k = len(pairs) - 1
+            calls.extend(("exp_general", k, operand(arg, k))
                          for arg in self_test_args)
             return pairs[-1]
 
@@ -350,26 +405,32 @@ class TestSharedAnalysis:
             return real_exp(arg)
 
         def checks_exp_spy(arg):
-            calls.append((len(pairs), "checks.exp_general", operand(arg)))
+            k = instance(arg)
+            calls.append(("checks.exp_general", k, operand(arg, k)))
             return real_exp(arg)
 
-        def normal_eig_spy(arg, **kwargs):
-            calls.append((len(pairs), "normal_eig", operand(arg)))
-            return real_normal_eig(arg, **kwargs)
+        def stack_spy(ms, **kwargs):
+            for m in ms:
+                k = instance(m)
+                calls.append(("normal_eig_stack", k, operand(m, k)))
+            return real_stack(ms, **kwargs)
 
         monkeypatch.setattr(normlog.harness.suite, "make_pair", make_pair_spy)
         monkeypatch.setattr(normlog.harness.generators, "exp_general",
                             self_test_exp_spy)
         monkeypatch.setattr(normlog.checks, "exp_general", checks_exp_spy)
-        monkeypatch.setattr(normlog.checks, "normal_eig", normal_eig_spy)
-        run_suite(_one_of_each())
+        monkeypatch.setattr(normlog.checks, "normal_eig_stack", stack_spy)
+        run_suite(cfg)
 
-        assert len(pairs) == len(_one_of_each()["families"])
-        assert {c[1] for c in calls} == {"normal_eig", "exp_general"}
+        assert len(pairs) == 3 * len(cfg["families"])
+        assert {c[0] for c in calls} == {"normal_eig_stack", "exp_general"}
         assert all(c[2] != "unknown" for c in calls)
         assert len(calls) == len(set(calls))
+        # X and Y of each instance decomposed, each once
+        assert sorted(c[1:] for c in calls if c[0] == "normal_eig_stack") == [
+            (k, side) for k in range(len(pairs)) for side in ("x", "y")]
         # both sides of each pair's equation, each once
-        assert sum(c[1] == "exp_general" for c in calls) == 2 * len(pairs)
+        assert sum(c[0] == "exp_general" for c in calls) == 2 * len(pairs)
 
     @pytest.mark.parametrize("family", list(Family))
     def test_self_test_residual_is_the_gate_residual(self, family):

@@ -107,6 +107,11 @@ class TestSimultaneousDiagonalize:
             simultaneous_diagonalize(np.diag([1.0, 2.0]),
                                      np.array([[0, 1], [1, 0]], dtype=complex))
 
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(NotHermitian):
+            simultaneous_diagonalize(np.array([[0, 1], [0, 0]], dtype=complex),
+                                     np.eye(2))
+
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_random_commuting_pair(self, n):
         stream = Stream(55 + n)

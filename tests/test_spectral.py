@@ -6,16 +6,24 @@ import numpy as np
 import pytest
 
 import normlog.spectral
-from normlog.errors import AmbiguousBoundary, NotNormal, OutOfFoldRange
+from normlog.errors import (
+    AmbiguousBoundary,
+    NormLogError,
+    NotCommuting,
+    NotNormal,
+    OutOfFoldRange,
+)
 from normlog.linalg import frob, is_normal
 from normlog.spectral import (
     HLine,
     Points,
     Rect,
     RegionUnion,
+    SpectralDecomposition,
     borel_calculus,
     fold_scalar,
     normal_eig,
+    normal_eig_stack,
     odd_line,
     open_branch_strip,
     spectral_measure,
@@ -333,6 +341,62 @@ class TestNormalEigClusters:
                     == np.array(ref.eigenvalues).tobytes())
             assert dec.bounds == ref.bounds
             assert dec.v.tobytes() == ref.v.tobytes()
+
+
+def _same_decomposition(got, ref):
+    """Bit-for-bit equality of two decompositions, or of two errors by
+    type and message."""
+    if isinstance(ref, NormLogError):
+        return type(got) is type(ref) and str(got) == str(ref)
+    return (isinstance(got, SpectralDecomposition)
+            and got.v.tobytes() == ref.v.tobytes()
+            and (np.array(got.eigenvalues).tobytes()
+                 == np.array(ref.eigenvalues).tobytes())
+            and got.bounds == ref.bounds)
+
+
+def _lone(m):
+    try:
+        return normal_eig(m)
+    except NormLogError as exc:
+        return exc
+
+
+class TestNormalEigStack:
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    @pytest.mark.parametrize("n", [2, 8, 16, 64])
+    def test_equals_stacks_of_one(self, family, n):
+        operands = [m for seed in range(3)
+                    for m in make_pair(InstanceSpec(family, n, seed))[:2]]
+        stacked = normal_eig_stack(operands)
+        assert len(stacked) == len(operands)
+        for m, got in zip(operands, stacked):
+            (alone,) = normal_eig_stack([m])
+            assert _same_decomposition(got, alone)
+            assert _same_decomposition(got, _lone(m))
+
+    def test_errors_mid_stack(self):
+        # a non-normal Y, and a normal matrix whose Hermitian parts fail
+        # the commutation test, between normal neighbours
+        _, non_normal, _ = make_pair(InstanceSpec(Family.NON_NORMAL_LOG_PAIR,
+                                                  2, 0))
+        not_commuting = (np.diag([100.0, 0.0])
+                         + 1e-10j * np.array([[0, 1], [1, 0]]))
+        normal = [make_pair(InstanceSpec(Family.BOUNDARY_FLIP_PAIR, 2, seed))[0]
+                  for seed in range(3)]
+        operands = [normal[0], non_normal, normal[1], not_commuting, normal[2]]
+        stacked = normal_eig_stack(operands)
+        assert isinstance(stacked[1], NotNormal)
+        assert isinstance(stacked[3], NotCommuting)
+        for m, got in zip(operands, stacked):
+            assert _same_decomposition(got, _lone(m))
+
+    @pytest.mark.parametrize("xs", [np.zeros((2, 2)), np.zeros((2, 2, 3)),
+                                    np.zeros((1, 0, 0)),
+                                    np.full((1, 2, 2), np.nan)])
+    def test_rejects_bad_stack(self, xs):
+        with pytest.raises(ValueError):
+            normal_eig_stack(xs)
 
 
 class TestSpectralMeasure:
