@@ -529,11 +529,9 @@ def check_congruence_free(pair: PairAnalysis) -> CheckReport:
 def _congruence_report(dec_x: SpectralDecomposition,
                        tol: Tolerances) -> CheckReport:
     name = "congruence_free"
-    scale = math.sqrt(sum(m * abs(lam) ** 2 for m, lam
-                          in zip(dec_x.multiplicities, dec_x.eigenvalues)))
     if any(abs(lam.imag) > tol.boundary for lam in dec_x.eigenvalues):
         return _fail(name, "input must be self-adjoint (real spectrum)")
-    radius = tol.cluster * max(1.0, scale)
+    radius = tol.cluster * max(1.0, dec_x.norm)
     nearest = math.inf
     values = [lam.real for lam in dec_x.eigenvalues]
     for i, a in enumerate(values):

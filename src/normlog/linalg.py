@@ -3,7 +3,11 @@
 Everything downstream (spectral measures, logarithms, identity checks)
 reduces to the handful of operations here: a Hermitian eigensolver,
 simultaneous diagonalization of commuting Hermitian matrices, the
-positive-semidefinite modulus, and commutant/double-commutant tests.
+normality test, the positive-semidefinite modulus, and
+commutant/double-commutant tests.
+
+X is normal iff its Hermitian parts commute: X*X - XX* = 2i [Re X, Im X],
+so one commutator of the parts decides both tests a decomposition needs.
 
 Matrices are plain ``numpy.ndarray`` of ``complex128``; there is no
 wrapper class. Validation happens at entry via :func:`as_square_matrix`.
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .errors import NoConvergence, NotCommuting, NotHermitian
+from .errors import NoConvergence, NotCommuting, NotHermitian, NotNormal
 
 __all__ = [
     "CommutantBasis",
@@ -38,24 +42,20 @@ __all__ = [
 
 def as_square_matrix(a) -> np.ndarray:
     """Coerce to a square complex matrix, rejecting NaN/Inf entries."""
-    m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] < 1:
-        raise ValueError("matrix dimension must be >= 1")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
-    return m
+    return _as_square(a, 2, "a square matrix")
 
 
 def _as_square_stack(a) -> np.ndarray:
     """Coerce to a (k, n, n) stack of square complex matrices, rejecting
     NaN/Inf entries."""
+    return _as_square(a, 3, "a stack of square matrices")
+
+
+def _as_square(a, ndim: int, expected: str) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 3 or m.shape[1] != m.shape[2]:
-        raise ValueError(f"expected a stack of square matrices, got shape "
-                         f"{m.shape}")
-    if m.shape[1] < 1:
+    if m.ndim != ndim or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected {expected}, got shape {m.shape}")
+    if m.shape[-1] < 1:
         raise ValueError("matrix dimension must be >= 1")
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
@@ -134,8 +134,8 @@ def _eigh(h: np.ndarray):
         raise NoConvergence(str(exc)) from exc
 
 
-def _cluster_slices(values: np.ndarray, radius: float):
-    """Split an ascending real array into runs of nearly-equal values.
+def _cluster_slices(values, radius: float):
+    """Split an ascending real sequence into runs of nearly-equal values.
 
     Consecutive values closer than ``radius`` share a run.
     """
@@ -170,68 +170,65 @@ def simultaneous_diagonalize(a, b, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarr
     if a.shape != b.shape:
         raise ValueError("matrices must share a dimension")
     _require_hermitian(a, tol)
-    v, errors = _common_eigenbases(a[None], b[None], tol)
-    if errors:
-        raise errors[0]
+    v, (error,) = _common_eigenbases(a[None], b[None], tol)
+    if error is not None:
+        raise error
     return v[0]
 
 
-def _common_eigenbases(a: np.ndarray, b: np.ndarray, tol: Tolerances):
+def _common_eigenbases(a: np.ndarray, b: np.ndarray, tol: Tolerances,
+                       norms=None):
     """Common eigenbases of the Hermitian pairs ``(a[i], b[i])`` of two
     (k, n, n) stacks.
 
-    Returns ``(v, errors)``: ``errors`` maps the index of each pair with
-    ``||ab - ba|| > tol.comm * max(1, ||a|| ||b||)`` to its NotCommuting
-    error, and ``v`` stacks, in index order, a unitary basis diagonalizing
-    both matrices of every other pair. The commutators are one stacked
-    product and the eigenbases of the ``a[i]`` one stacked ``eigh``; each
-    pair is then tested, and the compression of ``b[i]`` re-diagonalized
-    inside every eigenvalue cluster of ``a[i]``, on its own.
+    Returns ``(v, errors)``: ``v[i]`` diagonalizes both matrices of pair i
+    if ``errors[i]`` is None. Otherwise ``errors[i]`` is NotCommuting, for
+    ``||ab - ba|| > tol.comm * max(1, ||a|| ||b||)``, or, with ``norms``,
+    where pair i is Re X, Im X of a matrix X with ``||X|| = norms[i]``,
+    NotNormal, tested first as :func:`is_normal` tests it. The
+    commutators and the ``eigh`` of the ``a[i]`` are one stacked call
+    each, over every pair; the tests and the re-diagonalization of
+    ``b[i]`` inside each eigenvalue cluster of ``a[i]`` run per pair.
     """
     comm = a @ b - b @ a
-    errors, keep, radii = {}, [], []
-    for i, (ai, bi, ci) in enumerate(zip(a, b, comm)):
+    wa, v = _eigh(a)
+    errors = []
+    for i, (ai, bi, ci, w, vi) in enumerate(zip(a, b, comm, wa, v)):
+        residual = frob(ci)
+        if norms is not None and not _normality_holds(norms[i], residual, tol):
+            errors.append(NotNormal(f"commutator of X with X* has norm "
+                                    f"{2 * residual:.3e}"))
+            continue
         # max(1, .) keeps the bound above rounding noise when either part
         # is near zero (e.g. the Hermitian part of a skew-adjoint input)
         norm_a = frob(ai)
-        residual = frob(ci)
         if residual > tol.comm * max(1.0, norm_a * frob(bi)):
-            errors[i] = NotCommuting(
+            errors.append(NotCommuting(
                 f"commutator norm {residual:.3e} exceeds "
-                f"{tol.comm:.1e} * max(1, ||A|| ||B||)")
-        else:
-            keep.append(i)
-            radii.append(tol.cluster * max(1.0, norm_a))
-    if errors:
-        a, b = a[keep], b[keep]
-    wa, v = _eigh(a)
-    for w, vi, bi, radius in zip(wa, v, b, radii):
-        for sl in _cluster_slices(w, radius):
-            if sl.stop - sl.start == 1:
-                continue
-            block = vi[:, sl]
-            comp = dagger(block) @ bi @ block
-            _, u = herm_eig((comp + dagger(comp)) / 2, tol=tol)
-            vi[:, sl] = block @ u
+                f"{tol.comm:.1e} * max(1, ||A|| ||B||)"))
+            continue
+        errors.append(None)
+        for sl in _cluster_slices(w, tol.cluster * max(1.0, norm_a)):
+            if sl.stop - sl.start > 1:
+                block = vi[:, sl]
+                # the compression's Hermitian part, as _eigh takes it
+                _, u = _eigh(dagger(block) @ bi @ block)
+                vi[:, sl] = block @ u
     return v, errors
 
 
-def _normality(x: np.ndarray, tol: Tolerances) -> list:
-    """``(||X||, ||X*X - XX*||, normal)`` for each matrix X of the (k, n, n)
-    stack ``x``, with ``normal`` iff the residual is at most
-    ``tol.norm * ||X||^2``; the products are one stacked call."""
-    x_star = dagger(x)
-    out = []
-    for xi, ci in zip(x, x_star @ x - x @ x_star):
-        norm, residual = frob(xi), frob(ci)
-        out.append((norm, residual,
-                    residual <= tol.norm * max(norm ** 2, 1e-300)))
-    return out
+def _normality_holds(norm: float, comm_norm: float, tol: Tolerances) -> bool:
+    """Normality of X from ``||X||`` and ``||[Re X, Im X]||``."""
+    return 2 * comm_norm <= tol.norm * max(norm ** 2, 1e-300)
 
 
 def is_normal(x, *, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff ``||x*x - xx*|| <= tol.norm * ||x||^2``."""
-    return _normality(as_square_matrix(x)[None], tol)[0][2]
+    """True iff ``||X*X - XX*|| <= tol.norm * ||X||^2``, the left side taken
+    as ``2 ||[Re X, Im X]||`` since X*X - XX* = 2i [Re X, Im X]; the test
+    :func:`~normlog.spectral.normal_eig` applies."""
+    x = as_square_matrix(x)
+    return _normality_holds(frob(x), frob(commutator(re_part(x), im_part(x))),
+                            tol)
 
 
 def modulus(x, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

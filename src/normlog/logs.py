@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .errors import ExpNotNormal, Singular
-from .linalg import as_square_matrix, commutator, frob, is_normal
+from .errors import ExpNotNormal, NotNormal, Singular
+from .linalg import as_square_matrix, commutator, frob
 from .spectral import SpectralDecomposition, borel_calculus, normal_eig
 
 __all__ = [
@@ -119,8 +119,7 @@ def branch_log(dec_n: SpectralDecomposition, shift: BranchShift, *,
     invertible normal matrix, P_j the eigenprojection of cluster j;
     offset 0 everywhere reproduces :func:`principal_log`.
     """
-    scale = frob(dec_n.reconstruct())
-    _require_invertible(dec_n, scale, tol)
+    _require_invertible(dec_n, dec_n.norm, tol)
     return dec_n.combination([
         _principal_scalar_log(lam, tol.on_feature) + TWO_PI * 1j * shift.offset(j)
         for j, lam in enumerate(dec_n.eigenvalues)])
@@ -133,9 +132,7 @@ def principal_log(n_mat, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     negative real eigenvalues map to log|lam| + i*pi. Raises NotNormal
     or Singular when the input fails the preconditions.
     """
-    n_mat = as_square_matrix(n_mat)
-    dec = normal_eig(n_mat, tol=tol)
-    return branch_log(dec, BranchShift(), tol=tol)
+    return branch_log(normal_eig(n_mat, tol=tol), BranchShift(), tol=tol)
 
 
 @dataclass(frozen=True)
@@ -174,9 +171,11 @@ def kurepa_decompose(y, *, tol: Tolerances = DEFAULT_TOL) -> KurepaDecomposition
     """
     y = as_square_matrix(y)
     e = exp_general(y)
-    if not is_normal(e, tol=tol):
-        raise ExpNotNormal("exp(Y) is not normal within tolerance")
-    n0 = principal_log(e, tol=tol)
+    try:
+        dec = normal_eig(e, tol=tol)
+    except NotNormal as exc:
+        raise ExpNotNormal("exp(Y) is not normal within tolerance") from exc
+    n0 = branch_log(dec, BranchShift(), tol=tol)
     w = (y - n0) / (TWO_PI * 1j)
 
     denom = frob(n0) * frob(w)

@@ -27,14 +27,13 @@ from .config import DEFAULT_TOL, Tolerances
 from .errors import (
     AmbiguousBoundary,
     NormLogError,
-    NotNormal,
     OutOfFoldRange,
     SpectrumOutOfRange,
 )
 from .linalg import (
     _as_square_stack,
+    _cluster_slices,
     _common_eigenbases,
-    _normality,
     as_square_matrix,
     dagger,
     frob,
@@ -266,13 +265,8 @@ def _runs(indices, coord: list, radius: float) -> list[list[int]]:
     """``indices`` sorted by ``coord``, split where consecutive coordinates
     differ by more than ``radius``."""
     order = sorted(indices, key=coord.__getitem__)
-    runs, start = [], 0
-    for k in range(1, len(order)):
-        if coord[order[k]] - coord[order[k - 1]] > radius:
-            runs.append(order[start:k])
-            start = k
-    runs.append(order[start:])
-    return runs
+    return [order[sl]
+            for sl in _cluster_slices([coord[i] for i in order], radius)]
 
 
 def _components(indices: list, zs: list, radius: float) -> list[list[int]]:
@@ -322,6 +316,12 @@ class SpectralDecomposition:
         m = np.diff(self.bounds)
         m.flags.writeable = False
         return m
+
+    @cached_property
+    def norm(self) -> float:
+        """Frobenius norm of the matrix, sqrt(sum_j m_j |lam_j|^2)."""
+        return math.sqrt(sum(m * abs(lam) ** 2 for m, lam
+                             in zip(self.multiplicities, self.eigenvalues)))
 
     @cached_property
     def eigenvalue_array(self) -> np.ndarray:
@@ -421,45 +421,35 @@ def normal_eig_stack(xs, *, tol: Tolerances = DEFAULT_TOL) -> list:
 def _decompose_stack(x: np.ndarray, tol: Tolerances) -> list:
     """The decompositions of :func:`normal_eig_stack`, of a validated stack.
 
-    The normality products, the commutation products of the Hermitian
-    parts, their ``eigh`` and the two diagonal products V* Re(X) V and
-    V* Im(X) V are each one stacked numpy call, which performs one BLAS
-    or LAPACK call per matrix, so each entry is computed as if alone. The
-    tests, the re-resolution of clusters and the clustering run per
-    matrix.
+    One commutator of the Hermitian parts per matrix decides normality,
+    as :func:`~normlog.linalg.is_normal` does, then their commutation.
+    The commutators, the ``eigh`` of the Re(X) and the diagonal products
+    V* Re(X) V and V* Im(X) V are each one numpy call over the whole
+    stack, one BLAS or LAPACK call per matrix, so each entry is computed
+    as if alone; the tests and the clustering run per matrix. A failing
+    entry's ``eigh`` is computed and discarded, so an ``eigh`` that fails
+    to converge on it raises NoConvergence for the whole stack.
     """
-    out = [None] * len(x)
-    keep, norms = [], []
-    for i, (norm, residual, normal) in enumerate(_normality(x, tol)):
-        if normal:
-            keep.append(i)
-            norms.append(norm)
-        else:
-            out[i] = NotNormal(f"commutator of X with X* has norm "
-                               f"{residual:.3e}")
-    if len(keep) < len(x):
-        x = x[keep]
     re, im = re_part(x), im_part(x)
-    v, errors = _common_eigenbases(re, im, tol)
-    for j, exc in errors.items():
-        out[keep[j]] = exc
-    if errors:
-        good = [j for j in range(len(keep)) if j not in errors]
-        keep, norms = [keep[j] for j in good], [norms[j] for j in good]
-        re, im = re[good], im[good]
+    norms = [frob(xi) for xi in x]
+    v, errors = _common_eigenbases(re, im, tol, norms)
     v_star = dagger(v)
     lams = (np.diagonal(v_star @ re @ v, axis1=1, axis2=2).real
             + 1j * np.diagonal(v_star @ im @ v, axis1=1, axis2=2).real)
-    for i, vi, li, norm in zip(keep, v, lams, norms):
+    out = []
+    for vi, li, norm, error in zip(v, lams, norms, errors):
+        if error is not None:
+            out.append(error)
+            continue
         groups = _merge(li.tolist(), tol.cluster * max(1.0, norm))
         reps = [complex(sum(li[j] for j in g) / len(g)) for g in groups]
         order = sorted(range(len(groups)),
                        key=lambda g: (reps[g].real, reps[g].imag))
         groups = [groups[g] for g in order]
-        out[i] = SpectralDecomposition(
+        out.append(SpectralDecomposition(
             v=vi[:, [j for g in groups for j in g]],
             eigenvalues=tuple(reps[g] for g in order),
-            bounds=tuple(np.cumsum([0] + [len(g) for g in groups]).tolist()))
+            bounds=tuple(np.cumsum([0] + [len(g) for g in groups]).tolist())))
     return out
 
 

@@ -4,6 +4,8 @@ import pytest
 from normlog.errors import NotCommuting, NotHermitian
 from normlog.harness import Stream, random_unitary
 from normlog.linalg import (
+    _as_square_stack,
+    as_square_matrix,
     commutant_basis,
     dagger,
     frob,
@@ -30,6 +32,33 @@ def _frob_inputs(n):
     yield "rows sliced", g[::2]
     yield "columns sliced", g[:, ::-2]
     yield "integer", np.arange(n * n).reshape(n, n)
+
+
+class TestSquareCoercion:
+    @pytest.mark.parametrize("coerce, a, message", [
+        (as_square_matrix, np.zeros((2, 3)),
+         "expected a square matrix, got shape (2, 3)"),
+        (as_square_matrix, np.zeros((1, 2, 2)),
+         "expected a square matrix, got shape (1, 2, 2)"),
+        (as_square_matrix, np.zeros((0, 0)), "matrix dimension must be >= 1"),
+        (as_square_matrix, [[1.0, np.inf], [0.0, 1.0]],
+         "matrix entries must be finite"),
+        (_as_square_stack, np.zeros((2, 2)),
+         "expected a stack of square matrices, got shape (2, 2)"),
+        (_as_square_stack, np.zeros((2, 2, 3)),
+         "expected a stack of square matrices, got shape (2, 2, 3)"),
+        (_as_square_stack, np.zeros((1, 0, 0)), "matrix dimension must be >= 1"),
+        (_as_square_stack, np.full((1, 2, 2), np.nan),
+         "matrix entries must be finite"),
+    ])
+    def test_rejection_messages(self, coerce, a, message):
+        with pytest.raises(ValueError) as exc:
+            coerce(a)
+        assert str(exc.value) == message
+
+    def test_returns_complex(self):
+        assert as_square_matrix([[1, 2], [3, 4]]).dtype == complex
+        assert _as_square_stack(np.zeros((3, 2, 2))).shape == (3, 2, 2)
 
 
 class TestFrob:

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import normlog.linalg
 from normlog.errors import ExpNotNormal, NotNormal, Singular
-from normlog.harness import Stream, random_unitary
+from normlog.harness import Family, InstanceSpec, Stream, make_pair, random_unitary
 from normlog.linalg import dagger, frob
 from normlog.logs import (
     BranchShift,
@@ -158,5 +159,28 @@ class TestKurepa:
         assert frob(kd.reconstruct() - y) <= 1e-12 * frob(y)
 
     def test_rejects_non_normal_exponential(self):
+        with pytest.raises(ExpNotNormal) as exc:
+            kurepa_decompose(np.array([[0, 1], [0, 0]], dtype=complex))
+        assert str(exc.value) == "exp(Y) is not normal within tolerance"
+        assert isinstance(exc.value.__cause__, NotNormal)
+
+    def test_one_normality_decision_per_call(self, monkeypatch):
+        # e^Y is tested once, by the decomposition its logarithm reads
+        real = normlog.linalg._normality_holds
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(normlog.linalg, "_normality_holds", spy)
+        _, non_normal_y, _ = make_pair(InstanceSpec(Family.NON_NORMAL_LOG_PAIR,
+                                                    4, 0))
+        for y in (np.diag([3j, 1 + 4j]), non_normal_y):
+            calls.clear()
+            kurepa_decompose(y)
+            assert len(calls) == 1
+        calls.clear()
         with pytest.raises(ExpNotNormal):
             kurepa_decompose(np.array([[0, 1], [0, 0]], dtype=complex))
+        assert len(calls) == 1

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import normlog.spectral
+from normlog.config import DEFAULT_TOL
 from normlog.errors import (
     AmbiguousBoundary,
     NormLogError,
@@ -35,7 +36,7 @@ from normlog.spectral import (
     whole_plane,
 )
 
-from normlog.harness import Family, InstanceSpec, make_pair
+from normlog.harness import Family, InstanceSpec, make_pair, random_unitary
 
 from util import random_normal_matrix
 
@@ -201,8 +202,19 @@ class TestNormalEig:
         assert np.allclose(dec.projection(0), np.eye(3))
 
     def test_rejects_non_normal(self):
-        with pytest.raises(NotNormal):
+        # X*X - XX* = diag(-1, 1) by hand
+        with pytest.raises(NotNormal) as exc:
             normal_eig(np.array([[0, 1], [0, 0]], dtype=complex))
+        assert str(exc.value) == "commutator of X with X* has norm 1.414e+00"
+
+    def test_norm_is_frobenius_norm(self):
+        # sqrt(sum_j m_j |lam_j|^2) = ||V diag(lam) V*||
+        dec = normal_eig(np.diag([3.0, 3.0, 4j]))
+        assert dec.multiplicities.tolist() == [1, 2]
+        assert dec.norm == pytest.approx(math.sqrt(34.0), rel=1e-15)
+        for seed in range(3):
+            x, _, _ = random_normal_matrix(6, 500 + seed)
+            assert normal_eig(x).norm == pytest.approx(frob(x), rel=1e-12)
 
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_invariants_random(self, n):
@@ -378,10 +390,8 @@ class TestNormalEigStack:
     def test_errors_mid_stack(self):
         # a non-normal Y, and a normal matrix whose Hermitian parts fail
         # the commutation test, between normal neighbours
-        _, non_normal, _ = make_pair(InstanceSpec(Family.NON_NORMAL_LOG_PAIR,
-                                                  2, 0))
-        not_commuting = (np.diag([100.0, 0.0])
-                         + 1e-10j * np.array([[0, 1], [1, 0]]))
+        non_normal = _failing_operand(NotNormal)
+        not_commuting = _failing_operand(NotCommuting)
         normal = [make_pair(InstanceSpec(Family.BOUNDARY_FLIP_PAIR, 2, seed))[0]
                   for seed in range(3)]
         operands = [normal[0], non_normal, normal[1], not_commuting, normal[2]]
@@ -391,12 +401,83 @@ class TestNormalEigStack:
         for m, got in zip(operands, stacked):
             assert _same_decomposition(got, _lone(m))
 
+    @pytest.mark.parametrize("error", [NotNormal, NotCommuting],
+                             ids=lambda e: e.__name__)
+    @pytest.mark.parametrize("at", ["first", "last", "both ends"])
+    def test_errors_at_stack_ends(self, error, at):
+        bad = _failing_operand(error)
+        normal = [make_pair(InstanceSpec(Family.INTERIOR_PAIR, 2, seed))[0]
+                  for seed in range(2)]
+        operands = {"first": [bad] + normal, "last": normal + [bad],
+                    "both ends": [bad] + normal + [bad]}[at]
+        stacked = normal_eig_stack(operands)
+        for m, got in zip(operands, stacked):
+            assert isinstance(got, error) == (m is bad)
+            assert _same_decomposition(got, _lone(m))
+
     @pytest.mark.parametrize("xs", [np.zeros((2, 2)), np.zeros((2, 2, 3)),
                                     np.zeros((1, 0, 0)),
                                     np.full((1, 2, 2), np.nan)])
     def test_rejects_bad_stack(self, xs):
         with pytest.raises(ValueError):
             normal_eig_stack(xs)
+
+
+def _failing_operand(error):
+    if error is NotNormal:
+        return make_pair(InstanceSpec(Family.NON_NORMAL_LOG_PAIR, 2, 0))[1]
+    # normal within tol.norm, but its parts fail the commutation test
+    return np.diag([100.0, 0.0]) + 1e-10j * np.array([[0, 1], [1, 0]])
+
+
+def _reference_normal(x, tol=DEFAULT_TOL):
+    """``(residual, threshold)`` of the normality rule on X*X - XX* itself,
+    the reference the commutator of the Hermitian parts must reproduce."""
+    residual = frob(x.conj().T @ x - x @ x.conj().T)
+    return residual, tol.norm * max(frob(x) ** 2, 1e-300)
+
+
+def _near_threshold(d, nil, ratio):
+    """D + t N with t tuned so the reference residual is ``ratio`` times
+    its threshold."""
+    t = 1e-10
+    for _ in range(8):  # the residual is nearly linear in t: rescale t
+        residual, bound = _reference_normal(d + t * nil)
+        t *= ratio * bound / residual
+    return d + t * nil
+
+
+class TestNormalityVerdict:
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    @pytest.mark.parametrize("n", [2, 8, 16, 64])
+    def test_every_generated_operand(self, family, n):
+        operands = [m for seed in range(3)
+                    for m in make_pair(InstanceSpec(family, n, seed))[:2]]
+        stacked = normal_eig_stack(operands)
+        for m, got in zip(operands, stacked):
+            residual, bound = _reference_normal(m)
+            assert is_normal(m) == (residual <= bound)
+            assert (not isinstance(got, NotNormal)) == is_normal(m)
+            if isinstance(got, NotNormal):
+                assert str(got) == (f"commutator of X with X* has norm "
+                                    f"{residual:.3e}")
+
+    @pytest.mark.parametrize("conjugated", [False, True])
+    def test_near_the_threshold(self, conjugated):
+        d = np.diag([1 + 2j, -0.5 + 1j, 0.3j])
+        nil = np.zeros((3, 3), dtype=complex)
+        nil[0, 1] = nil[1, 2] = 1.0
+        if conjugated:
+            u = random_unitary(3, 11)
+            d, nil = u @ d @ u.conj().T, u @ nil @ u.conj().T
+        ratios = (0.5, 0.9, 1.1, 2.0)
+        operands = [_near_threshold(d, nil, r) for r in ratios]
+        stacked = normal_eig_stack(operands)
+        for r, m, got in zip(ratios, operands, stacked):
+            residual, bound = _reference_normal(m)
+            assert residual / bound == pytest.approx(r, rel=1e-3)
+            assert is_normal(m) == (r < 1)
+            assert isinstance(got, NotNormal) == (r > 1)
 
 
 class TestSpectralMeasure:
