@@ -40,7 +40,6 @@ from .errors import (
     SpectrumOutOfRange,
 )
 from .linalg import (
-    CommutantBasis,
     commutant_basis,
     herm_eig,
     in_double_commutant,
@@ -49,11 +48,9 @@ from .linalg import (
     simultaneous_diagonalize,
 )
 from .logs import (
-    BranchShift,
     KurepaDecomposition,
     branch_log,
     exp_general,
-    exp_normal,
     kurepa_decompose,
     principal_log,
 )
@@ -70,10 +67,7 @@ from .spectral import (
     fold_scalar,
     normal_eig,
     spectral_measure,
-    strip,
     strip_boundary,
     strip_interior,
     strip_projections,
-    verify_pushforward,
-    whole_plane,
 )

@@ -38,13 +38,13 @@ from .report import CheckReport
 from .spectral import (
     HLine,
     SpectralDecomposition,
-    _branch_window,
     _edge_status,
     _fold_branch,
     _odd_pi_distance,
     borel_calculus,
     normal_eig_stack,
     spectral_measure,
+    strip_projections,
 )
 
 # The check registry: ``check_<name>`` exists for every name here.
@@ -458,24 +458,14 @@ def check_square_commute(pair: PairAnalysis):
 @_gated("normal", "exp")
 def check_difference_formula(pair: PairAnalysis):
     """X - Y equals the weighted sum of strip and boundary-line
-    projections over the pair's branch window [k_lo, k_hi].
-
-    The sum of 2k*pi*i (P_k - Q_k) + (2k+1)*pi*i (E_k - F_k) is formed
-    as V_x diag(w_x) V_x* - V_y diag(w_y) V_y*, where a cluster weighs
-    2k*pi*i in open strip k, (2k+1)*pi*i on line k and 0 elsewhere. The
-    clusters are classified, and out-of-range or ambiguous spectra
-    raised, exactly as :func:`~normlog.spectral.strip_projections` does.
-    """
+    projections over the pair's branch window [k_lo, k_hi],
+    ``strip_projections(...).difference()``, which raises for
+    out-of-range or ambiguous spectra."""
     k_lo, k_hi = pair.k_lo, pair.k_hi
-    dec_x, dec_y = pair.dec_x, pair.dec_y
-    x_strip, x_line, y_strip, y_line = _branch_window(dec_x, dec_y, k_lo,
-                                                      k_hi, tol=pair.tol)
-    k = np.arange(k_lo, k_hi + 1)
-    strip_w, line_w = 2 * k * math.pi * 1j, (2 * k + 1) * math.pi * 1j
-    rhs = (dec_x.combination(x_strip @ strip_w + x_line @ line_w)
-           - dec_y.combination(y_strip @ strip_w + y_line @ line_w))
-    r = _rel(frob((pair.x - pair.y) - rhs), pair.norm_x)
-    return ({"difference": r}, {"difference": pair.tol.check * dec_x.n},
+    window = strip_projections(pair.dec_x, pair.dec_y, k_lo, k_hi,
+                               tol=pair.tol)
+    r = _rel(frob((pair.x - pair.y) - window.difference()), pair.norm_x)
+    return ({"difference": r}, {"difference": pair.tol.check * pair.dec_x.n},
             f"branch window [{k_lo}, {k_hi}]")
 
 

@@ -20,7 +20,7 @@ class Tolerances:
 
     herm        Hermitian precondition: ||H - H*|| <= herm * ||H||.
     norm        normality test: ||X*X - XX*|| <= norm * ||X||^2.
-    comm        commutation preconditions and basis orthonormality.
+    comm        commutation preconditions.
     check       generic pass/fail threshold for identity checks.
     gate        hypothesis-gate threshold (exponential equality and case
                 classification); kept separate from ``check`` so that

@@ -23,7 +23,7 @@ from ..checks import CHECK_NAMES, run_check
 from ..errors import NormLogError
 from .generators import Family, InstanceSpec, make_pair
 from .io import read_pair, write_pair, write_report
-from .suite import (analyze_pair, default_config, run_suite,
+from .suite import (analyze_pair, default_config, report, run_suite,
                     tolerances_from_config)
 
 
@@ -57,27 +57,20 @@ def _cmd_check(args) -> int:
         metadata["k_lo"] = args.k_lo
     if args.k_hi is not None:
         metadata["k_hi"] = args.k_hi
-    report = run_check(args.name, analyze_pair(x, y, metadata, tol))
+    result = run_check(args.name, analyze_pair(x, y, metadata, tol))
 
-    status = "PASS" if report.passed else (
-        "SKIP" if not report.hypothesis_met else "FAIL")
-    worst = max(report.residuals.values(), default=0.0)
-    print(f"[{status}] {report.check_name}  worst residual {worst:.3e}"
-          + (f"  ({report.notes})" if report.notes else ""))
+    status = "PASS" if result.passed else (
+        "SKIP" if not result.hypothesis_met else "FAIL")
+    worst = max(result.residuals.values(), default=0.0)
+    print(f"[{status}] {result.check_name}  worst residual {worst:.3e}"
+          + (f"  ({result.notes})" if result.notes else ""))
     if args.report:
         row = {"family": metadata.get("family", "file"),
                "n": metadata.get("n"), "seed": metadata.get("seed")}
-        row.update(report.to_dict())
-        write_report(args.report, {
-            "suite": "normlog-check",
-            "config": {"name": args.name, "input": args.infile},
-            "results": [row],
-            "summary": {"total": 1, "passed": int(report.passed),
-                        "skipped_hypothesis": int(not report.hypothesis_met),
-                        "failed": int(report.hypothesis_met
-                                      and not report.passed)},
-        })
-    return 1 if (report.hypothesis_met and not report.passed) else 0
+        row.update(result.to_dict())
+        write_report(args.report, report(
+            "normlog-check", {"name": args.name, "input": args.infile}, [row]))
+    return 1 if (result.hypothesis_met and not result.passed) else 0
 
 
 def _cmd_suite(args) -> int:
@@ -86,9 +79,9 @@ def _cmd_suite(args) -> int:
             config = json.load(fh)
     else:
         config = default_config()
-    report = run_suite(config, jobs=args.jobs)
-    summary = report["summary"]
-    for row in report["results"]:
+    doc = run_suite(config, jobs=args.jobs)
+    summary = doc["summary"]
+    for row in doc["results"]:
         if row["hypothesis_met"] and not row["passed"]:
             worst = max(row["residuals"].values(), default=0.0)
             print(f"[FAIL] {row['check']} {row['family']} n={row['n']} "
@@ -97,7 +90,7 @@ def _cmd_suite(args) -> int:
           f"skipped {summary['skipped_hypothesis']}  "
           f"failed {summary['failed']}")
     if args.report:
-        write_report(args.report, report)
+        write_report(args.report, doc)
     return 0 if summary["failed"] == 0 else 1
 
 

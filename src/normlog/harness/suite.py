@@ -18,7 +18,7 @@ from ..config import DEFAULT_TOL, Tolerances
 from .generators import Family, InstanceSpec, make_pair
 from .rng import mix64
 
-__all__ = ["analyze_pair", "default_config", "run_suite",
+__all__ = ["analyze_pair", "default_config", "report", "run_suite",
            "tolerances_from_config"]
 
 # Checks per family; difference_formula windows come from instance metadata.
@@ -179,14 +179,22 @@ def run_suite(config: dict | None = None, jobs: int = 1) -> dict:
     else:
         all_rows = [_run_chunk(t) for t in tasks]
 
-    results = [row for rows in all_rows for row in rows]
-    passed = sum(r["passed"] for r in results)
-    skipped = sum(not r["hypothesis_met"] for r in results)
-    failed = sum(r["hypothesis_met"] and not r["passed"] for r in results)
+    return report("normlog", config,
+                  [row for rows in all_rows for row in rows])
+
+
+def report(suite: str, config: dict, results: list[dict]) -> dict:
+    """A report of result rows: the config echo, the rows and a summary
+    whose ``failed`` counts the rows that met their hypothesis and did
+    not pass."""
     return {
-        "suite": "normlog",
+        "suite": suite,
         "config": config,
         "results": results,
-        "summary": {"total": len(results), "passed": passed,
-                    "skipped_hypothesis": skipped, "failed": failed},
+        "summary": {
+            "total": len(results),
+            "passed": sum(r["passed"] for r in results),
+            "skipped_hypothesis": sum(not r["hypothesis_met"] for r in results),
+            "failed": sum(r["hypothesis_met"] and not r["passed"]
+                          for r in results)},
     }

@@ -16,7 +16,6 @@ wrapper class. Validation happens at entry via :func:`as_square_matrix`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from .config import DEFAULT_TOL, Tolerances
 from .errors import NoConvergence, NotCommuting, NotHermitian, NotNormal
 
 __all__ = [
-    "CommutantBasis",
     "as_square_matrix",
     "commutant_basis",
     "commutator",
@@ -243,25 +241,14 @@ def modulus(x, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return (v * np.sqrt(w)) @ dagger(v)
 
 
-@dataclass(frozen=True)
-class CommutantBasis:
-    """Trace-orthonormal basis of the commutant {Z : YZ = ZY}.
-
-    ``dim`` is the complex dimension; ``basis`` holds the matrices,
+def commutant_basis(y, *, tol: Tolerances = DEFAULT_TOL) -> tuple:
+    """Basis of the commutant {Z : YZ = ZY}, as a tuple of matrices
     orthonormal under <A, B> = tr(A* B).
-    """
 
-    dim: int
-    basis: tuple
-
-
-def commutant_basis(y, *, tol: Tolerances = DEFAULT_TOL) -> CommutantBasis:
-    """Orthonormal basis of the nullspace of Z |-> YZ - ZY.
-
-    The map is materialized as the n^2 x n^2 matrix
+    The map Z |-> YZ - ZY is materialized as the n^2 x n^2 matrix
     ``kron(I, Y) - kron(Y^T, I)`` acting on column-major vec(Z); its
-    right singular vectors below the relative rank cutoff span the
-    commutant. The identity always commutes, so ``dim >= 1``.
+    right singular vectors below the relative rank cutoff span its
+    nullspace. The identity always commutes, so the tuple is not empty.
     """
     y = as_square_matrix(y)
     n = y.shape[0]
@@ -273,17 +260,17 @@ def commutant_basis(y, *, tol: Tolerances = DEFAULT_TOL) -> CommutantBasis:
         raise NoConvergence(str(exc)) from exc
     cutoff = tol.rank * (s[0] if s.size else 0.0)
     null_rows = vh[s <= cutoff] if s.size else vh
-    mats = tuple(row.reshape(n, n, order="F") for row in null_rows.conj())
-    return CommutantBasis(dim=len(mats), basis=mats)
+    return tuple(row.reshape(n, n, order="F") for row in null_rows.conj())
 
 
 def in_double_commutant(w, y, *, tol: Tolerances = DEFAULT_TOL,
-                        basis: CommutantBasis | None = None):
+                        basis: tuple | None = None):
     """Test whether ``w`` commutes with everything commuting with ``y``.
 
     Returns ``(ok, residual)`` where the residual is the worst relative
     commutator norm over a computed basis of the commutant of ``y``.
-    A precomputed ``basis`` may be supplied to amortize the SVD.
+    A precomputed ``basis``, as :func:`commutant_basis` returns it, may
+    be supplied to amortize the SVD.
     """
     w = as_square_matrix(w)
     y = as_square_matrix(y)
@@ -293,7 +280,7 @@ def in_double_commutant(w, y, *, tol: Tolerances = DEFAULT_TOL,
     if nw == 0.0:
         return True, 0.0
     worst = 0.0
-    for z in basis.basis:
+    for z in basis:
         nz = frob(z)
         if nz == 0.0:
             continue

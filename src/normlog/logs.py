@@ -1,8 +1,8 @@
 """Matrix exponentials and branch logarithms.
 
-Normal matrices get their exponential and logarithm through the
-spectral decomposition; a scaling-and-squaring Pade kernel covers the
-general (non-normal) exponential. ``kurepa_decompose`` splits any
+Normal matrices get their logarithms through the spectral
+decomposition; a scaling-and-squaring Pade kernel computes the
+exponential of any matrix, normal or not. ``kurepa_decompose`` splits any
 matrix with a normal exponential into a principal normal logarithm
 plus 2*pi*i times an integer-spectrum branch weight.
 """
@@ -11,31 +11,24 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import ExpNotNormal, NotNormal, Singular
 from .linalg import as_square_matrix, commutator, frob
-from .spectral import SpectralDecomposition, borel_calculus, normal_eig
+from .spectral import SpectralDecomposition, normal_eig
 
 __all__ = [
-    "BranchShift",
     "KurepaDecomposition",
     "branch_log",
     "exp_general",
-    "exp_normal",
     "kurepa_decompose",
     "principal_log",
 ]
 
 TWO_PI = 2.0 * math.pi
-
-
-def exp_normal(dec: SpectralDecomposition) -> np.ndarray:
-    """Exponential through the spectral decomposition: V diag(e^lam) V*."""
-    return borel_calculus(dec, cmath.exp)
 
 
 # Pade(13,13) numerator coefficients for exp; theta bounds the scaled norm
@@ -51,8 +44,9 @@ _PADE13_THETA = 5.371920351148152
 def exp_general(x) -> np.ndarray:
     """Matrix exponential via scaling and squaring with a Pade(13,13) core.
 
-    Works for arbitrary square complex input; agrees with
-    :func:`exp_normal` on normal matrices up to rounding.
+    Works for arbitrary square complex input; agrees with the spectral
+    exponential ``borel_calculus(normal_eig(x), cmath.exp)`` on normal
+    matrices up to rounding.
     """
     x = as_square_matrix(x)
     n = x.shape[0]
@@ -89,19 +83,6 @@ def _principal_scalar_log(lam: complex, eps_on: float) -> complex:
     return math.log(abs(lam)) + 1j * theta
 
 
-@dataclass(frozen=True)
-class BranchShift:
-    """Integer branch offsets per cluster index, in units of 2*pi*i.
-
-    Unlisted clusters default to offset 0.
-    """
-
-    shifts: dict = field(default_factory=dict)
-
-    def offset(self, cluster_index: int) -> int:
-        return int(self.shifts.get(cluster_index, 0))
-
-
 def _require_invertible(dec: SpectralDecomposition, scale: float,
                         tol: Tolerances):
     floor = tol.inv * max(scale, 1e-300)
@@ -111,18 +92,25 @@ def _require_invertible(dec: SpectralDecomposition, scale: float,
                            f"{floor:.3e}")
 
 
-def branch_log(dec_n: SpectralDecomposition, shift: BranchShift, *,
+def branch_log(dec_n: SpectralDecomposition, offsets=None, *,
                tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Normal logarithm with per-cluster branch offsets.
 
     Returns sum (Log lam_j + 2*pi*i*k_j) P_j over the clusters of an
-    invertible normal matrix, P_j the eigenprojection of cluster j;
-    offset 0 everywhere reproduces :func:`principal_log`.
+    invertible normal matrix, P_j the eigenprojection of cluster j and
+    k_j = offsets[j], one integer per cluster; no offsets (all 0) gives
+    :func:`principal_log`. Raises ValueError when the lengths differ.
     """
+    lams = dec_n.eigenvalues
+    if offsets is None:
+        offsets = [0] * len(lams)
+    elif len(offsets) != len(lams):
+        raise ValueError(f"expected one branch offset per cluster, "
+                         f"{len(lams)}, got {len(offsets)}")
     _require_invertible(dec_n, dec_n.norm, tol)
     return dec_n.combination([
-        _principal_scalar_log(lam, tol.on_feature) + TWO_PI * 1j * shift.offset(j)
-        for j, lam in enumerate(dec_n.eigenvalues)])
+        _principal_scalar_log(lam, tol.on_feature) + TWO_PI * 1j * k
+        for lam, k in zip(lams, offsets)])
 
 
 def principal_log(n_mat, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -132,7 +120,7 @@ def principal_log(n_mat, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     negative real eigenvalues map to log|lam| + i*pi. Raises NotNormal
     or Singular when the input fails the preconditions.
     """
-    return branch_log(normal_eig(n_mat, tol=tol), BranchShift(), tol=tol)
+    return branch_log(normal_eig(n_mat, tol=tol), tol=tol)
 
 
 @dataclass(frozen=True)
@@ -175,7 +163,7 @@ def kurepa_decompose(y, *, tol: Tolerances = DEFAULT_TOL) -> KurepaDecomposition
         dec = normal_eig(e, tol=tol)
     except NotNormal as exc:
         raise ExpNotNormal("exp(Y) is not normal within tolerance") from exc
-    n0 = branch_log(dec, BranchShift(), tol=tol)
+    n0 = branch_log(dec, tol=tol)
     w = (y - n0) / (TWO_PI * 1j)
 
     denom = frob(n0) * frob(w)

@@ -17,7 +17,7 @@ distinguished exactly, with a two-scale tolerance:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -40,7 +40,6 @@ from .linalg import (
     im_part,
     re_part,
 )
-from .report import CheckReport
 
 __all__ = [
     "HLine",
@@ -57,19 +56,16 @@ __all__ = [
     "odd_line",
     "open_branch_strip",
     "spectral_measure",
-    "strip",
     "strip_boundary",
     "strip_interior",
     "strip_projections",
-    "verify_pushforward",
-    "whole_plane",
 ]
 
 class Region:
     """Finite description of a plane subset with decidable membership.
 
-    ``_status`` maps a complex point, or an array of them, to a pair
-    ``(yes, maybe)``: ``yes`` where the point is decidedly inside,
+    ``_status`` maps an array of complex points (0-d for one point) to a
+    pair ``(yes, maybe)``: ``yes`` where the point is decidedly inside,
     ``maybe`` where it is not decidedly outside. Points with ``maybe``
     but not ``yes`` are ambiguous. Intersections combine both with
     ``&``, unions with ``|``.
@@ -82,24 +78,18 @@ class Region:
         """Membership with boundary-band safety.
 
         ``z`` is one point (the result is a bool) or an array of points
-        (the result is a bool array of the same shape); both follow the
-        same rule. Raises AmbiguousBoundary for the first point, in
-        input order, that falls in the uncertainty band of an excluded
-        edge with no other feature deciding it.
+        (the result is a bool array of the same shape); a point is a 0-d
+        array, so both follow the one rule. Raises AmbiguousBoundary for
+        the first point, in input order, that falls in the uncertainty
+        band of an excluded edge with no other feature deciding it.
         """
-        if not isinstance(z, (np.ndarray, list, tuple)):
-            yes, maybe = self._status(complex(z), tol)
-            if maybe and not yes:
-                self._ambiguous(z, tol)
-            return bool(yes)
         pts = np.asarray(z, dtype=complex)
         yes, maybe = self._status(pts, tol)
-        if not isinstance(yes, np.ndarray):  # decided without a feature
-            return np.full(pts.shape, bool(yes))
-        ambiguous = maybe ^ yes
+        ambiguous = np.broadcast_to(maybe ^ yes, pts.shape)
         if ambiguous.any():
             self._ambiguous(complex(pts.ravel()[ambiguous.ravel().argmax()]), tol)
-        return yes
+        # a region decided without a feature gives one bool for all points
+        return bool(yes) if pts.ndim == 0 else np.full(pts.shape, yes)
 
     def _ambiguous(self, z, tol: Tolerances):
         raise AmbiguousBoundary(
@@ -201,15 +191,6 @@ class RegionUnion(Region):
             y, mb = m._status(z, tol)
             yes, maybe = yes | y, maybe | mb
         return yes, maybe
-
-
-def whole_plane() -> Region:
-    return Rect()
-
-
-def strip() -> Region:
-    """Closed strip |Im z| <= pi."""
-    return Rect(im_lo=-math.pi, im_hi=math.pi)
 
 
 def strip_interior() -> Region:
@@ -469,31 +450,6 @@ def borel_calculus(dec: SpectralDecomposition,
     return dec.combination([f(lam) for lam in dec.eigenvalues])
 
 
-def verify_pushforward(dec: SpectralDecomposition,
-                       f: Callable[[complex], complex], omega: Region, *,
-                       tol: Tolerances = DEFAULT_TOL) -> CheckReport:
-    """Check that the measure of f(X) pulls back through f.
-
-    Compares the projection of f(X) onto ``omega`` (computed from a fresh
-    decomposition of f(X)) against the sum of projections of X whose
-    eigenvalue maps into ``omega``.
-    """
-    fx = borel_calculus(dec, f)
-    dec_f = normal_eig(fx, tol=tol)
-    left = spectral_measure(dec_f, omega, tol=tol)
-    right = dec.select(omega.contains([complex(f(lam)) for lam in dec.eigenvalues],
-                                      tol=tol))
-    residual = frob(left - right)
-    bound = tol.check * dec.n
-    return CheckReport(
-        check_name="pushforward",
-        passed=residual <= bound,
-        hypothesis_met=True,
-        residuals={"pushforward": residual},
-        tolerances={"pushforward": bound},
-    )
-
-
 def _fold_branch(t: float, eps_on: float) -> tuple[int, float]:
     """Branch index and folded value: t = 2*pi*k + r with r in (-pi, pi].
 
@@ -533,56 +489,66 @@ def fold_scalar(t: float, k_lo: int, k_hi: int, *,
     return r
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # masks have no truth value
 class StripProjections:
-    """Spectral projections of a pair (X, Y) onto branch strips and lines.
+    """The branch window [k_lo, k_hi] of a pair (X, Y).
 
-    For each k in [k_lo, k_hi]: ``p[k]``/``q[k]`` project X/Y onto the
-    open strip (2k-1)pi < Im z < (2k+1)pi, and ``e[k]``/``f[k]`` onto
-    the line Im z = (2k+1)pi.
+    Column j of ``x_strip``/``y_strip`` marks the clusters of X/Y in the
+    open strip (2k-1)pi < Im z < (2k+1)pi, k = k_lo + j, and column j of
+    ``x_line``/``y_line`` those on the line Im z = (2k+1)pi. ``p(k)`` and
+    ``q(k)`` are the strip projections of X and Y, ``e(k)`` and ``f(k)``
+    the line projections; each raises KeyError for k outside the window.
     """
 
+    dec_x: SpectralDecomposition
+    dec_y: SpectralDecomposition
     k_lo: int
     k_hi: int
-    p: dict = field(default_factory=dict)
-    q: dict = field(default_factory=dict)
-    e: dict = field(default_factory=dict)
-    f: dict = field(default_factory=dict)
+    x_strip: np.ndarray
+    x_line: np.ndarray
+    y_strip: np.ndarray
+    y_line: np.ndarray
+
+    def _column(self, mask: np.ndarray, k: int) -> np.ndarray:
+        if not self.k_lo <= k <= self.k_hi:
+            raise KeyError(f"branch {k} outside the window "
+                           f"[{self.k_lo}, {self.k_hi}]")
+        return mask[:, k - self.k_lo]
+
+    def p(self, k: int) -> np.ndarray:
+        return self.dec_x.select(self._column(self.x_strip, k))
+
+    def q(self, k: int) -> np.ndarray:
+        return self.dec_y.select(self._column(self.y_strip, k))
+
+    def e(self, k: int) -> np.ndarray:
+        return self.dec_x.select(self._column(self.x_line, k))
+
+    def f(self, k: int) -> np.ndarray:
+        return self.dec_y.select(self._column(self.y_line, k))
+
+    def difference(self) -> np.ndarray:
+        """The sum of 2k*pi*i (P_k - Q_k) + (2k+1)*pi*i (E_k - F_k) over
+        the window, as V_x diag(w_x) V_x* - V_y diag(w_y) V_y*: a cluster
+        weighs 2k*pi*i in open strip k, (2k+1)*pi*i on line k and 0
+        elsewhere, and no projection is formed."""
+        k = np.arange(self.k_lo, self.k_hi + 1)
+        strip_w, line_w = 2 * k * math.pi * 1j, (2 * k + 1) * math.pi * 1j
+        return (self.dec_x.combination(self.x_strip @ strip_w
+                                       + self.x_line @ line_w)
+                - self.dec_y.combination(self.y_strip @ strip_w
+                                         + self.y_line @ line_w))
 
 
 def strip_projections(dec_x: SpectralDecomposition,
                       dec_y: SpectralDecomposition, k_lo: int, k_hi: int, *,
                       tol: Tolerances = DEFAULT_TOL) -> StripProjections:
-    """Populate strip and line projections over a branch window.
+    """Classify the clusters of X and Y over a branch window.
 
-    Requires every eigenvalue of both inputs to satisfy
-    (2*k_lo+1)pi <= Im z <= (2*k_hi+1)pi (within the boundary band).
-    The clusters are classified by :func:`_branch_window`, which
-    :func:`~normlog.checks.check_difference_formula` shares; each
-    projection is then the dense sum V_S V_S* of its clusters.
-    """
-    x_strip, x_line, y_strip, y_line = _branch_window(dec_x, dec_y, k_lo,
-                                                     k_hi, tol=tol)
-    out = StripProjections(k_lo=k_lo, k_hi=k_hi)
-    for j, k in enumerate(range(k_lo, k_hi + 1)):
-        out.p[k] = dec_x.select(x_strip[:, j])
-        out.q[k] = dec_y.select(y_strip[:, j])
-        out.e[k] = dec_x.select(x_line[:, j])
-        out.f[k] = dec_y.select(y_line[:, j])
-    return out
-
-
-def _branch_window(dec_x: SpectralDecomposition,
-                  dec_y: SpectralDecomposition, k_lo: int, k_hi: int, *,
-                  tol: Tolerances = DEFAULT_TOL):
-    """Cluster masks ``(x_strip, x_line, y_strip, y_line)`` of a branch window.
-
-    Column j of a strip mask marks the clusters in
-    open_branch_strip(k_lo + j), column j of a line mask those on
-    odd_line(k_lo + j). Raises SpectrumOutOfRange for an eigenvalue
-    outside (2*k_lo+1)pi <= Im z <= (2*k_hi+1)pi (X checked before Y),
-    then AmbiguousBoundary as the first ambiguous strip measure would,
-    k ascending and X before Y within each k.
+    Raises SpectrumOutOfRange for an eigenvalue outside
+    (2*k_lo+1)pi <= Im z <= (2*k_hi+1)pi, within the boundary band (X
+    checked before Y), then AmbiguousBoundary as the first ambiguous
+    strip measure would, k ascending and X before Y within each k.
     """
     if k_hi < k_lo:
         raise ValueError("k_hi must be >= k_lo")
@@ -606,7 +572,8 @@ def _branch_window(dec_x: SpectralDecomposition,
             if ambiguous[:, j].any():
                 open_branch_strip(k_lo + j)._ambiguous(
                     complex(dec.eigenvalue_array[ambiguous[:, j].argmax()]), tol)
-    return x_strip, x_line, y_strip, y_line
+    return StripProjections(dec_x, dec_y, k_lo, k_hi,
+                            x_strip, x_line, y_strip, y_line)
 
 
 def _branch_classes(dec: SpectralDecomposition, lines: np.ndarray,

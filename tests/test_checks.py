@@ -432,8 +432,8 @@ def _strip_sum_residual(pair):
     n = pair.dec_x.n
     rhs = np.zeros((n, n), dtype=complex)
     for k in range(pair.k_lo, pair.k_hi + 1):
-        rhs += 2 * k * PI * 1j * (sp.p[k] - sp.q[k])
-        rhs += (2 * k + 1) * PI * 1j * (sp.e[k] - sp.f[k])
+        rhs += 2 * k * PI * 1j * (sp.p(k) - sp.q(k))
+        rhs += (2 * k + 1) * PI * 1j * (sp.e(k) - sp.f(k))
     return frob((pair.x - pair.y) - rhs) / max(1.0, pair.norm_x)
 
 
@@ -661,8 +661,8 @@ class TestCrossTheoremConsistency:
         if frob(e1) > 1e-8:
             pytest.skip("instance has spectrum on the top line")
         sp = strip_projections(dec_x, dec_y, -1, 0)
-        rhs = sum(2 * k * PI * 1j * (sp.p[k] - sp.q[k])
-                  + (2 * k + 1) * PI * 1j * (sp.e[k] - sp.f[k])
+        rhs = sum(2 * k * PI * 1j * (sp.p(k) - sp.q(k))
+                  + (2 * k + 1) * PI * 1j * (sp.e(k) - sp.f(k))
                   for k in (-1, 0))
         f1 = spectral_measure(dec_y, HLine(PI))
         assert frob(rhs - (-TWO_PI * 1j * f1)) <= 1e-8 * max(1.0, frob(x))

@@ -212,6 +212,16 @@ class TestSuite:
         assert rep["summary"] == {"total": 0, "passed": 0,
                                   "skipped_hypothesis": 0, "failed": 0}
 
+    def test_report_summary_counts(self):
+        rows = [{"passed": True, "hypothesis_met": True},
+                {"passed": False, "hypothesis_met": False},
+                {"passed": False, "hypothesis_met": True},
+                {"passed": False, "hypothesis_met": True}]
+        rep = normlog.harness.suite.report("s", {"k": 1}, rows)
+        assert rep == {"suite": "s", "config": {"k": 1}, "results": rows,
+                       "summary": {"total": 4, "passed": 1,
+                                   "skipped_hypothesis": 1, "failed": 2}}
+
     def test_byte_identical_reports(self):
         a = json.dumps(run_suite(self.CFG))
         b = json.dumps(run_suite(self.CFG))
@@ -460,6 +470,22 @@ class TestCli:
         assert "[PASS] modulus_equal" in out
         doc = json.loads(open(report).read())
         assert doc["summary"]["passed"] == 1
+
+    def test_check_report_layout(self, tmp_path):
+        # a skipped row: the summary counts it as the suite's would
+        pair = str(tmp_path / "pair.json")
+        report = str(tmp_path / "report.json")
+        assert cli_main(["generate", "--family", "DistinctProjectionPair",
+                         "--n", "4", "--seed", "12", "--out", pair]) == 0
+        assert cli_main(["check", "--name", "double_commutant", "--in", pair,
+                         "--report", report]) == 0
+        doc = json.loads(open(report).read())
+        assert list(doc) == ["suite", "config", "results", "summary"]
+        assert doc["suite"] == "normlog-check"
+        assert doc["config"] == {"name": "double_commutant", "input": pair}
+        assert [row["check"] for row in doc["results"]] == ["double_commutant"]
+        assert doc["summary"] == {"total": 1, "passed": 0,
+                                  "skipped_hypothesis": 1, "failed": 0}
 
     def test_check_difference_formula_window(self, tmp_path):
         pair = str(tmp_path / "pair.json")

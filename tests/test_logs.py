@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -8,31 +9,34 @@ from normlog.errors import ExpNotNormal, NotNormal, Singular
 from normlog.harness import Family, InstanceSpec, Stream, make_pair, random_unitary
 from normlog.linalg import dagger, frob
 from normlog.logs import (
-    BranchShift,
     branch_log,
     exp_general,
-    exp_normal,
     kurepa_decompose,
     principal_log,
 )
-from normlog.spectral import normal_eig
+from normlog.spectral import borel_calculus, normal_eig
 
 from util import random_normal_matrix
 
 PI = math.pi
 
 
+def exp_spectral(dec):
+    """The exponential through the spectral decomposition: V diag(e^lam) V*."""
+    return borel_calculus(dec, cmath.exp)
+
+
 class TestExpNormal:
     def test_zero(self):
-        assert np.allclose(exp_normal(normal_eig(np.zeros((2, 2)))), np.eye(2))
+        assert np.allclose(exp_spectral(normal_eig(np.zeros((2, 2)))), np.eye(2))
 
     def test_boundary_pair(self):
         dec = normal_eig(np.diag([PI * 1j, -PI * 1j]))
-        assert np.allclose(exp_normal(dec), -np.eye(2), atol=1e-14)
+        assert np.allclose(exp_spectral(dec), -np.eye(2), atol=1e-14)
 
     def test_scalar(self):
         dec = normal_eig(np.diag([1 + PI * 1j]))
-        assert np.allclose(exp_normal(dec), np.diag([-math.e]), atol=1e-13)
+        assert np.allclose(exp_spectral(dec), np.diag([-math.e]), atol=1e-13)
 
 
 class TestExpGeneral:
@@ -52,7 +56,7 @@ class TestExpGeneral:
         for seed in range(3):
             x, _, _ = random_normal_matrix(n, 600 + 10 * n + seed,
                                            re_range=1.5, im_range=6.0)
-            e_spec = exp_normal(normal_eig(x))
+            e_spec = exp_spectral(normal_eig(x))
             e_gen = exp_general(x)
             assert frob(e_gen - e_spec) <= 1e-10 * frob(e_spec)
 
@@ -92,32 +96,38 @@ class TestPrincipalLog:
         for seed in range(3):
             x, _, _ = random_normal_matrix(n, 4200 + 10 * n + seed,
                                            re_range=1.5, im_range=PI - 0.05)
-            back = principal_log(exp_normal(normal_eig(x)))
+            back = principal_log(exp_spectral(normal_eig(x)))
             assert frob(back - x) <= 1e-8 * frob(x)
 
 
 class TestBranchLog:
+    @pytest.mark.parametrize("offsets", [[], [1], [0, 1, 2]])
+    def test_offsets_length_mismatch(self, offsets):
+        dec = normal_eig(np.diag([2.0 + 0j, -3.0 + 0j]))   # two clusters
+        with pytest.raises(ValueError, match="one branch offset per cluster"):
+            branch_log(dec, offsets)
+
     def test_unit_shift(self):
         dec = normal_eig(np.diag([1.0 + 0j]))
-        got = branch_log(dec, BranchShift({0: 1}))
+        got = branch_log(dec, [1])
         assert np.allclose(got, np.diag([2 * PI * 1j]), atol=1e-14)
 
     def test_negative_identity_down_shift(self):
         dec = normal_eig(-np.eye(2))       # single cluster at -1
         assert len(dec.eigenvalues) == 1
-        got = branch_log(dec, BranchShift({0: -1}))
+        got = branch_log(dec, [-1])
         assert np.allclose(got, np.diag([-PI * 1j, -PI * 1j]), atol=1e-14)
 
     def test_zero_shift_is_principal(self):
         x, _, _ = random_normal_matrix(5, 98, re_range=1.0, im_range=2.0)
-        e = exp_normal(normal_eig(x))
-        assert np.allclose(branch_log(normal_eig(e), BranchShift()),
+        e = exp_spectral(normal_eig(x))
+        assert np.allclose(branch_log(normal_eig(e)),
                            principal_log(e))
 
     def test_exponential_round_trip_with_shifts(self):
         n_mat = np.diag([2.0 + 0j, -3.0 + 0j])
         dec = normal_eig(n_mat)
-        shifted = branch_log(dec, BranchShift({0: 2, 1: -1}))
+        shifted = branch_log(dec, [2, -1])
         assert frob(exp_general(shifted) - n_mat) <= 1e-12 * frob(n_mat)
 
 

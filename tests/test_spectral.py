@@ -28,17 +28,14 @@ from normlog.spectral import (
     odd_line,
     open_branch_strip,
     spectral_measure,
-    strip,
     strip_boundary,
     strip_interior,
     strip_projections,
-    verify_pushforward,
-    whole_plane,
 )
 
 from normlog.harness import Family, InstanceSpec, make_pair, random_unitary
 
-from util import random_normal_matrix
+from util import random_normal_matrix, verify_pushforward
 
 PI = math.pi
 
@@ -90,12 +87,12 @@ class TestRegions:
 
     def test_strip_constructors(self):
         z_on = 1 + PI * 1j
-        assert strip().contains(z_on)
+        assert Rect(im_lo=-PI, im_hi=PI).contains(z_on)
         assert not strip_interior().contains(z_on)
         assert strip_boundary().contains(z_on)
         assert strip_boundary().contains(1 - PI * 1j)
         assert not strip_boundary().contains(1j)
-        assert whole_plane().contains(1e6 - 1e6j)
+        assert Rect().contains(1e6 - 1e6j)
 
 
     @pytest.mark.parametrize("build", [
@@ -129,7 +126,7 @@ _MEMBERSHIP_CASES = {
     "half-open-rect": (Rect(-1, 2, 0, 1, incl_re_hi=False, incl_im_lo=False),
                        (-1.0, 2.0), (0.0, 1.0)),
     "unbounded-rect": (Rect(im_lo=-PI, im_hi=PI, incl_im_lo=False), (0.0,), (-PI, PI)),
-    "whole-plane": (whole_plane(), (0.0,), (0.0,)),
+    "whole-plane": (Rect(), (0.0,), (0.0,)),
     "hline": (HLine(PI), (0.0,), (PI,)),
     "points": (Points((1 + 1j, 1 + 1.5j), radius=1e-9), (1.0,), (1.0, 1.5)),
     "union": (RegionUnion((strip_interior(), strip_boundary(), Points((4j,)))),
@@ -164,7 +161,7 @@ class TestArrayMembership:
     def test_scalar_returns_bool(self):
         assert Rect(0, 1, 0, 1).contains(0.5 + 0.5j) is True
         assert Points((0j,)).contains(1.0) is False
-        assert whole_plane().contains(np.complex128(3 + 4j)) is True
+        assert Rect().contains(np.complex128(3 + 4j)) is True
 
     def test_ambiguous_names_first_point_in_input_order(self):
         r = Rect(0, 1, 0, 1, incl_im_hi=False)
@@ -498,7 +495,7 @@ class TestSpectralMeasure:
     def test_whole_plane_and_empty(self):
         x, _, _ = random_normal_matrix(5, 171)
         dec = normal_eig(x)
-        assert np.allclose(spectral_measure(dec, whole_plane()), np.eye(5))
+        assert np.allclose(spectral_measure(dec, Rect()), np.eye(5))
         far = Points((1000 + 1000j,), radius=1e-9)
         assert np.allclose(spectral_measure(dec, far), np.zeros((5, 5)))
         assert np.allclose(spectral_measure(dec, Points(())), np.zeros((5, 5)))
@@ -549,7 +546,7 @@ class TestPushforward:
 
     def test_identity_whole_plane(self):
         x, _, _ = random_normal_matrix(4, 88)
-        rep = verify_pushforward(normal_eig(x), lambda z: z, whole_plane())
+        rep = verify_pushforward(normal_eig(x), lambda z: z, Rect())
         assert rep.passed
 
     def test_square_collapses_pair(self):
@@ -588,20 +585,20 @@ class TestStripProjections:
         dec_x = normal_eig(np.diag([PI * 1j, -PI * 1j]))
         dec_y = normal_eig(np.diag([-PI * 1j, PI * 1j]))
         sp = strip_projections(dec_x, dec_y, -1, 0)
-        assert np.allclose(sp.e[0], np.diag([1, 0]))    # line Im = +pi for X
-        assert np.allclose(sp.f[0], np.diag([0, 1]))
-        assert np.allclose(sp.e[-1], np.diag([0, 1]))   # line Im = -pi for X
-        assert np.allclose(sp.f[-1], np.diag([1, 0]))
+        assert np.allclose(sp.e(0), np.diag([1, 0]))    # line Im = +pi for X
+        assert np.allclose(sp.f(0), np.diag([0, 1]))
+        assert np.allclose(sp.e(-1), np.diag([0, 1]))   # line Im = -pi for X
+        assert np.allclose(sp.f(-1), np.diag([1, 0]))
         for k in (-1, 0):
-            assert frob(sp.p[k]) == 0.0
-            assert frob(sp.q[k]) == 0.0
+            assert frob(sp.p(k)) == 0.0
+            assert frob(sp.q(k)) == 0.0
 
     def test_interior_zero(self):
         dec = normal_eig(np.diag([0.0]))
         sp = strip_projections(dec, dec, -1, 0)
-        assert np.allclose(sp.p[0], np.eye(1))
-        assert np.allclose(sp.q[0], np.eye(1))
-        assert frob(sp.e[-1]) == frob(sp.e[0]) == 0.0
+        assert np.allclose(sp.p(0), np.eye(1))
+        assert np.allclose(sp.q(0), np.eye(1))
+        assert frob(sp.e(-1)) == frob(sp.e(0)) == 0.0
 
     def test_shifted_scalars(self):
         # 3 < pi, so 3i sits in the central strip; 3 - 2*pi lands in the
@@ -609,15 +606,15 @@ class TestStripProjections:
         dec_x = normal_eig(np.diag([3j]))
         dec_y = normal_eig(np.diag([3j - 2 * PI * 1j]))
         sp = strip_projections(dec_x, dec_y, -2, 1)
-        assert np.allclose(sp.p[0], np.eye(1))
-        assert np.allclose(sp.q[-1], np.eye(1))
-        assert frob(sp.p[1]) == frob(sp.q[0]) == 0.0
+        assert np.allclose(sp.p(0), np.eye(1))
+        assert np.allclose(sp.q(-1), np.eye(1))
+        assert frob(sp.p(1)) == frob(sp.q(0)) == 0.0
 
     def test_resolution_of_identity(self):
         vals = [0.5 + PI * 1j, -1 - PI * 1j, 0.3 + (2 * PI + 1) * 1j, 0.1]
         dec = normal_eig(np.diag(vals))
         sp = strip_projections(dec, dec, -1, 1)
-        total = sum(sp.p[k] + sp.e[k] for k in range(-1, 2))
+        total = sum(sp.p(k) + sp.e(k) for k in range(-1, 2))
         assert frob(total - np.eye(4)) <= 1e-10
 
     def test_out_of_window(self):
@@ -659,16 +656,41 @@ class TestStripProjectionsOnePass:
         _, x, y, k_lo, k_hi = case
         dec_x, dec_y = normal_eig(x), normal_eig(y)
         sp = strip_projections(dec_x, dec_y, k_lo, k_hi)
-        assert sorted(sp.p) == sorted(sp.e) == list(range(k_lo, k_hi + 1))
+        assert (sp.k_lo, sp.k_hi) == (k_lo, k_hi)
+        for method in (sp.p, sp.q, sp.e, sp.f):
+            for k in (k_lo - 1, k_hi + 1):
+                with pytest.raises(KeyError):
+                    method(k)
         for k in range(k_lo, k_hi + 1):
             for got, dec, region in (
-                    (sp.p[k], dec_x, open_branch_strip(k)),
-                    (sp.q[k], dec_y, open_branch_strip(k)),
-                    (sp.e[k], dec_x, odd_line(k)),
-                    (sp.f[k], dec_y, odd_line(k))):
+                    (sp.p(k), dec_x, open_branch_strip(k)),
+                    (sp.q(k), dec_y, open_branch_strip(k)),
+                    (sp.e(k), dec_x, odd_line(k)),
+                    (sp.f(k), dec_y, odd_line(k))):
                 want = spectral_measure(dec, region)
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes(), (k, region)
+
+    @pytest.mark.parametrize("case", list(_strip_cases()),
+                             ids=lambda case: case[0])
+    def test_difference_equals_explicit_sum(self, case):
+        _, x, y, k_lo, k_hi = case
+        sp = strip_projections(normal_eig(x), normal_eig(y), k_lo, k_hi)
+        rhs = sum(2 * k * PI * 1j * (sp.p(k) - sp.q(k))
+                  + (2 * k + 1) * PI * 1j * (sp.e(k) - sp.f(k))
+                  for k in range(k_lo, k_hi + 1))
+        assert frob(sp.difference() - rhs) <= 1e-12 * max(1.0, frob(x - y))
+
+    def test_branch_outside_window_raises_key_error(self):
+        # window [0, 1]: branch -1 would index column -1, the last one
+        dec = normal_eig(np.diag([0.5 + 2 * PI * 1j, 0.5 + 3 * PI * 1j]))
+        sp = strip_projections(dec, dec, 0, 1)
+        assert np.allclose(sp.p(1), np.diag([1, 0]))
+        assert np.allclose(sp.e(1), np.diag([0, 1]))
+        for method in (sp.p, sp.q, sp.e, sp.f):
+            for k in (-1, 2, -3):
+                with pytest.raises(KeyError):
+                    method(k)
 
     @pytest.mark.parametrize("x_imag, y_imag", [
         ([PI - 5e-10, 0.5], [0.1, 0.2]),                 # X only

@@ -1,9 +1,12 @@
-"""Shared seeded builders for the test suite."""
+"""Shared seeded builders and reference checks for the test suite."""
 
 import numpy as np
 
+from normlog.config import DEFAULT_TOL
 from normlog.harness import Stream, random_unitary
-from normlog.linalg import dagger
+from normlog.linalg import dagger, frob
+from normlog.report import CheckReport
+from normlog.spectral import borel_calculus, normal_eig, spectral_measure
 
 
 def random_hermitian(n, seed, scale=1.0):
@@ -26,3 +29,22 @@ def random_normal_matrix(n, seed, re_range=2.0, im_range=2.0, min_gap=1e-4):
             eigs.append(z)
     u = random_unitary(n, stream.subseed())
     return u @ np.diag(eigs) @ dagger(u), eigs, u
+
+
+def verify_pushforward(dec, f, omega, *, tol=DEFAULT_TOL):
+    """Check that the measure of f(X) pulls back through f.
+
+    Compares the projection of f(X) onto ``omega`` (computed from a fresh
+    decomposition of f(X)) against the sum of projections of X whose
+    eigenvalue maps into ``omega``; passes within ``tol.check * n``.
+    """
+    dec_f = normal_eig(borel_calculus(dec, f), tol=tol)
+    left = spectral_measure(dec_f, omega, tol=tol)
+    right = dec.select(omega.contains([complex(f(lam)) for lam in dec.eigenvalues],
+                                      tol=tol))
+    residual = frob(left - right)
+    bound = tol.check * dec.n
+    return CheckReport(check_name="pushforward", passed=residual <= bound,
+                       hypothesis_met=True,
+                       residuals={"pushforward": residual},
+                       tolerances={"pushforward": bound})
