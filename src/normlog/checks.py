@@ -31,6 +31,7 @@ from .linalg import (
     frob,
     in_double_commutant,
     modulus,
+    modulus_stack,
     re_part,
 )
 from .logs import TWO_PI, exp_general, kurepa_decompose
@@ -197,13 +198,21 @@ class PairAnalysis:
         return modulus(self.y, tol=self.tol)
 
 
-def decompose_pairs(pairs) -> None:
-    """Decompose the X and Y of every pair in one stacked call.
+# The moduli each check reads: check name -> PairAnalysis properties.
+_MODULI = {"modulus_equal": ("modulus_x", "modulus_y"),
+           "modulus_commute": ("modulus_x",)}
 
-    The result seeds each pair's decompositions, as ``exp_gap`` seeds its
-    exponential gate, so its checks read them instead of decomposing on
-    first use; a decomposition is bit for bit the one a lone pair would
-    compute. The pairs must share their tolerances and dimension.
+
+def decompose_pairs(pairs, checks=()) -> None:
+    """Decompose the X and Y of every pair in one stacked call, and take
+    the moduli the named ``checks`` read in one more.
+
+    The results seed each pair's decompositions and moduli, as
+    ``exp_gap`` seeds its exponential gate, so its checks read them
+    instead of computing them on first use; each is bit for bit what a
+    lone pair would compute. A modulus whose computation failed is not
+    seeded, so reading it raises as on a lone pair. The pairs must share
+    their tolerances and dimension.
     """
     if not pairs:
         return
@@ -215,6 +224,15 @@ def decompose_pairs(pairs) -> None:
     for pair, x, y in zip(pairs, attempts[0::2], attempts[1::2]):
         pair.__dict__["_attempt_x"] = x
         pair.__dict__["_attempt_y"] = y
+    facts = sorted({fact for name in checks for fact in _MODULI.get(name, ())})
+    if facts:
+        operands = [(pair, fact) for pair in pairs for fact in facts]
+        moduli = modulus_stack(np.stack([
+            pair.x if fact == "modulus_x" else pair.y
+            for pair, fact in operands]), tol=tol)
+        for (pair, fact), result in zip(operands, moduli):
+            if not isinstance(result, Exception):
+                pair.__dict__[fact] = result
 
 
 def _boundary_measures(dec: SpectralDecomposition, tol: Tolerances) -> tuple:

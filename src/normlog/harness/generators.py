@@ -5,6 +5,12 @@ exponential equation by design, then re-verifies that equation
 numerically before returning (``ConstructionFailed`` on violation, so a
 generator bug can never masquerade as an identity failure).
 
+A family's builder is a generator: it draws every scalar and subseed of
+its instance from the instance's stream, and yields a ``(size, subseed)``
+request for each Haar unitary, which is sent back in. ``make_pairs``
+drives the builders of a chunk together, so the unitaries and self-test
+exponentials of the whole chunk are computed in stacks.
+
 Boundary eigenvalues are placed with imaginary part exactly ``+/-pi``
 (no rounding), keeping line membership unambiguous downstream.
 """
@@ -19,11 +25,11 @@ import numpy as np
 
 from ..errors import ConstructionFailed
 from ..linalg import dagger, frob
-from ..logs import TWO_PI, exp_general
+from ..logs import TWO_PI, exp_stack
 from ..spectral import _fold_branch, _odd_pi_distance
-from .rng import Stream, random_unitary
+from .rng import Stream, unitary_stack
 
-__all__ = ["Family", "InstanceSpec", "make_pair"]
+__all__ = ["Family", "InstanceSpec", "make_pair", "make_pairs"]
 
 _SELF_TEST_TOL = 1e-10
 _PI = math.pi
@@ -49,10 +55,6 @@ class InstanceSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-
-
-def _haar(stream: Stream, n: int) -> np.ndarray:
-    return random_unitary(n, stream.subseed())
 
 
 def _jittered_grid(stream: Stream, count: int, lo: float, hi: float,
@@ -95,7 +97,7 @@ def _interior_pair(spec: InstanceSpec, stream: Stream):
     p = spec.params
     eigs = _interior_eigs(stream, spec.n, p.get("re_range", 1.5),
                           p.get("im_margin", 0.05))
-    u = _haar(stream, spec.n)
+    u = yield (spec.n, stream.subseed())
     x = _conj_by(u, np.diag(eigs))
     return x, x.copy(), {}
 
@@ -127,7 +129,7 @@ def _boundary_flip_pair(spec: InstanceSpec, stream: Stream):
     for j in flipped:
         lam_y[j] = lam_x[j].conjugate()
 
-    u = _haar(stream, n)
+    u = yield (n, stream.subseed())
     return (_conj_by(u, np.diag(lam_x)), _conj_by(u, np.diag(lam_y)),
             {"flipped": len(flipped), "boundary": n_boundary})
 
@@ -152,10 +154,10 @@ def _distinct_projection_pair(spec: InstanceSpec, stream: Stream):
                               p.get("im_margin", 0.05))
     d = np.diag(boundary + interior)
 
-    w = _haar(stream, n)
+    w = yield (n, stream.subseed())
     eye_int = np.eye(n - block, dtype=complex)
-    u = w @ _block_diag(_haar(stream, block), eye_int)
-    v = w @ _block_diag(_haar(stream, block), eye_int)
+    u = w @ _block_diag((yield (block, stream.subseed())), eye_int)
+    v = w @ _block_diag((yield (block, stream.subseed())), eye_int)
     return _conj_by(u, d), _conj_by(v, d), {"block": block}
 
 
@@ -171,7 +173,7 @@ def _shifted_branch_pair(spec: InstanceSpec, stream: Stream):
     ky = [stream.integer(k_lo + 1, k_hi) for _ in range(spec.n)]
     lam_x = [w + TWO_PI * 1j * k for w, k in zip(z, kx)]
     lam_y = [w + TWO_PI * 1j * k for w, k in zip(z, ky)]
-    u = _haar(stream, spec.n)
+    u = yield (spec.n, stream.subseed())
     return (_conj_by(u, np.diag(lam_x)), _conj_by(u, np.diag(lam_y)),
             {"k_lo": k_lo, "k_hi": k_hi})
 
@@ -202,7 +204,7 @@ def _non_normal_log_pair(spec: InstanceSpec, stream: Stream):
 
     t = _upper_shear(stream, block)
     y_block = t @ d_block @ np.linalg.inv(t)
-    w = _haar(stream, n)
+    w = yield (n, stream.subseed())
     x = _conj_by(w, _block_diag(d_block, d_real))
     y = _conj_by(w, _block_diag(y_block, d_real))
     return x, y, {"block": block}
@@ -260,7 +262,7 @@ def _self_adjoint_congruence_free(spec: InstanceSpec, stream: Stream):
         vals.append(vals[0])  # one repeated eigenvalue for a fatter cluster
     if p.get("violate") and n >= 2:
         vals[1] = vals[0] + TWO_PI  # exact congruence collision
-    u = _haar(stream, n)
+    u = yield (n, stream.subseed())
     x = _conj_by(u, np.diag([complex(v) for v in vals]))
     y = _conj_by(u, _fold_diag(vals))
     return x, y, {"values": len(set(vals))}
@@ -281,7 +283,7 @@ def _odd_pi_eigenvalue(spec: InstanceSpec, stream: Stream):
         rest[0] = (2 * k2 + 1) * _PI  # a second odd-pi point
 
     values = [v_odd] * mult + rest
-    u = _haar(stream, n)
+    u = yield (n, stream.subseed())
     x = _conj_by(u, np.diag([complex(v) for v in values]))
 
     if mult >= 2 and not p.get("violate"):
@@ -289,7 +291,7 @@ def _odd_pi_eigenvalue(spec: InstanceSpec, stream: Stream):
         # Y is then not a function of X, yet must still commute with it
         signs = np.diag([1j * _PI if j % 2 == 0 else -1j * _PI
                          for j in range(mult)])
-        vb = _haar(stream, mult)
+        vb = yield (mult, stream.subseed())
         y_block = _conj_by(vb, signs)
         y_core = _block_diag(y_block, _fold_diag(rest))
     else:
@@ -315,26 +317,76 @@ def make_pair(spec: InstanceSpec):
     The metadata records the family's defining equation
     (``exp(X)=exp(Y)`` or ``exp(iX)=exp(Y)``) and the measured residual
     of its self-test; a residual above 1e-10 raises ConstructionFailed.
+    It is :func:`make_pairs` on a chunk of one.
     """
-    builder, skew = _BUILDERS[Family(spec.family)]
-    stream = Stream(spec.seed)
-    x, y, extra = builder(spec, stream)
+    return make_pairs([spec])[0]
 
-    lhs = exp_general(1j * x if skew else x)
-    rhs = exp_general(y)
-    residual = frob(lhs - rhs) / max(frob(lhs), 1e-300)
-    if residual > _SELF_TEST_TOL:
-        raise ConstructionFailed(
-            f"{spec.family} self-test residual {residual:.3e} for "
-            f"n={spec.n} seed={spec.seed}")
 
-    metadata = {
-        "family": Family(spec.family).value,
-        "n": spec.n,
-        "seed": spec.seed,
-        "params": dict(spec.params),
-        "equation": "exp(iX)=exp(Y)" if skew else "exp(X)=exp(Y)",
-        "self_test_residual": residual,
-    }
-    metadata.update(extra)
-    return x, y, metadata
+def make_pairs(specs) -> list:
+    """``make_pair(spec)`` for each spec, built as one chunk.
+
+    Each builder draws from its own stream in its own order, and hands
+    back a ``(size, subseed)`` request wherever it needs a Haar unitary;
+    the pending requests of one size are served by one
+    :func:`~normlog.harness.rng.unitary_stack` call. Both sides of every
+    self-test equation are then exponentiated as stacks, one per matrix
+    size. Every result is bit for bit the lone one. When specs fail, the
+    first of them in chunk order raises what its lone call would.
+    """
+    specs = list(specs)
+    skews, running = [], []
+    for spec in specs:
+        builder, skew = _BUILDERS[Family(spec.family)]
+        skews.append(skew)
+        running.append(builder(spec, Stream(spec.seed)))
+    built: list = [None] * len(specs)  # (x, y, extra), or ConstructionFailed
+    # what each unfinished builder is sent next: None starts it
+    replies: dict = dict.fromkeys(range(len(specs)))
+    while replies:
+        requests = {}
+        for i, reply in replies.items():
+            try:
+                requests[i] = running[i].send(reply)
+            except StopIteration as done:
+                built[i] = done.value
+            except ConstructionFailed as exc:  # raised below, in chunk order
+                built[i] = exc
+        replies = {}
+        for size in sorted({size for size, _ in requests.values()}):
+            wanted = [i for i, (s, _) in requests.items() if s == size]
+            unitaries = unitary_stack(size, [requests[i][1] for i in wanted])
+            replies.update(zip(wanted, unitaries))
+
+    residuals = {}
+    ok = [i for i, b in enumerate(built) if not isinstance(b, ConstructionFailed)]
+    for n in sorted({built[i][0].shape[0] for i in ok}):
+        group = [i for i in ok if built[i][0].shape[0] == n]
+        lhs = np.stack([built[i][0] for i in group])
+        for j, i in enumerate(group):
+            if skews[i]:  # iX, as 1j * x computes it
+                np.multiply(1j, lhs[j], out=lhs[j])
+        lhs = exp_stack(lhs)
+        rhs = exp_stack(np.stack([built[i][1] for i in group]))
+        for i, left, right in zip(group, lhs, rhs):
+            residuals[i] = frob(left - right) / max(frob(left), 1e-300)
+
+    out = []
+    for i, spec in enumerate(specs):
+        if isinstance(built[i], ConstructionFailed):
+            raise built[i]
+        x, y, extra = built[i]
+        if residuals[i] > _SELF_TEST_TOL:
+            raise ConstructionFailed(
+                f"{spec.family} self-test residual {residuals[i]:.3e} for "
+                f"n={spec.n} seed={spec.seed}")
+        metadata = {
+            "family": Family(spec.family).value,
+            "n": spec.n,
+            "seed": spec.seed,
+            "params": dict(spec.params),
+            "equation": "exp(iX)=exp(Y)" if skews[i] else "exp(X)=exp(Y)",
+            "self_test_residual": residuals[i],
+        }
+        metadata.update(extra)
+        out.append((x, y, metadata))
+    return out

@@ -18,6 +18,13 @@ hashes all its counters with wrapping numpy ``uint64`` arithmetic and
 equals the scalar ``normal()`` stream bit for bit. For that reason its
 log, cos and sin come from ``math`` element by element: numpy's
 vectorized transcendentals may round differently from libm.
+
+``random_unitary(n, seed)`` reads only its seed, from a fresh stream, so
+the unitaries of many seeds can be drawn together: ``unitary_stack``
+hashes the counters of all of them in one pass and orthonormalizes them
+in one stacked QR, sharing the hashing body of
+``complex_gaussian_matrix``. ``random_unitary`` is that kernel on a
+stack of one.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ import math
 
 import numpy as np
 
-__all__ = ["Stream", "mix64", "random_unitary"]
+__all__ = ["Stream", "mix64", "random_unitary", "unitary_stack"]
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -91,41 +98,70 @@ class Stream:
         normal, and leaves the stream where the loop would.
         """
         pairs = n * n
-        z = np.arange(self.counter + 1, self.counter + 2 * pairs + 1, dtype=np.uint64)
-        z *= _GAMMA_U64
-        z += np.uint64(self.seed)
-        for shift, mult in _MIX_U64:
-            z ^= z >> shift
-            z *= mult
-        z ^= z >> _SHIFT_31
-        u = (z >> _SHIFT_11) * 2.0 ** -53
+        normals = _gaussians(np.array([self.seed], dtype=np.uint64),
+                             self.counter + 1, pairs)[0]
         self.counter += 2 * pairs
-        u1 = u[0::2] + 2.0 ** -54
-        theta = 2.0 * math.pi * u[1::2]
-        radius = np.sqrt(-2.0 * np.fromiter(map(math.log, u1.tolist()), float,
-                                            pairs))
-        normals = np.empty(2 * pairs + 1)
-        normals[1::2] = radius * np.fromiter(map(math.cos, theta.tolist()),
-                                             float, pairs)
-        normals[2::2] = radius * np.fromiter(map(math.sin, theta.tolist()),
-                                             float, pairs)
-        if self._spare_normal is None or not pairs:
-            normals = normals[1:]
-        else:
-            normals[0], self._spare_normal = self._spare_normal, float(normals[-1])
-        return (normals[:2 * pairs] / math.sqrt(2)).view(complex).reshape(n, n)
+        if self._spare_normal is not None and pairs:
+            normals = np.concatenate(([self._spare_normal], normals))
+            self._spare_normal = float(normals[-1])
+            normals = normals[:-1]
+        return (normals / math.sqrt(2)).view(complex).reshape(n, n)
+
+
+def _gaussians(seeds: np.ndarray, first: int, pairs: int) -> np.ndarray:
+    """Box-Muller normals from draws ``first, ..., first + 2*pairs - 1`` of
+    each seed in the uint64 array ``seeds``, one row of ``2*pairs``
+    values per seed, as ``normal()`` returns them from a fresh pair.
+
+    All counters of all seeds are hashed in one pass of wrapping numpy
+    ``uint64`` arithmetic; log, cos and sin come from ``math`` element by
+    element.
+    """
+    z = np.arange(first, first + 2 * pairs, dtype=np.uint64)
+    z *= _GAMMA_U64
+    z = z + seeds[:, None]
+    for shift, mult in _MIX_U64:
+        z ^= z >> shift
+        z *= mult
+    z ^= z >> _SHIFT_31
+    u = (z >> _SHIFT_11) * 2.0 ** -53
+    k = len(seeds)
+    u1 = (u[:, 0::2] + 2.0 ** -54).ravel()
+    theta = (2.0 * math.pi * u[:, 1::2]).ravel()
+    radius = np.sqrt(-2.0 * np.fromiter(map(math.log, u1.tolist()), float,
+                                        k * pairs)).reshape(k, pairs)
+    normals = np.empty((k, 2 * pairs))
+    normals[:, 0::2] = radius * np.fromiter(map(math.cos, theta.tolist()),
+                                            float, k * pairs).reshape(k, pairs)
+    normals[:, 1::2] = radius * np.fromiter(map(math.sin, theta.tolist()),
+                                            float, k * pairs).reshape(k, pairs)
+    return normals
 
 
 def random_unitary(n: int, seed: int) -> np.ndarray:
     """Haar-style unitary from a seeded Gaussian matrix.
 
     QR-orthonormalization with the R-diagonal phases divided out; the
-    result is deterministic per (n, seed) and unitary to roundoff.
+    result is deterministic per (n, seed) and unitary to roundoff. It is
+    :func:`unitary_stack` on a stack of one.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    g = Stream(seed).complex_gaussian_matrix(n)
-    q, r = np.linalg.qr(g)
-    d = np.diag(r)
-    phases = d / np.abs(d)
-    return q * phases
+    return unitary_stack(n, [seed])[0]
+
+
+def unitary_stack(n: int, seeds) -> np.ndarray:
+    """``random_unitary(n, s)`` for each seed ``s``, as a (k, n, n) stack.
+
+    Each seed's Gaussian matrix is drawn from a fresh stream, as
+    ``Stream(s).complex_gaussian_matrix(n)``; the draws of all seeds are
+    hashed together and the QR factorization is one stacked numpy call,
+    one LAPACK call per matrix, so entry i is bit for bit the lone
+    ``random_unitary(n, seeds[i])`` (Mezzadri, "How to generate random
+    matrices from the classical compact groups", Notices AMS, 2007).
+    """
+    seeds = np.array([s & _MASK for s in seeds], dtype=np.uint64)
+    g = (_gaussians(seeds, 1, n * n) / math.sqrt(2)).view(complex)
+    q, r = np.linalg.qr(g.reshape(-1, n, n))
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]

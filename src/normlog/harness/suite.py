@@ -3,9 +3,11 @@
 Instance seeds derive deterministically from (base seed, family label,
 size, index) through the counter hash, so two runs of the same config
 produce byte-identical reports. The instances of one (entry, size) run
-in chunks of consecutive seeds, whose operands are decomposed in one
-stacked call; with ``jobs > 1`` the chunks fan out across processes
-while the aggregation order stays fixed.
+in chunks of consecutive seeds. A chunk is the unit of work: its
+instances are built together by ``make_pairs`` (stacked unitaries and
+self-test exponentials), and its operands decomposed and their moduli
+taken in stacked calls; with ``jobs > 1`` the chunks fan out across
+processes while the aggregation order stays fixed.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 
 from ..checks import CHECK_NAMES, PairAnalysis, decompose_pairs, run_check
 from ..config import DEFAULT_TOL, Tolerances
-from .generators import Family, InstanceSpec, make_pair
+from .generators import Family, InstanceSpec, make_pairs
 from .rng import mix64
 
 __all__ = ["analyze_pair", "default_config", "report", "run_suite",
@@ -105,12 +107,13 @@ def analyze_pair(x, y, metadata: dict, tol: Tolerances, *,
                         k_hi=int(metadata.get("k_hi", 0)), exp_gap=exp_gap)
 
 
-def _derive_seed(base: int, label: str, n: int, index: int) -> int:
+def _label_hash(base: int, label: str, n: int) -> int:
+    """The counter-hash state of (base seed, label, size); instance
+    ``index`` of that entry and size has seed ``mix64(h ^ index)``."""
     h = mix64(base)
     for ch in label:
         h = mix64(h ^ ord(ch))
-    h = mix64(h ^ (n << 32))
-    return mix64(h ^ index)
+    return mix64(h ^ (n << 32))
 
 
 # Matrix entries per chunk: a chunk holds at most max(1, this // n^2)
@@ -120,15 +123,14 @@ _CHUNK_ENTRIES = 8192
 
 def _run_chunk(task) -> list[dict]:
     label, family, params, n, seeds, tol, checks = task
-    pairs = []
-    for seed in seeds:
-        spec = InstanceSpec(family=Family(family), n=n, seed=seed,
-                            params=dict(params))
-        x, y, metadata = make_pair(spec)
-        # make_pair's self-test measured the exponential gap on these arrays
-        pairs.append(analyze_pair(x, y, metadata, tol, exp_gap=(
-            metadata["equation"], metadata["self_test_residual"])))
-    decompose_pairs(pairs)
+    pairs = [
+        # make_pairs' self-test measured the exponential gap on these arrays
+        analyze_pair(x, y, metadata, tol, exp_gap=(
+            metadata["equation"], metadata["self_test_residual"]))
+        for x, y, metadata in make_pairs([
+            InstanceSpec(family=Family(family), n=n, seed=seed,
+                         params=dict(params)) for seed in seeds])]
+    decompose_pairs(pairs, checks)
     rows = []
     for i, seed in enumerate(seeds):
         pair, pairs[i] = pairs[i], None  # freed once its rows are written
@@ -165,7 +167,8 @@ def run_suite(config: dict | None = None, jobs: int = 1) -> dict:
             raise ValueError(f"unknown checks {unknown} for {label!r}; "
                              f"expected names from {list(CHECK_NAMES)}")
         for n in sizes:
-            seeds = [_derive_seed(base, label, n, i) for i in range(n_seeds)]
+            h = _label_hash(base, label, n)
+            seeds = [mix64(h ^ i) for i in range(n_seeds)]
             size = max(1, _CHUNK_ENTRIES // (n * n))
             for start in range(0, n_seeds, size):
                 tasks.append((label, family, params, n,

@@ -33,6 +33,7 @@ __all__ = [
     "in_double_commutant",
     "is_normal",
     "modulus",
+    "modulus_stack",
     "re_part",
     "simultaneous_diagonalize",
 ]
@@ -185,12 +186,14 @@ def _common_eigenbases(a: np.ndarray, b: np.ndarray, tol: Tolerances,
     where pair i is Re X, Im X of a matrix X with ``||X|| = norms[i]``,
     NotNormal, tested first as :func:`is_normal` tests it. The
     commutators and the ``eigh`` of the ``a[i]`` are one stacked call
-    each, over every pair; the tests and the re-diagonalization of
-    ``b[i]`` inside each eigenvalue cluster of ``a[i]`` run per pair.
+    each, over every pair; the tests and the compression of ``b[i]`` to
+    each multi-column eigenvalue cluster of ``a[i]`` run per pair, and
+    the compressions are re-diagonalized in one ``eigh`` per cluster size.
     """
     comm = a @ b - b @ a
     wa, v = _eigh(a)
     errors = []
+    blocks = []  # (basis, cluster columns, compression of b to them)
     for i, (ai, bi, ci, w, vi) in enumerate(zip(a, b, comm, wa, v)):
         residual = frob(ci)
         if norms is not None and not _normality_holds(norms[i], residual, tol):
@@ -209,9 +212,14 @@ def _common_eigenbases(a: np.ndarray, b: np.ndarray, tol: Tolerances,
         for sl in _cluster_slices(w, tol.cluster * max(1.0, norm_a)):
             if sl.stop - sl.start > 1:
                 block = vi[:, sl]
-                # the compression's Hermitian part, as _eigh takes it
-                _, u = _eigh(dagger(block) @ bi @ block)
-                vi[:, sl] = block @ u
+                blocks.append((vi, sl, dagger(block) @ bi @ block))
+    # one stacked eigh of the compressions per cluster size; the clusters
+    # of a basis are disjoint column ranges, so none is read after a write
+    for size in sorted({sl.stop - sl.start for _, sl, _ in blocks}):
+        group = [blk for blk in blocks if blk[1].stop - blk[1].start == size]
+        _, us = _eigh(np.stack([c for _, _, c in group]))
+        for (vi, sl, _), u in zip(group, us):
+            vi[:, sl] = vi[:, sl] @ u
     return v, errors
 
 
@@ -233,12 +241,40 @@ def modulus(x, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Positive semidefinite square root of ``x*x``.
 
     Defined for arbitrary (not necessarily normal) input. Eigenvalues of
-    ``x*x`` that round slightly negative are clamped to zero.
+    ``x*x`` that round slightly negative are clamped to zero. Raises
+    NotHermitian when ``x*x`` fails :func:`herm_eig`'s test. A lone
+    matrix is :func:`modulus_stack` on a stack of one.
     """
-    x = as_square_matrix(x)
-    w, v = herm_eig(dagger(x) @ x, tol=tol)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ dagger(v)
+    (result,) = modulus_stack(as_square_matrix(x)[None], tol=tol)
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def modulus_stack(x: np.ndarray, *, tol: Tolerances = DEFAULT_TOL) -> list:
+    """``modulus(x[i])`` for each matrix of a validated (k, n, n) stack.
+
+    Entry i is the modulus, bit for bit the lone result, or the error the
+    lone call would raise; an error leaves the other entries unchanged.
+    The products ``x*x``, the ``eigh`` and the square-root products are
+    one stacked call each, one BLAS or LAPACK call per matrix.
+    """
+    h = dagger(x) @ x
+    out = []
+    for hi in h:
+        try:  # herm_eig's tests
+            _require_hermitian(as_square_matrix(hi), tol)
+            out.append(None)
+        except (ValueError, NotHermitian) as exc:
+            out.append(exc)
+    ok = [i for i, error in enumerate(out) if error is None]
+    if ok:
+        w, v = _eigh(h if len(ok) == len(h) else h[ok])
+        w = np.clip(w, 0.0, None)
+        roots = (v * np.sqrt(w)[:, None, :]) @ dagger(v)
+        for i, root in zip(ok, roots):
+            out[i] = root
+    return out
 
 
 def commutant_basis(y, *, tol: Tolerances = DEFAULT_TOL) -> tuple:

@@ -17,13 +17,14 @@ import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import ExpNotNormal, NotNormal, Singular
-from .linalg import as_square_matrix, commutator, frob
+from .linalg import _as_square_stack, as_square_matrix, commutator, frob
 from .spectral import SpectralDecomposition, normal_eig
 
 __all__ = [
     "KurepaDecomposition",
     "branch_log",
     "exp_general",
+    "exp_stack",
     "kurepa_decompose",
     "principal_log",
 ]
@@ -42,20 +43,52 @@ _PADE13_THETA = 5.371920351148152
 
 
 def exp_general(x) -> np.ndarray:
-    """Matrix exponential via scaling and squaring with a Pade(13,13) core.
+    """Matrix exponential via scaling and squaring with a Pade(13,13) core
+    (Higham, "The scaling and squaring method for the matrix exponential
+    revisited", SIAM J. Matrix Anal. Appl., 2005).
 
     Works for arbitrary square complex input; agrees with the spectral
     exponential ``borel_calculus(normal_eig(x), cmath.exp)`` on normal
-    matrices up to rounding.
+    matrices up to rounding. A (k, n, n) stack gives the stack of the
+    exponentials of its matrices, each bit for bit the lone result; a
+    lone matrix is :func:`exp_stack` on a stack of one.
     """
-    x = as_square_matrix(x)
-    n = x.shape[0]
-    norm = np.linalg.norm(x, 1)
-    if norm == 0.0:
-        return np.eye(n, dtype=complex)
-    squarings = max(0, int(math.ceil(math.log2(norm / _PADE13_THETA))))
-    a = x / (2.0 ** squarings)
+    x = np.asarray(x)
+    if x.ndim == 3:
+        return exp_stack(_as_square_stack(x))
+    return exp_stack(as_square_matrix(x)[None])[0]
 
+
+def exp_stack(x: np.ndarray) -> np.ndarray:
+    """The exponentials of a validated (k, n, n) complex stack.
+
+    The matrices are grouped by squaring count; each group runs the
+    Pade kernel as one numpy call per step, one BLAS or LAPACK call per
+    matrix, so each result is computed as if alone.
+    """
+    # the 1-norm of each matrix, as np.linalg.norm(x[i], 1) takes it
+    norms = np.add.reduce(np.abs(x), axis=1).max(axis=-1).tolist()
+    # -1 marks a zero matrix, whose exponential is the identity
+    squarings = [-1 if norm == 0.0 else
+                 max(0, int(math.ceil(math.log2(norm / _PADE13_THETA))))
+                 for norm in norms]
+    counts = sorted(set(squarings))
+    if len(counts) == 1:
+        return _exp_scaled(x, counts[0])
+    out = np.empty_like(x)
+    for s in counts:
+        idx = [i for i, si in enumerate(squarings) if si == s]
+        out[idx] = _exp_scaled(x[idx], s)
+    return out
+
+
+def _exp_scaled(x: np.ndarray, squarings: int) -> np.ndarray:
+    """The Pade kernel on a stack whose matrices share their squaring
+    count; -1 stands for zero matrices."""
+    n = x.shape[-1]
+    if squarings < 0:
+        return np.repeat(np.eye(n, dtype=complex)[None], len(x), axis=0)
+    a = x / (2.0 ** squarings)
     b = _PADE13_B
     eye = np.eye(n)
     a2 = a @ a
@@ -123,14 +156,15 @@ def principal_log(n_mat, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return branch_log(normal_eig(n_mat, tol=tol), tol=tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no truth value
 class KurepaDecomposition:
     """Splitting Y = N0 + 2*pi*i*W with N0 the principal log of e^Y.
 
     ``W`` commutes with ``N0`` and has spectrum within
     ``integer_spectrum_residual`` of the integers whenever e^Y is
     normal (which construction requires). ``commute_residual`` is the
-    relative commutator norm actually measured.
+    relative commutator norm actually measured. Records compare and hash
+    by identity.
     """
 
     n0: np.ndarray

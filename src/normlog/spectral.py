@@ -271,7 +271,7 @@ def _components(indices: list, zs: list, radius: float) -> list[list[int]]:
     return groups
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no truth value
 class SpectralDecomposition:
     """Eigenvalue clusters of a normal matrix in one unitary eigenbasis.
 
@@ -281,7 +281,8 @@ class SpectralDecomposition:
     projections are Hermitian idempotent, mutually orthogonal and sum to
     the identity, and the matrix is V diag(lam) V*. Eigenvalues in
     different clusters lie more than the merge radius apart; their
-    representatives (cluster means) need not.
+    representatives (cluster means) need not. Decompositions compare and
+    hash by identity.
     """
 
     v: np.ndarray

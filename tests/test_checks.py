@@ -91,6 +91,35 @@ class TestPairAnalysis:
         with pytest.raises(ValueError, match="tolerances"):
             decompose_pairs(pairs)
 
+    def test_moduli_seeded_for_the_checks_that_read_them(self, monkeypatch):
+        operands = [make_pair(InstanceSpec(family, 4, seed))[:2]
+                    for family in (Family.BOUNDARY_FLIP_PAIR,
+                                   Family.NON_NORMAL_LOG_PAIR)
+                    for seed in range(3)]
+        lone = [PairAnalysis(x, y) for x, y in operands]
+        cases = {("modulus_equal",): ("modulus_x", "modulus_y"),
+                 ("real_part", "modulus_commute"): ("modulus_x",),
+                 ("real_part", "kurepa"): ()}
+        for checks, seeded in cases.items():
+            pairs = [PairAnalysis(x, y) for x, y in operands]
+            decompose_pairs(pairs, checks)
+            for pair, alone in zip(pairs, lone):
+                for fact in ("modulus_x", "modulus_y"):
+                    assert (fact in vars(pair)) == (fact in seeded)
+                    if fact in seeded:
+                        assert (vars(pair)[fact].tobytes()
+                                == getattr(alone, fact).tobytes())
+
+        def no_modulus(*args, **kwargs):
+            raise AssertionError("modulus taken after seeding")
+
+        pairs = [PairAnalysis(x, y) for x, y in operands]
+        decompose_pairs(pairs, ("modulus_equal", "modulus_commute"))
+        monkeypatch.setattr(normlog.checks, "modulus", no_modulus)
+        for pair in pairs:
+            check_modulus_equal(pair)
+            check_modulus_commute(pair)
+
     def test_given_exp_gap_is_not_recomputed(self, monkeypatch):
         def no_exp(arg):
             raise AssertionError("exponential evaluated")

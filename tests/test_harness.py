@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,7 +26,10 @@ from normlog.harness import (
     read_pair,
     run_suite,
     write_pair,
+    write_report,
 )
+from normlog.harness.generators import make_pairs
+from normlog.harness.rng import unitary_stack
 from normlog.harness.cli import main as cli_main
 from normlog.linalg import dagger, frob, is_normal
 from normlog.logs import TWO_PI
@@ -107,6 +111,18 @@ class TestRandomUnitary:
         u = random_unitary(n, 1000 + n)
         assert frob(dagger(u) @ u - np.eye(n)) <= 1e-12 * n
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16, 24, 64])
+    def test_stacked_draw_equals_lone_draws(self, n):
+        seeds = [7, 2 ** 64 - 1, -3, mix64(n), 7]
+        stack = unitary_stack(n, seeds)
+        assert stack.shape == (len(seeds), n, n)
+        for seed, u in zip(seeds, stack):
+            # the lone draw, and the QR-with-phases recipe step by step
+            q, r = np.linalg.qr(Stream(seed).complex_gaussian_matrix(n))
+            d = np.diag(r)
+            assert u.tobytes() == random_unitary(n, seed).tobytes()
+            assert u.tobytes() == (q * (d / np.abs(d))).tobytes()
+
 
 class TestFamilies:
     def test_all_families_self_test(self):
@@ -172,6 +188,79 @@ class TestFamilies:
                                    n=1, seed=1))
 
 
+def _entry_specs(n: int, seeds) -> list:
+    """A spec per default-config entry, negative controls included, and
+    seed."""
+    return [InstanceSpec(Family(e["family"]), n, seed,
+                         params=e.get("params", {}))
+            for e in default_config()["families"] for seed in seeds]
+
+
+def _lone_or_error(spec):
+    try:
+        return make_pair(spec)
+    except ConstructionFailed as exc:
+        return exc
+
+
+def _same_pair(got, want) -> bool:
+    (x, y, meta), (x0, y0, meta0) = got, want
+    return (x.tobytes() == x0.tobytes() and y.tobytes() == y0.tobytes()
+            and meta == meta0 and meta["self_test_residual"].hex()
+            == meta0["self_test_residual"].hex())
+
+
+class TestChunkBuilder:
+    @pytest.mark.parametrize("sizes", [(1,), (2,), (3,), (4,), (8,), (16,),
+                                       (24,), (64,), (2, 3, 8, 24)],
+                             ids=lambda sizes: "n" + "-".join(map(str, sizes)))
+    def test_chunk_equals_lone_builds(self, sizes):
+        specs = [spec for n in sizes for spec in _entry_specs(n, (0, 1, 5))]
+        lone = [_lone_or_error(spec) for spec in specs]
+        built = [spec for spec, one in zip(specs, lone)
+                 if not isinstance(one, ConstructionFailed)]
+        assert len({spec.family for spec in built}) == len(Family) or 1 in sizes
+        chunk = make_pairs(built)
+        assert len(chunk) == len(built)
+        for got, want in zip(chunk, (one for one in lone
+                                     if not isinstance(one, ConstructionFailed))):
+            assert _same_pair(got, want)
+
+    def test_empty_chunk(self):
+        assert make_pairs([]) == []
+
+    @pytest.mark.parametrize("order", ["odd-pi first", "window first"])
+    def test_first_invalid_spec_in_chunk_order_raises(self, order):
+        valid = InstanceSpec(Family.BOUNDARY_FLIP_PAIR, 4, 3)
+        no_slot = InstanceSpec(Family.ODD_PI_EIGENVALUE, 1, 2,
+                               params={"violate": 1})
+        no_window = InstanceSpec(Family.SHIFTED_BRANCH_PAIR, 3, 4,
+                                 params={"k_lo": 0, "k_hi": 0})
+        bad = [no_slot, no_window] if order == "odd-pi first" else [
+            no_window, no_slot]
+        with pytest.raises(ConstructionFailed) as lone:
+            make_pair(bad[0])
+        with pytest.raises(ConstructionFailed) as chunk:
+            make_pairs([valid, *bad, valid])
+        assert str(chunk.value) == str(lone.value)
+
+    def test_self_test_failure_raises_in_chunk_order(self, monkeypatch):
+        # at a zero tolerance every pair fails its self-test except an
+        # InteriorPair, whose X equals Y; the build failure of the later
+        # spec must not preempt the earlier self-test failure
+        monkeypatch.setattr(normlog.harness.generators, "_SELF_TEST_TOL", 0.0)
+        interior = InstanceSpec(Family.INTERIOR_PAIR, 3, 1)
+        flip = InstanceSpec(Family.BOUNDARY_FLIP_PAIR, 3, 1)
+        no_slot = InstanceSpec(Family.ODD_PI_EIGENVALUE, 1, 2,
+                               params={"violate": 1})
+        assert make_pair(interior)[2]["self_test_residual"] == 0.0
+        with pytest.raises(ConstructionFailed, match="self-test") as lone:
+            make_pair(flip)
+        with pytest.raises(ConstructionFailed) as chunk:
+            make_pairs([interior, flip, no_slot])
+        assert str(chunk.value) == str(lone.value)
+
+
 class TestMatrixFormat:
     def test_round_trip_exact(self, tmp_path):
         x, y, meta = make_pair(InstanceSpec(family=Family.SHIFTED_BRANCH_PAIR,
@@ -196,6 +285,72 @@ class TestMatrixFormat:
             matrix_from_obj({"n": 1, "entries": [[[float("inf"), 0.0]]]})
 
 
+class TestReportWriter:
+    @staticmethod
+    def _assert_as_json_dump(tmp_path, doc):
+        written = tmp_path / "streamed.json"
+        write_report(str(written), doc)
+        reference = tmp_path / "dumped.json"
+        with open(reference, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
+        assert written.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize("workload", ["suite-serial", "large-n",
+                                          "bicommutant"])
+    def test_workload_reports(self, tmp_path, workload):
+        sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+        try:
+            from workloads import WORKLOADS
+        finally:
+            sys.path.pop(0)
+        config = WORKLOADS[workload].config(20240901)
+        self._assert_as_json_dump(tmp_path, run_suite(config))
+
+    def test_empty_results(self, tmp_path):
+        self._assert_as_json_dump(tmp_path, run_suite(
+            {"families": [], "sizes": [2], "seeds": 1}))
+
+    def test_quotes_and_non_ascii(self, tmp_path):
+        config = {"base_seed": 3, "sizes": [2], "seeds": 2, "families": [
+            {"family": "InteriorPair", "label": 'say "pi" \\ \u00e9t\u00e9',
+             "params": {"re_range": 1.25}},
+            {"family": "OddPiEigenvalue", "label": "\u03c0/\u5bf9\u6570\n\t",
+             "checks": ["double_commutant"]}]}
+        doc = run_suite(config)
+        assert {row["family"] for row in doc["results"]} == {
+            e["label"] for e in config["families"]}
+        self._assert_as_json_dump(tmp_path, doc)
+
+    @pytest.mark.parametrize("doc", [
+        {}, [], {"results": []}, {"results": [{}], "summary": {}},
+        {"config": {"k": [1, [2.5, {}], (3, "x")], 7: None},
+         "results": [{"n": None, "r": {"a": float("inf"), "b": float("nan"),
+                                       "c": -0.0, "d": 1e-300},
+                      "f": Family.INTERIOR_PAIR, "g": np.float64(0.1),
+                      "h": {1: True}, "l": [], "t": 10 ** 30}, [1], "s"]},
+    ], ids=["empty", "list", "no-rows", "empty-row", "odd-values"])
+    def test_other_values(self, tmp_path, doc):
+        self._assert_as_json_dump(tmp_path, doc)
+
+    def test_check_report_without_size_and_seed(self, tmp_path):
+        # a pair file without n and seed; both are written as null
+        pair = str(tmp_path / "pair.json")
+        write_pair(pair, np.eye(2, dtype=complex), np.eye(2, dtype=complex),
+                   {"family": "file \u00e9"})
+        out = tmp_path / "check.json"
+        assert cli_main(["check", "--name", "real_part", "--in", pair,
+                         "--report", str(out)]) == 0
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        (row,) = doc["results"]
+        assert row["n"] is None and row["seed"] is None
+        reference = tmp_path / "dumped.json"
+        with open(reference, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
+        assert out.read_bytes() == reference.read_bytes()
+
+
 class TestSuite:
     CFG = {"base_seed": 77, "sizes": [2, 4], "seeds": 2,
            "families": [{"family": "InteriorPair"},
@@ -211,6 +366,29 @@ class TestSuite:
         rep = run_suite({"families": [], "sizes": [2], "seeds": 1})
         assert rep["summary"] == {"total": 0, "passed": 0,
                                   "skipped_hypothesis": 0, "failed": 0}
+
+    def test_seeds_hash_each_label_once_per_size(self):
+        # the per-character hash of the label, size and index, in full
+        def reference(base, label, n, index):
+            h = mix64(base)
+            for ch in label:
+                h = mix64(h ^ ord(ch))
+            h = mix64(h ^ (n << 32))
+            return mix64(h ^ index)
+
+        cfg = default_config()
+        for entry in cfg["families"]:
+            label = entry.get("label", entry["family"])
+            for n in cfg["sizes"]:
+                h = normlog.harness.suite._label_hash(cfg["base_seed"], label, n)
+                assert [mix64(h ^ i) for i in range(cfg["seeds"])] == [
+                    reference(cfg["base_seed"], label, n, i)
+                    for i in range(cfg["seeds"])]
+        rows = run_suite(self.CFG)["results"]
+        assert [row["seed"] for row in rows] == [
+            reference(77, e["family"], n, i) for e in self.CFG["families"]
+            for n in self.CFG["sizes"] for i in range(self.CFG["seeds"])
+            for _ in normlog.harness.suite._FAMILY_CHECKS[Family(e["family"])]]
 
     def test_report_summary_counts(self):
         rows = [{"passed": True, "hypothesis_met": True},
@@ -272,15 +450,17 @@ class TestSuite:
         assert families == {f.value for f in Family}
 
     @staticmethod
-    def _count_make_pair(monkeypatch) -> list:
+    def _count_built(monkeypatch) -> list:
+        """The specs the suite builds, through its chunk builder."""
         calls = []
-        real = normlog.harness.suite.make_pair
+        real = normlog.harness.suite.make_pairs
 
-        def counting(spec):
-            calls.append(spec)
-            return real(spec)
+        def counting(specs):
+            specs = list(specs)
+            calls.extend(specs)
+            return real(specs)
 
-        monkeypatch.setattr(normlog.harness.suite, "make_pair", counting)
+        monkeypatch.setattr(normlog.harness.suite, "make_pairs", counting)
         return calls
 
     @pytest.mark.parametrize("tol", [
@@ -288,7 +468,7 @@ class TestSuite:
         {"check": "1e-8"}, {"check": math.inf}, {"check": math.nan},
         {"check": True}, [1e-8]])
     def test_bad_tolerances_rejected_before_work(self, tol, monkeypatch):
-        calls = self._count_make_pair(monkeypatch)
+        calls = self._count_built(monkeypatch)
         with pytest.raises(ValueError, match="tol"):
             run_suite({"sizes": [2], "seeds": 1, "tol": tol,
                        "families": [{"family": "InteriorPair"}]})
@@ -301,7 +481,7 @@ class TestSuite:
         assert rep["summary"]["failed"] == 0
 
     def test_unknown_check_rejected_before_work(self, monkeypatch):
-        calls = self._count_make_pair(monkeypatch)
+        calls = self._count_built(monkeypatch)
         cfg = {"sizes": [2], "seeds": 1,
                "families": [{"family": "InteriorPair"},
                             {"family": "OddPiEigenvalue",
@@ -379,16 +559,19 @@ class TestSharedAnalysis:
         # calls per (instance, operand); operands are told apart by
         # identity, since InteriorPair has X equal to Y. Each chunk's
         # operands are decomposed in one stacked call, whose argument
-        # lists them. The exponentials are evaluated once, by make_pair's
-        # self-test, whose residual the suite hands to the pair's gate.
+        # lists them. The exponentials are evaluated once, by the stacked
+        # self-test of make_pairs, whose residual the suite hands to the
+        # pair's gate; the stacks hold copies, so their matrices are
+        # matched to the sides of each pair's equation by value.
         cfg = _one_of_each()
         cfg.update(seeds=3)
         calls = []
         pairs = []
-        self_test_args = []
-        real_make_pair = normlog.harness.suite.make_pair
+        exponentiated = []
+        real_make_pairs = normlog.harness.suite.make_pairs
         real_stack = normlog.checks.normal_eig_stack
-        real_exp = normlog.harness.generators.exp_general
+        real_exp_stack = normlog.harness.generators.exp_stack
+        real_exp = normlog.checks.exp_general
 
         def operand(arg, k):
             x, y, _ = pairs[k]
@@ -402,17 +585,14 @@ class TestSharedAnalysis:
             return next((k for k, (x, y, _) in enumerate(pairs)
                          if arg is x or arg is y), len(pairs) - 1)
 
-        def make_pair_spy(spec):
-            self_test_args.clear()
-            pairs.append(real_make_pair(spec))
-            k = len(pairs) - 1
-            calls.extend(("exp_general", k, operand(arg, k))
-                         for arg in self_test_args)
-            return pairs[-1]
+        def make_pairs_spy(specs):
+            built = real_make_pairs(specs)
+            pairs.extend(built)
+            return built
 
-        def self_test_exp_spy(arg):
-            self_test_args.append(arg)
-            return real_exp(arg)
+        def self_test_exp_spy(stack):
+            exponentiated.extend(m.tobytes() for m in stack)
+            return real_exp_stack(stack)
 
         def checks_exp_spy(arg):
             k = instance(arg)
@@ -425,22 +605,26 @@ class TestSharedAnalysis:
                 calls.append(("normal_eig_stack", k, operand(m, k)))
             return real_stack(ms, **kwargs)
 
-        monkeypatch.setattr(normlog.harness.suite, "make_pair", make_pair_spy)
-        monkeypatch.setattr(normlog.harness.generators, "exp_general",
+        monkeypatch.setattr(normlog.harness.suite, "make_pairs", make_pairs_spy)
+        monkeypatch.setattr(normlog.harness.generators, "exp_stack",
                             self_test_exp_spy)
         monkeypatch.setattr(normlog.checks, "exp_general", checks_exp_spy)
         monkeypatch.setattr(normlog.checks, "normal_eig_stack", stack_spy)
         run_suite(cfg)
 
         assert len(pairs) == 3 * len(cfg["families"])
-        assert {c[0] for c in calls} == {"normal_eig_stack", "exp_general"}
+        assert {c[0] for c in calls} == {"normal_eig_stack"}
         assert all(c[2] != "unknown" for c in calls)
         assert len(calls) == len(set(calls))
         # X and Y of each instance decomposed, each once
         assert sorted(c[1:] for c in calls if c[0] == "normal_eig_stack") == [
             (k, side) for k in range(len(pairs)) for side in ("x", "y")]
         # both sides of each pair's equation, each once
-        assert sum(c[0] == "exp_general" for c in calls) == 2 * len(pairs)
+        sides = [m.tobytes() for x, y, meta in pairs
+                 for m in (1j * x if meta["equation"] == "exp(iX)=exp(Y)"
+                           else x, y)]
+        assert len(exponentiated) == 2 * len(pairs)
+        assert Counter(exponentiated) == Counter(sides)
 
     @pytest.mark.parametrize("family", list(Family))
     def test_self_test_residual_is_the_gate_residual(self, family):
@@ -558,10 +742,10 @@ class TestCli:
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_suite_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs,
                                                  monkeypatch):
-        def no_make_pair(spec):
+        def no_make_pairs(specs):
             raise AssertionError("an instance was built")
 
-        monkeypatch.setattr(normlog.harness.suite, "make_pair", no_make_pair)
+        monkeypatch.setattr(normlog.harness.suite, "make_pairs", no_make_pairs)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"sizes": [2], "seeds": 1,
                                    "families": [{"family": "InteriorPair"}]}))

@@ -12,9 +12,13 @@ from normlog.linalg import (
     herm_eig,
     in_double_commutant,
     is_normal,
+    _cluster_slices,
+    _eigh,
     modulus,
+    modulus_stack,
     simultaneous_diagonalize,
 )
+from normlog.config import DEFAULT_TOL
 from normlog.spectral import normal_eig
 
 from util import random_hermitian, random_normal_matrix
@@ -155,6 +159,23 @@ class TestSimultaneousDiagonalize:
         assert self._offdiag(dagger(v) @ a @ v) <= 1e-12 * n * scale
         assert self._offdiag(dagger(v) @ b @ v) <= 1e-12 * n * scale
 
+    def test_clusters_of_mixed_sizes_match_per_cluster_eigh(self):
+        # a has clusters of sizes 4, 1, 3 and 2, re-resolved together; each
+        # must get the basis a lone eigh of its compression of b gives
+        u = random_unitary(10, 5)
+        a = u @ np.diag([1.0] * 4 + [2.0] + [3.0] * 3 + [4.0] * 2) @ dagger(u)
+        b = u @ np.diag(np.linspace(-1.0, 2.0, 10)) @ dagger(u)
+        a, b = (a + dagger(a)) / 2, (b + dagger(b)) / 2
+        w, ref = _eigh(a)
+        slices = _cluster_slices(w, DEFAULT_TOL.cluster * max(1.0, frob(a)))
+        assert sorted(sl.stop - sl.start for sl in slices) == [1, 2, 3, 4]
+        for sl in slices:
+            if sl.stop - sl.start > 1:
+                block = ref[:, sl]
+                _, inner = _eigh(dagger(block) @ b @ block)
+                ref[:, sl] = block @ inner
+        assert simultaneous_diagonalize(a, b).tobytes() == ref.tobytes()
+
     def test_degenerate_first_matrix(self):
         # a has a repeated eigenvalue; b decides the basis inside the cluster
         u = random_unitary(3, 77)
@@ -194,6 +215,40 @@ class TestModulus:
         x, _, _ = random_normal_matrix(6, 303)
         m = modulus(x)
         assert frob(modulus(m) - m) <= 1e-10 * max(1.0, frob(x))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    def test_stack_equals_lone_calls(self, n):
+        x, _, _ = random_normal_matrix(n, 40 + n)
+        g = Stream(n).complex_gaussian_matrix(n)
+        stack = np.stack([x, g, np.zeros((n, n)), g @ g, x])
+        for m, got in zip(stack, modulus_stack(stack)):
+            assert got.tobytes() == modulus(m).tobytes()
+
+    def test_errors_kept_per_entry(self):
+        # X*X overflows: the lone call rejects it as herm_eig's input
+        big = np.diag([1e200, 1.0]).astype(complex)
+        g = Stream(3).complex_gaussian_matrix(2)
+        stack = np.stack([g, big, g])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = modulus_stack(stack)
+            with pytest.raises(ValueError) as lone:
+                modulus(big)
+        assert type(got[1]) is ValueError and str(got[1]) == str(lone.value)
+        assert got[0].tobytes() == got[2].tobytes() == modulus(g).tobytes()
+        # the Hermitian test is herm_eig's, entry by entry; rounding makes
+        # a generic X*X fail a tolerance of 1e-300, a real diagonal one not
+        strict = DEFAULT_TOL.replace(herm=1e-300)
+        stack = np.stack([g, g @ g, np.diag([2.0, 1j])])
+        got = modulus_stack(stack, tol=strict)
+        assert not isinstance(got[2], Exception)
+        for m, one in zip(stack, got):
+            if isinstance(one, Exception):
+                with pytest.raises(NotHermitian) as lone:
+                    modulus(m, tol=strict)
+                assert type(one) is NotHermitian
+                assert str(one) == str(lone.value)
+            else:
+                assert one.tobytes() == modulus(m, tol=strict).tobytes()
 
     def test_psd_and_squares_to_gram(self):
         g = Stream(9).complex_gaussian_matrix(5)

@@ -65,6 +65,29 @@ class TestExpGeneral:
         expected = np.diag([np.exp(30.0 + 5j), np.exp(-30.0)])
         assert frob(exp_general(x) - expected) <= 1e-10 * frob(expected)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 64])
+    def test_stack_equals_lone_calls(self, n):
+        # 1-norms from 0 to about 40: squaring counts 0 to 3 and the zero
+        # matrix's identity, interleaved
+        g = Stream(n).complex_gaussian_matrix(n) / n
+        scales = [0.5, 0.0, 40.0, 3.0, 0.5, 12.0, 1e-3, 0.0]
+        stack = np.stack([s * g for s in scales])
+        counts = [-1 if s == 0.0 else
+                  max(0, math.ceil(math.log2(np.linalg.norm(m, 1) / 5.3719)))
+                  for s, m in zip(scales, stack)]
+        assert len(set(counts)) >= 4
+        got = exp_general(stack)
+        assert got.shape == stack.shape
+        for m, e in zip(stack, got):
+            assert e.tobytes() == exp_general(m).tobytes()
+        assert got[1].tobytes() == np.eye(n, dtype=complex).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.zeros((2, 3, 3, 1)), np.zeros((1, 2, 3)),
+                                     np.full((1, 2, 2), np.inf)])
+    def test_rejects_bad_stack(self, bad):
+        with pytest.raises(ValueError):
+            exp_general(bad)
+
 
 class TestPrincipalLog:
     def test_identity(self):
@@ -132,7 +155,13 @@ class TestBranchLog:
 
 
 class TestKurepa:
-    def test_already_principal(self):
+    def test_records_compare_by_identity(self):
+        a = kurepa_decompose(np.diag([PI * 1j, 0.5]))
+        b = kurepa_decompose(np.diag([PI * 1j, 0.5]))
+        assert a == a and a != b
+        assert a in [b, a] and b not in [a]
+        assert {a: 1, b: 2}[b] == 2
+
         kd = kurepa_decompose(np.diag([PI * 1j]))
         assert np.allclose(kd.n0, np.diag([PI * 1j]))
         assert frob(kd.w) <= 1e-12

@@ -384,6 +384,35 @@ class TestNormalEigStack:
             assert _same_decomposition(got, alone)
             assert _same_decomposition(got, _lone(m))
 
+    def test_mixed_cluster_sizes(self):
+        # clusters of Re X of several sizes across the stack: the odd-pi
+        # value and the repeated congruence-free value (pairs), Y's +/- i*pi
+        # eigenspaces, and planted clusters of sizes 2 to 4
+        operands = [m for seed in range(4) for family in (
+            Family.ODD_PI_EIGENVALUE, Family.SELF_ADJOINT_CONGRUENCE_FREE)
+            for m in make_pair(InstanceSpec(family, 8, seed))[:2]]
+        u = random_unitary(8, 3)
+        for eigs in ([1 + 1j, 1 + 2j, 1 - 1j, 1 + 0j, 2 + 0j, 2 + 1j, 2 - 1j,
+                      3 + 0j],
+                     [0.5j, 0.5j, 1 + 0.5j, 1 - 0.5j, 0j, 2j, -2j, 4 + 4j]):
+            operands.append(u @ np.diag(eigs) @ u.conj().T)
+        sizes = set()
+        for m in operands:
+            w = np.linalg.eigvalsh((m + m.conj().T) / 2)
+            runs = np.split(w, np.flatnonzero(np.diff(w) > 1e-8) + 1)
+            sizes.update(len(r) for r in runs if len(r) > 1)
+        assert sizes >= {2, 3, 4}
+        stacked = normal_eig_stack(operands)
+        for m, got in zip(operands, stacked):
+            assert _same_decomposition(got, _lone(m))
+
+    def test_records_compare_by_identity(self):
+        x = np.diag([1.0, 2j])
+        a, b = normal_eig(x), normal_eig(x)
+        assert a == a and a != b
+        assert a in [b, a] and b not in [a]
+        assert {a: 1, b: 2}[b] == 2
+
     def test_errors_mid_stack(self):
         # a non-normal Y, and a normal matrix whose Hermitian parts fail
         # the commutation test, between normal neighbours
