@@ -24,6 +24,7 @@ import numpy as np
 from .config import DEFAULT_TOL, Tolerances
 from .errors import ExpNotNormal, NormLogError, NotNormal, Singular
 from .linalg import (
+    _modulus_stack,
     as_square_matrix,
     commutant_basis,
     commutator,
@@ -31,10 +32,9 @@ from .linalg import (
     frob,
     in_double_commutant,
     modulus,
-    modulus_stack,
     re_part,
 )
-from .logs import TWO_PI, exp_general, kurepa_decompose
+from .logs import TWO_PI, _exp_gap, exp_general, kurepa_decompose
 from .report import CheckReport
 from .spectral import (
     HLine,
@@ -68,10 +68,6 @@ def _rel(value: float, *norms: float) -> float:
     for n in norms:
         denom *= n
     return value / max(1.0, denom)
-
-
-def _exp_gap(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    return frob(lhs - rhs) / max(frob(lhs), 1e-300)
 
 
 # Each exponential equation and the PairAnalysis property measuring it.
@@ -227,7 +223,7 @@ def decompose_pairs(pairs, checks=()) -> None:
     facts = sorted({fact for name in checks for fact in _MODULI.get(name, ())})
     if facts:
         operands = [(pair, fact) for pair in pairs for fact in facts]
-        moduli = modulus_stack(np.stack([
+        moduli = _modulus_stack(np.stack([
             pair.x if fact == "modulus_x" else pair.y
             for pair, fact in operands]), tol=tol)
         for (pair, fact), result in zip(operands, moduli):

@@ -9,7 +9,8 @@ Subcommands::
     version
 
 Exit codes: 0 all pass (hypothesis-skipped checks do not fail a run),
-1 any check failed, 2 usage or I/O error.
+1 any check failed, 2 usage or I/O error, which includes a config key or
+family parameter that is not known.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--param", action="append", metavar="KEY=VALUE",
-                     help="family-specific scalar (repeatable)")
+                     help="family parameter (repeatable)")
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=_cmd_generate)
 

@@ -13,6 +13,9 @@ exponentials of the whole chunk are computed in stacks.
 
 Boundary eigenvalues are placed with imaginary part exactly ``+/-pi``
 (no rounding), keeping line membership unambiguous downstream.
+
+A family reads only the parameters ``_BUILDERS`` declares for it, and
+:class:`InstanceSpec` rejects any other key.
 """
 
 from __future__ import annotations
@@ -24,15 +27,20 @@ from enum import Enum
 import numpy as np
 
 from ..errors import ConstructionFailed
-from ..linalg import dagger, frob
-from ..logs import TWO_PI, exp_stack
+from ..linalg import dagger
+from ..logs import TWO_PI, _exp_gap, _exp_stack
 from ..spectral import _fold_branch, _odd_pi_distance
-from .rng import Stream, unitary_stack
+from .rng import Stream, _unitary_stack
 
 __all__ = ["Family", "InstanceSpec", "make_pair", "make_pairs"]
 
 _SELF_TEST_TOL = 1e-10
 _PI = math.pi
+# the real-part range of interior eigenvalues
+_RE_RANGE = 1.5
+# the 2 x 2 diagonal of a log of -I with one eigenvalue on each line
+# Im z = +/-pi
+_PM_PI = np.diag([1j * _PI, -1j * _PI])
 
 
 class Family(str, Enum):
@@ -53,8 +61,24 @@ class InstanceSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        """Raises ValueError for an unknown family, ``n < 1`` or a
+        parameter the family does not read."""
+        family = Family(self.family)
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        _require_keys(self.params, _BUILDERS[family][2],
+                      f"{family.value} params")
+
+
+def _require_keys(obj, known, what: str) -> None:
+    """Raises ValueError unless ``obj`` is a dict whose keys are all in
+    ``known``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be an object, got {obj!r}")
+    unknown = sorted(set(obj) - set(known), key=str)
+    if unknown:
+        raise ValueError(f"unknown keys {unknown} in {what}; expected "
+                         f"names from {list(known)}")
 
 
 def _jittered_grid(stream: Stream, count: int, lo: float, hi: float,
@@ -74,15 +98,15 @@ def _jittered_grid(stream: Stream, count: int, lo: float, hi: float,
     return vals
 
 
-def _interior_eigs(stream: Stream, count: int, re_range: float,
-                   im_margin: float, min_gap: float = 1e-3) -> list[complex]:
+def _interior_eigs(stream: Stream, count: int, im_margin: float = 0.05,
+                   min_gap: float = 1e-3) -> list[complex]:
     vals: list[complex] = []
     tries = 0
     while len(vals) < count:
         tries += 1
         if tries > 10000:
             raise ConstructionFailed("could not place interior eigenvalues")
-        z = complex(stream.uniform(-re_range, re_range),
+        z = complex(stream.uniform(-_RE_RANGE, _RE_RANGE),
                     stream.uniform(-_PI + im_margin, _PI - im_margin))
         if all(abs(z - w) >= min_gap for w in vals):
             vals.append(z)
@@ -94,9 +118,7 @@ def _conj_by(u: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def _interior_pair(spec: InstanceSpec, stream: Stream):
-    p = spec.params
-    eigs = _interior_eigs(stream, spec.n, p.get("re_range", 1.5),
-                          p.get("im_margin", 0.05))
+    eigs = _interior_eigs(stream, spec.n)
     u = yield (spec.n, stream.subseed())
     x = _conj_by(u, np.diag(eigs))
     return x, x.copy(), {}
@@ -108,19 +130,16 @@ def _boundary_flip_pair(spec: InstanceSpec, stream: Stream):
     side = 1.0 if p.get("side", 1) >= 0 else -1.0
     n_boundary = int(p.get("boundary", 0)) or stream.integer(1, max(1, n // 2))
     n_boundary = min(n_boundary, n)
-    re_range = p.get("re_range", 1.5)
 
     # real parts kept away from 0 so boundary points avoid the corners
-    # +/- i*pi; the grid spans both signs of [0.2, re_range]
-    seg = re_range - 0.2
+    # +/- i*pi; the grid spans both signs of [0.2, _RE_RANGE]
+    seg = _RE_RANGE - 0.2
     res = [0.2 + u if u < seg else -(0.2 + (u - seg))
            for u in _jittered_grid(stream, n_boundary, 0.0, 2.0 * seg)]
     lam_x = [complex(a, side * _PI) for a in res]
     if p.get("conjugate_pair") and n_boundary >= 2:
         lam_x[1] = lam_x[0].conjugate()
-    interior = _interior_eigs(stream, n - n_boundary, re_range,
-                              p.get("im_margin", 0.05))
-    lam_x += interior
+    lam_x += _interior_eigs(stream, n - n_boundary)
 
     lam_y = list(lam_x)
     flipped = [j for j in range(n_boundary) if stream.integer(0, 1)]
@@ -143,22 +162,16 @@ def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _distinct_projection_pair(spec: InstanceSpec, stream: Stream):
-    p = spec.params
     n = spec.n
     if n < 2:
         raise ConstructionFailed("family needs n >= 2")
-    pairs = max(1, int(p.get("pairs", 1)))
-    block = min(2 * pairs, n - (n % 2 == 1))  # even block size <= n
-    boundary = [1j * _PI if j % 2 == 0 else -1j * _PI for j in range(block)]
-    interior = _interior_eigs(stream, n - block, p.get("re_range", 1.5),
-                              p.get("im_margin", 0.05))
-    d = np.diag(boundary + interior)
+    d = _block_diag(_PM_PI, np.diag(_interior_eigs(stream, n - 2)))
 
     w = yield (n, stream.subseed())
-    eye_int = np.eye(n - block, dtype=complex)
-    u = w @ _block_diag((yield (block, stream.subseed())), eye_int)
-    v = w @ _block_diag((yield (block, stream.subseed())), eye_int)
-    return _conj_by(u, d), _conj_by(v, d), {"block": block}
+    eye_int = np.eye(n - 2, dtype=complex)
+    u = w @ _block_diag((yield (2, stream.subseed())), eye_int)
+    v = w @ _block_diag((yield (2, stream.subseed())), eye_int)
+    return _conj_by(u, d), _conj_by(v, d), {"block": 2}
 
 
 def _shifted_branch_pair(spec: InstanceSpec, stream: Stream):
@@ -167,8 +180,7 @@ def _shifted_branch_pair(spec: InstanceSpec, stream: Stream):
     k_hi = int(p.get("k_hi", 1))
     if k_hi < k_lo + 1:
         raise ConstructionFailed("window must span at least one strip")
-    z = _interior_eigs(stream, spec.n, p.get("re_range", 1.5),
-                       p.get("im_margin", 0.1))
+    z = _interior_eigs(stream, spec.n, im_margin=0.1)
     kx = [stream.integer(k_lo + 1, k_hi) for _ in range(spec.n)]
     ky = [stream.integer(k_lo + 1, k_hi) for _ in range(spec.n)]
     lam_x = [w + TWO_PI * 1j * k for w, k in zip(z, kx)]
@@ -191,29 +203,24 @@ def _upper_shear(stream: Stream, n: int, cond_cap: float = 100.0) -> np.ndarray:
 
 
 def _non_normal_log_pair(spec: InstanceSpec, stream: Stream):
-    p = spec.params
     n = spec.n
     if n < 2:
         raise ConstructionFailed("family needs n >= 2")
-    pairs = max(1, int(p.get("pairs", 1)))
-    block = min(2 * pairs, n - (n % 2 == 1))
-    d_block = np.diag([1j * _PI if j % 2 == 0 else -1j * _PI
-                       for j in range(block)])
-    reals = _jittered_grid(stream, n - block, -2.0, 2.0) if n > block else []
+    reals = _jittered_grid(stream, n - 2, -2.0, 2.0) if n > 2 else []
     d_real = np.diag([complex(r) for r in reals])
 
-    t = _upper_shear(stream, block)
-    y_block = t @ d_block @ np.linalg.inv(t)
+    t = _upper_shear(stream, 2)
+    y_block = t @ _PM_PI @ np.linalg.inv(t)
     w = yield (n, stream.subseed())
-    x = _conj_by(w, _block_diag(d_block, d_real))
+    x = _conj_by(w, _block_diag(_PM_PI, d_real))
     y = _conj_by(w, _block_diag(y_block, d_real))
-    return x, y, {"block": block}
+    return x, y, {"block": 2}
 
 
 _ODD_PI_SET_RADIUS = 0.15
 
 
-def _congruence_free_reals(stream: Stream, count: int, span: float,
+def _congruence_free_reals(stream: Stream, count: int, span: float = 8.0,
                            margin: float = 0.15) -> list[float]:
     """Reals with pairwise gaps away from 2*pi*Z (k != 0) and each value
     away from every odd multiple of pi.
@@ -253,14 +260,12 @@ def _fold_diag(values: list[float]) -> np.ndarray:
 
 
 def _self_adjoint_congruence_free(spec: InstanceSpec, stream: Stream):
-    p = spec.params
     n = spec.n
-    span = p.get("span", 8.0)
     distinct = n - 1 if (n >= 4 and stream.integer(0, 1)) else n
-    vals = _congruence_free_reals(stream, distinct, span)
+    vals = _congruence_free_reals(stream, distinct)
     if distinct < n:
         vals.append(vals[0])  # one repeated eigenvalue for a fatter cluster
-    if p.get("violate") and n >= 2:
+    if spec.params.get("violate") and n >= 2:
         vals[1] = vals[0] + TWO_PI  # exact congruence collision
     u = yield (n, stream.subseed())
     x = _conj_by(u, np.diag([complex(v) for v in vals]))
@@ -269,14 +274,13 @@ def _self_adjoint_congruence_free(spec: InstanceSpec, stream: Stream):
 
 
 def _odd_pi_eigenvalue(spec: InstanceSpec, stream: Stream):
-    p = spec.params
+    violate = spec.params.get("violate")
     n = spec.n
     k_odd = stream.integer(-1, 1)
     v_odd = (2 * k_odd + 1) * _PI
-    mult = int(p.get("mult", 2 if n >= 3 else 1))
-    mult = max(1, min(mult, n))
-    rest = _congruence_free_reals(stream, n - mult, p.get("span", 8.0))
-    if p.get("violate"):
+    mult = 2 if n >= 3 else 1
+    rest = _congruence_free_reals(stream, n - mult)
+    if violate:
         if n - mult < 1:
             raise ConstructionFailed("violation variant needs a spare slot")
         k2 = k_odd + 1
@@ -286,28 +290,30 @@ def _odd_pi_eigenvalue(spec: InstanceSpec, stream: Stream):
     u = yield (n, stream.subseed())
     x = _conj_by(u, np.diag([complex(v) for v in values]))
 
-    if mult >= 2 and not p.get("violate"):
+    if mult == 2 and not violate:
         # a log of -I on the odd-pi eigenspace in its own random basis:
         # Y is then not a function of X, yet must still commute with it
-        signs = np.diag([1j * _PI if j % 2 == 0 else -1j * _PI
-                         for j in range(mult)])
-        vb = yield (mult, stream.subseed())
-        y_block = _conj_by(vb, signs)
-        y_core = _block_diag(y_block, _fold_diag(rest))
+        vb = yield (2, stream.subseed())
+        y_core = _block_diag(_conj_by(vb, _PM_PI), _fold_diag(rest))
     else:
         y_core = _fold_diag(values)
     y = _conj_by(u, y_core)
     return x, y, {"odd_value": v_odd, "mult": mult}
 
 
+# family -> (builder, whether its equation is exp(iX)=exp(Y), the
+# parameters it reads)
 _BUILDERS = {
-    Family.INTERIOR_PAIR: (_interior_pair, False),
-    Family.BOUNDARY_FLIP_PAIR: (_boundary_flip_pair, False),
-    Family.DISTINCT_PROJECTION_PAIR: (_distinct_projection_pair, False),
-    Family.SHIFTED_BRANCH_PAIR: (_shifted_branch_pair, False),
-    Family.NON_NORMAL_LOG_PAIR: (_non_normal_log_pair, False),
-    Family.SELF_ADJOINT_CONGRUENCE_FREE: (_self_adjoint_congruence_free, True),
-    Family.ODD_PI_EIGENVALUE: (_odd_pi_eigenvalue, True),
+    Family.INTERIOR_PAIR: (_interior_pair, False, ()),
+    Family.BOUNDARY_FLIP_PAIR: (_boundary_flip_pair, False,
+                                ("side", "boundary", "conjugate_pair")),
+    Family.DISTINCT_PROJECTION_PAIR: (_distinct_projection_pair, False, ()),
+    Family.SHIFTED_BRANCH_PAIR: (_shifted_branch_pair, False,
+                                 ("k_lo", "k_hi")),
+    Family.NON_NORMAL_LOG_PAIR: (_non_normal_log_pair, False, ()),
+    Family.SELF_ADJOINT_CONGRUENCE_FREE: (_self_adjoint_congruence_free, True,
+                                          ("violate",)),
+    Family.ODD_PI_EIGENVALUE: (_odd_pi_eigenvalue, True, ("violate",)),
 }
 
 
@@ -327,16 +333,16 @@ def make_pairs(specs) -> list:
 
     Each builder draws from its own stream in its own order, and hands
     back a ``(size, subseed)`` request wherever it needs a Haar unitary;
-    the pending requests of one size are served by one
-    :func:`~normlog.harness.rng.unitary_stack` call. Both sides of every
-    self-test equation are then exponentiated as stacks, one per matrix
-    size. Every result is bit for bit the lone one. When specs fail, the
-    first of them in chunk order raises what its lone call would.
+    the pending requests of one size are served by one stacked draw.
+    Both sides of every self-test equation are then exponentiated as
+    stacks, one per matrix size. Every result is bit for bit the lone
+    one. When specs fail, the first of them in chunk order raises what
+    its lone call would.
     """
     specs = list(specs)
     skews, running = [], []
     for spec in specs:
-        builder, skew = _BUILDERS[Family(spec.family)]
+        builder, skew, _ = _BUILDERS[Family(spec.family)]
         skews.append(skew)
         running.append(builder(spec, Stream(spec.seed)))
     built: list = [None] * len(specs)  # (x, y, extra), or ConstructionFailed
@@ -354,7 +360,7 @@ def make_pairs(specs) -> list:
         replies = {}
         for size in sorted({size for size, _ in requests.values()}):
             wanted = [i for i, (s, _) in requests.items() if s == size]
-            unitaries = unitary_stack(size, [requests[i][1] for i in wanted])
+            unitaries = _unitary_stack(size, [requests[i][1] for i in wanted])
             replies.update(zip(wanted, unitaries))
 
     residuals = {}
@@ -365,10 +371,10 @@ def make_pairs(specs) -> list:
         for j, i in enumerate(group):
             if skews[i]:  # iX, as 1j * x computes it
                 np.multiply(1j, lhs[j], out=lhs[j])
-        lhs = exp_stack(lhs)
-        rhs = exp_stack(np.stack([built[i][1] for i in group]))
+        lhs = _exp_stack(lhs)
+        rhs = _exp_stack(np.stack([built[i][1] for i in group]))
         for i, left, right in zip(group, lhs, rhs):
-            residuals[i] = frob(left - right) / max(frob(left), 1e-300)
+            residuals[i] = _exp_gap(left, right)
 
     out = []
     for i, spec in enumerate(specs):

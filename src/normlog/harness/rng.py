@@ -13,17 +13,15 @@ Uniform doubles take the top 53 bits; Gaussian variates come from
 Box-Muller on consecutive uniforms. Every draw is a pure function of
 (seed, counter), so any consumer can reproduce an instance exactly.
 
-``Stream.complex_gaussian_matrix`` draws a whole matrix at once: it
-hashes all its counters with wrapping numpy ``uint64`` arithmetic and
-equals the scalar ``normal()`` stream bit for bit. For that reason its
-log, cos and sin come from ``math`` element by element: numpy's
-vectorized transcendentals may round differently from libm.
-
-``random_unitary(n, seed)`` reads only its seed, from a fresh stream, so
-the unitaries of many seeds can be drawn together: ``unitary_stack``
-hashes the counters of all of them in one pass and orthonormalizes them
-in one stacked QR, sharing the hashing body of
-``complex_gaussian_matrix``. ``random_unitary`` is that kernel on a
+``random_unitary(n, seed)`` orthonormalizes the n x n matrix of
+``complex(normal(), normal()) / sqrt(2)``, drawn row-major from a fresh
+stream of ``seed``. It reads only its seed, so the unitaries of many
+seeds can be drawn together: ``_unitary_stack`` hashes the counters of
+all of them in one pass of wrapping numpy ``uint64`` arithmetic and
+orthonormalizes them in one stacked QR. The Gaussians equal the scalar
+``normal()`` stream bit for bit, so their log, cos and sin come from
+``math`` element by element: numpy's vectorized transcendentals may
+round differently from libm. ``random_unitary`` is that kernel on a
 stack of one.
 """
 
@@ -33,7 +31,7 @@ import math
 
 import numpy as np
 
-__all__ = ["Stream", "mix64", "random_unitary", "unitary_stack"]
+__all__ = ["Stream", "mix64", "random_unitary"]
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -91,33 +89,17 @@ class Stream:
     def subseed(self) -> int:
         return self.u64()
 
-    def complex_gaussian_matrix(self, n: int) -> np.ndarray:
-        """n x n matrix of complex(normal(), normal()) / sqrt(2), row-major.
 
-        Equal bit for bit to that scalar loop, including a pending spare
-        normal, and leaves the stream where the loop would.
-        """
-        pairs = n * n
-        normals = _gaussians(np.array([self.seed], dtype=np.uint64),
-                             self.counter + 1, pairs)[0]
-        self.counter += 2 * pairs
-        if self._spare_normal is not None and pairs:
-            normals = np.concatenate(([self._spare_normal], normals))
-            self._spare_normal = float(normals[-1])
-            normals = normals[:-1]
-        return (normals / math.sqrt(2)).view(complex).reshape(n, n)
-
-
-def _gaussians(seeds: np.ndarray, first: int, pairs: int) -> np.ndarray:
-    """Box-Muller normals from draws ``first, ..., first + 2*pairs - 1`` of
-    each seed in the uint64 array ``seeds``, one row of ``2*pairs``
-    values per seed, as ``normal()`` returns them from a fresh pair.
+def _gaussians(seeds: np.ndarray, pairs: int) -> np.ndarray:
+    """The first ``2*pairs`` normals of a fresh stream of each seed in the
+    uint64 array ``seeds``, one row per seed, as ``normal()`` returns
+    them.
 
     All counters of all seeds are hashed in one pass of wrapping numpy
     ``uint64`` arithmetic; log, cos and sin come from ``math`` element by
     element.
     """
-    z = np.arange(first, first + 2 * pairs, dtype=np.uint64)
+    z = np.arange(1, 2 * pairs + 1, dtype=np.uint64)
     z *= _GAMMA_U64
     z = z + seeds[:, None]
     for shift, mult in _MIX_U64:
@@ -143,25 +125,25 @@ def random_unitary(n: int, seed: int) -> np.ndarray:
 
     QR-orthonormalization with the R-diagonal phases divided out; the
     result is deterministic per (n, seed) and unitary to roundoff. It is
-    :func:`unitary_stack` on a stack of one.
+    :func:`_unitary_stack` on a stack of one.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return unitary_stack(n, [seed])[0]
+    return _unitary_stack(n, [seed])[0]
 
 
-def unitary_stack(n: int, seeds) -> np.ndarray:
+def _unitary_stack(n: int, seeds) -> np.ndarray:
     """``random_unitary(n, s)`` for each seed ``s``, as a (k, n, n) stack.
 
-    Each seed's Gaussian matrix is drawn from a fresh stream, as
-    ``Stream(s).complex_gaussian_matrix(n)``; the draws of all seeds are
-    hashed together and the QR factorization is one stacked numpy call,
-    one LAPACK call per matrix, so entry i is bit for bit the lone
-    ``random_unitary(n, seeds[i])`` (Mezzadri, "How to generate random
-    matrices from the classical compact groups", Notices AMS, 2007).
+    Each seed's Gaussian matrix is drawn from a fresh stream; the draws
+    of all seeds are hashed together and the QR factorization is one
+    stacked numpy call, one LAPACK call per matrix, so entry i is bit for
+    bit the lone ``random_unitary(n, seeds[i])`` (Mezzadri, "How to
+    generate random matrices from the classical compact groups", Notices
+    AMS, 2007).
     """
     seeds = np.array([s & _MASK for s in seeds], dtype=np.uint64)
-    g = (_gaussians(seeds, 1, n * n) / math.sqrt(2)).view(complex)
+    g = (_gaussians(seeds, n * n) / math.sqrt(2)).view(complex)
     q, r = np.linalg.qr(g.reshape(-1, n, n))
     d = np.diagonal(r, axis1=1, axis2=2)
     return q * (d / np.abs(d))[:, None, :]

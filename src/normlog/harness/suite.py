@@ -17,7 +17,7 @@ import math
 
 from ..checks import CHECK_NAMES, PairAnalysis, decompose_pairs, run_check
 from ..config import DEFAULT_TOL, Tolerances
-from .generators import Family, InstanceSpec, make_pairs
+from .generators import Family, InstanceSpec, _require_keys, make_pairs
 from .rng import mix64
 
 __all__ = ["analyze_pair", "default_config", "report", "run_suite",
@@ -77,19 +77,20 @@ def default_config() -> dict:
     }
 
 
+# the keys of a suite config and of each of its family entries
+_CONFIG_KEYS = ("base_seed", "sizes", "seeds", "tol", "families")
+_ENTRY_KEYS = ("family", "label", "params", "checks")
+
+
 def tolerances_from_config(overrides) -> Tolerances:
     """Default tolerances with a config's ``tol`` overrides applied.
 
     Raises ValueError unless ``overrides`` maps field names to finite
     positive numbers.
     """
-    if not isinstance(overrides, dict):
-        raise ValueError(f"tol must be an object, got {overrides!r}")
-    fields = {f.name for f in dataclasses.fields(Tolerances)}
+    _require_keys(overrides, [f.name for f in dataclasses.fields(Tolerances)],
+                  "tol")
     for key, value in overrides.items():
-        if key not in fields:
-            raise ValueError(f"unknown tolerance {key!r}; expected one of "
-                             f"{sorted(fields)}")
         if (isinstance(value, bool) or not isinstance(value, (int, float))
                 or not (math.isfinite(value) and value > 0)):
             raise ValueError(f"tolerance {key!r} must be a finite positive "
@@ -122,20 +123,19 @@ _CHUNK_ENTRIES = 8192
 
 
 def _run_chunk(task) -> list[dict]:
-    label, family, params, n, seeds, tol, checks = task
+    label, spec, seeds, tol, checks = task
     pairs = [
         # make_pairs' self-test measured the exponential gap on these arrays
         analyze_pair(x, y, metadata, tol, exp_gap=(
             metadata["equation"], metadata["self_test_residual"]))
         for x, y, metadata in make_pairs([
-            InstanceSpec(family=Family(family), n=n, seed=seed,
-                         params=dict(params)) for seed in seeds])]
+            dataclasses.replace(spec, seed=seed) for seed in seeds])]
     decompose_pairs(pairs, checks)
     rows = []
     for i, seed in enumerate(seeds):
         pair, pairs[i] = pairs[i], None  # freed once its rows are written
         for check_name in checks:
-            row = {"family": label, "n": n, "seed": seed}
+            row = {"family": label, "n": spec.n, "seed": seed}
             row.update(run_check(check_name, pair).to_dict())
             rows.append(row)
     return rows
@@ -146,11 +146,14 @@ def run_suite(config: dict | None = None, jobs: int = 1) -> dict:
 
     The returned report is a plain dict ready for JSON serialization;
     ``summary.failed == 0`` is the success criterion (hypothesis-skipped
-    checks do not fail the suite). Raises ValueError for ``jobs < 1``.
+    checks do not fail the suite). Raises ValueError, before any instance
+    is built, for ``jobs < 1`` and for a config key, family, size,
+    parameter, tolerance or check name it does not know.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     config = config or default_config()
+    _require_keys(config, _CONFIG_KEYS, "config")
     base = int(config.get("base_seed", 0))
     sizes = list(config.get("sizes", [2, 4, 8, 16]))
     n_seeds = int(config.get("seeds", 25))
@@ -158,6 +161,7 @@ def run_suite(config: dict | None = None, jobs: int = 1) -> dict:
 
     tasks = []
     for entry in config.get("families", []):
+        _require_keys(entry, _ENTRY_KEYS, "family entry")
         family = entry["family"]
         label = entry.get("label", family)
         params = entry.get("params", {})
@@ -167,12 +171,14 @@ def run_suite(config: dict | None = None, jobs: int = 1) -> dict:
             raise ValueError(f"unknown checks {unknown} for {label!r}; "
                              f"expected names from {list(CHECK_NAMES)}")
         for n in sizes:
+            # the chunks' specs differ from this one only in their seeds
+            spec = InstanceSpec(Family(family), n, 0, params)
             h = _label_hash(base, label, n)
             seeds = [mix64(h ^ i) for i in range(n_seeds)]
             size = max(1, _CHUNK_ENTRIES // (n * n))
             for start in range(0, n_seeds, size):
-                tasks.append((label, family, params, n,
-                              seeds[start:start + size], tol, checks))
+                tasks.append((label, spec, seeds[start:start + size], tol,
+                              checks))
 
     if jobs > 1:
         # imported here: serial runs never pay for the process pool

@@ -33,7 +33,6 @@ __all__ = [
     "in_double_commutant",
     "is_normal",
     "modulus",
-    "modulus_stack",
     "re_part",
     "simultaneous_diagonalize",
 ]
@@ -243,15 +242,15 @@ def modulus(x, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     Defined for arbitrary (not necessarily normal) input. Eigenvalues of
     ``x*x`` that round slightly negative are clamped to zero. Raises
     NotHermitian when ``x*x`` fails :func:`herm_eig`'s test. A lone
-    matrix is :func:`modulus_stack` on a stack of one.
+    matrix is :func:`_modulus_stack` on a stack of one.
     """
-    (result,) = modulus_stack(as_square_matrix(x)[None], tol=tol)
+    (result,) = _modulus_stack(as_square_matrix(x)[None], tol=tol)
     if isinstance(result, Exception):
         raise result
     return result
 
 
-def modulus_stack(x: np.ndarray, *, tol: Tolerances = DEFAULT_TOL) -> list:
+def _modulus_stack(x: np.ndarray, *, tol: Tolerances = DEFAULT_TOL) -> list:
     """``modulus(x[i])`` for each matrix of a validated (k, n, n) stack.
 
     Entry i is the modulus, bit for bit the lone result, or the error the

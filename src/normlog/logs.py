@@ -17,14 +17,13 @@ import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import ExpNotNormal, NotNormal, Singular
-from .linalg import _as_square_stack, as_square_matrix, commutator, frob
+from .linalg import as_square_matrix, commutator, frob
 from .spectral import SpectralDecomposition, normal_eig
 
 __all__ = [
     "KurepaDecomposition",
     "branch_log",
     "exp_general",
-    "exp_stack",
     "kurepa_decompose",
     "principal_log",
 ]
@@ -49,18 +48,21 @@ def exp_general(x) -> np.ndarray:
 
     Works for arbitrary square complex input; agrees with the spectral
     exponential ``borel_calculus(normal_eig(x), cmath.exp)`` on normal
-    matrices up to rounding. A (k, n, n) stack gives the stack of the
-    exponentials of its matrices, each bit for bit the lone result; a
-    lone matrix is :func:`exp_stack` on a stack of one.
+    matrices up to rounding. It is :func:`_exp_stack` on a stack of one.
     """
-    x = np.asarray(x)
-    if x.ndim == 3:
-        return exp_stack(_as_square_stack(x))
-    return exp_stack(as_square_matrix(x)[None])[0]
+    return _exp_stack(as_square_matrix(x)[None])[0]
 
 
-def exp_stack(x: np.ndarray) -> np.ndarray:
-    """The exponentials of a validated (k, n, n) complex stack.
+def _exp_gap(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    """The relative gap ``||lhs - rhs|| / ||lhs||`` of the two sides of an
+    exponential equation: the build-time self-test and the exponential
+    gate of the checks both take it, so a measured gap is the gate's."""
+    return frob(lhs - rhs) / max(frob(lhs), 1e-300)
+
+
+def _exp_stack(x: np.ndarray) -> np.ndarray:
+    """The exponentials of a validated (k, n, n) complex stack, each bit
+    for bit the lone result.
 
     The matrices are grouped by squaring count; each group runs the
     Pade kernel as one numpy call per step, one BLAS or LAPACK call per

@@ -29,11 +29,13 @@ from normlog.harness import (
     write_report,
 )
 from normlog.harness.generators import make_pairs
-from normlog.harness.rng import unitary_stack
+from normlog.harness.rng import _gaussians, _unitary_stack
 from normlog.harness.cli import main as cli_main
 from normlog.linalg import dagger, frob, is_normal
 from normlog.logs import TWO_PI
 from normlog.spectral import normal_eig
+
+from util import gaussian_matrix
 
 PI = math.pi
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -71,30 +73,20 @@ class TestStream:
         assert abs(mean) < 0.1 and abs(var - 1.0) < 0.15
 
 
-def _scalar_gaussian_matrix(stream, n):
-    out = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = complex(stream.normal(), stream.normal()) / math.sqrt(2)
-    return out
-
-
 class TestGaussianMatrix:
     @pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, 2**64 - 1])
     @pytest.mark.parametrize("n", [1, 2, 3, 16, 128])
-    @pytest.mark.parametrize("spare", [False, True], ids=["fresh", "spare"])
-    def test_equals_scalar_stream(self, n, seed, spare):
-        array, scalar = Stream(seed), Stream(seed)
-        if spare:  # one normal() leaves its Box-Muller partner pending
-            array.normal()
-            scalar.normal()
-        got = array.complex_gaussian_matrix(n)
-        want = _scalar_gaussian_matrix(scalar, n)
-        assert got.shape == (n, n) and got.dtype == complex
-        assert got.tobytes() == want.tobytes()
-        assert array.counter == scalar.counter
-        assert [array.normal() for _ in range(3)] == [scalar.normal() for _ in range(3)]
-        assert array.u64() == scalar.u64()
+    def test_equals_scalar_stream(self, n, seed):
+        # row i is the first 2 n^2 normal() draws of a fresh stream of
+        # seeds[i]; over sqrt(2) it is the scalar loop's Gaussian matrix
+        seeds = [seed, mix64(seed), seed]
+        got = _gaussians(np.array(seeds, dtype=np.uint64), n * n)
+        assert got.shape == (3, 2 * n * n)
+        for s, row in zip(seeds, got):
+            stream = Stream(s)
+            assert row.tolist() == [stream.normal() for _ in range(2 * n * n)]
+        assert (got[0] / math.sqrt(2)).tobytes() == (
+            gaussian_matrix(Stream(seed), n).tobytes())
 
 
 class TestRandomUnitary:
@@ -114,11 +106,11 @@ class TestRandomUnitary:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16, 24, 64])
     def test_stacked_draw_equals_lone_draws(self, n):
         seeds = [7, 2 ** 64 - 1, -3, mix64(n), 7]
-        stack = unitary_stack(n, seeds)
+        stack = _unitary_stack(n, seeds)
         assert stack.shape == (len(seeds), n, n)
         for seed, u in zip(seeds, stack):
             # the lone draw, and the QR-with-phases recipe step by step
-            q, r = np.linalg.qr(Stream(seed).complex_gaussian_matrix(n))
+            q, r = np.linalg.qr(gaussian_matrix(Stream(seed), n))
             d = np.diag(r)
             assert u.tobytes() == random_unitary(n, seed).tobytes()
             assert u.tobytes() == (q * (d / np.abs(d))).tobytes()
@@ -261,6 +253,87 @@ class TestChunkBuilder:
         assert str(chunk.value) == str(lone.value)
 
 
+def _workloads() -> dict:
+    """The benchmark's workloads, from ``perfbench/workloads.py``."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        from workloads import WORKLOADS
+    finally:
+        sys.path.pop(0)
+    return WORKLOADS
+
+
+class _Recording(dict):
+    """Family parameters that record every key a builder reads."""
+
+    def __init__(self):
+        super().__init__()
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+
+# The family parameters that became constants, each with a value.
+_CONSTANTS = [
+    *((fam, name, 1.0) for fam in ("InteriorPair", "BoundaryFlipPair",
+                                   "DistinctProjectionPair",
+                                   "ShiftedBranchPair")
+      for name in ("re_range", "im_margin")),
+    ("DistinctProjectionPair", "pairs", 1), ("NonNormalLogPair", "pairs", 1),
+    ("SelfAdjointCongruenceFree", "span", 8.0),
+    ("OddPiEigenvalue", "span", 8.0), ("OddPiEigenvalue", "mult", 2),
+]
+
+
+class TestFamilyParameters:
+    @pytest.mark.parametrize("family", list(Family))
+    def test_builders_read_exactly_the_declared_names(self, family):
+        declared = set(normlog.harness.generators._BUILDERS[family][2])
+        for n in (2, 8):
+            params = _Recording()
+            make_pair(InstanceSpec(family, n, 3, params=params))
+            assert params.read == declared, n
+
+    def test_seven_parameters(self):
+        assert sum(len(names) for _, _, names in
+                   normlog.harness.generators._BUILDERS.values()) == 7
+
+    @pytest.mark.parametrize("family, name, value", _CONSTANTS,
+                             ids=lambda v: str(v))
+    def test_constants_are_rejected(self, family, name, value):
+        assert len(_CONSTANTS) == 13
+        with pytest.raises(ValueError, match=f"unknown keys .'{name}'. "
+                                             f"in {family} params"):
+            InstanceSpec(Family(family), 4, 1, params={name: value})
+
+    def test_misspelt_parameter_names_the_known_ones(self):
+        with pytest.raises(ValueError, match=(
+                r"\['violat'\] in OddPiEigenvalue params; expected names "
+                r"from \['violate'\]")):
+            InstanceSpec(Family.ODD_PI_EIGENVALUE, 4, 1,
+                         params={"violat": 1})
+
+    @pytest.mark.parametrize("params", [[("violate", 1)], None, "violate"])
+    def test_params_must_be_a_dict(self, params):
+        with pytest.raises(ValueError, match="params must be an object"):
+            InstanceSpec(Family.ODD_PI_EIGENVALUE, 4, 1, params=params)
+
+    @pytest.mark.parametrize("family, n", [("Nope", 4), ("InteriorPair", 0)])
+    def test_bad_family_or_size(self, family, n):
+        with pytest.raises(ValueError):
+            InstanceSpec(family, n, 1)
+
+
 class TestMatrixFormat:
     def test_round_trip_exact(self, tmp_path):
         x, y, meta = make_pair(InstanceSpec(family=Family.SHIFTED_BRANCH_PAIR,
@@ -299,12 +372,7 @@ class TestReportWriter:
     @pytest.mark.parametrize("workload", ["suite-serial", "large-n",
                                           "bicommutant"])
     def test_workload_reports(self, tmp_path, workload):
-        sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-        try:
-            from workloads import WORKLOADS
-        finally:
-            sys.path.pop(0)
-        config = WORKLOADS[workload].config(20240901)
+        config = _workloads()[workload].config(20240901)
         self._assert_as_json_dump(tmp_path, run_suite(config))
 
     def test_empty_results(self, tmp_path):
@@ -313,8 +381,7 @@ class TestReportWriter:
 
     def test_quotes_and_non_ascii(self, tmp_path):
         config = {"base_seed": 3, "sizes": [2], "seeds": 2, "families": [
-            {"family": "InteriorPair", "label": 'say "pi" \\ \u00e9t\u00e9',
-             "params": {"re_range": 1.25}},
+            {"family": "InteriorPair", "label": 'say "pi" \\ \u00e9t\u00e9'},
             {"family": "OddPiEigenvalue", "label": "\u03c0/\u5bf9\u6570\n\t",
              "checks": ["double_commutant"]}]}
         doc = run_suite(config)
@@ -480,6 +547,55 @@ class TestSuite:
                          "families": [{"family": "InteriorPair"}]})
         assert rep["summary"]["failed"] == 0
 
+    @pytest.mark.parametrize("change, match", [
+        ({"seed": 5}, "unknown keys .'seed'. in config"),
+        ({"sizes": [2, 0]}, "n must be >= 1"),
+        ({"families": [{"family": "InteriorPair"},
+                       {"family": "BoundaryFlipPair",
+                        "check": ["real_part"]}]},
+         "unknown keys .'check'. in family entry"),
+        ({"families": [{"family": "InteriorPair"},
+                       {"family": "OddPiEigenvalue",
+                        "label": "OddPiEigenvalue/two-odd-control",
+                        "params": {"violat": 1}}]},
+         "unknown keys .'violat'. in OddPiEigenvalue params"),
+        ({"families": [{"family": "InteriorPair"},
+                       {"family": "ShiftedBranchPair",
+                        "params": {"k_lo": -2, "re_range": 1.0}}]},
+         "unknown keys .'re_range'. in ShiftedBranchPair params"),
+        ({"families": [{"family": "InteriorPair"},
+                       {"family": "InteriorPair", "label": "x",
+                        "params": [1]}]},
+         "params must be an object"),
+        ({"families": [{"family": "InteriorPair"}, ["InteriorPair"]]},
+         "family entry must be an object"),
+        ({"families": [{"family": "InteriorPair"}, {"family": "Nope"}]},
+         "Nope"),
+    ], ids=["config-key", "size", "entry-key", "misspelt-control",
+            "constant", "params-list", "entry-list", "family"])
+    def test_bad_config_rejected_before_work(self, change, match,
+                                             monkeypatch):
+        calls = self._count_built(monkeypatch)
+        cfg = {"sizes": [2], "seeds": 1,
+               "families": [{"family": "InteriorPair"}]}
+        cfg.update(change)
+        with pytest.raises(ValueError, match=match):
+            run_suite(cfg)
+        assert calls == []
+
+    def test_config_must_be_a_dict(self):
+        with pytest.raises(ValueError, match="config must be an object"):
+            run_suite([{"family": "InteriorPair"}])
+
+    def test_default_and_workload_configs_accepted(self, monkeypatch):
+        # every key is read; no instance is built
+        monkeypatch.setattr(normlog.harness.suite, "_run_chunk",
+                            lambda task: [])
+        configs = [default_config()] + [
+            w.config(20240901) for w in _workloads().values()]
+        for cfg in configs:
+            assert run_suite(cfg)["summary"]["total"] == 0
+
     def test_unknown_check_rejected_before_work(self, monkeypatch):
         calls = self._count_built(monkeypatch)
         cfg = {"sizes": [2], "seeds": 1,
@@ -570,7 +686,7 @@ class TestSharedAnalysis:
         exponentiated = []
         real_make_pairs = normlog.harness.suite.make_pairs
         real_stack = normlog.checks.normal_eig_stack
-        real_exp_stack = normlog.harness.generators.exp_stack
+        real_exp_stack = normlog.harness.generators._exp_stack
         real_exp = normlog.checks.exp_general
 
         def operand(arg, k):
@@ -606,7 +722,7 @@ class TestSharedAnalysis:
             return real_stack(ms, **kwargs)
 
         monkeypatch.setattr(normlog.harness.suite, "make_pairs", make_pairs_spy)
-        monkeypatch.setattr(normlog.harness.generators, "exp_stack",
+        monkeypatch.setattr(normlog.harness.generators, "_exp_stack",
                             self_test_exp_spy)
         monkeypatch.setattr(normlog.checks, "exp_general", checks_exp_spy)
         monkeypatch.setattr(normlog.checks, "normal_eig_stack", stack_spy)
@@ -687,6 +803,18 @@ class TestCli:
         assert cli_main(["check", "--name", "real_part", "--in", pair,
                          "--tol", "1e-30"]) == 1
         assert "[FAIL]" in capsys.readouterr().out
+
+    def test_unknown_key_exits_2(self, tmp_path, capsys):
+        pair = tmp_path / "pair.json"
+        assert cli_main(["generate", "--family", "InteriorPair", "--n", "4",
+                         "--seed", "1", "--param", "re_range=1",
+                         "--out", str(pair)]) == 2
+        assert not pair.exists()
+        assert "re_range" in capsys.readouterr().err
+        config = tmp_path / "suite.json"
+        config.write_text(json.dumps({"sizes": [2], "seed": 5}))
+        assert cli_main(["suite", "--config", str(config)]) == 2
+        assert "'seed'" in capsys.readouterr().err
 
     def test_check_recomputes_exp_gate_from_matrices(self, tmp_path, capsys):
         # a pair file's self_test_residual is not trusted for the gate

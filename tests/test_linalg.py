@@ -5,6 +5,7 @@ from normlog.errors import NotCommuting, NotHermitian
 from normlog.harness import Stream, random_unitary
 from normlog.linalg import (
     _as_square_stack,
+    _modulus_stack,
     as_square_matrix,
     commutant_basis,
     dagger,
@@ -15,17 +16,16 @@ from normlog.linalg import (
     _cluster_slices,
     _eigh,
     modulus,
-    modulus_stack,
     simultaneous_diagonalize,
 )
 from normlog.config import DEFAULT_TOL
 from normlog.spectral import normal_eig
 
-from util import random_hermitian, random_normal_matrix
+from util import gaussian_matrix, random_hermitian, random_normal_matrix
 
 
 def _frob_inputs(n):
-    g = Stream(n).complex_gaussian_matrix(n)
+    g = gaussian_matrix(Stream(n), n)
     yield "complex", g
     yield "real", g.real.copy()
     yield "complex F", np.asfortranarray(g)
@@ -219,18 +219,18 @@ class TestModulus:
     @pytest.mark.parametrize("n", [1, 2, 5, 16])
     def test_stack_equals_lone_calls(self, n):
         x, _, _ = random_normal_matrix(n, 40 + n)
-        g = Stream(n).complex_gaussian_matrix(n)
+        g = gaussian_matrix(Stream(n), n)
         stack = np.stack([x, g, np.zeros((n, n)), g @ g, x])
-        for m, got in zip(stack, modulus_stack(stack)):
+        for m, got in zip(stack, _modulus_stack(stack)):
             assert got.tobytes() == modulus(m).tobytes()
 
     def test_errors_kept_per_entry(self):
         # X*X overflows: the lone call rejects it as herm_eig's input
         big = np.diag([1e200, 1.0]).astype(complex)
-        g = Stream(3).complex_gaussian_matrix(2)
+        g = gaussian_matrix(Stream(3), 2)
         stack = np.stack([g, big, g])
         with np.errstate(over="ignore", invalid="ignore"):
-            got = modulus_stack(stack)
+            got = _modulus_stack(stack)
             with pytest.raises(ValueError) as lone:
                 modulus(big)
         assert type(got[1]) is ValueError and str(got[1]) == str(lone.value)
@@ -239,7 +239,7 @@ class TestModulus:
         # a generic X*X fail a tolerance of 1e-300, a real diagonal one not
         strict = DEFAULT_TOL.replace(herm=1e-300)
         stack = np.stack([g, g @ g, np.diag([2.0, 1j])])
-        got = modulus_stack(stack, tol=strict)
+        got = _modulus_stack(stack, tol=strict)
         assert not isinstance(got[2], Exception)
         for m, one in zip(stack, got):
             if isinstance(one, Exception):
@@ -250,8 +250,15 @@ class TestModulus:
             else:
                 assert one.tobytes() == modulus(m, tol=strict).tobytes()
 
+    @pytest.mark.parametrize("bad", [np.zeros((2, 3, 4)), np.zeros((2, 3, 3)),
+                                     np.diag([np.inf, 1.0])])
+    def test_rejects_stacks_and_non_finite(self, bad):
+        # one matrix only: the stacked kernel is private
+        with pytest.raises(ValueError):
+            modulus(bad)
+
     def test_psd_and_squares_to_gram(self):
-        g = Stream(9).complex_gaussian_matrix(5)
+        g = gaussian_matrix(Stream(9), 5)
         m = modulus(g)
         assert frob(m - dagger(m)) <= 1e-12 * frob(g)
         w, _ = herm_eig(m)

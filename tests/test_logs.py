@@ -9,6 +9,7 @@ from normlog.errors import ExpNotNormal, NotNormal, Singular
 from normlog.harness import Family, InstanceSpec, Stream, make_pair, random_unitary
 from normlog.linalg import dagger, frob
 from normlog.logs import (
+    _exp_stack,
     branch_log,
     exp_general,
     kurepa_decompose,
@@ -16,7 +17,7 @@ from normlog.logs import (
 )
 from normlog.spectral import borel_calculus, normal_eig
 
-from util import random_normal_matrix
+from util import gaussian_matrix, random_normal_matrix
 
 PI = math.pi
 
@@ -69,23 +70,30 @@ class TestExpGeneral:
     def test_stack_equals_lone_calls(self, n):
         # 1-norms from 0 to about 40: squaring counts 0 to 3 and the zero
         # matrix's identity, interleaved
-        g = Stream(n).complex_gaussian_matrix(n) / n
+        g = gaussian_matrix(Stream(n), n) / n
         scales = [0.5, 0.0, 40.0, 3.0, 0.5, 12.0, 1e-3, 0.0]
         stack = np.stack([s * g for s in scales])
         counts = [-1 if s == 0.0 else
                   max(0, math.ceil(math.log2(np.linalg.norm(m, 1) / 5.3719)))
                   for s, m in zip(scales, stack)]
         assert len(set(counts)) >= 4
-        got = exp_general(stack)
+        got = _exp_stack(stack)
         assert got.shape == stack.shape
         for m, e in zip(stack, got):
             assert e.tobytes() == exp_general(m).tobytes()
         assert got[1].tobytes() == np.eye(n, dtype=complex).tobytes()
 
-    @pytest.mark.parametrize("bad", [np.zeros((2, 3, 3, 1)), np.zeros((1, 2, 3)),
-                                     np.full((1, 2, 2), np.inf)])
-    def test_rejects_bad_stack(self, bad):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("bad, message", [
+        (np.zeros((2, 3, 3)), "expected a square matrix"),
+        (np.zeros((2, 3, 3, 1)), "expected a square matrix"),
+        (np.zeros((1, 2, 3)), "expected a square matrix"),
+        (np.full((1, 2, 2), np.inf), "expected a square matrix"),
+        (np.diag([np.inf, 1.0]), "finite"),
+    ], ids=["stack", "4d", "non-square stack", "non-finite stack",
+            "non-finite"])
+    def test_rejects_bad_input(self, bad, message):
+        # one matrix only: the stacked kernel is private
+        with pytest.raises(ValueError, match=message):
             exp_general(bad)
 
 

@@ -57,6 +57,9 @@ def test_reexports_are_public_in_their_module(package):
     ("logs", "BranchShift"),
     ("logs", "exp_normal"),
     ("linalg", "CommutantBasis"),
+    ("logs", "exp_stack"),
+    ("linalg", "modulus_stack"),
+    ("harness.rng", "unitary_stack"),
 ])
 def test_deleted_names_are_gone(module, name):
     assert not hasattr(importlib.import_module(f"normlog.{module}"), name)

@@ -1,5 +1,7 @@
 """Shared seeded builders and reference checks for the test suite."""
 
+import math
+
 import numpy as np
 
 from normlog.config import DEFAULT_TOL
@@ -9,8 +11,18 @@ from normlog.report import CheckReport
 from normlog.spectral import borel_calculus, normal_eig, spectral_measure
 
 
+def gaussian_matrix(stream, n):
+    """The n x n matrix of complex(normal(), normal()) / sqrt(2), drawn
+    row-major from ``stream`` one scalar at a time."""
+    out = np.empty((n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            out[i, j] = complex(stream.normal(), stream.normal()) / math.sqrt(2)
+    return out
+
+
 def random_hermitian(n, seed, scale=1.0):
-    g = Stream(seed).complex_gaussian_matrix(n)
+    g = gaussian_matrix(Stream(seed), n)
     return scale * (g + dagger(g)) / 2
 
 
