@@ -25,6 +25,7 @@ from .config import DEFAULT_TOL, Tolerances
 from .errors import ExpNotNormal, NormLogError, NotNormal, Singular
 from .linalg import (
     _modulus_stack,
+    _same_bytes,
     as_square_matrix,
     commutant_basis,
     commutator,
@@ -34,7 +35,7 @@ from .linalg import (
     modulus,
     re_part,
 )
-from .logs import TWO_PI, _exp_gap, exp_general, kurepa_decompose
+from .logs import TWO_PI, _exp_gap, _kurepa_split, exp_general
 from .report import CheckReport
 from .spectral import (
     HLine,
@@ -159,6 +160,11 @@ class PairAnalysis:
     def exp_y(self) -> np.ndarray:
         return exp_general(self.y)
 
+    # normal_eig(e^Y), or the NormLogError it raised: what kurepa splits
+    @cached_property
+    def _attempt_exp_y(self):
+        return normal_eig_stack(self.exp_y[None], tol=self.tol)[0]
+
     @cached_property
     def exp_residual(self) -> float:
         """Relative gap between exp(X) and exp(Y)."""
@@ -194,41 +200,71 @@ class PairAnalysis:
         return modulus(self.y, tol=self.tol)
 
 
-# The moduli each check reads: check name -> PairAnalysis properties.
-_MODULI = {"modulus_equal": ("modulus_x", "modulus_y"),
-           "modulus_commute": ("modulus_x",)}
+# The stacked facts each check reads: check name -> PairAnalysis
+# attributes. A normality gate reads a decomposition attempt.
+_XY = ("_attempt_x", "_attempt_y")
+_READS = {
+    "real_part": _XY,
+    "spectral_agreement": _XY,
+    "modulus_equal": _XY + ("modulus_x", "modulus_y"),
+    "modulus_commute": ("_attempt_x", "modulus_x"),
+    "square_commute": ("_attempt_x",),
+    "corollary_cases": _XY,
+    "difference_formula": _XY,
+    "congruence_free": ("_attempt_x",),
+    "double_commutant": _XY,
+    "one_boundary_eigenvalue": _XY,
+    "y_in_bicommutant_of_exp": _XY,
+    "kurepa": ("_attempt_exp_y",),
+}
+# The operand of each stacked fact, a PairAnalysis attribute.
+_OPERANDS = {"_attempt_x": "x", "_attempt_y": "y", "_attempt_exp_y": "exp_y",
+             "modulus_x": "x", "modulus_y": "y"}
 
 
 def decompose_pairs(pairs, checks=()) -> None:
-    """Decompose the X and Y of every pair in one stacked call, and take
-    the moduli the named ``checks`` read in one more.
+    """Decompose, in one stacked call, exactly the operands the named
+    ``checks`` read (X, Y, or e^Y for ``kurepa``), and take the moduli
+    they read in one more.
 
-    The results seed each pair's decompositions and moduli, as
-    ``exp_gap`` seeds its exponential gate, so its checks read them
-    instead of computing them on first use; each is bit for bit what a
-    lone pair would compute. A modulus whose computation failed is not
-    seeded, so reading it raises as on a lone pair. The pairs must share
-    their tolerances and dimension.
+    The results seed each pair's facts, as ``exp_gap`` seeds its
+    exponential gate, so its checks read them instead of computing them
+    on first use; each is bit for bit what a lone pair would compute. A
+    pair's operands that are byte-equal (an InteriorPair's X and Y) are
+    analysed once and their facts share the result. A fact no named
+    check reads is left to be computed on first use; a modulus whose
+    computation failed is not seeded, so reading it raises as on a lone
+    pair. The pairs must share their tolerances and dimension.
     """
     if not pairs:
         return
     tol = pairs[0].tol
     if any(pair.tol != tol for pair in pairs):
         raise ValueError("pairs decomposed together must share tolerances")
-    attempts = normal_eig_stack([m for pair in pairs for m in (pair.x, pair.y)],
-                                tol=tol)
-    for pair, x, y in zip(pairs, attempts[0::2], attempts[1::2]):
-        pair.__dict__["_attempt_x"] = x
-        pair.__dict__["_attempt_y"] = y
-    facts = sorted({fact for name in checks for fact in _MODULI.get(name, ())})
-    if facts:
-        operands = [(pair, fact) for pair in pairs for fact in facts]
-        moduli = _modulus_stack(np.stack([
-            pair.x if fact == "modulus_x" else pair.y
-            for pair, fact in operands]), tol=tol)
-        for (pair, fact), result in zip(operands, moduli):
-            if not isinstance(result, Exception):
-                pair.__dict__[fact] = result
+    facts = sorted({fact for name in checks for fact in _READS.get(name, ())})
+    for prefix, analyse in (("_attempt", normal_eig_stack),
+                            ("modulus", _modulus_stack)):
+        seeds, operands, slots = [], [], []
+        for pair in pairs:
+            own = []  # the pair's operands so far, with their stack slots
+            for fact in facts:
+                if not fact.startswith(prefix):
+                    continue
+                m = getattr(pair, _OPERANDS[fact])
+                slot = next((s for o, s in own if _same_bytes(o, m)), None)
+                if slot is None:
+                    slot = len(operands)
+                    operands.append(m)
+                    own.append((m, slot))
+                seeds.append((pair, fact))
+                slots.append(slot)
+        if not seeds:
+            continue
+        results = analyse(np.stack(operands), tol=tol)
+        for (pair, fact), slot in zip(seeds, slots):
+            # a failed modulus is not seeded, so reading it raises
+            if prefix == "_attempt" or not isinstance(results[slot], Exception):
+                pair.__dict__[fact] = results[slot]
 
 
 def _boundary_measures(dec: SpectralDecomposition, tol: Tolerances) -> tuple:
@@ -237,8 +273,7 @@ def _boundary_measures(dec: SpectralDecomposition, tol: Tolerances) -> tuple:
 
 
 def _in_strip(dec: SpectralDecomposition, tol: Tolerances) -> bool:
-    return all(abs(lam.imag) <= math.pi + tol.boundary
-               for lam in dec.eigenvalues)
+    return dec._max_abs_imag <= math.pi + tol.boundary
 
 
 # Hypothesis gates: name -> (test on the pair, note of the skipped report).
@@ -569,15 +604,14 @@ def check_double_commutant(pair: PairAnalysis):
         raise _Unmet("spectrum is not 2*pi-congruence-free; "
                      "hypothesis not met")
 
-    dec_x = pair.dec_x
-    projections = [dec_x.projection(j) for j in range(len(dec_x.eigenvalues))]
+    blocks = pair.dec_x._projection_blocks()
     if pair.normal_y:
-        worst = max(pair.dec_y.bicommutant_distance(p, tol=tol)
-                    for p in projections)
+        worst = max(d for _, ps in blocks
+                    for d in pair.dec_y._bicommutant_distances(ps, tol=tol))
     else:
         basis = commutant_basis(y, tol=tol)
         worst = max(in_double_commutant(p, y, tol=tol, basis=basis)[1]
-                    for p in projections)
+                    for _, ps in blocks for p in ps)
     r_comm = _rel(frob(commutator(x, y)), pair.norm_x, pair.norm_y)
     return ({"double_commutant": worst, "commutator": r_comm},
             {"double_commutant": tol.check, "commutator": tol.check},
@@ -632,7 +666,7 @@ def check_kurepa(pair: PairAnalysis):
     read."""
     y, tol = pair.y, pair.tol
     try:
-        dec = kurepa_decompose(y, tol=tol)
+        dec = _kurepa_split(y, pair._attempt_exp_y, tol)
     except (ExpNotNormal, Singular) as exc:
         raise _Unmet(f"hypothesis not met: {exc}") from exc
     return ({"reconstruction": _rel(frob(dec.reconstruct() - y), pair.norm_y),

@@ -21,13 +21,14 @@ A family reads only the parameters ``_BUILDERS`` declares for it, and
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from ..errors import ConstructionFailed
-from ..linalg import dagger
+from ..linalg import _same_bytes, dagger
 from ..logs import TWO_PI, _exp_gap, _exp_stack
 from ..spectral import _fold_branch, _odd_pi_distance
 from .rng import Stream, _unitary_stack
@@ -61,13 +62,23 @@ class InstanceSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        """Raises ValueError for an unknown family, ``n < 1`` or a
-        parameter the family does not read."""
+        """Raises ValueError for an unknown family, an ``n`` that is not
+        an integer >= 1, or a parameter the family does not read or whose
+        value is not an integer (``violate`` and ``conjugate_pair`` also
+        take a boolean)."""
         family = Family(self.family)
+        _require_int(self.n, "n")
         if self.n < 1:
             raise ValueError("n must be >= 1")
         _require_keys(self.params, _BUILDERS[family][2],
                       f"{family.value} params")
+        for key, value in self.params.items():
+            _require_int(value, f"{family.value} param {key!r}",
+                         flag=key in _FLAGS)
+
+
+# the family parameters that are on/off switches
+_FLAGS = ("violate", "conjugate_pair")
 
 
 def _require_keys(obj, known, what: str) -> None:
@@ -79,6 +90,15 @@ def _require_keys(obj, known, what: str) -> None:
     if unknown:
         raise ValueError(f"unknown keys {unknown} in {what}; expected "
                          f"names from {list(known)}")
+
+
+def _require_int(value, what: str, flag: bool = False) -> None:
+    """Raises ValueError unless ``value`` is an integer, or, with
+    ``flag``, an integer or a boolean."""
+    if not isinstance(value, numbers.Integral) or (
+            isinstance(value, bool) and not flag):
+        kind = "an integer or a boolean" if flag else "an integer"
+        raise ValueError(f"{what} must be {kind}, got {value!r}")
 
 
 def _jittered_grid(stream: Stream, count: int, lo: float, hi: float,
@@ -339,6 +359,14 @@ def make_pairs(specs) -> list:
     one. When specs fail, the first of them in chunk order raises what
     its lone call would.
     """
+    return [built[:3] for built in _make_pairs(specs, False)]
+
+
+def _make_pairs(specs, keep_exp_y: bool) -> list:
+    """:func:`make_pairs`, with the self-test's e^Y of each pair as a
+    fourth entry if ``keep_exp_y``, else None: bit for bit
+    ``exp_general(y)``. A Y byte-equal to its pair's left side (an
+    InteriorPair's X) reuses that exponential."""
     specs = list(specs)
     skews, running = [], []
     for spec in specs:
@@ -363,7 +391,7 @@ def make_pairs(specs) -> list:
             unitaries = _unitary_stack(size, [requests[i][1] for i in wanted])
             replies.update(zip(wanted, unitaries))
 
-    residuals = {}
+    residuals, exp_ys = {}, {}
     ok = [i for i, b in enumerate(built) if not isinstance(b, ConstructionFailed)]
     for n in sorted({built[i][0].shape[0] for i in ok}):
         group = [i for i in ok if built[i][0].shape[0] == n]
@@ -372,9 +400,14 @@ def make_pairs(specs) -> list:
             if skews[i]:  # iX, as 1j * x computes it
                 np.multiply(1j, lhs[j], out=lhs[j])
         lhs = _exp_stack(lhs)
-        rhs = _exp_stack(np.stack([built[i][1] for i in group]))
-        for i, left, right in zip(group, lhs, rhs):
+        shared = [not skews[i] and _same_bytes(built[i][0], built[i][1])
+                  for i in group]
+        rest = [built[i][1] for i, same in zip(group, shared) if not same]
+        rhs = iter(_exp_stack(np.stack(rest)) if rest else ())
+        for i, left, same in zip(group, lhs, shared):
+            right = left if same else next(rhs)
             residuals[i] = _exp_gap(left, right)
+            exp_ys[i] = right if keep_exp_y else None
 
     out = []
     for i, spec in enumerate(specs):
@@ -394,5 +427,5 @@ def make_pairs(specs) -> list:
             "self_test_residual": residuals[i],
         }
         metadata.update(extra)
-        out.append((x, y, metadata))
+        out.append((x, y, metadata, exp_ys[i]))
     return out

@@ -15,9 +15,11 @@ from __future__ import annotations
 import dataclasses
 import math
 
-from ..checks import CHECK_NAMES, PairAnalysis, decompose_pairs, run_check
+from ..checks import (CHECK_NAMES, _READS, PairAnalysis, decompose_pairs,
+                      run_check)
 from ..config import DEFAULT_TOL, Tolerances
-from .generators import Family, InstanceSpec, _require_keys, make_pairs
+from .generators import (Family, InstanceSpec, _make_pairs, _require_int,
+                         _require_keys)
 from .rng import mix64
 
 __all__ = ["analyze_pair", "default_config", "report", "run_suite",
@@ -124,12 +126,18 @@ _CHUNK_ENTRIES = 8192
 
 def _run_chunk(task) -> list[dict]:
     label, spec, seeds, tol, checks = task
-    pairs = [
+    # the self-test's e^Y is kept only for a chunk whose checks decompose it
+    keep_exp_y = any("_attempt_exp_y" in _READS[name] for name in checks)
+    pairs = []
+    for x, y, metadata, exp_y in _make_pairs(
+            [dataclasses.replace(spec, seed=seed) for seed in seeds],
+            keep_exp_y):
         # make_pairs' self-test measured the exponential gap on these arrays
-        analyze_pair(x, y, metadata, tol, exp_gap=(
+        pair = analyze_pair(x, y, metadata, tol, exp_gap=(
             metadata["equation"], metadata["self_test_residual"]))
-        for x, y, metadata in make_pairs([
-            dataclasses.replace(spec, seed=seed) for seed in seeds])]
+        if exp_y is not None:
+            pair.exp_y = exp_y  # the cached fact, bit for bit exp_general(y)
+        pairs.append(pair)
     decompose_pairs(pairs, checks)
     rows = []
     for i, seed in enumerate(seeds):
@@ -147,32 +155,43 @@ def run_suite(config: dict | None = None, jobs: int = 1) -> dict:
     The returned report is a plain dict ready for JSON serialization;
     ``summary.failed == 0`` is the success criterion (hypothesis-skipped
     checks do not fail the suite). Raises ValueError, before any instance
-    is built, for ``jobs < 1`` and for a config key, family, size,
-    parameter, tolerance or check name it does not know.
+    is built, for ``jobs < 1``, for a config key, family, size,
+    parameter, tolerance or check name it does not know, and for a value
+    of the wrong type: ``base_seed``, ``seeds``, each size and each family
+    parameter must be an integer (``violate`` and ``conjugate_pair`` may
+    also be a boolean), and a label a string.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     config = config or default_config()
     _require_keys(config, _CONFIG_KEYS, "config")
-    base = int(config.get("base_seed", 0))
-    sizes = list(config.get("sizes", [2, 4, 8, 16]))
-    n_seeds = int(config.get("seeds", 25))
+    base = config.get("base_seed", 0)
+    _require_int(base, "base_seed")
+    sizes = config.get("sizes", [2, 4, 8, 16])
+    if not isinstance(sizes, (list, tuple)):
+        raise ValueError(f"sizes must be a list of integers, got {sizes!r}")
+    for n in sizes:
+        _require_int(n, "each size")
+    n_seeds = config.get("seeds", 25)
+    _require_int(n_seeds, "seeds")
     tol = tolerances_from_config(config.get("tol", {}))
 
     tasks = []
     for entry in config.get("families", []):
         _require_keys(entry, _ENTRY_KEYS, "family entry")
-        family = entry["family"]
-        label = entry.get("label", family)
+        family = Family(entry["family"])
+        label = entry.get("label", family.value)
+        if not isinstance(label, str):
+            raise ValueError(f"label must be a string, got {label!r}")
         params = entry.get("params", {})
-        checks = tuple(entry.get("checks", _FAMILY_CHECKS[Family(family)]))
+        checks = tuple(entry.get("checks", _FAMILY_CHECKS[family]))
         unknown = [name for name in checks if name not in CHECK_NAMES]
         if unknown:
             raise ValueError(f"unknown checks {unknown} for {label!r}; "
                              f"expected names from {list(CHECK_NAMES)}")
         for n in sizes:
             # the chunks' specs differ from this one only in their seeds
-            spec = InstanceSpec(Family(family), n, 0, params)
+            spec = InstanceSpec(family, n, 0, params)
             h = _label_hash(base, label, n)
             seeds = [mix64(h ^ i) for i in range(n_seeds)]
             size = max(1, _CHUNK_ENTRIES // (n * n))

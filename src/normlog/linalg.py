@@ -116,10 +116,29 @@ def herm_eig(h, *, tol: Tolerances = DEFAULT_TOL):
 
 
 def _require_hermitian(h: np.ndarray, tol: Tolerances) -> None:
-    asymmetry = frob(h - dagger(h))
-    if asymmetry > tol.herm * max(frob(h), 1e-300):
-        raise NotHermitian(f"asymmetry {asymmetry:.3e} exceeds "
-                           f"{tol.herm:.1e} * ||H||")
+    (error,) = _hermitian_errors(h[None], tol)
+    if error is not None:
+        raise error
+
+
+def _hermitian_errors(h: np.ndarray, tol: Tolerances) -> list:
+    """For each matrix of a (k, n, n) stack, None, or the error
+    :func:`herm_eig`'s tests raise on it: ValueError for a non-finite
+    entry, else NotHermitian for ``||h - h*|| > tol.herm * ||h||``. The
+    norms and the test are one call each over the stack."""
+    errors: list = [None] * len(h)
+    finite = np.isfinite(h).all(axis=(1, 2))
+    for i in np.flatnonzero(~finite).tolist():
+        errors[i] = ValueError("matrix entries must be finite")
+    ok = np.flatnonzero(finite)
+    if len(ok) < len(h):
+        h = h[ok]
+    asymmetry = _frob_stack(h - dagger(h))
+    above = asymmetry > tol.herm * np.maximum(_frob_stack(h), 1e-300)
+    for j in np.flatnonzero(above).tolist():
+        errors[ok[j]] = NotHermitian(f"asymmetry {asymmetry[j].item():.3e} "
+                                     f"exceeds {tol.herm:.1e} * ||H||")
+    return errors
 
 
 def _eigh(h: np.ndarray):
@@ -174,6 +193,31 @@ def simultaneous_diagonalize(a, b, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarr
     return v[0]
 
 
+def _frob_stack(a: np.ndarray) -> np.ndarray:
+    """Frobenius norms of the matrices of a complex (k, n, n) stack, each
+    bit for bit :func:`frob` of the matrix.
+
+    ``frob`` takes one dot product of the real view and one of the
+    imaginary view; a stacked ``matmul`` of a row by a column makes the
+    same dot call per matrix. (``einsum`` sums in another order.)
+    """
+    flat = a.reshape(len(a), 1, a.shape[-2] * a.shape[-1])
+    re, im = flat.real, flat.imag
+    return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0])
+
+
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two arrays hold the same bytes. Unlike ``==`` this tells
+    -0.0 from 0.0, and unlike comparing ``tobytes()`` it copies neither
+    contiguous array."""
+    if a is b:
+        return True
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return False
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return bool((a.view(np.uint8) == b.view(np.uint8)).all())
+
+
 def _common_eigenbases(a: np.ndarray, b: np.ndarray, tol: Tolerances,
                        norms=None):
     """Common eigenbases of the Hermitian pairs ``(a[i], b[i])`` of two
@@ -181,34 +225,41 @@ def _common_eigenbases(a: np.ndarray, b: np.ndarray, tol: Tolerances,
 
     Returns ``(v, errors)``: ``v[i]`` diagonalizes both matrices of pair i
     if ``errors[i]`` is None. Otherwise ``errors[i]`` is NotCommuting, for
-    ``||ab - ba|| > tol.comm * max(1, ||a|| ||b||)``, or, with ``norms``,
-    where pair i is Re X, Im X of a matrix X with ``||X|| = norms[i]``,
-    NotNormal, tested first as :func:`is_normal` tests it. The
-    commutators and the ``eigh`` of the ``a[i]`` are one stacked call
-    each, over every pair; the tests and the compression of ``b[i]`` to
-    each multi-column eigenvalue cluster of ``a[i]`` run per pair, and
-    the compressions are re-diagonalized in one ``eigh`` per cluster size.
+    ``||ab - ba|| > tol.comm * max(1, ||a|| ||b||)``, or, with ``norms``
+    (an array), where pair i is Re X, Im X of a matrix X with
+    ``||X|| = norms[i]``, NotNormal, tested first as :func:`is_normal`
+    tests it.
+
+    The commutators, the ``eigh`` of the ``a[i]``, the norms, both tests
+    and the sweep for eigenvalues of ``a[i]`` closer than the cluster
+    radius are array code over the whole stack. Only the pairs where the
+    sweep finds such a run are split into clusters, per pair; the
+    compressions of ``b[i]`` to the multi-column clusters are
+    re-diagonalized in one ``eigh`` per cluster size.
     """
     comm = a @ b - b @ a
     wa, v = _eigh(a)
-    errors = []
+    residual, norm_a = _frob_stack(comm), _frob_stack(a)
+    # max(1, .) keeps the bound above rounding noise when either part is
+    # near zero (e.g. the Hermitian part of a skew-adjoint input)
+    bound = tol.comm * np.maximum(1.0, norm_a * _frob_stack(b))
+    commuting = ~(residual > bound)
+    normal = (np.ones(len(a), dtype=bool) if norms is None
+              else _normality_holds(norms, residual, tol))
+    errors: list = [None] * len(a)
+    for i in np.flatnonzero(~normal).tolist():
+        errors[i] = NotNormal(f"commutator of X with X* has norm "
+                              f"{2 * residual[i].item():.3e}")
+    for i in np.flatnonzero(normal & ~commuting).tolist():
+        errors[i] = NotCommuting(
+            f"commutator norm {residual[i].item():.3e} exceeds "
+            f"{tol.comm:.1e} * max(1, ||A|| ||B||)")
+    radius = tol.cluster * np.maximum(1.0, norm_a)
+    runs = ~(np.diff(wa, axis=1) > radius[:, None]).all(axis=1)
     blocks = []  # (basis, cluster columns, compression of b to them)
-    for i, (ai, bi, ci, w, vi) in enumerate(zip(a, b, comm, wa, v)):
-        residual = frob(ci)
-        if norms is not None and not _normality_holds(norms[i], residual, tol):
-            errors.append(NotNormal(f"commutator of X with X* has norm "
-                                    f"{2 * residual:.3e}"))
-            continue
-        # max(1, .) keeps the bound above rounding noise when either part
-        # is near zero (e.g. the Hermitian part of a skew-adjoint input)
-        norm_a = frob(ai)
-        if residual > tol.comm * max(1.0, norm_a * frob(bi)):
-            errors.append(NotCommuting(
-                f"commutator norm {residual:.3e} exceeds "
-                f"{tol.comm:.1e} * max(1, ||A|| ||B||)"))
-            continue
-        errors.append(None)
-        for sl in _cluster_slices(w, tol.cluster * max(1.0, norm_a)):
+    for i in np.flatnonzero(runs & normal & commuting).tolist():
+        vi, bi = v[i], b[i]
+        for sl in _cluster_slices(wa[i], radius[i].item()):
             if sl.stop - sl.start > 1:
                 block = vi[:, sl]
                 blocks.append((vi, sl, dagger(block) @ bi @ block))
@@ -222,18 +273,23 @@ def _common_eigenbases(a: np.ndarray, b: np.ndarray, tol: Tolerances,
     return v, errors
 
 
-def _normality_holds(norm: float, comm_norm: float, tol: Tolerances) -> bool:
-    """Normality of X from ``||X||`` and ``||[Re X, Im X]||``."""
-    return 2 * comm_norm <= tol.norm * max(norm ** 2, 1e-300)
+def _normality_holds(norms: np.ndarray, comm_norms: np.ndarray,
+                     tol: Tolerances) -> np.ndarray:
+    """Normality of each X from the arrays of ``||X||`` and
+    ``||[Re X, Im X]||``."""
+    # ** 2 of Python floats (libm's pow), as the test has always taken it;
+    # numpy's ** 2 multiplies, which may round the other way
+    squares = np.array([norm ** 2 for norm in norms.tolist()])
+    return 2 * comm_norms <= tol.norm * np.maximum(squares, 1e-300)
 
 
 def is_normal(x, *, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True iff ``||X*X - XX*|| <= tol.norm * ||X||^2``, the left side taken
     as ``2 ||[Re X, Im X]||`` since X*X - XX* = 2i [Re X, Im X]; the test
     :func:`~normlog.spectral.normal_eig` applies."""
-    x = as_square_matrix(x)
-    return _normality_holds(frob(x), frob(commutator(re_part(x), im_part(x))),
-                            tol)
+    x = as_square_matrix(x)[None]
+    comm = commutator(re_part(x), im_part(x))
+    return bool(_normality_holds(_frob_stack(x), _frob_stack(comm), tol)[0])
 
 
 def modulus(x, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -259,13 +315,7 @@ def _modulus_stack(x: np.ndarray, *, tol: Tolerances = DEFAULT_TOL) -> list:
     one stacked call each, one BLAS or LAPACK call per matrix.
     """
     h = dagger(x) @ x
-    out = []
-    for hi in h:
-        try:  # herm_eig's tests
-            _require_hermitian(as_square_matrix(hi), tol)
-            out.append(None)
-        except (ValueError, NotHermitian) as exc:
-            out.append(exc)
+    out = _hermitian_errors(h, tol)  # herm_eig's tests
     ok = [i for i, error in enumerate(out) if error is None]
     if ok:
         w, v = _eigh(h if len(ok) == len(h) else h[ok])

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .errors import ExpNotNormal, NotNormal, Singular
+from .errors import ExpNotNormal, NormLogError, NotNormal, Singular
 from .linalg import as_square_matrix, commutator, frob
 from .spectral import SpectralDecomposition, normal_eig
 
@@ -194,12 +194,23 @@ def kurepa_decompose(y, *, tol: Tolerances = DEFAULT_TOL) -> KurepaDecomposition
         when e^Y is numerically singular.
     """
     y = as_square_matrix(y)
-    e = exp_general(y)
     try:
-        dec = normal_eig(e, tol=tol)
-    except NotNormal as exc:
-        raise ExpNotNormal("exp(Y) is not normal within tolerance") from exc
-    n0 = branch_log(dec, tol=tol)
+        attempt = normal_eig(exp_general(y), tol=tol)
+    except NormLogError as exc:
+        attempt = exc
+    return _kurepa_split(y, attempt, tol)
+
+
+def _kurepa_split(y: np.ndarray, attempt,
+                  tol: Tolerances) -> KurepaDecomposition:
+    """:func:`kurepa_decompose` of a validated Y, given ``attempt``: the
+    decomposition of e^Y as ``normal_eig`` returns it, or the NormLogError
+    it raised."""
+    if isinstance(attempt, NotNormal):
+        raise ExpNotNormal("exp(Y) is not normal within tolerance") from attempt
+    if isinstance(attempt, NormLogError):
+        raise attempt
+    n0 = branch_log(attempt, tol=tol)
     w = (y - n0) / (TWO_PI * 1j)
 
     denom = frob(n0) * frob(w)

@@ -34,6 +34,7 @@ from .linalg import (
     _as_square_stack,
     _cluster_slices,
     _common_eigenbases,
+    _frob_stack,
     as_square_matrix,
     dagger,
     frob,
@@ -271,6 +272,12 @@ def _components(indices: list, zs: list, radius: float) -> list[list[int]]:
     return groups
 
 
+# Matrix entries per block of projections: a block holds at most
+# max(1, this // n^2) of them, so, as a suite chunk, no stack outgrows one
+# n = 128 matrix.
+_BLOCK_ENTRIES = 8192
+
+
 @dataclass(frozen=True, eq=False)  # arrays have no truth value
 class SpectralDecomposition:
     """Eigenvalue clusters of a normal matrix in one unitary eigenbasis.
@@ -295,7 +302,7 @@ class SpectralDecomposition:
 
     @cached_property
     def multiplicities(self) -> np.ndarray:
-        m = np.diff(self.bounds)
+        m = np.subtract(self.bounds[1:], self.bounds[:-1])
         m.flags.writeable = False
         return m
 
@@ -310,10 +317,32 @@ class SpectralDecomposition:
         """The representatives as one complex array, for region membership."""
         return np.array(self.eigenvalues, dtype=complex)
 
+    @cached_property
+    def _max_abs_imag(self) -> float:
+        """The largest |Im lam| of the representatives, which the strip
+        gates compare with pi."""
+        return float(np.abs(self.eigenvalue_array.imag).max())
+
     def projection(self, j: int) -> np.ndarray:
         """Eigenprojection of cluster ``j``."""
         cols = self.v[:, self.bounds[j]:self.bounds[j + 1]]
         return cols @ dagger(cols)
+
+    def _projection_blocks(self):
+        """Every cluster's eigenprojection, bit for bit ``projection(j)``,
+        in blocks ``(js, stack)``: ``stack[i]`` is the projection of cluster
+        ``js[i]``. A block holds clusters of one multiplicity, at most
+        max(1, _BLOCK_ENTRIES // n^2) of them, and its products are one
+        stacked call."""
+        starts = self.bounds[:-1]
+        size = max(1, _BLOCK_ENTRIES // self.n ** 2)
+        for m in sorted(set(self.multiplicities.tolist())):
+            same = np.flatnonzero(self.multiplicities == m)
+            for lo in range(0, len(same), size):
+                js = same[lo:lo + size]
+                cols = np.stack([self.v[:, starts[j]:starts[j] + m]
+                                 for j in js])
+                yield js, cols @ dagger(cols)
 
     def select(self, mask) -> np.ndarray:
         """Sum of the eigenprojections of the clusters where ``mask`` holds."""
@@ -343,9 +372,14 @@ class SpectralDecomposition:
         {key(X)}''.
         """
         w = as_square_matrix(w)
-        nw = frob(w)
-        if nw == 0.0:
-            return 0.0
+        return self._bicommutant_distances(w[None], key, tol=tol)[0]
+
+    def _bicommutant_distances(self, ws: np.ndarray, key=None, *,
+                               tol: Tolerances = DEFAULT_TOL) -> list:
+        """``bicommutant_distance`` of each matrix of a (k, n, n) stack, bit
+        for bit: the products V* w V, the diagonal sums (one ``bincount``
+        whose bins are offset per matrix, so each sums in the same order)
+        and the norms are each one call over the stack."""
         group = np.arange(len(self.eigenvalues))
         if key is not None:
             values = [complex(key(lam)) for lam in self.eigenvalues]
@@ -353,11 +387,19 @@ class SpectralDecomposition:
             for gi, g in enumerate(_merge(values, tol.cluster * max(1.0, scale))):
                 group[g] = gi
         labels = np.repeat(group, self.multiplicities)
-        m = dagger(self.v) @ w @ self.v
-        d = np.diag(m)
-        means = ((np.bincount(labels, d.real) + 1j * np.bincount(labels, d.imag))
-                 / np.bincount(labels))
-        return frob(m - np.diag(means[labels])) / nw
+        size = labels.max() + 1
+        bins = (labels + size * np.arange(len(ws))[:, None]).ravel()
+        m = dagger(self.v) @ ws @ self.v
+        d = np.diagonal(m, axis1=1, axis2=2)
+        total = len(ws) * size
+        sums = (np.bincount(bins, d.real.ravel(), total)
+                + 1j * np.bincount(bins, d.imag.ravel(), total))
+        means = sums.reshape(len(ws), size) / np.bincount(labels)
+        diag = np.arange(self.n)
+        m[:, diag, diag] -= means[:, labels]
+        norms = _frob_stack(ws)
+        # a zero w has M - D = 0, and the distance 0.0 alone takes
+        return (_frob_stack(m) / np.where(norms == 0.0, 1.0, norms)).tolist()
 
     def validate(self, x=None) -> dict[str, float]:
         """Residuals of the decomposition invariants (not thresholded)."""
@@ -405,34 +447,80 @@ def _decompose_stack(x: np.ndarray, tol: Tolerances) -> list:
 
     One commutator of the Hermitian parts per matrix decides normality,
     as :func:`~normlog.linalg.is_normal` does, then their commutation.
-    The commutators, the ``eigh`` of the Re(X) and the diagonal products
-    V* Re(X) V and V* Im(X) V are each one numpy call over the whole
-    stack, one BLAS or LAPACK call per matrix, so each entry is computed
-    as if alone; the tests and the clustering run per matrix. A failing
-    entry's ``eigh`` is computed and discarded, so an ``eigh`` that fails
-    to converge on it raises NoConvergence for the whole stack.
+    The norms, the commutators, the ``eigh`` of the Re(X), the diagonal
+    products V* Re(X) V and V* Im(X) V, both tests and the first sweep of
+    :func:`_merge` (eigenvalues sorted by Re, split at gaps wider than the
+    merge radius) are array code over the whole stack, one BLAS or LAPACK
+    call per matrix, so each entry is computed as if alone. A matrix whose
+    sweep leaves only single eigenvalues has one cluster per eigenvalue,
+    ordered by Re, and its representatives, order and bounds come from
+    the sweep's arrays; only the others run :func:`_merge` and take the
+    cluster means. A failing entry's ``eigh`` is computed and discarded,
+    so an ``eigh`` that fails to converge on it raises NoConvergence for
+    the whole stack.
     """
     re, im = re_part(x), im_part(x)
-    norms = [frob(xi) for xi in x]
+    norms = _frob_stack(x)
     v, errors = _common_eigenbases(re, im, tol, norms)
     v_star = dagger(v)
     lams = (np.diagonal(v_star @ re @ v, axis1=1, axis2=2).real
             + 1j * np.diagonal(v_star @ im @ v, axis1=1, axis2=2).real)
+    radius = tol.cluster * np.maximum(1.0, norms)
+    single = _isolated(lams, radius)
+    # a lone eigenvalue's mean is 0 + lam, which turns -0.0 into 0.0
+    reps = lams + 0
+    order = np.lexsort((reps.imag, reps.real), axis=1)
+    reps = np.take_along_axis(reps, order, axis=1)
+    # the permuted columns laid out as the fancy index v[:, order] lays
+    # them out (column-major), which the later products see
+    cols = np.take_along_axis(v.swapaxes(1, 2), order[:, :, None],
+                              axis=1).swapaxes(1, 2)
+    bounds = tuple(range(x.shape[-1] + 1))
     out = []
-    for vi, li, norm, error in zip(v, lams, norms, errors):
+    for i, error in enumerate(errors):
         if error is not None:
             out.append(error)
-            continue
-        groups = _merge(li.tolist(), tol.cluster * max(1.0, norm))
-        reps = [complex(sum(li[j] for j in g) / len(g)) for g in groups]
-        order = sorted(range(len(groups)),
-                       key=lambda g: (reps[g].real, reps[g].imag))
-        groups = [groups[g] for g in order]
-        out.append(SpectralDecomposition(
-            v=vi[:, [j for g in groups for j in g]],
-            eigenvalues=tuple(reps[g] for g in order),
-            bounds=tuple(np.cumsum([0] + [len(g) for g in groups]).tolist())))
+        elif single[i]:
+            out.append(SpectralDecomposition(
+                v=cols[i], eigenvalues=tuple(reps[i].tolist()), bounds=bounds))
+        else:
+            out.append(_clustered(v[i], lams[i], radius[i].item()))
     return out
+
+
+def _isolated(lams: np.ndarray, radius: np.ndarray) -> np.ndarray:
+    """Which rows of ``lams`` :func:`_merge`'s two sweeps split into single
+    values, for the radii ``radius``: sorted by Re, split at gaps wider
+    than the radius, then each run likewise by Im. Every component is
+    then a single value; a row with a longer run may still have only
+    single components, which :func:`_merge` finds."""
+    order = np.argsort(lams.real, axis=1)
+    re = np.take_along_axis(lams.real, order, axis=1)
+    gap = radius[:, None]
+    run = np.zeros(lams.shape)
+    np.cumsum(np.diff(re, axis=1) > gap, axis=1, out=run[:, 1:])
+    im = np.take_along_axis(lams.imag, order, axis=1)
+    within = np.lexsort((im, run), axis=1)
+    run = np.take_along_axis(run, within, axis=1)
+    im = np.take_along_axis(im, within, axis=1)
+    near = (np.diff(run, axis=1) == 0) & ~(np.diff(im, axis=1) > gap)
+    return ~near.any(axis=1)
+
+
+def _clustered(v: np.ndarray, lams: np.ndarray,
+               radius: float) -> SpectralDecomposition:
+    """The decomposition with eigenbasis ``v`` and eigenvalues ``lams``
+    whose clusters are the components :func:`_merge` finds, each
+    represented by its mean."""
+    groups = _merge(lams.tolist(), radius)
+    reps = [complex(sum(lams[j] for j in g) / len(g)) for g in groups]
+    order = sorted(range(len(groups)),
+                   key=lambda g: (reps[g].real, reps[g].imag))
+    groups = [groups[g] for g in order]
+    return SpectralDecomposition(
+        v=v[:, [j for g in groups for j in g]],
+        eigenvalues=tuple(reps[g] for g in order),
+        bounds=tuple(np.cumsum([0] + [len(g) for g in groups]).tolist()))
 
 
 def spectral_measure(dec: SpectralDecomposition, omega: Region, *,
@@ -499,6 +587,11 @@ class StripProjections:
     ``x_line``/``y_line`` those on the line Im z = (2k+1)pi. ``p(k)`` and
     ``q(k)`` are the strip projections of X and Y, ``e(k)`` and ``f(k)``
     the line projections; each raises KeyError for k outside the window.
+
+    :func:`strip_projections` admits only Im z in
+    [(2k_lo+1)pi, (2k_hi+1)pi], which the open strip k_lo lies below, so
+    column 0 of ``x_strip`` and ``y_strip`` is always empty and ``p(k_lo)``
+    and ``q(k_lo)`` are zero: a window holding strip k needs k_lo <= k - 1.
     """
 
     dec_x: SpectralDecomposition
@@ -549,7 +642,9 @@ def strip_projections(dec_x: SpectralDecomposition,
     Raises SpectrumOutOfRange for an eigenvalue outside
     (2*k_lo+1)pi <= Im z <= (2*k_hi+1)pi, within the boundary band (X
     checked before Y), then AmbiguousBoundary as the first ambiguous
-    strip measure would, k ascending and X before Y within each k.
+    strip measure would, k ascending and X before Y within each k. The
+    lowest strip, k_lo, lies below that range and is always empty; pass
+    k_lo <= k - 1 to classify strip k.
     """
     if k_hi < k_lo:
         raise ValueError("k_hi must be >= k_lo")

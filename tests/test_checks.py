@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import normlog.checks
+import normlog.logs
 from normlog.checks import (
+    CHECK_NAMES,
     PairAnalysis,
     check_congruence_free,
     check_corollary_cases,
@@ -19,10 +21,12 @@ from normlog.checks import (
     check_square_commute,
     check_y_in_bicommutant_of_exp,
     decompose_pairs,
+    run_check,
 )
 from normlog.config import DEFAULT_TOL
 from normlog.errors import (
     AmbiguousBoundary,
+    NormLogError,
     NotCommuting,
     NotNormal,
     SpectrumOutOfRange,
@@ -36,7 +40,8 @@ from normlog.harness import (
     random_unitary,
 )
 from normlog.linalg import dagger, frob, is_normal
-from normlog.logs import TWO_PI
+from normlog.harness.generators import _make_pairs
+from normlog.logs import TWO_PI, _kurepa_split, kurepa_decompose
 from normlog.report import CheckReport
 from normlog.spectral import (
     HLine,
@@ -120,6 +125,129 @@ class TestPairAnalysis:
             check_modulus_equal(pair)
             check_modulus_commute(pair)
 
+    def test_x_only_checks_leave_y_to_first_use(self):
+        operands = [make_pair(InstanceSpec(family, 4, seed))[:2]
+                    for family in (Family.BOUNDARY_FLIP_PAIR,
+                                   Family.NON_NORMAL_LOG_PAIR)
+                    for seed in range(3)]
+        pairs = [PairAnalysis(x, y) for x, y in operands]
+        decompose_pairs(pairs, ("modulus_commute", "square_commute",
+                                "congruence_free"))
+        for pair, (x, y) in zip(pairs, operands):
+            assert "_attempt_x" in vars(pair)
+            assert "_attempt_y" not in vars(pair)
+            assert "_attempt_exp_y" not in vars(pair)
+            # read later, Y's decomposition is the lone one
+            assert _same_attempt(pair._attempt_y, _lone_attempt(y))
+            assert _same_attempt(pair._attempt_x, _lone_attempt(x))
+
+    def test_byte_equal_operands_analysed_once(self, monkeypatch):
+        # an InteriorPair's Y equals X byte for byte; 0.0 and -0.0 differ
+        stacks = {"decomposed": [], "moduli": []}
+
+        def spy(name, real):
+            def call(ms, **kwargs):
+                stacks[name].append([m.tobytes() for m in ms])
+                return real(ms, **kwargs)
+            return call
+
+        monkeypatch.setattr(normlog.checks, "normal_eig_stack",
+                            spy("decomposed", normlog.checks.normal_eig_stack))
+        monkeypatch.setattr(normlog.checks, "_modulus_stack",
+                            spy("moduli", normlog.checks._modulus_stack))
+        interior = [make_pair(InstanceSpec(Family.INTERIOR_PAIR, 4, seed))[:2]
+                    for seed in range(3)]
+        signed = (np.diag([0.0, 1.0 + 0j, 2.0, 3.0]),
+                  np.diag([-0.0, 1.0 + 0j, 2.0, 3.0]))
+        pairs = [PairAnalysis(x, y) for x, y in interior + [signed]]
+        decompose_pairs(pairs, ("modulus_equal", "real_part"))
+        for name in stacks:
+            (stack,) = stacks[name]
+            assert sorted(stack) == sorted(
+                [x.tobytes() for x, _ in interior] + [m.tobytes() for m in signed])
+        for pair in pairs[:3]:
+            assert pair.dec_x is pair.dec_y
+            assert pair.modulus_x is pair.modulus_y
+        assert pairs[3].dec_x is not pairs[3].dec_y
+        for pair, (x, y) in zip(pairs, interior + [signed]):
+            assert _same_attempt(pair._attempt_y, _lone_attempt(y))
+            assert pair.modulus_y.tobytes() == PairAnalysis(x, y).modulus_y.tobytes()
+
+    @pytest.mark.parametrize("name", CHECK_NAMES)
+    def test_every_stacked_fact_a_check_reads_is_seeded(self, name,
+                                                        monkeypatch):
+        # after decompose_pairs, no check computes a decomposition or a
+        # modulus of its own: the table names every one it reads
+        pairs = []
+        for family in Family:
+            for seed in range(2):
+                x, y, meta = make_pair(InstanceSpec(family, 4, seed))
+                pairs.append(analyze_pair(x, y, meta, DEFAULT_TOL, exp_gap=(
+                    meta["equation"], meta["self_test_residual"])))
+        decompose_pairs(pairs, (name,))
+
+        def not_called(*args, **kwargs):
+            raise AssertionError(f"{name} computed an unseeded fact")
+
+        monkeypatch.setattr(normlog.checks, "normal_eig_stack", not_called)
+        monkeypatch.setattr(normlog.checks, "modulus", not_called)
+        for pair in pairs:
+            try:
+                run_check(name, pair)
+            except NormLogError:
+                pass
+
+    def test_seeded_kurepa_equals_kurepa_decompose(self, monkeypatch):
+        # the suite's path: the self-test's e^Y, decomposed in the stack
+        specs = [InstanceSpec(Family.NON_NORMAL_LOG_PAIR, n, seed)
+                 for n in (2, 5) for seed in range(3)]
+        for n in (2, 5):
+            built = _make_pairs([s for s in specs if s.n == n], True)
+            pairs = []
+            for x, y, meta, exp_y in built:
+                pair = PairAnalysis(x, y)
+                pair.exp_y = exp_y
+                pairs.append(pair)
+            # a Y whose exponential is not normal: kurepa skips it
+            y = np.array([[0, 1], [0, 0]], dtype=complex)
+            if n == 2:
+                pairs.append(PairAnalysis(y, y))
+            decompose_pairs(pairs, ("kurepa",))
+            with monkeypatch.context() as m:
+                for module in (normlog.checks, normlog.logs):
+                    m.setattr(module, "exp_general", _not_called)
+                m.setattr(normlog.checks, "normal_eig_stack", _not_called)
+                m.setattr(normlog.logs, "normal_eig", _not_called)
+                reports = [check_kurepa(pair) for pair in pairs]
+                splits = [_kurepa_split(pair.y, pair._attempt_exp_y,
+                                        DEFAULT_TOL) if rep.hypothesis_met
+                          else None for pair, rep in zip(pairs, reports)]
+            for pair, rep, split in zip(pairs, reports, splits):
+                alone = check_kurepa(PairAnalysis(pair.x, pair.y))
+                assert rep.to_dict() == alone.to_dict()
+                assert ([v.hex() for v in rep.residuals.values()]
+                        == [v.hex() for v in alone.residuals.values()])
+                if split is None:
+                    assert not rep.hypothesis_met
+                    continue
+                ref = kurepa_decompose(pair.y)
+                assert split.n0.tobytes() == ref.n0.tobytes()
+                assert split.w.tobytes() == ref.w.tobytes()
+                assert split.commute_residual.hex() == ref.commute_residual.hex()
+                assert (split.integer_spectrum_residual.hex()
+                        == ref.integer_spectrum_residual.hex())
+            assert any(not rep.hypothesis_met for rep in reports) == (n == 2)
+
+    def test_strip_gate_reads_the_largest_imaginary_part(self):
+        edge = PI + DEFAULT_TOL.boundary
+        for im in (edge, np.nextafter(edge, 4.0), -edge,
+                   np.nextafter(-edge, -4.0), 0.0, PI):
+            dec = normal_eig(np.diag([0.5 + 0j, complex(1.0, im), -2j]))
+            rule = all(abs(lam.imag) <= edge for lam in dec.eigenvalues)
+            assert normlog.checks._in_strip(dec, DEFAULT_TOL) == rule
+            assert dec._max_abs_imag == max(abs(lam.imag)
+                                            for lam in dec.eigenvalues)
+
     def test_given_exp_gap_is_not_recomputed(self, monkeypatch):
         def no_exp(arg):
             raise AssertionError("exponential evaluated")
@@ -153,6 +281,27 @@ class TestPairAnalysis:
         assert check_spectral_agreement(pair).passed
         assert check_corollary_cases(pair).passed
         assert len(calls) == 4
+
+
+def _not_called(*args, **kwargs):
+    raise AssertionError("computed again")
+
+
+def _lone_attempt(m):
+    try:
+        return normal_eig(m)
+    except NormLogError as exc:
+        return exc
+
+
+def _same_attempt(got, ref):
+    """Bit-for-bit equality of two decompositions, or two errors alike."""
+    if isinstance(ref, NormLogError):
+        return type(got) is type(ref) and str(got) == str(ref)
+    return (got.v.tobytes() == ref.v.tobytes()
+            and np.array(got.eigenvalues).tobytes()
+            == np.array(ref.eigenvalues).tobytes()
+            and got.bounds == ref.bounds)
 
 
 class TestReportInvariants:
@@ -595,6 +744,21 @@ class TestDoubleCommutant:
                                          6, 11))
         rep = check_double_commutant(PairAnalysis(x, y))
         assert rep.passed and rep.residuals["double_commutant"] <= 1e-12
+
+    @pytest.mark.parametrize("family", [Family.SELF_ADJOINT_CONGRUENCE_FREE,
+                                        Family.ODD_PI_EIGENVALUE])
+    def test_residual_is_the_worst_lone_distance(self, family):
+        for n in (2, 3, 8):
+            for seed in range(3):
+                x, y, _ = make_pair(InstanceSpec(family, n, seed))
+                pair = PairAnalysis(x, y)
+                rep = check_double_commutant(pair)
+                if not rep.hypothesis_met:
+                    continue
+                dec_x = pair.dec_x
+                worst = max(pair.dec_y.bicommutant_distance(dec_x.projection(j))
+                            for j in range(len(dec_x.eigenvalues)))
+                assert rep.residuals["double_commutant"].hex() == worst.hex()
 
     def test_non_normal_y_uses_commutant_basis(self, monkeypatch):
         # exp(iX) = diag(-1, -1, e^{0.5i}) = exp(Y) with Y not normal

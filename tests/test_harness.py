@@ -11,6 +11,7 @@ import pytest
 import normlog.checks
 import normlog.harness.generators
 import normlog.harness.suite
+import normlog.logs
 from normlog.checks import CHECK_NAMES, PairAnalysis, run_check
 from normlog.errors import ConstructionFailed
 from normlog.harness import (
@@ -28,7 +29,7 @@ from normlog.harness import (
     write_pair,
     write_report,
 )
-from normlog.harness.generators import make_pairs
+from normlog.harness.generators import _make_pairs, make_pairs
 from normlog.harness.rng import _gaussians, _unitary_stack
 from normlog.harness.cli import main as cli_main
 from normlog.linalg import dagger, frob, is_normal
@@ -218,6 +219,19 @@ class TestChunkBuilder:
                                      if not isinstance(one, ConstructionFailed))):
             assert _same_pair(got, want)
 
+    @pytest.mark.parametrize("n", [1, 4, 16])
+    def test_kept_exp_y_is_exp_general(self, n):
+        specs = _entry_specs(n, (0, 1, 5))
+        specs = [spec for spec in specs
+                 if not isinstance(_lone_or_error(spec), ConstructionFailed)]
+        kept = _make_pairs(specs, True)
+        dropped = _make_pairs(specs, False)
+        for (x, y, meta, exp_y), lone, plain in zip(kept, make_pairs(specs),
+                                                      dropped):
+            assert _same_pair((x, y, meta), lone)
+            assert _same_pair(plain[:3], lone) and plain[3] is None
+            assert exp_y.tobytes() == normlog.logs.exp_general(y).tobytes()
+
     def test_empty_chunk(self):
         assert make_pairs([]) == []
 
@@ -332,6 +346,40 @@ class TestFamilyParameters:
     def test_bad_family_or_size(self, family, n):
         with pytest.raises(ValueError):
             InstanceSpec(family, n, 1)
+
+    @pytest.mark.parametrize("family, name, value", [
+        ("BoundaryFlipPair", "side", "up"), ("BoundaryFlipPair", "side", -1.0),
+        ("BoundaryFlipPair", "boundary", True),
+        ("BoundaryFlipPair", "conjugate_pair", [1]),
+        ("ShiftedBranchPair", "k_lo", None), ("ShiftedBranchPair", "k_hi", "1"),
+        ("SelfAdjointCongruenceFree", "violate", 1.0),
+        ("OddPiEigenvalue", "violate", "no")], ids=str)
+    def test_values_must_be_integers(self, family, name, value):
+        kind = ("an integer or a boolean"
+                if name in ("violate", "conjugate_pair") else "an integer")
+        with pytest.raises(ValueError, match=f"{family} param '{name}' must "
+                                             f"be {kind}, got"):
+            InstanceSpec(Family(family), 4, 1, params={name: value})
+
+    @pytest.mark.parametrize("family, name", [
+        ("BoundaryFlipPair", "conjugate_pair"),
+        ("SelfAdjointCongruenceFree", "violate"),
+        ("OddPiEigenvalue", "violate")])
+    def test_switches_take_booleans(self, family, name):
+        for flag, number in ((True, 1), (False, 0)):
+            params = {name: flag, "boundary": 2} if name == "conjugate_pair" \
+                else {name: flag}
+            as_bool = make_pair(InstanceSpec(Family(family), 4, 3, params=params))
+            params[name] = number
+            as_int = make_pair(InstanceSpec(Family(family), 4, 3, params=params))
+            assert as_bool[0].tobytes() == as_int[0].tobytes()
+            assert as_bool[1].tobytes() == as_int[1].tobytes()
+
+    @pytest.mark.parametrize("n", ["4", 4.0, True, None])
+    def test_size_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            InstanceSpec(Family.INTERIOR_PAIR, n, 1)
+        assert InstanceSpec(Family.INTERIOR_PAIR, np.int64(4), 1).n == 4
 
 
 class TestMatrixFormat:
@@ -520,14 +568,14 @@ class TestSuite:
     def _count_built(monkeypatch) -> list:
         """The specs the suite builds, through its chunk builder."""
         calls = []
-        real = normlog.harness.suite.make_pairs
+        real = normlog.harness.suite._make_pairs
 
-        def counting(specs):
+        def counting(specs, keep_exp_y):
             specs = list(specs)
             calls.extend(specs)
-            return real(specs)
+            return real(specs, keep_exp_y)
 
-        monkeypatch.setattr(normlog.harness.suite, "make_pairs", counting)
+        monkeypatch.setattr(normlog.harness.suite, "_make_pairs", counting)
         return calls
 
     @pytest.mark.parametrize("tol", [
@@ -582,6 +630,44 @@ class TestSuite:
         with pytest.raises(ValueError, match=match):
             run_suite(cfg)
         assert calls == []
+
+    @pytest.mark.parametrize("change, match", [
+        ({"base_seed": "5"}, "base_seed must be an integer"),
+        ({"base_seed": 5.0}, "base_seed must be an integer"),
+        ({"sizes": ["2"]}, "each size must be an integer, got '2'"),
+        ({"sizes": [2.0]}, "each size must be an integer"),
+        ({"sizes": 2}, "sizes must be a list of integers, got 2"),
+        ({"seeds": "1"}, "seeds must be an integer"),
+        ({"seeds": True}, "seeds must be an integer"),
+        ({"families": [{"family": "InteriorPair", "label": 5}]},
+         "label must be a string, got 5"),
+        ({"families": [{"family": "InteriorPair"},
+                       {"family": "BoundaryFlipPair",
+                        "params": {"side": "up"}}]},
+         "BoundaryFlipPair param 'side' must be an integer, got 'up'"),
+        ({"families": [{"family": "InteriorPair"},
+                       {"family": "OddPiEigenvalue",
+                        "params": {"violate": "no"}}]},
+         "OddPiEigenvalue param 'violate' must be an integer or a boolean"),
+    ], ids=["seed-str", "seed-float", "size-str", "size-float", "sizes-int",
+            "seeds-str", "seeds-bool", "label", "side", "violate"])
+    def test_wrongly_typed_values_rejected_before_work(self, change, match,
+                                                       monkeypatch):
+        calls = self._count_built(monkeypatch)
+        cfg = {"sizes": [2], "seeds": 1,
+               "families": [{"family": "InteriorPair"}]}
+        cfg.update(change)
+        with pytest.raises(ValueError, match=match):
+            run_suite(cfg)
+        assert calls == []
+
+    def test_boolean_switches_accepted(self):
+        rows = run_suite({"sizes": [4], "seeds": 1, "families": [
+            {"family": "OddPiEigenvalue", "params": {"violate": True}},
+            {"family": "OddPiEigenvalue", "label": "off",
+             "params": {"violate": False}}]})["results"]
+        assert [r["hypothesis_met"] for r in rows] == [False, False,
+                                                        True, True]
 
     def test_config_must_be_a_dict(self):
         with pytest.raises(ValueError, match="config must be an object"):
@@ -672,75 +758,69 @@ class TestSharedAnalysis:
             assert row == expected
 
     def test_each_operand_analysed_once_per_instance(self, monkeypatch):
-        # calls per (instance, operand); operands are told apart by
-        # identity, since InteriorPair has X equal to Y. Each chunk's
-        # operands are decomposed in one stacked call, whose argument
-        # lists them. The exponentials are evaluated once, by the stacked
-        # self-test of make_pairs, whose residual the suite hands to the
-        # pair's gate; the stacks hold copies, so their matrices are
-        # matched to the sides of each pair's equation by value.
+        # The operands are matched by bytes, since the stacks hold copies.
+        # Each chunk decomposes, in one stacked call, the operands its
+        # checks read: X and Y, but X and e^Y for NonNormalLogPair, whose
+        # checks never read Y's decomposition. InteriorPair's Y equals X
+        # byte for byte, so it is decomposed, exponentiated and
+        # square-rooted with X, once. The exponentials are evaluated once,
+        # by the stacked self-test of make_pairs, whose residual the suite
+        # hands to the pair's gate and whose e^Y kurepa reads.
         cfg = _one_of_each()
         cfg.update(seeds=3)
-        calls = []
-        pairs = []
-        exponentiated = []
-        real_make_pairs = normlog.harness.suite.make_pairs
+        built = []
+        decomposed, moduli, exponentiated, checks_exp = [], [], [], []
+        real_make_pairs = normlog.harness.suite._make_pairs
         real_stack = normlog.checks.normal_eig_stack
+        real_moduli = normlog.checks._modulus_stack
         real_exp_stack = normlog.harness.generators._exp_stack
-        real_exp = normlog.checks.exp_general
 
-        def operand(arg, k):
-            x, y, _ = pairs[k]
-            if arg is x:
-                return "x"
-            if arg is y:
-                return "y"
-            return "ix" if np.array_equal(arg, 1j * x) else "unknown"
+        def make_pairs_spy(specs, keep_exp_y):
+            out = real_make_pairs(specs, keep_exp_y)
+            built.extend(out)
+            return out
 
-        def instance(arg):
-            return next((k for k, (x, y, _) in enumerate(pairs)
-                         if arg is x or arg is y), len(pairs) - 1)
+        def spy(record, real):
+            def call(ms, **kwargs):
+                record.extend(m.tobytes() for m in ms)
+                return real(ms, **kwargs)
+            return call
 
-        def make_pairs_spy(specs):
-            built = real_make_pairs(specs)
-            pairs.extend(built)
-            return built
-
-        def self_test_exp_spy(stack):
-            exponentiated.extend(m.tobytes() for m in stack)
-            return real_exp_stack(stack)
-
-        def checks_exp_spy(arg):
-            k = instance(arg)
-            calls.append(("checks.exp_general", k, operand(arg, k)))
-            return real_exp(arg)
-
-        def stack_spy(ms, **kwargs):
-            for m in ms:
-                k = instance(m)
-                calls.append(("normal_eig_stack", k, operand(m, k)))
-            return real_stack(ms, **kwargs)
-
-        monkeypatch.setattr(normlog.harness.suite, "make_pairs", make_pairs_spy)
+        monkeypatch.setattr(normlog.harness.suite, "_make_pairs", make_pairs_spy)
+        monkeypatch.setattr(normlog.checks, "normal_eig_stack",
+                            spy(decomposed, real_stack))
+        monkeypatch.setattr(normlog.checks, "_modulus_stack",
+                            spy(moduli, real_moduli))
         monkeypatch.setattr(normlog.harness.generators, "_exp_stack",
-                            self_test_exp_spy)
-        monkeypatch.setattr(normlog.checks, "exp_general", checks_exp_spy)
-        monkeypatch.setattr(normlog.checks, "normal_eig_stack", stack_spy)
+                            spy(exponentiated, real_exp_stack))
+        monkeypatch.setattr(normlog.checks, "exp_general",
+                            lambda m: checks_exp.append(m))
         run_suite(cfg)
 
-        assert len(pairs) == 3 * len(cfg["families"])
-        assert {c[0] for c in calls} == {"normal_eig_stack"}
-        assert all(c[2] != "unknown" for c in calls)
-        assert len(calls) == len(set(calls))
-        # X and Y of each instance decomposed, each once
-        assert sorted(c[1:] for c in calls if c[0] == "normal_eig_stack") == [
-            (k, side) for k in range(len(pairs)) for side in ("x", "y")]
-        # both sides of each pair's equation, each once
-        sides = [m.tobytes() for x, y, meta in pairs
-                 for m in (1j * x if meta["equation"] == "exp(iX)=exp(Y)"
-                           else x, y)]
-        assert len(exponentiated) == 2 * len(pairs)
-        assert Counter(exponentiated) == Counter(sides)
+        assert len(built) == 3 * len(cfg["families"])
+        assert checks_exp == []
+        want_dec, want_mod, want_exp = Counter(), Counter(), Counter()
+        for x, y, meta, exp_y in built:
+            non_normal = meta["family"] == "NonNormalLogPair"
+            # e^Y is kept for kurepa alone, and is exp_general(y) bit for bit
+            assert (exp_y is not None) == non_normal
+            if non_normal:
+                assert exp_y.tobytes() == normlog.logs.exp_general(y).tobytes()
+            reads = {x.tobytes(), (exp_y if non_normal else y).tobytes()}
+            want_dec.update(reads)
+            if meta["family"] in ("InteriorPair", "BoundaryFlipPair",
+                                  "DistinctProjectionPair"):
+                want_mod.update({x.tobytes(), y.tobytes()})
+            elif non_normal:
+                want_mod.update({x.tobytes()})
+            lhs = 1j * x if meta["equation"] == "exp(iX)=exp(Y)" else x
+            want_exp.update({lhs.tobytes(), y.tobytes()})
+        assert Counter(decomposed) == want_dec
+        assert Counter(moduli) == want_mod
+        assert Counter(exponentiated) == want_exp
+        interior = [x for x, y, meta, _ in built
+                    if meta["family"] == "InteriorPair"]
+        assert all(Counter(decomposed)[x.tobytes()] == 1 for x in interior)
 
     @pytest.mark.parametrize("family", list(Family))
     def test_self_test_residual_is_the_gate_residual(self, family):
@@ -816,6 +896,28 @@ class TestCli:
         assert cli_main(["suite", "--config", str(config)]) == 2
         assert "'seed'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, message", [
+        ({"sizes": ["2"], "seeds": 1,
+          "families": [{"family": "InteriorPair"}]},
+         "each size must be an integer, got '2'"),
+        ({"sizes": [2], "seeds": 1,
+          "families": [{"family": "BoundaryFlipPair",
+                        "params": {"side": "up"}}]},
+         "param 'side' must be an integer, got 'up'"),
+        ({"sizes": [4], "seeds": 1,
+          "families": [{"family": "OddPiEigenvalue",
+                        "params": {"violate": "no"}}]},
+         "param 'violate' must be an integer or a boolean, got 'no'"),
+    ], ids=["size", "side", "violate"])
+    def test_wrongly_typed_config_exits_2(self, tmp_path, capsys, config,
+                                          message):
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps(config))
+        assert cli_main(["suite", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and "Traceback" not in captured.err
+        assert "total" not in captured.out
+
     def test_check_recomputes_exp_gate_from_matrices(self, tmp_path, capsys):
         # a pair file's self_test_residual is not trusted for the gate
         path = str(tmp_path / "pair.json")
@@ -870,10 +972,10 @@ class TestCli:
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_suite_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs,
                                                  monkeypatch):
-        def no_make_pairs(specs):
+        def no_make_pairs(specs, keep_exp_y):
             raise AssertionError("an instance was built")
 
-        monkeypatch.setattr(normlog.harness.suite, "make_pairs", no_make_pairs)
+        monkeypatch.setattr(normlog.harness.suite, "_make_pairs", no_make_pairs)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"sizes": [2], "seeds": 1,
                                    "families": [{"family": "InteriorPair"}]}))

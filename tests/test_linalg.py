@@ -3,9 +3,12 @@ import pytest
 
 from normlog.errors import NotCommuting, NotHermitian
 from normlog.harness import Stream, random_unitary
+from normlog.harness import Family, InstanceSpec, make_pair
 from normlog.linalg import (
     _as_square_stack,
+    _frob_stack,
     _modulus_stack,
+    _same_bytes,
     as_square_matrix,
     commutant_basis,
     dagger,
@@ -79,6 +82,43 @@ class TestFrob:
     def test_rejects_non_matrix(self, a):
         with pytest.raises(ValueError):
             frob(a)
+
+
+class TestFrobStack:
+    @pytest.mark.parametrize("k", [1, 3, 25])
+    def test_equals_frob_bit_for_bit(self, k):
+        rng = np.random.default_rng(k)
+        for n in range(1, 65):
+            # each matrix at its own magnitude, 1e-3 to 1e3
+            scale = 10.0 ** rng.uniform(-3, 3, size=(k, 1, 1))
+            a = scale * (rng.standard_normal((k, n, n))
+                         + 1j * rng.standard_normal((k, n, n)))
+            got = _frob_stack(a)
+            assert got.shape == (k,)
+            assert got.tobytes() == np.array([frob(m) for m in a]).tobytes()
+
+    def test_views_and_empty_stacks(self):
+        a = np.stack([gaussian_matrix(Stream(s), 6) for s in range(4)])
+        for view in (a[::2], a.swapaxes(1, 2), a[:, ::2, ::2], a[:0]):
+            assert (_frob_stack(view).tobytes()
+                    == np.array([frob(m) for m in view]).tobytes())
+
+
+class TestSameBytes:
+    def test_tells_signed_zeros_apart(self):
+        a = np.diag([0.0, 1.0 + 2j])
+        b = np.diag([-0.0, 1.0 + 2j])
+        assert np.array_equal(a, b) and not _same_bytes(a, b)
+        assert _same_bytes(a, a.copy()) and _same_bytes(a, a)
+        assert not _same_bytes(a, -a) and not _same_bytes(b, b.conj())
+
+    def test_layouts_shapes_and_dtypes(self):
+        g = gaussian_matrix(Stream(3), 5)
+        assert _same_bytes(g.T, np.ascontiguousarray(g.T))
+        assert _same_bytes(g[::2], g[::2].copy())
+        assert not _same_bytes(g, g[:4])
+        assert not _same_bytes(g.real, g.real.astype(np.complex128))
+        assert not _same_bytes(np.zeros((2, 2)), np.zeros((2, 2), complex))
 
 
 class TestHermEig:
@@ -372,3 +412,35 @@ class TestDoubleCommutant:
     def test_zero_is_a_member(self):
         dec = normal_eig(np.diag([1.0, 2.0]))
         assert dec.bicommutant_distance(np.zeros((2, 2))) == 0.0
+
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    def test_stacked_distances_equal_lone(self, family):
+        # every projection of X at once, with and without a key, against
+        # one call per matrix; zero matrices read 0.0 as alone
+        expi = lambda lam: np.exp(1j * lam)
+        for n in (1, 2, 3, 8, 16, 40):
+            for seed in range(3):
+                try:
+                    x, y, _ = make_pair(InstanceSpec(family, n, seed))
+                    dec_x, dec_y = normal_eig(x), normal_eig(y)
+                except Exception:
+                    continue
+                blocks = list(dec_x._projection_blocks())
+                js = np.concatenate([j for j, _ in blocks])
+                assert sorted(js.tolist()) == list(range(len(dec_x.eigenvalues)))
+                for j, ps in blocks:
+                    assert len(ps) <= max(1, 8192 // n ** 2)
+                    assert len(set(dec_x.multiplicities[j].tolist())) == 1
+                    for i, p in zip(j, ps):
+                        assert p.tobytes() == dec_x.projection(i).tobytes()
+                if n == 40:
+                    assert len(blocks) >= 8
+                projections = np.concatenate([ps for _, ps in blocks])
+                ws = np.concatenate((projections, [x, y, np.zeros_like(x)]))
+                for key in (None, expi):
+                    got = dec_y._bicommutant_distances(ws, key)
+                    assert all(type(d) is float for d in got)
+                    assert got == [dec_y.bicommutant_distance(w, key)
+                                   for w in ws]
+                    assert [d.hex() for d in got] == [
+                        dec_y.bicommutant_distance(w, key).hex() for w in ws]

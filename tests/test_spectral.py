@@ -13,6 +13,7 @@ from normlog.errors import (
     NotCommuting,
     NotNormal,
     OutOfFoldRange,
+    SpectrumOutOfRange,
 )
 from normlog.linalg import frob, is_normal
 from normlog.spectral import (
@@ -449,6 +450,104 @@ class TestNormalEigStack:
             normal_eig_stack(xs)
 
 
+def _mixed_stack(n=4):
+    """4 x 4 operands for each branch of the stacked clustering: single
+    eigenvalues; runs in Re alone and in Im alone; exact repeats; -0.0
+    and 0.0 parts; pairs 0.7 merge radii apart along Re and along Im,
+    each one cluster; and NotNormal and NotCommuting entries between
+    them."""
+    u = random_unitary(n, 3)
+    conj = lambda d: u @ np.diag(d) @ u.conj().T
+    operands = [
+        conj([1 + 1j, -1 - 0.5j, 2j, 0.5]),                  # single
+        conj([1 + 1j, 1 - 1j, 1 + 0.25j, -2 + 0j]),          # one Re run
+        # Re parts 0.7 radii of Re X apart: re-resolved by Im
+        conj([1 + 1j, 1 + 0.7e-8 * 3 ** 0.5 + 2j, -1, 3j]),
+        conj([1 + 1j, -1 + 1j, 2 + 1j, 0.5 - 2j]),           # one Im run
+        conj([2 + 0j, 2 + 0j, -1j, 3 + 3j]),                 # exact repeat
+        np.diag([complex(-0.0, 1.0), complex(0.0, -0.0), complex(2.0, -0.0),
+                 complex(-0.0, -0.0)]),
+        np.diag([complex(-0.0, -0.0)] * n),
+        np.diag([1j, -1j, 1j, -1j]),                         # Re all equal
+        np.diag([2j, -1j, 0.5j, 0j]),                        # ties in Re
+    ]
+    for d, step in ((np.array([1.0, 1.0, 3j, -2.0]), 1.0),
+                    (np.array([1j, 1j, 3.0, -2.0]), 1j)):
+        for _ in range(3):  # the gap scales with ||D||, which it changes
+            d[1] = d[0] + step * 0.7 * DEFAULT_TOL.cluster * np.linalg.norm(d)
+        operands += [np.diag(d), conj(d)]
+    bad = [make_pair(InstanceSpec(Family.NON_NORMAL_LOG_PAIR, n, 0))[1],
+           np.diag([100.0, 0.0, 0.0, 0.0]) + 1e-10j * np.eye(n)[[1, 0, 2, 3]]]
+    return [operands[0], bad[0], *operands[1:5], bad[1], *operands[5:], bad[0]]
+
+
+def _clustered_by_merge(monkeypatch, operands):
+    """The decompositions with every operand clustered by ``_merge``, the
+    per-operand reference for the stacked sweep."""
+    with monkeypatch.context() as m:
+        m.setattr(normlog.spectral, "_isolated",
+                  lambda lams, radius: np.zeros(len(lams), dtype=bool))
+        return normal_eig_stack(operands)
+
+
+def _same_layout(got, ref):
+    return (isinstance(ref, NormLogError)
+            or (got.v.strides == ref.v.strides
+                and type(got.eigenvalues[0]) is complex))
+
+
+class TestStackedClustering:
+    def test_mixed_stack_equals_merge_and_lone(self, monkeypatch):
+        operands = _mixed_stack()
+        stacked = normal_eig_stack(operands)
+        reference = _clustered_by_merge(monkeypatch, operands)
+        assert [type(d) for d in stacked].count(NotNormal) == 2
+        assert [type(d) for d in stacked].count(NotCommuting) == 1
+        decs = [d for d in stacked if isinstance(d, SpectralDecomposition)]
+        assert {len(d.eigenvalues) for d in decs} >= {1, 2, 3, 4}
+        for m, got, ref in zip(operands, stacked, reference):
+            assert _same_decomposition(got, ref)
+            assert _same_layout(got, ref)
+            assert _same_decomposition(got, _lone(m))
+        # a decomposition into single eigenvalues reproduces its matrix,
+        # which needs the re-resolution of close Re eigenvalues by Im
+        for m, got in zip(operands, stacked):
+            if (isinstance(got, SpectralDecomposition)
+                    and len(got.eigenvalues) == len(m)):
+                assert (got.validate(m)["reconstruction"]
+                        <= 1e-10 * len(m) * max(1.0, frob(m)))
+        # a representative is a mean, 0 + sum, so no part is -0.0
+        assert all(math.copysign(1.0, part) == 1.0 for d in decs
+                   for z in d.eigenvalues for part in (z.real, z.imag)
+                   if part == 0.0)
+
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    def test_generated_operands_equal_merge(self, family, monkeypatch):
+        for n in (1, 2, 8, 16):
+            if n == 1 and family in (Family.DISTINCT_PROJECTION_PAIR,
+                                     Family.NON_NORMAL_LOG_PAIR):
+                continue  # these need n >= 2
+            group = [m for seed in range(3)
+                     for m in make_pair(InstanceSpec(family, n, seed))[:2]]
+            stacked = normal_eig_stack(group)
+            for got, ref in zip(stacked, _clustered_by_merge(monkeypatch, group)):
+                assert _same_decomposition(got, ref)
+                assert _same_layout(got, ref)
+
+    def test_wrong_stacked_boundary_is_caught(self, monkeypatch):
+        # a sweep that splits at half the merge radius takes the pairs 0.7
+        # radii apart for single eigenvalues: the comparison with the
+        # per-operand clustering must see it
+        operands = _mixed_stack()
+        reference = _clustered_by_merge(monkeypatch, operands)
+        isolated = normlog.spectral._isolated
+        monkeypatch.setattr(normlog.spectral, "_isolated",
+                            lambda lams, radius: isolated(lams, radius / 2))
+        mutated = normal_eig_stack(operands)
+        assert not all(_same_decomposition(got, ref)
+                       for got, ref in zip(mutated, reference))
+
+
 def _failing_operand(error):
     if error is NotNormal:
         return make_pair(InstanceSpec(Family.NON_NORMAL_LOG_PAIR, 2, 0))[1]
@@ -504,6 +603,28 @@ class TestNormalityVerdict:
             assert residual / bound == pytest.approx(r, rel=1e-3)
             assert is_normal(m) == (r < 1)
             assert isinstance(got, NotNormal) == (r > 1)
+
+    def test_commutation_near_its_threshold(self):
+        # normal, but the Hermitian parts commute only up to t ||[A, S]||:
+        # the verdict follows ||[A, B]|| > tol.comm * max(1, ||A|| ||B||),
+        # taken here with frob on each matrix
+        a = np.diag([100.0, 0.0, 0.0, 0.0]).astype(complex)
+        swap = np.eye(4, dtype=complex)[[1, 0, 2, 3]]
+        u = random_unitary(4, 2)
+        operands = []
+        for t in (1e-13, 1e-12, 5e-12, 1e-11, 1e-10, 3e-10):
+            operands += [a + 1j * t * swap,
+                         u @ (a + 1j * t * swap) @ u.conj().T]
+        for m, got in zip(operands, normal_eig_stack(operands)):
+            re, im = (m + m.conj().T) / 2, (m - m.conj().T) / 2j
+            residual = frob(re @ im - im @ re)
+            fails = residual > DEFAULT_TOL.comm * max(1.0, frob(re) * frob(im))
+            assert is_normal(m)
+            assert isinstance(got, NotCommuting) == fails
+        assert any(isinstance(got, NotCommuting)
+                   for got in normal_eig_stack(operands))
+        assert not all(isinstance(got, NotCommuting)
+                       for got in normal_eig_stack(operands))
 
 
 class TestSpectralMeasure:
@@ -699,6 +820,21 @@ class TestStripProjectionsOnePass:
                 want = spectral_measure(dec, region)
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes(), (k, region)
+
+    @pytest.mark.parametrize("case", list(_strip_cases()),
+                             ids=lambda case: case[0])
+    def test_strip_k_lo_is_always_empty(self, case):
+        # the window admits Im z in [(2k_lo+1)pi, (2k_hi+1)pi], which the
+        # open strip k_lo, below (2k_lo+1)pi, never meets
+        _, x, y, k_lo, k_hi = case
+        sp = strip_projections(normal_eig(x), normal_eig(y), k_lo, k_hi)
+        assert not sp.x_strip[:, 0].any() and not sp.y_strip[:, 0].any()
+        assert not sp.p(k_lo).any() and not sp.q(k_lo).any()
+        # so strip k needs k_lo <= k - 1: here strip k_lo is out of range
+        inside = normal_eig(np.diag([(2 * k_lo) * PI * 1j]))
+        with pytest.raises(SpectrumOutOfRange):
+            strip_projections(inside, inside, k_lo, k_hi)
+        assert strip_projections(inside, inside, k_lo - 1, k_hi).p(k_lo).any()
 
     @pytest.mark.parametrize("case", list(_strip_cases()),
                              ids=lambda case: case[0])
