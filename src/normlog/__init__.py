@@ -2,8 +2,8 @@
 
 The toolkit decomposes normal complex matrices into eigenprojections,
 evaluates projection-valued measures over plane regions, computes
-principal and branch-shifted logarithms, and mechanically verifies the
-identities that constrain two logarithms of the same exponential.
+principal logarithms, and mechanically verifies the identities that
+constrain two logarithms of the same exponential.
 """
 
 __version__ = "0.1.0"
@@ -35,7 +35,6 @@ from .errors import (
     NotCommuting,
     NotHermitian,
     NotNormal,
-    OutOfFoldRange,
     Singular,
     SpectrumOutOfRange,
 )
@@ -60,14 +59,11 @@ from .spectral import (
     Points,
     Rect,
     Region,
-    RegionUnion,
     SpectralDecomposition,
     StripProjections,
     borel_calculus,
-    fold_scalar,
     normal_eig,
     spectral_measure,
-    strip_boundary,
     strip_interior,
     strip_projections,
 )

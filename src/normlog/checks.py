@@ -140,6 +140,16 @@ class PairAnalysis:
         return frob(self.y)
 
     @cached_property
+    def commutator_residual(self) -> float:
+        """Relative norm of XY - YX."""
+        return _rel(frob(commutator(self.x, self.y)), self.norm_x, self.norm_y)
+
+    @cached_property
+    def real_part_residual(self) -> float:
+        """Relative norm of Re(X) - Re(Y)."""
+        return _rel(frob(re_part(self.x) - re_part(self.y)), self.norm_x)
+
+    @cached_property
     def hermitian_x(self) -> bool:
         x = self.x
         return frob(x - dagger(x)) <= self.tol.herm * max(1.0, self.norm_x)
@@ -360,8 +370,8 @@ def run_check(name: str, pair: PairAnalysis) -> CheckReport:
 @_gated("normal", "exp")
 def check_real_part(pair: PairAnalysis):
     """Re(X) = Re(Y) whenever X, Y are normal with equal exponentials."""
-    r = _rel(frob(re_part(pair.x) - re_part(pair.y)), pair.norm_x)
-    return {"real_part": r}, {"real_part": pair.tol.check}, ""
+    return ({"real_part": pair.real_part_residual},
+            {"real_part": pair.tol.check}, "")
 
 
 def _interior_region_family(dec_x: SpectralDecomposition,
@@ -449,17 +459,15 @@ def check_spectral_agreement(pair: PairAnalysis):
     which needs the unitary eigenbases ``normal_eig`` builds (see
     :func:`_interior_measure`).
     """
-    x, y, tol = pair.x, pair.y, pair.tol
-    dec_x, dec_y = pair.dec_x, pair.dec_y
-    interior = _interior_measure(dec_x, dec_y, pair.norm_x, tol)
+    tol, dec_x = pair.tol, pair.dec_x
+    interior = _interior_measure(dec_x, pair.dec_y, pair.norm_x, tol)
 
     bx = sum(pair.boundary_x)
     by = sum(pair.boundary_y)
-    r_re = _rel(frob(re_part(x) - re_part(y)), pair.norm_x)
 
     bound = tol.check * dec_x.n
     return ({"interior_measure": interior, "boundary_sum": frob(bx - by),
-             "real_part": r_re},
+             "real_part": pair.real_part_residual},
             {"interior_measure": bound, "boundary_sum": bound,
              "real_part": bound},
             "equality of exponentials re-verified against the "
@@ -533,8 +541,7 @@ def check_corollary_cases(pair: PairAnalysis):
         raise _Unmet("spectrum of X meets both boundary lines; "
                      "no case applies")
 
-    residuals = {"commutator": _rel(frob(commutator(x, y)),
-                                    pair.norm_x, pair.norm_y)}
+    residuals = {"commutator": pair.commutator_residual}
     tols = {"commutator": tol.check}
     cases = []
     if top_empty:
@@ -599,7 +606,7 @@ def check_double_commutant(pair: PairAnalysis):
     residual is the distance to that span; a non-normal Y needs the
     commutant basis.
     """
-    x, y, tol = pair.x, pair.y, pair.tol
+    y, tol = pair.y, pair.tol
     if not pair.congruence.passed:
         raise _Unmet("spectrum is not 2*pi-congruence-free; "
                      "hypothesis not met")
@@ -612,8 +619,7 @@ def check_double_commutant(pair: PairAnalysis):
         basis = commutant_basis(y, tol=tol)
         worst = max(in_double_commutant(p, y, tol=tol, basis=basis)[1]
                     for _, ps in blocks for p in ps)
-    r_comm = _rel(frob(commutator(x, y)), pair.norm_x, pair.norm_y)
-    return ({"double_commutant": worst, "commutator": r_comm},
+    return ({"double_commutant": worst, "commutator": pair.commutator_residual},
             {"double_commutant": tol.check, "commutator": tol.check},
             _FINITE_DIM_NOTE)
 
@@ -623,15 +629,15 @@ def check_one_boundary_eigenvalue(pair: PairAnalysis):
     """X and Y commute when exp(iX) = exp(Y), Y is normal with spectrum
     in the strip, and at most one eigenvalue of the self-adjoint X is an
     odd multiple of pi."""
-    x, y, tol = pair.x, pair.y, pair.tol
+    tol = pair.tol
     radius = tol.cluster * max(1.0, pair.norm_x)
     odd_hits = sum(1 for lam in pair.dec_x.eigenvalues
                    if _odd_pi_distance(lam.real) <= radius)
     if odd_hits > 1:
         raise _Unmet(f"{odd_hits} distinct odd-pi eigenvalues; "
                      "hypothesis not met")
-    r = _rel(frob(commutator(x, y)), pair.norm_x, pair.norm_y)
-    return {"commutator": r}, {"commutator": tol.check}, _FINITE_DIM_NOTE
+    return ({"commutator": pair.commutator_residual},
+            {"commutator": tol.check}, _FINITE_DIM_NOTE)
 
 
 @_gated("hermitian_x", "normal_y", "strip_y", "exp_i")

@@ -30,10 +30,6 @@ class SpectrumOutOfRange(NormLogError):
     """Eigenvalues fall outside the strip window a computation requires."""
 
 
-class OutOfFoldRange(NormLogError):
-    """Argument lies outside the configured folding window."""
-
-
 class Singular(NormLogError):
     """Matrix is numerically singular where invertibility is required."""
 

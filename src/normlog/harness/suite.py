@@ -156,10 +156,12 @@ def run_suite(config: dict | None = None, jobs: int = 1) -> dict:
     ``summary.failed == 0`` is the success criterion (hypothesis-skipped
     checks do not fail the suite). Raises ValueError, before any instance
     is built, for ``jobs < 1``, for a config key, family, size,
-    parameter, tolerance or check name it does not know, and for a value
-    of the wrong type: ``base_seed``, ``seeds``, each size and each family
+    parameter, tolerance or check name it does not know, for a value of
+    the wrong type: ``base_seed``, ``seeds``, each size and each family
     parameter must be an integer (``violate`` and ``conjugate_pair`` may
-    also be a boolean), and a label a string.
+    also be a boolean), and a label a string, and for a config that
+    checks nothing: ``seeds < 1``, no sizes, no family entries, or an
+    entry with an empty ``checks`` list.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -170,14 +172,21 @@ def run_suite(config: dict | None = None, jobs: int = 1) -> dict:
     sizes = config.get("sizes", [2, 4, 8, 16])
     if not isinstance(sizes, (list, tuple)):
         raise ValueError(f"sizes must be a list of integers, got {sizes!r}")
+    if not sizes:
+        raise ValueError("sizes must name at least one size")
     for n in sizes:
         _require_int(n, "each size")
     n_seeds = config.get("seeds", 25)
     _require_int(n_seeds, "seeds")
+    if n_seeds < 1:
+        raise ValueError(f"seeds must be >= 1, got {n_seeds}")
     tol = tolerances_from_config(config.get("tol", {}))
+    families = config.get("families", [])
+    if not families:
+        raise ValueError("families must name at least one entry")
 
     tasks = []
-    for entry in config.get("families", []):
+    for entry in families:
         _require_keys(entry, _ENTRY_KEYS, "family entry")
         family = Family(entry["family"])
         label = entry.get("label", family.value)
@@ -185,6 +194,8 @@ def run_suite(config: dict | None = None, jobs: int = 1) -> dict:
             raise ValueError(f"label must be a string, got {label!r}")
         params = entry.get("params", {})
         checks = tuple(entry.get("checks", _FAMILY_CHECKS[family]))
+        if not checks:
+            raise ValueError(f"entry {label!r} names no checks")
         unknown = [name for name in checks if name not in CHECK_NAMES]
         if unknown:
             raise ValueError(f"unknown checks {unknown} for {label!r}; "

@@ -1,4 +1,4 @@
-"""Matrix exponentials and branch logarithms.
+"""Matrix exponentials and principal logarithms.
 
 Normal matrices get their logarithms through the spectral
 decomposition; a scaling-and-squaring Pade kernel computes the
@@ -127,25 +127,16 @@ def _require_invertible(dec: SpectralDecomposition, scale: float,
                            f"{floor:.3e}")
 
 
-def branch_log(dec_n: SpectralDecomposition, offsets=None, *,
+def branch_log(dec_n: SpectralDecomposition, *,
                tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Normal logarithm with per-cluster branch offsets.
-
-    Returns sum (Log lam_j + 2*pi*i*k_j) P_j over the clusters of an
-    invertible normal matrix, P_j the eigenprojection of cluster j and
-    k_j = offsets[j], one integer per cluster; no offsets (all 0) gives
-    :func:`principal_log`. Raises ValueError when the lengths differ.
+    """Principal logarithm of an invertible normal matrix, given its
+    decomposition: sum Log(lam_j) P_j over the clusters, P_j the
+    eigenprojection of cluster j. Raises Singular below the
+    invertibility floor.
     """
-    lams = dec_n.eigenvalues
-    if offsets is None:
-        offsets = [0] * len(lams)
-    elif len(offsets) != len(lams):
-        raise ValueError(f"expected one branch offset per cluster, "
-                         f"{len(lams)}, got {len(offsets)}")
     _require_invertible(dec_n, dec_n.norm, tol)
-    return dec_n.combination([
-        _principal_scalar_log(lam, tol.on_feature) + TWO_PI * 1j * k
-        for lam, k in zip(lams, offsets)])
+    return dec_n.combination([_principal_scalar_log(lam, tol.on_feature)
+                              for lam in dec_n.eigenvalues])
 
 
 def principal_log(n_mat, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -24,12 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .errors import (
-    AmbiguousBoundary,
-    NormLogError,
-    OutOfFoldRange,
-    SpectrumOutOfRange,
-)
+from .errors import AmbiguousBoundary, NormLogError, SpectrumOutOfRange
 from .linalg import (
     _as_square_stack,
     _cluster_slices,
@@ -37,7 +32,6 @@ from .linalg import (
     _frob_stack,
     as_square_matrix,
     dagger,
-    frob,
     im_part,
     re_part,
 )
@@ -47,17 +41,14 @@ __all__ = [
     "Points",
     "Rect",
     "Region",
-    "RegionUnion",
     "SpectralDecomposition",
     "StripProjections",
     "borel_calculus",
-    "fold_scalar",
     "normal_eig",
     "normal_eig_stack",
     "odd_line",
     "open_branch_strip",
     "spectral_measure",
-    "strip_boundary",
     "strip_interior",
     "strip_projections",
 ]
@@ -182,27 +173,10 @@ class Points(Region):
         return near, near
 
 
-@dataclass(frozen=True)
-class RegionUnion(Region):
-    members: tuple
-
-    def _status(self, z, tol):
-        yes = maybe = False
-        for m in self.members:
-            y, mb = m._status(z, tol)
-            yes, maybe = yes | y, maybe | mb
-        return yes, maybe
-
-
 def strip_interior() -> Region:
     """Open strip |Im z| < pi."""
     return Rect(im_lo=-math.pi, im_hi=math.pi,
                 incl_im_lo=False, incl_im_hi=False)
-
-
-def strip_boundary() -> Region:
-    """The two lines Im z = +/- pi."""
-    return RegionUnion((HLine(math.pi), HLine(-math.pi)))
 
 
 def open_branch_strip(k: int) -> Region:
@@ -401,18 +375,6 @@ class SpectralDecomposition:
         # a zero w has M - D = 0, and the distance 0.0 alone takes
         return (_frob_stack(m) / np.where(norms == 0.0, 1.0, norms)).tolist()
 
-    def validate(self, x=None) -> dict[str, float]:
-        """Residuals of the decomposition invariants (not thresholded)."""
-        projs = [self.projection(j) for j in range(len(self.eigenvalues))]
-        res = {"idempotent": max(frob(p @ p - p) for p in projs),
-               "hermitian": max(frob(p - dagger(p)) for p in projs),
-               "orthogonal": max((frob(p @ q) for i, p in enumerate(projs)
-                                  for q in projs[i + 1:]), default=0.0),
-               "resolution": frob(self.v @ dagger(self.v) - np.eye(self.n))}
-        if x is not None:
-            res["reconstruction"] = frob(self.reconstruct() - x)
-        return res
-
 
 def normal_eig(x, *, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
     """Spectral decomposition of a normal matrix.
@@ -561,21 +523,6 @@ def _odd_pi_distance(t: float) -> float:
     """Distance from a real number to the nearest odd multiple of pi."""
     k = round((t - math.pi) / (2.0 * math.pi))
     return abs(t - (2 * k + 1) * math.pi)
-
-
-def fold_scalar(t: float, k_lo: int, k_hi: int, *,
-                tol: Tolerances = DEFAULT_TOL) -> float:
-    """Sawtooth fold t -> t - 2*k*pi onto (-pi, pi].
-
-    The branch index k is the unique integer with
-    t in ((2k-1)pi, (2k+1)pi]; it must lie in [k_lo - 1, k_hi], else
-    OutOfFoldRange is raised.
-    """
-    k, r = _fold_branch(float(t), tol.on_feature)
-    if k < k_lo - 1 or k > k_hi:
-        raise OutOfFoldRange(
-            f"t={t} folds with branch index {k}, outside [{k_lo - 1}, {k_hi}]")
-    return r
 
 
 @dataclass(frozen=True, eq=False)  # masks have no truth value

@@ -34,7 +34,7 @@ from normlog.spectral import (
     normal_eig,
 )
 
-from util import verify_pushforward
+from util import validate_decomposition, verify_pushforward
 
 PI = math.pi
 SIZES = (2, 4, 8, 16)
@@ -69,7 +69,7 @@ def test_criterion_1_eigensolver_suite():
     for n in (2, 4, 8, 16, 32):
         for i in range(20):
             x, _ = _random_normal(n, 10_000 + 100 * n + i, im_range=3.0)
-            res = normal_eig(x).validate(x)
+            res = validate_decomposition(normal_eig(x), x)
             bound = 1e-10 * n * frob(x)
             assert max(res.values()) <= bound, (n, i, res)
             count += 1

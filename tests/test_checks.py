@@ -282,6 +282,41 @@ class TestPairAnalysis:
         assert check_corollary_cases(pair).passed
         assert len(calls) == 4
 
+    @pytest.mark.parametrize("family, checks, residual", [
+        (Family.BOUNDARY_FLIP_PAIR, ("real_part", "spectral_agreement"),
+         "real_part"),
+        (Family.INTERIOR_PAIR, ("real_part", "spectral_agreement"),
+         "real_part"),
+        (Family.SELF_ADJOINT_CONGRUENCE_FREE,
+         ("double_commutant", "one_boundary_eigenvalue"), "commutator"),
+        (Family.ODD_PI_EIGENVALUE,
+         ("one_boundary_eigenvalue", "double_commutant"), "commutator"),
+    ], ids=lambda v: getattr(v, "value", None))
+    def test_pair_residuals_formed_once(self, family, checks, residual,
+                                        monkeypatch):
+        x, y, _ = make_pair(InstanceSpec(family, 6, 4))
+        # Re(M) is the Hermitian part (M + M*) / 2
+        lone = {"real_part": frob((x + dagger(x)) / 2 - (y + dagger(y)) / 2)
+                / max(1.0, frob(x)),
+                "commutator": frob(x @ y - y @ x)
+                / max(1.0, frob(x) * frob(y))}
+        calls = []
+        for name in ("commutator", "re_part"):
+            real = getattr(normlog.checks, name)
+            monkeypatch.setattr(
+                normlog.checks, name,
+                lambda *a, _real=real, _name=name: (calls.append(_name)
+                                                   or _real(*a)))
+        pair = PairAnalysis(x, y)
+        reports = [run_check(name, pair) for name in checks]
+        assert all(rep.passed for rep in reports)
+        for rep in reports:
+            assert rep.residuals[residual] == pytest.approx(lone[residual],
+                                                            abs=1e-15)
+        # one commutator, or the real parts of X and Y, for both checks
+        assert calls == (["commutator"] if residual == "commutator"
+                         else ["re_part", "re_part"])
+
 
 def _not_called(*args, **kwargs):
     raise AssertionError("computed again")

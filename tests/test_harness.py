@@ -424,8 +424,8 @@ class TestReportWriter:
         self._assert_as_json_dump(tmp_path, run_suite(config))
 
     def test_empty_results(self, tmp_path):
-        self._assert_as_json_dump(tmp_path, run_suite(
-            {"families": [], "sizes": [2], "seeds": 1}))
+        self._assert_as_json_dump(tmp_path, normlog.harness.suite.report(
+            "normlog", {"sizes": [2], "seeds": 1}, []))
 
     def test_quotes_and_non_ascii(self, tmp_path):
         config = {"base_seed": 3, "sizes": [2], "seeds": 2, "families": [
@@ -476,11 +476,6 @@ class TestSuite:
         rep = run_suite(self.CFG)
         assert rep["summary"]["failed"] == 0
         assert rep["summary"]["total"] == rep["summary"]["passed"]
-
-    def test_empty_family_list(self):
-        rep = run_suite({"families": [], "sizes": [2], "seeds": 1})
-        assert rep["summary"] == {"total": 0, "passed": 0,
-                                  "skipped_hypothesis": 0, "failed": 0}
 
     def test_seeds_hash_each_label_once_per_size(self):
         # the per-character hash of the label, size and index, in full
@@ -619,8 +614,17 @@ class TestSuite:
          "family entry must be an object"),
         ({"families": [{"family": "InteriorPair"}, {"family": "Nope"}]},
          "Nope"),
+        # a run that checks nothing would report total 0, failed 0
+        ({"seeds": 0}, "seeds must be >= 1, got 0"),
+        ({"seeds": -3}, "seeds must be >= 1, got -3"),
+        ({"sizes": []}, "sizes must name at least one size"),
+        ({"families": []}, "families must name at least one entry"),
+        ({"families": [{"family": "InteriorPair"},
+                       {"family": "OddPiEigenvalue", "label": "none",
+                        "checks": []}]}, "entry 'none' names no checks"),
     ], ids=["config-key", "size", "entry-key", "misspelt-control",
-            "constant", "params-list", "entry-list", "family"])
+            "constant", "params-list", "entry-list", "family", "seeds-zero",
+            "seeds-negative", "sizes-empty", "families-empty", "checks-empty"])
     def test_bad_config_rejected_before_work(self, change, match,
                                              monkeypatch):
         calls = self._count_built(monkeypatch)
@@ -908,9 +912,21 @@ class TestCli:
           "families": [{"family": "OddPiEigenvalue",
                         "params": {"violate": "no"}}]},
          "param 'violate' must be an integer or a boolean, got 'no'"),
-    ], ids=["size", "side", "violate"])
-    def test_wrongly_typed_config_exits_2(self, tmp_path, capsys, config,
-                                          message):
+        # a config that checks nothing
+        ({"sizes": [2], "seeds": -3,
+          "families": [{"family": "InteriorPair"}]},
+         "seeds must be >= 1, got -3"),
+        ({"sizes": [], "seeds": 1, "families": [{"family": "InteriorPair"}]},
+         "sizes must name at least one size"),
+        ({"sizes": [2], "seeds": 1, "families": []},
+         "families must name at least one entry"),
+        ({"sizes": [2], "seeds": 1,
+          "families": [{"family": "InteriorPair", "checks": []}]},
+         "entry 'InteriorPair' names no checks"),
+    ], ids=["size", "side", "violate", "seeds-negative", "sizes-empty",
+            "families-empty", "checks-empty"])
+    def test_rejected_config_exits_2(self, tmp_path, capsys, config,
+                                     message):
         path = tmp_path / "suite.json"
         path.write_text(json.dumps(config))
         assert cli_main(["suite", "--config", str(path)]) == 2

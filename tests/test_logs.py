@@ -132,34 +132,11 @@ class TestPrincipalLog:
 
 
 class TestBranchLog:
-    @pytest.mark.parametrize("offsets", [[], [1], [0, 1, 2]])
-    def test_offsets_length_mismatch(self, offsets):
-        dec = normal_eig(np.diag([2.0 + 0j, -3.0 + 0j]))   # two clusters
-        with pytest.raises(ValueError, match="one branch offset per cluster"):
-            branch_log(dec, offsets)
-
-    def test_unit_shift(self):
-        dec = normal_eig(np.diag([1.0 + 0j]))
-        got = branch_log(dec, [1])
-        assert np.allclose(got, np.diag([2 * PI * 1j]), atol=1e-14)
-
-    def test_negative_identity_down_shift(self):
-        dec = normal_eig(-np.eye(2))       # single cluster at -1
-        assert len(dec.eigenvalues) == 1
-        got = branch_log(dec, [-1])
-        assert np.allclose(got, np.diag([-PI * 1j, -PI * 1j]), atol=1e-14)
-
-    def test_zero_shift_is_principal(self):
+    def test_is_principal_log_of_the_decomposition(self):
         x, _, _ = random_normal_matrix(5, 98, re_range=1.0, im_range=2.0)
         e = exp_spectral(normal_eig(x))
         assert np.allclose(branch_log(normal_eig(e)),
                            principal_log(e))
-
-    def test_exponential_round_trip_with_shifts(self):
-        n_mat = np.diag([2.0 + 0j, -3.0 + 0j])
-        dec = normal_eig(n_mat)
-        shifted = branch_log(dec, [2, -1])
-        assert frob(exp_general(shifted) - n_mat) <= 1e-12 * frob(n_mat)
 
 
 class TestKurepa:

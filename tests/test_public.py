@@ -2,14 +2,16 @@
 
 import ast
 import importlib
+import inspect
 import os
+import re
 
 import pytest
 
 import normlog
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src", "normlog")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "normlog")
 MODULES = ["normlog", "normlog.checks", "normlog.config", "normlog.errors",
            "normlog.linalg", "normlog.logs", "normlog.report",
            "normlog.spectral", "normlog.harness", "normlog.harness.cli",
@@ -60,7 +62,36 @@ def test_reexports_are_public_in_their_module(package):
     ("logs", "exp_stack"),
     ("linalg", "modulus_stack"),
     ("harness.rng", "unitary_stack"),
+    ("spectral", "fold_scalar"),
+    ("errors", "OutOfFoldRange"),
+    ("spectral", "strip_boundary"),
+    ("spectral", "RegionUnion"),
 ])
 def test_deleted_names_are_gone(module, name):
     assert not hasattr(importlib.import_module(f"normlog.{module}"), name)
     assert not hasattr(normlog, name)
+
+
+def test_decompositions_have_no_validate():
+    # the invariant oracle is tests/util.validate_decomposition
+    assert not hasattr(normlog.SpectralDecomposition, "validate")
+
+
+def test_branch_log_takes_no_offsets():
+    params = inspect.signature(normlog.branch_log).parameters
+    assert list(params) == ["dec_n", "tol"]
+
+
+def _readme_python_blocks() -> list:
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        return re.findall(r"^```python\n(.*?)^```", fh.read(), re.M | re.S)
+
+
+def test_readme_has_a_library_tour():
+    assert _readme_python_blocks()
+
+
+@pytest.mark.parametrize("index", range(len(_readme_python_blocks())))
+def test_readme_python_block_runs(index):
+    exec(compile(_readme_python_blocks()[index], f"README.md block {index}",
+                 "exec"), {})

@@ -12,7 +12,6 @@ from normlog.errors import (
     NormLogError,
     NotCommuting,
     NotNormal,
-    OutOfFoldRange,
     SpectrumOutOfRange,
 )
 from normlog.linalg import frob, is_normal
@@ -20,23 +19,21 @@ from normlog.spectral import (
     HLine,
     Points,
     Rect,
-    RegionUnion,
     SpectralDecomposition,
+    _fold_branch,
     borel_calculus,
-    fold_scalar,
     normal_eig,
     normal_eig_stack,
     odd_line,
     open_branch_strip,
     spectral_measure,
-    strip_boundary,
     strip_interior,
     strip_projections,
 )
 
 from normlog.harness import Family, InstanceSpec, make_pair, random_unitary
 
-from util import random_normal_matrix, verify_pushforward
+from util import random_normal_matrix, validate_decomposition, verify_pushforward
 
 PI = math.pi
 
@@ -80,19 +77,10 @@ class TestRegions:
         assert pts.contains(1 + 1j + 1e-8)
         assert not pts.contains(1 + 1j + 1e-3)
 
-    def test_union(self):
-        union = RegionUnion((Rect(im_lo=1.0), HLine(-5.0)))
-        assert union.contains(-5j)
-        assert union.contains(2j)
-        assert not union.contains(-2j)
-
     def test_strip_constructors(self):
         z_on = 1 + PI * 1j
         assert Rect(im_lo=-PI, im_hi=PI).contains(z_on)
         assert not strip_interior().contains(z_on)
-        assert strip_boundary().contains(z_on)
-        assert strip_boundary().contains(1 - PI * 1j)
-        assert not strip_boundary().contains(1j)
         assert Rect().contains(1e6 - 1e6j)
 
 
@@ -130,8 +118,6 @@ _MEMBERSHIP_CASES = {
     "whole-plane": (Rect(), (0.0,), (0.0,)),
     "hline": (HLine(PI), (0.0,), (PI,)),
     "points": (Points((1 + 1j, 1 + 1.5j), radius=1e-9), (1.0,), (1.0, 1.5)),
-    "union": (RegionUnion((strip_interior(), strip_boundary(), Points((4j,)))),
-              (0.0,), (-PI, PI, 4.0)),
 }
 
 
@@ -219,7 +205,7 @@ class TestNormalEig:
         for seed in range(3):
             x, _, _ = random_normal_matrix(n, 9000 + 10 * n + seed)
             dec = normal_eig(x)
-            res = dec.validate(x)
+            res = validate_decomposition(dec, x)
             bound = 1e-10 * n * max(1.0, frob(x))
             assert max(res.values()) <= bound, res
             reps = dec.eigenvalues
@@ -514,7 +500,7 @@ class TestStackedClustering:
         for m, got in zip(operands, stacked):
             if (isinstance(got, SpectralDecomposition)
                     and len(got.eigenvalues) == len(m)):
-                assert (got.validate(m)["reconstruction"]
+                assert (validate_decomposition(got, m)["reconstruction"]
                         <= 1e-10 * len(m) * max(1.0, frob(m)))
         # a representative is a mean, 0 + sum, so no part is -0.0
         assert all(math.copysign(1.0, part) == 1.0 for d in decs
@@ -706,28 +692,25 @@ class TestPushforward:
         assert rep.residuals["pushforward"] <= 1e-12
 
 
-class TestFoldScalar:
+class TestFoldBranch:
     def test_zero(self):
-        assert fold_scalar(0.0, -1, 1) == 0.0
+        assert _fold_branch(0.0, DEFAULT_TOL.on_feature) == (0, 0.0)
 
     def test_three_pi(self):
-        assert abs(fold_scalar(3 * PI, -1, 1) - PI) <= 1e-12
+        k, r = _fold_branch(3 * PI, DEFAULT_TOL.on_feature)
+        assert k == 1 and abs(r - PI) <= 1e-12
 
     def test_minus_pi_maps_to_plus_pi(self):
-        assert abs(fold_scalar(-PI, 0, 0) - PI) <= 1e-12
-
-    def test_out_of_range(self):
-        with pytest.raises(OutOfFoldRange):
-            fold_scalar(4 * PI, -1, 1)
-        with pytest.raises(OutOfFoldRange):
-            fold_scalar(-4 * PI, 0, 1)
+        k, r = _fold_branch(-PI, DEFAULT_TOL.on_feature)
+        assert k == -1 and abs(r - PI) <= 1e-12
 
     def test_exponential_identity(self):
         for i in range(200):
             t = -7 * PI + i * (14 * PI / 199)
-            r = fold_scalar(t, -4, 4)
+            k, r = _fold_branch(t, DEFAULT_TOL.on_feature)
             assert -PI < r <= PI + 1e-15
             assert abs(cmath.exp(1j * r) - cmath.exp(1j * t)) <= 1e-12
+            assert abs(t - 2 * PI * k - r) <= 1e-12
 
 
 class TestStripProjections:

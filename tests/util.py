@@ -43,6 +43,22 @@ def random_normal_matrix(n, seed, re_range=2.0, im_range=2.0, min_gap=1e-4):
     return u @ np.diag(eigs) @ dagger(u), eigs, u
 
 
+def validate_decomposition(dec, x=None):
+    """Residuals of the invariants of a spectral decomposition, not
+    thresholded: each eigenprojection is idempotent and Hermitian, they
+    are mutually orthogonal, the eigenbasis is unitary and, given ``x``,
+    it reconstructs ``x``."""
+    projs = [dec.projection(j) for j in range(len(dec.eigenvalues))]
+    res = {"idempotent": max(frob(p @ p - p) for p in projs),
+           "hermitian": max(frob(p - dagger(p)) for p in projs),
+           "orthogonal": max((frob(p @ q) for i, p in enumerate(projs)
+                              for q in projs[i + 1:]), default=0.0),
+           "resolution": frob(dec.v @ dagger(dec.v) - np.eye(dec.n))}
+    if x is not None:
+        res["reconstruction"] = frob(dec.reconstruct() - x)
+    return res
+
+
 def verify_pushforward(dec, f, omega, *, tol=DEFAULT_TOL):
     """Check that the measure of f(X) pulls back through f.
 
