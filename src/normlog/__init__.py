@@ -25,7 +25,6 @@ from .checks import (
     check_y_in_bicommutant_of_exp,
     run_check,
 )
-from .config import DEFAULT_TOL, Tolerances
 from .errors import (
     AmbiguousBoundary,
     ConstructionFailed,

@@ -21,8 +21,10 @@ from functools import cached_property, wraps
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
-from .errors import ExpNotNormal, NormLogError, NotNormal, Singular
+from .config import (BOUNDARY_TOL, CHECK_TOL, CLUSTER_TOL, GATE_TOL, HERM_TOL,
+                     INTEGER_TOL)
+from .errors import (ExpNotNormal, NormLogError, NotNormal, Singular,
+                     SpectrumOutOfRange)
 from .linalg import (
     _modulus_stack,
     _same_bytes,
@@ -87,7 +89,9 @@ class PairAnalysis:
 
     Each fact is computed on first use and kept for the life of the
     object, so the checks run on one pair never repeat a decomposition
-    or an exponential. ``[k_lo, k_hi]`` is the branch window of
+    or an exponential. ``check_tol`` is the pass/fail threshold of its
+    checks; every other threshold is a constant of :mod:`normlog.config`.
+    ``[k_lo, k_hi]`` is the branch window of
     :func:`check_difference_formula`.
 
     ``exp_gap`` is ``(equation, residual)``: the relative gap of
@@ -98,11 +102,11 @@ class PairAnalysis:
     passed here.
     """
 
-    def __init__(self, x, y, *, tol: Tolerances = DEFAULT_TOL,
+    def __init__(self, x, y, *, check_tol: float = CHECK_TOL,
                  k_lo: int = -1, k_hi: int = 0, exp_gap=None):
         self.x = as_square_matrix(x)
         self.y = as_square_matrix(y)
-        self.tol = tol
+        self.check_tol = check_tol
         self.k_lo = k_lo
         self.k_hi = k_hi
         if exp_gap is not None:
@@ -117,11 +121,11 @@ class PairAnalysis:
     # normality first, so NotNormal is exactly is_normal's verdict
     @cached_property
     def _attempt_x(self):
-        return normal_eig_stack(self.x[None], tol=self.tol)[0]
+        return normal_eig_stack(self.x[None])[0]
 
     @cached_property
     def _attempt_y(self):
-        return normal_eig_stack(self.y[None], tol=self.tol)[0]
+        return normal_eig_stack(self.y[None])[0]
 
     @property
     def normal_x(self) -> bool:
@@ -152,7 +156,7 @@ class PairAnalysis:
     @cached_property
     def hermitian_x(self) -> bool:
         x = self.x
-        return frob(x - dagger(x)) <= self.tol.herm * max(1.0, self.norm_x)
+        return frob(x - dagger(x)) <= HERM_TOL * max(1.0, self.norm_x)
 
     @property
     def dec_x(self) -> SpectralDecomposition:
@@ -173,7 +177,7 @@ class PairAnalysis:
     # normal_eig(e^Y), or the NormLogError it raised: what kurepa splits
     @cached_property
     def _attempt_exp_y(self):
-        return normal_eig_stack(self.exp_y[None], tol=self.tol)[0]
+        return normal_eig_stack(self.exp_y[None])[0]
 
     @cached_property
     def exp_residual(self) -> float:
@@ -188,26 +192,26 @@ class PairAnalysis:
     @cached_property
     def boundary_x(self) -> tuple:
         """Spectral measures of X on the lines Im z = pi and Im z = -pi."""
-        return _boundary_measures(self.dec_x, self.tol)
+        return _boundary_measures(self.dec_x)
 
     @cached_property
     def boundary_y(self) -> tuple:
         """Spectral measures of Y on the lines Im z = pi and Im z = -pi."""
-        return _boundary_measures(self.dec_y, self.tol)
+        return _boundary_measures(self.dec_y)
 
     @cached_property
     def congruence(self) -> CheckReport:
         """The report of :func:`check_congruence_free`; raises NotNormal
         when X is not normal."""
-        return _congruence_report(self.dec_x, self.tol)
+        return _congruence_report(self.dec_x)
 
     @cached_property
     def modulus_x(self) -> np.ndarray:
-        return modulus(self.x, tol=self.tol)
+        return modulus(self.x)
 
     @cached_property
     def modulus_y(self) -> np.ndarray:
-        return modulus(self.y, tol=self.tol)
+        return modulus(self.y)
 
 
 # The stacked facts each check reads: check name -> PairAnalysis
@@ -244,13 +248,8 @@ def decompose_pairs(pairs, checks=()) -> None:
     analysed once and their facts share the result. A fact no named
     check reads is left to be computed on first use; a modulus whose
     computation failed is not seeded, so reading it raises as on a lone
-    pair. The pairs must share their tolerances and dimension.
+    pair. The pairs must share their dimension.
     """
-    if not pairs:
-        return
-    tol = pairs[0].tol
-    if any(pair.tol != tol for pair in pairs):
-        raise ValueError("pairs decomposed together must share tolerances")
     facts = sorted({fact for name in checks for fact in _READS.get(name, ())})
     for prefix, analyse in (("_attempt", normal_eig_stack),
                             ("modulus", _modulus_stack)):
@@ -270,20 +269,20 @@ def decompose_pairs(pairs, checks=()) -> None:
                 slots.append(slot)
         if not seeds:
             continue
-        results = analyse(np.stack(operands), tol=tol)
+        results = analyse(np.stack(operands))
         for (pair, fact), slot in zip(seeds, slots):
             # a failed modulus is not seeded, so reading it raises
             if prefix == "_attempt" or not isinstance(results[slot], Exception):
                 pair.__dict__[fact] = results[slot]
 
 
-def _boundary_measures(dec: SpectralDecomposition, tol: Tolerances) -> tuple:
-    return (spectral_measure(dec, HLine(math.pi), tol=tol),
-            spectral_measure(dec, HLine(-math.pi), tol=tol))
+def _boundary_measures(dec: SpectralDecomposition) -> tuple:
+    return (spectral_measure(dec, HLine(math.pi)),
+            spectral_measure(dec, HLine(-math.pi)))
 
 
-def _in_strip(dec: SpectralDecomposition, tol: Tolerances) -> bool:
-    return dec._max_abs_imag <= math.pi + tol.boundary
+def _in_strip(dec: SpectralDecomposition) -> bool:
+    return dec._max_abs_imag <= math.pi + BOUNDARY_TOL
 
 
 # Hypothesis gates: name -> (test on the pair, note of the skipped report).
@@ -294,16 +293,15 @@ _GATES = {
     "normal_x": (lambda p: p.normal_x, "X must be normal"),
     "normal_y": (lambda p: p.normal_y, "Y must be normal"),
     "hermitian_x": (lambda p: p.hermitian_x, "X must be self-adjoint"),
-    "strip": (lambda p: (_in_strip(p.dec_x, p.tol)
-                         and _in_strip(p.dec_y, p.tol)),
+    "strip": (lambda p: _in_strip(p.dec_x) and _in_strip(p.dec_y),
               "spectra must lie in the closed strip |Im z| <= pi"),
-    "strip_x": (lambda p: _in_strip(p.dec_x, p.tol),
+    "strip_x": (lambda p: _in_strip(p.dec_x),
                 "spectrum of X must lie in |Im z| <= pi"),
-    "strip_y": (lambda p: _in_strip(p.dec_y, p.tol),
+    "strip_y": (lambda p: _in_strip(p.dec_y),
                 "spectrum of Y must lie in |Im z| <= pi"),
-    "exp": (lambda p: p.exp_residual <= p.tol.gate,
+    "exp": (lambda p: p.exp_residual <= GATE_TOL,
             "exponentials differ; hypothesis not met"),
-    "exp_i": (lambda p: p.exp_i_residual <= p.tol.gate,
+    "exp_i": (lambda p: p.exp_i_residual <= GATE_TOL,
               "exp(iX) and exp(Y) differ; hypothesis not met"),
 }
 # The exponential gates, with the residual each reports as ``exp_gate``.
@@ -340,7 +338,7 @@ def _gated(*gates: str):
                     holds, note = _GATES[gate]
                     if gate in _EXP_GATES:
                         residuals["exp_gate"] = getattr(pair, _EXP_GATES[gate])
-                        tols["exp_gate"] = pair.tol.gate
+                        tols["exp_gate"] = GATE_TOL
                     if not holds(pair):
                         raise _Unmet(note)
                 found, bounds, notes = body(pair)
@@ -371,12 +369,11 @@ def run_check(name: str, pair: PairAnalysis) -> CheckReport:
 def check_real_part(pair: PairAnalysis):
     """Re(X) = Re(Y) whenever X, Y are normal with equal exponentials."""
     return ({"real_part": pair.real_part_residual},
-            {"real_part": pair.tol.check}, "")
+            {"real_part": pair.check_tol}, "")
 
 
 def _interior_region_family(dec_x: SpectralDecomposition,
-                            dec_y: SpectralDecomposition,
-                            scale: float, tol: Tolerances):
+                            dec_y: SpectralDecomposition, scale: float):
     """Regions isolating each interior eigenvalue of X, as arrays.
 
     Returns ``(centres, radius, half, has_rect)``: for each eigenvalue of
@@ -385,8 +382,8 @@ def _interior_region_family(dec_x: SpectralDecomposition,
     square ``Rect`` of half-width ``half`` about the centre. Edges are
     kept clear of every eigenvalue and of the strip boundary.
     """
-    margin = 10 * tol.boundary
-    radius = tol.cluster * max(1.0, scale)
+    margin = 10 * BOUNDARY_TOL
+    radius = CLUSTER_TOL * max(1.0, scale)
     lam = dec_x.eigenvalue_array
     # gaps[i]: distance from eigenvalue i of X to the nearest representative
     # of X or Y farther than the merge radius (1.0 if there is none)
@@ -400,7 +397,7 @@ def _interior_region_family(dec_x: SpectralDecomposition,
     return lam[interior], radius, half, half > margin
 
 
-def _isolating_masks(z: np.ndarray, family, tol: Tolerances) -> np.ndarray:
+def _isolating_masks(z: np.ndarray, family) -> np.ndarray:
     """Membership of the points ``z`` in each region of the family.
 
     One row per region, discs first, then squares, by the rules of
@@ -414,13 +411,12 @@ def _isolating_masks(z: np.ndarray, family, tol: Tolerances) -> np.ndarray:
     squares = True
     for x, edge, sign in ((z.real, c.real - h, 1.0), (z.real, c.real + h, -1.0),
                           (z.imag, c.imag - h, 1.0), (z.imag, c.imag + h, -1.0)):
-        squares = squares & _edge_status(x, edge, True, sign, tol)[0]
+        squares = squares & _edge_status(x, edge, True, sign)[0]
     return np.concatenate((discs, squares))
 
 
 def _interior_measure(dec_x: SpectralDecomposition,
-                      dec_y: SpectralDecomposition, scale: float,
-                      tol: Tolerances) -> float:
+                      dec_y: SpectralDecomposition, scale: float) -> float:
     """Largest ||E_X(O) - E_Y(O)||_F over the isolating family, or 0.0
     when the family is empty; no projection is formed.
 
@@ -433,11 +429,11 @@ def _interior_measure(dec_x: SpectralDecomposition,
     sum over i in S', j not in S. Every term is non-negative, so nothing
     cancels, unlike the trace form k_x + k_y - 2||V_y,S'* V_x,S||^2.
     """
-    family = _interior_region_family(dec_x, dec_y, scale, tol)
+    family = _interior_region_family(dec_x, dec_y, scale)
     # 0/1 membership of each eigenvector column, one row per region
-    mx = np.repeat(_isolating_masks(dec_x.eigenvalue_array, family, tol),
+    mx = np.repeat(_isolating_masks(dec_x.eigenvalue_array, family),
                    dec_x.multiplicities, axis=1).astype(float)
-    my = np.repeat(_isolating_masks(dec_y.eigenvalue_array, family, tol),
+    my = np.repeat(_isolating_masks(dec_y.eigenvalue_array, family),
                    dec_y.multiplicities, axis=1).astype(float)
     if not len(mx):
         return 0.0
@@ -459,13 +455,13 @@ def check_spectral_agreement(pair: PairAnalysis):
     which needs the unitary eigenbases ``normal_eig`` builds (see
     :func:`_interior_measure`).
     """
-    tol, dec_x = pair.tol, pair.dec_x
-    interior = _interior_measure(dec_x, pair.dec_y, pair.norm_x, tol)
+    dec_x = pair.dec_x
+    interior = _interior_measure(dec_x, pair.dec_y, pair.norm_x)
 
     bx = sum(pair.boundary_x)
     by = sum(pair.boundary_y)
 
-    bound = tol.check * dec_x.n
+    bound = pair.check_tol * dec_x.n
     return ({"interior_measure": interior, "boundary_sum": frob(bx - by),
              "real_part": pair.real_part_residual},
             {"interior_measure": bound, "boundary_sum": bound,
@@ -478,7 +474,7 @@ def check_spectral_agreement(pair: PairAnalysis):
 def check_modulus_equal(pair: PairAnalysis):
     """|X| = |Y| for normal X, Y with spectra in the strip and e^X = e^Y."""
     r = _rel(frob(pair.modulus_x - pair.modulus_y), pair.norm_x)
-    return {"modulus": r}, {"modulus": pair.tol.check}, ""
+    return {"modulus": r}, {"modulus": pair.check_tol}, ""
 
 
 @_gated("normal_x", "strip_x", "exp")
@@ -488,41 +484,46 @@ def check_modulus_commute(pair: PairAnalysis):
     r = _rel(frob(commutator(pair.modulus_x, pair.y)),
              pair.norm_x, pair.norm_y)
     return ({"modulus_commutator": r},
-            {"modulus_commutator": pair.tol.check}, "")
+            {"modulus_commutator": pair.check_tol}, "")
 
 
 @_gated("normal_x", "strip_x", "exp")
 def check_square_commute(pair: PairAnalysis):
     """X^2 commutes with Y when the boundary spectrum of X (apart from
     the two corner points +/- i*pi) is free of conjugate pairs."""
-    x, y, tol = pair.x, pair.y, pair.tol
+    x, y = pair.x, pair.y
     eigenvalues = pair.dec_x.eigenvalues
-    radius = tol.cluster * max(1.0, pair.norm_x)
+    radius = CLUSTER_TOL * max(1.0, pair.norm_x)
     corner = complex(0.0, math.pi)
     for lam in eigenvalues:
-        if math.pi - abs(lam.imag) > tol.boundary:
+        if math.pi - abs(lam.imag) > BOUNDARY_TOL:
             continue  # interior eigenvalue
-        if abs(lam - corner) <= tol.boundary or abs(lam + corner) <= tol.boundary:
+        if (abs(lam - corner) <= BOUNDARY_TOL
+                or abs(lam + corner) <= BOUNDARY_TOL):
             continue  # the corner points are exempt
         if any(abs(lam.conjugate() - mu) <= radius for mu in eigenvalues):
             raise _Unmet(f"conjugate pair on the strip boundary at "
                          f"{lam:.6g}; hypothesis not met")
 
     r = _rel(frob(commutator(x @ x, y)), pair.norm_x ** 2, pair.norm_y)
-    return {"square_commutator": r}, {"square_commutator": tol.check}, ""
+    return ({"square_commutator": r},
+            {"square_commutator": pair.check_tol}, "")
 
 
 @_gated("normal", "exp")
 def check_difference_formula(pair: PairAnalysis):
     """X - Y equals the weighted sum of strip and boundary-line
     projections over the pair's branch window [k_lo, k_hi],
-    ``strip_projections(...).difference()``, which raises for
-    out-of-range or ambiguous spectra."""
+    ``strip_projections(...).difference()``. A spectrum outside the
+    window fails the hypothesis; an ambiguous one raises."""
     k_lo, k_hi = pair.k_lo, pair.k_hi
-    window = strip_projections(pair.dec_x, pair.dec_y, k_lo, k_hi,
-                               tol=pair.tol)
+    try:
+        window = strip_projections(pair.dec_x, pair.dec_y, k_lo, k_hi)
+    except SpectrumOutOfRange as exc:
+        raise _Unmet(f"spectrum outside branch window [{k_lo}, {k_hi}]: "
+                     f"{exc}") from exc
     r = _rel(frob((pair.x - pair.y) - window.difference()), pair.norm_x)
-    return ({"difference": r}, {"difference": pair.tol.check * pair.dec_x.n},
+    return ({"difference": r}, {"difference": pair.check_tol * pair.dec_x.n},
             f"branch window [{k_lo}, {k_hi}]")
 
 
@@ -532,32 +533,32 @@ def check_corollary_cases(pair: PairAnalysis):
     no spectrum on Im z = pi gives XY = YX with X - Y = -2*pi*i*F1, the
     mirror case on Im z = -pi gives X - Y = +2*pi*i*F{-1}, and both
     together force X = Y."""
-    x, y, tol = pair.x, pair.y, pair.tol
+    x, y, check = pair.x, pair.y, pair.check_tol
     e1, em1 = pair.boundary_x
     f1, fm1 = pair.boundary_y
-    top_empty = frob(e1) <= tol.gate
-    bottom_empty = frob(em1) <= tol.gate
+    top_empty = frob(e1) <= GATE_TOL
+    bottom_empty = frob(em1) <= GATE_TOL
     if not (top_empty or bottom_empty):
         raise _Unmet("spectrum of X meets both boundary lines; "
                      "no case applies")
 
     residuals = {"commutator": pair.commutator_residual}
-    tols = {"commutator": tol.check}
+    tols = {"commutator": check}
     cases = []
     if top_empty:
         cases.append("top line empty")
         residuals["difference_top"] = _rel(frob((x - y) + TWO_PI * 1j * f1),
                                            pair.norm_x)
-        tols["difference_top"] = tol.check
+        tols["difference_top"] = check
     if bottom_empty:
         cases.append("bottom line empty")
         residuals["difference_bottom"] = _rel(frob((x - y) - TWO_PI * 1j * fm1),
                                               pair.norm_x)
-        tols["difference_bottom"] = tol.check
+        tols["difference_bottom"] = check
     if top_empty and bottom_empty:
         cases.append("both empty: X = Y")
         residuals["equality"] = _rel(frob(x - y), pair.norm_x)
-        tols["equality"] = tol.check
+        tols["equality"] = check
     return residuals, tols, "; ".join(cases)
 
 
@@ -572,12 +573,11 @@ def check_congruence_free(pair: PairAnalysis) -> CheckReport:
     return pair.congruence
 
 
-def _congruence_report(dec_x: SpectralDecomposition,
-                       tol: Tolerances) -> CheckReport:
+def _congruence_report(dec_x: SpectralDecomposition) -> CheckReport:
     name = "congruence_free"
-    if any(abs(lam.imag) > tol.boundary for lam in dec_x.eigenvalues):
+    if any(abs(lam.imag) > BOUNDARY_TOL for lam in dec_x.eigenvalues):
         return _fail(name, "input must be self-adjoint (real spectrum)")
-    radius = tol.cluster * max(1.0, dec_x.norm)
+    radius = CLUSTER_TOL * max(1.0, dec_x.norm)
     nearest = math.inf
     values = [lam.real for lam in dec_x.eigenvalues]
     for i, a in enumerate(values):
@@ -606,7 +606,7 @@ def check_double_commutant(pair: PairAnalysis):
     residual is the distance to that span; a non-normal Y needs the
     commutant basis.
     """
-    y, tol = pair.y, pair.tol
+    y, check = pair.y, pair.check_tol
     if not pair.congruence.passed:
         raise _Unmet("spectrum is not 2*pi-congruence-free; "
                      "hypothesis not met")
@@ -614,13 +614,13 @@ def check_double_commutant(pair: PairAnalysis):
     blocks = pair.dec_x._projection_blocks()
     if pair.normal_y:
         worst = max(d for _, ps in blocks
-                    for d in pair.dec_y._bicommutant_distances(ps, tol=tol))
+                    for d in pair.dec_y._bicommutant_distances(ps))
     else:
-        basis = commutant_basis(y, tol=tol)
-        worst = max(in_double_commutant(p, y, tol=tol, basis=basis)[1]
+        basis = commutant_basis(y)
+        worst = max(in_double_commutant(p, y, basis=basis)[1]
                     for _, ps in blocks for p in ps)
     return ({"double_commutant": worst, "commutator": pair.commutator_residual},
-            {"double_commutant": tol.check, "commutator": tol.check},
+            {"double_commutant": check, "commutator": check},
             _FINITE_DIM_NOTE)
 
 
@@ -629,15 +629,14 @@ def check_one_boundary_eigenvalue(pair: PairAnalysis):
     """X and Y commute when exp(iX) = exp(Y), Y is normal with spectrum
     in the strip, and at most one eigenvalue of the self-adjoint X is an
     odd multiple of pi."""
-    tol = pair.tol
-    radius = tol.cluster * max(1.0, pair.norm_x)
+    radius = CLUSTER_TOL * max(1.0, pair.norm_x)
     odd_hits = sum(1 for lam in pair.dec_x.eigenvalues
                    if _odd_pi_distance(lam.real) <= radius)
     if odd_hits > 1:
         raise _Unmet(f"{odd_hits} distinct odd-pi eigenvalues; "
                      "hypothesis not met")
     return ({"commutator": pair.commutator_residual},
-            {"commutator": tol.check}, _FINITE_DIM_NOTE)
+            {"commutator": pair.check_tol}, _FINITE_DIM_NOTE)
 
 
 @_gated("hermitian_x", "normal_y", "strip_y", "exp_i")
@@ -646,8 +645,8 @@ def check_y_in_bicommutant_of_exp(pair: PairAnalysis):
     Y is normal with spectrum in the strip, and no eigenvalue of the
     self-adjoint X is an odd multiple of pi. Also verifies the folded
     form of X reproduces Y (through multiplication by i)."""
-    x, y, tol = pair.x, pair.y, pair.tol
-    radius = tol.cluster * max(1.0, pair.norm_x)
+    y, check = pair.y, pair.check_tol
+    radius = CLUSTER_TOL * max(1.0, pair.norm_x)
     if any(_odd_pi_distance(lam.real) <= radius
            for lam in pair.dec_x.eigenvalues):
         raise _Unmet("an eigenvalue of X is an odd multiple of pi; "
@@ -656,12 +655,12 @@ def check_y_in_bicommutant_of_exp(pair: PairAnalysis):
     # exp(iX) = V diag(e^{i lam}) V*, so {exp(iX)}'' is spanned by sums of
     # the projections of X that share a value e^{i lam}
     r_bicomm = pair.dec_x.bicommutant_distance(
-        y, lambda lam: cmath.exp(1j * lam), tol=tol)
-    folded = borel_calculus(
-        pair.dec_x, lambda lam: 1j * _fold_branch(lam.real, tol.on_feature)[1])
+        y, lambda lam: cmath.exp(1j * lam))
+    folded = borel_calculus(pair.dec_x,
+                            lambda lam: 1j * _fold_branch(lam.real)[1])
     r_fold = _rel(frob(folded - y), pair.norm_y)
     return ({"double_commutant": r_bicomm, "fold_identity": r_fold},
-            {"double_commutant": tol.check, "fold_identity": tol.check},
+            {"double_commutant": check, "fold_identity": check},
             _FINITE_DIM_NOTE)
 
 
@@ -670,13 +669,13 @@ def check_kurepa(pair: PairAnalysis):
     """The principal-log splitting of Y reconstructs it, commutes, and
     carries integer branch weights whenever exp(Y) is normal. X is not
     read."""
-    y, tol = pair.y, pair.tol
+    y, check = pair.y, pair.check_tol
     try:
-        dec = _kurepa_split(y, pair._attempt_exp_y, tol)
+        dec = _kurepa_split(y, pair._attempt_exp_y)
     except (ExpNotNormal, Singular) as exc:
         raise _Unmet(f"hypothesis not met: {exc}") from exc
     return ({"reconstruction": _rel(frob(dec.reconstruct() - y), pair.norm_y),
              "commute": dec.commute_residual,
              "integer_spectrum": dec.integer_spectrum_residual},
-            {"reconstruction": tol.check, "commute": tol.check,
-             "integer_spectrum": tol.integer}, "")
+            {"reconstruction": check, "commute": check,
+             "integer_spectrum": INTEGER_TOL}, "")

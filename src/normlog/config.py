@@ -1,54 +1,43 @@
-"""Tolerance configuration.
+"""Fixed numerical thresholds.
 
-All numerical decisions in the toolkit flow through a single immutable
-``Tolerances`` record so that a whole run can be tightened or loosened
-from one place (library calls, CLI ``--tol``, suite config).
+Every tolerance-based decision in the toolkit reads one of the constants
+below. They are fixed: the identities are verified against these values,
+and the only threshold a run may set is the pass/fail threshold of the
+checks, which :class:`~normlog.checks.PairAnalysis` carries (CLI
+``--tol``, suite config ``tol: {"check": x}``); ``CHECK_TOL`` is its
+default.
+
+Scale-free entries are relative factors; the consuming operation
+multiplies by the appropriate norm/dimension scale as documented there.
 """
 
-from __future__ import annotations
+# Hermitian precondition: ||H - H*|| <= HERM_TOL * ||H||.
+HERM_TOL = 1e-10
+# Normality test: ||X*X - XX*|| <= NORM_TOL * ||X||^2.
+NORM_TOL = 1e-10
+# Commutation precondition: ||AB - BA|| <= COMM_TOL * max(1, ||A|| ||B||).
+COMM_TOL = 1e-10
+# Default pass/fail threshold of the identity checks.
+CHECK_TOL = 1e-8
+# Hypothesis-gate threshold (exponential equality and case classification);
+# kept apart from the check threshold so that tightening the verification
+# threshold cannot silently reclassify instances as hypothesis violations.
+GATE_TOL = 1e-8
+# SVD rank cutoff relative to the largest singular value.
+RANK_TOL = 1e-10
+# Half-width of the uncertainty band around region edges.
+BOUNDARY_TOL = 1e-9
+# Snap distance: a point this close to an edge or line is treated as lying
+# exactly on it (must be << BOUNDARY_TOL).
+ON_FEATURE_TOL = 1e-12
+# Eigenvalue cluster merge radius factor (times max(1, ||X||)).
+CLUSTER_TOL = 1e-8
+# Allowed distance of branch-weight eigenvalues to integers.
+INTEGER_TOL = 1e-6
+# Invertibility floor factor (times ||N||).
+INV_TOL = 1e-10
 
-import dataclasses
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Knobs for every tolerance-based decision.
-
-    Scale-free entries are relative factors; the consuming operation
-    multiplies by the appropriate norm/dimension scale as documented there.
-
-    herm        Hermitian precondition: ||H - H*|| <= herm * ||H||.
-    norm        normality test: ||X*X - XX*|| <= norm * ||X||^2.
-    comm        commutation preconditions.
-    check       generic pass/fail threshold for identity checks.
-    gate        hypothesis-gate threshold (exponential equality and case
-                classification); kept separate from ``check`` so that
-                tightening the verification threshold cannot silently
-                reclassify instances as hypothesis violations.
-    rank        SVD rank cutoff relative to the largest singular value.
-    boundary    half-width of the uncertainty band around region edges.
-    on_feature  snap distance: a point this close to an edge/line is
-                treated as lying exactly on it (must be << boundary).
-    cluster     eigenvalue cluster merge radius factor (times max(1, ||X||)).
-    integer     allowed distance of branch-weight eigenvalues to integers.
-    inv         invertibility floor factor (times ||N||).
-    """
-
-    herm: float = 1e-10
-    norm: float = 1e-10
-    comm: float = 1e-10
-    check: float = 1e-8
-    gate: float = 1e-8
-    rank: float = 1e-10
-    boundary: float = 1e-9
-    on_feature: float = 1e-12
-    cluster: float = 1e-8
-    integer: float = 1e-6
-    inv: float = 1e-10
-
-    def replace(self, **kwargs) -> "Tolerances":
-        return dataclasses.replace(self, **kwargs)
-
-
-DEFAULT_TOL = Tolerances()
+# Matrix entries per stack: a stacked call holds at most
+# max(1, STACK_ENTRIES // n^2) matrices (a suite chunk's instances, a block
+# of projections), so no stack outgrows one n = 128 matrix.
+STACK_ENTRIES = 8192

@@ -52,13 +52,14 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    tol = tolerances_from_config({} if args.tol is None else {"check": args.tol})
+    check_tol = tolerances_from_config(
+        {} if args.tol is None else {"check": args.tol})
     x, y, metadata = read_pair(args.infile)
     if args.k_lo is not None:
         metadata["k_lo"] = args.k_lo
     if args.k_hi is not None:
         metadata["k_hi"] = args.k_hi
-    result = run_check(args.name, analyze_pair(x, y, metadata, tol))
+    result = run_check(args.name, analyze_pair(x, y, metadata, check_tol))
 
     status = "PASS" if result.passed else (
         "SKIP" if not result.hypothesis_met else "FAIL")

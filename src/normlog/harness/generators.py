@@ -276,7 +276,7 @@ def _congruence_free_reals(stream: Stream, count: int, span: float = 8.0,
 
 
 def _fold_diag(values: list[float]) -> np.ndarray:
-    return np.diag([1j * _fold_branch(v, 1e-12)[1] for v in values])
+    return np.diag([1j * _fold_branch(v)[1] for v in values])
 
 
 def _self_adjoint_congruence_free(spec: InstanceSpec, stream: Stream):

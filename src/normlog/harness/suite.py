@@ -17,7 +17,7 @@ import math
 
 from ..checks import (CHECK_NAMES, _READS, PairAnalysis, decompose_pairs,
                       run_check)
-from ..config import DEFAULT_TOL, Tolerances
+from ..config import CHECK_TOL, STACK_ENTRIES
 from .generators import (Family, InstanceSpec, _make_pairs, _require_int,
                          _require_keys)
 from .rng import mix64
@@ -84,29 +84,32 @@ _CONFIG_KEYS = ("base_seed", "sizes", "seeds", "tol", "families")
 _ENTRY_KEYS = ("family", "label", "params", "checks")
 
 
-def tolerances_from_config(overrides) -> Tolerances:
-    """Default tolerances with a config's ``tol`` overrides applied.
+def tolerances_from_config(overrides) -> float:
+    """The check threshold a config's ``tol`` sets: ``overrides["check"]``,
+    or ``CHECK_TOL`` without it.
 
-    Raises ValueError unless ``overrides`` maps field names to finite
-    positive numbers.
+    Raises ValueError unless ``overrides`` is a dict whose only key is
+    ``check`` and whose value is a finite positive number; every other
+    threshold is fixed.
     """
-    _require_keys(overrides, [f.name for f in dataclasses.fields(Tolerances)],
-                  "tol")
-    for key, value in overrides.items():
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not (math.isfinite(value) and value > 0)):
-            raise ValueError(f"tolerance {key!r} must be a finite positive "
-                             f"number, got {value!r}")
-    return DEFAULT_TOL.replace(**overrides) if overrides else DEFAULT_TOL
+    _require_keys(overrides, ["check"], "tol")
+    check = overrides.get("check", CHECK_TOL)
+    if (isinstance(check, bool) or not isinstance(check, (int, float))
+            or not (math.isfinite(check) and check > 0)):
+        raise ValueError(f"tolerance 'check' must be a finite positive "
+                         f"number, got {check!r}")
+    return check
 
 
-def analyze_pair(x, y, metadata: dict, tol: Tolerances, *,
+def analyze_pair(x, y, metadata: dict, check_tol: float = CHECK_TOL, *,
                  exp_gap=None) -> PairAnalysis:
     """The pair's analysis, with the branch window its metadata names.
 
-    ``exp_gap`` is passed on to :class:`PairAnalysis` unchanged.
+    ``check_tol`` and ``exp_gap`` are passed on to :class:`PairAnalysis`
+    unchanged.
     """
-    return PairAnalysis(x, y, tol=tol, k_lo=int(metadata.get("k_lo", -1)),
+    return PairAnalysis(x, y, check_tol=check_tol,
+                        k_lo=int(metadata.get("k_lo", -1)),
                         k_hi=int(metadata.get("k_hi", 0)), exp_gap=exp_gap)
 
 
@@ -119,13 +122,8 @@ def _label_hash(base: int, label: str, n: int) -> int:
     return mix64(h ^ (n << 32))
 
 
-# Matrix entries per chunk: a chunk holds at most max(1, this // n^2)
-# instances, so no stacked array outgrows one n = 128 matrix.
-_CHUNK_ENTRIES = 8192
-
-
 def _run_chunk(task) -> list[dict]:
-    label, spec, seeds, tol, checks = task
+    label, spec, seeds, check_tol, checks = task
     # the self-test's e^Y is kept only for a chunk whose checks decompose it
     keep_exp_y = any("_attempt_exp_y" in _READS[name] for name in checks)
     pairs = []
@@ -133,7 +131,7 @@ def _run_chunk(task) -> list[dict]:
             [dataclasses.replace(spec, seed=seed) for seed in seeds],
             keep_exp_y):
         # make_pairs' self-test measured the exponential gap on these arrays
-        pair = analyze_pair(x, y, metadata, tol, exp_gap=(
+        pair = analyze_pair(x, y, metadata, check_tol, exp_gap=(
             metadata["equation"], metadata["self_test_residual"]))
         if exp_y is not None:
             pair.exp_y = exp_y  # the cached fact, bit for bit exp_general(y)
@@ -180,7 +178,7 @@ def run_suite(config: dict | None = None, jobs: int = 1) -> dict:
     _require_int(n_seeds, "seeds")
     if n_seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {n_seeds}")
-    tol = tolerances_from_config(config.get("tol", {}))
+    check_tol = tolerances_from_config(config.get("tol", {}))
     families = config.get("families", [])
     if not families:
         raise ValueError("families must name at least one entry")
@@ -205,10 +203,10 @@ def run_suite(config: dict | None = None, jobs: int = 1) -> dict:
             spec = InstanceSpec(family, n, 0, params)
             h = _label_hash(base, label, n)
             seeds = [mix64(h ^ i) for i in range(n_seeds)]
-            size = max(1, _CHUNK_ENTRIES // (n * n))
+            size = max(1, STACK_ENTRIES // (n * n))
             for start in range(0, n_seeds, size):
-                tasks.append((label, spec, seeds[start:start + size], tol,
-                              checks))
+                tasks.append((label, spec, seeds[start:start + size],
+                              check_tol, checks))
 
     if jobs > 1:
         # imported here: serial runs never pay for the process pool

@@ -19,7 +19,8 @@ import math
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import (CHECK_TOL, CLUSTER_TOL, COMM_TOL, HERM_TOL, NORM_TOL,
+                     RANK_TOL)
 from .errors import NoConvergence, NotCommuting, NotHermitian, NotNormal
 
 __all__ = [
@@ -97,7 +98,7 @@ def im_part(x: np.ndarray) -> np.ndarray:
     return (x - dagger(x)) / 2j
 
 
-def herm_eig(h, *, tol: Tolerances = DEFAULT_TOL):
+def herm_eig(h):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(w, v)`` with eigenvalues ``w`` ascending and ``v`` unitary,
@@ -106,25 +107,25 @@ def herm_eig(h, *, tol: Tolerances = DEFAULT_TOL):
     Raises
     ------
     NotHermitian
-        if ``||h - h*|| > tol.herm * ||h||``.
+        if ``||h - h*|| > HERM_TOL * ||h||``.
     NoConvergence
         if the underlying iteration fails.
     """
     h = as_square_matrix(h)
-    _require_hermitian(h, tol)
+    _require_hermitian(h)
     return _eigh(h)
 
 
-def _require_hermitian(h: np.ndarray, tol: Tolerances) -> None:
-    (error,) = _hermitian_errors(h[None], tol)
+def _require_hermitian(h: np.ndarray) -> None:
+    (error,) = _hermitian_errors(h[None])
     if error is not None:
         raise error
 
 
-def _hermitian_errors(h: np.ndarray, tol: Tolerances) -> list:
+def _hermitian_errors(h: np.ndarray) -> list:
     """For each matrix of a (k, n, n) stack, None, or the error
     :func:`herm_eig`'s tests raise on it: ValueError for a non-finite
-    entry, else NotHermitian for ``||h - h*|| > tol.herm * ||h||``. The
+    entry, else NotHermitian for ``||h - h*|| > HERM_TOL * ||h||``. The
     norms and the test are one call each over the stack."""
     errors: list = [None] * len(h)
     finite = np.isfinite(h).all(axis=(1, 2))
@@ -134,10 +135,10 @@ def _hermitian_errors(h: np.ndarray, tol: Tolerances) -> list:
     if len(ok) < len(h):
         h = h[ok]
     asymmetry = _frob_stack(h - dagger(h))
-    above = asymmetry > tol.herm * np.maximum(_frob_stack(h), 1e-300)
+    above = asymmetry > HERM_TOL * np.maximum(_frob_stack(h), 1e-300)
     for j in np.flatnonzero(above).tolist():
         errors[ok[j]] = NotHermitian(f"asymmetry {asymmetry[j].item():.3e} "
-                                     f"exceeds {tol.herm:.1e} * ||H||")
+                                     f"exceeds {HERM_TOL:.1e} * ||H||")
     return errors
 
 
@@ -166,7 +167,7 @@ def _cluster_slices(values, radius: float):
     return slices
 
 
-def simultaneous_diagonalize(a, b, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def simultaneous_diagonalize(a, b) -> np.ndarray:
     """Common eigenbasis of two commuting Hermitian matrices.
 
     Diagonalizes ``a`` first, then re-diagonalizes the compression of
@@ -180,14 +181,14 @@ def simultaneous_diagonalize(a, b, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarr
     NotHermitian
         if ``a`` is not Hermitian, as :func:`herm_eig` tests it.
     NotCommuting
-        if ``||ab - ba|| > tol.comm * max(1, ||a|| ||b||)``.
+        if ``||ab - ba|| > COMM_TOL * max(1, ||a|| ||b||)``.
     """
     a = as_square_matrix(a)
     b = as_square_matrix(b)
     if a.shape != b.shape:
         raise ValueError("matrices must share a dimension")
-    _require_hermitian(a, tol)
-    v, (error,) = _common_eigenbases(a[None], b[None], tol)
+    _require_hermitian(a)
+    v, (error,) = _common_eigenbases(a[None], b[None])
     if error is not None:
         raise error
     return v[0]
@@ -218,14 +219,13 @@ def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
     return bool((a.view(np.uint8) == b.view(np.uint8)).all())
 
 
-def _common_eigenbases(a: np.ndarray, b: np.ndarray, tol: Tolerances,
-                       norms=None):
+def _common_eigenbases(a: np.ndarray, b: np.ndarray, norms=None):
     """Common eigenbases of the Hermitian pairs ``(a[i], b[i])`` of two
     (k, n, n) stacks.
 
     Returns ``(v, errors)``: ``v[i]`` diagonalizes both matrices of pair i
     if ``errors[i]`` is None. Otherwise ``errors[i]`` is NotCommuting, for
-    ``||ab - ba|| > tol.comm * max(1, ||a|| ||b||)``, or, with ``norms``
+    ``||ab - ba|| > COMM_TOL * max(1, ||a|| ||b||)``, or, with ``norms``
     (an array), where pair i is Re X, Im X of a matrix X with
     ``||X|| = norms[i]``, NotNormal, tested first as :func:`is_normal`
     tests it.
@@ -242,10 +242,10 @@ def _common_eigenbases(a: np.ndarray, b: np.ndarray, tol: Tolerances,
     residual, norm_a = _frob_stack(comm), _frob_stack(a)
     # max(1, .) keeps the bound above rounding noise when either part is
     # near zero (e.g. the Hermitian part of a skew-adjoint input)
-    bound = tol.comm * np.maximum(1.0, norm_a * _frob_stack(b))
+    bound = COMM_TOL * np.maximum(1.0, norm_a * _frob_stack(b))
     commuting = ~(residual > bound)
     normal = (np.ones(len(a), dtype=bool) if norms is None
-              else _normality_holds(norms, residual, tol))
+              else _normality_holds(norms, residual))
     errors: list = [None] * len(a)
     for i in np.flatnonzero(~normal).tolist():
         errors[i] = NotNormal(f"commutator of X with X* has norm "
@@ -253,8 +253,8 @@ def _common_eigenbases(a: np.ndarray, b: np.ndarray, tol: Tolerances,
     for i in np.flatnonzero(normal & ~commuting).tolist():
         errors[i] = NotCommuting(
             f"commutator norm {residual[i].item():.3e} exceeds "
-            f"{tol.comm:.1e} * max(1, ||A|| ||B||)")
-    radius = tol.cluster * np.maximum(1.0, norm_a)
+            f"{COMM_TOL:.1e} * max(1, ||A|| ||B||)")
+    radius = CLUSTER_TOL * np.maximum(1.0, norm_a)
     runs = ~(np.diff(wa, axis=1) > radius[:, None]).all(axis=1)
     blocks = []  # (basis, cluster columns, compression of b to them)
     for i in np.flatnonzero(runs & normal & commuting).tolist():
@@ -273,26 +273,25 @@ def _common_eigenbases(a: np.ndarray, b: np.ndarray, tol: Tolerances,
     return v, errors
 
 
-def _normality_holds(norms: np.ndarray, comm_norms: np.ndarray,
-                     tol: Tolerances) -> np.ndarray:
+def _normality_holds(norms: np.ndarray, comm_norms: np.ndarray) -> np.ndarray:
     """Normality of each X from the arrays of ``||X||`` and
     ``||[Re X, Im X]||``."""
     # ** 2 of Python floats (libm's pow), as the test has always taken it;
     # numpy's ** 2 multiplies, which may round the other way
     squares = np.array([norm ** 2 for norm in norms.tolist()])
-    return 2 * comm_norms <= tol.norm * np.maximum(squares, 1e-300)
+    return 2 * comm_norms <= NORM_TOL * np.maximum(squares, 1e-300)
 
 
-def is_normal(x, *, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff ``||X*X - XX*|| <= tol.norm * ||X||^2``, the left side taken
+def is_normal(x) -> bool:
+    """True iff ``||X*X - XX*|| <= NORM_TOL * ||X||^2``, the left side taken
     as ``2 ||[Re X, Im X]||`` since X*X - XX* = 2i [Re X, Im X]; the test
     :func:`~normlog.spectral.normal_eig` applies."""
     x = as_square_matrix(x)[None]
     comm = commutator(re_part(x), im_part(x))
-    return bool(_normality_holds(_frob_stack(x), _frob_stack(comm), tol)[0])
+    return bool(_normality_holds(_frob_stack(x), _frob_stack(comm))[0])
 
 
-def modulus(x, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def modulus(x) -> np.ndarray:
     """Positive semidefinite square root of ``x*x``.
 
     Defined for arbitrary (not necessarily normal) input. Eigenvalues of
@@ -300,13 +299,13 @@ def modulus(x, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     NotHermitian when ``x*x`` fails :func:`herm_eig`'s test. A lone
     matrix is :func:`_modulus_stack` on a stack of one.
     """
-    (result,) = _modulus_stack(as_square_matrix(x)[None], tol=tol)
+    (result,) = _modulus_stack(as_square_matrix(x)[None])
     if isinstance(result, Exception):
         raise result
     return result
 
 
-def _modulus_stack(x: np.ndarray, *, tol: Tolerances = DEFAULT_TOL) -> list:
+def _modulus_stack(x: np.ndarray) -> list:
     """``modulus(x[i])`` for each matrix of a validated (k, n, n) stack.
 
     Entry i is the modulus, bit for bit the lone result, or the error the
@@ -315,7 +314,7 @@ def _modulus_stack(x: np.ndarray, *, tol: Tolerances = DEFAULT_TOL) -> list:
     one stacked call each, one BLAS or LAPACK call per matrix.
     """
     h = dagger(x) @ x
-    out = _hermitian_errors(h, tol)  # herm_eig's tests
+    out = _hermitian_errors(h)  # herm_eig's tests
     ok = [i for i, error in enumerate(out) if error is None]
     if ok:
         w, v = _eigh(h if len(ok) == len(h) else h[ok])
@@ -326,7 +325,7 @@ def _modulus_stack(x: np.ndarray, *, tol: Tolerances = DEFAULT_TOL) -> list:
     return out
 
 
-def commutant_basis(y, *, tol: Tolerances = DEFAULT_TOL) -> tuple:
+def commutant_basis(y) -> tuple:
     """Basis of the commutant {Z : YZ = ZY}, as a tuple of matrices
     orthonormal under <A, B> = tr(A* B).
 
@@ -343,24 +342,24 @@ def commutant_basis(y, *, tol: Tolerances = DEFAULT_TOL) -> tuple:
         _, s, vh = np.linalg.svd(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergence(str(exc)) from exc
-    cutoff = tol.rank * (s[0] if s.size else 0.0)
+    cutoff = RANK_TOL * (s[0] if s.size else 0.0)
     null_rows = vh[s <= cutoff] if s.size else vh
     return tuple(row.reshape(n, n, order="F") for row in null_rows.conj())
 
 
-def in_double_commutant(w, y, *, tol: Tolerances = DEFAULT_TOL,
-                        basis: tuple | None = None):
+def in_double_commutant(w, y, *, basis: tuple | None = None):
     """Test whether ``w`` commutes with everything commuting with ``y``.
 
     Returns ``(ok, residual)`` where the residual is the worst relative
-    commutator norm over a computed basis of the commutant of ``y``.
-    A precomputed ``basis``, as :func:`commutant_basis` returns it, may
-    be supplied to amortize the SVD.
+    commutator norm over a computed basis of the commutant of ``y``, and
+    ``ok`` is ``residual <= CHECK_TOL``. A precomputed ``basis``, as
+    :func:`commutant_basis` returns it, may be supplied to amortize the
+    SVD.
     """
     w = as_square_matrix(w)
     y = as_square_matrix(y)
     if basis is None:
-        basis = commutant_basis(y, tol=tol)
+        basis = commutant_basis(y)
     nw = frob(w)
     if nw == 0.0:
         return True, 0.0
@@ -370,4 +369,4 @@ def in_double_commutant(w, y, *, tol: Tolerances = DEFAULT_TOL,
         if nz == 0.0:
             continue
         worst = max(worst, frob(commutator(w, z)) / (nw * nz))
-    return worst <= tol.check, worst
+    return worst <= CHECK_TOL, worst

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import INV_TOL, ON_FEATURE_TOL
 from .errors import ExpNotNormal, NormLogError, NotNormal, Singular
 from .linalg import as_square_matrix, commutator, frob
 from .spectral import SpectralDecomposition, normal_eig
@@ -106,47 +106,45 @@ def _exp_scaled(x: np.ndarray, squarings: int) -> np.ndarray:
     return r
 
 
-def _principal_scalar_log(lam: complex, eps_on: float) -> complex:
+def _principal_scalar_log(lam: complex) -> complex:
     """Scalar log with Im in (-pi, pi]; the cut maps onto +i*pi.
 
-    Arguments within ``eps_on`` of -pi (i.e. just below the negative real
+    Arguments within ``ON_FEATURE_TOL`` of -pi (i.e. just below the negative real
     axis, where rounding noise lands) are pulled up to the +i*pi side.
     """
     theta = cmath.phase(lam)
-    if theta <= -math.pi + eps_on:
+    if theta <= -math.pi + ON_FEATURE_TOL:
         theta = math.pi
     return math.log(abs(lam)) + 1j * theta
 
 
-def _require_invertible(dec: SpectralDecomposition, scale: float,
-                        tol: Tolerances):
-    floor = tol.inv * max(scale, 1e-300)
+def _require_invertible(dec: SpectralDecomposition, scale: float):
+    floor = INV_TOL * max(scale, 1e-300)
     for lam in dec.eigenvalues:
         if abs(lam) < floor:
             raise Singular(f"eigenvalue {lam} below invertibility floor "
                            f"{floor:.3e}")
 
 
-def branch_log(dec_n: SpectralDecomposition, *,
-               tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def branch_log(dec_n: SpectralDecomposition) -> np.ndarray:
     """Principal logarithm of an invertible normal matrix, given its
     decomposition: sum Log(lam_j) P_j over the clusters, P_j the
     eigenprojection of cluster j. Raises Singular below the
     invertibility floor.
     """
-    _require_invertible(dec_n, dec_n.norm, tol)
-    return dec_n.combination([_principal_scalar_log(lam, tol.on_feature)
+    _require_invertible(dec_n, dec_n.norm)
+    return dec_n.combination([_principal_scalar_log(lam)
                               for lam in dec_n.eigenvalues])
 
 
-def principal_log(n_mat, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def principal_log(n_mat) -> np.ndarray:
     """Principal logarithm of an invertible normal matrix.
 
     Every eigenvalue of the result has imaginary part in (-pi, pi];
     negative real eigenvalues map to log|lam| + i*pi. Raises NotNormal
     or Singular when the input fails the preconditions.
     """
-    return branch_log(normal_eig(n_mat, tol=tol), tol=tol)
+    return branch_log(normal_eig(n_mat))
 
 
 @dataclass(frozen=True, eq=False)  # arrays have no truth value
@@ -169,7 +167,7 @@ class KurepaDecomposition:
         return self.n0 + TWO_PI * 1j * self.w
 
 
-def kurepa_decompose(y, *, tol: Tolerances = DEFAULT_TOL) -> KurepaDecomposition:
+def kurepa_decompose(y) -> KurepaDecomposition:
     """Decompose Y = N0 + 2*pi*i*W given that e^Y is normal.
 
     N0 is the principal logarithm of e^Y; W = (Y - N0) / (2*pi*i). The
@@ -186,14 +184,13 @@ def kurepa_decompose(y, *, tol: Tolerances = DEFAULT_TOL) -> KurepaDecomposition
     """
     y = as_square_matrix(y)
     try:
-        attempt = normal_eig(exp_general(y), tol=tol)
+        attempt = normal_eig(exp_general(y))
     except NormLogError as exc:
         attempt = exc
-    return _kurepa_split(y, attempt, tol)
+    return _kurepa_split(y, attempt)
 
 
-def _kurepa_split(y: np.ndarray, attempt,
-                  tol: Tolerances) -> KurepaDecomposition:
+def _kurepa_split(y: np.ndarray, attempt) -> KurepaDecomposition:
     """:func:`kurepa_decompose` of a validated Y, given ``attempt``: the
     decomposition of e^Y as ``normal_eig`` returns it, or the NormLogError
     it raised."""
@@ -201,7 +198,7 @@ def _kurepa_split(y: np.ndarray, attempt,
         raise ExpNotNormal("exp(Y) is not normal within tolerance") from attempt
     if isinstance(attempt, NormLogError):
         raise attempt
-    n0 = branch_log(attempt, tol=tol)
+    n0 = branch_log(attempt)
     w = (y - n0) / (TWO_PI * 1j)
 
     denom = frob(n0) * frob(w)

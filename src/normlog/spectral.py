@@ -7,9 +7,9 @@ is V_j V_j*, and a projection-valued measure assigns to each plane
 Regions carry explicit edge-inclusivity so open/closed strips are
 distinguished exactly, with a two-scale tolerance:
 
-* a point within ``tol.on_feature`` of an edge or line is treated as
+* a point within ``ON_FEATURE_TOL`` of an edge or line is treated as
   lying exactly on it (exact constructions survive rounding);
-* a point farther than that but within ``tol.boundary`` of an excluded
+* a point farther than that but within ``BOUNDARY_TOL`` of an excluded
   edge cannot be classified and raises :class:`AmbiguousBoundary`
   rather than letting rounding noise pick a side.
 """
@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import BOUNDARY_TOL, CLUSTER_TOL, ON_FEATURE_TOL, STACK_ENTRIES
 from .errors import AmbiguousBoundary, NormLogError, SpectrumOutOfRange
 from .linalg import (
     _as_square_stack,
@@ -63,10 +63,10 @@ class Region:
     ``&``, unions with ``|``.
     """
 
-    def _status(self, z, tol: Tolerances):
+    def _status(self, z):
         raise NotImplementedError
 
-    def contains(self, z, *, tol: Tolerances = DEFAULT_TOL):
+    def contains(self, z):
         """Membership with boundary-band safety.
 
         ``z`` is one point (the result is a bool) or an array of points
@@ -76,33 +76,33 @@ class Region:
         band of an excluded edge with no other feature deciding it.
         """
         pts = np.asarray(z, dtype=complex)
-        yes, maybe = self._status(pts, tol)
+        yes, maybe = self._status(pts)
         ambiguous = np.broadcast_to(maybe ^ yes, pts.shape)
         if ambiguous.any():
-            self._ambiguous(complex(pts.ravel()[ambiguous.ravel().argmax()]), tol)
+            self._ambiguous(complex(pts.ravel()[ambiguous.ravel().argmax()]))
         # a region decided without a feature gives one bool for all points
         return bool(yes) if pts.ndim == 0 else np.full(pts.shape, yes)
 
-    def _ambiguous(self, z, tol: Tolerances):
+    def _ambiguous(self, z):
         raise AmbiguousBoundary(
-            f"point {z} lies within {tol.boundary:.1e} of an excluded "
+            f"point {z} lies within {BOUNDARY_TOL:.1e} of an excluded "
             f"edge of {self!r}")
 
 
-def _edge_status(x, edge: float, incl: bool, sign: float, tol: Tolerances):
+def _edge_status(x, edge: float, incl: bool, sign: float):
     """``(yes, maybe)`` for the side of one edge where ``sign*(x - edge) > 0``.
 
-    Within ``tol.on_feature`` of the edge a point lies on it; farther but
-    within ``tol.boundary`` it lies on it if the edge is included and is
+    Within ``ON_FEATURE_TOL`` of the edge a point lies on it; farther but
+    within ``BOUNDARY_TOL`` it lies on it if the edge is included and is
     ambiguous otherwise; beyond both it is decided by its side.
     """
     d = (x - edge) * sign  # positive on the interior side
-    far = max(tol.on_feature, tol.boundary)
     if incl:
-        inside = d >= -far
+        inside = d >= -BOUNDARY_TOL
         return inside, inside
     ad = abs(d)
-    return d > far, (ad > tol.on_feature) & ((ad <= tol.boundary) | (d > 0))
+    return d > BOUNDARY_TOL, ((ad > ON_FEATURE_TOL)
+                              & ((ad <= BOUNDARY_TOL) | (d > 0)))
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ class Rect(Region):
         if self.re_lo > self.re_hi or self.im_lo > self.im_hi:
             raise ValueError("rectangle bounds must satisfy lo <= hi")
 
-    def _status(self, z, tol):
+    def _status(self, z):
         yes = maybe = True
         for x, edge, incl, sign in (
                 (z.real, self.re_lo, self.incl_re_lo, 1.0),
@@ -133,7 +133,7 @@ class Rect(Region):
                 (z.imag, self.im_lo, self.incl_im_lo, 1.0),
                 (z.imag, self.im_hi, self.incl_im_hi, -1.0)):
             if not math.isinf(edge):
-                y, m = _edge_status(x, edge, incl, sign, tol)
+                y, m = _edge_status(x, edge, incl, sign)
                 yes, maybe = yes & y, maybe & m
         return yes, maybe
 
@@ -148,8 +148,8 @@ class HLine(Region):
         if math.isnan(self.c):
             raise ValueError("line level must not be NaN")
 
-    def _status(self, z, tol):
-        on = abs(z.imag - self.c) <= tol.boundary
+    def _status(self, z):
+        on = abs(z.imag - self.c) <= BOUNDARY_TOL
         return on, on
 
 
@@ -164,7 +164,7 @@ class Points(Region):
         if not self.radius >= 0.0:
             raise ValueError("match radius must be a non-negative number")
 
-    def _status(self, z, tol):
+    def _status(self, z):
         near = False
         for p in self.points:
             d = z - complex(p)
@@ -246,12 +246,6 @@ def _components(indices: list, zs: list, radius: float) -> list[list[int]]:
     return groups
 
 
-# Matrix entries per block of projections: a block holds at most
-# max(1, this // n^2) of them, so, as a suite chunk, no stack outgrows one
-# n = 128 matrix.
-_BLOCK_ENTRIES = 8192
-
-
 @dataclass(frozen=True, eq=False)  # arrays have no truth value
 class SpectralDecomposition:
     """Eigenvalue clusters of a normal matrix in one unitary eigenbasis.
@@ -306,10 +300,10 @@ class SpectralDecomposition:
         """Every cluster's eigenprojection, bit for bit ``projection(j)``,
         in blocks ``(js, stack)``: ``stack[i]`` is the projection of cluster
         ``js[i]``. A block holds clusters of one multiplicity, at most
-        max(1, _BLOCK_ENTRIES // n^2) of them, and its products are one
+        max(1, STACK_ENTRIES // n^2) of them, and its products are one
         stacked call."""
         starts = self.bounds[:-1]
-        size = max(1, _BLOCK_ENTRIES // self.n ** 2)
+        size = max(1, STACK_ENTRIES // self.n ** 2)
         for m in sorted(set(self.multiplicities.tolist())):
             same = np.flatnonzero(self.multiplicities == m)
             for lo in range(0, len(same), size):
@@ -334,8 +328,7 @@ class SpectralDecomposition:
     def reconstruct(self) -> np.ndarray:
         return self.combination(self.eigenvalues)
 
-    def bicommutant_distance(self, w, key=None, *,
-                             tol: Tolerances = DEFAULT_TOL) -> float:
+    def bicommutant_distance(self, w, key=None) -> float:
         """Relative distance from ``w`` to the double commutant {X}''.
 
         {X}'' is the span of the eigenprojections, whose members are
@@ -346,10 +339,9 @@ class SpectralDecomposition:
         {key(X)}''.
         """
         w = as_square_matrix(w)
-        return self._bicommutant_distances(w[None], key, tol=tol)[0]
+        return self._bicommutant_distances(w[None], key)[0]
 
-    def _bicommutant_distances(self, ws: np.ndarray, key=None, *,
-                               tol: Tolerances = DEFAULT_TOL) -> list:
+    def _bicommutant_distances(self, ws: np.ndarray, key=None) -> list:
         """``bicommutant_distance`` of each matrix of a (k, n, n) stack, bit
         for bit: the products V* w V, the diagonal sums (one ``bincount``
         whose bins are offset per matrix, so each sums in the same order)
@@ -358,7 +350,8 @@ class SpectralDecomposition:
         if key is not None:
             values = [complex(key(lam)) for lam in self.eigenvalues]
             scale = np.linalg.norm(np.repeat(values, self.multiplicities))
-            for gi, g in enumerate(_merge(values, tol.cluster * max(1.0, scale))):
+            for gi, g in enumerate(_merge(values,
+                                          CLUSTER_TOL * max(1.0, scale))):
                 group[g] = gi
         labels = np.repeat(group, self.multiplicities)
         size = labels.max() + 1
@@ -376,35 +369,35 @@ class SpectralDecomposition:
         return (_frob_stack(m) / np.where(norms == 0.0, 1.0, norms)).tolist()
 
 
-def normal_eig(x, *, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
+def normal_eig(x) -> SpectralDecomposition:
     """Spectral decomposition of a normal matrix.
 
     The commuting Hermitian parts Re(X), Im(X) are diagonalized in a
     common basis; the clusters are the connected components of the graph
-    joining eigenvalues within ``tol.cluster * max(1, ||X||)`` of each
+    joining eigenvalues within ``CLUSTER_TOL * max(1, ||X||)`` of each
     other, so they do not depend on the order the eigenvalues are found
     in, and each is represented by its mean. This is
     :func:`normal_eig_stack` on a stack of one.
 
     Raises NotNormal when ``X*X != XX*`` beyond tolerance.
     """
-    (dec,) = _decompose_stack(as_square_matrix(x)[None], tol)
+    (dec,) = _decompose_stack(as_square_matrix(x)[None])
     if isinstance(dec, NormLogError):
         raise dec
     return dec
 
 
-def normal_eig_stack(xs, *, tol: Tolerances = DEFAULT_TOL) -> list:
+def normal_eig_stack(xs) -> list:
     """Spectral decompositions of a stack of n x n matrices.
 
     ``xs`` is a sequence of matrices or a (k, n, n) array. Entry i of the
     result is ``normal_eig(xs[i])``, bit for bit, or the NormLogError it
     would raise; an error leaves the other entries unchanged.
     """
-    return _decompose_stack(_as_square_stack(xs), tol)
+    return _decompose_stack(_as_square_stack(xs))
 
 
-def _decompose_stack(x: np.ndarray, tol: Tolerances) -> list:
+def _decompose_stack(x: np.ndarray) -> list:
     """The decompositions of :func:`normal_eig_stack`, of a validated stack.
 
     One commutator of the Hermitian parts per matrix decides normality,
@@ -423,11 +416,11 @@ def _decompose_stack(x: np.ndarray, tol: Tolerances) -> list:
     """
     re, im = re_part(x), im_part(x)
     norms = _frob_stack(x)
-    v, errors = _common_eigenbases(re, im, tol, norms)
+    v, errors = _common_eigenbases(re, im, norms)
     v_star = dagger(v)
     lams = (np.diagonal(v_star @ re @ v, axis1=1, axis2=2).real
             + 1j * np.diagonal(v_star @ im @ v, axis1=1, axis2=2).real)
-    radius = tol.cluster * np.maximum(1.0, norms)
+    radius = CLUSTER_TOL * np.maximum(1.0, norms)
     single = _isolated(lams, radius)
     # a lone eigenvalue's mean is 0 + lam, which turns -0.0 into 0.0
     reps = lams + 0
@@ -485,14 +478,13 @@ def _clustered(v: np.ndarray, lams: np.ndarray,
         bounds=tuple(np.cumsum([0] + [len(g) for g in groups]).tolist()))
 
 
-def spectral_measure(dec: SpectralDecomposition, omega: Region, *,
-                     tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def spectral_measure(dec: SpectralDecomposition, omega: Region) -> np.ndarray:
     """Sum of eigenprojections whose eigenvalue lies in ``omega``.
 
     An empty selection yields the zero matrix. AmbiguousBoundary
     propagates from membership testing.
     """
-    return dec.select(omega.contains(dec.eigenvalue_array, tol=tol))
+    return dec.select(omega.contains(dec.eigenvalue_array))
 
 
 def borel_calculus(dec: SpectralDecomposition,
@@ -501,19 +493,19 @@ def borel_calculus(dec: SpectralDecomposition,
     return dec.combination([f(lam) for lam in dec.eigenvalues])
 
 
-def _fold_branch(t: float, eps_on: float) -> tuple[int, float]:
+def _fold_branch(t: float) -> tuple[int, float]:
     """Branch index and folded value: t = 2*pi*k + r with r in (-pi, pi].
 
-    Values within ``eps_on`` of an odd multiple of pi snap onto it, so
+    Values within ``ON_FEATURE_TOL`` of an odd multiple of pi snap onto it, so
     exactly-placed boundary inputs land on the closed upper endpoint.
     """
     two_pi = 2.0 * math.pi
     k = round(t / two_pi)
     r = t - two_pi * k
-    if r > math.pi + eps_on:
+    if r > math.pi + ON_FEATURE_TOL:
         k += 1
         r -= two_pi
-    if r <= -math.pi + eps_on:
+    if r <= -math.pi + ON_FEATURE_TOL:
         k -= 1
         r += two_pi
     return k, r
@@ -582,8 +574,8 @@ class StripProjections:
 
 
 def strip_projections(dec_x: SpectralDecomposition,
-                      dec_y: SpectralDecomposition, k_lo: int, k_hi: int, *,
-                      tol: Tolerances = DEFAULT_TOL) -> StripProjections:
+                      dec_y: SpectralDecomposition,
+                      k_lo: int, k_hi: int) -> StripProjections:
     """Classify the clusters of X and Y over a branch window.
 
     Raises SpectrumOutOfRange for an eigenvalue outside
@@ -599,7 +591,8 @@ def strip_projections(dec_x: SpectralDecomposition,
     hi_line = (2 * k_hi + 1) * math.pi
     for name, dec in (("X", dec_x), ("Y", dec_y)):
         im = dec.eigenvalue_array.imag
-        outside = ~((lo_line - tol.boundary <= im) & (im <= hi_line + tol.boundary))
+        outside = ~((lo_line - BOUNDARY_TOL <= im)
+                    & (im <= hi_line + BOUNDARY_TOL))
         if outside.any():
             raise SpectrumOutOfRange(
                 f"eigenvalue {dec.eigenvalues[outside.argmax()]} of {name} "
@@ -608,19 +601,18 @@ def strip_projections(dec_x: SpectralDecomposition,
     # k-1 and k, and line k is odd_line(k)
     lines = np.array([(2 * j + 1) * math.pi
                       for j in range(k_lo - 1, k_hi + 1)])
-    x_strip, x_line, x_ambiguous = _branch_classes(dec_x, lines, tol)
-    y_strip, y_line, y_ambiguous = _branch_classes(dec_y, lines, tol)
+    x_strip, x_line, x_ambiguous = _branch_classes(dec_x, lines)
+    y_strip, y_line, y_ambiguous = _branch_classes(dec_y, lines)
     for j in range(k_hi - k_lo + 1):
         for dec, ambiguous in ((dec_x, x_ambiguous), (dec_y, y_ambiguous)):
             if ambiguous[:, j].any():
                 open_branch_strip(k_lo + j)._ambiguous(
-                    complex(dec.eigenvalue_array[ambiguous[:, j].argmax()]), tol)
+                    complex(dec.eigenvalue_array[ambiguous[:, j].argmax()]))
     return StripProjections(dec_x, dec_y, k_lo, k_hi,
                             x_strip, x_line, y_strip, y_line)
 
 
-def _branch_classes(dec: SpectralDecomposition, lines: np.ndarray,
-                    tol: Tolerances):
+def _branch_classes(dec: SpectralDecomposition, lines: np.ndarray):
     """Masks ``(in_strip, on_line, ambiguous)`` with one column per branch.
 
     Column j classifies the clusters against open_branch_strip(k_lo + j),
@@ -629,8 +621,8 @@ def _branch_classes(dec: SpectralDecomposition, lines: np.ndarray,
     in one pass over all branches.
     """
     im = dec.eigenvalue_array.imag[:, None]
-    above, maybe_above = _edge_status(im, lines[:-1], False, 1.0, tol)
-    below, maybe_below = _edge_status(im, lines[1:], False, -1.0, tol)
+    above, maybe_above = _edge_status(im, lines[:-1], False, 1.0)
+    below, maybe_below = _edge_status(im, lines[1:], False, -1.0)
     in_strip = above & below
-    on_line = abs(im - lines[1:]) <= tol.boundary
+    on_line = abs(im - lines[1:]) <= BOUNDARY_TOL
     return in_strip, on_line, (maybe_above & maybe_below) ^ in_strip

@@ -97,13 +97,13 @@ def test_criterion_2_pushforward():
     functions = {
         "exp": cmath.exp,
         "square": lambda z: z * z,
-        "fold_im": lambda z: complex(z.real, _fold_branch(z.imag, 1e-12)[1]),
+        "fold_im": lambda z: complex(z.real, _fold_branch(z.imag)[1]),
     }
     checked = 0
     for i in range(100):
         n = SIZES[i % 4]
         x, eigs = _random_normal(n, 20_000 + i, im_range=3 * PI - 0.2)
-        if any(abs(_fold_branch(z.imag, 1e-12)[1]) > PI - 0.05 for z in eigs):
+        if any(abs(_fold_branch(z.imag)[1]) > PI - 0.05 for z in eigs):
             # stay clear of the fold discontinuity lines
             x, eigs = _random_normal(n, 20_000 + i, im_range=PI - 0.1)
         dec = normal_eig(x)

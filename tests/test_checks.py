@@ -23,7 +23,7 @@ from normlog.checks import (
     decompose_pairs,
     run_check,
 )
-from normlog.config import DEFAULT_TOL
+from normlog.config import BOUNDARY_TOL, CLUSTER_TOL, GATE_TOL
 from normlog.errors import (
     AmbiguousBoundary,
     NormLogError,
@@ -80,7 +80,7 @@ class TestPairAnalysis:
                 pair.dec_y
 
     def test_normal_input_whose_parts_fail_to_commute(self):
-        # normal within tol.norm, but its Hermitian parts fail the tighter
+        # normal within NORM_TOL, but its Hermitian parts fail the tighter
         # commutation test of the simultaneous diagonalization
         x = np.diag([100.0, 0.0]) + 1e-10j * np.array([[0, 1], [1, 0]])
         pair = PairAnalysis(x, x)
@@ -88,13 +88,6 @@ class TestPairAnalysis:
         for _ in range(2):
             with pytest.raises(NotCommuting):
                 pair.dec_x
-
-    def test_pairs_decomposed_together_share_tolerances(self):
-        x = np.diag([1.0 + 0j, 2.0])
-        pairs = [PairAnalysis(x, x), PairAnalysis(x, x, tol=DEFAULT_TOL.replace(
-            cluster=1e-6))]
-        with pytest.raises(ValueError, match="tolerances"):
-            decompose_pairs(pairs)
 
     def test_moduli_seeded_for_the_checks_that_read_them(self, monkeypatch):
         operands = [make_pair(InstanceSpec(family, 4, seed))[:2]
@@ -182,7 +175,7 @@ class TestPairAnalysis:
         for family in Family:
             for seed in range(2):
                 x, y, meta = make_pair(InstanceSpec(family, 4, seed))
-                pairs.append(analyze_pair(x, y, meta, DEFAULT_TOL, exp_gap=(
+                pairs.append(analyze_pair(x, y, meta, exp_gap=(
                     meta["equation"], meta["self_test_residual"])))
         decompose_pairs(pairs, (name,))
 
@@ -219,8 +212,8 @@ class TestPairAnalysis:
                 m.setattr(normlog.checks, "normal_eig_stack", _not_called)
                 m.setattr(normlog.logs, "normal_eig", _not_called)
                 reports = [check_kurepa(pair) for pair in pairs]
-                splits = [_kurepa_split(pair.y, pair._attempt_exp_y,
-                                        DEFAULT_TOL) if rep.hypothesis_met
+                splits = [_kurepa_split(pair.y, pair._attempt_exp_y)
+                          if rep.hypothesis_met
                           else None for pair, rep in zip(pairs, reports)]
             for pair, rep, split in zip(pairs, reports, splits):
                 alone = check_kurepa(PairAnalysis(pair.x, pair.y))
@@ -239,12 +232,12 @@ class TestPairAnalysis:
             assert any(not rep.hypothesis_met for rep in reports) == (n == 2)
 
     def test_strip_gate_reads_the_largest_imaginary_part(self):
-        edge = PI + DEFAULT_TOL.boundary
+        edge = PI + BOUNDARY_TOL
         for im in (edge, np.nextafter(edge, 4.0), -edge,
                    np.nextafter(-edge, -4.0), 0.0, PI):
             dec = normal_eig(np.diag([0.5 + 0j, complex(1.0, im), -2j]))
             rule = all(abs(lam.imag) <= edge for lam in dec.eigenvalues)
-            assert normlog.checks._in_strip(dec, DEFAULT_TOL) == rule
+            assert normlog.checks._in_strip(dec) == rule
             assert dec._max_abs_imag == max(abs(lam.imag)
                                             for lam in dec.eigenvalues)
 
@@ -376,11 +369,11 @@ def _family_regions(family):
                                half[has_rect].tolist())])
 
 
-def _loop_region_family(dec_x, dec_y, scale, tol):
+def _loop_region_family(dec_x, dec_y, scale):
     """The isolating family as built region by region before it became
     arrays: the reference for its discs and squares."""
-    margin = 10 * tol.boundary
-    radius = tol.cluster * max(1.0, scale)
+    margin = 10 * BOUNDARY_TOL
+    radius = CLUSTER_TOL * max(1.0, scale)
     reps = dec_x.eigenvalues + dec_y.eigenvalues
     regions = []
     for lam in dec_x.eigenvalues:
@@ -400,7 +393,7 @@ def _plain_interior_measure(dec_x, dec_y, scale):
     """The largest measured projection difference over the isolating
     family, region by region: the reference for the eigenbasis measure."""
     regions = _family_regions(normlog.checks._interior_region_family(
-        dec_x, dec_y, scale, DEFAULT_TOL))
+        dec_x, dec_y, scale))
     return max((frob(spectral_measure(dec_x, omega)
                      - spectral_measure(dec_y, omega)) for omega in regions),
                default=0.0)
@@ -483,7 +476,7 @@ class TestSpectralAgreement:
         dec_x = _block_decomposition(n, seed=n)
         dec_y = _rotated(dec_x, 0, 3, theta)
         scale = float(np.linalg.norm(dec_x.eigenvalue_array))
-        got = normlog.checks._interior_measure(dec_x, dec_y, scale, DEFAULT_TOL)
+        got = normlog.checks._interior_measure(dec_x, dec_y, scale)
         want = math.sqrt(2.0) * math.sin(theta)
         assert got == pytest.approx(want, rel=1e-6)
         assert _plain_interior_measure(dec_x, dec_y, scale) == pytest.approx(
@@ -502,11 +495,11 @@ class TestSpectralAgreement:
         scale = frob(x)
         # a rotation inside the eigenspace leaves every projection as it was
         inside = normlog.checks._interior_measure(
-            dec, _rotated(dec, lo, lo + 1, theta), scale, DEFAULT_TOL)
+            dec, _rotated(dec, lo, lo + 1, theta), scale)
         assert inside <= 1e-14
         # a rotation across two eigenspaces moves both projections
         across = normlog.checks._interior_measure(
-            dec, _rotated(dec, lo, other, theta), scale, DEFAULT_TOL)
+            dec, _rotated(dec, lo, other, theta), scale)
         assert across == pytest.approx(math.sqrt(2.0) * math.sin(theta),
                                        rel=1e-6)
 
@@ -516,7 +509,7 @@ class TestSpectralAgreement:
                                                    0.5 + PI * 1j]))
         pair = PairAnalysis(x, x.copy())
         centres = normlog.checks._interior_region_family(
-            pair.dec_x, pair.dec_y, pair.norm_x, pair.tol)[0]
+            pair.dec_x, pair.dec_y, pair.norm_x)[0]
         assert len(centres) == 0
         rep = check_spectral_agreement(pair)
         assert rep.hypothesis_met
@@ -530,17 +523,16 @@ class TestSpectralAgreement:
     def test_one_pass_masks_equal_region_membership(self, family, n):
         x, y, _ = make_pair(InstanceSpec(family, n, 3))
         pair = PairAnalysis(x, y)
-        tol = pair.tol
         arrays = normlog.checks._interior_region_family(
-            pair.dec_x, pair.dec_y, pair.norm_x, tol)
+            pair.dec_x, pair.dec_y, pair.norm_x)
         regions = _family_regions(arrays)
-        loop = _loop_region_family(pair.dec_x, pair.dec_y, pair.norm_x, tol)
+        loop = _loop_region_family(pair.dec_x, pair.dec_y, pair.norm_x)
         assert regions == ([r for r in loop if isinstance(r, Points)]
                            + [r for r in loop if isinstance(r, Rect)])
         # probes on, inside and outside each disc rim and square edge
         centres, radius, half, _ = arrays
         steps = np.array([0.75, 1.0, 1.5]) * radius
-        edge = half[:, None] + np.array([-1.0, 0.0, 0.5, 2.0]) * tol.boundary
+        edge = half[:, None] + np.array([-1.0, 0.0, 0.5, 2.0]) * BOUNDARY_TOL
         probes = np.concatenate(
             [(centres[:, None] + u * steps).ravel()
              for u in (1, np.exp(1j * math.pi / 4))]
@@ -548,10 +540,10 @@ class TestSpectralAgreement:
                for u in (1, -1, 1j, -1j, 1 + 1j)])
         for z in (pair.dec_x.eigenvalue_array, pair.dec_y.eigenvalue_array,
                   probes):
-            masks = normlog.checks._isolating_masks(z, arrays, tol)
+            masks = normlog.checks._isolating_masks(z, arrays)
             assert masks.shape == (len(regions), len(z))
             for row, omega in zip(masks, regions):
-                assert row.tolist() == omega.contains(z, tol=tol).tolist()
+                assert row.tolist() == omega.contains(z).tolist()
 
 
 class TestModulusEqual:
@@ -665,29 +657,75 @@ class TestDifferenceFormulaWeights:
         for seed in (1, 2):
             x, y, meta = make_pair(InstanceSpec(Family(family), n, seed,
                                                 params=params))
-            pair = analyze_pair(x, y, meta, DEFAULT_TOL)
+            pair = analyze_pair(x, y, meta)
             # the body, past the gates: the self-adjoint families have
             # exp(iX) = exp(Y), so their exp gate fails
             found, _, _ = check_difference_formula.__wrapped__(pair)
             assert abs(found["difference"] - _strip_sum_residual(pair)) <= 1e-14
 
-    @pytest.mark.parametrize("x_imag, y_imag, k_lo, k_hi, error", [
-        ([5.0, 0.2], [5.0 - TWO_PI, 0.2], -1, 0, SpectrumOutOfRange),
-        ([0.2, -0.3], [0.2, -0.3 - 2 * TWO_PI], -1, 0, SpectrumOutOfRange),
-        ([PI - 5e-10, 0.5], [PI - 5e-10, 0.5], -1, 1, AmbiguousBoundary),
-        ([3 * PI + 5e-10, 0.1], [-PI + 5e-10, 0.1], -1, 1, AmbiguousBoundary),
+    @pytest.mark.parametrize("x_imag, y_imag", [
+        ([PI - 5e-10, 0.5], [PI - 5e-10, 0.5]),
+        ([3 * PI + 5e-10, 0.1], [-PI + 5e-10, 0.1]),
     ])
-    def test_raises_as_strip_projections(self, x_imag, y_imag, k_lo, k_hi,
-                                         error):
+    def test_ambiguous_spectrum_raises_as_strip_projections(self, x_imag,
+                                                            y_imag):
         x = np.diag([0.5 + 1j * t for t in x_imag])
         y = np.diag([0.5 + 1j * t for t in y_imag])
-        pair = PairAnalysis(x, y, k_lo=k_lo, k_hi=k_hi)
-        assert pair.exp_residual <= pair.tol.gate
-        with pytest.raises(error) as expected:
-            strip_projections(pair.dec_x, pair.dec_y, k_lo, k_hi)
-        with pytest.raises(error) as got:
+        pair = PairAnalysis(x, y, k_lo=-1, k_hi=1)
+        assert pair.exp_residual <= GATE_TOL
+        with pytest.raises(AmbiguousBoundary) as expected:
+            strip_projections(pair.dec_x, pair.dec_y, -1, 1)
+        with pytest.raises(AmbiguousBoundary) as got:
             check_difference_formula(pair)
         assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("x_imag, y_imag", [
+        ([5.0, 0.2], [5.0 - TWO_PI, 0.2]),
+        ([0.2, -0.3], [0.2, -0.3 - 2 * TWO_PI]),
+    ])
+    def test_spectrum_outside_window_is_skipped(self, x_imag, y_imag):
+        x = np.diag([0.5 + 1j * t for t in x_imag])
+        y = np.diag([0.5 + 1j * t for t in y_imag])
+        pair = PairAnalysis(x, y, k_lo=-1, k_hi=0)
+        assert pair.exp_residual <= GATE_TOL
+        with pytest.raises(SpectrumOutOfRange) as expected:
+            strip_projections(pair.dec_x, pair.dec_y, -1, 0)
+        rep = check_difference_formula(pair)
+        assert not rep.hypothesis_met and not rep.passed
+        assert rep.notes == (f"spectrum outside branch window [-1, 0]: "
+                             f"{expected.value}")
+        assert rep.residuals == {"exp_gate": pair.exp_residual}
+
+
+def _band_pair(d, k_lo, k_hi, seed=0):
+    """X = U diag(0.3 + i(pi - d), -0.7 - 1.1i, 1.1 + 2.0i, -0.2 - 2.6i) U*
+    and Y the same with first eigenvalue 0.3 - i(pi + d): e^X = e^Y, and
+    Y leaves the closed strip |Im z| <= pi for d > 0."""
+    u = random_unitary(4, seed)
+    rest = [-0.7 - 1.1j, 1.1 + 2.0j, -0.2 - 2.6j]
+    x = conj_by(u, np.diag([0.3 + 1j * (PI - d)] + rest))
+    y = conj_by(u, np.diag([0.3 - 1j * (PI + d)] + rest))
+    return PairAnalysis(x, y, k_lo=k_lo, k_hi=k_hi)
+
+
+class TestDifferenceFormulaWindow:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_spectrum_below_the_window_skips(self, seed):
+        rep = check_difference_formula(_band_pair(1e-4, -1, 0, seed))
+        assert not rep.hypothesis_met and not rep.passed
+        assert rep.notes.startswith("spectrum outside branch window [-1, 0]")
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_wider_window_holds_the_spectrum_and_passes(self, seed):
+        rep = check_difference_formula(_band_pair(1e-4, -2, 1, seed))
+        assert rep.hypothesis_met and rep.passed
+        assert rep.notes == "branch window [-2, 1]"
+
+    @pytest.mark.parametrize("d, k_lo, k_hi", [
+        (1e-9, -2, 1), (5e-10, -1, 0), (5e-10, -2, 1), (-5e-10, -1, 0)])
+    def test_inside_the_band_still_raises(self, d, k_lo, k_hi):
+        with pytest.raises(AmbiguousBoundary):
+            check_difference_formula(_band_pair(d, k_lo, k_hi))
 
 
 class TestCorollaryCases:

@@ -574,7 +574,8 @@ class TestSuite:
         return calls
 
     @pytest.mark.parametrize("tol", [
-        {"bogus": 1}, {"eig": 1e-12}, {"check": 0}, {"check": -1e-8},
+        {"bogus": 1}, {"eig": 1e-12}, {"gate": 1e-8}, {"cluster": 1e-6},
+        {"check": 0}, {"check": -1e-8},
         {"check": "1e-8"}, {"check": math.inf}, {"check": math.nan},
         {"check": True}, [1e-8]])
     def test_bad_tolerances_rejected_before_work(self, tol, monkeypatch):
@@ -966,13 +967,34 @@ class TestCli:
         assert doc["summary"]["failed"] == 0
         assert "total" in capsys.readouterr().out
 
-    def test_bad_tolerance_is_usage_error(self, tmp_path, capsys):
+    # only the check threshold is settable; every other one is fixed
+    @pytest.mark.parametrize("key", ["bogus", "gate", "cluster"])
+    def test_bad_tolerance_is_usage_error(self, tmp_path, capsys, key):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"sizes": [2], "seeds": 1,
-                                   "tol": {"bogus": 1},
+                                   "tol": {key: 1},
                                    "families": [{"family": "InteriorPair"}]}))
         assert cli_main(["suite", "--config", str(cfg)]) == 2
-        assert "bogus" in capsys.readouterr().err
+        assert f"unknown keys ['{key}'] in tol" in capsys.readouterr().err
+
+    def test_check_outside_branch_window_skips(self, tmp_path, capsys):
+        # X's eigenvalue 0.3 + i(pi - d) and Y's 0.3 - i(pi + d): e^X = e^Y,
+        # and Y lies below the window [-1, 0] at d = 1e-4
+        d = 1e-4
+        u = random_unitary(4, 0)
+        rest = [-0.7 - 1.1j, 1.1 + 2.0j, -0.2 - 2.6j]
+        x = u @ np.diag([0.3 + 1j * (math.pi - d)] + rest) @ dagger(u)
+        y = u @ np.diag([0.3 - 1j * (math.pi + d)] + rest) @ dagger(u)
+        pair = str(tmp_path / "pair.json")
+        write_pair(pair, x, y, {"family": "file"})
+        assert cli_main(["check", "--name", "difference_formula", "--in", pair,
+                         "--k-lo", "-1", "--k-hi", "0"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("[SKIP] difference_formula")
+        assert "spectrum outside branch window [-1, 0]" in out
+        assert cli_main(["check", "--name", "difference_formula", "--in", pair,
+                         "--k-lo", "-2", "--k-hi", "1"]) == 0
+        assert capsys.readouterr().out.startswith("[PASS] difference_formula")
 
     @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
     def test_bad_check_tolerance_is_usage_error(self, tmp_path, capsys, tol):

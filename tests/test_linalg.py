@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import normlog.linalg
 from normlog.errors import NotCommuting, NotHermitian
 from normlog.harness import Stream, random_unitary
 from normlog.harness import Family, InstanceSpec, make_pair
@@ -21,7 +22,7 @@ from normlog.linalg import (
     modulus,
     simultaneous_diagonalize,
 )
-from normlog.config import DEFAULT_TOL
+from normlog.config import CLUSTER_TOL
 from normlog.spectral import normal_eig
 
 from util import gaussian_matrix, random_hermitian, random_normal_matrix
@@ -207,7 +208,7 @@ class TestSimultaneousDiagonalize:
         b = u @ np.diag(np.linspace(-1.0, 2.0, 10)) @ dagger(u)
         a, b = (a + dagger(a)) / 2, (b + dagger(b)) / 2
         w, ref = _eigh(a)
-        slices = _cluster_slices(w, DEFAULT_TOL.cluster * max(1.0, frob(a)))
+        slices = _cluster_slices(w, CLUSTER_TOL * max(1.0, frob(a)))
         assert sorted(sl.stop - sl.start for sl in slices) == [1, 2, 3, 4]
         for sl in slices:
             if sl.stop - sl.start > 1:
@@ -264,7 +265,7 @@ class TestModulus:
         for m, got in zip(stack, _modulus_stack(stack)):
             assert got.tobytes() == modulus(m).tobytes()
 
-    def test_errors_kept_per_entry(self):
+    def test_errors_kept_per_entry(self, monkeypatch):
         # X*X overflows: the lone call rejects it as herm_eig's input
         big = np.diag([1e200, 1.0]).astype(complex)
         g = gaussian_matrix(Stream(3), 2)
@@ -277,18 +278,18 @@ class TestModulus:
         assert got[0].tobytes() == got[2].tobytes() == modulus(g).tobytes()
         # the Hermitian test is herm_eig's, entry by entry; rounding makes
         # a generic X*X fail a tolerance of 1e-300, a real diagonal one not
-        strict = DEFAULT_TOL.replace(herm=1e-300)
+        monkeypatch.setattr(normlog.linalg, "HERM_TOL", 1e-300)
         stack = np.stack([g, g @ g, np.diag([2.0, 1j])])
-        got = _modulus_stack(stack, tol=strict)
+        got = _modulus_stack(stack)
         assert not isinstance(got[2], Exception)
         for m, one in zip(stack, got):
             if isinstance(one, Exception):
                 with pytest.raises(NotHermitian) as lone:
-                    modulus(m, tol=strict)
+                    modulus(m)
                 assert type(one) is NotHermitian
                 assert str(one) == str(lone.value)
             else:
-                assert one.tobytes() == modulus(m, tol=strict).tobytes()
+                assert one.tobytes() == modulus(m).tobytes()
 
     @pytest.mark.parametrize("bad", [np.zeros((2, 3, 4)), np.zeros((2, 3, 3)),
                                      np.diag([np.inf, 1.0])])

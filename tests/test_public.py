@@ -66,6 +66,8 @@ def test_reexports_are_public_in_their_module(package):
     ("errors", "OutOfFoldRange"),
     ("spectral", "strip_boundary"),
     ("spectral", "RegionUnion"),
+    ("config", "Tolerances"),
+    ("config", "DEFAULT_TOL"),
 ])
 def test_deleted_names_are_gone(module, name):
     assert not hasattr(importlib.import_module(f"normlog.{module}"), name)
@@ -79,7 +81,57 @@ def test_decompositions_have_no_validate():
 
 def test_branch_log_takes_no_offsets():
     params = inspect.signature(normlog.branch_log).parameters
-    assert list(params) == ["dec_n", "tol"]
+    assert list(params) == ["dec_n"]
+
+
+# Each fixed threshold, at the value it had as a field of the deleted
+# ``Tolerances`` record.
+FIXED_TOLERANCES = {
+    "HERM_TOL": 1e-10, "NORM_TOL": 1e-10, "COMM_TOL": 1e-10,
+    "CHECK_TOL": 1e-8, "GATE_TOL": 1e-8, "RANK_TOL": 1e-10,
+    "BOUNDARY_TOL": 1e-9, "ON_FEATURE_TOL": 1e-12, "CLUSTER_TOL": 1e-8,
+    "INTEGER_TOL": 1e-6, "INV_TOL": 1e-10,
+}
+
+
+@pytest.mark.parametrize("name, value", sorted(FIXED_TOLERANCES.items()))
+def test_fixed_tolerance_keeps_its_value(name, value):
+    assert getattr(normlog.config, name) == value
+
+
+def test_config_holds_only_the_fixed_values():
+    names = {n for n in vars(normlog.config) if n.isupper()}
+    assert names == set(FIXED_TOLERANCES) | {"STACK_ENTRIES"}
+    assert normlog.config.STACK_ENTRIES == 8192
+
+
+def _public_callables():
+    """``(qualified name, callable)`` for every public callable of the
+    listed modules, and for every method of their public classes."""
+    for name in MODULES:
+        module = importlib.import_module(name)
+        for attr in sorted(_public(module)):
+            obj = getattr(module, attr)
+            if not callable(obj):
+                continue
+            yield f"{name}.{attr}", obj
+            if inspect.isclass(obj):
+                for member, fn in vars(obj).items():
+                    if inspect.isfunction(fn):
+                        yield f"{name}.{attr}.{member}", fn
+
+
+def test_no_public_callable_takes_a_tolerance():
+    # the check threshold is PairAnalysis' check_tol; nothing takes ``tol``
+    seen = 0
+    for qualname, fn in _public_callables():
+        try:
+            params = inspect.signature(fn).parameters
+        except (TypeError, ValueError):  # no signature to inspect
+            continue
+        seen += 1
+        assert "tol" not in params, qualname
+    assert seen > 50
 
 
 def _readme_python_blocks() -> list:

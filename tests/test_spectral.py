@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import normlog.spectral
-from normlog.config import DEFAULT_TOL
+from normlog.config import CLUSTER_TOL, COMM_TOL, NORM_TOL
 from normlog.errors import (
     AmbiguousBoundary,
     NormLogError,
@@ -460,7 +460,7 @@ def _mixed_stack(n=4):
     for d, step in ((np.array([1.0, 1.0, 3j, -2.0]), 1.0),
                     (np.array([1j, 1j, 3.0, -2.0]), 1j)):
         for _ in range(3):  # the gap scales with ||D||, which it changes
-            d[1] = d[0] + step * 0.7 * DEFAULT_TOL.cluster * np.linalg.norm(d)
+            d[1] = d[0] + step * 0.7 * CLUSTER_TOL * np.linalg.norm(d)
         operands += [np.diag(d), conj(d)]
     bad = [make_pair(InstanceSpec(Family.NON_NORMAL_LOG_PAIR, n, 0))[1],
            np.diag([100.0, 0.0, 0.0, 0.0]) + 1e-10j * np.eye(n)[[1, 0, 2, 3]]]
@@ -537,15 +537,15 @@ class TestStackedClustering:
 def _failing_operand(error):
     if error is NotNormal:
         return make_pair(InstanceSpec(Family.NON_NORMAL_LOG_PAIR, 2, 0))[1]
-    # normal within tol.norm, but its parts fail the commutation test
+    # normal within NORM_TOL, but its parts fail the commutation test
     return np.diag([100.0, 0.0]) + 1e-10j * np.array([[0, 1], [1, 0]])
 
 
-def _reference_normal(x, tol=DEFAULT_TOL):
+def _reference_normal(x):
     """``(residual, threshold)`` of the normality rule on X*X - XX* itself,
     the reference the commutator of the Hermitian parts must reproduce."""
     residual = frob(x.conj().T @ x - x @ x.conj().T)
-    return residual, tol.norm * max(frob(x) ** 2, 1e-300)
+    return residual, NORM_TOL * max(frob(x) ** 2, 1e-300)
 
 
 def _near_threshold(d, nil, ratio):
@@ -592,7 +592,7 @@ class TestNormalityVerdict:
 
     def test_commutation_near_its_threshold(self):
         # normal, but the Hermitian parts commute only up to t ||[A, S]||:
-        # the verdict follows ||[A, B]|| > tol.comm * max(1, ||A|| ||B||),
+        # the verdict follows ||[A, B]|| > COMM_TOL * max(1, ||A|| ||B||),
         # taken here with frob on each matrix
         a = np.diag([100.0, 0.0, 0.0, 0.0]).astype(complex)
         swap = np.eye(4, dtype=complex)[[1, 0, 2, 3]]
@@ -604,7 +604,7 @@ class TestNormalityVerdict:
         for m, got in zip(operands, normal_eig_stack(operands)):
             re, im = (m + m.conj().T) / 2, (m - m.conj().T) / 2j
             residual = frob(re @ im - im @ re)
-            fails = residual > DEFAULT_TOL.comm * max(1.0, frob(re) * frob(im))
+            fails = residual > COMM_TOL * max(1.0, frob(re) * frob(im))
             assert is_normal(m)
             assert isinstance(got, NotCommuting) == fails
         assert any(isinstance(got, NotCommuting)
@@ -694,20 +694,20 @@ class TestPushforward:
 
 class TestFoldBranch:
     def test_zero(self):
-        assert _fold_branch(0.0, DEFAULT_TOL.on_feature) == (0, 0.0)
+        assert _fold_branch(0.0) == (0, 0.0)
 
     def test_three_pi(self):
-        k, r = _fold_branch(3 * PI, DEFAULT_TOL.on_feature)
+        k, r = _fold_branch(3 * PI)
         assert k == 1 and abs(r - PI) <= 1e-12
 
     def test_minus_pi_maps_to_plus_pi(self):
-        k, r = _fold_branch(-PI, DEFAULT_TOL.on_feature)
+        k, r = _fold_branch(-PI)
         assert k == -1 and abs(r - PI) <= 1e-12
 
     def test_exponential_identity(self):
         for i in range(200):
             t = -7 * PI + i * (14 * PI / 199)
-            k, r = _fold_branch(t, DEFAULT_TOL.on_feature)
+            k, r = _fold_branch(t)
             assert -PI < r <= PI + 1e-15
             assert abs(cmath.exp(1j * r) - cmath.exp(1j * t)) <= 1e-12
             assert abs(t - 2 * PI * k - r) <= 1e-12

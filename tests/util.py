@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from normlog.config import DEFAULT_TOL
+from normlog.config import CHECK_TOL
 from normlog.harness import Stream, random_unitary
 from normlog.linalg import dagger, frob
 from normlog.report import CheckReport
@@ -59,19 +59,19 @@ def validate_decomposition(dec, x=None):
     return res
 
 
-def verify_pushforward(dec, f, omega, *, tol=DEFAULT_TOL):
+def verify_pushforward(dec, f, omega):
     """Check that the measure of f(X) pulls back through f.
 
     Compares the projection of f(X) onto ``omega`` (computed from a fresh
     decomposition of f(X)) against the sum of projections of X whose
-    eigenvalue maps into ``omega``; passes within ``tol.check * n``.
+    eigenvalue maps into ``omega``; passes within ``CHECK_TOL * n``.
     """
-    dec_f = normal_eig(borel_calculus(dec, f), tol=tol)
-    left = spectral_measure(dec_f, omega, tol=tol)
-    right = dec.select(omega.contains([complex(f(lam)) for lam in dec.eigenvalues],
-                                      tol=tol))
+    dec_f = normal_eig(borel_calculus(dec, f))
+    left = spectral_measure(dec_f, omega)
+    right = dec.select(omega.contains([complex(f(lam))
+                                       for lam in dec.eigenvalues]))
     residual = frob(left - right)
-    bound = tol.check * dec.n
+    bound = CHECK_TOL * dec.n
     return CheckReport(check_name="pushforward", passed=residual <= bound,
                        hypothesis_met=True,
                        residuals={"pushforward": residual},
