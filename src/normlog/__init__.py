@@ -24,6 +24,7 @@ from .checks import (
     check_square_commute,
     check_y_in_bicommutant_of_exp,
     run_check,
+    run_checks,
 )
 from .errors import (
     AmbiguousBoundary,

@@ -29,7 +29,7 @@ import numpy as np
 
 from ..errors import ConstructionFailed
 from ..linalg import _same_bytes, dagger
-from ..logs import TWO_PI, _exp_gap, _exp_stack
+from ..logs import TWO_PI, _exp_gaps, _exp_stack
 from ..spectral import _fold_branch, _odd_pi_distance
 from .rng import Stream, _unitary_stack
 
@@ -276,7 +276,7 @@ def _congruence_free_reals(stream: Stream, count: int, span: float = 8.0,
 
 
 def _fold_diag(values: list[float]) -> np.ndarray:
-    return np.diag([1j * _fold_branch(v)[1] for v in values])
+    return np.diag(1j * _fold_branch(np.array(values, dtype=float))[1])
 
 
 def _self_adjoint_congruence_free(spec: InstanceSpec, stream: Stream):
@@ -404,9 +404,9 @@ def _make_pairs(specs, keep_exp_y: bool) -> list:
                   for i in group]
         rest = [built[i][1] for i, same in zip(group, shared) if not same]
         rhs = iter(_exp_stack(np.stack(rest)) if rest else ())
-        for i, left, same in zip(group, lhs, shared):
-            right = left if same else next(rhs)
-            residuals[i] = _exp_gap(left, right)
+        rights = [left if same else next(rhs) for left, same in zip(lhs, shared)]
+        residuals.update(zip(group, _exp_gaps(lhs, np.stack(rights))))
+        for i, right in zip(group, rights):
             exp_ys[i] = right if keep_exp_y else None
 
     out = []

@@ -5,9 +5,10 @@ size, index) through the counter hash, so two runs of the same config
 produce byte-identical reports. The instances of one (entry, size) run
 in chunks of consecutive seeds. A chunk is the unit of work: its
 instances are built together by ``make_pairs`` (stacked unitaries and
-self-test exponentials), and its operands decomposed and their moduli
-taken in stacked calls; with ``jobs > 1`` the chunks fan out across
-processes while the aggregation order stays fixed.
+self-test exponentials), its operands decomposed and their moduli
+taken in stacked calls, and each check runs once over it; with
+``jobs > 1`` the chunks fan out across processes while the aggregation
+order stays fixed.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import dataclasses
 import math
 
 from ..checks import (CHECK_NAMES, _READS, PairAnalysis, decompose_pairs,
-                      run_check)
+                      run_checks)
 from ..config import CHECK_TOL, STACK_ENTRIES
 from .generators import (Family, InstanceSpec, _make_pairs, _require_int,
                          _require_keys)
@@ -138,11 +139,11 @@ def _run_chunk(task) -> list[dict]:
         pairs.append(pair)
     decompose_pairs(pairs, checks)
     rows = []
-    for i, seed in enumerate(seeds):
-        pair, pairs[i] = pairs[i], None  # freed once its rows are written
-        for check_name in checks:
+    # each check runs once over the chunk; the rows stay pair-major
+    for seed, reports in zip(seeds, run_checks(checks, pairs)):
+        for report in reports:
             row = {"family": label, "n": spec.n, "seed": seed}
-            row.update(run_check(check_name, pair).to_dict())
+            row.update(report.to_dict())
             rows.append(row)
     return rows
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import INV_TOL, ON_FEATURE_TOL
 from .errors import ExpNotNormal, NormLogError, NotNormal, Singular
-from .linalg import as_square_matrix, commutator, frob
+from .linalg import _frob_stack, as_square_matrix, commutator
 from .spectral import SpectralDecomposition, normal_eig
 
 __all__ = [
@@ -53,11 +53,13 @@ def exp_general(x) -> np.ndarray:
     return _exp_stack(as_square_matrix(x)[None])[0]
 
 
-def _exp_gap(lhs: np.ndarray, rhs: np.ndarray) -> float:
+def _exp_gaps(lhs: np.ndarray, rhs: np.ndarray) -> list:
     """The relative gap ``||lhs - rhs|| / ||lhs||`` of the two sides of an
-    exponential equation: the build-time self-test and the exponential
-    gate of the checks both take it, so a measured gap is the gate's."""
-    return frob(lhs - rhs) / max(frob(lhs), 1e-300)
+    exponential equation, for each pair of matrices of two (k, n, n)
+    stacks: the build-time self-test and the exponential gate of the
+    checks both take it, so a measured gap is the gate's."""
+    return (_frob_stack(lhs - rhs)
+            / np.maximum(_frob_stack(lhs), 1e-300)).tolist()
 
 
 def _exp_stack(x: np.ndarray) -> np.ndarray:
@@ -187,27 +189,52 @@ def kurepa_decompose(y) -> KurepaDecomposition:
         attempt = normal_eig(exp_general(y))
     except NormLogError as exc:
         attempt = exc
-    return _kurepa_split(y, attempt)
+    return _unwrap(_kurepa_splits(y[None], [attempt])[0])
 
 
-def _kurepa_split(y: np.ndarray, attempt) -> KurepaDecomposition:
-    """:func:`kurepa_decompose` of a validated Y, given ``attempt``: the
-    decomposition of e^Y as ``normal_eig`` returns it, or the NormLogError
-    it raised."""
-    if isinstance(attempt, NotNormal):
-        raise ExpNotNormal("exp(Y) is not normal within tolerance") from attempt
-    if isinstance(attempt, NormLogError):
-        raise attempt
-    n0 = branch_log(attempt)
-    w = (y - n0) / (TWO_PI * 1j)
+def _kurepa_splits(y: np.ndarray, attempts) -> list:
+    """:func:`kurepa_decompose` of each matrix of a validated (k, n, n)
+    stack, given ``attempts[i]``: the decomposition of e^Y as
+    ``normal_eig`` returns it, or the NormLogError it raised.
 
-    denom = frob(n0) * frob(w)
-    commute_residual = 0.0 if denom == 0.0 else frob(commutator(n0, w)) / denom
-
+    Entry i is the decomposition, bit for bit the lone one, or the error
+    the lone call raises. Past each :func:`branch_log`, the residual
+    norms and eigenvalue solves are one stacked call each over the
+    entries that split.
+    """
+    out: list = []
+    for attempt in attempts:
+        if isinstance(attempt, NotNormal):
+            error = ExpNotNormal("exp(Y) is not normal within tolerance")
+            error.__cause__ = attempt
+            attempt = error
+        try:
+            out.append(attempt if isinstance(attempt, NormLogError)
+                       else branch_log(attempt))
+        except Singular as exc:
+            out.append(exc)
+    ok = [i for i, entry in enumerate(out) if not isinstance(entry, Exception)]
+    if not ok:
+        return out
+    n0 = np.stack([out[i] for i in ok])
+    w = (y[ok] - n0) / (TWO_PI * 1j)
+    denom = _frob_stack(n0) * _frob_stack(w)
+    comm = _frob_stack(commutator(n0, w))
+    commute = np.where(denom == 0.0, 0.0,
+                       comm / np.where(denom == 0.0, 1.0, denom))
     eigs = np.linalg.eigvals(w)
-    integer_residual = 0.0
-    for mu in eigs:
-        integer_residual = max(integer_residual,
-                               abs(mu - round(mu.real)))
-    return KurepaDecomposition(n0=n0, w=w, commute_residual=commute_residual,
-                               integer_spectrum_residual=float(integer_residual))
+    # abs() of a complex is hypot; np.rint rounds half to even, as round
+    d = eigs - np.rint(eigs.real)
+    integer = np.maximum(np.hypot(d.real, d.imag).max(axis=1), 0.0)
+    for j, i in enumerate(ok):
+        out[i] = KurepaDecomposition(
+            n0=n0[j], w=w[j], commute_residual=commute[j].item(),
+            integer_spectrum_residual=integer[j].item())
+    return out
+
+
+def _unwrap(entry):
+    """``entry``, or raise it if it is an error."""
+    if isinstance(entry, Exception):
+        raise entry
+    return entry

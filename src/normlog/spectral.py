@@ -79,12 +79,14 @@ class Region:
         yes, maybe = self._status(pts)
         ambiguous = np.broadcast_to(maybe ^ yes, pts.shape)
         if ambiguous.any():
-            self._ambiguous(complex(pts.ravel()[ambiguous.ravel().argmax()]))
+            raise self._ambiguity(
+                complex(pts.ravel()[ambiguous.ravel().argmax()]))
         # a region decided without a feature gives one bool for all points
         return bool(yes) if pts.ndim == 0 else np.full(pts.shape, yes)
 
-    def _ambiguous(self, z):
-        raise AmbiguousBoundary(
+    def _ambiguity(self, z) -> AmbiguousBoundary:
+        """The error for the point ``z`` in the band of an excluded edge."""
+        return AmbiguousBoundary(
             f"point {z} lies within {BOUNDARY_TOL:.1e} of an excluded "
             f"edge of {self!r}")
 
@@ -285,45 +287,20 @@ class SpectralDecomposition:
         """The representatives as one complex array, for region membership."""
         return np.array(self.eigenvalues, dtype=complex)
 
-    @cached_property
-    def _max_abs_imag(self) -> float:
-        """The largest |Im lam| of the representatives, which the strip
-        gates compare with pi."""
-        return float(np.abs(self.eigenvalue_array.imag).max())
-
     def projection(self, j: int) -> np.ndarray:
         """Eigenprojection of cluster ``j``."""
         cols = self.v[:, self.bounds[j]:self.bounds[j + 1]]
         return cols @ dagger(cols)
 
-    def _projection_blocks(self):
-        """Every cluster's eigenprojection, bit for bit ``projection(j)``,
-        in blocks ``(js, stack)``: ``stack[i]`` is the projection of cluster
-        ``js[i]``. A block holds clusters of one multiplicity, at most
-        max(1, STACK_ENTRIES // n^2) of them, and its products are one
-        stacked call."""
-        starts = self.bounds[:-1]
-        size = max(1, STACK_ENTRIES // self.n ** 2)
-        for m in sorted(set(self.multiplicities.tolist())):
-            same = np.flatnonzero(self.multiplicities == m)
-            for lo in range(0, len(same), size):
-                js = same[lo:lo + size]
-                cols = np.stack([self.v[:, starts[j]:starts[j] + m]
-                                 for j in js])
-                yield js, cols @ dagger(cols)
-
     def select(self, mask) -> np.ndarray:
         """Sum of the eigenprojections of the clusters where ``mask`` holds."""
-        mask = np.asarray(mask, dtype=bool)
-        if not mask.any():
-            return np.zeros((self.n, self.n), dtype=self.v.dtype)
-        cols = self.v[:, np.repeat(mask, self.multiplicities)]
-        return cols @ dagger(cols)
+        mask = np.repeat(np.asarray(mask, dtype=bool), self.multiplicities)
+        return _select_stack(self.v[None], mask[None])[0]
 
     def combination(self, values) -> np.ndarray:
         """Sum of values[j] times the eigenprojection of cluster j."""
         d = np.repeat(np.asarray(values, dtype=complex), self.multiplicities)
-        return (self.v * d) @ dagger(self.v)
+        return _combination_stack(self.v[None], d[None])[0]
 
     def reconstruct(self) -> np.ndarray:
         return self.combination(self.eigenvalues)
@@ -338,14 +315,14 @@ class SpectralDecomposition:
         merge them share one projection, which gives the distance to
         {key(X)}''.
         """
-        w = as_square_matrix(w)
-        return self._bicommutant_distances(w[None], key)[0]
+        w = as_square_matrix(w)[None]
+        return _span_distances(self.v[None], self._group_labels(key)[None],
+                               w).item()
 
-    def _bicommutant_distances(self, ws: np.ndarray, key=None) -> list:
-        """``bicommutant_distance`` of each matrix of a (k, n, n) stack, bit
-        for bit: the products V* w V, the diagonal sums (one ``bincount``
-        whose bins are offset per matrix, so each sums in the same order)
-        and the norms are each one call over the stack."""
+    def _group_labels(self, key=None) -> np.ndarray:
+        """Each column's group: its cluster's index, or with ``key`` the
+        index of the group of clusters whose key(lam) merge as normal_eig
+        would merge them."""
         group = np.arange(len(self.eigenvalues))
         if key is not None:
             values = [complex(key(lam)) for lam in self.eigenvalues]
@@ -353,20 +330,60 @@ class SpectralDecomposition:
             for gi, g in enumerate(_merge(values,
                                           CLUSTER_TOL * max(1.0, scale))):
                 group[g] = gi
-        labels = np.repeat(group, self.multiplicities)
-        size = labels.max() + 1
-        bins = (labels + size * np.arange(len(ws))[:, None]).ravel()
-        m = dagger(self.v) @ ws @ self.v
-        d = np.diagonal(m, axis1=1, axis2=2)
-        total = len(ws) * size
-        sums = (np.bincount(bins, d.real.ravel(), total)
-                + 1j * np.bincount(bins, d.imag.ravel(), total))
-        means = sums.reshape(len(ws), size) / np.bincount(labels)
-        diag = np.arange(self.n)
-        m[:, diag, diag] -= means[:, labels]
-        norms = _frob_stack(ws)
-        # a zero w has M - D = 0, and the distance 0.0 alone takes
-        return (_frob_stack(m) / np.where(norms == 0.0, 1.0, norms)).tolist()
+        return np.repeat(group, self.multiplicities)
+
+
+def _select_stack(v: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """For each basis of a (k, n, n) stack, the sum of the projections
+    onto the columns its row of the (k, n) ``masks`` selects: V_S V_S*.
+
+    The bases with the same number of selected columns share one stacked
+    product, so each is computed as if alone; none selected gives zero.
+    """
+    out = np.empty(v.shape, dtype=complex)
+    counts = masks.sum(axis=1)
+    out[counts == 0] = 0.0
+    rows = v.swapaxes(1, 2)  # row j of entry i is column j of v[i]
+    for m in set(counts.tolist()) - {0}:
+        same = counts == m
+        # the selected columns, laid out column-major as v[:, mask] is
+        cols = rows[masks & same[:, None]].reshape(-1, m, v.shape[1])
+        cols = cols.swapaxes(1, 2)
+        out[same] = cols @ dagger(cols)
+    return out
+
+
+def _combination_stack(v: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """V diag(d) V* for each basis of a (k, n, n) stack and its row of
+    the (k, n) column weights ``d``, one stacked product."""
+    return (v * d[:, None, :]) @ dagger(v)
+
+
+def _span_distances(v: np.ndarray, labels: np.ndarray,
+                    ws: np.ndarray) -> np.ndarray:
+    """Relative distance of each matrix of a (k, n, n) stack ``ws`` to the
+    span of the projections that group the columns of the unitary
+    ``v[i]`` (``v`` holds one basis per matrix, or one for all) by the
+    labels ``labels[i]``, each in [0, n).
+
+    The distance is ||M - D|| / ||w||, M = V* w V, D the group means of
+    diag(M). The products, the diagonal sums (one ``bincount`` whose bins
+    are offset per matrix, so each sums in the same order) and the norms
+    are each one call over the stack.
+    """
+    k, n = labels.shape
+    bins = (labels + n * np.arange(k)[:, None]).ravel()
+    m = dagger(v) @ ws @ v
+    d = np.diagonal(m, axis1=1, axis2=2)
+    sums = (np.bincount(bins, d.real.ravel(), k * n)
+            + 1j * np.bincount(bins, d.imag.ravel(), k * n))
+    counts = np.maximum(np.bincount(bins, minlength=k * n), 1)
+    means = (sums / counts).reshape(k, n)
+    diag = np.arange(n)
+    m[:, diag, diag] -= np.take_along_axis(means, labels, axis=1)
+    norms = _frob_stack(ws)
+    # a zero w has M - D = 0, and the distance 0.0 alone takes
+    return _frob_stack(m) / np.where(norms == 0.0, 1.0, norms)
 
 
 def normal_eig(x) -> SpectralDecomposition:
@@ -493,27 +510,29 @@ def borel_calculus(dec: SpectralDecomposition,
     return dec.combination([f(lam) for lam in dec.eigenvalues])
 
 
-def _fold_branch(t: float) -> tuple[int, float]:
-    """Branch index and folded value: t = 2*pi*k + r with r in (-pi, pi].
+def _fold_branch(t):
+    """Branch index and folded value: t = 2*pi*k + r with r in (-pi, pi],
+    of a real number or elementwise of an array.
 
     Values within ``ON_FEATURE_TOL`` of an odd multiple of pi snap onto it, so
     exactly-placed boundary inputs land on the closed upper endpoint.
+    ``np.rint`` rounds half to even, as ``round`` does.
     """
     two_pi = 2.0 * math.pi
-    k = round(t / two_pi)
+    k = np.rint(t / two_pi)
     r = t - two_pi * k
-    if r > math.pi + ON_FEATURE_TOL:
-        k += 1
-        r -= two_pi
-    if r <= -math.pi + ON_FEATURE_TOL:
-        k -= 1
-        r += two_pi
-    return k, r
+    up = r > math.pi + ON_FEATURE_TOL
+    k, r = np.where(up, k + 1, k), np.where(up, r - two_pi, r)
+    down = r <= -math.pi + ON_FEATURE_TOL
+    return np.where(down, k - 1, k), np.where(down, r + two_pi, r)
 
 
-def _odd_pi_distance(t: float) -> float:
-    """Distance from a real number to the nearest odd multiple of pi."""
-    k = round((t - math.pi) / (2.0 * math.pi))
+def _odd_pi_distance(t):
+    """Distance from a real number, or from each entry of an array, to the
+    nearest odd multiple of pi."""
+    k = (t - math.pi) / (2.0 * math.pi)
+    # np.rint rounds half to even, as round does
+    k = np.rint(k) if isinstance(k, np.ndarray) else round(k)
     return abs(t - (2 * k + 1) * math.pi)
 
 
@@ -565,12 +584,19 @@ class StripProjections:
         the window, as V_x diag(w_x) V_x* - V_y diag(w_y) V_y*: a cluster
         weighs 2k*pi*i in open strip k, (2k+1)*pi*i on line k and 0
         elsewhere, and no projection is formed."""
-        k = np.arange(self.k_lo, self.k_hi + 1)
-        strip_w, line_w = 2 * k * math.pi * 1j, (2 * k + 1) * math.pi * 1j
-        return (self.dec_x.combination(self.x_strip @ strip_w
-                                       + self.x_line @ line_w)
-                - self.dec_y.combination(self.y_strip @ strip_w
-                                         + self.y_line @ line_w))
+        return (self.dec_x.combination(_window_weights(
+                    self.x_strip, self.x_line, self.k_lo, self.k_hi))
+                - self.dec_y.combination(_window_weights(
+                    self.y_strip, self.y_line, self.k_lo, self.k_hi)))
+
+
+def _window_weights(strip: np.ndarray, line: np.ndarray, k_lo: int,
+                    k_hi: int) -> np.ndarray:
+    """The weight of each point classified by ``strip`` and ``line``
+    (masks with one trailing column per branch of the window): 2k*pi*i
+    in open strip k, (2k+1)*pi*i on line k, 0 elsewhere."""
+    k = np.arange(k_lo, k_hi + 1)
+    return strip @ (2 * k * math.pi * 1j) + line @ ((2 * k + 1) * math.pi * 1j)
 
 
 def strip_projections(dec_x: SpectralDecomposition,
@@ -587,42 +613,55 @@ def strip_projections(dec_x: SpectralDecomposition,
     """
     if k_hi < k_lo:
         raise ValueError("k_hi must be >= k_lo")
-    lo_line = (2 * k_lo + 1) * math.pi
-    hi_line = (2 * k_hi + 1) * math.pi
-    for name, dec in (("X", dec_x), ("Y", dec_y)):
-        im = dec.eigenvalue_array.imag
-        outside = ~((lo_line - BOUNDARY_TOL <= im)
-                    & (im <= hi_line + BOUNDARY_TOL))
-        if outside.any():
-            raise SpectrumOutOfRange(
-                f"eigenvalue {dec.eigenvalues[outside.argmax()]} of {name} "
-                f"outside Im in [{lo_line:.6f}, {hi_line:.6f}]")
+    (x_strip, x_line), (y_strip, y_line), (error,) = _classify_window(
+        dec_x.eigenvalue_array[None], dec_y.eigenvalue_array[None],
+        k_lo, k_hi)
+    if error is not None:
+        raise error
+    return StripProjections(dec_x, dec_y, k_lo, k_hi,
+                            x_strip[0], x_line[0], y_strip[0], y_line[0])
+
+
+def _classify_window(lam_x: np.ndarray, lam_y: np.ndarray, k_lo: int,
+                     k_hi: int):
+    """Classify each row of a (k, m) stack of points of X and of Y over
+    the branch window [k_lo, k_hi], as :func:`strip_projections` does.
+
+    Returns ``((x_strip, x_line), (y_strip, y_line), errors)``. Column j
+    of the (k, m, k_hi - k_lo + 1) masks classifies the points against
+    open_branch_strip(k_lo + j) and odd_line(k_lo + j) by the rules of
+    those regions, in one pass over all branches; ``errors[i]`` is None,
+    or the error :func:`strip_projections` raises for row i. The range
+    test reads the signed distance to the window's lowest line that the
+    strips read, so a point in range is never decidedly inside strip
+    k_lo, below that line.
+    """
     # the odd lines (2j+1)pi, j = k_lo-1..k_hi: strip k lies between lines
     # k-1 and k, and line k is odd_line(k)
     lines = np.array([(2 * j + 1) * math.pi
                       for j in range(k_lo - 1, k_hi + 1)])
-    x_strip, x_line, x_ambiguous = _branch_classes(dec_x, lines)
-    y_strip, y_line, y_ambiguous = _branch_classes(dec_y, lines)
-    for j in range(k_hi - k_lo + 1):
-        for dec, ambiguous in ((dec_x, x_ambiguous), (dec_y, y_ambiguous)):
-            if ambiguous[:, j].any():
-                open_branch_strip(k_lo + j)._ambiguous(
-                    complex(dec.eigenvalue_array[ambiguous[:, j].argmax()]))
-    return StripProjections(dec_x, dec_y, k_lo, k_hi,
-                            x_strip, x_line, y_strip, y_line)
-
-
-def _branch_classes(dec: SpectralDecomposition, lines: np.ndarray):
-    """Masks ``(in_strip, on_line, ambiguous)`` with one column per branch.
-
-    Column j classifies the clusters against open_branch_strip(k_lo + j),
-    which lies between ``lines[j]`` and ``lines[j + 1]``, and against
-    odd_line(k_lo + j) at ``lines[j + 1]``, by the rules of those regions
-    in one pass over all branches.
-    """
-    im = dec.eigenvalue_array.imag[:, None]
-    above, maybe_above = _edge_status(im, lines[:-1], False, 1.0)
-    below, maybe_below = _edge_status(im, lines[1:], False, -1.0)
-    in_strip = above & below
-    on_line = abs(im - lines[1:]) <= BOUNDARY_TOL
-    return in_strip, on_line, (maybe_above & maybe_below) ^ in_strip
+    errors: list = [None] * len(lam_x)
+    classes, ambiguous = [], []
+    for name, lam in (("X", lam_x), ("Y", lam_y)):
+        im = lam.imag[..., None]
+        above, maybe_above = _edge_status(im, lines[:-1], False, 1.0)
+        below, maybe_below = _edge_status(im, lines[1:], False, -1.0)
+        in_strip = above & below
+        classes.append((in_strip, abs(im - lines[1:]) <= BOUNDARY_TOL))
+        ambiguous.append((maybe_above & maybe_below) ^ in_strip)
+        in_range = (_edge_status(im[..., 0], lines[1], True, 1.0)[0]
+                    & _edge_status(im[..., 0], lines[-1], True, -1.0)[0])
+        for i in np.flatnonzero(~in_range.all(axis=1)).tolist():
+            if errors[i] is None:
+                errors[i] = SpectrumOutOfRange(
+                    f"eigenvalue {complex(lam[i, in_range[i].argmin()])} of "
+                    f"{name} outside Im in [{lines[1]:.6f}, {lines[-1]:.6f}]")
+    # the first ambiguous strip measure: k ascending, X before Y within k
+    hits = np.stack([a.any(axis=1) for a in ambiguous], axis=2)
+    hits = hits.reshape(len(lam_x), -1)
+    for i in np.flatnonzero(hits.any(axis=1)).tolist():
+        if errors[i] is None:
+            j, side = divmod(int(hits[i].argmax()), 2)
+            z = (lam_x, lam_y)[side][i, ambiguous[side][i, :, j].argmax()]
+            errors[i] = open_branch_strip(k_lo + j)._ambiguity(complex(z))
+    return classes[0], classes[1], errors

@@ -5,6 +5,7 @@ import pytest
 
 import normlog.checks
 import normlog.logs
+import normlog.spectral
 from normlog.checks import (
     CHECK_NAMES,
     PairAnalysis,
@@ -38,10 +39,11 @@ from normlog.harness import (
     default_config,
     make_pair,
     random_unitary,
+    run_suite,
 )
 from normlog.linalg import dagger, frob, is_normal
 from normlog.harness.generators import _make_pairs
-from normlog.logs import TWO_PI, _kurepa_split, kurepa_decompose
+from normlog.logs import TWO_PI, _kurepa_splits, kurepa_decompose
 from normlog.report import CheckReport
 from normlog.spectral import (
     HLine,
@@ -212,7 +214,8 @@ class TestPairAnalysis:
                 m.setattr(normlog.checks, "normal_eig_stack", _not_called)
                 m.setattr(normlog.logs, "normal_eig", _not_called)
                 reports = [check_kurepa(pair) for pair in pairs]
-                splits = [_kurepa_split(pair.y, pair._attempt_exp_y)
+                splits = [_kurepa_splits(pair.y[None],
+                                         [pair._attempt_exp_y])[0]
                           if rep.hypothesis_met
                           else None for pair, rep in zip(pairs, reports)]
             for pair, rep, split in zip(pairs, reports, splits):
@@ -233,13 +236,16 @@ class TestPairAnalysis:
 
     def test_strip_gate_reads_the_largest_imaginary_part(self):
         edge = PI + BOUNDARY_TOL
+        rows, rules = [], []
         for im in (edge, np.nextafter(edge, 4.0), -edge,
                    np.nextafter(-edge, -4.0), 0.0, PI):
             dec = normal_eig(np.diag([0.5 + 0j, complex(1.0, im), -2j]))
             rule = all(abs(lam.imag) <= edge for lam in dec.eigenvalues)
-            assert normlog.checks._in_strip(dec) == rule
-            assert dec._max_abs_imag == max(abs(lam.imag)
-                                            for lam in dec.eigenvalues)
+            assert normlog.checks._in_strip(dec.eigenvalue_array) == rule
+            rows.append(dec.eigenvalue_array)
+            rules.append(rule)
+        # one row per pair of a chunk
+        assert normlog.checks._in_strip(np.stack(rows)).tolist() == rules
 
     def test_given_exp_gap_is_not_recomputed(self, monkeypatch):
         def no_exp(arg):
@@ -260,19 +266,24 @@ class TestPairAnalysis:
     def test_boundary_lines_measured_once_per_operand(self, monkeypatch):
         x, y, _ = make_pair(InstanceSpec(Family.BOUNDARY_FLIP_PAIR, 8, 2))
         pair = PairAnalysis(x, y)
-        for got, dec in ((pair.boundary_x, pair.dec_x),
-                         (pair.boundary_y, pair.dec_y)):
-            assert [m.tobytes() for m in got] == [
+        chunk = normlog.checks._Chunk([pair])
+        for side, dec in (("x", pair.dec_x), ("y", pair.dec_y)):
+            assert [m[0].tobytes() for m in chunk.lines(side)] == [
                 spectral_measure(dec, HLine(c)).tobytes() for c in (PI, -PI)]
-        assert pair.boundary_x[0].any() or pair.boundary_x[1].any()
+        assert chunk.lines("x")[0].any() or chunk.lines("x")[1].any()
 
+        # both lines of both operands, one stacked selection each for the
+        # chunk, and no region measure
         calls = []
-        real = normlog.checks.spectral_measure
-        monkeypatch.setattr(normlog.checks, "spectral_measure",
-                            lambda *a, **k: calls.append(a) or real(*a, **k))
-        pair = PairAnalysis(x, y)
-        assert check_spectral_agreement(pair).passed
-        assert check_corollary_cases(pair).passed
+        real = normlog.checks._select_stack
+        monkeypatch.setattr(normlog.checks, "_select_stack",
+                            lambda *a: calls.append(a) or real(*a))
+        monkeypatch.setattr(normlog.spectral.Region, "contains", _not_called)
+        pairs = [PairAnalysis(x, y), PairAnalysis(*make_pair(InstanceSpec(
+            Family.BOUNDARY_FLIP_PAIR, 8, 3))[:2])]
+        reports = normlog.checks.run_checks(
+            ("spectral_agreement", "corollary_cases"), pairs)
+        assert all(rep.passed for row in reports for rep in row)
         assert len(calls) == 4
 
     @pytest.mark.parametrize("family, checks, residual", [
@@ -389,11 +400,38 @@ def _loop_region_family(dec_x, dec_y, scale):
     return regions
 
 
+def _columns(dec):
+    return normlog.checks._Columns([dec], dec.n)
+
+
+def _interior_measure(dec_x, dec_y, scale):
+    """The interior measure of one pair, as a chunk of one."""
+    return normlog.checks._interior_measures(
+        _columns(dec_x), _columns(dec_y), np.array([0]),
+        np.array([scale]))[0]
+
+
+def _region_family(dec_x, dec_y, scale):
+    """The isolating family of one pair, as a chunk of one, and its
+    regions' slots: disc slots, then square slots."""
+    cols_x, cols_y = _columns(dec_x), _columns(dec_y)
+    family = normlog.checks._interior_region_family(
+        cols_x.lam, cols_y.lam, cols_x.start, np.array([scale]))
+    return family, np.concatenate(family[3:], axis=1)[0]
+
+
+def _compact_family(dec_x, dec_y, scale):
+    """``(centres, radius, half, has_rect)`` over the regions' centres."""
+    (centres, radius, half, disc, rect), _ = _region_family(dec_x, dec_y,
+                                                            scale)
+    disc = disc[0]
+    return centres[0, disc], radius[0], half[0, disc], rect[0, disc]
+
+
 def _plain_interior_measure(dec_x, dec_y, scale):
     """The largest measured projection difference over the isolating
     family, region by region: the reference for the eigenbasis measure."""
-    regions = _family_regions(normlog.checks._interior_region_family(
-        dec_x, dec_y, scale))
+    regions = _family_regions(_compact_family(dec_x, dec_y, scale))
     return max((frob(spectral_measure(dec_x, omega)
                      - spectral_measure(dec_y, omega)) for omega in regions),
                default=0.0)
@@ -476,7 +514,7 @@ class TestSpectralAgreement:
         dec_x = _block_decomposition(n, seed=n)
         dec_y = _rotated(dec_x, 0, 3, theta)
         scale = float(np.linalg.norm(dec_x.eigenvalue_array))
-        got = normlog.checks._interior_measure(dec_x, dec_y, scale)
+        got = _interior_measure(dec_x, dec_y, scale)
         want = math.sqrt(2.0) * math.sin(theta)
         assert got == pytest.approx(want, rel=1e-6)
         assert _plain_interior_measure(dec_x, dec_y, scale) == pytest.approx(
@@ -494,11 +532,11 @@ class TestSpectralAgreement:
         other = 0 if lo != 0 else 2
         scale = frob(x)
         # a rotation inside the eigenspace leaves every projection as it was
-        inside = normlog.checks._interior_measure(
+        inside = _interior_measure(
             dec, _rotated(dec, lo, lo + 1, theta), scale)
         assert inside <= 1e-14
         # a rotation across two eigenspaces moves both projections
-        across = normlog.checks._interior_measure(
+        across = _interior_measure(
             dec, _rotated(dec, lo, other, theta), scale)
         assert across == pytest.approx(math.sqrt(2.0) * math.sin(theta),
                                        rel=1e-6)
@@ -508,8 +546,7 @@ class TestSpectralAgreement:
         x = conj_by(random_unitary(3, 91), np.diag([PI * 1j, -PI * 1j,
                                                    0.5 + PI * 1j]))
         pair = PairAnalysis(x, x.copy())
-        centres = normlog.checks._interior_region_family(
-            pair.dec_x, pair.dec_y, pair.norm_x)[0]
+        centres = _compact_family(pair.dec_x, pair.dec_y, pair.norm_x)[0]
         assert len(centres) == 0
         rep = check_spectral_agreement(pair)
         assert rep.hypothesis_met
@@ -523,8 +560,7 @@ class TestSpectralAgreement:
     def test_one_pass_masks_equal_region_membership(self, family, n):
         x, y, _ = make_pair(InstanceSpec(family, n, 3))
         pair = PairAnalysis(x, y)
-        arrays = normlog.checks._interior_region_family(
-            pair.dec_x, pair.dec_y, pair.norm_x)
+        arrays = _compact_family(pair.dec_x, pair.dec_y, pair.norm_x)
         regions = _family_regions(arrays)
         loop = _loop_region_family(pair.dec_x, pair.dec_y, pair.norm_x)
         assert regions == ([r for r in loop if isinstance(r, Points)]
@@ -538,9 +574,11 @@ class TestSpectralAgreement:
              for u in (1, np.exp(1j * math.pi / 4))]
             + [(centres[:, None] + u * edge).ravel()
                for u in (1, -1, 1j, -1j, 1 + 1j)])
+        family, slots = _region_family(pair.dec_x, pair.dec_y, pair.norm_x)
         for z in (pair.dec_x.eigenvalue_array, pair.dec_y.eigenvalue_array,
                   probes):
-            masks = normlog.checks._isolating_masks(z, arrays)
+            masks = normlog.checks._isolating_masks(z[None], family)[0]
+            masks = masks[slots]
             assert masks.shape == (len(regions), len(z))
             for row, omega in zip(masks, regions):
                 assert row.tolist() == omega.contains(z).tolist()
@@ -657,11 +695,13 @@ class TestDifferenceFormulaWeights:
         for seed in (1, 2):
             x, y, meta = make_pair(InstanceSpec(Family(family), n, seed,
                                                 params=params))
-            pair = analyze_pair(x, y, meta)
-            # the body, past the gates: the self-adjoint families have
-            # exp(iX) = exp(Y), so their exp gate fails
-            found, _, _ = check_difference_formula.__wrapped__(pair)
-            assert abs(found["difference"] - _strip_sum_residual(pair)) <= 1e-14
+            # the self-adjoint families have exp(iX) = exp(Y), so their
+            # exp gate is passed as met to reach the formula
+            pair = analyze_pair(x, y, meta, exp_gap=("exp(X)=exp(Y)", 0.0))
+            rep = check_difference_formula(pair)
+            assert rep.hypothesis_met
+            assert (abs(rep.residuals["difference"] - _strip_sum_residual(pair))
+                    <= 1e-14)
 
     @pytest.mark.parametrize("x_imag, y_imag", [
         ([PI - 5e-10, 0.5], [PI - 5e-10, 0.5]),
@@ -727,6 +767,21 @@ class TestDifferenceFormulaWindow:
         with pytest.raises(AmbiguousBoundary):
             check_difference_formula(_band_pair(d, k_lo, k_hi))
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_band_edge_never_passes(self, seed):
+        # at the edge of the band one signed distance decides both the
+        # range test and strip k_lo: Y's eigenvalue is never admitted to
+        # the window and decidedly inside strip -1 below it
+        pair = _band_pair(1e-9, -1, 0, seed)
+        try:
+            rep = check_difference_formula(pair)
+        except AmbiguousBoundary:
+            return
+        assert not rep.hypothesis_met and not rep.passed
+        assert rep.notes.startswith("spectrum outside branch window [-1, 0]")
+        with pytest.raises(SpectrumOutOfRange):
+            strip_projections(pair.dec_x, pair.dec_y, -1, 0)
+
 
 class TestCorollaryCases:
     def test_case_top_empty(self):
@@ -788,7 +843,7 @@ class TestDoubleCommutant:
         assert not rep.hypothesis_met and not rep.passed
 
     def test_congruence_report_computed_once_per_pair(self, monkeypatch):
-        real = normlog.checks._congruence_report
+        real = normlog.checks._congruence_reports
         calls = []
 
         def spy(*args, **kwargs):
@@ -798,7 +853,7 @@ class TestDoubleCommutant:
         def not_called(pair):
             raise AssertionError("double_commutant re-ran congruence_free")
 
-        monkeypatch.setattr(normlog.checks, "_congruence_report", spy)
+        monkeypatch.setattr(normlog.checks, "_congruence_reports", spy)
         x, y, _ = make_pair(InstanceSpec(Family.SELF_ADJOINT_CONGRUENCE_FREE,
                                          6, 12))
         pair = PairAnalysis(x, y)
@@ -901,6 +956,155 @@ class TestKurepaCheck:
         y = np.array([[0, 1], [0, 0]], dtype=complex)
         rep = check_kurepa(PairAnalysis(y, y))
         assert not rep.hypothesis_met and not rep.passed
+
+
+# the sizes each family builds at, of 1, 2, 8, 16 and 64
+_CHUNK_CASES = [(family, n) for family in Family for n in (1, 2, 8, 16, 64)
+                if n >= 2 or family not in (Family.DISTINCT_PROJECTION_PAIR,
+                                            Family.NON_NORMAL_LOG_PAIR)]
+
+
+def _chunk(specs, extra=()):
+    """Pairs built and decomposed as the suite builds a chunk, then the
+    ``extra`` pairs."""
+    pairs = []
+    for x, y, meta, exp_y in _make_pairs(specs, True):
+        pair = analyze_pair(x, y, meta, exp_gap=(
+            meta["equation"], meta["self_test_residual"]))
+        pair.exp_y = exp_y
+        pairs.append(pair)
+    pairs += extra
+    decompose_pairs(pairs, CHECK_NAMES)
+    return pairs
+
+
+def _alone(pair):
+    """A fresh analysis of the pair, with the exponential gaps it holds."""
+    lone = PairAnalysis(pair.x, pair.y, check_tol=pair.check_tol,
+                        k_lo=pair.k_lo, k_hi=pair.k_hi)
+    for fact in ("exp_residual", "exp_i_residual"):
+        if fact in vars(pair):
+            vars(lone)[fact] = vars(pair)[fact]
+    return lone
+
+
+def _lone_entry(name, pair):
+    try:
+        return run_check(name, _alone(pair))
+    except NormLogError as exc:
+        return exc
+
+
+def _assert_same_entry(got, want):
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert got.to_dict() == want.to_dict()
+    for field in ("residuals", "tolerances"):
+        assert ([float(v).hex() for v in getattr(got, field).values()]
+                == [float(v).hex() for v in getattr(want, field).values()])
+
+
+def _assert_chunk_equals_lone(pairs, names=CHECK_NAMES):
+    for name in names:
+        entries = getattr(normlog.checks, f"check_{name}")(pairs)
+        assert len(entries) == len(pairs)
+        for entry, pair in zip(entries, pairs):
+            _assert_same_entry(entry, _lone_entry(name, pair))
+
+
+def _pair_major_error(names, pairs):
+    """The first error of the loop over each pair, then each check."""
+    for pair in pairs:
+        for name in names:
+            try:
+                run_check(name, _alone(pair))
+            except NormLogError as exc:
+                return exc
+    return None
+
+
+class TestChunkNativeChecks:
+    @pytest.mark.parametrize("family, n", _CHUNK_CASES,
+                             ids=lambda v: getattr(v, "value", v))
+    def test_every_check_equals_its_chunk_of_one(self, family, n):
+        seeds = range(2 if n == 64 else 4)
+        _assert_chunk_equals_lone(
+            _chunk([InstanceSpec(family, n, seed) for seed in seeds]))
+
+    def test_gates_that_hold_beside_gates_that_fail(self):
+        # a conjugate-control pair among BoundaryFlipPair pairs, whose
+        # corollary and square-commute hypotheses hold
+        control = {"conjugate_pair": 1, "boundary": 2}
+        pairs = _chunk([InstanceSpec(Family.BOUNDARY_FLIP_PAIR, 8, seed,
+                                     params=control if seed == 2 else {})
+                        for seed in range(5)])
+        _assert_chunk_equals_lone(pairs)
+        for name in ("corollary_cases", "square_commute"):
+            met = [r.hypothesis_met
+                   for r in getattr(normlog.checks, f"check_{name}")(pairs)]
+            assert met == [True, True, False, True, True]
+
+    def test_mixed_families_and_a_non_normal_y_mid_chunk(self):
+        # exp(iX) = exp(Y) with Y not normal: double_commutant takes the
+        # commutant basis for it alone
+        t = np.array([[1.0, 0.7], [0.0, 1.0]], dtype=complex)
+        y = np.zeros((3, 3), dtype=complex)
+        y[:2, :2] = t @ np.diag([PI * 1j, -PI * 1j]) @ np.linalg.inv(t)
+        y[2, 2] = 0.5j
+        odd = PairAnalysis(np.diag([PI, PI, 0.5]), y)
+        specs = [InstanceSpec(family, 3, seed) for seed, family in enumerate(
+            (Family.SELF_ADJOINT_CONGRUENCE_FREE, Family.INTERIOR_PAIR,
+             Family.NON_NORMAL_LOG_PAIR, Family.ODD_PI_EIGENVALUE,
+             Family.SELF_ADJOINT_CONGRUENCE_FREE))]
+        pairs = _chunk(specs[:2], [odd])
+        pairs += _chunk(specs[2:])
+        assert [p.normal_y for p in pairs] == [True, True, False, False,
+                                               True, True]
+        _assert_chunk_equals_lone(pairs)
+        reports = check_double_commutant(pairs)
+        assert reports[2].passed and reports[0].passed
+
+    def test_chunk_raises_the_first_pair_major_error(self):
+        # the band pair raises in difference_formula; the pair after it,
+        # normal but with non-commuting parts, in spectral_agreement
+        x = np.diag([100.0, 0.0, 1.0, 2.0]).astype(complex)
+        x[0, 1] = x[1, 0] = 1e-10j
+        broken = PairAnalysis(x, x)
+        band = _band_pair(1e-9, -1, 0, seed=0)
+        names = ("spectral_agreement", "difference_formula", "real_part")
+        pairs = _chunk([InstanceSpec(Family.INTERIOR_PAIR, 4, 0)],
+                       [band, broken])
+        pairs += _chunk([InstanceSpec(Family.INTERIOR_PAIR, 4, 1)])
+        expected = _pair_major_error(names, pairs)
+        assert isinstance(expected, AmbiguousBoundary)
+        with pytest.raises(AmbiguousBoundary) as got:
+            normlog.checks.run_checks(names, pairs)
+        assert str(got.value) == str(expected)
+        # each check keeps its error per entry
+        entries = check_difference_formula(pairs)
+        assert [type(e) for e in entries] == [
+            CheckReport, AmbiguousBoundary, NotCommuting, CheckReport]
+        assert isinstance(check_spectral_agreement(pairs)[2], NotCommuting)
+        _assert_chunk_equals_lone(pairs)
+        # without the band pair, the broken pair's first error
+        with pytest.raises(NotCommuting):
+            normlog.checks.run_checks(names, pairs[:1] + pairs[2:])
+
+    def test_each_check_runs_once_per_chunk(self, monkeypatch):
+        calls = []
+        for name in ("real_part", "difference_formula"):
+            real = getattr(normlog.checks, f"check_{name}")
+            monkeypatch.setattr(normlog.checks, f"check_{name}",
+                                lambda c, _r=real: calls.append(c) or _r(c))
+        report = run_suite({"sizes": [2, 4], "seeds": 6, "families": [
+            {"family": "InteriorPair",
+             "checks": ["real_part", "difference_formula"]}]})
+        assert report["summary"]["passed"] == 24
+        assert len(calls) == 4 and all(len(c) == 6 for c in calls)
+        # the rows stay pair-major
+        assert [r["check"] for r in report["results"][:4]] == [
+            "real_part", "difference_formula"] * 2
 
 
 class TestCrossTheoremConsistency:

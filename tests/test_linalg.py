@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import normlog.checks
 import normlog.linalg
 from normlog.errors import NotCommuting, NotHermitian
 from normlog.harness import Stream, random_unitary
@@ -415,10 +416,16 @@ class TestDoubleCommutant:
         assert dec.bicommutant_distance(np.zeros((2, 2))) == 0.0
 
     @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
-    def test_stacked_distances_equal_lone(self, family):
-        # every projection of X at once, with and without a key, against
-        # one call per matrix; zero matrices read 0.0 as alone
+    def test_stacked_distances_equal_lone(self, family, monkeypatch):
+        # every projection of X against {Y}'' in stacked calls of at most
+        # 8192 // n^2 matrices, and any stack with and without a key,
+        # against one call per matrix; zero matrices read 0.0 as alone
         expi = lambda lam: np.exp(1j * lam)
+        calls = []
+        real = normlog.checks._span_distances
+        monkeypatch.setattr(normlog.checks, "_span_distances",
+                            lambda v, labels, ws: calls.append(len(ws))
+                            or real(v, labels, ws))
         for n in (1, 2, 3, 8, 16, 40):
             for seed in range(3):
                 try:
@@ -426,22 +433,23 @@ class TestDoubleCommutant:
                     dec_x, dec_y = normal_eig(x), normal_eig(y)
                 except Exception:
                     continue
-                blocks = list(dec_x._projection_blocks())
-                js = np.concatenate([j for j, _ in blocks])
-                assert sorted(js.tolist()) == list(range(len(dec_x.eigenvalues)))
-                for j, ps in blocks:
-                    assert len(ps) <= max(1, 8192 // n ** 2)
-                    assert len(set(dec_x.multiplicities[j].tolist())) == 1
-                    for i, p in zip(j, ps):
-                        assert p.tobytes() == dec_x.projection(i).tobytes()
+                calls.clear()
+                worst = normlog.checks._projection_distances(
+                    normlog.checks._Columns([dec_x], n),
+                    normlog.checks._Columns([dec_y], n), np.array([0]))
+                projections = np.stack([dec_x.projection(j) for j
+                                        in range(len(dec_x.eigenvalues))])
+                lone = [dec_y.bicommutant_distance(p) for p in projections]
+                assert worst[0].hex() == max(lone).hex()
+                assert sum(calls) == len(projections)
+                assert max(calls) <= max(1, 8192 // n ** 2)
                 if n == 40:
-                    assert len(blocks) >= 8
-                projections = np.concatenate([ps for _, ps in blocks])
+                    assert len(calls) >= 8
                 ws = np.concatenate((projections, [x, y, np.zeros_like(x)]))
                 for key in (None, expi):
-                    got = dec_y._bicommutant_distances(ws, key)
+                    labels = np.broadcast_to(dec_y._group_labels(key),
+                                             ws.shape[:2])
+                    got = real(dec_y.v[None], labels, ws).tolist()
                     assert all(type(d) is float for d in got)
-                    assert got == [dec_y.bicommutant_distance(w, key)
-                                   for w in ws]
                     assert [d.hex() for d in got] == [
                         dec_y.bicommutant_distance(w, key).hex() for w in ws]
