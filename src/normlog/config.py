@@ -19,7 +19,7 @@ NORM_TOL = 1e-10
 COMM_TOL = 1e-10
 # Default pass/fail threshold of the identity checks.
 CHECK_TOL = 1e-8
-# Hypothesis-gate threshold (exponential equality and case classification);
+# Hypothesis-gate threshold (equality of the exponentials);
 # kept apart from the check threshold so that tightening the verification
 # threshold cannot silently reclassify instances as hypothesis violations.
 GATE_TOL = 1e-8
