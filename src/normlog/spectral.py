@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import BOUNDARY_TOL, CLUSTER_TOL, ON_FEATURE_TOL, STACK_ENTRIES
+from .config import BOUNDARY_TOL, CLUSTER_TOL, ON_FEATURE_TOL
 from .errors import AmbiguousBoundary, NormLogError, SpectrumOutOfRange
 from .linalg import (
     _as_square_stack,
