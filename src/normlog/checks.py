@@ -32,7 +32,7 @@ from .linalg import (_frob_stack, _modulus_stack, _same_bytes,
 from .logs import TWO_PI, _exp_gaps, _kurepa_splits, _unwrap, exp_general
 from .report import CheckReport
 from .spectral import (_classify_window, _combination_stack, _edge_status,
-                       _fold_branch, _isolated, _odd_pi_distance,
+                       _fold_branch, _isolated, _near, _odd_pi_distance,
                        _select_stack, _span_distances, _window_weights,
                        normal_eig_stack)
 
@@ -563,20 +563,28 @@ def _interior_region_family(lam_x: np.ndarray, lam_y: np.ndarray,
     return lam_x, radius, half, disc, disc & (half > margin)
 
 
-def _isolating_masks(z: np.ndarray, family) -> np.ndarray:
-    """Membership of each row of points ``z`` (k, m) in its row's regions
-    by the rules of ``Points`` and ``Rect``, as (k, 2n, m) masks: disc
-    slots, then square slots. Square edges are included, so no point is
-    ambiguous."""
+def _isolating_masks(z: np.ndarray, family, row: np.ndarray,
+                     slot: np.ndarray) -> np.ndarray:
+    """Membership of the points of row ``row[s]`` of ``z`` (k, m) in region
+    slot ``slot[s]`` of that row alone, by the rules of ``Points`` and
+    ``Rect``, as an (S, m) mask: slot j < n is the disc of column j, slot
+    n + j its square, whose edges are included (no point is ambiguous)."""
     centres, radius, half = family[:3]
-    d = z[:, None, :] - centres[:, :, None]
-    discs = np.hypot(d.real, d.imag) <= radius[:, None, None]
-    c, h, re, im = centres[:, :, None], half[:, :, None], z.real, z.imag
-    squares = True
+    n = centres.shape[1]
+    out = np.empty((len(slot), z.shape[1]), dtype=bool)
+    disc = slot < n
+    r, j = row[disc], slot[disc]
+    c = centres[r, j][:, None]
+    out[disc] = _near(z.real[r] - c.real, z.imag[r] - c.imag, radius[r, None])
+    r, j = row[~disc], slot[~disc] - n
+    c, h, re, im = (centres[r, j][:, None], half[r, j][:, None],
+                    z.real[r], z.imag[r])
+    square = True
     for x, edge, sign in ((re, c.real - h, 1.0), (re, c.real + h, -1.0),
                           (im, c.imag - h, 1.0), (im, c.imag + h, -1.0)):
-        squares = squares & _edge_status(x[:, None, :], edge, True, sign)[0]
-    return np.concatenate((discs, squares), axis=1)
+        square = square & _edge_status(x, edge, True, sign)[0]
+    out[~disc] = square
+    return out
 
 
 def _interior_measures(cols_x: _Columns, cols_y: _Columns, idx: np.ndarray,
@@ -597,19 +605,19 @@ def _interior_measures(cols_x: _Columns, cols_y: _Columns, idx: np.ndarray,
     """
     lam_x, lam_y = cols_x.lam[idx], cols_y.lam[idx]
     family = _interior_region_family(lam_x, lam_y, cols_x.start[idx], scales)
-    regions = np.concatenate(family[3:], axis=1)
-    # 0/1 membership of each eigenvector column, one row per region slot
-    mx, my = _isolating_masks(lam_x, family), _isolating_masks(lam_y, family)
+    # each row's regions, discs before squares, each in column order; 0/1
+    # membership of each eigenvector column, one row per region
+    row, slot = np.nonzero(np.concatenate(family[3:], axis=1))
+    mx, my = (_isolating_masks(z, family, row, slot) for z in (lam_x, lam_y))
     g = dagger(cols_y.v[idx]) @ cols_x.v[idx]
     e = g.real ** 2 + g.imag ** 2
-    counts = regions.sum(axis=1)
-    # each row's regions first, discs before squares, each in column order
-    order = np.argsort(~regions, axis=1, kind="stable")[:, :, None]
+    counts = np.bincount(row, minlength=len(idx))
+    first = np.cumsum(counts) - counts
     out = np.zeros(len(idx))
     for r in set(counts.tolist()) - {0}:
         same = counts == r
-        fx, fy = (np.take_along_axis(m[same], order[same, :r], axis=1)
-                  .astype(float) for m in (mx, my))
+        at = first[same, None] + np.arange(r)
+        fx, fy = mx[at].astype(float), my[at].astype(float)
         mass = ((((1.0 - fy) @ e[same]) * fx).sum(axis=2)
                 + ((fy @ e[same]) * (1.0 - fx)).sum(axis=2))
         out[same] = np.sqrt(mass.max(axis=1))

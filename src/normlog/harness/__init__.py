@@ -2,13 +2,12 @@
 
 from .generators import Family, InstanceSpec, make_pair
 from .io import matrix_from_obj, matrix_to_obj, read_pair, write_pair, write_report
-from .rng import Stream, mix64, random_unitary
+from .rng import mix64, random_unitary
 from .suite import analyze_pair, default_config, run_suite
 
 __all__ = [
     "Family",
     "InstanceSpec",
-    "Stream",
     "analyze_pair",
     "default_config",
     "make_pair",

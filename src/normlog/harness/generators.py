@@ -5,11 +5,13 @@ exponential equation by design, then re-verifies that equation
 numerically before returning (``ConstructionFailed`` on violation, so a
 generator bug can never masquerade as an identity failure).
 
-A family's builder is a generator: it draws every scalar and subseed of
-its instance from the instance's stream, and yields a ``(size, subseed)``
-request for each Haar unitary, which is sent back in. ``make_pairs``
-drives the builders of a chunk together, so the unitaries and self-test
-exponentials of the whole chunk are computed in stacks.
+A family's builder makes all instances of one spec that differ only in
+their seed at once, one row per instance, in array code: each scalar
+draw is hashed for every row's stream together (each row keeps its own
+counter, so its draws come in the order a lone build takes them), the
+rejection loops test every row's candidates together, and the Haar
+unitaries, diagonals and conjugations U D U* are stacks. Every instance
+is bit for bit its lone build; a lone ``make_pair`` is the stack of one.
 
 Boundary eigenvalues are placed with imaginary part exactly ``+/-pi``
 (no rounding), keeping line membership unambiguous downstream.
@@ -28,10 +30,10 @@ from enum import Enum
 import numpy as np
 
 from ..errors import ConstructionFailed
-from ..linalg import _same_bytes, dagger
+from ..linalg import dagger
 from ..logs import TWO_PI, _exp_gaps, _exp_stack
-from ..spectral import _fold_branch, _odd_pi_distance
-from .rng import Stream, _unitary_stack
+from ..spectral import _fold_branch, _near, _odd_pi_distance
+from .rng import _Streams, _unitary_stack, _units
 
 __all__ = ["Family", "InstanceSpec", "make_pair", "make_pairs"]
 
@@ -101,224 +103,333 @@ def _require_int(value, what: str, flag: bool = False) -> None:
         raise ValueError(f"{what} must be {kind}, got {value!r}")
 
 
-def _jittered_grid(stream: Stream, count: int, lo: float, hi: float,
-                   jitter: float = 0.25) -> list[float]:
-    """Reals on an even grid over [lo, hi] with per-slot jitter.
-
-    Separation is at least ``(1 - 2*jitter)`` of a slot width by
-    construction, so packing never stalls. Values come back in a
-    shuffled order to avoid sortedness artifacts.
-    """
-    slot = (hi - lo) / count
-    vals = [lo + (i + 0.5 + jitter * (2.0 * stream.unit() - 1.0)) * slot
-            for i in range(count)]
-    for i in range(count - 1, 0, -1):  # Fisher-Yates on the stream
-        j = stream.integer(0, i)
-        vals[i], vals[j] = vals[j], vals[i]
-    return vals
+def _diag(d: np.ndarray) -> np.ndarray:
+    """``np.diag`` of each row of a (k, m) stack."""
+    k, m = d.shape
+    out = np.zeros((k, m, m), dtype=complex)
+    out[:, np.arange(m), np.arange(m)] = d
+    return out
 
 
-def _interior_eigs(stream: Stream, count: int, im_margin: float = 0.05,
-                   min_gap: float = 1e-3) -> list[complex]:
-    vals: list[complex] = []
-    tries = 0
-    while len(vals) < count:
-        tries += 1
-        if tries > 10000:
-            raise ConstructionFailed("could not place interior eigenvalues")
-        z = complex(stream.uniform(-_RE_RANGE, _RE_RANGE),
-                    stream.uniform(-_PI + im_margin, _PI - im_margin))
-        if all(abs(z - w) >= min_gap for w in vals):
-            vals.append(z)
-    return vals
+def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The block diagonal matrices with blocks ``a`` and ``b``, each a
+    stack or one matrix for all (at least one a stack)."""
+    n, m = a.shape[-1], b.shape[-1]
+    k = len(a) if a.ndim == 3 else len(b)
+    out = np.zeros((k, n + m, n + m), dtype=complex)
+    out[:, :n, :n] = a
+    out[:, n:, n:] = b
+    return out
 
 
 def _conj_by(u: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """U D U* for each matrix of the stacks, one gemm per matrix as for a
+    lone pair."""
     return u @ d @ dagger(u)
 
 
-def _interior_pair(spec: InstanceSpec, stream: Stream):
-    eigs = _interior_eigs(stream, spec.n)
-    u = yield (spec.n, stream.subseed())
-    x = _conj_by(u, np.diag(eigs))
-    return x, x.copy(), {}
+def _fold_diag(values: np.ndarray) -> np.ndarray:
+    """The diagonal matrices of i times each real folded into (-pi, pi]."""
+    return _diag(1j * _fold_branch(values)[1])
 
 
-def _boundary_flip_pair(spec: InstanceSpec, stream: Stream):
-    p = spec.params
-    n = spec.n
+class _Rows:
+    """The instances of one spec that a builder makes together, one row
+    per seed: their streams, and the error of each row that failed (its
+    later steps compute on, and are discarded)."""
+
+    def __init__(self, spec: InstanceSpec, seeds):
+        self.n, self.params = spec.n, spec.params
+        self.streams = _Streams(seeds)
+        self.errors: list = [None] * len(seeds)
+
+    def __len__(self) -> int:
+        return len(self.errors)
+
+    def unitaries(self, n: int) -> np.ndarray:
+        """One Haar unitary per row, from the row's next subseed."""
+        return _unitary_stack(n, self.streams.u64()[:, 0])
+
+
+def _jittered_grid(rows: _Rows, counts: np.ndarray, lo: float, hi: float,
+                   jitter: float = 0.25) -> np.ndarray:
+    """Row i: ``counts[i]`` reals on an even grid over [lo, hi] with
+    per-slot jitter (so at least ``1 - 2*jitter`` slot widths apart), in
+    columns ``:counts[i]``, shuffled against sortedness artifacts: a row
+    draws its jitters, then one integer per Fisher-Yates swap."""
+    m = int(counts.max(initial=0))
+    z = rows.streams.peek(max(0, 2 * m - 1))
+    rows.streams.advance(np.maximum(0, 2 * counts - 1))
+    slot = (hi - lo) / np.maximum(counts, 1)
+    vals = lo + ((np.arange(m) + 0.5 + jitter * (2.0 * _units(z[:, :m]) - 1.0))
+                 * slot[:, None])
+    # swap t of row i exchanges slot counts[i] - 1 - t with slot j
+    t = np.arange(max(0, m - 1))
+    span = np.maximum(counts[:, None] - t, 1)
+    draws = np.take_along_axis(z, counts[:, None] + t, axis=1)
+    js = (draws % span.astype(np.uint64)).tolist()
+    out = vals.tolist()
+    for row, count, j_row in zip(out, counts.tolist(), js):
+        for i, j in zip(range(count - 1, 0, -1), j_row):
+            row[i], row[j] = row[j], row[i]
+    return np.array(out).reshape(vals.shape)
+
+
+# candidates a rejection loop draws for a row before the row fails
+_EIG_TRIES = 10000
+_REAL_TRIES = 20000
+
+
+def _place(rows: _Rows, counts: np.ndarray, width: int, candidates, clash,
+           tries: int, what: str) -> np.ndarray:
+    """Rejection sampling on every row at once, bit for bit the loop that
+    draws one candidate at a time: row i draws candidates of ``width``
+    raw draws each, and accepts one that ``candidates`` admits and that
+    does not ``clash`` with a value it accepted before, until it holds
+    ``counts[i]`` values (columns ``:counts[i]``); after ``tries``
+    candidates it fails with "could not place ``what``".
+
+    ``candidates(z)`` maps (r, b, width) raw draws to (r, b) values and
+    the mask it admits; ``clash(a, b, idx)`` compares broadcast values of
+    the rows ``idx``. Each round tests a batch of candidates per open row
+    against its accepted values and against each other in array code,
+    and takes only the draws up to the last candidate it accepts.
+    """
+    k = len(rows)
+    m = int(counts.max(initial=0))
+    out = None
+    filled = np.zeros(k, dtype=np.int64)
+    drawn = np.zeros(k, dtype=np.int64)
+    idx = np.flatnonzero(counts > 0)
+    while len(idx):
+        need = counts[idx] - filled[idx]
+        # half again the candidates the values still wanted have taken
+        per = max(1.0, drawn[idx].sum() / max(1, filled[idx].sum()))
+        b = min(int(need.max() * per * 1.5) + 4, 4 * m + 16)
+        z = rows.streams.peek(b * width, idx).reshape(len(idx), b, width)
+        vals, ok = candidates(z)
+        if out is None:
+            out = np.zeros((k, m), dtype=vals.dtype)
+        if b > tries - drawn[idx].max():
+            ok &= np.arange(b) < (tries - drawn[idx])[:, None]
+        f = int(filled[idx].max())
+        if f:
+            old = clash(vals[:, :, None], out[idx, None, :f], idx)
+            old &= np.arange(f) < filled[idx, None, None]
+            ok &= ~old.any(axis=2)
+        pair = clash(vals[:, :, None], vals[:, None, :], idx)
+        pair &= np.tri(b, k=-1, dtype=bool)  # candidate c against j < c
+        # the loop's verdicts, settled in rounds: a candidate is accepted
+        # once every admissible earlier one it clashes with is rejected,
+        # and rejected once one of them is accepted
+        open_ = ok & (pair & ok[:, None, :]).any(axis=2)
+        ok &= ~open_
+        while open_.any():
+            beaten = (pair & ok[:, None, :]).any(axis=2)
+            alive = beaten | (pair & open_[:, None, :]).any(axis=2)
+            ok |= open_ & ~alive
+            open_ &= alive & ~beaten
+        cum = np.cumsum(ok, axis=1)
+        done = cum[:, -1] >= need
+        used = np.where(done, (cum >= need[:, None]).argmax(axis=1) + 1,
+                        np.minimum(b, tries - drawn[idx]))
+        take = ok & (cum <= need[:, None])
+        r, c = np.nonzero(take)
+        out[idx[r], filled[idx[r]] + cum[r, c] - 1] = vals[r, c]
+        filled[idx] += take.sum(axis=1)
+        drawn[idx] += used
+        rows.streams.advance(used * width, idx)
+        short = ~done & (drawn[idx] >= tries)
+        for i in idx[short].tolist():  # a row keeps its first error
+            rows.errors[i] = rows.errors[i] or ConstructionFailed(
+                f"could not place {what}")
+        idx = idx[~done & ~short]
+    return np.zeros((k, m)) if out is None else out
+
+
+def _interior_eigs(rows: _Rows, counts, im_margin: float = 0.05,
+                   min_gap: float = 1e-3) -> np.ndarray:
+    """Row i: ``counts[i]`` points of the box |Re z| <= 1.5,
+    |Im z| <= pi - im_margin, pairwise at least ``min_gap`` apart."""
+    def candidates(z):  # complex(uniform(re...), uniform(im...))
+        u = _units(z)
+        vals = (re_lo + (re_hi - re_lo) * u[..., 0]).astype(complex)
+        vals.imag = im_lo + (im_hi - im_lo) * u[..., 1]
+        return vals, np.ones(z.shape[:2], dtype=bool)
+
+    def clash(a, b, idx):  # closer than min_gap, as abs() of a - b
+        return _near(a.real - b.real, a.imag - b.imag, min_gap, strict=True)
+
+    re_lo, re_hi = -_RE_RANGE, _RE_RANGE
+    im_lo, im_hi = -_PI + im_margin, _PI - im_margin
+    counts = np.broadcast_to(counts, (len(rows),))
+    return _place(rows, counts, 2, candidates, clash, _EIG_TRIES,
+                  "interior eigenvalues")
+
+
+def _interior_pair(rows: _Rows):
+    eigs = _interior_eigs(rows, rows.n)
+    x = _conj_by(rows.unitaries(rows.n), _diag(eigs))
+    return x, x.copy(), [{}] * len(rows)
+
+
+def _boundary_flip_pair(rows: _Rows):
+    p, n, k = rows.params, rows.n, len(rows)
     side = 1.0 if p.get("side", 1) >= 0 else -1.0
-    n_boundary = int(p.get("boundary", 0)) or stream.integer(1, max(1, n // 2))
-    n_boundary = min(n_boundary, n)
+    fixed = int(p.get("boundary", 0))
+    if fixed < 0:
+        raise ValueError(f"boundary must be >= 0, got {fixed}")
+    n_boundary = np.minimum(
+        np.full(k, fixed) if fixed else
+        rows.streams.integer(1, max(1, n // 2))[:, 0], n)
 
     # real parts kept away from 0 so boundary points avoid the corners
     # +/- i*pi; the grid spans both signs of [0.2, _RE_RANGE]
     seg = _RE_RANGE - 0.2
-    res = [0.2 + u if u < seg else -(0.2 + (u - seg))
-           for u in _jittered_grid(stream, n_boundary, 0.0, 2.0 * seg)]
-    lam_x = [complex(a, side * _PI) for a in res]
-    if p.get("conjugate_pair") and n_boundary >= 2:
-        lam_x[1] = lam_x[0].conjugate()
-    lam_x += _interior_eigs(stream, n - n_boundary)
+    grid = _jittered_grid(rows, n_boundary, 0.0, 2.0 * seg)
+    res = np.where(grid < seg, 0.2 + grid, -(0.2 + (grid - seg)))
+    on_line = res.astype(complex)
+    on_line.imag = side * _PI
+    if p.get("conjugate_pair") and on_line.shape[1] >= 2:
+        pair = n_boundary >= 2
+        on_line[pair, 1] = on_line[pair, 0].conj()
+    inner = _interior_eigs(rows, n - n_boundary)
+    # row i: its n_boundary[i] line points, then its interior eigenvalues
+    col = np.arange(n)
+    on = col < n_boundary[:, None]
+    lam_x = np.empty((k, n), dtype=complex)
+    lam_x[on] = on_line[col[:on_line.shape[1]] < n_boundary[:, None]]
+    lam_x[~on] = inner[col[:inner.shape[1]] < (n - n_boundary)[:, None]]
 
-    lam_y = list(lam_x)
-    flipped = [j for j in range(n_boundary) if stream.integer(0, 1)]
-    if not flipped:
-        flipped = [0]
-    for j in flipped:
-        lam_y[j] = lam_x[j].conjugate()
+    m = int(n_boundary.max(initial=0))
+    flips = (rows.streams.peek(m) % np.uint64(2)).astype(bool)
+    rows.streams.advance(n_boundary)
+    flips &= col[:m] < n_boundary[:, None]
+    flips[~flips.any(axis=1), 0] = True  # none flipped: flip the first
+    lam_y = lam_x.copy()
+    lam_y[:, :m] = np.where(flips, lam_x[:, :m].conj(), lam_x[:, :m])
 
-    u = yield (n, stream.subseed())
-    return (_conj_by(u, np.diag(lam_x)), _conj_by(u, np.diag(lam_y)),
-            {"flipped": len(flipped), "boundary": n_boundary})
-
-
-def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n, m = a.shape[0], b.shape[0]
-    out = np.zeros((n + m, n + m), dtype=complex)
-    out[:n, :n] = a
-    out[n:, n:] = b
-    return out
+    u = rows.unitaries(n)
+    return (_conj_by(u, _diag(lam_x)), _conj_by(u, _diag(lam_y)),
+            [{"flipped": f, "boundary": b} for f, b in
+             zip(flips.sum(axis=1).tolist(), n_boundary.tolist())])
 
 
-def _distinct_projection_pair(spec: InstanceSpec, stream: Stream):
-    n = spec.n
+def _distinct_projection_pair(rows: _Rows):
+    n = rows.n
     if n < 2:
         raise ConstructionFailed("family needs n >= 2")
-    d = _block_diag(_PM_PI, np.diag(_interior_eigs(stream, n - 2)))
-
-    w = yield (n, stream.subseed())
+    d = _block_diag(_PM_PI, _diag(_interior_eigs(rows, n - 2)))
+    w = rows.unitaries(n)
     eye_int = np.eye(n - 2, dtype=complex)
-    u = w @ _block_diag((yield (2, stream.subseed())), eye_int)
-    v = w @ _block_diag((yield (2, stream.subseed())), eye_int)
-    return _conj_by(u, d), _conj_by(v, d), {"block": 2}
+    u = w @ _block_diag(rows.unitaries(2), eye_int)
+    v = w @ _block_diag(rows.unitaries(2), eye_int)
+    return _conj_by(u, d), _conj_by(v, d), [{"block": 2}] * len(rows)
 
 
-def _shifted_branch_pair(spec: InstanceSpec, stream: Stream):
-    p = spec.params
+def _shifted_branch_pair(rows: _Rows):
+    p, n = rows.params, rows.n
     k_lo = int(p.get("k_lo", -1))
     k_hi = int(p.get("k_hi", 1))
     if k_hi < k_lo + 1:
         raise ConstructionFailed("window must span at least one strip")
-    z = _interior_eigs(stream, spec.n, im_margin=0.1)
-    kx = [stream.integer(k_lo + 1, k_hi) for _ in range(spec.n)]
-    ky = [stream.integer(k_lo + 1, k_hi) for _ in range(spec.n)]
-    lam_x = [w + TWO_PI * 1j * k for w, k in zip(z, kx)]
-    lam_y = [w + TWO_PI * 1j * k for w, k in zip(z, ky)]
-    u = yield (spec.n, stream.subseed())
-    return (_conj_by(u, np.diag(lam_x)), _conj_by(u, np.diag(lam_y)),
-            {"k_lo": k_lo, "k_hi": k_hi})
+    z = _interior_eigs(rows, n, im_margin=0.1)
+    kx = rows.streams.integer(k_lo + 1, k_hi, n)
+    ky = rows.streams.integer(k_lo + 1, k_hi, n)
+    u = rows.unitaries(n)
+    return (_conj_by(u, _diag(z + TWO_PI * 1j * kx)),
+            _conj_by(u, _diag(z + TWO_PI * 1j * ky)),
+            [{"k_lo": k_lo, "k_hi": k_hi}] * len(rows))
 
 
-def _upper_shear(stream: Stream, n: int, cond_cap: float = 100.0) -> np.ndarray:
-    """I + strictly upper triangular noise, condition number capped."""
-    for _ in range(100):
-        t = np.eye(n, dtype=complex)
-        for i in range(n):
-            for j in range(i + 1, n):
-                t[i, j] = stream.uniform(-1.0, 1.0)
-        if np.linalg.cond(t) <= cond_cap:
-            return t
-    raise ConstructionFailed("could not draw a well-conditioned shear")
-
-
-def _non_normal_log_pair(spec: InstanceSpec, stream: Stream):
-    n = spec.n
+def _non_normal_log_pair(rows: _Rows):
+    n, k = rows.n, len(rows)
     if n < 2:
         raise ConstructionFailed("family needs n >= 2")
-    reals = _jittered_grid(stream, n - 2, -2.0, 2.0) if n > 2 else []
-    d_real = np.diag([complex(r) for r in reals])
-
-    t = _upper_shear(stream, 2)
+    reals = _jittered_grid(rows, np.full(k, n - 2), -2.0, 2.0)
+    d_real = _diag(reals.astype(complex))
+    # the shear T = [[1, a], [0, 1]], |a| < 1: its condition number is at
+    # most (3 + sqrt(5)) / 2, so it is never redrawn
+    t = np.repeat(np.eye(2, dtype=complex)[None], k, axis=0)
+    t[:, 0, 1] = rows.streams.uniform(-1.0, 1.0)[:, 0]
     y_block = t @ _PM_PI @ np.linalg.inv(t)
-    w = yield (n, stream.subseed())
+    w = rows.unitaries(n)
     x = _conj_by(w, _block_diag(_PM_PI, d_real))
     y = _conj_by(w, _block_diag(y_block, d_real))
-    return x, y, {"block": 2}
+    return x, y, [{"block": 2}] * k
 
 
 _ODD_PI_SET_RADIUS = 0.15
 
 
-def _congruence_free_reals(stream: Stream, count: int, span: float = 8.0,
-                           margin: float = 0.15) -> list[float]:
-    """Reals with pairwise gaps away from 2*pi*Z (k != 0) and each value
-    away from every odd multiple of pi.
+def _congruence_free_reals(rows: _Rows, counts, span: float = 8.0,
+                           margin: float = 0.15) -> np.ndarray:
+    """Row i: ``counts[i]`` reals with pairwise gaps away from 2*pi*Z
+    (k != 0) and each value away from every odd multiple of pi.
 
     Every placed value shadows ~margin/pi of the whole line for later
     ones (its 2*pi translates), so the margin must shrink once
     count*margin approaches pi or placement becomes infeasible.
     """
-    if count:
-        margin = min(margin, 0.6 * _PI / count)
-    vals: list[float] = []
-    tries = 0
-    while len(vals) < count:
-        tries += 1
-        if tries > 20000:
-            raise ConstructionFailed("could not place congruence-free values")
-        v = stream.uniform(-span, span)
-        if _odd_pi_distance(v) < _ODD_PI_SET_RADIUS:
-            continue
-        ok = True
-        for w in vals:
-            gap = abs(v - w)
-            if gap < margin:
-                ok = False
-                break
-            k = round(gap / TWO_PI)
-            if k != 0 and abs(gap - TWO_PI * k) < margin:
-                ok = False
-                break
-        if ok:
-            vals.append(v)
-    return vals
+    def candidates(z):  # uniform(-span, span), away from odd pi
+        v = -span + (span - -span) * _units(z[..., 0])
+        return v, ~(_odd_pi_distance(v) < _ODD_PI_SET_RADIUS)
+
+    def clash(a, b, idx):
+        gap = abs(a - b)
+        k = np.rint(gap / TWO_PI)
+        near = margins[idx, None, None]
+        return (gap < near) | ((k != 0) & (abs(gap - TWO_PI * k) < near))
+
+    counts = np.broadcast_to(counts, (len(rows),))
+    margins = np.where(counts > 0, np.minimum(
+        margin, 0.6 * _PI / np.maximum(counts, 1)), margin)
+    return _place(rows, counts, 1, candidates, clash, _REAL_TRIES,
+                  "congruence-free values")
 
 
-def _fold_diag(values: list[float]) -> np.ndarray:
-    return np.diag(1j * _fold_branch(np.array(values, dtype=float))[1])
+def _self_adjoint_congruence_free(rows: _Rows):
+    n, k = rows.n, len(rows)
+    distinct = (n - rows.streams.integer(0, 1)[:, 0] if n >= 4
+                else np.full(k, n))
+    placed = _congruence_free_reals(rows, distinct)
+    vals = np.zeros((k, n))
+    vals[:, :placed.shape[1]] = placed
+    # one repeated eigenvalue for a fatter cluster
+    repeat = distinct < n
+    vals[repeat, n - 1] = vals[repeat, 0]
+    if rows.params.get("violate") and n >= 2:
+        vals[:, 1] = vals[:, 0] + TWO_PI  # exact congruence collision
+    u = rows.unitaries(n)
+    return (_conj_by(u, _diag(vals.astype(complex))),
+            _conj_by(u, _fold_diag(vals)),
+            [{"values": len(set(row))} for row in vals.tolist()])
 
 
-def _self_adjoint_congruence_free(spec: InstanceSpec, stream: Stream):
-    n = spec.n
-    distinct = n - 1 if (n >= 4 and stream.integer(0, 1)) else n
-    vals = _congruence_free_reals(stream, distinct)
-    if distinct < n:
-        vals.append(vals[0])  # one repeated eigenvalue for a fatter cluster
-    if spec.params.get("violate") and n >= 2:
-        vals[1] = vals[0] + TWO_PI  # exact congruence collision
-    u = yield (n, stream.subseed())
-    x = _conj_by(u, np.diag([complex(v) for v in vals]))
-    y = _conj_by(u, _fold_diag(vals))
-    return x, y, {"values": len(set(vals))}
-
-
-def _odd_pi_eigenvalue(spec: InstanceSpec, stream: Stream):
-    violate = spec.params.get("violate")
-    n = spec.n
-    k_odd = stream.integer(-1, 1)
+def _odd_pi_eigenvalue(rows: _Rows):
+    violate = rows.params.get("violate")
+    n = rows.n
+    k_odd = rows.streams.integer(-1, 1)[:, 0]
     v_odd = (2 * k_odd + 1) * _PI
     mult = 2 if n >= 3 else 1
-    rest = _congruence_free_reals(stream, n - mult)
+    rest = _congruence_free_reals(rows, n - mult)
     if violate:
         if n - mult < 1:
             raise ConstructionFailed("violation variant needs a spare slot")
-        k2 = k_odd + 1
-        rest[0] = (2 * k2 + 1) * _PI  # a second odd-pi point
-
-    values = [v_odd] * mult + rest
-    u = yield (n, stream.subseed())
-    x = _conj_by(u, np.diag([complex(v) for v in values]))
-
+        rest[:, 0] = (2 * (k_odd + 1) + 1) * _PI  # a second odd-pi point
+    values = np.concatenate((np.repeat(v_odd[:, None], mult, axis=1), rest),
+                            axis=1)
+    u = rows.unitaries(n)
+    x = _conj_by(u, _diag(values.astype(complex)))
     if mult == 2 and not violate:
         # a log of -I on the odd-pi eigenspace in its own random basis:
         # Y is then not a function of X, yet must still commute with it
-        vb = yield (2, stream.subseed())
-        y_core = _block_diag(_conj_by(vb, _PM_PI), _fold_diag(rest))
+        y_core = _block_diag(_conj_by(rows.unitaries(2), _PM_PI),
+                             _fold_diag(rest))
     else:
         y_core = _fold_diag(values)
-    y = _conj_by(u, y_core)
-    return x, y, {"odd_value": v_odd, "mult": mult}
+    return (x, _conj_by(u, y_core),
+            [{"odd_value": v, "mult": mult} for v in v_odd.tolist()])
 
 
 # family -> (builder, whether its equation is exp(iX)=exp(Y), the
@@ -351,81 +462,80 @@ def make_pair(spec: InstanceSpec):
 def make_pairs(specs) -> list:
     """``make_pair(spec)`` for each spec, built as one chunk.
 
-    Each builder draws from its own stream in its own order, and hands
-    back a ``(size, subseed)`` request wherever it needs a Haar unitary;
-    the pending requests of one size are served by one stacked draw.
-    Both sides of every self-test equation are then exponentiated as
-    stacks, one per matrix size. Every result is bit for bit the lone
-    one. When specs fail, the first of them in chunk order raises what
-    its lone call would.
+    The specs that differ only in their seed are built together (see
+    :func:`_build`); every result is bit for bit the lone one. When
+    specs fail, the first of them in chunk order raises what its lone
+    call would.
     """
     return [built[:3] for built in _make_pairs(specs, False)]
 
 
 def _make_pairs(specs, keep_exp_y: bool) -> list:
     """:func:`make_pairs`, with the self-test's e^Y of each pair as a
-    fourth entry if ``keep_exp_y``, else None: bit for bit
-    ``exp_general(y)``. A Y byte-equal to its pair's left side (an
-    InteriorPair's X) reuses that exponential."""
+    fourth entry if ``keep_exp_y``, else None (see :func:`_build`)."""
     specs = list(specs)
-    skews, running = [], []
-    for spec in specs:
-        builder, skew, _ = _BUILDERS[Family(spec.family)]
-        skews.append(skew)
-        running.append(builder(spec, Stream(spec.seed)))
-    built: list = [None] * len(specs)  # (x, y, extra), or ConstructionFailed
-    # what each unfinished builder is sent next: None starts it
-    replies: dict = dict.fromkeys(range(len(specs)))
-    while replies:
-        requests = {}
-        for i, reply in replies.items():
-            try:
-                requests[i] = running[i].send(reply)
-            except StopIteration as done:
-                built[i] = done.value
-            except ConstructionFailed as exc:  # raised below, in chunk order
-                built[i] = exc
-        replies = {}
-        for size in sorted({size for size, _ in requests.values()}):
-            wanted = [i for i, (s, _) in requests.items() if s == size]
-            unitaries = _unitary_stack(size, [requests[i][1] for i in wanted])
-            replies.update(zip(wanted, unitaries))
-
-    residuals, exp_ys = {}, {}
-    ok = [i for i, b in enumerate(built) if not isinstance(b, ConstructionFailed)]
-    for n in sorted({built[i][0].shape[0] for i in ok}):
-        group = [i for i in ok if built[i][0].shape[0] == n]
-        lhs = np.stack([built[i][0] for i in group])
-        for j, i in enumerate(group):
-            if skews[i]:  # iX, as 1j * x computes it
-                np.multiply(1j, lhs[j], out=lhs[j])
-        lhs = _exp_stack(lhs)
-        shared = [not skews[i] and _same_bytes(built[i][0], built[i][1])
-                  for i in group]
-        rest = [built[i][1] for i, same in zip(group, shared) if not same]
-        rhs = iter(_exp_stack(np.stack(rest)) if rest else ())
-        rights = [left if same else next(rhs) for left, same in zip(lhs, shared)]
-        residuals.update(zip(group, _exp_gaps(lhs, np.stack(rights))))
-        for i, right in zip(group, rights):
-            exp_ys[i] = right if keep_exp_y else None
-
-    out = []
+    groups: dict = {}  # (family, n, params) -> (first spec, chunk indices)
     for i, spec in enumerate(specs):
-        if isinstance(built[i], ConstructionFailed):
-            raise built[i]
-        x, y, extra = built[i]
-        if residuals[i] > _SELF_TEST_TOL:
-            raise ConstructionFailed(
-                f"{spec.family} self-test residual {residuals[i]:.3e} for "
-                f"n={spec.n} seed={spec.seed}")
-        metadata = {
-            "family": Family(spec.family).value,
-            "n": spec.n,
-            "seed": spec.seed,
-            "params": dict(spec.params),
-            "equation": "exp(iX)=exp(Y)" if skews[i] else "exp(X)=exp(Y)",
-            "self_test_residual": residuals[i],
-        }
-        metadata.update(extra)
-        out.append((x, y, metadata, exp_ys[i]))
+        key = (spec.family, spec.n, tuple(sorted(spec.params.items())))
+        groups.setdefault(key, (spec, []))[1].append(i)
+    out: list = [None] * len(specs)
+    for spec, idx in groups.values():
+        for i, built in zip(idx, _build(spec, [specs[i].seed for i in idx],
+                                        keep_exp_y)):
+            out[i] = built
+    return _first_failure(out)
+
+
+def _first_failure(built: list) -> list:
+    """``built``, unless an entry is an error: then the first one raises."""
+    for entry in built:
+        if isinstance(entry, ConstructionFailed):
+            raise entry
+    return built
+
+
+def _build(spec: InstanceSpec, seeds, keep_exp_y: bool) -> list:
+    """The instances of a validated ``spec`` at each of the ``seeds``: each
+    entry is ``(x, y, metadata, exp_y)``, or the ConstructionFailed its
+    lone build raises.
+
+    The family's builder makes all of them at once: each scalar draw is
+    hashed for every instance's stream in one array operation, each
+    rejection loop tests every instance's candidates together, and the
+    Haar unitaries, diagonals and conjugations U D U* are stacks, one
+    LAPACK or BLAS call per matrix. Both sides of every self-test are
+    then exponentiated as stacks. ``exp_y`` is the self-test's e^Y if
+    ``keep_exp_y``, else None: bit for bit ``exp_general(y)``; a Y
+    byte-equal to its X (an InteriorPair's) reuses X's exponential.
+    """
+    family = Family(spec.family)
+    builder, skew, _ = _BUILDERS[family]
+    rows = _Rows(spec, seeds)
+    try:
+        x, y, extras = builder(rows)
+    except ConstructionFailed as exc:  # the family cannot build this spec
+        return [exc] * len(seeds)
+    ok = [i for i, error in enumerate(rows.errors) if error is None]
+    out = list(rows.errors)
+    if not ok:
+        return out
+    x, y = (x, y) if len(ok) == len(seeds) else (x[ok], y[ok])
+    lhs = _exp_stack(1j * x if skew else x)  # iX, as 1j * x computes it
+    shared = (x.view(np.uint8) == y.view(np.uint8)).reshape(
+        len(ok), -1).all(axis=1) & (not skew)
+    rhs = lhs
+    if not shared.all():
+        rhs = lhs.copy()
+        rhs[~shared] = _exp_stack(y[~shared])
+    for j, (i, residual) in enumerate(zip(ok, _exp_gaps(lhs, rhs))):
+        if residual > _SELF_TEST_TOL:
+            out[i] = ConstructionFailed(
+                f"{spec.family} self-test residual {residual:.3e} for "
+                f"n={spec.n} seed={seeds[i]}")
+            continue
+        metadata = {"family": family.value, "n": spec.n, "seed": seeds[i],
+                    "params": dict(spec.params), "equation": (
+                        "exp(iX)=exp(Y)" if skew else "exp(X)=exp(Y)"),
+                    "self_test_residual": residual, **extras[i]}
+        out[i] = (x[j], y[j], metadata, rhs[j] if keep_exp_y else None)
     return out

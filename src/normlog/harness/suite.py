@@ -4,23 +4,22 @@ Instance seeds derive deterministically from (base seed, family label,
 size, index) through the counter hash, so two runs of the same config
 produce byte-identical reports. The instances of one (entry, size) run
 in chunks of consecutive seeds. A chunk is the unit of work: its
-instances are built together by ``make_pairs`` (stacked unitaries and
-self-test exponentials), its operands decomposed and their moduli
-taken in stacked calls, and each check runs once over it; with
-``jobs > 1`` the chunks fan out across processes while the aggregation
-order stays fixed.
+instances are built together in array code (stacked draws, unitaries,
+conjugations and self-test exponentials), its operands decomposed and
+their moduli taken in stacked calls, and each check runs once over it;
+with ``jobs > 1`` the chunks fan out across processes while the
+aggregation order stays fixed.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 from ..checks import (CHECK_NAMES, _READS, PairAnalysis, decompose_pairs,
                       run_checks)
 from ..config import CHECK_TOL, STACK_ENTRIES
-from .generators import (Family, InstanceSpec, _make_pairs, _require_int,
-                         _require_keys)
+from .generators import (Family, InstanceSpec, _build, _first_failure,
+                         _require_int, _require_keys)
 from .rng import mix64
 
 __all__ = ["analyze_pair", "default_config", "report", "run_suite",
@@ -128,10 +127,11 @@ def _run_chunk(task) -> list[dict]:
     # the self-test's e^Y is kept only for a chunk whose checks decompose it
     keep_exp_y = any("_attempt_exp_y" in _READS[name] for name in checks)
     pairs = []
-    for x, y, metadata, exp_y in _make_pairs(
-            [dataclasses.replace(spec, seed=seed) for seed in seeds],
-            keep_exp_y):
-        # make_pairs' self-test measured the exponential gap on these arrays
+    # run_suite validated the spec; the chunk's instances differ only in
+    # their seeds, so they are built without a spec per seed
+    for x, y, metadata, exp_y in _first_failure(_build(spec, seeds,
+                                                       keep_exp_y)):
+        # the build's self-test measured the exponential gap on these arrays
         pair = analyze_pair(x, y, metadata, check_tol, exp_gap=(
             metadata["equation"], metadata["self_test_residual"]))
         if exp_y is not None:

@@ -152,21 +152,6 @@ def _eigh(h: np.ndarray):
         raise NoConvergence(str(exc)) from exc
 
 
-def _cluster_slices(values, radius: float):
-    """Split an ascending real sequence into runs of nearly-equal values.
-
-    Consecutive values closer than ``radius`` share a run.
-    """
-    slices = []
-    start = 0
-    for j in range(1, len(values)):
-        if values[j] - values[j - 1] > radius:
-            slices.append(slice(start, j))
-            start = j
-    slices.append(slice(start, len(values)))
-    return slices
-
-
 def simultaneous_diagonalize(a, b) -> np.ndarray:
     """Common eigenbasis of two commuting Hermitian matrices.
 
@@ -231,11 +216,11 @@ def _common_eigenbases(a: np.ndarray, b: np.ndarray, norms=None):
     tests it.
 
     The commutators, the ``eigh`` of the ``a[i]``, the norms, both tests
-    and the sweep for eigenvalues of ``a[i]`` closer than the cluster
-    radius are array code over the whole stack. Only the pairs where the
-    sweep finds such a run are split into clusters, per pair; the
-    compressions of ``b[i]`` to the multi-column clusters are
-    re-diagonalized in one ``eigh`` per cluster size.
+    and the sweep for runs of eigenvalues of ``a[i]`` closer than the
+    cluster radius are array code over the whole stack. The compressions
+    V_c* b V_c of ``b[i]`` to the multi-column runs are gathered,
+    re-diagonalized and rotated back, V_c U, in stacked calls per run
+    length, one BLAS or LAPACK call per run, as for a lone pair.
     """
     comm = a @ b - b @ a
     wa, v = _eigh(a)
@@ -254,22 +239,27 @@ def _common_eigenbases(a: np.ndarray, b: np.ndarray, norms=None):
         errors[i] = NotCommuting(
             f"commutator norm {residual[i].item():.3e} exceeds "
             f"{COMM_TOL:.1e} * max(1, ||A|| ||B||)")
+    # runs of eigenvalues of a[i] no farther apart than the cluster
+    # radius, as (pair, first column, length); every row starts a run, so
+    # in the flat (pair, column) order each run ends where the next begins
     radius = CLUSTER_TOL * np.maximum(1.0, norm_a)
-    runs = ~(np.diff(wa, axis=1) > radius[:, None]).all(axis=1)
-    blocks = []  # (basis, cluster columns, compression of b to them)
-    for i in np.flatnonzero(runs & normal & commuting).tolist():
-        vi, bi = v[i], b[i]
-        for sl in _cluster_slices(wa[i], radius[i].item()):
-            if sl.stop - sl.start > 1:
-                block = vi[:, sl]
-                blocks.append((vi, sl, dagger(block) @ bi @ block))
-    # one stacked eigh of the compressions per cluster size; the clusters
-    # of a basis are disjoint column ranges, so none is read after a write
-    for size in sorted({sl.stop - sl.start for _, sl, _ in blocks}):
-        group = [blk for blk in blocks if blk[1].stop - blk[1].start == size]
-        _, us = _eigh(np.stack([c for _, _, c in group]))
-        for (vi, sl, _), u in zip(group, us):
-            vi[:, sl] = vi[:, sl] @ u
+    starts = np.ones(wa.shape, dtype=bool)
+    starts[:, 1:] = wa[:, 1:] - wa[:, :-1] > radius[:, None]
+    if starts.all():
+        return v, errors
+    at = np.flatnonzero(starts)
+    length = np.diff(at, append=wa.size)
+    pair, first = np.divmod(at, wa.shape[1])
+    keep = (length > 1) & (normal & commuting)[pair]
+    pair, first, length = pair[keep], first[keep], length[keep]
+    # the compressions of b to the runs of one length share one stacked
+    # eigh; the runs of a basis are disjoint column ranges
+    for m in sorted(set(length.tolist())):
+        same = length == m
+        p, cols = pair[same], first[same, None] + np.arange(m)
+        block = np.ascontiguousarray(v[p[:, None], :, cols].swapaxes(1, 2))
+        _, u = _eigh(dagger(block) @ b[p] @ block)
+        v[p[:, None], :, cols] = (block @ u).swapaxes(1, 2)
     return v, errors
 
 

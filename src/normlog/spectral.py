@@ -27,7 +27,6 @@ from .config import BOUNDARY_TOL, CLUSTER_TOL, ON_FEATURE_TOL
 from .errors import AmbiguousBoundary, NormLogError, SpectrumOutOfRange
 from .linalg import (
     _as_square_stack,
-    _cluster_slices,
     _common_eigenbases,
     _frob_stack,
     as_square_matrix,
@@ -196,56 +195,51 @@ def _merge(values, radius: float) -> list[list[int]]:
     """Connected components of the graph joining the complex numbers in
     the list ``values`` that lie within ``radius`` of each other.
 
-    The indices are sorted by Re and split wherever consecutive values
-    lie more than ``radius`` apart, then each run likewise by Im; no edge
-    crosses such a gap, so only values left in one run are compared
-    pairwise. The components depend on the values alone, not on their
-    order. Each lists its indices in ascending order, and components are
-    ordered by their smallest index. Plain Python, because most calls
-    are at n <= 4, where numpy's per-call overhead exceeds the loop.
+    The components depend on the values alone, not on their order. Each
+    lists its indices in ascending order, and components are ordered by
+    their smallest index. It is :func:`_components` on a stack of one.
     """
-    re = [z.real for z in values]
-    im = [z.imag for z in values]
-    groups = []
-    for run in _runs(range(len(values)), re, radius):
-        if len(run) == 1:
-            groups.append(run)
-            continue
-        for sub in _runs(run, im, radius):
-            groups += _components(sub, values, radius)
-    for g in groups:
-        g.sort()
-    groups.sort(key=lambda g: g[0])
-    return groups
+    groups: dict = {}
+    if values:
+        labels = _components(np.array(values, dtype=complex)[None],
+                             np.array([radius]))[0]
+        for j, label in enumerate(labels.tolist()):
+            groups.setdefault(label, []).append(j)
+    return list(groups.values())
 
 
-def _runs(indices, coord: list, radius: float) -> list[list[int]]:
-    """``indices`` sorted by ``coord``, split where consecutive coordinates
-    differ by more than ``radius``."""
-    order = sorted(indices, key=coord.__getitem__)
-    return [order[sl]
-            for sl in _cluster_slices([coord[i] for i in order], radius)]
+def _near(dx: np.ndarray, dy: np.ndarray, radius, strict: bool = False):
+    """Elementwise ``hypot(dx, dy) <= radius`` (``<`` if ``strict``), as
+    ``abs`` of the complex difference compares. ``hypot`` is taken only
+    where both parts are within the radius: it is never below either."""
+    within = np.less if strict else np.less_equal
+    near = within(abs(dx), radius) & within(abs(dy), radius)
+    if near.any():
+        near[near] = within(np.hypot(dx[near], dy[near]),
+                            np.broadcast_to(radius, near.shape)[near])
+    return near
 
 
-def _components(indices: list, zs: list, radius: float) -> list[list[int]]:
-    """Connected components of ``indices`` under ``abs(zs[i] - zs[j]) <= radius``."""
-    if len(indices) == 1:
-        return [indices]
-    unseen = set(indices)
-    groups = []
-    for i in indices:
-        if i not in unseen:
-            continue
-        unseen.discard(i)
-        group, stack = [i], [i]
-        while stack:
-            z = zs[stack.pop()]
-            near = [j for j in unseen if abs(zs[j] - z) <= radius]
-            unseen.difference_update(near)
-            group += near
-            stack += near
-        groups.append(group)
-    return groups
+def _components(z: np.ndarray, radius: np.ndarray) -> np.ndarray:
+    """For each row of a (k, m) stack of points, the smallest index in the
+    connected component of each point, where the points of row i within
+    ``radius[i]`` of each other are joined (see :func:`_near`).
+
+    Each point takes the smallest label among its neighbours, then the
+    label of that label, until no label changes; each step is array
+    code over the whole stack.
+    """
+    near = _near(z.real[:, :, None] - z.real[:, None, :],
+                 z.imag[:, :, None] - z.imag[:, None, :], radius[:, None, None])
+    m = z.shape[1]
+    row = np.arange(len(z))[:, None]
+    labels = np.broadcast_to(np.arange(m), z.shape)
+    while True:
+        new = np.where(near, labels[:, None, :], m).min(axis=2)
+        new = new[row, new]
+        if (new == labels).all():
+            return new
+        labels = new
 
 
 @dataclass(frozen=True, eq=False)  # arrays have no truth value
@@ -420,16 +414,15 @@ def _decompose_stack(x: np.ndarray) -> list:
     One commutator of the Hermitian parts per matrix decides normality,
     as :func:`~normlog.linalg.is_normal` does, then their commutation.
     The norms, the commutators, the ``eigh`` of the Re(X), the diagonal
-    products V* Re(X) V and V* Im(X) V, both tests and the first sweep of
-    :func:`_merge` (eigenvalues sorted by Re, split at gaps wider than the
-    merge radius) are array code over the whole stack, one BLAS or LAPACK
-    call per matrix, so each entry is computed as if alone. A matrix whose
-    sweep leaves only single eigenvalues has one cluster per eigenvalue,
-    ordered by Re, and its representatives, order and bounds come from
-    the sweep's arrays; only the others run :func:`_merge` and take the
-    cluster means. A failing entry's ``eigh`` is computed and discarded,
-    so an ``eigh`` that fails to converge on it raises NoConvergence for
-    the whole stack.
+    products V* Re(X) V and V* Im(X) V, both tests and the sweeps of
+    :func:`_isolated` are array code over the whole stack, one BLAS or
+    LAPACK call per matrix, so each entry is computed as if alone. A
+    matrix whose sweeps leave only single eigenvalues has one cluster per
+    eigenvalue, ordered by Re, and its representatives, order and bounds
+    come from the sweep's arrays; the others are clustered together by
+    :func:`_clustered`. A failing entry's ``eigh`` is computed and
+    discarded, so an ``eigh`` that fails to converge on it raises
+    NoConvergence for the whole stack.
     """
     re, im = re_part(x), im_part(x)
     norms = _frob_stack(x)
@@ -441,13 +434,17 @@ def _decompose_stack(x: np.ndarray) -> list:
     single = _isolated(lams, radius)
     # a lone eigenvalue's mean is 0 + lam, which turns -0.0 into 0.0
     reps = lams + 0
+    row = np.arange(len(x))[:, None]
     order = np.lexsort((reps.imag, reps.real), axis=1)
-    reps = np.take_along_axis(reps, order, axis=1)
+    reps = reps[row, order]
     # the permuted columns laid out as the fancy index v[:, order] lays
     # them out (column-major), which the later products see
-    cols = np.take_along_axis(v.swapaxes(1, 2), order[:, :, None],
-                              axis=1).swapaxes(1, 2)
+    cols = v.swapaxes(1, 2)[row, order].swapaxes(1, 2)
     bounds = tuple(range(x.shape[-1] + 1))
+    multi = [i for i, error in enumerate(errors)
+             if error is None and not single[i]]
+    clustered = dict(zip(multi, _clustered(v[multi], lams[multi],
+                                           radius[multi]) if multi else ()))
     out = []
     for i, error in enumerate(errors):
         if error is not None:
@@ -456,43 +453,75 @@ def _decompose_stack(x: np.ndarray) -> list:
             out.append(SpectralDecomposition(
                 v=cols[i], eigenvalues=tuple(reps[i].tolist()), bounds=bounds))
         else:
-            out.append(_clustered(v[i], lams[i], radius[i].item()))
+            out.append(clustered[i])
     return out
 
 
 def _isolated(lams: np.ndarray, radius: np.ndarray) -> np.ndarray:
-    """Which rows of ``lams`` :func:`_merge`'s two sweeps split into single
-    values, for the radii ``radius``: sorted by Re, split at gaps wider
-    than the radius, then each run likewise by Im. Every component is
-    then a single value; a row with a longer run may still have only
-    single components, which :func:`_merge` finds."""
+    """Which rows of ``lams`` two sweeps split into single values, for the
+    radii ``radius``: sorted by Re, split at gaps wider than the radius,
+    then each run likewise by Im. No edge of :func:`_components` crosses
+    such a gap, so every component is then a single value; a row with a
+    longer run may still have only single components."""
+    row = np.arange(len(lams))[:, None]
     order = np.argsort(lams.real, axis=1)
-    re = np.take_along_axis(lams.real, order, axis=1)
+    re = lams.real[row, order]
     gap = radius[:, None]
     run = np.zeros(lams.shape)
-    np.cumsum(np.diff(re, axis=1) > gap, axis=1, out=run[:, 1:])
-    im = np.take_along_axis(lams.imag, order, axis=1)
+    np.cumsum(re[:, 1:] - re[:, :-1] > gap, axis=1, out=run[:, 1:])
+    im = lams.imag[row, order]
     within = np.lexsort((im, run), axis=1)
-    run = np.take_along_axis(run, within, axis=1)
-    im = np.take_along_axis(im, within, axis=1)
-    near = (np.diff(run, axis=1) == 0) & ~(np.diff(im, axis=1) > gap)
+    run, im = run[row, within], im[row, within]
+    near = (run[:, 1:] == run[:, :-1]) & ~(im[:, 1:] - im[:, :-1] > gap)
     return ~near.any(axis=1)
 
 
 def _clustered(v: np.ndarray, lams: np.ndarray,
-               radius: float) -> SpectralDecomposition:
-    """The decomposition with eigenbasis ``v`` and eigenvalues ``lams``
-    whose clusters are the components :func:`_merge` finds, each
-    represented by its mean."""
-    groups = _merge(lams.tolist(), radius)
-    reps = [complex(sum(lams[j] for j in g) / len(g)) for g in groups]
-    order = sorted(range(len(groups)),
-                   key=lambda g: (reps[g].real, reps[g].imag))
-    groups = [groups[g] for g in order]
-    return SpectralDecomposition(
-        v=v[:, [j for g in groups for j in g]],
-        eigenvalues=tuple(reps[g] for g in order),
-        bounds=tuple(np.cumsum([0] + [len(g) for g in groups]).tolist()))
+               radius: np.ndarray) -> list:
+    """The decompositions with eigenbases ``v[i]`` and eigenvalues
+    ``lams[i]`` whose clusters are the components :func:`_components`
+    finds for the radii ``radius``, each represented by its mean:
+    ``0 + lam_a + lam_b + ...`` over its members in ascending order, over
+    their count, as ``sum`` and ``/`` of numpy scalars take it. The
+    clusters are ordered by (Re, Im) of their means, then by smallest
+    index, and the columns are gathered as ``v[:, order]`` lays them out;
+    each step is one call over the whole stack.
+    """
+    k, n = lams.shape
+    # the columns of each row grouped by component, ascending within one;
+    # the components in flat (row, column) order, each with its first
+    # flat position and size (every row starts a component)
+    labels = _components(lams, radius)
+    r = np.arange(k)[:, None]
+    members = np.argsort(labels, axis=1, kind="stable")
+    grouped = labels[r, members]
+    starts = np.ones((k, n), dtype=bool)
+    starts[:, 1:] = grouped[:, 1:] != grouped[:, :-1]
+    row, at = np.nonzero(starts)
+    at += row * n
+    size = np.diff(np.append(at, k * n))
+    values = lams[r, members].ravel()
+    means = 0 + values[at]
+    for j in range(1, int(size.max())):
+        more = size > j
+        means[more] = means[more] + values[at[more] + j]
+    means /= size
+    order = np.lexsort((grouped.ravel()[at], means.imag, means.real, row))
+    at, size, means = at[order], size[order], means[order]
+    # the sorted clusters' members, concatenated: each row's n columns
+    offset = np.cumsum(size) - size
+    flat = np.repeat(at - offset, size) + np.arange(k * n)
+    perm = members.ravel()[flat].reshape(k, n)
+    cols = v.swapaxes(1, 2)[r, perm].swapaxes(1, 2)
+    per_row = np.cumsum(np.bincount(row, minlength=k)).tolist()
+    means, bounds = means.tolist(), (offset - row[order] * n).tolist()
+    out, lo = [], 0
+    for i, hi in enumerate(per_row):
+        out.append(SpectralDecomposition(
+            v=cols[i], eigenvalues=tuple(means[lo:hi]),
+            bounds=tuple(bounds[lo:hi]) + (n,)))
+        lo = hi
+    return out
 
 
 def spectral_measure(dec: SpectralDecomposition, omega: Region) -> np.ndarray:

@@ -23,7 +23,7 @@ from normlog.checks import (
     check_y_in_bicommutant_of_exp,
 )
 from normlog.harness import Family, InstanceSpec, make_pair, run_suite
-from normlog.harness.rng import Stream, random_unitary
+from normlog.harness.rng import random_unitary
 from normlog.linalg import dagger, frob
 from normlog.logs import kurepa_decompose, principal_log
 from normlog.spectral import (
@@ -34,7 +34,7 @@ from normlog.spectral import (
     normal_eig,
 )
 
-from util import validate_decomposition, verify_pushforward
+from util import Stream, validate_decomposition, verify_pushforward
 
 PI = math.pi
 SIZES = (2, 4, 8, 16)

@@ -577,8 +577,9 @@ class TestSpectralAgreement:
         family, slots = _region_family(pair.dec_x, pair.dec_y, pair.norm_x)
         for z in (pair.dec_x.eigenvalue_array, pair.dec_y.eigenvalue_array,
                   probes):
-            masks = normlog.checks._isolating_masks(z[None], family)[0]
-            masks = masks[slots]
+            (slot,) = np.nonzero(slots)
+            masks = normlog.checks._isolating_masks(
+                z[None], family, np.zeros_like(slot), slot)
             assert masks.shape == (len(regions), len(z))
             for row, omega in zip(masks, regions):
                 assert row.tolist() == omega.contains(z).tolist()

@@ -17,7 +17,6 @@ from normlog.errors import ConstructionFailed
 from normlog.harness import (
     Family,
     InstanceSpec,
-    Stream,
     default_config,
     make_pair,
     matrix_from_obj,
@@ -30,13 +29,13 @@ from normlog.harness import (
     write_report,
 )
 from normlog.harness.generators import _make_pairs, make_pairs
-from normlog.harness.rng import _gaussians, _unitary_stack
+from normlog.harness.rng import _gaussians, _Streams, _unitary_stack
 from normlog.harness.cli import main as cli_main
 from normlog.linalg import dagger, frob, is_normal
 from normlog.logs import TWO_PI
 from normlog.spectral import normal_eig
 
-from util import gaussian_matrix
+from util import Stream, gaussian_matrix
 
 PI = math.pi
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -72,6 +71,30 @@ class TestStream:
         mean = sum(vals) / len(vals)
         var = sum((v - mean) ** 2 for v in vals) / len(vals)
         assert abs(mean) < 0.1 and abs(var - 1.0) < 0.15
+
+    def test_stacked_streams_equal_scalar_streams(self):
+        # every row draws what its seed's scalar stream draws, in order,
+        # also when rows advance by different counts or draw alone
+        seeds = [0, 5, -3, 2 ** 64 - 1, mix64(7), 5]
+        rows = _Streams(seeds)
+        scalar = [Stream(s) for s in seeds]
+        got = rows.u64(3)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [[s.u64() for _ in range(3)] for s in scalar]
+        steps = np.array([0, 1, 2, 3, 4, 5])
+        peeked = rows.peek(6)
+        rows.advance(steps)
+        for s, step, row in zip(scalar, steps.tolist(), peeked.tolist()):
+            assert row[:step] == [s.u64() for _ in range(step)]
+        assert rows.uniform(-1.5, 2.0, 2).tolist() == [
+            [s.uniform(-1.5, 2.0) for _ in range(2)] for s in scalar]
+        assert rows.integer(-2, 3, 4).tolist() == [
+            [s.integer(-2, 3) for _ in range(4)] for s in scalar]
+        some = np.array([4, 1])
+        assert rows.peek(3, some).tolist() == [
+            [scalar[i].u64() for _ in range(3)] for i in some.tolist()]
+        rows.advance(3, some)
+        assert rows.u64().ravel().tolist() == [s.u64() for s in scalar]
 
 
 class TestGaussianMatrix:
@@ -561,17 +584,38 @@ class TestSuite:
 
     @staticmethod
     def _count_built(monkeypatch) -> list:
-        """The specs the suite builds, through its chunk builder."""
+        """The seeds the suite builds, through its chunk builder."""
         calls = []
-        real = normlog.harness.suite._make_pairs
+        real = normlog.harness.suite._build
 
-        def counting(specs, keep_exp_y):
-            specs = list(specs)
-            calls.extend(specs)
-            return real(specs, keep_exp_y)
+        def counting(spec, seeds, keep_exp_y):
+            calls.extend(seeds)
+            return real(spec, seeds, keep_exp_y)
 
-        monkeypatch.setattr(normlog.harness.suite, "_make_pairs", counting)
+        monkeypatch.setattr(normlog.harness.suite, "_build", counting)
         return calls
+
+    def test_each_spec_validated_once(self, monkeypatch):
+        # a spec is validated once per entry and size, before any build;
+        # the chunks build its seeds without a spec per seed
+        validated = []
+        post_init = InstanceSpec.__post_init__
+
+        def counting(spec):
+            validated.append((spec.family, spec.n))
+            post_init(spec)
+
+        monkeypatch.setattr(InstanceSpec, "__post_init__", counting)
+        calls = self._count_built(monkeypatch)
+        cfg = {"base_seed": 3, "sizes": [2, 3], "seeds": 40,
+               "families": [{"family": "InteriorPair"},
+                            {"family": "OddPiEigenvalue"}]}
+        rep = run_suite(cfg)
+        assert sorted(validated) == sorted(
+            (Family(f), n) for f in ("InteriorPair", "OddPiEigenvalue")
+            for n in (2, 3))
+        assert len(calls) == 2 * 2 * 40
+        assert rep["summary"]["failed"] == 0
 
     @pytest.mark.parametrize("tol", [
         {"bogus": 1}, {"eig": 1e-12}, {"gate": 1e-8}, {"cluster": 1e-6},
@@ -775,13 +819,13 @@ class TestSharedAnalysis:
         cfg.update(seeds=3)
         built = []
         decomposed, moduli, exponentiated, checks_exp = [], [], [], []
-        real_make_pairs = normlog.harness.suite._make_pairs
+        real_build = normlog.harness.suite._build
         real_stack = normlog.checks.normal_eig_stack
         real_moduli = normlog.checks._modulus_stack
         real_exp_stack = normlog.harness.generators._exp_stack
 
-        def make_pairs_spy(specs, keep_exp_y):
-            out = real_make_pairs(specs, keep_exp_y)
+        def build_spy(spec, seeds, keep_exp_y):
+            out = real_build(spec, seeds, keep_exp_y)
             built.extend(out)
             return out
 
@@ -791,7 +835,7 @@ class TestSharedAnalysis:
                 return real(ms, **kwargs)
             return call
 
-        monkeypatch.setattr(normlog.harness.suite, "_make_pairs", make_pairs_spy)
+        monkeypatch.setattr(normlog.harness.suite, "_build", build_spy)
         monkeypatch.setattr(normlog.checks, "normal_eig_stack",
                             spy(decomposed, real_stack))
         monkeypatch.setattr(normlog.checks, "_modulus_stack",
@@ -1010,10 +1054,10 @@ class TestCli:
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_suite_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs,
                                                  monkeypatch):
-        def no_make_pairs(specs, keep_exp_y):
+        def no_build(spec, seeds, keep_exp_y):
             raise AssertionError("an instance was built")
 
-        monkeypatch.setattr(normlog.harness.suite, "_make_pairs", no_make_pairs)
+        monkeypatch.setattr(normlog.harness.suite, "_build", no_build)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"sizes": [2], "seeds": 1,
                                    "families": [{"family": "InteriorPair"}]}))

@@ -4,7 +4,7 @@ import pytest
 import normlog.checks
 import normlog.linalg
 from normlog.errors import NotCommuting, NotHermitian
-from normlog.harness import Stream, random_unitary
+from normlog.harness import random_unitary
 from normlog.harness import Family, InstanceSpec, make_pair
 from normlog.linalg import (
     _as_square_stack,
@@ -18,7 +18,6 @@ from normlog.linalg import (
     herm_eig,
     in_double_commutant,
     is_normal,
-    _cluster_slices,
     _eigh,
     modulus,
     simultaneous_diagonalize,
@@ -26,7 +25,8 @@ from normlog.linalg import (
 from normlog.config import CLUSTER_TOL
 from normlog.spectral import normal_eig
 
-from util import gaussian_matrix, random_hermitian, random_normal_matrix
+from util import (Stream, _cluster_slices, gaussian_matrix, random_hermitian,
+                  random_normal_matrix)
 
 
 def _frob_inputs(n):

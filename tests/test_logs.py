@@ -6,7 +6,7 @@ import pytest
 
 import normlog.linalg
 from normlog.errors import ExpNotNormal, NotNormal, Singular
-from normlog.harness import Family, InstanceSpec, Stream, make_pair, random_unitary
+from normlog.harness import Family, InstanceSpec, make_pair, random_unitary
 from normlog.linalg import dagger, frob
 from normlog.logs import (
     _exp_stack,
@@ -17,7 +17,7 @@ from normlog.logs import (
 )
 from normlog.spectral import borel_calculus, normal_eig
 
-from util import gaussian_matrix, random_normal_matrix
+from util import Stream, gaussian_matrix, random_normal_matrix
 
 PI = math.pi
 

@@ -62,6 +62,7 @@ def test_reexports_are_public_in_their_module(package):
     ("logs", "exp_stack"),
     ("linalg", "modulus_stack"),
     ("harness.rng", "unitary_stack"),
+    ("harness.rng", "Stream"),
     ("spectral", "fold_scalar"),
     ("errors", "OutOfFoldRange"),
     ("spectral", "strip_boundary"),

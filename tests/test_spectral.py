@@ -33,7 +33,8 @@ from normlog.spectral import (
 
 from normlog.harness import Family, InstanceSpec, make_pair, random_unitary
 
-from util import random_normal_matrix, validate_decomposition, verify_pushforward
+from util import (random_normal_matrix, scalar_normal_eig,
+                  validate_decomposition, verify_pushforward)
 
 PI = math.pi
 
@@ -317,7 +318,7 @@ class TestMerge:
 class TestNormalEigClusters:
     @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
     @pytest.mark.parametrize("n", [2, 8, 64])
-    def test_equals_greedy_decomposition(self, family, n, monkeypatch):
+    def test_equals_greedy_decomposition(self, family, n):
         # on every generated operand the components are the greedy's groups
         operands = []
         for seed in range(3):
@@ -330,9 +331,8 @@ class TestNormalEigClusters:
             except NotNormal:
                 pass
         assert decs
-        monkeypatch.setattr(normlog.spectral, "_merge", _greedy_merge)
         for m, dec in decs:
-            ref = normal_eig(m)
+            ref = scalar_normal_eig(m, merge=_greedy_merge)
             assert (np.array(dec.eigenvalues).tobytes()
                     == np.array(ref.eigenvalues).tobytes())
             assert dec.bounds == ref.bounds

@@ -4,11 +4,64 @@ import math
 
 import numpy as np
 
-from normlog.config import CHECK_TOL
-from normlog.harness import Stream, random_unitary
-from normlog.linalg import dagger, frob
+from normlog.config import CHECK_TOL, CLUSTER_TOL, COMM_TOL
+from normlog.errors import ConstructionFailed, NotCommuting, NotNormal
+from normlog.harness import Family, mix64, random_unitary
+from normlog.linalg import (_eigh, _frob_stack, _normality_holds, dagger, frob,
+                            im_part, re_part)
+from normlog.logs import TWO_PI, _exp_gaps, exp_general
 from normlog.report import CheckReport
-from normlog.spectral import borel_calculus, normal_eig, spectral_measure
+from normlog.checks import _interior_region_family
+from normlog.spectral import (SpectralDecomposition, _edge_status,
+                              _fold_branch, _odd_pi_distance, borel_calculus,
+                              normal_eig, spectral_measure)
+
+
+_MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+class Stream:
+    """One seed's stream of the counter hash, one draw at a time: the
+    reference for the stacked draws of ``normlog.harness.rng``, and the
+    source of the tests' own seeded matrices."""
+
+    def __init__(self, seed: int):
+        self.seed = seed & _MASK
+        self.counter = 0
+        self._spare_normal = None
+
+    def u64(self) -> int:
+        self.counter += 1
+        return mix64(self.seed + self.counter * _GAMMA)
+
+    def unit(self) -> float:
+        """Uniform double in [0, 1)."""
+        return (self.u64() >> 11) * 2.0 ** -53
+
+    def uniform(self, lo: float, hi: float) -> float:
+        return lo + (hi - lo) * self.unit()
+
+    def integer(self, lo: int, hi: int) -> int:
+        """Uniform integer in [lo, hi] inclusive."""
+        if hi < lo:
+            raise ValueError("empty integer range")
+        return lo + self.u64() % (hi - lo + 1)
+
+    def normal(self) -> float:
+        if self._spare_normal is not None:
+            g = self._spare_normal
+            self._spare_normal = None
+            return g
+        # u1 in (0, 1] keeps the log finite
+        u1 = (self.u64() >> 11) * 2.0 ** -53 + 2.0 ** -54
+        u2 = self.unit()
+        radius = math.sqrt(-2.0 * math.log(u1))
+        self._spare_normal = radius * math.sin(2.0 * math.pi * u2)
+        return radius * math.cos(2.0 * math.pi * u2)
+
+    def subseed(self) -> int:
+        return self.u64()
 
 
 def gaussian_matrix(stream, n):
@@ -76,3 +129,382 @@ def verify_pushforward(dec, f, omega):
                        hypothesis_met=True,
                        residuals={"pushforward": residual},
                        tolerances={"pushforward": bound})
+
+
+# --- Scalar oracle: the per-instance build and clustering -----------------
+#
+# A copy of the builders, rejection loops and clustering as they ran one
+# instance, one draw and one cluster at a time, before the chunk's draws,
+# conjugations and cluster bookkeeping became array code. The stacked
+# code must reproduce them bit for bit.
+
+_PI = math.pi
+_RE_RANGE = 1.5
+_PM_PI = np.diag([1j * _PI, -1j * _PI])
+_ODD_PI_SET_RADIUS = 0.15
+# candidates a rejection loop may draw before it gives up
+_EIG_TRIES = 10000
+_REAL_TRIES = 20000
+
+
+def _jittered_grid(stream, count, lo, hi, jitter=0.25):
+    slot = (hi - lo) / count
+    vals = [lo + (i + 0.5 + jitter * (2.0 * stream.unit() - 1.0)) * slot
+            for i in range(count)]
+    for i in range(count - 1, 0, -1):  # Fisher-Yates on the stream
+        j = stream.integer(0, i)
+        vals[i], vals[j] = vals[j], vals[i]
+    return vals
+
+
+def _interior_eigs(stream, count, im_margin=0.05, min_gap=1e-3):
+    vals = []
+    tries = 0
+    while len(vals) < count:
+        tries += 1
+        if tries > _EIG_TRIES:
+            raise ConstructionFailed("could not place interior eigenvalues")
+        z = complex(stream.uniform(-_RE_RANGE, _RE_RANGE),
+                    stream.uniform(-_PI + im_margin, _PI - im_margin))
+        if all(abs(z - w) >= min_gap for w in vals):
+            vals.append(z)
+    return vals
+
+
+def _conj_by(u, d):
+    return u @ d @ dagger(u)
+
+
+def _block_diag(a, b):
+    n, m = a.shape[0], b.shape[0]
+    out = np.zeros((n + m, n + m), dtype=complex)
+    out[:n, :n] = a
+    out[n:, n:] = b
+    return out
+
+
+def _interior_pair(spec, stream):
+    eigs = _interior_eigs(stream, spec.n)
+    u = yield (spec.n, stream.subseed())
+    x = _conj_by(u, np.diag(eigs))
+    return x, x.copy(), {}
+
+
+def _boundary_flip_pair(spec, stream):
+    p = spec.params
+    n = spec.n
+    side = 1.0 if p.get("side", 1) >= 0 else -1.0
+    n_boundary = int(p.get("boundary", 0)) or stream.integer(1, max(1, n // 2))
+    n_boundary = min(n_boundary, n)
+    seg = _RE_RANGE - 0.2
+    res = [0.2 + u if u < seg else -(0.2 + (u - seg))
+           for u in _jittered_grid(stream, n_boundary, 0.0, 2.0 * seg)]
+    lam_x = [complex(a, side * _PI) for a in res]
+    if p.get("conjugate_pair") and n_boundary >= 2:
+        lam_x[1] = lam_x[0].conjugate()
+    lam_x += _interior_eigs(stream, n - n_boundary)
+    lam_y = list(lam_x)
+    flipped = [j for j in range(n_boundary) if stream.integer(0, 1)]
+    if not flipped:
+        flipped = [0]
+    for j in flipped:
+        lam_y[j] = lam_x[j].conjugate()
+    u = yield (n, stream.subseed())
+    return (_conj_by(u, np.diag(lam_x)), _conj_by(u, np.diag(lam_y)),
+            {"flipped": len(flipped), "boundary": n_boundary})
+
+
+def _distinct_projection_pair(spec, stream):
+    n = spec.n
+    if n < 2:
+        raise ConstructionFailed("family needs n >= 2")
+    d = _block_diag(_PM_PI, np.diag(_interior_eigs(stream, n - 2)))
+    w = yield (n, stream.subseed())
+    eye_int = np.eye(n - 2, dtype=complex)
+    u = w @ _block_diag((yield (2, stream.subseed())), eye_int)
+    v = w @ _block_diag((yield (2, stream.subseed())), eye_int)
+    return _conj_by(u, d), _conj_by(v, d), {"block": 2}
+
+
+def _shifted_branch_pair(spec, stream):
+    p = spec.params
+    k_lo = int(p.get("k_lo", -1))
+    k_hi = int(p.get("k_hi", 1))
+    if k_hi < k_lo + 1:
+        raise ConstructionFailed("window must span at least one strip")
+    z = _interior_eigs(stream, spec.n, im_margin=0.1)
+    kx = [stream.integer(k_lo + 1, k_hi) for _ in range(spec.n)]
+    ky = [stream.integer(k_lo + 1, k_hi) for _ in range(spec.n)]
+    lam_x = [w + TWO_PI * 1j * k for w, k in zip(z, kx)]
+    lam_y = [w + TWO_PI * 1j * k for w, k in zip(z, ky)]
+    u = yield (spec.n, stream.subseed())
+    return (_conj_by(u, np.diag(lam_x)), _conj_by(u, np.diag(lam_y)),
+            {"k_lo": k_lo, "k_hi": k_hi})
+
+
+def _upper_shear(stream, n, cond_cap=100.0):
+    for _ in range(100):
+        t = np.eye(n, dtype=complex)
+        for i in range(n):
+            for j in range(i + 1, n):
+                t[i, j] = stream.uniform(-1.0, 1.0)
+        if np.linalg.cond(t) <= cond_cap:
+            return t
+    raise ConstructionFailed("could not draw a well-conditioned shear")
+
+
+def _non_normal_log_pair(spec, stream):
+    n = spec.n
+    if n < 2:
+        raise ConstructionFailed("family needs n >= 2")
+    reals = _jittered_grid(stream, n - 2, -2.0, 2.0) if n > 2 else []
+    d_real = np.diag([complex(r) for r in reals])
+    t = _upper_shear(stream, 2)
+    y_block = t @ _PM_PI @ np.linalg.inv(t)
+    w = yield (n, stream.subseed())
+    x = _conj_by(w, _block_diag(_PM_PI, d_real))
+    y = _conj_by(w, _block_diag(y_block, d_real))
+    return x, y, {"block": 2}
+
+
+def _congruence_free_reals(stream, count, span=8.0, margin=0.15):
+    if count:
+        margin = min(margin, 0.6 * _PI / count)
+    vals = []
+    tries = 0
+    while len(vals) < count:
+        tries += 1
+        if tries > _REAL_TRIES:
+            raise ConstructionFailed("could not place congruence-free values")
+        v = stream.uniform(-span, span)
+        if _odd_pi_distance(v) < _ODD_PI_SET_RADIUS:
+            continue
+        ok = True
+        for w in vals:
+            gap = abs(v - w)
+            if gap < margin:
+                ok = False
+                break
+            k = round(gap / TWO_PI)
+            if k != 0 and abs(gap - TWO_PI * k) < margin:
+                ok = False
+                break
+        if ok:
+            vals.append(v)
+    return vals
+
+
+def _fold_diag(values):
+    return np.diag(1j * _fold_branch(np.array(values, dtype=float))[1])
+
+
+def _self_adjoint_congruence_free(spec, stream):
+    n = spec.n
+    distinct = n - 1 if (n >= 4 and stream.integer(0, 1)) else n
+    vals = _congruence_free_reals(stream, distinct)
+    if distinct < n:
+        vals.append(vals[0])
+    if spec.params.get("violate") and n >= 2:
+        vals[1] = vals[0] + TWO_PI
+    u = yield (n, stream.subseed())
+    x = _conj_by(u, np.diag([complex(v) for v in vals]))
+    y = _conj_by(u, _fold_diag(vals))
+    return x, y, {"values": len(set(vals))}
+
+
+def _odd_pi_eigenvalue(spec, stream):
+    violate = spec.params.get("violate")
+    n = spec.n
+    k_odd = stream.integer(-1, 1)
+    v_odd = (2 * k_odd + 1) * _PI
+    mult = 2 if n >= 3 else 1
+    rest = _congruence_free_reals(stream, n - mult)
+    if violate:
+        if n - mult < 1:
+            raise ConstructionFailed("violation variant needs a spare slot")
+        k2 = k_odd + 1
+        rest[0] = (2 * k2 + 1) * _PI
+    values = [v_odd] * mult + rest
+    u = yield (n, stream.subseed())
+    x = _conj_by(u, np.diag([complex(v) for v in values]))
+    if mult == 2 and not violate:
+        vb = yield (2, stream.subseed())
+        y_core = _block_diag(_conj_by(vb, _PM_PI), _fold_diag(rest))
+    else:
+        y_core = _fold_diag(values)
+    y = _conj_by(u, y_core)
+    return x, y, {"odd_value": v_odd, "mult": mult}
+
+
+_SCALAR_BUILDERS = {
+    "InteriorPair": (_interior_pair, False),
+    "BoundaryFlipPair": (_boundary_flip_pair, False),
+    "DistinctProjectionPair": (_distinct_projection_pair, False),
+    "ShiftedBranchPair": (_shifted_branch_pair, False),
+    "NonNormalLogPair": (_non_normal_log_pair, False),
+    "SelfAdjointCongruenceFree": (_self_adjoint_congruence_free, True),
+    "OddPiEigenvalue": (_odd_pi_eigenvalue, True),
+}
+
+
+def scalar_make_pair(spec):
+    """``make_pair(spec)`` built one draw, one unitary and one conjugation
+    at a time; raises the ConstructionFailed ``make_pair`` raises."""
+    family = Family(spec.family).value
+    builder, skew = _SCALAR_BUILDERS[family]
+    running = builder(spec, Stream(spec.seed))
+    reply = None
+    while True:
+        try:
+            size, seed = running.send(reply)
+        except StopIteration as done:
+            x, y, extra = done.value
+            break
+        reply = random_unitary(size, seed)
+    left = exp_general(1j * x if skew else x)
+    right = left if not skew and x.tobytes() == y.tobytes() else exp_general(y)
+    (residual,) = _exp_gaps(left[None], right[None])
+    if residual > 1e-10:
+        raise ConstructionFailed(
+            f"{spec.family} self-test residual {residual:.3e} for "
+            f"n={spec.n} seed={spec.seed}")
+    metadata = {"family": family, "n": spec.n, "seed": spec.seed,
+                "params": dict(spec.params),
+                "equation": "exp(iX)=exp(Y)" if skew else "exp(X)=exp(Y)",
+                "self_test_residual": residual}
+    metadata.update(extra)
+    return x, y, metadata
+
+
+def _cluster_slices(values, radius):
+    slices = []
+    start = 0
+    for j in range(1, len(values)):
+        if values[j] - values[j - 1] > radius:
+            slices.append(slice(start, j))
+            start = j
+    slices.append(slice(start, len(values)))
+    return slices
+
+
+def scalar_merge(values, radius):
+    """Connected components of the values within ``radius`` of each
+    other: sorted by Re and split at wider gaps, each run likewise by Im,
+    then a search per remaining run; indices ascending within a
+    component, components by their smallest index."""
+    re = [z.real for z in values]
+    im = [z.imag for z in values]
+    groups = []
+    for run in _runs(range(len(values)), re, radius):
+        if len(run) == 1:
+            groups.append(run)
+            continue
+        for sub in _runs(run, im, radius):
+            groups += _components(sub, values, radius)
+    for g in groups:
+        g.sort()
+    groups.sort(key=lambda g: g[0])
+    return groups
+
+
+def _runs(indices, coord, radius):
+    order = sorted(indices, key=coord.__getitem__)
+    return [order[sl]
+            for sl in _cluster_slices([coord[i] for i in order], radius)]
+
+
+def _components(indices, zs, radius):
+    if len(indices) == 1:
+        return [indices]
+    unseen = set(indices)
+    groups = []
+    for i in indices:
+        if i not in unseen:
+            continue
+        unseen.discard(i)
+        group, stack = [i], [i]
+        while stack:
+            z = zs[stack.pop()]
+            near = [j for j in unseen if abs(zs[j] - z) <= radius]
+            unseen.difference_update(near)
+            group += near
+            stack += near
+        groups.append(group)
+    return groups
+
+
+def scalar_normal_eig(x, merge=scalar_merge):
+    """``normal_eig(x)`` as one matrix was decomposed alone: ``eigh`` of
+    Re X, each run of close eigenvalues re-resolved by the ``eigh`` of the
+    compression of Im X, clusters by ``merge`` with their means, sorted by
+    (Re, Im). Returns the decomposition, or the NormLogError type."""
+    x = np.asarray(x, dtype=complex)[None]
+    re, im = re_part(x), im_part(x)
+    norms = _frob_stack(x)
+    wa, v = _eigh(re)
+    residual, norm_a = _frob_stack(re @ im - im @ re), _frob_stack(re)
+    if not _normality_holds(norms, residual)[0]:
+        return NotNormal
+    if residual[0] > COMM_TOL * max(1.0, (norm_a * _frob_stack(im))[0]):
+        return NotCommuting
+    vi = v[0]
+    for sl in _cluster_slices(wa[0], CLUSTER_TOL * max(1.0, norm_a[0])):
+        if sl.stop - sl.start > 1:
+            block = vi[:, sl]
+            _, u = _eigh((dagger(block) @ im[0] @ block)[None])
+            vi[:, sl] = vi[:, sl] @ u[0]
+    v_star = dagger(v)
+    lams = (np.diagonal(v_star @ re @ v, axis1=1, axis2=2).real
+            + 1j * np.diagonal(v_star @ im @ v, axis1=1, axis2=2).real)[0]
+    radius = (CLUSTER_TOL * np.maximum(1.0, norms))[0].item()
+    return scalar_clustered(vi, lams, radius, merge)
+
+
+def scalar_clustered(v, lams, radius, merge=scalar_merge):
+    """The decomposition with eigenbasis ``v`` and eigenvalues ``lams``
+    whose clusters are the groups ``merge`` finds, each represented by
+    its mean, ``sum`` over numpy scalars divided by the count."""
+    groups = merge(lams.tolist(), radius)
+    reps = [complex(sum(lams[j] for j in g) / len(g)) for g in groups]
+    order = sorted(range(len(groups)),
+                   key=lambda g: (reps[g].real, reps[g].imag))
+    groups = [groups[g] for g in order]
+    return SpectralDecomposition(
+        v=v[:, [j for g in groups for j in g]],
+        eigenvalues=tuple(reps[g] for g in order),
+        bounds=tuple(np.cumsum([0] + [len(g) for g in groups]).tolist()))
+
+
+def all_slot_interior_measures(cols_x, cols_y, idx, scales):
+    """``checks._interior_measures`` with the disc and square masks of
+    every one of a pair's 2n region slots evaluated, then the regions'
+    rows picked: the reference for the evaluation of the regions alone."""
+    lam_x, lam_y = cols_x.lam[idx], cols_y.lam[idx]
+    family = _interior_region_family(lam_x, lam_y, cols_x.start[idx], scales)
+    regions = np.concatenate(family[3:], axis=1)
+    mx, my = (_all_slot_masks(z, family) for z in (lam_x, lam_y))
+    g = dagger(cols_y.v[idx]) @ cols_x.v[idx]
+    e = g.real ** 2 + g.imag ** 2
+    counts = regions.sum(axis=1)
+    order = np.argsort(~regions, axis=1, kind="stable")[:, :, None]
+    out = np.zeros(len(idx))
+    for r in set(counts.tolist()) - {0}:
+        same = counts == r
+        fx, fy = (np.take_along_axis(m[same], order[same, :r], axis=1)
+                  .astype(float) for m in (mx, my))
+        mass = ((((1.0 - fy) @ e[same]) * fx).sum(axis=2)
+                + ((fy @ e[same]) * (1.0 - fx)).sum(axis=2))
+        out[same] = np.sqrt(mass.max(axis=1))
+    return out
+
+
+def _all_slot_masks(z, family):
+    centres, radius, half = family[:3]
+    d = z[:, None, :] - centres[:, :, None]
+    discs = np.hypot(d.real, d.imag) <= radius[:, None, None]
+    c, h, re, im = centres[:, :, None], half[:, :, None], z.real, z.imag
+    squares = True
+    for x, edge, sign in ((re, c.real - h, 1.0), (re, c.real + h, -1.0),
+                          (im, c.imag - h, 1.0), (im, c.imag + h, -1.0)):
+        squares = squares & _edge_status(x[:, None, :], edge, True, sign)[0]
+    return np.concatenate((discs, squares), axis=1)
