@@ -28,13 +28,14 @@ from .errors import (ExpNotNormal, NormLogError, NotNormal, Singular,
                      SpectrumOutOfRange)
 from .linalg import (_frob_stack, _modulus_stack, _same_bytes,
                      as_square_matrix, commutant_basis, commutator, dagger,
-                     in_double_commutant, modulus, re_part)
+                     in_double_commutant, re_part)
 from .logs import TWO_PI, _exp_gaps, _kurepa_splits, _unwrap, exp_general
 from .report import CheckReport
-from .spectral import (_classify_window, _combination_stack, _edge_status,
-                       _fold_branch, _isolated, _near, _odd_pi_distance,
-                       _select_stack, _span_distances, _window_weights,
-                       normal_eig_stack)
+from .spectral import (_classify_window, _combination_stack,
+                       _decompose_stack, _Decompositions, _edge_status,
+                       _fold_branch, _gather, _isolated, _merged, _near,
+                       _odd_pi_distance, _select_stack, _span_distances,
+                       _window_weights)
 
 # The check registry: ``check_<name>`` exists for every name here.
 CHECK_NAMES = (
@@ -44,7 +45,7 @@ CHECK_NAMES = (
     "y_in_bicommutant_of_exp", "kurepa",
 )
 
-__all__ = ["CHECK_NAMES", "PairAnalysis", "decompose_pairs", "run_check",
+__all__ = ["CHECK_NAMES", "PairAnalysis", "run_check",
            "run_checks", *(f"check_{name}" for name in CHECK_NAMES)]
 
 _FINITE_DIM_NOTE = ("verified on finite-dimensional input; the unbounded "
@@ -123,23 +124,17 @@ class PairAnalysis:
             # seeds the cached property that measures this equation
             self.__dict__[_EQUATIONS[equation]] = residual
 
-    # normal_eig(x), or the NormLogError it raised; normal_eig tests
-    # normality first, so NotNormal is exactly is_normal's verdict
-    @cached_property
-    def _attempt_x(self):
-        return normal_eig_stack(self.x[None])[0]
-
-    @cached_property
-    def _attempt_y(self):
-        return normal_eig_stack(self.y[None])[0]
-
+    # normal_eig tests normality first, so NotNormal in a decomposition
+    # row is exactly is_normal's verdict
     @property
     def normal_x(self) -> bool:
-        return not isinstance(self._attempt_x, NotNormal)
+        record, i = _operands([self], "_row_x")[0]
+        return not isinstance(record.errors[i], NotNormal)
 
     @property
     def normal_y(self) -> bool:
-        return not isinstance(self._attempt_y, NotNormal)
+        record, i = _operands([self], "_row_y")[0]
+        return not isinstance(record.errors[i], NotNormal)
 
     norm_x = _Stacked(lambda c: _frob_stack(c.x).tolist())
     norm_y = _Stacked(lambda c: _frob_stack(c.y).tolist())
@@ -156,26 +151,23 @@ class PairAnalysis:
     # the report of check_congruence_free; NotNormal when X is not normal
     congruence = _Stacked(lambda c: _congruence_reports(c))
 
-    @property
+    @cached_property
     def dec_x(self):
         """Spectral decomposition of X; raises NotNormal if X is not normal,
         or the error its decomposition raised."""
-        return _unwrap(self._attempt_x)
+        record, i = _operands([self], "_row_x")[0]
+        return _unwrap(record[i])
 
-    @property
+    @cached_property
     def dec_y(self):
         """Spectral decomposition of Y; raises NotNormal if Y is not normal,
         or the error its decomposition raised."""
-        return _unwrap(self._attempt_y)
+        record, i = _operands([self], "_row_y")[0]
+        return _unwrap(record[i])
 
     @cached_property
     def exp_y(self) -> np.ndarray:
         return exp_general(self.y)
-
-    # normal_eig(e^Y), or the NormLogError it raised: what kurepa splits
-    @cached_property
-    def _attempt_exp_y(self):
-        return normal_eig_stack(self.exp_y[None])[0]
 
     @cached_property
     def exp_residual(self) -> float:
@@ -187,61 +179,52 @@ class PairAnalysis:
         """Relative gap between exp(iX) and exp(Y)."""
         return _exp_gaps(exp_general(1j * self.x)[None], self.exp_y[None])[0]
 
-    @cached_property
+    @property
     def modulus_x(self) -> np.ndarray:
-        return modulus(self.x)
+        return _unwrap(_operands([self], "_modulus_x")[0])
 
-    @cached_property
+    @property
     def modulus_y(self) -> np.ndarray:
-        return modulus(self.y)
+        return _unwrap(_operands([self], "_modulus_y")[0])
 
 
-# The stacked facts each check reads: check name -> PairAnalysis
-# attributes. A normality gate reads a decomposition attempt.
-_XY = ("_attempt_x", "_attempt_y")
+# The operand facts each check reads: a PairAnalysis keeps its operand's
+# decomposition row (record, i) as "_row_<operand>" and its modulus, or
+# the error taking it raised, as "_modulus_<operand>". A normality gate
+# reads a decomposition row.
+_XY = ("_row_x", "_row_y")
 _READS = {
     "real_part": _XY,
     "spectral_agreement": _XY,
-    "modulus_equal": _XY + ("modulus_x", "modulus_y"),
-    "modulus_commute": ("_attempt_x", "modulus_x"),
-    "square_commute": ("_attempt_x",),
+    "modulus_equal": _XY + ("_modulus_x", "_modulus_y"),
+    "modulus_commute": ("_row_x", "_modulus_x"),
+    "square_commute": ("_row_x",),
     "corollary_cases": _XY,
     "difference_formula": _XY,
-    "congruence_free": ("_attempt_x",),
+    "congruence_free": ("_row_x",),
     "double_commutant": _XY,
     "one_boundary_eigenvalue": _XY,
     "y_in_bicommutant_of_exp": _XY,
-    "kurepa": ("_attempt_exp_y",),
+    "kurepa": ("_row_exp_y",),
 }
-# The operand of each stacked fact, a PairAnalysis attribute.
-_OPERANDS = {"_attempt_x": "x", "_attempt_y": "y", "_attempt_exp_y": "exp_y",
-             "modulus_x": "x", "modulus_y": "y"}
 
 
-def decompose_pairs(pairs, checks=()) -> None:
-    """Decompose, in one stacked call, exactly the operands the named
-    ``checks`` read (X, Y, or e^Y for ``kurepa``), and take the moduli
-    they read in one more.
-
-    The results seed each pair's facts, as ``exp_gap`` seeds its
-    exponential gate, so its checks read them instead of computing them
-    on first use; each is bit for bit what a lone pair would compute. A
-    pair's operands that are byte-equal (an InteriorPair's X and Y) are
-    analysed once and their facts share the result. A fact no named
-    check reads is left to be computed on first use; a modulus whose
-    computation failed is not seeded, so reading it raises as on a lone
-    pair. The pairs must share their dimension.
-    """
-    facts = sorted({fact for name in checks for fact in _READS.get(name, ())})
-    for prefix, analyse in (("_attempt", normal_eig_stack),
-                            ("modulus", _modulus_stack)):
+def _analyse(pairs, facts) -> None:
+    """Give the pairs each operand fact of ``facts`` they lack: their
+    operands decomposed in one stacked call, their moduli taken in one
+    more, each result bit for bit what a lone pair computes. A pair's
+    byte-equal operands (an InteriorPair's X and Y) are analysed once and
+    share the result. The pairs must share their dimension."""
+    facts = sorted(facts)
+    for kind, analyse in (("_row_", _decompose_stack),
+                          ("_modulus_", _modulus_stack)):
         seeds, operands, slots = [], [], []
         for pair in pairs:
             own = []  # the pair's operands so far, with their stack slots
             for fact in facts:
-                if not fact.startswith(prefix):
+                if not fact.startswith(kind) or fact in vars(pair):
                     continue
-                m = getattr(pair, _OPERANDS[fact])
+                m = getattr(pair, fact.removeprefix(kind))
                 slot = next((s for o, s in own if _same_bytes(o, m)), None)
                 if slot is None:
                     slot = len(operands)
@@ -249,49 +232,17 @@ def decompose_pairs(pairs, checks=()) -> None:
                     own.append((m, slot))
                 seeds.append((pair, fact))
                 slots.append(slot)
-        if not seeds:
-            continue
-        results = analyse(np.stack(operands))
-        for (pair, fact), slot in zip(seeds, slots):
-            # a failed modulus is not seeded, so reading it raises
-            if prefix == "_attempt" or not isinstance(results[slot], Exception):
-                pair.__dict__[fact] = results[slot]
+        if seeds:
+            results = analyse(np.stack(operands))
+            for (pair, fact), slot in zip(seeds, slots):
+                vars(pair)[fact] = ((results, slot) if kind == "_row_"
+                                    else results[slot])
 
 
-class _Columns:
-    """One operand's decompositions over a chunk, by column: ``v[i]`` is
-    pair i's eigenbasis, column-major as ``normal_eig`` lays it out;
-    ``lam[i, j]``, ``label[i, j]`` and ``start[i, j]`` are the
-    representative and index of column j's cluster and whether j is its
-    first column. A pair whose decomposition raised ``errors[i]`` has
-    zero rows."""
-
-    def __init__(self, attempts, n: int):
-        self.errors = [a if isinstance(a, NormLogError) else None
-                       for a in attempts]
-        self._bases, reps, labels = [], [], []
-        for a in attempts:
-            if isinstance(a, NormLogError) or len(a.eigenvalues) == n:
-                failed = isinstance(a, NormLogError)
-                self._bases.append(np.zeros((n, n)) if failed else a.v.T)
-                reps += [0j] * n if failed else a.eigenvalues
-                labels += range(n)
-                continue
-            self._bases.append(a.v.T)
-            for j, (lam, m) in enumerate(zip(a.eigenvalues,
-                                             a.multiplicities.tolist())):
-                reps += [lam] * m
-                labels += [j] * m
-        k = len(attempts)
-        self.lam = np.array(reps, dtype=complex).reshape(k, n)
-        self.label = np.array(labels).reshape(k, n)
-        self.start = np.ones((k, n), dtype=bool)
-        self.start[:, 1:] = self.label[:, 1:] != self.label[:, :-1]
-
-    @cached_property
-    def v(self) -> np.ndarray:
-        return _stack([b.astype(complex, copy=False)
-                       for b in self._bases]).swapaxes(1, 2)
+def _operands(pairs, fact: str) -> list:
+    """Each pair's operand fact, :func:`_analyse`'d for those lacking it."""
+    _analyse(pairs, (fact,))
+    return [vars(p)[fact] for p in pairs]
 
 
 class _Chunk:
@@ -323,9 +274,11 @@ class _Chunk:
     def array(self, name: str) -> np.ndarray:
         return self._cached(name, lambda: np.array(_facts(self, name)))
 
-    def columns(self, side: str) -> _Columns:  # side "x" or "y"
-        return self._cached(side, lambda: _Columns(
-            [getattr(p, f"_attempt_{side}") for p in self.pairs], self.n))
+    def columns(self, side: str) -> _Decompositions:
+        """The decompositions of operand ``side`` ("x", "y" or "exp_y")
+        of the pairs, computed for those lacking them in one call."""
+        return self._cached(side, lambda: _gather(
+            _operands(self.pairs, f"_row_{side}")))
 
     def lines(self, side: str) -> tuple:
         """The projections onto the lines Im z = pi and -pi, stacked."""
@@ -392,8 +345,9 @@ class _Run:
             self.end([_Unmet(note if isinstance(note, str) else note(j))
                       if u else None for j, u in enumerate(unmet.tolist())])
 
-    def columns(self, side: str) -> _Columns:
-        """The columns of X or of Y, ending the pairs that failed them."""
+    def columns(self, side: str) -> _Decompositions:
+        """The decompositions of X or of Y, ending the pairs that failed
+        them."""
         cols = self.chunk.columns(side)
         self.end([cols.errors[i] for i in self.open.tolist()])
         return cols
@@ -433,20 +387,21 @@ def _exp_holds(run: _Run, fact: str) -> np.ndarray:
     return np.array(gaps) <= GATE_TOL
 
 
-def _each(run: _Run, test) -> np.ndarray:
-    return np.array([test(pair) for pair in run.pairs], dtype=bool)
+def _normal(run: _Run, side: str) -> np.ndarray:
+    """Whether each open pair's operand decomposed without NotNormal."""
+    errors = run.chunk.columns(side).errors
+    return np.array([not isinstance(errors[i], NotNormal)
+                     for i in run.open.tolist()], dtype=bool)
 
 
 # Hypothesis gates: name -> (test on the open pairs of a run, note of the
 # skipped report). A strip gate reads a decomposition, so a normality gate
 # must precede it.
 _GATES = {
-    "normal": (lambda r: _each(r, lambda p: p.normal_x and p.normal_y),
+    "normal": (lambda r: _normal(r, "x") & _normal(r, "y"),
                "inputs must both be normal"),
-    "normal_x": (lambda r: _each(r, lambda p: p.normal_x),
-                 "X must be normal"),
-    "normal_y": (lambda r: _each(r, lambda p: p.normal_y),
-                 "Y must be normal"),
+    "normal_x": (lambda r: _normal(r, "x"), "X must be normal"),
+    "normal_y": (lambda r: _normal(r, "y"), "Y must be normal"),
     "hermitian_x": (lambda r: r.array("hermitian_x"),
                     "X must be self-adjoint"),
     "strip": (_both_in_strip,
@@ -522,13 +477,16 @@ def run_check(name: str, pair: PairAnalysis) -> CheckReport:
 
 def run_checks(names, pairs) -> list:
     """Run each named check once over the chunk ``pairs``: each pair's
-    reports, in the order of ``names``. Raises what looping over each
-    pair, then each check, would raise first; ``check_<name>`` is looked
-    up as :func:`run_check` does."""
+    reports, in the order of ``names``. The operands the checks read are
+    first decomposed in one stacked call, and their moduli taken in one
+    more (:func:`_analyse`). Raises what looping over each pair, then
+    each check, would raise first; ``check_<name>`` is looked up as
+    :func:`run_check` does."""
     unknown = [name for name in names if name not in CHECK_NAMES]
     if unknown:
         raise ValueError(f"unknown checks {unknown}")
     chunk = _Chunk(pairs)
+    _analyse(chunk.pairs, {fact for name in names for fact in _READS[name]})
     columns = [globals()[f"check_{name}"](chunk) for name in names]
     return [[_unwrap(entry) for entry in row] for row in zip(*columns)]
 
@@ -587,8 +545,8 @@ def _isolating_masks(z: np.ndarray, family, row: np.ndarray,
     return out
 
 
-def _interior_measures(cols_x: _Columns, cols_y: _Columns, idx: np.ndarray,
-                       scales: np.ndarray) -> np.ndarray:
+def _interior_measures(cols_x: _Decompositions, cols_y: _Decompositions,
+                       idx: np.ndarray, scales: np.ndarray) -> np.ndarray:
     """For each pair ``idx[j]``, the largest ||E_X(O) - E_Y(O)||_F over its
     isolating family, or 0.0 when the family is empty; no projection is
     formed.
@@ -650,21 +608,19 @@ def check_spectral_agreement(run: _Run):
                     "included)")
 
 
-def _read_moduli(*names: str):  # a failed modulus ends its pair
+def _read_moduli(*facts: str):  # a failed modulus ends its pair
     def step(run: _Run) -> None:
-        values, errors = [], []
-        for pair in run.pairs:
-            try:
-                values.append([getattr(pair, name) for name in names])
-                errors.append(None)
-            except NormLogError as exc:
-                errors.append(exc)
+        _analyse(run.pairs, facts)
+        found = [[vars(p)[fact] for fact in facts] for p in run.pairs]
+        errors = [next((m for m in ms if isinstance(m, NormLogError)), None)
+                  for ms in found]
         run.end(errors)
-        run.moduli = [_stack(m) for m in zip(*values)]
+        run.moduli = [_stack(m) for m in zip(*(
+            ms for ms, error in zip(found, errors) if error is None))]
     return step
 
 
-@_gated("normal", "strip", "exp", _read_moduli("modulus_x", "modulus_y"))
+@_gated("normal", "strip", "exp", _read_moduli("_modulus_x", "_modulus_y"))
 def check_modulus_equal(run: _Run):
     """|X| = |Y| for normal X, Y with spectra in the strip and e^X = e^Y."""
     mx, my = run.moduli
@@ -672,7 +628,7 @@ def check_modulus_equal(run: _Run):
                                      run.array("norm_x"))})
 
 
-@_gated("normal_x", "strip_x", "exp", _read_moduli("modulus_x"))
+@_gated("normal_x", "strip_x", "exp", _read_moduli("_modulus_x"))
 def check_modulus_commute(run: _Run):
     """|X| commutes with Y for normal X (spectrum in the strip) and any
     bounded Y with e^X = e^Y."""
@@ -833,14 +789,14 @@ def check_congruence_free(chunk: _Chunk) -> list:
 def _congruence_free(run: _Run) -> None:  # and a normal Y decomposes
     reports = [_facts(run.chunk, "congruence")[i] for i in run.open.tolist()]
     run.end([r if isinstance(r, Exception) else None for r in reports])
-    run.skip(_each(run, lambda p: not p.congruence.passed),
+    run.skip(np.array([not p.congruence.passed for p in run.pairs]),
              "spectrum is not 2*pi-congruence-free; hypothesis not met")
     errors = run.chunk.columns("y").errors
-    run.end([errors[i] if p.normal_y else None
-             for i, p in zip(run.open.tolist(), run.pairs)])
+    run.end([None if isinstance(errors[i], NotNormal) else errors[i]
+             for i in run.open.tolist()])
 
 
-def _projection_distances(cols_x: _Columns, cols_y: _Columns,
+def _projection_distances(cols_x: _Decompositions, cols_y: _Decompositions,
                           idx: np.ndarray) -> np.ndarray:
     """For each pair ``idx[j]``, the largest distance of an
     eigenprojection of X to {Y}'', bit for bit ``dec_y.
@@ -876,7 +832,7 @@ def check_double_commutant(run: _Run):
     commutant basis.
     """
     chunk, pairs = run.chunk, run.pairs
-    normal = _each(run, lambda p: p.normal_y)
+    normal = _normal(run, "y")
     worst = np.zeros(len(pairs))
     worst[normal] = _projection_distances(
         chunk.columns("x"), chunk.columns("y"), run.open[normal])
@@ -933,10 +889,11 @@ def check_y_in_bicommutant_of_exp(run: _Run):
     values = np.exp(1j * lam)
     scale = np.sqrt((values.real ** 2 + values.imag ** 2).sum(axis=1))
     apart = _isolated(values, CLUSTER_TOL * np.maximum(1.0, scale))
-    labels = run.take(cols.label).copy()
-    for j in np.flatnonzero(~apart).tolist():
-        labels[j] = run.pairs[j].dec_x._group_labels(
-            lambda z: cmath.exp(1j * z))
+    labels = run.take(cols.label)
+    if not apart.all():  # cmath.exp, as bicommutant_distance's key takes it
+        labels = labels.copy()
+        merged = [cmath.exp(1j * z) for z in lam[~apart].ravel().tolist()]
+        labels[~apart] = _merged(np.array(merged).reshape(-1, lam.shape[1]))
     folded = _combination_stack(v, 1j * _fold_branch(lam.real)[1])
     return run.rows({"double_commutant": _span_distances(v, labels, y),
                      "fold_identity": _rel(_frob_stack(folded - y),
@@ -946,8 +903,9 @@ def check_y_in_bicommutant_of_exp(run: _Run):
 
 def _split(run: _Run) -> None:
     """Split each Y; a non-normal or singular e^Y skips, others raise."""
+    decs = run.chunk.columns("exp_y")
     splits = _kurepa_splits(run.take(run.chunk.y),
-                            [p._attempt_exp_y for p in run.pairs])
+                            [decs[i] for i in run.open.tolist()])
     run.splits = [s for s in splits if not isinstance(s, Exception)]
     run.end([_Unmet(f"hypothesis not met: {s}")
              if isinstance(s, (ExpNotNormal, Singular))

@@ -467,12 +467,12 @@ def make_pairs(specs) -> list:
     specs fail, the first of them in chunk order raises what its lone
     call would.
     """
-    return [built[:3] for built in _make_pairs(specs, False)]
+    return [built[:3] for built in _make_pairs(specs)]
 
 
-def _make_pairs(specs, keep_exp_y: bool) -> list:
+def _make_pairs(specs) -> list:
     """:func:`make_pairs`, with the self-test's e^Y of each pair as a
-    fourth entry if ``keep_exp_y``, else None (see :func:`_build`)."""
+    fourth entry (see :func:`_build`)."""
     specs = list(specs)
     groups: dict = {}  # (family, n, params) -> (first spec, chunk indices)
     for i, spec in enumerate(specs):
@@ -480,8 +480,7 @@ def _make_pairs(specs, keep_exp_y: bool) -> list:
         groups.setdefault(key, (spec, []))[1].append(i)
     out: list = [None] * len(specs)
     for spec, idx in groups.values():
-        for i, built in zip(idx, _build(spec, [specs[i].seed for i in idx],
-                                        keep_exp_y)):
+        for i, built in zip(idx, _build(spec, [specs[i].seed for i in idx])):
             out[i] = built
     return _first_failure(out)
 
@@ -494,7 +493,7 @@ def _first_failure(built: list) -> list:
     return built
 
 
-def _build(spec: InstanceSpec, seeds, keep_exp_y: bool) -> list:
+def _build(spec: InstanceSpec, seeds) -> list:
     """The instances of a validated ``spec`` at each of the ``seeds``: each
     entry is ``(x, y, metadata, exp_y)``, or the ConstructionFailed its
     lone build raises.
@@ -504,9 +503,9 @@ def _build(spec: InstanceSpec, seeds, keep_exp_y: bool) -> list:
     rejection loop tests every instance's candidates together, and the
     Haar unitaries, diagonals and conjugations U D U* are stacks, one
     LAPACK or BLAS call per matrix. Both sides of every self-test are
-    then exponentiated as stacks. ``exp_y`` is the self-test's e^Y if
-    ``keep_exp_y``, else None: bit for bit ``exp_general(y)``; a Y
-    byte-equal to its X (an InteriorPair's) reuses X's exponential.
+    then exponentiated as stacks. ``exp_y`` is the self-test's e^Y, bit
+    for bit ``exp_general(y)``; a Y byte-equal to its X (an
+    InteriorPair's) reuses X's exponential.
     """
     family = Family(spec.family)
     builder, skew, _ = _BUILDERS[family]
@@ -537,5 +536,5 @@ def _build(spec: InstanceSpec, seeds, keep_exp_y: bool) -> list:
                     "params": dict(spec.params), "equation": (
                         "exp(iX)=exp(Y)" if skew else "exp(X)=exp(Y)"),
                     "self_test_residual": residual, **extras[i]}
-        out[i] = (x[j], y[j], metadata, rhs[j] if keep_exp_y else None)
+        out[i] = (x[j], y[j], metadata, rhs[j])
     return out

@@ -40,10 +40,20 @@ def matrix_to_obj(m) -> dict:
 
 
 def matrix_from_obj(obj: dict) -> np.ndarray:
+    """The matrix of a matrix object. Raises ValueError unless ``obj`` is
+    an object whose ``entries`` are ``n`` rows of ``n`` ``[re, im]`` pairs
+    of numbers."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a matrix must be an object, got {obj!r}")
     n = int(obj["n"])
     entries = obj["entries"]
-    if len(entries) != n or any(len(row) != n for row in entries):
-        raise ValueError("entries shape does not match n")
+    if not (isinstance(entries, list) and len(entries) == n and all(
+            isinstance(row, list) and len(row) == n and all(
+                isinstance(v, list) and len(v) == 2
+                and all(type(part) in (int, float) for part in v)
+                for v in row) for row in entries)):
+        raise ValueError(f"entries must be {n} rows of {n} [re, im] pairs "
+                         f"of numbers")
     m = np.array([[complex(re, im) for re, im in row] for row in entries])
     return as_square_matrix(m)
 
@@ -58,8 +68,12 @@ def write_pair(path: str, x, y, metadata: dict) -> None:
 
 
 def read_pair(path: str):
+    """``(x, y, metadata)`` of a pair file. Raises ValueError for a
+    document that is not an object, or a malformed matrix."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"a pair file must hold an object, got {doc!r}")
     x = matrix_from_obj(doc.pop("x"))
     y = matrix_from_obj(doc.pop("y"))
     return x, y, doc

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 
-from ..checks import (CHECK_NAMES, _READS, PairAnalysis, decompose_pairs,
-                      run_checks)
+from ..checks import CHECK_NAMES, PairAnalysis, run_checks
 from ..config import CHECK_TOL, STACK_ENTRIES
 from .generators import (Family, InstanceSpec, _build, _first_failure,
                          _require_int, _require_keys)
@@ -124,20 +123,15 @@ def _label_hash(base: int, label: str, n: int) -> int:
 
 def _run_chunk(task) -> list[dict]:
     label, spec, seeds, check_tol, checks = task
-    # the self-test's e^Y is kept only for a chunk whose checks decompose it
-    keep_exp_y = any("_attempt_exp_y" in _READS[name] for name in checks)
     pairs = []
     # run_suite validated the spec; the chunk's instances differ only in
     # their seeds, so they are built without a spec per seed
-    for x, y, metadata, exp_y in _first_failure(_build(spec, seeds,
-                                                       keep_exp_y)):
+    for x, y, metadata, exp_y in _first_failure(_build(spec, seeds)):
         # the build's self-test measured the exponential gap on these arrays
         pair = analyze_pair(x, y, metadata, check_tol, exp_gap=(
             metadata["equation"], metadata["self_test_residual"]))
-        if exp_y is not None:
-            pair.exp_y = exp_y  # the cached fact, bit for bit exp_general(y)
+        pair.exp_y = exp_y  # the cached fact, bit for bit exp_general(y)
         pairs.append(pair)
-    decompose_pairs(pairs, checks)
     rows = []
     # each check runs once over the chunk; the rows stay pair-major
     for seed, reports in zip(seeds, run_checks(checks, pairs)):
@@ -158,7 +152,8 @@ def run_suite(config: dict | None = None, jobs: int = 1) -> dict:
     parameter, tolerance or check name it does not know, for a value of
     the wrong type: ``base_seed``, ``seeds``, each size and each family
     parameter must be an integer (``violate`` and ``conjugate_pair`` may
-    also be a boolean), and a label a string, and for a config that
+    also be a boolean), a label a string, and ``sizes``, ``families``
+    and an entry's ``checks`` lists, and for a config that
     checks nothing: ``seeds < 1``, no sizes, no family entries, or an
     entry with an empty ``checks`` list.
     """
@@ -181,6 +176,9 @@ def run_suite(config: dict | None = None, jobs: int = 1) -> dict:
         raise ValueError(f"seeds must be >= 1, got {n_seeds}")
     check_tol = tolerances_from_config(config.get("tol", {}))
     families = config.get("families", [])
+    if not isinstance(families, (list, tuple)):
+        raise ValueError(f"families must be a list of entries, got "
+                         f"{families!r}")
     if not families:
         raise ValueError("families must name at least one entry")
 
@@ -192,7 +190,11 @@ def run_suite(config: dict | None = None, jobs: int = 1) -> dict:
         if not isinstance(label, str):
             raise ValueError(f"label must be a string, got {label!r}")
         params = entry.get("params", {})
-        checks = tuple(entry.get("checks", _FAMILY_CHECKS[family]))
+        checks = entry.get("checks", _FAMILY_CHECKS[family])
+        if not isinstance(checks, (list, tuple)):
+            raise ValueError(f"checks of {label!r} must be a list of names, "
+                             f"got {checks!r}")
+        checks = tuple(checks)
         if not checks:
             raise ValueError(f"entry {label!r} names no checks")
         unknown = [name for name in checks if name not in CHECK_NAMES]

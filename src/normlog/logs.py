@@ -18,7 +18,7 @@ import numpy as np
 from .config import INV_TOL, ON_FEATURE_TOL
 from .errors import ExpNotNormal, NormLogError, NotNormal, Singular
 from .linalg import _frob_stack, as_square_matrix, commutator
-from .spectral import SpectralDecomposition, normal_eig
+from .spectral import SpectralDecomposition, normal_eig, normal_eig_stack
 
 __all__ = [
     "KurepaDecomposition",
@@ -185,11 +185,8 @@ def kurepa_decompose(y) -> KurepaDecomposition:
         when e^Y is numerically singular.
     """
     y = as_square_matrix(y)
-    try:
-        attempt = normal_eig(exp_general(y))
-    except NormLogError as exc:
-        attempt = exc
-    return _unwrap(_kurepa_splits(y[None], [attempt])[0])
+    attempts = normal_eig_stack(exp_general(y)[None])
+    return _unwrap(_kurepa_splits(y[None], attempts)[0])
 
 
 def _kurepa_splits(y: np.ndarray, attempts) -> list:

@@ -191,21 +191,13 @@ def odd_line(k: int) -> Region:
     return HLine((2 * k + 1) * math.pi)
 
 
-def _merge(values, radius: float) -> list[list[int]]:
-    """Connected components of the graph joining the complex numbers in
-    the list ``values`` that lie within ``radius`` of each other.
-
-    The components depend on the values alone, not on their order. Each
-    lists its indices in ascending order, and components are ordered by
-    their smallest index. It is :func:`_components` on a stack of one.
-    """
-    groups: dict = {}
-    if values:
-        labels = _components(np.array(values, dtype=complex)[None],
-                             np.array([radius]))[0]
-        for j, label in enumerate(labels.tolist()):
-            groups.setdefault(label, []).append(j)
-    return list(groups.values())
+def _merged(values: np.ndarray) -> np.ndarray:
+    """For each row of a (k, m) stack of values, the component labels
+    :func:`_components` gives at the merge radius normal_eig takes for a
+    matrix with those eigenvalues, ``CLUSTER_TOL * max(1, ||row||)``: the
+    1-D norm of each row, since ``axis=`` sums in another order."""
+    radius = [CLUSTER_TOL * max(1.0, np.linalg.norm(row)) for row in values]
+    return _components(values, np.array(radius))
 
 
 def _near(dx: np.ndarray, dy: np.ndarray, radius, strict: bool = False):
@@ -315,16 +307,65 @@ class SpectralDecomposition:
 
     def _group_labels(self, key=None) -> np.ndarray:
         """Each column's group: its cluster's index, or with ``key`` the
-        index of the group of clusters whose key(lam) merge as normal_eig
-        would merge them."""
-        group = np.arange(len(self.eigenvalues))
-        if key is not None:
-            values = [complex(key(lam)) for lam in self.eigenvalues]
-            scale = np.linalg.norm(np.repeat(values, self.multiplicities))
-            for gi, g in enumerate(_merge(values,
-                                          CLUSTER_TOL * max(1.0, scale))):
-                group[g] = gi
-        return np.repeat(group, self.multiplicities)
+        smallest column of the group of clusters whose key(lam) merge as
+        normal_eig would merge them."""
+        if key is None:
+            return np.repeat(np.arange(len(self.eigenvalues)),
+                             self.multiplicities)
+        values = [complex(key(lam)) for lam in self.eigenvalues]
+        return _merged(np.repeat(values, self.multiplicities)[None])[0]
+
+
+@dataclass(frozen=True, eq=False)  # arrays have no truth value
+class _Decompositions:
+    """The spectral decompositions of a (k, n, n) stack, by column.
+
+    ``v[i]`` is matrix i's eigenbasis, laid out as ``normal_eig`` lays it
+    out (column-major: ``vt`` holds the transposes, C-contiguous);
+    ``lam[i, j]`` is the representative of column j's cluster and
+    ``start[i, j]`` whether j is its first column. A matrix whose
+    decomposition raised ``errors[i]`` has a zero basis, zero
+    representatives and one cluster per column, so its row adds nothing
+    to a stacked product. Entry i, made on request, is the
+    :class:`SpectralDecomposition` of matrix i or its error.
+    """
+
+    vt: np.ndarray
+    lam: np.ndarray
+    start: np.ndarray
+    errors: list
+
+    def __len__(self) -> int:
+        return len(self.errors)
+
+    def __getitem__(self, i: int):
+        if self.errors[i] is not None:
+            return self.errors[i]
+        start = self.start[i]
+        return SpectralDecomposition(
+            v=self.v[i], eigenvalues=tuple(self.lam[i, start].tolist()),
+            bounds=tuple(np.flatnonzero(start).tolist()) + (len(start),))
+
+    @property
+    def v(self) -> np.ndarray:
+        return self.vt.swapaxes(1, 2)
+
+    @cached_property
+    def label(self) -> np.ndarray:
+        """Each column's cluster index."""
+        return np.cumsum(self.start, axis=1) - 1
+
+
+def _gather(rows) -> _Decompositions:
+    """The rows ``(record, i)`` of one or more records as one record."""
+    records = list({id(record): record for record, _ in rows}.values())
+    first = dict(zip(map(id, records),
+                     np.cumsum([0] + [len(r) for r in records]).tolist()))
+    idx = [first[id(record)] + i for record, i in rows]
+    errors = [error for r in records for error in r.errors]
+    return _Decompositions(*(
+        np.concatenate([getattr(r, name) for r in records])[idx]
+        for name in ("vt", "lam", "start")), [errors[i] for i in idx])
 
 
 def _select_stack(v: np.ndarray, masks: np.ndarray) -> np.ndarray:
@@ -405,11 +446,12 @@ def normal_eig_stack(xs) -> list:
     result is ``normal_eig(xs[i])``, bit for bit, or the NormLogError it
     would raise; an error leaves the other entries unchanged.
     """
-    return _decompose_stack(_as_square_stack(xs))
+    return list(_decompose_stack(_as_square_stack(xs)))
 
 
-def _decompose_stack(x: np.ndarray) -> list:
-    """The decompositions of :func:`normal_eig_stack`, of a validated stack.
+def _decompose_stack(x: np.ndarray) -> _Decompositions:
+    """The decompositions of :func:`normal_eig_stack`, of a validated
+    stack, as one record.
 
     One commutator of the Hermitian parts per matrix decides normality,
     as :func:`~normlog.linalg.is_normal` does, then their commutation.
@@ -418,8 +460,7 @@ def _decompose_stack(x: np.ndarray) -> list:
     :func:`_isolated` are array code over the whole stack, one BLAS or
     LAPACK call per matrix, so each entry is computed as if alone. A
     matrix whose sweeps leave only single eigenvalues has one cluster per
-    eigenvalue, ordered by Re, and its representatives, order and bounds
-    come from the sweep's arrays; the others are clustered together by
+    eigenvalue, ordered by Re; the others are clustered together by
     :func:`_clustered`. A failing entry's ``eigh`` is computed and
     discarded, so an ``eigh`` that fails to converge on it raises
     NoConvergence for the whole stack.
@@ -431,30 +472,22 @@ def _decompose_stack(x: np.ndarray) -> list:
     lams = (np.diagonal(v_star @ re @ v, axis1=1, axis2=2).real
             + 1j * np.diagonal(v_star @ im @ v, axis1=1, axis2=2).real)
     radius = CLUSTER_TOL * np.maximum(1.0, norms)
-    single = _isolated(lams, radius)
+    failed = np.array([error is not None for error in errors], dtype=bool)
+    multi = ~(_isolated(lams, radius) | failed)
     # a lone eigenvalue's mean is 0 + lam, which turns -0.0 into 0.0
     reps = lams + 0
     row = np.arange(len(x))[:, None]
     order = np.lexsort((reps.imag, reps.real), axis=1)
     reps = reps[row, order]
+    start = np.ones(lams.shape, dtype=bool)
+    if multi.any():
+        order[multi], reps[multi], start[multi] = _clustered(lams[multi],
+                                                             radius[multi])
     # the permuted columns laid out as the fancy index v[:, order] lays
     # them out (column-major), which the later products see
-    cols = v.swapaxes(1, 2)[row, order].swapaxes(1, 2)
-    bounds = tuple(range(x.shape[-1] + 1))
-    multi = [i for i, error in enumerate(errors)
-             if error is None and not single[i]]
-    clustered = dict(zip(multi, _clustered(v[multi], lams[multi],
-                                           radius[multi]) if multi else ()))
-    out = []
-    for i, error in enumerate(errors):
-        if error is not None:
-            out.append(error)
-        elif single[i]:
-            out.append(SpectralDecomposition(
-                v=cols[i], eigenvalues=tuple(reps[i].tolist()), bounds=bounds))
-        else:
-            out.append(clustered[i])
-    return out
+    vt = v.swapaxes(1, 2)[row, order]
+    vt[failed], reps[failed] = 0.0, 0.0
+    return _Decompositions(vt, reps, start, errors)
 
 
 def _isolated(lams: np.ndarray, radius: np.ndarray) -> np.ndarray:
@@ -476,16 +509,18 @@ def _isolated(lams: np.ndarray, radius: np.ndarray) -> np.ndarray:
     return ~near.any(axis=1)
 
 
-def _clustered(v: np.ndarray, lams: np.ndarray,
-               radius: np.ndarray) -> list:
-    """The decompositions with eigenbases ``v[i]`` and eigenvalues
-    ``lams[i]`` whose clusters are the components :func:`_components`
-    finds for the radii ``radius``, each represented by its mean:
-    ``0 + lam_a + lam_b + ...`` over its members in ascending order, over
-    their count, as ``sum`` and ``/`` of numpy scalars take it. The
-    clusters are ordered by (Re, Im) of their means, then by smallest
-    index, and the columns are gathered as ``v[:, order]`` lays them out;
-    each step is one call over the whole stack.
+def _clustered(lams: np.ndarray, radius: np.ndarray) -> tuple:
+    """The clusters of each row of ``lams``: the components
+    :func:`_components` finds for the radii ``radius``, each represented
+    by its mean, ``0 + lam_a + lam_b + ...`` over its members in
+    ascending order, over their count, as ``sum`` and ``/`` of numpy
+    scalars take it.
+
+    Returns ``(order, reps, start)``: each row's columns ordered by
+    cluster (the clusters by (Re, Im) of their means, then by smallest
+    index; the members of one ascending), the representative of each
+    ordered column and whether it starts its cluster. Each step is one
+    call over the whole stack.
     """
     k, n = lams.shape
     # the columns of each row grouped by component, ascending within one;
@@ -511,17 +546,10 @@ def _clustered(v: np.ndarray, lams: np.ndarray,
     # the sorted clusters' members, concatenated: each row's n columns
     offset = np.cumsum(size) - size
     flat = np.repeat(at - offset, size) + np.arange(k * n)
-    perm = members.ravel()[flat].reshape(k, n)
-    cols = v.swapaxes(1, 2)[r, perm].swapaxes(1, 2)
-    per_row = np.cumsum(np.bincount(row, minlength=k)).tolist()
-    means, bounds = means.tolist(), (offset - row[order] * n).tolist()
-    out, lo = [], 0
-    for i, hi in enumerate(per_row):
-        out.append(SpectralDecomposition(
-            v=cols[i], eigenvalues=tuple(means[lo:hi]),
-            bounds=tuple(bounds[lo:hi]) + (n,)))
-        lo = hi
-    return out
+    start = np.zeros(k * n, dtype=bool)
+    start[offset] = True
+    return (members.ravel()[flat].reshape(k, n),
+            np.repeat(means, size).reshape(k, n), start.reshape(k, n))
 
 
 def spectral_measure(dec: SpectralDecomposition, omega: Region) -> np.ndarray:

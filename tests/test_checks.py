@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -21,8 +22,8 @@ from normlog.checks import (
     check_spectral_agreement,
     check_square_commute,
     check_y_in_bicommutant_of_exp,
-    decompose_pairs,
     run_check,
+    run_checks,
 )
 from normlog.config import BOUNDARY_TOL, CLUSTER_TOL, GATE_TOL
 from normlog.errors import (
@@ -55,7 +56,7 @@ from normlog.spectral import (
     strip_projections,
 )
 
-from util import random_normal_matrix
+from util import random_normal_matrix, record_of
 
 PI = math.pi
 
@@ -91,34 +92,30 @@ class TestPairAnalysis:
             with pytest.raises(NotCommuting):
                 pair.dec_x
 
-    def test_moduli_seeded_for_the_checks_that_read_them(self, monkeypatch):
+    def test_moduli_taken_for_the_checks_that_read_them(self, monkeypatch):
         operands = [make_pair(InstanceSpec(family, 4, seed))[:2]
                     for family in (Family.BOUNDARY_FLIP_PAIR,
                                    Family.NON_NORMAL_LOG_PAIR)
                     for seed in range(3)]
         lone = [PairAnalysis(x, y) for x, y in operands]
-        cases = {("modulus_equal",): ("modulus_x", "modulus_y"),
-                 ("real_part", "modulus_commute"): ("modulus_x",),
+        want = [(alone.modulus_x.tobytes(), alone.modulus_y.tobytes())
+                for alone in lone]
+        calls = _spy(monkeypatch, "_modulus_stack")
+        cases = {("modulus_equal",): ("x", "y"),
+                 ("real_part", "modulus_commute"): ("x",),
                  ("real_part", "kurepa"): ()}
-        for checks, seeded in cases.items():
+        for checks, taken in cases.items():
+            calls.clear()
             pairs = [PairAnalysis(x, y) for x, y in operands]
-            decompose_pairs(pairs, checks)
-            for pair, alone in zip(pairs, lone):
-                for fact in ("modulus_x", "modulus_y"):
-                    assert (fact in vars(pair)) == (fact in seeded)
-                    if fact in seeded:
-                        assert (vars(pair)[fact].tobytes()
-                                == getattr(alone, fact).tobytes())
-
-        def no_modulus(*args, **kwargs):
-            raise AssertionError("modulus taken after seeding")
-
-        pairs = [PairAnalysis(x, y) for x, y in operands]
-        decompose_pairs(pairs, ("modulus_equal", "modulus_commute"))
-        monkeypatch.setattr(normlog.checks, "modulus", no_modulus)
-        for pair in pairs:
-            check_modulus_equal(pair)
-            check_modulus_commute(pair)
+            run_checks(checks, pairs)
+            # one stacked call for the chunk
+            assert len(calls) == (1 if taken else 0)
+            for pair, ref in zip(pairs, want):
+                for side, ref_side in zip("xy", ref):
+                    assert (f"_modulus_{side}" in vars(pair)) == (side in taken)
+                    if side in taken:
+                        assert (getattr(pair, f"modulus_{side}").tobytes()
+                                == ref_side)
 
     def test_x_only_checks_leave_y_to_first_use(self):
         operands = [make_pair(InstanceSpec(family, 4, seed))[:2]
@@ -126,78 +123,86 @@ class TestPairAnalysis:
                                    Family.NON_NORMAL_LOG_PAIR)
                     for seed in range(3)]
         pairs = [PairAnalysis(x, y) for x, y in operands]
-        decompose_pairs(pairs, ("modulus_commute", "square_commute",
-                                "congruence_free"))
+        run_checks(("modulus_commute", "square_commute", "congruence_free"),
+                   pairs)
         for pair, (x, y) in zip(pairs, operands):
-            assert "_attempt_x" in vars(pair)
-            assert "_attempt_y" not in vars(pair)
-            assert "_attempt_exp_y" not in vars(pair)
+            assert "_row_x" in vars(pair)
+            assert "_row_y" not in vars(pair)
+            assert "_row_exp_y" not in vars(pair)
             # read later, Y's decomposition is the lone one
-            assert _same_attempt(pair._attempt_y, _lone_attempt(y))
-            assert _same_attempt(pair._attempt_x, _lone_attempt(x))
+            assert _same_attempt(_attempt(pair, "y"), _lone_attempt(y))
+            assert _same_attempt(_attempt(pair, "x"), _lone_attempt(x))
 
     def test_byte_equal_operands_analysed_once(self, monkeypatch):
         # an InteriorPair's Y equals X byte for byte; 0.0 and -0.0 differ
-        stacks = {"decomposed": [], "moduli": []}
-
-        def spy(name, real):
-            def call(ms, **kwargs):
-                stacks[name].append([m.tobytes() for m in ms])
-                return real(ms, **kwargs)
-            return call
-
-        monkeypatch.setattr(normlog.checks, "normal_eig_stack",
-                            spy("decomposed", normlog.checks.normal_eig_stack))
-        monkeypatch.setattr(normlog.checks, "_modulus_stack",
-                            spy("moduli", normlog.checks._modulus_stack))
+        stacks = {name: _spy(monkeypatch, name, bytes_of=True)
+                  for name in ("_decompose_stack", "_modulus_stack")}
         interior = [make_pair(InstanceSpec(Family.INTERIOR_PAIR, 4, seed))[:2]
                     for seed in range(3)]
         signed = (np.diag([0.0, 1.0 + 0j, 2.0, 3.0]),
                   np.diag([-0.0, 1.0 + 0j, 2.0, 3.0]))
         pairs = [PairAnalysis(x, y) for x, y in interior + [signed]]
-        decompose_pairs(pairs, ("modulus_equal", "real_part"))
+        run_checks(("modulus_equal", "real_part"), pairs)
         for name in stacks:
             (stack,) = stacks[name]
             assert sorted(stack) == sorted(
                 [x.tobytes() for x, _ in interior] + [m.tobytes() for m in signed])
         for pair in pairs[:3]:
-            assert pair.dec_x is pair.dec_y
+            assert vars(pair)["_row_x"] == vars(pair)["_row_y"]
             assert pair.modulus_x is pair.modulus_y
-        assert pairs[3].dec_x is not pairs[3].dec_y
+        assert vars(pairs[3])["_row_x"] != vars(pairs[3])["_row_y"]
         for pair, (x, y) in zip(pairs, interior + [signed]):
-            assert _same_attempt(pair._attempt_y, _lone_attempt(y))
+            assert _same_attempt(_attempt(pair, "y"), _lone_attempt(y))
             assert pair.modulus_y.tobytes() == PairAnalysis(x, y).modulus_y.tobytes()
 
     @pytest.mark.parametrize("name", CHECK_NAMES)
-    def test_every_stacked_fact_a_check_reads_is_seeded(self, name,
-                                                        monkeypatch):
-        # after decompose_pairs, no check computes a decomposition or a
-        # modulus of its own: the table names every one it reads
+    def test_run_checks_analyses_its_chunk_once(self, name, monkeypatch):
+        # run_checks decomposes every operand its checks read in one
+        # stacked call and takes their moduli in one more; no check
+        # decomposes or takes a modulus after it
         pairs = []
         for family in Family:
             for seed in range(2):
                 x, y, meta = make_pair(InstanceSpec(family, 4, seed))
                 pairs.append(analyze_pair(x, y, meta, exp_gap=(
                     meta["equation"], meta["self_test_residual"])))
-        decompose_pairs(pairs, (name,))
+        decomposed = _spy(monkeypatch, "_decompose_stack")
+        moduli = _spy(monkeypatch, "_modulus_stack")
+        try:
+            run_checks((name,), pairs)
+        except NormLogError:
+            pass
+        assert len(decomposed) == 1
+        assert len(moduli) == (name in ("modulus_equal", "modulus_commute"))
 
-        def not_called(*args, **kwargs):
-            raise AssertionError(f"{name} computed an unseeded fact")
-
-        monkeypatch.setattr(normlog.checks, "normal_eig_stack", not_called)
-        monkeypatch.setattr(normlog.checks, "modulus", not_called)
-        for pair in pairs:
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    def test_lone_pair_decomposes_each_operand_once(self, family,
+                                                    monkeypatch):
+        # every run_check on one pair shares its per-pair facts: one
+        # stacked decomposition each of X, Y and e^Y, and at most one
+        # modulus per operand
+        x, y, meta = make_pair(InstanceSpec(family, 4, 3))
+        pair = analyze_pair(x, y, meta)
+        decomposed = _spy(monkeypatch, "_decompose_stack", bytes_of=True)
+        moduli = _spy(monkeypatch, "_modulus_stack", bytes_of=True)
+        for name in CHECK_NAMES:
             try:
                 run_check(name, pair)
             except NormLogError:
                 pass
+        assert len(decomposed) == 3
+        assert sorted(m for stack in decomposed for m in stack) == sorted(
+            m.tobytes() for m in (x, y, pair.exp_y))
+        taken = [m for stack in moduli for m in stack]
+        assert len(taken) == len(set(taken)) <= 2
+        assert set(taken) <= {x.tobytes(), y.tobytes()}
 
     def test_seeded_kurepa_equals_kurepa_decompose(self, monkeypatch):
         # the suite's path: the self-test's e^Y, decomposed in the stack
         specs = [InstanceSpec(Family.NON_NORMAL_LOG_PAIR, n, seed)
                  for n in (2, 5) for seed in range(3)]
         for n in (2, 5):
-            built = _make_pairs([s for s in specs if s.n == n], True)
+            built = _make_pairs([s for s in specs if s.n == n])
             pairs = []
             for x, y, meta, exp_y in built:
                 pair = PairAnalysis(x, y)
@@ -207,20 +212,20 @@ class TestPairAnalysis:
             y = np.array([[0, 1], [0, 0]], dtype=complex)
             if n == 2:
                 pairs.append(PairAnalysis(y, y))
-            decompose_pairs(pairs, ("kurepa",))
+            chunk = [row[0] for row in run_checks(("kurepa",), pairs)]
             with monkeypatch.context() as m:
                 for module in (normlog.checks, normlog.logs):
                     m.setattr(module, "exp_general", _not_called)
-                m.setattr(normlog.checks, "normal_eig_stack", _not_called)
+                m.setattr(normlog.checks, "_decompose_stack", _not_called)
                 m.setattr(normlog.logs, "normal_eig", _not_called)
                 reports = [check_kurepa(pair) for pair in pairs]
                 splits = [_kurepa_splits(pair.y[None],
-                                         [pair._attempt_exp_y])[0]
+                                         [_attempt(pair, "exp_y")])[0]
                           if rep.hypothesis_met
                           else None for pair, rep in zip(pairs, reports)]
-            for pair, rep, split in zip(pairs, reports, splits):
+            for pair, rep, split, entry in zip(pairs, reports, splits, chunk):
                 alone = check_kurepa(PairAnalysis(pair.x, pair.y))
-                assert rep.to_dict() == alone.to_dict()
+                assert rep.to_dict() == alone.to_dict() == entry.to_dict()
                 assert ([v.hex() for v in rep.residuals.values()]
                         == [v.hex() for v in alone.residuals.values()])
                 if split is None:
@@ -326,6 +331,25 @@ def _not_called(*args, **kwargs):
     raise AssertionError("computed again")
 
 
+def _spy(monkeypatch, name, bytes_of=False) -> list:
+    """Record each call of the stacked kernel ``checks.<name>``: its stack
+    size, or with ``bytes_of`` the bytes of each matrix."""
+    calls, real = [], getattr(normlog.checks, name)
+
+    def call(ms):
+        calls.append([m.tobytes() for m in ms] if bytes_of else len(ms))
+        return real(ms)
+
+    monkeypatch.setattr(normlog.checks, name, call)
+    return calls
+
+
+def _attempt(pair, side):
+    """The pair's decomposition of operand ``side``, or its error."""
+    (record, i), = normlog.checks._operands([pair], f"_row_{side}")
+    return record[i]
+
+
 def _lone_attempt(m):
     try:
         return normal_eig(m)
@@ -400,21 +424,17 @@ def _loop_region_family(dec_x, dec_y, scale):
     return regions
 
 
-def _columns(dec):
-    return normlog.checks._Columns([dec], dec.n)
-
-
 def _interior_measure(dec_x, dec_y, scale):
     """The interior measure of one pair, as a chunk of one."""
     return normlog.checks._interior_measures(
-        _columns(dec_x), _columns(dec_y), np.array([0]),
+        record_of(dec_x), record_of(dec_y), np.array([0]),
         np.array([scale]))[0]
 
 
 def _region_family(dec_x, dec_y, scale):
     """The isolating family of one pair, as a chunk of one, and its
     regions' slots: disc slots, then square slots."""
-    cols_x, cols_y = _columns(dec_x), _columns(dec_y)
+    cols_x, cols_y = record_of(dec_x), record_of(dec_y)
     family = normlog.checks._interior_region_family(
         cols_x.lam, cols_y.lam, cols_x.start, np.array([scale]))
     return family, np.concatenate(family[3:], axis=1)[0]
@@ -946,6 +966,39 @@ class TestYInBicommutant:
                                                          np.diag([PI * 1j])))
         assert not rep.hypothesis_met and not rep.passed
 
+    def test_merged_groups_equal_bicommutant_distance(self):
+        # eigenvalues of X 2*pi apart share one value e^{i lam}, so their
+        # projections merge in {exp(iX)}''; in a chunk with generated
+        # pairs whose clusters stay apart, each residual is, bit for bit,
+        # the distance to the merged span that bicommutant_distance takes
+        key = lambda z: cmath.exp(1j * z)
+        pairs, merged = [], []
+        for seed in range(4):
+            u = random_unitary(4, 40 + seed)
+            lam = np.array([0.5, 0.5 + TWO_PI, -1.0 - TWO_PI * seed, 2.0])
+            x = conj_by(u, np.diag(lam))
+            pairs.append(PairAnalysis((x + dagger(x)) / 2,
+                                      conj_by(u, np.diag(1j * _fold(lam)))))
+            merged.append(True)
+        for seed in range(3):
+            x, y, _ = make_pair(InstanceSpec(
+                Family.SELF_ADJOINT_CONGRUENCE_FREE, 4, seed))
+            pairs.append(PairAnalysis(x, y))
+            merged.append(False)
+        reports = check_y_in_bicommutant_of_exp(pairs)
+        for pair, rep, planted in zip(pairs, reports, merged):
+            assert rep.passed
+            groups = pair.dec_x._group_labels(key)
+            assert (len(set(groups.tolist()))
+                    < len(pair.dec_x.eigenvalues)) == planted
+            assert (rep.residuals["double_commutant"].hex()
+                    == pair.dec_x.bicommutant_distance(pair.y, key).hex())
+
+
+def _fold(lam):
+    """Each real value folded into (-pi, pi] by a multiple of 2*pi."""
+    return lam - TWO_PI * np.round(lam / TWO_PI)
+
 
 class TestKurepaCheck:
     def test_oracle(self):
@@ -969,13 +1022,15 @@ def _chunk(specs, extra=()):
     """Pairs built and decomposed as the suite builds a chunk, then the
     ``extra`` pairs."""
     pairs = []
-    for x, y, meta, exp_y in _make_pairs(specs, True):
+    for x, y, meta, exp_y in _make_pairs(specs):
         pair = analyze_pair(x, y, meta, exp_gap=(
             meta["equation"], meta["self_test_residual"]))
         pair.exp_y = exp_y
         pairs.append(pair)
     pairs += extra
-    decompose_pairs(pairs, CHECK_NAMES)
+    normlog.checks._analyse(pairs, {fact for reads in
+                                    normlog.checks._READS.values()
+                                    for fact in reads})
     return pairs
 
 

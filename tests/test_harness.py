@@ -247,12 +247,9 @@ class TestChunkBuilder:
         specs = _entry_specs(n, (0, 1, 5))
         specs = [spec for spec in specs
                  if not isinstance(_lone_or_error(spec), ConstructionFailed)]
-        kept = _make_pairs(specs, True)
-        dropped = _make_pairs(specs, False)
-        for (x, y, meta, exp_y), lone, plain in zip(kept, make_pairs(specs),
-                                                      dropped):
+        for (x, y, meta, exp_y), lone in zip(_make_pairs(specs),
+                                             make_pairs(specs)):
             assert _same_pair((x, y, meta), lone)
-            assert _same_pair(plain[:3], lone) and plain[3] is None
             assert exp_y.tobytes() == normlog.logs.exp_general(y).tobytes()
 
     def test_empty_chunk(self):
@@ -588,9 +585,9 @@ class TestSuite:
         calls = []
         real = normlog.harness.suite._build
 
-        def counting(spec, seeds, keep_exp_y):
+        def counting(spec, seeds):
             calls.extend(seeds)
-            return real(spec, seeds, keep_exp_y)
+            return real(spec, seeds)
 
         monkeypatch.setattr(normlog.harness.suite, "_build", counting)
         return calls
@@ -810,7 +807,7 @@ class TestSharedAnalysis:
         # The operands are matched by bytes, since the stacks hold copies.
         # Each chunk decomposes, in one stacked call, the operands its
         # checks read: X and Y, but X and e^Y for NonNormalLogPair, whose
-        # checks never read Y's decomposition. InteriorPair's Y equals X
+        # checks never read Y's decomposition; every chunk keeps e^Y. InteriorPair's Y equals X
         # byte for byte, so it is decomposed, exponentiated and
         # square-rooted with X, once. The exponentials are evaluated once,
         # by the stacked self-test of make_pairs, whose residual the suite
@@ -820,12 +817,12 @@ class TestSharedAnalysis:
         built = []
         decomposed, moduli, exponentiated, checks_exp = [], [], [], []
         real_build = normlog.harness.suite._build
-        real_stack = normlog.checks.normal_eig_stack
+        real_stack = normlog.checks._decompose_stack
         real_moduli = normlog.checks._modulus_stack
         real_exp_stack = normlog.harness.generators._exp_stack
 
-        def build_spy(spec, seeds, keep_exp_y):
-            out = real_build(spec, seeds, keep_exp_y)
+        def build_spy(spec, seeds):
+            out = real_build(spec, seeds)
             built.extend(out)
             return out
 
@@ -836,7 +833,7 @@ class TestSharedAnalysis:
             return call
 
         monkeypatch.setattr(normlog.harness.suite, "_build", build_spy)
-        monkeypatch.setattr(normlog.checks, "normal_eig_stack",
+        monkeypatch.setattr(normlog.checks, "_decompose_stack",
                             spy(decomposed, real_stack))
         monkeypatch.setattr(normlog.checks, "_modulus_stack",
                             spy(moduli, real_moduli))
@@ -851,10 +848,8 @@ class TestSharedAnalysis:
         want_dec, want_mod, want_exp = Counter(), Counter(), Counter()
         for x, y, meta, exp_y in built:
             non_normal = meta["family"] == "NonNormalLogPair"
-            # e^Y is kept for kurepa alone, and is exp_general(y) bit for bit
-            assert (exp_y is not None) == non_normal
-            if non_normal:
-                assert exp_y.tobytes() == normlog.logs.exp_general(y).tobytes()
+            # e^Y is exp_general(y) bit for bit
+            assert exp_y.tobytes() == normlog.logs.exp_general(y).tobytes()
             reads = {x.tobytes(), (exp_y if non_normal else y).tobytes()}
             want_dec.update(reads)
             if meta["family"] in ("InteriorPair", "BoundaryFlipPair",
@@ -968,8 +963,18 @@ class TestCli:
         ({"sizes": [2], "seeds": 1,
           "families": [{"family": "InteriorPair", "checks": []}]},
          "entry 'InteriorPair' names no checks"),
+        # mistyped lists
+        ({"sizes": [2], "seeds": 1, "families": 5},
+         "families must be a list of entries, got 5"),
+        ({"sizes": [2], "seeds": 1,
+          "families": [{"family": "InteriorPair", "checks": 5}]},
+         "checks of 'InteriorPair' must be a list of names, got 5"),
+        ({"sizes": [2], "seeds": 1,
+          "families": [{"family": "InteriorPair", "checks": "real_part"}]},
+         "checks of 'InteriorPair' must be a list of names, got 'real_part'"),
     ], ids=["size", "side", "violate", "seeds-negative", "sizes-empty",
-            "families-empty", "checks-empty"])
+            "families-empty", "checks-empty", "families-int", "checks-int",
+            "checks-str"])
     def test_rejected_config_exits_2(self, tmp_path, capsys, config,
                                      message):
         path = tmp_path / "suite.json"
@@ -978,6 +983,24 @@ class TestCli:
         captured = capsys.readouterr()
         assert message in captured.err and "Traceback" not in captured.err
         assert "total" not in captured.out
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"x": {"n": 1, "entries": [[["a", 0]]]},
+          "y": {"n": 1, "entries": [[[0.0, 0.0]]]}},
+         "entries must be 1 rows of 1 [re, im] pairs of numbers"),
+        ({"x": {"n": 1, "entries": 5},
+          "y": {"n": 1, "entries": [[[0.0, 0.0]]]}},
+         "entries must be 1 rows of 1 [re, im] pairs of numbers"),
+        ([1, 2], "a pair file must hold an object, got [1, 2]"),
+    ], ids=["string-entry", "entries-int", "document-list"])
+    def test_malformed_pair_file_exits_2(self, tmp_path, capsys, doc,
+                                         message):
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["check", "--name", "real_part", "--in",
+                         str(path)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and "Traceback" not in captured.err
 
     def test_check_recomputes_exp_gate_from_matrices(self, tmp_path, capsys):
         # a pair file's self_test_residual is not trusted for the gate
@@ -1054,7 +1077,7 @@ class TestCli:
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_suite_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs,
                                                  monkeypatch):
-        def no_build(spec, seeds, keep_exp_y):
+        def no_build(spec, seeds):
             raise AssertionError("an instance was built")
 
         monkeypatch.setattr(normlog.harness.suite, "_build", no_build)

@@ -26,7 +26,7 @@ from normlog.config import CLUSTER_TOL
 from normlog.spectral import normal_eig
 
 from util import (Stream, _cluster_slices, gaussian_matrix, random_hermitian,
-                  random_normal_matrix)
+                  random_normal_matrix, record_of)
 
 
 def _frob_inputs(n):
@@ -435,8 +435,7 @@ class TestDoubleCommutant:
                     continue
                 calls.clear()
                 worst = normlog.checks._projection_distances(
-                    normlog.checks._Columns([dec_x], n),
-                    normlog.checks._Columns([dec_y], n), np.array([0]))
+                    record_of(dec_x), record_of(dec_y), np.array([0]))
                 projections = np.stack([dec_x.projection(j) for j
                                         in range(len(dec_x.eigenvalues))])
                 lone = [dec_y.bicommutant_distance(p) for p in projections]

@@ -69,6 +69,7 @@ def test_reexports_are_public_in_their_module(package):
     ("spectral", "RegionUnion"),
     ("config", "Tolerances"),
     ("config", "DEFAULT_TOL"),
+    ("checks", "decompose_pairs"),
 ])
 def test_deleted_names_are_gone(module, name):
     assert not hasattr(importlib.import_module(f"normlog.{module}"), name)

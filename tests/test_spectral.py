@@ -276,6 +276,19 @@ def _clustered_spectrum(n, seed, radius):
     return values.tolist()
 
 
+def _merge(values, radius):
+    """The groups of :func:`normlog.spectral._components` on a stack of
+    one: each lists its indices in ascending order, and the groups are
+    ordered by their smallest index."""
+    groups = {}
+    if values:
+        labels = normlog.spectral._components(
+            np.array(values, dtype=complex)[None], np.array([radius]))[0]
+        for j, label in enumerate(labels.tolist()):
+            groups.setdefault(label, []).append(j)
+    return list(groups.values())
+
+
 class TestMerge:
     R = 1e-3
 
@@ -284,7 +297,7 @@ class TestMerge:
         greedy_split = False
         for order in itertools.permutations(range(3)):
             values = [complex(chain[i]) for i in order]
-            assert normlog.spectral._merge(values, self.R) == [[0, 1, 2]]
+            assert _merge(values, self.R) == [[0, 1, 2]]
             greedy_split |= len(_greedy_merge(values, self.R)) > 1
         assert greedy_split  # the greedy depends on the order
 
@@ -292,14 +305,14 @@ class TestMerge:
     def test_equals_union_find(self, n):
         for seed in range(20):
             values = _clustered_spectrum(n, 1000 * n + seed, self.R)
-            assert (normlog.spectral._merge(values, self.R)
+            assert (_merge(values, self.R)
                     == _union_find_components(values, self.R)), seed
 
     def test_independent_of_input_order(self):
         values = _clustered_spectrum(40, 7, self.R)
-        groups = normlog.spectral._merge(values, self.R)
+        groups = _merge(values, self.R)
         perm = np.random.default_rng(8).permutation(len(values)).tolist()
-        permuted = normlog.spectral._merge([values[i] for i in perm], self.R)
+        permuted = _merge([values[i] for i in perm], self.R)
         assert sorted(sorted(perm[i] for i in g) for g in permuted) == groups
 
     def test_vertical_line(self):
@@ -307,12 +320,12 @@ class TestMerge:
         rng = np.random.default_rng(3)
         steps = np.where(rng.random(127) < 0.3, 0.7, 1.6) * self.R
         values = (0.5 + 1j * np.concatenate(([0.0], np.cumsum(steps)))).tolist()
-        groups = normlog.spectral._merge(values, self.R)
+        groups = _merge(values, self.R)
         assert groups == _union_find_components(values, self.R)
         assert 1 < len(groups) < 128
 
     def test_empty(self):
-        assert normlog.spectral._merge([], self.R) == []
+        assert _merge([], self.R) == []
 
 
 class TestNormalEigClusters:

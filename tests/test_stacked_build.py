@@ -8,7 +8,7 @@ import normlog.checks
 import normlog.harness.generators
 import normlog.spectral
 import util
-from normlog.checks import PairAnalysis, decompose_pairs
+from normlog.checks import PairAnalysis, run_checks
 from normlog.errors import ConstructionFailed
 from normlog.harness import Family, InstanceSpec, default_config, make_pair
 from normlog.harness.generators import make_pairs
@@ -157,9 +157,13 @@ class TestClusterOracle:
         lams = np.array(rows, dtype=complex)
         v = np.stack([random_unitary(4, seed) for seed in range(len(rows))])
         radius = np.full(len(rows), r)
-        got = normlog.spectral._clustered(v, lams, radius)
-        for vi, row, dec in zip(v, lams, got):
-            assert _same_decomposition(dec, util.scalar_clustered(vi, row, r))
+        order, reps, start = normlog.spectral._clustered(lams, radius)
+        vt = v.swapaxes(1, 2)[np.arange(len(rows))[:, None], order]
+        got = normlog.spectral._Decompositions(vt, reps, start,
+                                               [None] * len(rows))
+        for i, (vi, row) in enumerate(zip(v, lams)):
+            assert _same_decomposition(got[i],
+                                       util.scalar_clustered(vi, row, r))
 
     def test_mixed_stack_equals_scalar(self):
         operands = _mixed_stack()
@@ -180,7 +184,7 @@ class TestInteriorMeasureSlots:
         if any(isinstance(_oracle(spec), ConstructionFailed) for spec in specs):
             return
         pairs = [PairAnalysis(x, y) for x, y, _ in make_pairs(specs)]
-        decompose_pairs(pairs, ["spectral_agreement"])
+        run_checks(["spectral_agreement"], pairs)
         for chunk in (pairs[:1], pairs[:2], pairs):
             c = normlog.checks._Chunk(chunk)
             cols_x, cols_y = c.columns("x"), c.columns("y")

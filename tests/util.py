@@ -12,9 +12,9 @@ from normlog.linalg import (_eigh, _frob_stack, _normality_holds, dagger, frob,
 from normlog.logs import TWO_PI, _exp_gaps, exp_general
 from normlog.report import CheckReport
 from normlog.checks import _interior_region_family
-from normlog.spectral import (SpectralDecomposition, _edge_status,
-                              _fold_branch, _odd_pi_distance, borel_calculus,
-                              normal_eig, spectral_measure)
+from normlog.spectral import (SpectralDecomposition, _Decompositions,
+                              _edge_status, _fold_branch, _odd_pi_distance,
+                              borel_calculus, normal_eig, spectral_measure)
 
 
 _MASK = (1 << 64) - 1
@@ -473,6 +473,18 @@ def scalar_clustered(v, lams, radius, merge=scalar_merge):
         v=v[:, [j for g in groups for j in g]],
         eigenvalues=tuple(reps[g] for g in order),
         bounds=tuple(np.cumsum([0] + [len(g) for g in groups]).tolist()))
+
+
+def record_of(dec):
+    """The stacked record of one decomposition, by column, as the checks
+    read a chunk's: its basis, each column's representative and the
+    first column of each cluster."""
+    start = np.zeros(dec.n, dtype=bool)
+    start[list(dec.bounds[:-1])] = True
+    return _Decompositions(
+        dec.v.T[None],
+        np.repeat(dec.eigenvalue_array, dec.multiplicities)[None],
+        start[None], [None])
 
 
 def all_slot_interior_measures(cols_x, cols_y, idx, scales):
