@@ -33,7 +33,7 @@ from .logs import TWO_PI, _exp_gaps, _kurepa_splits, _unwrap, exp_general
 from .report import CheckReport
 from .spectral import (_classify_window, _combination_stack,
                        _decompose_stack, _Decompositions, _edge_status,
-                       _fold_branch, _gather, _isolated, _merged, _near,
+                       _fold_branch, _isolated, _merged, _near,
                        _odd_pi_distance, _select_stack, _span_distances,
                        _window_weights)
 
@@ -60,43 +60,36 @@ def _stack(arrays) -> np.ndarray:  # one array becomes a view, not a copy
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
-# Each exponential equation and the PairAnalysis property measuring it.
-_EQUATIONS = {"exp(X)=exp(Y)": "exp_residual",
-              "exp(iX)=exp(Y)": "exp_i_residual"}
+# The exponential equations whose gap a pair may be given.
+_EQUATIONS = ("exp(X)=exp(Y)", "exp(iX)=exp(Y)")
 
 
-class _Stacked:
-    """A fact of :class:`PairAnalysis` that ``compute(chunk)`` gives for a
-    whole chunk; a pair keeps its value (or error, raised on reading)."""
+class _Row:
+    """A fact of :class:`PairAnalysis`: row 0 of ``read(chunk)``, or of
+    the chunk's scalar array of the same name, for the pair's chunk of
+    one. A failed fact raises its error on every read."""
 
-    def __init__(self, compute):
-        self.compute = compute
+    def __init__(self, read=None, doc=None):
+        self.read, self.__doc__ = read, doc
 
     def __set_name__(self, owner, name):
-        self.name = name
+        self.read = self.read or (lambda chunk: chunk.array(name).tolist())
 
     def __get__(self, pair, owner=None):
-        if pair is None:
-            return self
-        return _unwrap(_facts(_Chunk([pair]), self.name)[0])
-
-
-def _facts(chunk, name: str) -> list:
-    """Each pair's fact ``name``, computed at once for those lacking it."""
-    missing = [p for p in chunk.pairs if name not in vars(p)]
-    if missing:
-        sub = chunk if len(missing) == len(chunk) else _Chunk(missing)
-        for pair, value in zip(missing, vars(PairAnalysis)[name].compute(sub)):
-            vars(pair)[name] = value
-    return [vars(p)[name] for p in chunk.pairs]
+        return self if pair is None else _unwrap(self.read(pair._chunk)[0])
 
 
 class PairAnalysis:
-    """One instance (X, Y) and the facts its checks share.
+    """One instance (X, Y): the chunk of one.
 
-    Each fact is computed on first use and kept for the life of the
-    object, so the checks run on one pair never repeat a decomposition
-    or an exponential.
+    The facts its checks share live on a chunk, which computes each once
+    for all its pairs (:func:`run_checks` makes one per call). The facts
+    of a lone pair -- normality, norms, spectral decompositions, e^Y and
+    the exponential gaps, moduli, residuals and the congruence report --
+    read row 0 of its own chunk of one, made on first read, so the
+    checks run on one pair never repeat a decomposition or an
+    exponential. A fact that failed, such as the decomposition of a
+    non-normal X, raises its error on every read.
     ``check_tol`` is the pass/fail threshold of its checks; every other
     threshold is a constant of :mod:`normlog.config`. ``[k_lo, k_hi]`` is
     the branch window of :func:`check_difference_formula`.
@@ -106,7 +99,9 @@ class PairAnalysis:
     same arrays, as :func:`~normlog.harness.make_pair`'s self-test does.
     The matching exponential gate then reads it instead of evaluating
     the exponentials again. A residual read from a file must not be
-    passed here.
+    passed here. Likewise, setting ``exp_y`` to e^Y already computed on
+    these arrays, bit for bit ``exp_general(y)``, spares the chunks made
+    from the pair its evaluation.
     """
 
     def __init__(self, x, y, *, check_tol: float = CHECK_TOL,
@@ -117,142 +112,103 @@ class PairAnalysis:
         self.k_lo = k_lo
         self.k_hi = k_hi
         if exp_gap is not None:
-            equation, residual = exp_gap
+            equation, _ = exp_gap
             if equation not in _EQUATIONS:
                 raise ValueError(f"unknown equation {equation!r}; expected "
                                  f"one of {sorted(_EQUATIONS)}")
-            # seeds the cached property that measures this equation
-            self.__dict__[_EQUATIONS[equation]] = residual
+        self.exp_gap = exp_gap
+        self._exp_y = None
 
+    @cached_property
+    def _chunk(self) -> _Chunk:
+        return _Chunk([self])
+
+    normal_x = _Row()
+    normal_y = _Row()
+    norm_x = _Row()
+    norm_y = _Row()
+    commutator_residual = _Row(doc="Relative norm of XY - YX.")
+    real_part_residual = _Row(doc="Relative norm of Re(X) - Re(Y).")
+    hermitian_x = _Row()
+    exp_residual = _Row(doc="Relative gap between exp(X) and exp(Y).")
+    exp_i_residual = _Row(doc="Relative gap between exp(iX) and exp(Y).")
+    congruence = _Row(lambda c: c.congruence,
+                      "The report of check_congruence_free; raises NotNormal "
+                      "if X is not normal.")
+    dec_x = _Row(lambda c: c.columns("x"), "Spectral decomposition of X, "
+                 "or its error (NotNormal if X is not normal).")
+    dec_y = _Row(lambda c: c.columns("y"), "Spectral decomposition of Y, "
+                 "or its error (NotNormal if Y is not normal).")
+    modulus_x = _Row(lambda c: c.moduli("x"))
+    modulus_y = _Row(lambda c: c.moduli("y"))
+
+    @property
+    def exp_y(self) -> np.ndarray:
+        return self._chunk.exp_y[0]
+
+    @exp_y.setter
+    def exp_y(self, value) -> None:
+        self._exp_y = value
+
+
+def _exp_gap_stack(chunk: _Chunk, equation: str) -> np.ndarray:
+    """Each pair's gap of ``equation``: the one it was given, else
+    measured on its exponentials."""
+    scale = 1j if equation == "exp(iX)=exp(Y)" else 1
+    return np.array([
+        p.exp_gap[1] if p.exp_gap is not None and p.exp_gap[0] == equation
+        else _exp_gaps(exp_general(scale * p.x)[None], chunk.exp_y[i][None])[0]
+        for i, p in enumerate(chunk.pairs)])
+
+
+def _normal(chunk: _Chunk, side: str) -> np.ndarray:
     # normal_eig tests normality first, so NotNormal in a decomposition
     # row is exactly is_normal's verdict
-    @property
-    def normal_x(self) -> bool:
-        record, i = _operands([self], "_row_x")[0]
-        return not isinstance(record.errors[i], NotNormal)
+    return np.array([not isinstance(e, NotNormal)
+                     for e in chunk.columns(side).errors], dtype=bool)
 
-    @property
-    def normal_y(self) -> bool:
-        record, i = _operands([self], "_row_y")[0]
-        return not isinstance(record.errors[i], NotNormal)
 
-    norm_x = _Stacked(lambda c: _frob_stack(c.x).tolist())
-    norm_y = _Stacked(lambda c: _frob_stack(c.y).tolist())
-    # relative norm of XY - YX
-    commutator_residual = _Stacked(lambda c: _rel(
+# The chunk's scalar facts, each one array over its pairs.
+_SCALARS = {
+    "normal_x": lambda c: _normal(c, "x"),
+    "normal_y": lambda c: _normal(c, "y"),
+    "norm_x": lambda c: _frob_stack(c.x),
+    "norm_y": lambda c: _frob_stack(c.y),
+    "commutator_residual": lambda c: _rel(
         _frob_stack(commutator(c.x, c.y)),
-        c.array("norm_x") * c.array("norm_y")).tolist())
-    # relative norm of Re(X) - Re(Y)
-    real_part_residual = _Stacked(lambda c: _rel(
-        _frob_stack(re_part(c.x) - re_part(c.y)), c.array("norm_x")).tolist())
-    hermitian_x = _Stacked(lambda c: (
-        _frob_stack(c.x - dagger(c.x))
-        <= HERM_TOL * np.maximum(1.0, c.array("norm_x"))).tolist())
-    # the report of check_congruence_free; NotNormal when X is not normal
-    congruence = _Stacked(lambda c: _congruence_reports(c))
-
-    @cached_property
-    def dec_x(self):
-        """Spectral decomposition of X; raises NotNormal if X is not normal,
-        or the error its decomposition raised."""
-        record, i = _operands([self], "_row_x")[0]
-        return _unwrap(record[i])
-
-    @cached_property
-    def dec_y(self):
-        """Spectral decomposition of Y; raises NotNormal if Y is not normal,
-        or the error its decomposition raised."""
-        record, i = _operands([self], "_row_y")[0]
-        return _unwrap(record[i])
-
-    @cached_property
-    def exp_y(self) -> np.ndarray:
-        return exp_general(self.y)
-
-    @cached_property
-    def exp_residual(self) -> float:
-        """Relative gap between exp(X) and exp(Y)."""
-        return _exp_gaps(exp_general(self.x)[None], self.exp_y[None])[0]
-
-    @cached_property
-    def exp_i_residual(self) -> float:
-        """Relative gap between exp(iX) and exp(Y)."""
-        return _exp_gaps(exp_general(1j * self.x)[None], self.exp_y[None])[0]
-
-    @property
-    def modulus_x(self) -> np.ndarray:
-        return _unwrap(_operands([self], "_modulus_x")[0])
-
-    @property
-    def modulus_y(self) -> np.ndarray:
-        return _unwrap(_operands([self], "_modulus_y")[0])
-
-
-# The operand facts each check reads: a PairAnalysis keeps its operand's
-# decomposition row (record, i) as "_row_<operand>" and its modulus, or
-# the error taking it raised, as "_modulus_<operand>". A normality gate
-# reads a decomposition row.
-_XY = ("_row_x", "_row_y")
-_READS = {
-    "real_part": _XY,
-    "spectral_agreement": _XY,
-    "modulus_equal": _XY + ("_modulus_x", "_modulus_y"),
-    "modulus_commute": ("_row_x", "_modulus_x"),
-    "square_commute": ("_row_x",),
-    "corollary_cases": _XY,
-    "difference_formula": _XY,
-    "congruence_free": ("_row_x",),
-    "double_commutant": _XY,
-    "one_boundary_eigenvalue": _XY,
-    "y_in_bicommutant_of_exp": _XY,
-    "kurepa": ("_row_exp_y",),
+        c.array("norm_x") * c.array("norm_y")),
+    "real_part_residual": lambda c: _rel(
+        _frob_stack(re_part(c.x) - re_part(c.y)), c.array("norm_x")),
+    "hermitian_x": lambda c: (_frob_stack(c.x - dagger(c.x))
+                              <= HERM_TOL * np.maximum(1.0, c.array("norm_x"))),
+    "exp_residual": lambda c: _exp_gap_stack(c, "exp(X)=exp(Y)"),
+    "exp_i_residual": lambda c: _exp_gap_stack(c, "exp(iX)=exp(Y)"),
 }
 
-
-def _analyse(pairs, facts) -> None:
-    """Give the pairs each operand fact of ``facts`` they lack: their
-    operands decomposed in one stacked call, their moduli taken in one
-    more, each result bit for bit what a lone pair computes. A pair's
-    byte-equal operands (an InteriorPair's X and Y) are analysed once and
-    share the result. The pairs must share their dimension."""
-    facts = sorted(facts)
-    for kind, analyse in (("_row_", _decompose_stack),
-                          ("_modulus_", _modulus_stack)):
-        seeds, operands, slots = [], [], []
-        for pair in pairs:
-            own = []  # the pair's operands so far, with their stack slots
-            for fact in facts:
-                if not fact.startswith(kind) or fact in vars(pair):
-                    continue
-                m = getattr(pair, fact.removeprefix(kind))
-                slot = next((s for o, s in own if _same_bytes(o, m)), None)
-                if slot is None:
-                    slot = len(operands)
-                    operands.append(m)
-                    own.append((m, slot))
-                seeds.append((pair, fact))
-                slots.append(slot)
-        if seeds:
-            results = analyse(np.stack(operands))
-            for (pair, fact), slot in zip(seeds, slots):
-                vars(pair)[fact] = ((results, slot) if kind == "_row_"
-                                    else results[slot])
-
-
-def _operands(pairs, fact: str) -> list:
-    """Each pair's operand fact, :func:`_analyse`'d for those lacking it."""
-    _analyse(pairs, (fact,))
-    return [vars(p)[fact] for p in pairs]
+# The operands each check reads: those it decomposes (a normality gate
+# reads a decomposition) and those whose modulus it takes. Every check
+# not listed decomposes X and Y.
+_READS = {"modulus_equal": (("x", "y"), ("x", "y")),
+          "modulus_commute": (("x",), ("x",)),
+          "square_commute": (("x",), ()), "congruence_free": (("x",), ()),
+          "kurepa": (("exp_y",), ())}
 
 
 class _Chunk:
-    """Pairs of one dimension checked together, and their shared stacks."""
+    """Pairs of one dimension checked together, and the one owner of
+    their facts: the operand stacks, each operand's decompositions (one
+    record, its failed rows' errors kept per row) and moduli, one array
+    per scalar fact and the congruence reports, each computed once for
+    the whole chunk. The e^Y and exponential gaps its pairs were given
+    are rows of its arrays."""
 
     def __init__(self, pairs):
         self.pairs = list(pairs)
         if len({p.x.shape for p in self.pairs}) > 1:
             raise ValueError("the pairs of a chunk must share their dimension")
         self.n = self.pairs[0].x.shape[0] if self.pairs else 0
+        self.decs: dict = {}  # operand -> _Decompositions
+        self.mods: dict = {}  # operand -> each pair's modulus, or its error
         self._cache: dict = {}
 
     def __len__(self) -> int:
@@ -266,19 +222,63 @@ class _Chunk:
     def y(self) -> np.ndarray:
         return _stack([p.y for p in self.pairs])
 
+    @cached_property
+    def exp_y(self) -> np.ndarray:
+        """Each pair's e^Y: the one it was given, else exp_general(y)."""
+        return _stack([exp_general(self.y[i]) if p._exp_y is None
+                       else p._exp_y for i, p in enumerate(self.pairs)])
+
+    @cached_property
+    def congruence(self) -> list:
+        return _congruence_reports(self)
+
     def _cached(self, key, compute):
         if key not in self._cache:
             self._cache[key] = compute()
         return self._cache[key]
 
     def array(self, name: str) -> np.ndarray:
-        return self._cached(name, lambda: np.array(_facts(self, name)))
+        return self._cached(name, lambda: _SCALARS[name](self))
+
+    def analyse(self, decs=(), moduli=()) -> None:
+        """Decompose the operands ``decs`` names ("x", "y", "exp_y") and
+        take the moduli of those ``moduli`` names ("x", "y") that the
+        chunk lacks: one stacked call each, each result bit for bit what
+        a lone pair computes. A pair's byte-equal operands (an
+        InteriorPair's X and Y) are analysed once and share the
+        result."""
+        for sides, store, analyse in ((decs, self.decs, _decompose_stack),
+                                      (moduli, self.mods, _modulus_stack)):
+            sides = sorted(set(sides) - set(store)) if self.pairs else []
+            if not sides:
+                continue
+            stacks = [getattr(self, side) for side in sides]
+            operands, slots = [], []
+            for i in range(len(self)):
+                own = []  # the pair's operands so far, with their slots
+                for m in (stack[i] for stack in stacks):
+                    slot = next((s for o, s in own if _same_bytes(o, m)), None)
+                    if slot is None:
+                        slot = len(operands)
+                        operands.append(m)
+                        own.append((m, slot))
+                    slots.append(slot)
+            results = analyse(np.stack(operands))
+            for k, side in enumerate(sides):
+                rows = slots[k::len(sides)]
+                store[side] = (results.rows(rows) if store is self.decs
+                               else [results[s] for s in rows])
 
     def columns(self, side: str) -> _Decompositions:
-        """The decompositions of operand ``side`` ("x", "y" or "exp_y")
-        of the pairs, computed for those lacking them in one call."""
-        return self._cached(side, lambda: _gather(
-            _operands(self.pairs, f"_row_{side}")))
+        """The decompositions of operand ``side`` ("x", "y" or "exp_y")."""
+        if side not in self.decs:
+            self.analyse(decs=(side,))
+        return self.decs[side]
+
+    def moduli(self, side: str) -> list:
+        if side not in self.mods:
+            self.analyse(moduli=(side,))
+        return self.mods[side]
 
     def lines(self, side: str) -> tuple:
         """The projections onto the lines Im z = pi and -pi, stacked."""
@@ -382,26 +382,19 @@ def _both_in_strip(run: _Run) -> np.ndarray:
 
 
 def _exp_holds(run: _Run, fact: str) -> np.ndarray:
-    gaps = [getattr(pair, fact) for pair in run.pairs]
-    run.gaps.update(zip(run.open.tolist(), gaps))
-    return np.array(gaps) <= GATE_TOL
-
-
-def _normal(run: _Run, side: str) -> np.ndarray:
-    """Whether each open pair's operand decomposed without NotNormal."""
-    errors = run.chunk.columns(side).errors
-    return np.array([not isinstance(errors[i], NotNormal)
-                     for i in run.open.tolist()], dtype=bool)
+    gaps = run.array(fact)
+    run.gaps.update(zip(run.open.tolist(), gaps.tolist()))
+    return gaps <= GATE_TOL
 
 
 # Hypothesis gates: name -> (test on the open pairs of a run, note of the
 # skipped report). A strip gate reads a decomposition, so a normality gate
 # must precede it.
 _GATES = {
-    "normal": (lambda r: _normal(r, "x") & _normal(r, "y"),
+    "normal": (lambda r: r.array("normal_x") & r.array("normal_y"),
                "inputs must both be normal"),
-    "normal_x": (lambda r: _normal(r, "x"), "X must be normal"),
-    "normal_y": (lambda r: _normal(r, "y"), "Y must be normal"),
+    "normal_x": (lambda r: r.array("normal_x"), "X must be normal"),
+    "normal_y": (lambda r: r.array("normal_y"), "Y must be normal"),
     "hermitian_x": (lambda r: r.array("hermitian_x"),
                     "X must be self-adjoint"),
     "strip": (_both_in_strip,
@@ -423,8 +416,9 @@ def _chunkwise(check):
     @wraps(check)
     def call(pairs):
         if isinstance(pairs, PairAnalysis):
-            return _unwrap(check(_Chunk([pairs]))[0])
-        return check(pairs if isinstance(pairs, _Chunk) else _Chunk(pairs))
+            return _unwrap(check(pairs._chunk)[0])
+        chunk = pairs if isinstance(pairs, _Chunk) else _Chunk(pairs)
+        return check(chunk) if len(chunk) else []
     return call
 
 
@@ -477,16 +471,19 @@ def run_check(name: str, pair: PairAnalysis) -> CheckReport:
 
 def run_checks(names, pairs) -> list:
     """Run each named check once over the chunk ``pairs``: each pair's
-    reports, in the order of ``names``. The operands the checks read are
-    first decomposed in one stacked call, and their moduli taken in one
-    more (:func:`_analyse`). Raises what looping over each pair, then
+    reports, in the order of ``names``. The chunk's analysis is made
+    once: the operands the checks read are first decomposed in one
+    stacked call, and their moduli taken in one more
+    (:meth:`_Chunk.analyse`). Raises what looping over each pair, then
     each check, would raise first; ``check_<name>`` is looked up as
     :func:`run_check` does."""
     unknown = [name for name in names if name not in CHECK_NAMES]
     if unknown:
         raise ValueError(f"unknown checks {unknown}")
     chunk = _Chunk(pairs)
-    _analyse(chunk.pairs, {fact for name in names for fact in _READS[name]})
+    reads = [_READS.get(name, (("x", "y"), ())) for name in names]
+    chunk.analyse(*({side for read in reads for side in read[k]}
+                    for k in (0, 1)))
     columns = [globals()[f"check_{name}"](chunk) for name in names]
     return [[_unwrap(entry) for entry in row] for row in zip(*columns)]
 
@@ -608,10 +605,11 @@ def check_spectral_agreement(run: _Run):
                     "included)")
 
 
-def _read_moduli(*facts: str):  # a failed modulus ends its pair
+def _read_moduli(*sides: str):  # a failed modulus ends its pair
     def step(run: _Run) -> None:
-        _analyse(run.pairs, facts)
-        found = [[vars(p)[fact] for fact in facts] for p in run.pairs]
+        run.chunk.analyse(moduli=sides)
+        found = [[run.chunk.moduli(side)[i] for side in sides]
+                 for i in run.open.tolist()]
         errors = [next((m for m in ms if isinstance(m, NormLogError)), None)
                   for ms in found]
         run.end(errors)
@@ -620,7 +618,7 @@ def _read_moduli(*facts: str):  # a failed modulus ends its pair
     return step
 
 
-@_gated("normal", "strip", "exp", _read_moduli("_modulus_x", "_modulus_y"))
+@_gated("normal", "strip", "exp", _read_moduli("x", "y"))
 def check_modulus_equal(run: _Run):
     """|X| = |Y| for normal X, Y with spectra in the strip and e^X = e^Y."""
     mx, my = run.moduli
@@ -628,7 +626,7 @@ def check_modulus_equal(run: _Run):
                                      run.array("norm_x"))})
 
 
-@_gated("normal_x", "strip_x", "exp", _read_moduli("_modulus_x"))
+@_gated("normal_x", "strip_x", "exp", _read_moduli("x"))
 def check_modulus_commute(run: _Run):
     """|X| commutes with Y for normal X (spectrum in the strip) and any
     bounded Y with e^X = e^Y."""
@@ -757,13 +755,13 @@ def _congruence_reports(chunk: _Chunk) -> list:
     nearest = np.where(k != 0, abs(gap - TWO_PI * k), np.inf).min(axis=(1, 2))
     real = ~(abs(cols.lam.imag) > BOUNDARY_TOL).any(axis=1)
     out = []
-    for pair, error, real_x, near in zip(chunk.pairs, cols.errors,
-                                         real.tolist(), nearest.tolist()):
+    for i, (error, real_x, near) in enumerate(zip(cols.errors, real.tolist(),
+                                                  nearest.tolist())):
         if error or not real_x:
             out.append(error or _fail("congruence_free", "input must be "
                                       "self-adjoint (real spectrum)"))
             continue
-        radius = CLUSTER_TOL * max(1.0, pair.dec_x.norm)
+        radius = CLUSTER_TOL * max(1.0, cols[i].norm)
         out.append(CheckReport(
             check_name="congruence_free", passed=near > radius,
             hypothesis_met=True,
@@ -779,17 +777,18 @@ def check_congruence_free(chunk: _Chunk) -> list:
     """No two eigenvalues of a self-adjoint X differ by a nonzero
     multiple of 2*pi (within the cluster radius). Y is not read.
 
-    The report is computed once per pair and shared with
-    :func:`check_double_commutant`, whose hypothesis it is.
+    The reports are computed once per chunk and shared with
+    :func:`check_double_commutant`, whose hypothesis they are.
     Raises NotNormal when X is not normal.
     """
-    return _facts(chunk, "congruence")
+    return list(chunk.congruence)
 
 
 def _congruence_free(run: _Run) -> None:  # and a normal Y decomposes
-    reports = [_facts(run.chunk, "congruence")[i] for i in run.open.tolist()]
+    reports = [run.chunk.congruence[i] for i in run.open.tolist()]
     run.end([r if isinstance(r, Exception) else None for r in reports])
-    run.skip(np.array([not p.congruence.passed for p in run.pairs]),
+    run.skip(np.array([not r.passed for r in reports
+                       if not isinstance(r, Exception)]),
              "spectrum is not 2*pi-congruence-free; hypothesis not met")
     errors = run.chunk.columns("y").errors
     run.end([None if isinstance(errors[i], NotNormal) else errors[i]
@@ -832,12 +831,12 @@ def check_double_commutant(run: _Run):
     commutant basis.
     """
     chunk, pairs = run.chunk, run.pairs
-    normal = _normal(run, "y")
+    normal = run.array("normal_y")
     worst = np.zeros(len(pairs))
     worst[normal] = _projection_distances(
         chunk.columns("x"), chunk.columns("y"), run.open[normal])
     for j in np.flatnonzero(~normal).tolist():
-        y, dec = pairs[j].y, pairs[j].dec_x
+        y, dec = pairs[j].y, chunk.columns("x")[int(run.open[j])]
         basis = commutant_basis(y)
         worst[j] = max(in_double_commutant(dec.projection(c), y,
                                            basis=basis)[1]

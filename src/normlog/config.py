@@ -15,7 +15,8 @@ multiplies by the appropriate norm/dimension scale as documented there.
 HERM_TOL = 1e-10
 # Normality test: ||X*X - XX*|| <= NORM_TOL * ||X||^2.
 NORM_TOL = 1e-10
-# Commutation precondition: ||AB - BA|| <= COMM_TOL * max(1, ||A|| ||B||).
+# Commutation precondition of simultaneous_diagonalize:
+# ||AB - BA|| <= COMM_TOL * max(1, ||A|| ||B||).
 COMM_TOL = 1e-10
 # Default pass/fail threshold of the identity checks.
 CHECK_TOL = 1e-8

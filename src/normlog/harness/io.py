@@ -41,11 +41,13 @@ def matrix_to_obj(m) -> dict:
 
 def matrix_from_obj(obj: dict) -> np.ndarray:
     """The matrix of a matrix object. Raises ValueError unless ``obj`` is
-    an object whose ``entries`` are ``n`` rows of ``n`` ``[re, im]`` pairs
-    of numbers."""
+    an object whose ``n`` is an integer (not a boolean) and whose
+    ``entries`` are ``n`` rows of ``n`` ``[re, im]`` pairs of numbers."""
     if not isinstance(obj, dict):
         raise ValueError(f"a matrix must be an object, got {obj!r}")
-    n = int(obj["n"])
+    n = obj.get("n")
+    if type(n) is not int:
+        raise ValueError(f"n must be an integer, got {n!r}")
     entries = obj["entries"]
     if not (isinstance(entries, list) and len(entries) == n and all(
             isinstance(row, list) and len(row) == n and all(

@@ -130,7 +130,7 @@ def _run_chunk(task) -> list[dict]:
         # the build's self-test measured the exponential gap on these arrays
         pair = analyze_pair(x, y, metadata, check_tol, exp_gap=(
             metadata["equation"], metadata["self_test_residual"]))
-        pair.exp_y = exp_y  # the cached fact, bit for bit exp_general(y)
+        pair.exp_y = exp_y  # bit for bit exp_general(y)
         pairs.append(pair)
     rows = []
     # each check runs once over the chunk; the rows stay pair-major

@@ -157,8 +157,8 @@ def simultaneous_diagonalize(a, b) -> np.ndarray:
 
     Diagonalizes ``a`` first, then re-diagonalizes the compression of
     ``b`` inside every eigenvalue cluster of ``a``. Returns a unitary
-    ``v`` with both ``v* a v`` and ``v* b v`` diagonal. The commutation
-    test and the re-diagonalization are those of
+    ``v`` with both ``v* a v`` and ``v* b v`` diagonal. The
+    re-diagonalization is that of
     :func:`~normlog.spectral.normal_eig_stack`, on a stack of one.
 
     Raises
@@ -210,12 +210,14 @@ def _common_eigenbases(a: np.ndarray, b: np.ndarray, norms=None):
 
     Returns ``(v, errors)``: ``v[i]`` diagonalizes both matrices of pair i
     if ``errors[i]`` is None. Otherwise ``errors[i]`` is NotCommuting, for
-    ``||ab - ba|| > COMM_TOL * max(1, ||a|| ||b||)``, or, with ``norms``
-    (an array), where pair i is Re X, Im X of a matrix X with
-    ``||X|| = norms[i]``, NotNormal, tested first as :func:`is_normal`
-    tests it.
+    ``||ab - ba|| > COMM_TOL * max(1, ||a|| ||b||)``. With ``norms`` (an
+    array), pair i is Re X, Im X of a matrix X with ``||X|| = norms[i]``,
+    and normality alone decides, as :func:`is_normal` tests it: the error
+    is NotNormal. Since X*X - XX* = 2i [Re X, Im X], the commutation test
+    adds nothing once X is normal, and its absolute floor would reject a
+    nearly Hermitian X whose commutator grows as u ||X||^2.
 
-    The commutators, the ``eigh`` of the ``a[i]``, the norms, both tests
+    The commutators, the ``eigh`` of the ``a[i]``, the norms, the test
     and the sweep for runs of eigenvalues of ``a[i]`` closer than the
     cluster radius are array code over the whole stack. The compressions
     V_c* b V_c of ``b[i]`` to the multi-column runs are gathered,
@@ -227,18 +229,18 @@ def _common_eigenbases(a: np.ndarray, b: np.ndarray, norms=None):
     residual, norm_a = _frob_stack(comm), _frob_stack(a)
     # max(1, .) keeps the bound above rounding noise when either part is
     # near zero (e.g. the Hermitian part of a skew-adjoint input)
-    bound = COMM_TOL * np.maximum(1.0, norm_a * _frob_stack(b))
-    commuting = ~(residual > bound)
-    normal = (np.ones(len(a), dtype=bool) if norms is None
-              else _normality_holds(norms, residual))
     errors: list = [None] * len(a)
-    for i in np.flatnonzero(~normal).tolist():
-        errors[i] = NotNormal(f"commutator of X with X* has norm "
-                              f"{2 * residual[i].item():.3e}")
-    for i in np.flatnonzero(normal & ~commuting).tolist():
-        errors[i] = NotCommuting(
-            f"commutator norm {residual[i].item():.3e} exceeds "
-            f"{COMM_TOL:.1e} * max(1, ||A|| ||B||)")
+    if norms is None:
+        ok = ~(residual > COMM_TOL * np.maximum(1.0, norm_a * _frob_stack(b)))
+        for i in np.flatnonzero(~ok).tolist():
+            errors[i] = NotCommuting(
+                f"commutator norm {residual[i].item():.3e} exceeds "
+                f"{COMM_TOL:.1e} * max(1, ||A|| ||B||)")
+    else:
+        ok = _normality_holds(norms, residual)
+        for i in np.flatnonzero(~ok).tolist():
+            errors[i] = NotNormal(f"commutator of X with X* has norm "
+                                  f"{2 * residual[i].item():.3e}")
     # runs of eigenvalues of a[i] no farther apart than the cluster
     # radius, as (pair, first column, length); every row starts a run, so
     # in the flat (pair, column) order each run ends where the next begins
@@ -250,7 +252,7 @@ def _common_eigenbases(a: np.ndarray, b: np.ndarray, norms=None):
     at = np.flatnonzero(starts)
     length = np.diff(at, append=wa.size)
     pair, first = np.divmod(at, wa.shape[1])
-    keep = (length > 1) & (normal & commuting)[pair]
+    keep = (length > 1) & ok[pair]
     pair, first, length = pair[keep], first[keep], length[keep]
     # the compressions of b to the runs of one length share one stacked
     # eigh; the runs of a basis are disjoint column ranges

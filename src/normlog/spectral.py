@@ -355,17 +355,10 @@ class _Decompositions:
         """Each column's cluster index."""
         return np.cumsum(self.start, axis=1) - 1
 
-
-def _gather(rows) -> _Decompositions:
-    """The rows ``(record, i)`` of one or more records as one record."""
-    records = list({id(record): record for record, _ in rows}.values())
-    first = dict(zip(map(id, records),
-                     np.cumsum([0] + [len(r) for r in records]).tolist()))
-    idx = [first[id(record)] + i for record, i in rows]
-    errors = [error for r in records for error in r.errors]
-    return _Decompositions(*(
-        np.concatenate([getattr(r, name) for r in records])[idx]
-        for name in ("vt", "lam", "start")), [errors[i] for i in idx])
+    def rows(self, idx: list) -> _Decompositions:
+        """Entries ``idx`` (a list; one may repeat) as one record."""
+        return _Decompositions(self.vt[idx], self.lam[idx], self.start[idx],
+                               [self.errors[i] for i in idx])
 
 
 def _select_stack(v: np.ndarray, masks: np.ndarray) -> np.ndarray:
@@ -454,9 +447,10 @@ def _decompose_stack(x: np.ndarray) -> _Decompositions:
     stack, as one record.
 
     One commutator of the Hermitian parts per matrix decides normality,
-    as :func:`~normlog.linalg.is_normal` does, then their commutation.
+    as :func:`~normlog.linalg.is_normal` does; a normal matrix's parts
+    need no further commutation test.
     The norms, the commutators, the ``eigh`` of the Re(X), the diagonal
-    products V* Re(X) V and V* Im(X) V, both tests and the sweeps of
+    products V* Re(X) V and V* Im(X) V, the test and the sweeps of
     :func:`_isolated` are array code over the whole stack, one BLAS or
     LAPACK call per matrix, so each entry is computed as if alone. A
     matrix whose sweeps leave only single eigenvalues has one cluster per

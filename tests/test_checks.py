@@ -29,7 +29,6 @@ from normlog.config import BOUNDARY_TOL, CLUSTER_TOL, GATE_TOL
 from normlog.errors import (
     AmbiguousBoundary,
     NormLogError,
-    NotCommuting,
     NotNormal,
     SpectrumOutOfRange,
 )
@@ -56,7 +55,7 @@ from normlog.spectral import (
     strip_projections,
 )
 
-from util import random_normal_matrix, record_of
+from util import random_normal_matrix, record_of, validate_decomposition
 
 PI = math.pi
 
@@ -82,15 +81,41 @@ class TestPairAnalysis:
             with pytest.raises(NotNormal):
                 pair.dec_y
 
+    @pytest.mark.parametrize("fact, non_normal", [
+        ("congruence", "x"), ("dec_x", "x"), ("dec_y", "y")])
+    def test_failed_fact_raises_on_every_read(self, fact, non_normal):
+        nilpotent = np.array([[0, 1], [0, 0]], dtype=complex)
+        operands = {"x": (nilpotent, np.eye(2)),
+                    "y": (np.eye(2), nilpotent)}[non_normal]
+        pair = PairAnalysis(*operands)
+        for _ in range(3):
+            with pytest.raises(NotNormal):
+                getattr(pair, fact)
+
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_failed_modulus_raises_on_every_read(self, side):
+        # M*M overflows, so the modulus of M fails; the other one's holds
+        big = np.diag([1e200, 1.0]).astype(complex)
+        operands = {"x": (big, np.eye(2)), "y": (np.eye(2), big)}[side]
+        pair = PairAnalysis(*operands)
+        other = "y" if side == "x" else "x"
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(3):
+                with pytest.raises(ValueError, match="finite"):
+                    getattr(pair, f"modulus_{side}")
+            assert np.array_equal(getattr(pair, f"modulus_{other}"),
+                                  np.eye(2))
+
     def test_normal_input_whose_parts_fail_to_commute(self):
         # normal within NORM_TOL, but its Hermitian parts fail the tighter
-        # commutation test of the simultaneous diagonalization
+        # commutation test of simultaneous_diagonalize: normality alone
+        # decides, and the decomposition meets criterion 1
         x = np.diag([100.0, 0.0]) + 1e-10j * np.array([[0, 1], [1, 0]])
         pair = PairAnalysis(x, x)
         assert is_normal(x) and pair.normal_x is True
         for _ in range(2):
-            with pytest.raises(NotCommuting):
-                pair.dec_x
+            assert (validate_decomposition(pair.dec_x, x)["reconstruction"]
+                    <= 1e-10 * 2 * frob(x))
 
     def test_moduli_taken_for_the_checks_that_read_them(self, monkeypatch):
         operands = [make_pair(InstanceSpec(family, 4, seed))[:2]
@@ -100,7 +125,7 @@ class TestPairAnalysis:
         lone = [PairAnalysis(x, y) for x, y in operands]
         want = [(alone.modulus_x.tobytes(), alone.modulus_y.tobytes())
                 for alone in lone]
-        calls = _spy(monkeypatch, "_modulus_stack")
+        calls = _spy(monkeypatch, "_modulus_stack", bytes_of=True)
         cases = {("modulus_equal",): ("x", "y"),
                  ("real_part", "modulus_commute"): ("x",),
                  ("real_part", "kurepa"): ()}
@@ -108,27 +133,31 @@ class TestPairAnalysis:
             calls.clear()
             pairs = [PairAnalysis(x, y) for x, y in operands]
             run_checks(checks, pairs)
-            # one stacked call for the chunk
-            assert len(calls) == (1 if taken else 0)
-            for pair, ref in zip(pairs, want):
+            # one stacked call for the chunk, of the operands read
+            stack = [m.tobytes() for ms in operands
+                     for side, m in zip("xy", ms) if side in taken]
+            assert calls == ([stack] if taken else [])
+            chunk = normlog.checks._Chunk(pairs)
+            chunk.analyse(moduli=taken)
+            for i, ref in enumerate(want):
                 for side, ref_side in zip("xy", ref):
-                    assert (f"_modulus_{side}" in vars(pair)) == (side in taken)
+                    assert (side in chunk.mods) == (side in taken)
                     if side in taken:
-                        assert (getattr(pair, f"modulus_{side}").tobytes()
-                                == ref_side)
+                        assert chunk.moduli(side)[i].tobytes() == ref_side
 
-    def test_x_only_checks_leave_y_to_first_use(self):
+    def test_x_only_checks_leave_y_to_first_use(self, monkeypatch):
         operands = [make_pair(InstanceSpec(family, 4, seed))[:2]
                     for family in (Family.BOUNDARY_FLIP_PAIR,
                                    Family.NON_NORMAL_LOG_PAIR)
                     for seed in range(3)]
         pairs = [PairAnalysis(x, y) for x, y in operands]
-        run_checks(("modulus_commute", "square_commute", "congruence_free"),
-                   pairs)
+        with monkeypatch.context() as m:
+            decomposed = _spy(m, "_decompose_stack", bytes_of=True)
+            run_checks(("modulus_commute", "square_commute",
+                        "congruence_free"), pairs)
+        # X alone is decomposed, neither Y nor e^Y
+        assert decomposed == [[x.tobytes() for x, _ in operands]]
         for pair, (x, y) in zip(pairs, operands):
-            assert "_row_x" in vars(pair)
-            assert "_row_y" not in vars(pair)
-            assert "_row_exp_y" not in vars(pair)
             # read later, Y's decomposition is the lone one
             assert _same_attempt(_attempt(pair, "y"), _lone_attempt(y))
             assert _same_attempt(_attempt(pair, "x"), _lone_attempt(x))
@@ -147,10 +176,12 @@ class TestPairAnalysis:
             (stack,) = stacks[name]
             assert sorted(stack) == sorted(
                 [x.tobytes() for x, _ in interior] + [m.tobytes() for m in signed])
-        for pair in pairs[:3]:
-            assert vars(pair)["_row_x"] == vars(pair)["_row_y"]
-            assert pair.modulus_x is pair.modulus_y
-        assert vars(pairs[3])["_row_x"] != vars(pairs[3])["_row_y"]
+        # the chunk's X and Y share each byte-equal pair's result
+        chunk = normlog.checks._Chunk(pairs)
+        chunk.analyse(("x", "y"), ("x", "y"))
+        for i in range(3):
+            assert chunk.moduli("x")[i] is chunk.moduli("y")[i]
+        assert chunk.moduli("x")[3] is not chunk.moduli("y")[3]
         for pair, (x, y) in zip(pairs, interior + [signed]):
             assert _same_attempt(_attempt(pair, "y"), _lone_attempt(y))
             assert pair.modulus_y.tobytes() == PairAnalysis(x, y).modulus_y.tobytes()
@@ -212,13 +243,16 @@ class TestPairAnalysis:
             y = np.array([[0, 1], [0, 0]], dtype=complex)
             if n == 2:
                 pairs.append(PairAnalysis(y, y))
-            chunk = [row[0] for row in run_checks(("kurepa",), pairs)]
+                pairs[-1].exp_y = normlog.logs.exp_general(y)
             with monkeypatch.context() as m:
                 for module in (normlog.checks, normlog.logs):
                     m.setattr(module, "exp_general", _not_called)
-                m.setattr(normlog.checks, "_decompose_stack", _not_called)
                 m.setattr(normlog.logs, "normal_eig", _not_called)
+                decomposed = _spy(m, "_decompose_stack")
+                chunk = [row[0] for row in run_checks(("kurepa",), pairs)]
                 reports = [check_kurepa(pair) for pair in pairs]
+                # one stacked call for the chunk, one per chunk of one
+                assert decomposed == [len(pairs)] + [1] * len(pairs)
                 splits = [_kurepa_splits(pair.y[None],
                                          [_attempt(pair, "exp_y")])[0]
                           if rep.hypothesis_met
@@ -346,8 +380,7 @@ def _spy(monkeypatch, name, bytes_of=False) -> list:
 
 def _attempt(pair, side):
     """The pair's decomposition of operand ``side``, or its error."""
-    (record, i), = normlog.checks._operands([pair], f"_row_{side}")
-    return record[i]
+    return pair._chunk.columns(side)[0]
 
 
 def _lone_attempt(m):
@@ -1019,29 +1052,21 @@ _CHUNK_CASES = [(family, n) for family in Family for n in (1, 2, 8, 16, 64)
 
 
 def _chunk(specs, extra=()):
-    """Pairs built and decomposed as the suite builds a chunk, then the
-    ``extra`` pairs."""
+    """Pairs built as the suite builds a chunk, then the ``extra``
+    pairs."""
     pairs = []
     for x, y, meta, exp_y in _make_pairs(specs):
         pair = analyze_pair(x, y, meta, exp_gap=(
             meta["equation"], meta["self_test_residual"]))
         pair.exp_y = exp_y
         pairs.append(pair)
-    pairs += extra
-    normlog.checks._analyse(pairs, {fact for reads in
-                                    normlog.checks._READS.values()
-                                    for fact in reads})
-    return pairs
+    return pairs + list(extra)
 
 
 def _alone(pair):
-    """A fresh analysis of the pair, with the exponential gaps it holds."""
-    lone = PairAnalysis(pair.x, pair.y, check_tol=pair.check_tol,
-                        k_lo=pair.k_lo, k_hi=pair.k_hi)
-    for fact in ("exp_residual", "exp_i_residual"):
-        if fact in vars(pair):
-            vars(lone)[fact] = vars(pair)[fact]
-    return lone
+    """A fresh analysis of the pair, with the exponential gap it holds."""
+    return PairAnalysis(pair.x, pair.y, check_tol=pair.check_tol,
+                        k_lo=pair.k_lo, k_hi=pair.k_hi, exp_gap=pair.exp_gap)
 
 
 def _lone_entry(name, pair):
@@ -1123,12 +1148,11 @@ class TestChunkNativeChecks:
 
     def test_chunk_raises_the_first_pair_major_error(self):
         # the band pair raises in difference_formula; the pair after it,
-        # normal but with non-commuting parts, in spectral_agreement
-        x = np.diag([100.0, 0.0, 1.0, 2.0]).astype(complex)
-        x[0, 1] = x[1, 0] = 1e-10j
+        # whose X is not normal, in congruence_free
+        x = np.eye(4, k=1, dtype=complex)
         broken = PairAnalysis(x, x)
         band = _band_pair(1e-9, -1, 0, seed=0)
-        names = ("spectral_agreement", "difference_formula", "real_part")
+        names = ("congruence_free", "difference_formula", "real_part")
         pairs = _chunk([InstanceSpec(Family.INTERIOR_PAIR, 4, 0)],
                        [band, broken])
         pairs += _chunk([InstanceSpec(Family.INTERIOR_PAIR, 4, 1)])
@@ -1140,11 +1164,11 @@ class TestChunkNativeChecks:
         # each check keeps its error per entry
         entries = check_difference_formula(pairs)
         assert [type(e) for e in entries] == [
-            CheckReport, AmbiguousBoundary, NotCommuting, CheckReport]
-        assert isinstance(check_spectral_agreement(pairs)[2], NotCommuting)
+            CheckReport, AmbiguousBoundary, CheckReport, CheckReport]
+        assert isinstance(check_congruence_free(pairs)[2], NotNormal)
         _assert_chunk_equals_lone(pairs)
         # without the band pair, the broken pair's first error
-        with pytest.raises(NotCommuting):
+        with pytest.raises(NotNormal):
             normlog.checks.run_checks(names, pairs[:1] + pairs[2:])
 
     def test_each_check_runs_once_per_chunk(self, monkeypatch):

@@ -992,7 +992,20 @@ class TestCli:
           "y": {"n": 1, "entries": [[[0.0, 0.0]]]}},
          "entries must be 1 rows of 1 [re, im] pairs of numbers"),
         ([1, 2], "a pair file must hold an object, got [1, 2]"),
-    ], ids=["string-entry", "entries-int", "document-list"])
+        ({"x": {"n": None, "entries": [[[0.0, 0.0]]]},
+          "y": {"n": 1, "entries": [[[0.0, 0.0]]]}},
+         "n must be an integer, got None"),
+        ({"x": {"n": 1, "entries": [[[0.0, 0.0]]]},
+          "y": {"n": 1.7, "entries": [[[0.0, 0.0]]]}},
+         "n must be an integer, got 1.7"),
+        ({"x": {"n": True, "entries": [[[0.0, 0.0]]]},
+          "y": {"n": 1, "entries": [[[0.0, 0.0]]]}},
+         "n must be an integer, got True"),
+        ({"x": {"n": 2, "entries": [[[0.0, 0.0]]]},
+          "y": {"n": 1, "entries": [[[0.0, 0.0]]]}},
+         "entries must be 2 rows of 2 [re, im] pairs of numbers"),
+    ], ids=["string-entry", "entries-int", "document-list", "n-null",
+            "n-float", "n-bool", "n-not-the-row-count"])
     def test_malformed_pair_file_exits_2(self, tmp_path, capsys, doc,
                                          message):
         path = tmp_path / "pair.json"

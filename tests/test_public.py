@@ -70,6 +70,11 @@ def test_reexports_are_public_in_their_module(package):
     ("config", "Tolerances"),
     ("config", "DEFAULT_TOL"),
     ("checks", "decompose_pairs"),
+    ("checks", "_Stacked"),
+    ("checks", "_facts"),
+    ("checks", "_operands"),
+    ("checks", "_analyse"),
+    ("spectral", "_gather"),
 ])
 def test_deleted_names_are_gone(module, name):
     assert not hasattr(importlib.import_module(f"normlog.{module}"), name)

@@ -8,7 +8,7 @@ import normlog.checks
 import normlog.harness.generators
 import normlog.spectral
 import util
-from normlog.checks import PairAnalysis, run_checks
+from normlog.checks import PairAnalysis
 from normlog.errors import ConstructionFailed
 from normlog.harness import Family, InstanceSpec, default_config, make_pair
 from normlog.harness.generators import make_pairs
@@ -184,7 +184,6 @@ class TestInteriorMeasureSlots:
         if any(isinstance(_oracle(spec), ConstructionFailed) for spec in specs):
             return
         pairs = [PairAnalysis(x, y) for x, y, _ in make_pairs(specs)]
-        run_checks(["spectral_agreement"], pairs)
         for chunk in (pairs[:1], pairs[:2], pairs):
             c = normlog.checks._Chunk(chunk)
             cols_x, cols_y = c.columns("x"), c.columns("y")

@@ -4,8 +4,8 @@ import math
 
 import numpy as np
 
-from normlog.config import CHECK_TOL, CLUSTER_TOL, COMM_TOL
-from normlog.errors import ConstructionFailed, NotCommuting, NotNormal
+from normlog.config import CHECK_TOL, CLUSTER_TOL
+from normlog.errors import ConstructionFailed, NotNormal
 from normlog.harness import Family, mix64, random_unitary
 from normlog.linalg import (_eigh, _frob_stack, _normality_holds, dagger, frob,
                             im_part, re_part)
@@ -437,7 +437,8 @@ def scalar_normal_eig(x, merge=scalar_merge):
     """``normal_eig(x)`` as one matrix was decomposed alone: ``eigh`` of
     Re X, each run of close eigenvalues re-resolved by the ``eigh`` of the
     compression of Im X, clusters by ``merge`` with their means, sorted by
-    (Re, Im). Returns the decomposition, or the NormLogError type."""
+    (Re, Im). Returns the decomposition, or NotNormal: normality alone
+    decides."""
     x = np.asarray(x, dtype=complex)[None]
     re, im = re_part(x), im_part(x)
     norms = _frob_stack(x)
@@ -445,8 +446,6 @@ def scalar_normal_eig(x, merge=scalar_merge):
     residual, norm_a = _frob_stack(re @ im - im @ re), _frob_stack(re)
     if not _normality_holds(norms, residual)[0]:
         return NotNormal
-    if residual[0] > COMM_TOL * max(1.0, (norm_a * _frob_stack(im))[0]):
-        return NotCommuting
     vi = v[0]
     for sl in _cluster_slices(wa[0], CLUSTER_TOL * max(1.0, norm_a[0])):
         if sl.stop - sl.start > 1:
