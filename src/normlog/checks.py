@@ -88,8 +88,10 @@ class PairAnalysis:
     the exponential gaps, moduli, residuals and the congruence report --
     read row 0 of its own chunk of one, made on first read, so the
     checks run on one pair never repeat a decomposition or an
-    exponential. A fact that failed, such as the decomposition of a
-    non-normal X, raises its error on every read.
+    exponential. After :func:`run_checks`, that chunk of one holds the
+    pair's row of every fact the run computed. A fact that failed, such
+    as the decomposition of a non-normal X, raises its error on every
+    read.
     ``check_tol`` is the pass/fail threshold of its checks; every other
     threshold is a constant of :mod:`normlog.config`. ``[k_lo, k_hi]`` is
     the branch window of :func:`check_difference_formula`.
@@ -118,10 +120,15 @@ class PairAnalysis:
                                  f"one of {sorted(_EQUATIONS)}")
         self.exp_gap = exp_gap
         self._exp_y = None
+        self._source = None  # the last run_checks chunk's facts, and row
 
     @cached_property
     def _chunk(self) -> _Chunk:
-        return _Chunk([self])
+        chunk = _Chunk([self])
+        if self._source is not None:
+            facts, i = self._source
+            vars(chunk).update(_row_of(facts, i))
+        return chunk
 
     normal_x = _Row()
     normal_y = _Row()
@@ -130,8 +137,10 @@ class PairAnalysis:
     commutator_residual = _Row(doc="Relative norm of XY - YX.")
     real_part_residual = _Row(doc="Relative norm of Re(X) - Re(Y).")
     hermitian_x = _Row()
-    exp_residual = _Row(doc="Relative gap between exp(X) and exp(Y).")
-    exp_i_residual = _Row(doc="Relative gap between exp(iX) and exp(Y).")
+    exp_residual = _Row(lambda c: c.exp_gaps("exp(X)=exp(Y)", [0]).tolist(),
+                        "Relative gap between exp(X) and exp(Y).")
+    exp_i_residual = _Row(lambda c: c.exp_gaps("exp(iX)=exp(Y)", [0]).tolist(),
+                          "Relative gap between exp(iX) and exp(Y).")
     congruence = _Row(lambda c: c.congruence,
                       "The report of check_congruence_free; raises NotNormal "
                       "if X is not normal.")
@@ -149,16 +158,6 @@ class PairAnalysis:
     @exp_y.setter
     def exp_y(self, value) -> None:
         self._exp_y = value
-
-
-def _exp_gap_stack(chunk: _Chunk, equation: str) -> np.ndarray:
-    """Each pair's gap of ``equation``: the one it was given, else
-    measured on its exponentials."""
-    scale = 1j if equation == "exp(iX)=exp(Y)" else 1
-    return np.array([
-        p.exp_gap[1] if p.exp_gap is not None and p.exp_gap[0] == equation
-        else _exp_gaps(exp_general(scale * p.x)[None], chunk.exp_y[i][None])[0]
-        for i, p in enumerate(chunk.pairs)])
 
 
 def _normal(chunk: _Chunk, side: str) -> np.ndarray:
@@ -181,8 +180,6 @@ _SCALARS = {
         _frob_stack(re_part(c.x) - re_part(c.y)), c.array("norm_x")),
     "hermitian_x": lambda c: (_frob_stack(c.x - dagger(c.x))
                               <= HERM_TOL * np.maximum(1.0, c.array("norm_x"))),
-    "exp_residual": lambda c: _exp_gap_stack(c, "exp(X)=exp(Y)"),
-    "exp_i_residual": lambda c: _exp_gap_stack(c, "exp(iX)=exp(Y)"),
 }
 
 # The operands each check reads: those it decomposes (a normality gate
@@ -199,8 +196,9 @@ class _Chunk:
     their facts: the operand stacks, each operand's decompositions (one
     record, its failed rows' errors kept per row) and moduli, one array
     per scalar fact and the congruence reports, each computed once for
-    the whole chunk. The e^Y and exponential gaps its pairs were given
-    are rows of its arrays."""
+    the whole chunk. Each pair's e^Y and exponential gaps are computed
+    once, when a row first needs them; those its pairs were given are
+    rows of them."""
 
     def __init__(self, pairs):
         self.pairs = list(pairs)
@@ -222,11 +220,28 @@ class _Chunk:
     def y(self) -> np.ndarray:
         return _stack([p.y for p in self.pairs])
 
-    @cached_property
+    @property
     def exp_y(self) -> np.ndarray:
-        """Each pair's e^Y: the one it was given, else exp_general(y)."""
-        return _stack([exp_general(self.y[i]) if p._exp_y is None
-                       else p._exp_y for i, p in enumerate(self.pairs)])
+        return _stack(self._exp_y_rows(range(len(self))))
+
+    def _exp_y_rows(self, rows) -> list:
+        """The e^Y of ``rows``: each pair's given one, else exp_general(y)."""
+        return self._per_row("exp_y", rows, lambda i: (
+            exp_general(self.y[i]) if self.pairs[i]._exp_y is None
+            else self.pairs[i]._exp_y))
+
+    def exp_gaps(self, equation: str, rows) -> np.ndarray:
+        """The gaps of ``equation`` at ``rows``: each pair's given one,
+        else measured on its exponentials."""
+        scale = 1j if equation == "exp(iX)=exp(Y)" else 1
+
+        def gap(i):
+            given, x = self.pairs[i].exp_gap, self.pairs[i].x
+            if given is not None and given[0] == equation:
+                return given[1]
+            e_y = self._exp_y_rows([i])[0]
+            return _exp_gaps(exp_general(scale * x)[None], e_y[None])[0]
+        return np.array(self._per_row(equation, rows, gap))
 
     @cached_property
     def congruence(self) -> list:
@@ -236,6 +251,15 @@ class _Chunk:
         if key not in self._cache:
             self._cache[key] = compute()
         return self._cache[key]
+
+    def _per_row(self, key, rows, compute) -> list:
+        """Fact ``key`` at ``rows``: ``compute(i)`` for each row i that
+        lacks it."""
+        values = self._cached(key, lambda: [None] * len(self))
+        for i in rows:
+            if values[i] is None:
+                values[i] = compute(i)
+        return [values[i] for i in rows]
 
     def array(self, name: str) -> np.ndarray:
         return self._cached(name, lambda: _SCALARS[name](self))
@@ -285,6 +309,18 @@ class _Chunk:
         cols = self.columns(side)
         return self._cached(f"lines {side}", lambda: tuple(
             _select_stack(cols.v, mask) for mask in _on_lines(cols.lam)))
+
+
+def _row_of(fact, i: int):
+    """Row i of a chunk's fact (of each, in a dict), as the fact of a
+    chunk of one."""
+    if isinstance(fact, dict):
+        return {key: _row_of(value, i) for key, value in fact.items()}
+    if isinstance(fact, _Decompositions):
+        return fact.rows([i])
+    if isinstance(fact, tuple):
+        return tuple(_row_of(part, i) for part in fact)
+    return fact[i:i + 1]  # an array or a list
 
 
 def _on_lines(lam: np.ndarray) -> tuple:
@@ -381,9 +417,10 @@ def _both_in_strip(run: _Run) -> np.ndarray:
     return _strip_of(run, "y")
 
 
-def _exp_holds(run: _Run, fact: str) -> np.ndarray:
-    gaps = run.array(fact)
-    run.gaps.update(zip(run.open.tolist(), gaps.tolist()))
+def _exp_holds(run: _Run, equation: str) -> np.ndarray:
+    rows = run.open.tolist()
+    gaps = run.chunk.exp_gaps(equation, rows)
+    run.gaps.update(zip(rows, gaps.tolist()))
     return gaps <= GATE_TOL
 
 
@@ -403,9 +440,9 @@ _GATES = {
                 "spectrum of X must lie in |Im z| <= pi"),
     "strip_y": (lambda r: _strip_of(r, "y"),
                 "spectrum of Y must lie in |Im z| <= pi"),
-    "exp": (lambda r: _exp_holds(r, "exp_residual"),
+    "exp": (lambda r: _exp_holds(r, "exp(X)=exp(Y)"),
             "exponentials differ; hypothesis not met"),
-    "exp_i": (lambda r: _exp_holds(r, "exp_i_residual"),
+    "exp_i": (lambda r: _exp_holds(r, "exp(iX)=exp(Y)"),
               "exp(iX) and exp(Y) differ; hypothesis not met"),
 }
 
@@ -474,7 +511,8 @@ def run_checks(names, pairs) -> list:
     reports, in the order of ``names``. The chunk's analysis is made
     once: the operands the checks read are first decomposed in one
     stacked call, and their moduli taken in one more
-    (:meth:`_Chunk.analyse`). Raises what looping over each pair, then
+    (:meth:`_Chunk.analyse`). Each pair's chunk of one then reads its
+    rows of the facts computed. Raises what looping over each pair, then
     each check, would raise first; ``check_<name>`` is looked up as
     :func:`run_check` does."""
     unknown = [name for name in names if name not in CHECK_NAMES]
@@ -485,6 +523,12 @@ def run_checks(names, pairs) -> list:
     chunk.analyse(*({side for read in reads for side in read[k]}
                     for k in (0, 1)))
     columns = [globals()[f"check_{name}"](chunk) for name in names]
+    # not the pairs: a pair holding them would keep every other pair alive
+    facts = {key: value for key, value in vars(chunk).items()
+             if key not in ("pairs", "n")}
+    for i, pair in enumerate(chunk.pairs):
+        pair._source = (facts, i)
+        vars(pair).pop("_chunk", None)  # one made before is made again
     return [[_unwrap(entry) for entry in row] for row in zip(*columns)]
 
 

@@ -16,7 +16,8 @@ HERM_TOL = 1e-10
 # Normality test: ||X*X - XX*|| <= NORM_TOL * ||X||^2.
 NORM_TOL = 1e-10
 # Commutation precondition of simultaneous_diagonalize:
-# ||AB - BA|| <= COMM_TOL * max(1, ||A|| ||B||).
+# ||AB - BA|| <= COMM_TOL * max(1, ||A|| ||B||). The basis normal_eig
+# returns leaves ||V* X V - diag|| <= COMM_TOL * n * ||X||.
 COMM_TOL = 1e-10
 # Default pass/fail threshold of the identity checks.
 CHECK_TOL = 1e-8

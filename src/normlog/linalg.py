@@ -211,11 +211,13 @@ def _common_eigenbases(a: np.ndarray, b: np.ndarray, norms=None):
     Returns ``(v, errors)``: ``v[i]`` diagonalizes both matrices of pair i
     if ``errors[i]`` is None. Otherwise ``errors[i]`` is NotCommuting, for
     ``||ab - ba|| > COMM_TOL * max(1, ||a|| ||b||)``. With ``norms`` (an
-    array), pair i is Re X, Im X of a matrix X with ``||X|| = norms[i]``,
-    and normality alone decides, as :func:`is_normal` tests it: the error
-    is NotNormal. Since X*X - XX* = 2i [Re X, Im X], the commutation test
-    adds nothing once X is normal, and its absolute floor would reject a
-    nearly Hermitian X whose commutator grows as u ||X||^2.
+    array), pair i is Re X, Im X of a matrix X with ``||X|| = norms[i]``:
+    the error is NotNormal, as :func:`is_normal` tests it, and the
+    commutation test does not apply, since its absolute floor would
+    reject a nearly Hermitian X whose commutator grows as u ||X||^2.
+    Normality does not ensure that ``v[i]`` diagonalizes X: one large
+    eigenvalue lets a block whose parts do not commute pass the test.
+    :func:`~normlog.spectral.normal_eig_stack` checks that.
 
     The commutators, the ``eigh`` of the ``a[i]``, the norms, the test
     and the sweep for runs of eigenvalues of ``a[i]`` closer than the
@@ -227,10 +229,10 @@ def _common_eigenbases(a: np.ndarray, b: np.ndarray, norms=None):
     comm = a @ b - b @ a
     wa, v = _eigh(a)
     residual, norm_a = _frob_stack(comm), _frob_stack(a)
-    # max(1, .) keeps the bound above rounding noise when either part is
-    # near zero (e.g. the Hermitian part of a skew-adjoint input)
     errors: list = [None] * len(a)
     if norms is None:
+        # max(1, .) keeps the bound above rounding noise when either part
+        # is near zero (e.g. the Hermitian part of a skew-adjoint input)
         ok = ~(residual > COMM_TOL * np.maximum(1.0, norm_a * _frob_stack(b)))
         for i in np.flatnonzero(~ok).tolist():
             errors[i] = NotCommuting(

@@ -23,13 +23,16 @@ from typing import Callable
 
 import numpy as np
 
-from .config import BOUNDARY_TOL, CLUSTER_TOL, ON_FEATURE_TOL
-from .errors import AmbiguousBoundary, NormLogError, SpectrumOutOfRange
+from .config import (BOUNDARY_TOL, CLUSTER_TOL, COMM_TOL, NORM_TOL,
+                     ON_FEATURE_TOL)
+from .errors import (AmbiguousBoundary, NormLogError, NotCommuting,
+                     SpectrumOutOfRange)
 from .linalg import (
     _as_square_stack,
     _common_eigenbases,
     _frob_stack,
     as_square_matrix,
+    commutator,
     dagger,
     im_part,
     re_part,
@@ -424,7 +427,9 @@ def normal_eig(x) -> SpectralDecomposition:
     in, and each is represented by its mean. This is
     :func:`normal_eig_stack` on a stack of one.
 
-    Raises NotNormal when ``X*X != XX*`` beyond tolerance.
+    Raises NotNormal when ``X*X != XX*`` beyond tolerance, and
+    NotCommuting when X passes that test but the basis found leaves
+    ``||V* X V - diag|| > COMM_TOL * n * ||X||``.
     """
     (dec,) = _decompose_stack(as_square_matrix(x)[None])
     if isinstance(dec, NormLogError):
@@ -447,10 +452,14 @@ def _decompose_stack(x: np.ndarray) -> _Decompositions:
     stack, as one record.
 
     One commutator of the Hermitian parts per matrix decides normality,
-    as :func:`~normlog.linalg.is_normal` does; a normal matrix's parts
-    need no further commutation test.
-    The norms, the commutators, the ``eigh`` of the Re(X), the diagonal
-    products V* Re(X) V and V* Im(X) V, the test and the sweeps of
+    as :func:`~normlog.linalg.is_normal` does. A normal matrix whose
+    basis V leaves V* X V off its diagonal by more than ``COMM_TOL * n *
+    ||X||`` is NotCommuting: the normality test is relative to
+    ``||X||^2``, so one large eigenvalue lets a block whose parts do not
+    commute pass it, and ``eigh`` resolves Re(X) eigenvalues just outside
+    the merge radius only to about u ||Re(X)|| / gap.
+    The norms, the commutators, the ``eigh`` of the Re(X), the
+    products V* Re(X) V and V* Im(X) V, both tests and the sweeps of
     :func:`_isolated` are array code over the whole stack, one BLAS or
     LAPACK call per matrix, so each entry is computed as if alone. A
     matrix whose sweeps leave only single eigenvalues has one cluster per
@@ -462,9 +471,18 @@ def _decompose_stack(x: np.ndarray) -> _Decompositions:
     re, im = re_part(x), im_part(x)
     norms = _frob_stack(x)
     v, errors = _common_eigenbases(re, im, norms)
-    v_star = dagger(v)
-    lams = (np.diagonal(v_star @ re @ v, axis1=1, axis2=2).real
-            + 1j * np.diagonal(v_star @ im @ v, axis1=1, axis2=2).real)
+    lams, coupling = _diagonal_and_rest(v, re, im)
+    # a normal X must be diagonal in its basis: V* X V off its diagonal
+    # within COMM_TOL * n * ||X||
+    n = x.shape[-1]
+    for i in np.flatnonzero(coupling > COMM_TOL * n * norms).tolist():
+        if errors[i] is None:
+            comm = _frob_stack(commutator(re[i:i + 1], im[i:i + 1]))[0]
+            errors[i] = NotCommuting(
+                f"X passes the normality test at "
+                f"{2 * comm / (NORM_TOL * norms[i] ** 2):.3g} of its bound, "
+                f"but the basis found leaves V* X V off its diagonal by "
+                f"{coupling[i]:.3e} > {COMM_TOL:.1e} * n * ||X||")
     radius = CLUSTER_TOL * np.maximum(1.0, norms)
     failed = np.array([error is not None for error in errors], dtype=bool)
     multi = ~(_isolated(lams, radius) | failed)
@@ -482,6 +500,20 @@ def _decompose_stack(x: np.ndarray) -> _Decompositions:
     vt = v.swapaxes(1, 2)[row, order]
     vt[failed], reps[failed] = 0.0, 0.0
     return _Decompositions(vt, reps, start, errors)
+
+
+def _diagonal_and_rest(v: np.ndarray, re: np.ndarray, im: np.ndarray):
+    """For each basis V of a stack, the diagonal of V* X V, X = Re + i Im,
+    as eigenvalues, and the Frobenius norm of the rest of V* X V."""
+    v_star = dagger(v)
+    m_re, m_im = v_star @ re @ v, v_star @ im @ v
+    lams = (np.diagonal(m_re, axis1=1, axis2=2).real
+            + 1j * np.diagonal(m_im, axis1=1, axis2=2).real)
+    m_im *= 1j
+    m_re += m_im  # V* X V, in place
+    n = v.shape[-1]
+    m_re[:, range(n), range(n)] = 0.0
+    return lams, _frob_stack(m_re)
 
 
 def _isolated(lams: np.ndarray, radius: np.ndarray) -> np.ndarray:

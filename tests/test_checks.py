@@ -29,6 +29,7 @@ from normlog.config import BOUNDARY_TOL, CLUSTER_TOL, GATE_TOL
 from normlog.errors import (
     AmbiguousBoundary,
     NormLogError,
+    NotCommuting,
     NotNormal,
     SpectrumOutOfRange,
 )
@@ -108,8 +109,8 @@ class TestPairAnalysis:
 
     def test_normal_input_whose_parts_fail_to_commute(self):
         # normal within NORM_TOL, but its Hermitian parts fail the tighter
-        # commutation test of simultaneous_diagonalize: normality alone
-        # decides, and the decomposition meets criterion 1
+        # commutation test of simultaneous_diagonalize; the basis found
+        # leaves them uncoupled, and the decomposition meets criterion 1
         x = np.diag([100.0, 0.0]) + 1e-10j * np.array([[0, 1], [1, 0]])
         pair = PairAnalysis(x, x)
         assert is_normal(x) and pair.normal_x is True
@@ -243,16 +244,13 @@ class TestPairAnalysis:
             y = np.array([[0, 1], [0, 0]], dtype=complex)
             if n == 2:
                 pairs.append(PairAnalysis(y, y))
-                pairs[-1].exp_y = normlog.logs.exp_general(y)
+            chunk = [row[0] for row in run_checks(("kurepa",), pairs)]
             with monkeypatch.context() as m:
                 for module in (normlog.checks, normlog.logs):
                     m.setattr(module, "exp_general", _not_called)
+                m.setattr(normlog.checks, "_decompose_stack", _not_called)
                 m.setattr(normlog.logs, "normal_eig", _not_called)
-                decomposed = _spy(m, "_decompose_stack")
-                chunk = [row[0] for row in run_checks(("kurepa",), pairs)]
                 reports = [check_kurepa(pair) for pair in pairs]
-                # one stacked call for the chunk, one per chunk of one
-                assert decomposed == [len(pairs)] + [1] * len(pairs)
                 splits = [_kurepa_splits(pair.y[None],
                                          [_attempt(pair, "exp_y")])[0]
                           if rep.hypothesis_met
@@ -297,6 +295,42 @@ class TestPairAnalysis:
         assert not rep.hypothesis_met and rep.residuals["exp_gate"] == 0.25
         pair = PairAnalysis(x.real, x.real, exp_gap=("exp(iX)=exp(Y)", 0.0))
         assert pair.exp_i_residual == 0.0
+
+    def test_exponentials_only_for_the_pairs_a_gate_reaches(self,
+                                                           monkeypatch):
+        # the normality gate skips the pair with a nilpotent X before the
+        # exponential gate, so neither of its exponentials is evaluated
+        nilpotent = np.array([[0, 1], [0, 0]], dtype=complex)
+        x = np.diag([0.5 + 1j, -1.0])
+        pairs = [PairAnalysis(nilpotent, nilpotent), PairAnalysis(x, x)]
+        evaluated = []
+        exp = normlog.checks.exp_general
+        monkeypatch.setattr(normlog.checks, "exp_general",
+                            lambda m: evaluated.append(m.tobytes()) or exp(m))
+        reports = check_real_part(pairs)
+        assert [r.hypothesis_met for r in reports] == [False, True]
+        assert sorted(evaluated) == sorted([x.tobytes()] * 2)
+
+    def test_lone_pair_reads_what_run_checks_computed(self, monkeypatch):
+        # a pair's chunk of one, made before run_checks or first read
+        # after it, reads the facts the run computed
+        specs = [InstanceSpec(Family.NON_NORMAL_LOG_PAIR, 3, seed)
+                 for seed in range(3)]
+        pairs = [PairAnalysis(x, y) for x, y, _ in map(make_pair, specs)]
+        assert pairs[1].norm_x > 0
+        names = ("kurepa", "real_part", "modulus_equal")
+        rows = run_checks(names, pairs)
+        with monkeypatch.context() as m:
+            for name in ("_decompose_stack", "_modulus_stack", "exp_general"):
+                m.setattr(normlog.checks, name, _not_called)
+            for pair, row in zip(pairs, rows):
+                assert ([run_check(name, pair).to_dict() for name in names]
+                        == [report.to_dict() for report in row])
+                for fact in ("dec_x", "dec_y", "modulus_x", "modulus_y"):
+                    try:
+                        getattr(pair, fact)
+                    except NotNormal:  # Y is not normal
+                        assert fact == "dec_y"
 
     def test_rejects_unknown_equation(self):
         with pytest.raises(ValueError):
@@ -1148,11 +1182,12 @@ class TestChunkNativeChecks:
 
     def test_chunk_raises_the_first_pair_major_error(self):
         # the band pair raises in difference_formula; the pair after it,
-        # whose X is not normal, in congruence_free
-        x = np.eye(4, k=1, dtype=complex)
+        # normal but with coupled parts, in spectral_agreement
+        x = np.diag([100.0, 100.0 + 1e-5, 1.0, 2.0]).astype(complex)
+        x[0, 1] = x[1, 0] = 1e-2j
         broken = PairAnalysis(x, x)
         band = _band_pair(1e-9, -1, 0, seed=0)
-        names = ("congruence_free", "difference_formula", "real_part")
+        names = ("spectral_agreement", "difference_formula", "real_part")
         pairs = _chunk([InstanceSpec(Family.INTERIOR_PAIR, 4, 0)],
                        [band, broken])
         pairs += _chunk([InstanceSpec(Family.INTERIOR_PAIR, 4, 1)])
@@ -1164,11 +1199,11 @@ class TestChunkNativeChecks:
         # each check keeps its error per entry
         entries = check_difference_formula(pairs)
         assert [type(e) for e in entries] == [
-            CheckReport, AmbiguousBoundary, CheckReport, CheckReport]
-        assert isinstance(check_congruence_free(pairs)[2], NotNormal)
+            CheckReport, AmbiguousBoundary, NotCommuting, CheckReport]
+        assert isinstance(check_spectral_agreement(pairs)[2], NotCommuting)
         _assert_chunk_equals_lone(pairs)
         # without the band pair, the broken pair's first error
-        with pytest.raises(NotNormal):
+        with pytest.raises(NotCommuting):
             normlog.checks.run_checks(names, pairs[:1] + pairs[2:])
 
     def test_each_check_runs_once_per_chunk(self, monkeypatch):

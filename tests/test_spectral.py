@@ -414,8 +414,8 @@ class TestNormalEigStack:
         assert {a: 1, b: 2}[b] == 2
 
     def test_errors_mid_stack(self):
-        # a non-normal Y, and a normal matrix whose Hermitian parts commute
-        # only to rounding, between normal neighbours
+        # a non-normal Y, and a normal matrix whose Hermitian parts fail
+        # the commutation test, between normal neighbours
         non_normal = _failing_operand(NotNormal)
         not_commuting = _failing_operand(NotCommuting)
         normal = [make_pair(InstanceSpec(Family.BOUNDARY_FLIP_PAIR, 2, seed))[0]
@@ -423,13 +423,12 @@ class TestNormalEigStack:
         operands = [normal[0], non_normal, normal[1], not_commuting, normal[2]]
         stacked = normal_eig_stack(operands)
         assert isinstance(stacked[1], NotNormal)
-        # normality alone decides: it decomposes within criterion 1
-        assert (validate_decomposition(stacked[3], not_commuting)
-                ["reconstruction"] <= 1e-10 * 2 * frob(not_commuting))
+        assert isinstance(stacked[3], NotCommuting)
         for m, got in zip(operands, stacked):
             assert _same_decomposition(got, _lone(m))
 
-    @pytest.mark.parametrize("error", [NotNormal], ids=lambda e: e.__name__)
+    @pytest.mark.parametrize("error", [NotNormal, NotCommuting],
+                             ids=lambda e: e.__name__)
     @pytest.mark.parametrize("at", ["first", "last", "both ends"])
     def test_errors_at_stack_ends(self, error, at):
         bad = _failing_operand(error)
@@ -454,8 +453,8 @@ def _mixed_stack(n=4):
     """4 x 4 operands for each branch of the stacked clustering: single
     eigenvalues; runs in Re alone and in Im alone; exact repeats; -0.0
     and 0.0 parts; pairs 0.7 merge radii apart along Re and along Im,
-    each one cluster; and between them NotNormal entries and a normal
-    matrix whose parts commute only to rounding."""
+    each one cluster; and between them NotNormal entries, a normal
+    matrix whose parts commute only to rounding and a NotCommuting one."""
     u = random_unitary(n, 3)
     conj = lambda d: u @ np.diag(d) @ u.conj().T
     operands = [
@@ -477,8 +476,10 @@ def _mixed_stack(n=4):
             d[1] = d[0] + step * 0.7 * CLUSTER_TOL * np.linalg.norm(d)
         operands += [np.diag(d), conj(d)]
     bad = [make_pair(InstanceSpec(Family.NON_NORMAL_LOG_PAIR, n, 0))[1],
-           np.diag([100.0, 0.0, 0.0, 0.0]) + 1e-10j * np.eye(n)[[1, 0, 2, 3]]]
-    return [operands[0], bad[0], *operands[1:5], bad[1], *operands[5:], bad[0]]
+           np.diag([100.0, 0.0, 0.0, 0.0]) + 1e-10j * np.eye(n)[[1, 0, 2, 3]],
+           np.diag([1e4, 1e4 + 2e-3, 0.0, 0.0]) + 1j * np.eye(n)[[1, 0, 2, 3]]]
+    return [operands[0], bad[0], *operands[1:5], bad[1], *operands[5:9],
+            bad[2], *operands[9:], bad[0]]
 
 
 def _clustered_by_merge(monkeypatch, operands):
@@ -502,7 +503,7 @@ class TestStackedClustering:
         stacked = normal_eig_stack(operands)
         reference = _clustered_by_merge(monkeypatch, operands)
         assert [type(d) for d in stacked].count(NotNormal) == 2
-        assert [type(d) for d in stacked].count(NotCommuting) == 0
+        assert [type(d) for d in stacked].count(NotCommuting) == 1
         decs = [d for d in stacked if isinstance(d, SpectralDecomposition)]
         assert {len(d.eigenvalues) for d in decs} >= {1, 2, 3, 4}
         for m, got, ref in zip(operands, stacked, reference):
@@ -551,9 +552,10 @@ class TestStackedClustering:
 def _failing_operand(error):
     if error is NotNormal:
         return make_pair(InstanceSpec(Family.NON_NORMAL_LOG_PAIR, 2, 0))[1]
-    # normal within NORM_TOL, but its parts fail the commutation test of
-    # simultaneous_diagonalize, which normal_eig does not apply
-    return np.diag([100.0, 0.0]) + 1e-10j * np.array([[0, 1], [1, 0]])
+    # normal within NORM_TOL (0.28 of it), but its parts fail the
+    # commutation test, and Re X's gap 2e-3, above the merge radius,
+    # leaves Im X coupled: its eigenvalues are about 1e4 + 1e-3 -+ i
+    return np.diag([1e4, 1e4 + 2e-3]) + 1j * np.array([[0, 1], [1, 0]])
 
 
 def _reference_normal(x):
@@ -610,7 +612,7 @@ class TestNormalityVerdict:
         # finite sections of an unbounded self-adjoint X: lam_j =
         # 2 pi (k_j + f_j) with |k_j| <= s, conjugated by U and not made
         # Hermitian again, so [Re X, Im X] is about u ||X||^2, far above
-        # COMM_TOL's floor: normality alone decides, and every
+        # COMM_TOL's floor: the basis found leaves no coupling, and every
         # decomposition meets criterion 1
         n = 8
         for seed in range(10):
@@ -628,8 +630,8 @@ class TestNormalityVerdict:
     def test_commutation_near_its_threshold(self):
         # normal, but the Hermitian parts commute only up to t ||[A, S]||,
         # on both sides of ||[A, B]|| = COMM_TOL * max(1, ||A|| ||B||),
-        # taken here with frob on each matrix: normality alone decides,
-        # and every operand decomposes within criterion 1
+        # taken here with frob on each matrix: the basis found leaves no
+        # coupling, and every operand decomposes within criterion 1
         a = np.diag([100.0, 0.0, 0.0, 0.0]).astype(complex)
         swap = np.eye(4, dtype=complex)[[1, 0, 2, 3]]
         u = random_unitary(4, 2)
@@ -646,6 +648,32 @@ class TestNormalityVerdict:
             assert (validate_decomposition(got, m)["reconstruction"]
                     <= 1e-10 * 4 * frob(m))
         assert any(above) and not all(above)
+
+    @pytest.mark.parametrize("corner, margin", [(1e4, "0.96"),
+                                                (1e4 + 1e4j, "0.48")])
+    def test_normal_within_tolerance_whose_parts_stay_coupled(self, corner,
+                                                              margin):
+        # one large eigenvalue lets a block whose parts do not commute
+        # pass the normality test (2 ||[Re X, Im X]|| is 0.96 or 0.48 of
+        # NORM_TOL ||X||^2; with Im X large, the commutation test too);
+        # its Re gap 2e-4 lies outside the merge radius, so the basis of
+        # Re X leaves Im X coupled, and keeping its diagonal would miss
+        # criterion 1 by 1e7: it raises, naming the normality margin,
+        # alone and mid-stack
+        x = np.diag([0.0, 2e-4, corner]).astype(complex)
+        x[0, 1] = x[1, 0] = 17j
+        u = random_unitary(3, 5)
+        operands = [x, u @ x @ u.conj().T]
+        for m in operands:
+            assert is_normal(m)
+            with pytest.raises(NotCommuting,
+                               match=f"normality test at {margin}"):
+                normal_eig(m)
+        normal = np.diag([1.0, 2.0, 3.0]).astype(complex)
+        stacked = normal_eig_stack([normal, *operands, normal])
+        assert [type(d) for d in stacked] == [SpectralDecomposition,
+                                              NotCommuting, NotCommuting,
+                                              SpectralDecomposition]
 
 
 class TestSpectralMeasure:

@@ -4,8 +4,8 @@ import math
 
 import numpy as np
 
-from normlog.config import CHECK_TOL, CLUSTER_TOL
-from normlog.errors import ConstructionFailed, NotNormal
+from normlog.config import CHECK_TOL, CLUSTER_TOL, COMM_TOL
+from normlog.errors import ConstructionFailed, NotCommuting, NotNormal
 from normlog.harness import Family, mix64, random_unitary
 from normlog.linalg import (_eigh, _frob_stack, _normality_holds, dagger, frob,
                             im_part, re_part)
@@ -437,8 +437,9 @@ def scalar_normal_eig(x, merge=scalar_merge):
     """``normal_eig(x)`` as one matrix was decomposed alone: ``eigh`` of
     Re X, each run of close eigenvalues re-resolved by the ``eigh`` of the
     compression of Im X, clusters by ``merge`` with their means, sorted by
-    (Re, Im). Returns the decomposition, or NotNormal: normality alone
-    decides."""
+    (Re, Im). Returns the decomposition, or the NormLogError type: a
+    normal X whose basis V leaves V* X V off its diagonal by more than
+    COMM_TOL * n * ||X|| is NotCommuting."""
     x = np.asarray(x, dtype=complex)[None]
     re, im = re_part(x), im_part(x)
     norms = _frob_stack(x)
@@ -453,8 +454,11 @@ def scalar_normal_eig(x, merge=scalar_merge):
             _, u = _eigh((dagger(block) @ im[0] @ block)[None])
             vi[:, sl] = vi[:, sl] @ u[0]
     v_star = dagger(v)
-    lams = (np.diagonal(v_star @ re @ v, axis1=1, axis2=2).real
-            + 1j * np.diagonal(v_star @ im @ v, axis1=1, axis2=2).real)[0]
+    m = (v_star @ re @ v)[0], (v_star @ im @ v)[0]
+    off = m[0] + 1j * m[1]
+    if frob(off - np.diag(np.diag(off))) > COMM_TOL * len(vi) * norms[0]:
+        return NotCommuting
+    lams = np.diagonal(m[0]).real + 1j * np.diagonal(m[1]).real
     radius = (CLUSTER_TOL * np.maximum(1.0, norms))[0].item()
     return scalar_clustered(vi, lams, radius, merge)
 
