@@ -60,10 +60,6 @@ def _stack(arrays) -> np.ndarray:  # one array becomes a view, not a copy
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
-# The exponential equations whose gap a pair may be given.
-_EQUATIONS = ("exp(X)=exp(Y)", "exp(iX)=exp(Y)")
-
-
 class _Row:
     """A fact of :class:`PairAnalysis`: row 0 of ``read(chunk)``, or of
     the chunk's scalar array of the same name, for the pair's chunk of
@@ -83,52 +79,29 @@ class PairAnalysis:
     """One instance (X, Y): the chunk of one.
 
     The facts its checks share live on a chunk, which computes each once
-    for all its pairs (:func:`run_checks` makes one per call). The facts
+    for all its rows (:func:`run_checks` makes one per call). The facts
     of a lone pair -- normality, norms, spectral decompositions, e^Y and
     the exponential gaps, moduli, residuals and the congruence report --
     read row 0 of its own chunk of one, made on first read, so the
     checks run on one pair never repeat a decomposition or an
-    exponential. After :func:`run_checks`, that chunk of one holds the
-    pair's row of every fact the run computed. A fact that failed, such
-    as the decomposition of a non-normal X, raises its error on every
-    read.
+    exponential. A fact that failed, such as the decomposition of a
+    non-normal X, raises its error on every read.
     ``check_tol`` is the pass/fail threshold of its checks; every other
     threshold is a constant of :mod:`normlog.config`. ``[k_lo, k_hi]`` is
     the branch window of :func:`check_difference_formula`.
-
-    ``exp_gap`` is ``(equation, residual)``: the relative gap of
-    ``"exp(X)=exp(Y)"`` or ``"exp(iX)=exp(Y)"`` already measured on these
-    same arrays, as :func:`~normlog.harness.make_pair`'s self-test does.
-    The matching exponential gate then reads it instead of evaluating
-    the exponentials again. A residual read from a file must not be
-    passed here. Likewise, setting ``exp_y`` to e^Y already computed on
-    these arrays, bit for bit ``exp_general(y)``, spares the chunks made
-    from the pair its evaluation.
     """
 
     def __init__(self, x, y, *, check_tol: float = CHECK_TOL,
-                 k_lo: int = -1, k_hi: int = 0, exp_gap=None):
+                 k_lo: int = -1, k_hi: int = 0):
         self.x = as_square_matrix(x)
         self.y = as_square_matrix(y)
         self.check_tol = check_tol
         self.k_lo = k_lo
         self.k_hi = k_hi
-        if exp_gap is not None:
-            equation, _ = exp_gap
-            if equation not in _EQUATIONS:
-                raise ValueError(f"unknown equation {equation!r}; expected "
-                                 f"one of {sorted(_EQUATIONS)}")
-        self.exp_gap = exp_gap
-        self._exp_y = None
-        self._source = None  # the last run_checks chunk's facts, and row
 
     @cached_property
     def _chunk(self) -> _Chunk:
-        chunk = _Chunk([self])
-        if self._source is not None:
-            facts, i = self._source
-            vars(chunk).update(_row_of(facts, i))
-        return chunk
+        return _Chunk.of([self])
 
     normal_x = _Row()
     normal_y = _Row()
@@ -153,11 +126,8 @@ class PairAnalysis:
 
     @property
     def exp_y(self) -> np.ndarray:
+        """e^Y, bit for bit ``exp_general(y)``."""
         return self._chunk.exp_y[0]
-
-    @exp_y.setter
-    def exp_y(self, value) -> None:
-        self._exp_y = value
 
 
 def _normal(chunk: _Chunk, side: str) -> np.ndarray:
@@ -193,54 +163,55 @@ _READS = {"modulus_equal": (("x", "y"), ("x", "y")),
 
 class _Chunk:
     """Pairs of one dimension checked together, and the one owner of
-    their facts: the operand stacks, each operand's decompositions (one
-    record, its failed rows' errors kept per row) and moduli, one array
-    per scalar fact and the congruence reports, each computed once for
-    the whole chunk. Each pair's e^Y and exponential gaps are computed
-    once, when a row first needs them; those its pairs were given are
-    rows of them."""
+    their facts: the operand stacks ``x`` and ``y``, each row's check
+    threshold ``tols`` and branch window ``windows`` (``(k_lo, k_hi)``),
+    each operand's decompositions (one record, its failed rows' errors
+    kept per row) and moduli, one array per scalar fact and the
+    congruence reports, each computed once for the whole chunk. A row's
+    e^Y and exponential gaps are computed when it first needs them,
+    unless given: ``exp_y`` (bit for bit ``exp_general(y)``) and ``gaps``
+    (``(equation, residual)``) hold, per row, ones already measured on
+    these same arrays, as a build's self-test does, or None. A residual
+    read from a file must not be given."""
 
-    def __init__(self, pairs):
-        self.pairs = list(pairs)
-        if len({p.x.shape for p in self.pairs}) > 1:
-            raise ValueError("the pairs of a chunk must share their dimension")
-        self.n = self.pairs[0].x.shape[0] if self.pairs else 0
+    def __init__(self, x, y, tols, windows, exp_y=None, gaps=None):
+        self.x, self.y = x, y
+        self.n = x.shape[1]
+        self.tols, self.windows = list(tols), list(windows)
         self.decs: dict = {}  # operand -> _Decompositions
-        self.mods: dict = {}  # operand -> each pair's modulus, or its error
+        self.mods: dict = {}  # operand -> each row's modulus, or its error
         self._cache: dict = {}
+        if exp_y is not None:
+            self._cache["exp_y"] = list(exp_y)
+        for i, (equation, gap) in enumerate(gaps or ()):
+            self._cached(equation, lambda: [None] * len(self))[i] = gap
+
+    @classmethod
+    def of(cls, pairs) -> _Chunk:
+        """The chunk of a list of :class:`PairAnalysis`, given no facts."""
+        return cls(_stack([p.x for p in pairs]), _stack([p.y for p in pairs]),
+                   [p.check_tol for p in pairs],
+                   [(p.k_lo, p.k_hi) for p in pairs])
 
     def __len__(self) -> int:
-        return len(self.pairs)
-
-    @cached_property
-    def x(self) -> np.ndarray:
-        return _stack([p.x for p in self.pairs])
-
-    @cached_property
-    def y(self) -> np.ndarray:
-        return _stack([p.y for p in self.pairs])
+        return len(self.x)
 
     @property
     def exp_y(self) -> np.ndarray:
         return _stack(self._exp_y_rows(range(len(self))))
 
     def _exp_y_rows(self, rows) -> list:
-        """The e^Y of ``rows``: each pair's given one, else exp_general(y)."""
-        return self._per_row("exp_y", rows, lambda i: (
-            exp_general(self.y[i]) if self.pairs[i]._exp_y is None
-            else self.pairs[i]._exp_y))
+        """The e^Y of ``rows``: each row's given one, else exp_general(y)."""
+        return self._per_row("exp_y", rows, lambda i: exp_general(self.y[i]))
 
     def exp_gaps(self, equation: str, rows) -> np.ndarray:
-        """The gaps of ``equation`` at ``rows``: each pair's given one,
+        """The gaps of ``equation`` at ``rows``: each row's given one,
         else measured on its exponentials."""
         scale = 1j if equation == "exp(iX)=exp(Y)" else 1
 
         def gap(i):
-            given, x = self.pairs[i].exp_gap, self.pairs[i].x
-            if given is not None and given[0] == equation:
-                return given[1]
-            e_y = self._exp_y_rows([i])[0]
-            return _exp_gaps(exp_general(scale * x)[None], e_y[None])[0]
+            e_y = self._exp_y_rows([i])[0][None]
+            return _exp_gaps(exp_general(scale * self.x[i])[None], e_y)[0]
         return np.array(self._per_row(equation, rows, gap))
 
     @cached_property
@@ -273,7 +244,7 @@ class _Chunk:
         result."""
         for sides, store, analyse in ((decs, self.decs, _decompose_stack),
                                       (moduli, self.mods, _modulus_stack)):
-            sides = sorted(set(sides) - set(store)) if self.pairs else []
+            sides = sorted(set(sides) - set(store))
             if not sides:
                 continue
             stacks = [getattr(self, side) for side in sides]
@@ -311,18 +282,6 @@ class _Chunk:
             _select_stack(cols.v, mask) for mask in _on_lines(cols.lam)))
 
 
-def _row_of(fact, i: int):
-    """Row i of a chunk's fact (of each, in a dict), as the fact of a
-    chunk of one."""
-    if isinstance(fact, dict):
-        return {key: _row_of(value, i) for key, value in fact.items()}
-    if isinstance(fact, _Decompositions):
-        return fact.rows([i])
-    if isinstance(fact, tuple):
-        return tuple(_row_of(part, i) for part in fact)
-    return fact[i:i + 1]  # an array or a list
-
-
 def _on_lines(lam: np.ndarray) -> tuple:
     """The points on the lines Im z = pi and -pi, by ``HLine``'s rule."""
     return (abs(lam.imag - math.pi) <= BOUNDARY_TOL,
@@ -349,9 +308,8 @@ class _Run:
         self.gaps: dict = {}
         self.open = np.arange(len(chunk))
 
-    @property
-    def pairs(self) -> list:
-        return [self.chunk.pairs[i] for i in self.open.tolist()]
+    def each(self, values: list) -> list:  # the open pairs' entries
+        return [values[i] for i in self.open.tolist()]
 
     def take(self, a: np.ndarray) -> np.ndarray:  # the open pairs' rows
         return a if len(self.open) == len(self.chunk) else a[self.open]
@@ -393,7 +351,7 @@ class _Run:
         a value; the check threshold by default) and notes (one or a
         list)."""
         k = len(self.open)
-        tol = [p.check_tol for p in self.pairs]
+        tol = self.each(self.chunk.tols)
         limits = [(bounds or {}).get(key, tol) for key in found]
         limits = [b if isinstance(b, list) else [b] * k for b in limits]
         values = [np.asarray(v).tolist() for v in found.values()]
@@ -454,8 +412,9 @@ def _chunkwise(check):
     def call(pairs):
         if isinstance(pairs, PairAnalysis):
             return _unwrap(check(pairs._chunk)[0])
-        chunk = pairs if isinstance(pairs, _Chunk) else _Chunk(pairs)
-        return check(chunk) if len(chunk) else []
+        if isinstance(pairs, _Chunk):
+            return check(pairs)
+        return check(_Chunk.of(pairs)) if len(pairs) else []
     return call
 
 
@@ -511,24 +470,21 @@ def run_checks(names, pairs) -> list:
     reports, in the order of ``names``. The chunk's analysis is made
     once: the operands the checks read are first decomposed in one
     stacked call, and their moduli taken in one more
-    (:meth:`_Chunk.analyse`). Each pair's chunk of one then reads its
-    rows of the facts computed. Raises what looping over each pair, then
+    (:meth:`_Chunk.analyse`). Raises what looping over each pair, then
     each check, would raise first; ``check_<name>`` is looked up as
     :func:`run_check` does."""
     unknown = [name for name in names if name not in CHECK_NAMES]
     if unknown:
         raise ValueError(f"unknown checks {unknown}")
-    chunk = _Chunk(pairs)
+    return _run_checks(names, _Chunk.of(pairs)) if len(pairs) else []
+
+
+def _run_checks(names, chunk: _Chunk) -> list:
+    """:func:`run_checks` over a chunk of known check names."""
     reads = [_READS.get(name, (("x", "y"), ())) for name in names]
     chunk.analyse(*({side for read in reads for side in read[k]}
                     for k in (0, 1)))
     columns = [globals()[f"check_{name}"](chunk) for name in names]
-    # not the pairs: a pair holding them would keep every other pair alive
-    facts = {key: value for key, value in vars(chunk).items()
-             if key not in ("pairs", "n")}
-    for i, pair in enumerate(chunk.pairs):
-        pair._source = (facts, i)
-        vars(pair).pop("_chunk", None)  # one made before is made again
     return [[_unwrap(entry) for entry in row] for row in zip(*columns)]
 
 
@@ -642,8 +598,8 @@ def check_spectral_agreement(run: _Run):
     names = ("interior_measure", "boundary_sum", "real_part")
     return run.rows(dict(zip(names, (interior, boundary,
                                      run.array("real_part_residual")))),
-                    dict.fromkeys(names, [p.check_tol * chunk.n
-                                          for p in run.pairs]),
+                    dict.fromkeys(names, [tol * chunk.n
+                                          for tol in run.each(chunk.tols)]),
                     "equality of exponentials re-verified against the "
                     "measure/real-part conditions (converse direction "
                     "included)")
@@ -713,7 +669,7 @@ def _window(run: _Run) -> None:
     ``strip_projections`` does (outside: skip; ambiguous: raise), keeping
     X's and Y's column weights."""
     cols_x, cols_y = run.columns("x"), run.columns("y")
-    windows = [(p.k_lo, p.k_hi) for p in run.pairs]
+    windows = run.each(run.chunk.windows)
     outcomes: list = [None] * len(windows)
     run.weights = np.zeros((2,) + cols_x.lam.shape, dtype=complex)
     for k_lo, k_hi in set(windows):
@@ -746,10 +702,11 @@ def check_difference_formula(run: _Run):
                                  take(run.weights[1])))
     r = _rel(_frob_stack((take(chunk.x) - take(chunk.y)) - diff),
              run.array("norm_x"))
-    pairs = run.pairs
     return run.rows({"difference": r},
-                    {"difference": [p.check_tol * chunk.n for p in pairs]},
-                    [f"branch window [{p.k_lo}, {p.k_hi}]" for p in pairs])
+                    {"difference": [tol * chunk.n
+                                    for tol in run.each(chunk.tols)]},
+                    [f"branch window [{k_lo}, {k_hi}]"
+                     for k_lo, k_hi in run.each(chunk.windows)])
 
 
 def _one_line_empty(run: _Run) -> None:
@@ -776,7 +733,7 @@ def check_corollary_cases(run: _Run):
     found = [_rel(_frob_stack(m), norm_x).tolist() for _, _, m in cases]
     commutators = run.array("commutator_residual").tolist()
     rows = []
-    for j, pair in enumerate(run.pairs):
+    for j, tol in enumerate(run.each(chunk.tols)):
         top, bottom = empty[0][j], empty[1][j]
         residuals, notes = {"commutator": commutators[j]}, []
         for holds, (key, note, _), values in zip(
@@ -784,7 +741,7 @@ def check_corollary_cases(run: _Run):
             if holds:
                 notes.append(note)
                 residuals[key] = values[j]
-        rows.append((residuals, dict.fromkeys(residuals, pair.check_tol),
+        rows.append((residuals, dict.fromkeys(residuals, tol),
                      "; ".join(notes)))
     return rows
 
@@ -874,13 +831,14 @@ def check_double_commutant(run: _Run):
     residual is the distance to that span; a non-normal Y needs the
     commutant basis.
     """
-    chunk, pairs = run.chunk, run.pairs
+    chunk = run.chunk
     normal = run.array("normal_y")
-    worst = np.zeros(len(pairs))
+    worst = np.zeros(len(run.open))
     worst[normal] = _projection_distances(
         chunk.columns("x"), chunk.columns("y"), run.open[normal])
-    for j in np.flatnonzero(~normal).tolist():
-        y, dec = pairs[j].y, chunk.columns("x")[int(run.open[j])]
+    for j, i in zip(np.flatnonzero(~normal).tolist(),
+                    run.open[~normal].tolist()):
+        y, dec = chunk.y[i], chunk.columns("x")[i]
         basis = commutant_basis(y)
         worst[j] = max(in_double_commutant(dec.projection(c), y,
                                            basis=basis)[1]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from ..checks import CHECK_NAMES, PairAnalysis, run_checks
+from ..checks import CHECK_NAMES, PairAnalysis, _Chunk, _run_checks, _stack
 from ..config import CHECK_TOL, STACK_ENTRIES
 from .generators import (Family, InstanceSpec, _build, _first_failure,
                          _require_int, _require_keys)
@@ -100,16 +100,17 @@ def tolerances_from_config(overrides) -> float:
     return check
 
 
-def analyze_pair(x, y, metadata: dict, check_tol: float = CHECK_TOL, *,
-                 exp_gap=None) -> PairAnalysis:
-    """The pair's analysis, with the branch window its metadata names.
+def analyze_pair(x, y, metadata: dict,
+                 check_tol: float = CHECK_TOL) -> PairAnalysis:
+    """The pair's analysis, with the branch window its metadata names
+    and the check threshold ``check_tol``."""
+    k_lo, k_hi = _window(metadata)
+    return PairAnalysis(x, y, check_tol=check_tol, k_lo=k_lo, k_hi=k_hi)
 
-    ``check_tol`` and ``exp_gap`` are passed on to :class:`PairAnalysis`
-    unchanged.
-    """
-    return PairAnalysis(x, y, check_tol=check_tol,
-                        k_lo=int(metadata.get("k_lo", -1)),
-                        k_hi=int(metadata.get("k_hi", 0)), exp_gap=exp_gap)
+
+def _window(metadata: dict) -> tuple:
+    """The branch window ``(k_lo, k_hi)`` an instance's metadata names."""
+    return int(metadata.get("k_lo", -1)), int(metadata.get("k_hi", 0))
 
 
 def _label_hash(base: int, label: str, n: int) -> int:
@@ -121,20 +122,24 @@ def _label_hash(base: int, label: str, n: int) -> int:
     return mix64(h ^ (n << 32))
 
 
+def _chunk(built, check_tol: float) -> _Chunk:
+    """The chunk of :func:`_build`'s instances, given the e^Y and the
+    exponential gap that the build's self-test measured on these same
+    arrays. A chunk of one keeps its operands as views."""
+    x, y, metadata, exp_y = zip(*built)
+    return _Chunk(_stack(x), _stack(y), [check_tol] * len(x),
+                  [_window(m) for m in metadata], exp_y,
+                  [(m["equation"], m["self_test_residual"]) for m in metadata])
+
+
 def _run_chunk(task) -> list[dict]:
     label, spec, seeds, check_tol, checks = task
-    pairs = []
-    # run_suite validated the spec; the chunk's instances differ only in
-    # their seeds, so they are built without a spec per seed
-    for x, y, metadata, exp_y in _first_failure(_build(spec, seeds)):
-        # the build's self-test measured the exponential gap on these arrays
-        pair = analyze_pair(x, y, metadata, check_tol, exp_gap=(
-            metadata["equation"], metadata["self_test_residual"]))
-        pair.exp_y = exp_y  # bit for bit exp_general(y)
-        pairs.append(pair)
+    # run_suite validated the spec and checks; the instances differ only
+    # in their seeds, so they are built without a spec per seed
+    chunk = _chunk(_first_failure(_build(spec, seeds)), check_tol)
     rows = []
     # each check runs once over the chunk; the rows stay pair-major
-    for seed, reports in zip(seeds, run_checks(checks, pairs)):
+    for seed, reports in zip(seeds, _run_checks(checks, chunk)):
         for report in reports:
             row = {"family": label, "n": spec.n, "seed": seed}
             row.update(report.to_dict())

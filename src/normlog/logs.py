@@ -215,10 +215,9 @@ def _kurepa_splits(y: np.ndarray, attempts) -> list:
         return out
     n0 = np.stack([out[i] for i in ok])
     w = (y[ok] - n0) / (TWO_PI * 1j)
-    denom = _frob_stack(n0) * _frob_stack(w)
-    comm = _frob_stack(commutator(n0, w))
-    commute = np.where(denom == 0.0, 0.0,
-                       comm / np.where(denom == 0.0, 1.0, denom))
+    # relative to max(1, ||N0|| ||W||), as the checks' residuals are
+    commute = _frob_stack(commutator(n0, w)) / np.maximum(
+        1.0, _frob_stack(n0) * _frob_stack(w))
     eigs = np.linalg.eigvals(w)
     # abs() of a complex is hypot; np.rint rounds half to even, as round
     d = eigs - np.rint(eigs.real)

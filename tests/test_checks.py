@@ -25,7 +25,7 @@ from normlog.checks import (
     run_check,
     run_checks,
 )
-from normlog.config import BOUNDARY_TOL, CLUSTER_TOL, GATE_TOL
+from normlog.config import BOUNDARY_TOL, CHECK_TOL, CLUSTER_TOL, GATE_TOL
 from normlog.errors import (
     AmbiguousBoundary,
     NormLogError,
@@ -44,6 +44,7 @@ from normlog.harness import (
 )
 from normlog.linalg import dagger, frob, is_normal
 from normlog.harness.generators import _make_pairs
+from normlog.harness.suite import _FAMILY_CHECKS
 from normlog.logs import TWO_PI, _kurepa_splits, kurepa_decompose
 from normlog.report import CheckReport
 from normlog.spectral import (
@@ -138,7 +139,7 @@ class TestPairAnalysis:
             stack = [m.tobytes() for ms in operands
                      for side, m in zip("xy", ms) if side in taken]
             assert calls == ([stack] if taken else [])
-            chunk = normlog.checks._Chunk(pairs)
+            chunk = normlog.checks._Chunk.of(pairs)
             chunk.analyse(moduli=taken)
             for i, ref in enumerate(want):
                 for side, ref_side in zip("xy", ref):
@@ -178,7 +179,7 @@ class TestPairAnalysis:
             assert sorted(stack) == sorted(
                 [x.tobytes() for x, _ in interior] + [m.tobytes() for m in signed])
         # the chunk's X and Y share each byte-equal pair's result
-        chunk = normlog.checks._Chunk(pairs)
+        chunk = normlog.checks._Chunk.of(pairs)
         chunk.analyse(("x", "y"), ("x", "y"))
         for i in range(3):
             assert chunk.moduli("x")[i] is chunk.moduli("y")[i]
@@ -196,8 +197,7 @@ class TestPairAnalysis:
         for family in Family:
             for seed in range(2):
                 x, y, meta = make_pair(InstanceSpec(family, 4, seed))
-                pairs.append(analyze_pair(x, y, meta, exp_gap=(
-                    meta["equation"], meta["self_test_residual"])))
+                pairs.append(analyze_pair(x, y, meta))
         decomposed = _spy(monkeypatch, "_decompose_stack")
         moduli = _spy(monkeypatch, "_modulus_stack")
         try:
@@ -229,37 +229,32 @@ class TestPairAnalysis:
         assert len(taken) == len(set(taken)) <= 2
         assert set(taken) <= {x.tobytes(), y.tobytes()}
 
-    def test_seeded_kurepa_equals_kurepa_decompose(self, monkeypatch):
-        # the suite's path: the self-test's e^Y, decomposed in the stack
+    def test_chunk_kurepa_equals_kurepa_decompose(self, monkeypatch):
         specs = [InstanceSpec(Family.NON_NORMAL_LOG_PAIR, n, seed)
                  for n in (2, 5) for seed in range(3)]
         for n in (2, 5):
-            built = _make_pairs([s for s in specs if s.n == n])
-            pairs = []
-            for x, y, meta, exp_y in built:
-                pair = PairAnalysis(x, y)
-                pair.exp_y = exp_y
-                pairs.append(pair)
+            pairs = [PairAnalysis(x, y) for x, y, _ in
+                     map(make_pair, [s for s in specs if s.n == n])]
             # a Y whose exponential is not normal: kurepa skips it
             y = np.array([[0, 1], [0, 0]], dtype=complex)
             if n == 2:
                 pairs.append(PairAnalysis(y, y))
             chunk = [row[0] for row in run_checks(("kurepa",), pairs)]
+            reports = [check_kurepa(pair) for pair in pairs]
             with monkeypatch.context() as m:
+                # each split reads the decomposition of e^Y the check made
                 for module in (normlog.checks, normlog.logs):
                     m.setattr(module, "exp_general", _not_called)
                 m.setattr(normlog.checks, "_decompose_stack", _not_called)
                 m.setattr(normlog.logs, "normal_eig", _not_called)
-                reports = [check_kurepa(pair) for pair in pairs]
                 splits = [_kurepa_splits(pair.y[None],
                                          [_attempt(pair, "exp_y")])[0]
                           if rep.hypothesis_met
                           else None for pair, rep in zip(pairs, reports)]
             for pair, rep, split, entry in zip(pairs, reports, splits, chunk):
-                alone = check_kurepa(PairAnalysis(pair.x, pair.y))
-                assert rep.to_dict() == alone.to_dict() == entry.to_dict()
+                assert rep.to_dict() == entry.to_dict()
                 assert ([v.hex() for v in rep.residuals.values()]
-                        == [v.hex() for v in alone.residuals.values()])
+                        == [v.hex() for v in entry.residuals.values()])
                 if split is None:
                     assert not rep.hypothesis_met
                     continue
@@ -284,18 +279,6 @@ class TestPairAnalysis:
         # one row per pair of a chunk
         assert normlog.checks._in_strip(np.stack(rows)).tolist() == rules
 
-    def test_given_exp_gap_is_not_recomputed(self, monkeypatch):
-        def no_exp(arg):
-            raise AssertionError("exponential evaluated")
-
-        monkeypatch.setattr(normlog.checks, "exp_general", no_exp)
-        x = np.diag([0.5 + 1j])
-        pair = PairAnalysis(x, x, exp_gap=("exp(X)=exp(Y)", 0.25))
-        rep = check_real_part(pair)
-        assert not rep.hypothesis_met and rep.residuals["exp_gate"] == 0.25
-        pair = PairAnalysis(x.real, x.real, exp_gap=("exp(iX)=exp(Y)", 0.0))
-        assert pair.exp_i_residual == 0.0
-
     def test_exponentials_only_for_the_pairs_a_gate_reaches(self,
                                                            monkeypatch):
         # the normality gate skips the pair with a nilpotent X before the
@@ -311,35 +294,10 @@ class TestPairAnalysis:
         assert [r.hypothesis_met for r in reports] == [False, True]
         assert sorted(evaluated) == sorted([x.tobytes()] * 2)
 
-    def test_lone_pair_reads_what_run_checks_computed(self, monkeypatch):
-        # a pair's chunk of one, made before run_checks or first read
-        # after it, reads the facts the run computed
-        specs = [InstanceSpec(Family.NON_NORMAL_LOG_PAIR, 3, seed)
-                 for seed in range(3)]
-        pairs = [PairAnalysis(x, y) for x, y, _ in map(make_pair, specs)]
-        assert pairs[1].norm_x > 0
-        names = ("kurepa", "real_part", "modulus_equal")
-        rows = run_checks(names, pairs)
-        with monkeypatch.context() as m:
-            for name in ("_decompose_stack", "_modulus_stack", "exp_general"):
-                m.setattr(normlog.checks, name, _not_called)
-            for pair, row in zip(pairs, rows):
-                assert ([run_check(name, pair).to_dict() for name in names]
-                        == [report.to_dict() for report in row])
-                for fact in ("dec_x", "dec_y", "modulus_x", "modulus_y"):
-                    try:
-                        getattr(pair, fact)
-                    except NotNormal:  # Y is not normal
-                        assert fact == "dec_y"
-
-    def test_rejects_unknown_equation(self):
-        with pytest.raises(ValueError):
-            PairAnalysis(np.eye(2), np.eye(2), exp_gap=("exp(X)=Y", 0.0))
-
     def test_boundary_lines_measured_once_per_operand(self, monkeypatch):
         x, y, _ = make_pair(InstanceSpec(Family.BOUNDARY_FLIP_PAIR, 8, 2))
         pair = PairAnalysis(x, y)
-        chunk = normlog.checks._Chunk([pair])
+        chunk = normlog.checks._Chunk.of([pair])
         for side, dec in (("x", pair.dec_x), ("y", pair.dec_y)):
             assert [m[0].tobytes() for m in chunk.lines(side)] == [
                 spectral_measure(dec, HLine(c)).tobytes() for c in (PI, -PI)]
@@ -784,9 +742,11 @@ class TestDifferenceFormulaWeights:
             x, y, meta = make_pair(InstanceSpec(Family(family), n, seed,
                                                 params=params))
             # the self-adjoint families have exp(iX) = exp(Y), so their
-            # exp gate is passed as met to reach the formula
-            pair = analyze_pair(x, y, meta, exp_gap=("exp(X)=exp(Y)", 0.0))
-            rep = check_difference_formula(pair)
+            # exp gate is given as met to reach the formula
+            pair = analyze_pair(x, y, meta)
+            (rep,) = check_difference_formula(normlog.checks._Chunk(
+                x[None], y[None], [pair.check_tol], [(pair.k_lo, pair.k_hi)],
+                gaps=[("exp(X)=exp(Y)", 0.0)]))
             assert rep.hypothesis_met
             assert (abs(rep.residuals["difference"] - _strip_sum_residual(pair))
                     <= 1e-14)
@@ -1078,6 +1038,18 @@ class TestKurepaCheck:
         rep = check_kurepa(PairAnalysis(y, y))
         assert not rep.hypothesis_met and not rep.passed
 
+    def test_fails_on_a_decomposition_not_of_exp_y(self):
+        # given an e^Y that is not Y's, N0 is not the principal log of
+        # e^Y, and W = (Y - N0) / (2*pi*i) does not commute with it;
+        # ||N0|| ||W|| < 1, so the residual is not divided by it
+        y = np.diag([0.3j, -0.2j])
+        wrong = conj_by(random_unitary(2, 0), np.diag(np.exp([0.5j, -0.4j])))
+        (rep,) = check_kurepa(normlog.checks._Chunk(
+            y[None], y[None], [CHECK_TOL], [(-1, 0)], exp_y=[wrong]))
+        assert rep.hypothesis_met and not rep.passed
+        assert rep.residuals["commute"] > CHECK_TOL
+        assert check_kurepa(PairAnalysis(y, y)).passed
+
 
 # the sizes each family builds at, of 1, 2, 8, 16 and 64
 _CHUNK_CASES = [(family, n) for family in Family for n in (1, 2, 8, 16, 64)
@@ -1085,27 +1057,30 @@ _CHUNK_CASES = [(family, n) for family in Family for n in (1, 2, 8, 16, 64)
                                             Family.NON_NORMAL_LOG_PAIR)]
 
 
-def _chunk(specs, extra=()):
-    """Pairs built as the suite builds a chunk, then the ``extra``
-    pairs."""
-    pairs = []
-    for x, y, meta, exp_y in _make_pairs(specs):
-        pair = analyze_pair(x, y, meta, exp_gap=(
-            meta["equation"], meta["self_test_residual"]))
-        pair.exp_y = exp_y
-        pairs.append(pair)
-    return pairs + list(extra)
+def _chunk(items):
+    """The chunk of ``items`` in order, made as the suite makes one: each
+    spec built with the others, given the build's e^Y and exponential
+    gap, and each pair as it is, given neither."""
+    built = iter(_make_pairs([item for item in items
+                              if isinstance(item, InstanceSpec)]))
+    return normlog.harness.suite._chunk([
+        next(built) if isinstance(item, InstanceSpec) else (
+            item.x, item.y, {"k_lo": item.k_lo, "k_hi": item.k_hi,
+                             "equation": "exp(X)=exp(Y)",
+                             "self_test_residual": None}, None)
+        for item in items], CHECK_TOL)
 
 
-def _alone(pair):
-    """A fresh analysis of the pair, with the exponential gap it holds."""
-    return PairAnalysis(pair.x, pair.y, check_tol=pair.check_tol,
-                        k_lo=pair.k_lo, k_hi=pair.k_hi, exp_gap=pair.exp_gap)
+def _pairs(chunk):
+    """Each row of ``chunk`` as a lone pair, given no facts."""
+    return [PairAnalysis(x, y, check_tol=tol, k_lo=k_lo, k_hi=k_hi)
+            for x, y, tol, (k_lo, k_hi) in zip(chunk.x, chunk.y, chunk.tols,
+                                                chunk.windows)]
 
 
 def _lone_entry(name, pair):
     try:
-        return run_check(name, _alone(pair))
+        return run_check(name, pair)
     except NormLogError as exc:
         return exc
 
@@ -1120,20 +1095,20 @@ def _assert_same_entry(got, want):
                 == [float(v).hex() for v in getattr(want, field).values()])
 
 
-def _assert_chunk_equals_lone(pairs, names=CHECK_NAMES):
+def _assert_chunk_equals_lone(chunk, names=CHECK_NAMES):
     for name in names:
-        entries = getattr(normlog.checks, f"check_{name}")(pairs)
-        assert len(entries) == len(pairs)
-        for entry, pair in zip(entries, pairs):
+        entries = getattr(normlog.checks, f"check_{name}")(chunk)
+        assert len(entries) == len(chunk)
+        for entry, pair in zip(entries, _pairs(chunk)):
             _assert_same_entry(entry, _lone_entry(name, pair))
 
 
-def _pair_major_error(names, pairs):
+def _pair_major_error(names, chunk):
     """The first error of the loop over each pair, then each check."""
-    for pair in pairs:
+    for pair in _pairs(chunk):
         for name in names:
             try:
-                run_check(name, _alone(pair))
+                run_check(name, pair)
             except NormLogError as exc:
                 return exc
     return None
@@ -1147,17 +1122,33 @@ class TestChunkNativeChecks:
         _assert_chunk_equals_lone(
             _chunk([InstanceSpec(family, n, seed) for seed in seeds]))
 
+    @pytest.mark.parametrize("n", [2, 16])
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    def test_given_facts_only_save_work(self, family, n, monkeypatch):
+        # the suite's chunk, given the build's e^Y and gaps, against a
+        # chunk of the same stacks given nothing
+        given = _chunk([InstanceSpec(family, n, seed) for seed in range(3)])
+        bare = normlog.checks._Chunk(given.x, given.y, given.tols,
+                                     given.windows)
+        with monkeypatch.context() as m:
+            m.setattr(normlog.checks, "exp_general", _not_called)
+            normlog.checks._run_checks(_FAMILY_CHECKS[family], given)
+        for name in CHECK_NAMES:
+            check = getattr(normlog.checks, f"check_{name}")
+            for got, want in zip(check(given), check(bare), strict=True):
+                _assert_same_entry(got, want)
+
     def test_gates_that_hold_beside_gates_that_fail(self):
         # a conjugate-control pair among BoundaryFlipPair pairs, whose
         # corollary and square-commute hypotheses hold
         control = {"conjugate_pair": 1, "boundary": 2}
-        pairs = _chunk([InstanceSpec(Family.BOUNDARY_FLIP_PAIR, 8, seed,
+        chunk = _chunk([InstanceSpec(Family.BOUNDARY_FLIP_PAIR, 8, seed,
                                      params=control if seed == 2 else {})
                         for seed in range(5)])
-        _assert_chunk_equals_lone(pairs)
+        _assert_chunk_equals_lone(chunk)
         for name in ("corollary_cases", "square_commute"):
             met = [r.hypothesis_met
-                   for r in getattr(normlog.checks, f"check_{name}")(pairs)]
+                   for r in getattr(normlog.checks, f"check_{name}")(chunk)]
             assert met == [True, True, False, True, True]
 
     def test_mixed_families_and_a_non_normal_y_mid_chunk(self):
@@ -1172,12 +1163,11 @@ class TestChunkNativeChecks:
             (Family.SELF_ADJOINT_CONGRUENCE_FREE, Family.INTERIOR_PAIR,
              Family.NON_NORMAL_LOG_PAIR, Family.ODD_PI_EIGENVALUE,
              Family.SELF_ADJOINT_CONGRUENCE_FREE))]
-        pairs = _chunk(specs[:2], [odd])
-        pairs += _chunk(specs[2:])
-        assert [p.normal_y for p in pairs] == [True, True, False, False,
-                                               True, True]
-        _assert_chunk_equals_lone(pairs)
-        reports = check_double_commutant(pairs)
+        chunk = _chunk(specs[:2] + [odd] + specs[2:])
+        assert [p.normal_y for p in _pairs(chunk)] == [True, True, False,
+                                                       False, True, True]
+        _assert_chunk_equals_lone(chunk)
+        reports = check_double_commutant(chunk)
         assert reports[2].passed and reports[0].passed
 
     def test_chunk_raises_the_first_pair_major_error(self):
@@ -1188,23 +1178,24 @@ class TestChunkNativeChecks:
         broken = PairAnalysis(x, x)
         band = _band_pair(1e-9, -1, 0, seed=0)
         names = ("spectral_agreement", "difference_formula", "real_part")
-        pairs = _chunk([InstanceSpec(Family.INTERIOR_PAIR, 4, 0)],
-                       [band, broken])
-        pairs += _chunk([InstanceSpec(Family.INTERIOR_PAIR, 4, 1)])
-        expected = _pair_major_error(names, pairs)
+        interior = [InstanceSpec(Family.INTERIOR_PAIR, 4, seed)
+                    for seed in (0, 1)]
+        chunk = _chunk([interior[0], band, broken, interior[1]])
+        expected = _pair_major_error(names, chunk)
         assert isinstance(expected, AmbiguousBoundary)
         with pytest.raises(AmbiguousBoundary) as got:
-            normlog.checks.run_checks(names, pairs)
+            normlog.checks._run_checks(names, chunk)
         assert str(got.value) == str(expected)
         # each check keeps its error per entry
-        entries = check_difference_formula(pairs)
+        entries = check_difference_formula(chunk)
         assert [type(e) for e in entries] == [
             CheckReport, AmbiguousBoundary, NotCommuting, CheckReport]
-        assert isinstance(check_spectral_agreement(pairs)[2], NotCommuting)
-        _assert_chunk_equals_lone(pairs)
+        assert isinstance(check_spectral_agreement(chunk)[2], NotCommuting)
+        _assert_chunk_equals_lone(chunk)
         # without the band pair, the broken pair's first error
         with pytest.raises(NotCommuting):
-            normlog.checks.run_checks(names, pairs[:1] + pairs[2:])
+            normlog.checks._run_checks(
+                names, _chunk([interior[0], broken, interior[1]]))
 
     def test_each_check_runs_once_per_chunk(self, monkeypatch):
         calls = []

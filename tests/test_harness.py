@@ -811,7 +811,7 @@ class TestSharedAnalysis:
         # byte for byte, so it is decomposed, exponentiated and
         # square-rooted with X, once. The exponentials are evaluated once,
         # by the stacked self-test of make_pairs, whose residual the suite
-        # hands to the pair's gate and whose e^Y kurepa reads.
+        # gives the chunk's gate and whose e^Y kurepa reads.
         cfg = _one_of_each()
         cfg.update(seeds=3)
         built = []
@@ -1099,6 +1099,16 @@ class TestCli:
                                    "families": [{"family": "InteriorPair"}]}))
         assert cli_main(["suite", "--config", str(cfg), "--jobs", jobs]) == 2
         assert "jobs must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    def test_kurepa_holds_on_every_family(self, family, tmp_path):
+        # a Y with e^Y normal splits into commuting N0 and W, whatever
+        # its family; the commute residual is relative to
+        # max(1, ||N0|| ||W||), so a W near zero does not inflate it
+        pair = str(tmp_path / "pair.json")
+        assert cli_main(["generate", "--family", family.value, "--n", "4",
+                         "--seed", "0", "--out", pair]) == 0
+        assert cli_main(["check", "--name", "kurepa", "--in", pair]) == 0
 
     def test_check_choices_come_from_registry(self, capsys):
         with pytest.raises(SystemExit):

@@ -6,6 +6,7 @@ import inspect
 import os
 import re
 
+import numpy as np
 import pytest
 
 import normlog
@@ -75,10 +76,27 @@ def test_reexports_are_public_in_their_module(package):
     ("checks", "_operands"),
     ("checks", "_analyse"),
     ("spectral", "_gather"),
+    ("checks", "_EQUATIONS"),
+    ("checks", "_row_of"),
 ])
 def test_deleted_names_are_gone(module, name):
     assert not hasattr(importlib.import_module(f"normlog.{module}"), name)
     assert not hasattr(normlog, name)
+
+
+def test_pairs_take_no_measured_facts():
+    # e^Y and the exponential gaps a build measured reach the suite's
+    # chunks, never a pair
+    params = inspect.signature(normlog.PairAnalysis).parameters
+    assert list(params) == ["x", "y", "check_tol", "k_lo", "k_hi"]
+    assert [p.kind for p in params.values()] == (
+        [inspect.Parameter.POSITIONAL_OR_KEYWORD] * 2
+        + [inspect.Parameter.KEYWORD_ONLY] * 3)
+    assert list(inspect.signature(normlog.harness.analyze_pair).parameters
+                ) == ["x", "y", "metadata", "check_tol"]
+    pair = normlog.PairAnalysis(np.eye(2), np.eye(2))
+    with pytest.raises(AttributeError):
+        pair.exp_y = np.eye(2)
 
 
 def test_decompositions_have_no_validate():

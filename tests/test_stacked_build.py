@@ -185,7 +185,7 @@ class TestInteriorMeasureSlots:
             return
         pairs = [PairAnalysis(x, y) for x, y, _ in make_pairs(specs)]
         for chunk in (pairs[:1], pairs[:2], pairs):
-            c = normlog.checks._Chunk(chunk)
+            c = normlog.checks._Chunk.of(chunk)
             cols_x, cols_y = c.columns("x"), c.columns("y")
             idx = np.arange(len(chunk))
             scales = np.array([p.norm_x for p in chunk])
