@@ -55,8 +55,6 @@ from .logs import (
 )
 from .report import CheckReport
 from .spectral import (
-    HLine,
-    Points,
     Rect,
     Region,
     SpectralDecomposition,

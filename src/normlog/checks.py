@@ -283,7 +283,7 @@ class _Chunk:
 
 
 def _on_lines(lam: np.ndarray) -> tuple:
-    """The points on the lines Im z = pi and -pi, by ``HLine``'s rule."""
+    """The points within ``BOUNDARY_TOL`` of the lines Im z = pi and -pi."""
     return (abs(lam.imag - math.pi) <= BOUNDARY_TOL,
             abs(lam.imag + math.pi) <= BOUNDARY_TOL)
 
@@ -498,11 +498,11 @@ def _interior_region_family(lam_x: np.ndarray, lam_y: np.ndarray,
                             start: np.ndarray, scales: np.ndarray):
     """Regions isolating each interior eigenvalue of X, per row of the
     (k, n) column stacks: ``(centres, radius, half, disc, rect)``. Row i
-    has the disc ``Points((centres[i, j],), radius[i])`` where
-    ``disc[i, j]`` (j starts a cluster of X off the strip boundary) and
-    the closed square ``Rect`` of half-width ``half[i, j]`` where
-    ``rect[i, j]``, with edges clear of every eigenvalue and the strip
-    boundary."""
+    has the closed disc of radius ``radius[i]`` about ``centres[i, j]``
+    where ``disc[i, j]`` (j starts a cluster of X off the strip
+    boundary) and the closed square ``Rect`` of half-width ``half[i, j]``
+    where ``rect[i, j]``, with edges clear of every eigenvalue and the
+    strip boundary."""
     margin = 10 * BOUNDARY_TOL
     radius = CLUSTER_TOL * np.maximum(1.0, scales)
     # gaps[i, j]: distance from eigenvalue j of X to the nearest one of X
@@ -521,9 +521,11 @@ def _interior_region_family(lam_x: np.ndarray, lam_y: np.ndarray,
 def _isolating_masks(z: np.ndarray, family, row: np.ndarray,
                      slot: np.ndarray) -> np.ndarray:
     """Membership of the points of row ``row[s]`` of ``z`` (k, m) in region
-    slot ``slot[s]`` of that row alone, by the rules of ``Points`` and
-    ``Rect``, as an (S, m) mask: slot j < n is the disc of column j, slot
-    n + j its square, whose edges are included (no point is ambiguous)."""
+    slot ``slot[s]`` of that row alone, as an (S, m) mask: a point is in a
+    disc if the ``hypot`` of its difference from the centre is at most
+    the radius, and in a square by ``Rect``'s rule; slot j < n is the disc
+    of column j, slot n + j its square, whose edges are included (no
+    point is ambiguous)."""
     centres, radius, half = family[:3]
     n = centres.shape[1]
     out = np.empty((len(slot), z.shape[1]), dtype=bool)
@@ -799,9 +801,9 @@ def _congruence_free(run: _Run) -> None:  # and a normal Y decomposes
 def _projection_distances(cols_x: _Decompositions, cols_y: _Decompositions,
                           idx: np.ndarray) -> np.ndarray:
     """For each pair ``idx[j]``, the largest distance of an
-    eigenprojection of X to {Y}'', bit for bit ``dec_y.
-    bicommutant_distance(dec_x.projection(c))``: stacked calls of one
-    multiplicity, at most max(1, STACK_ENTRIES // n^2) projections each.
+    eigenprojection of X to {Y}'', the span of Y's eigenprojections (see
+    :func:`_span_distances`): stacked calls of one multiplicity, at most
+    max(1, STACK_ENTRIES // n^2) projections each.
     """
     n = cols_x.v.shape[1]
     pos, first = np.nonzero(cols_x.start[idx])
@@ -891,7 +893,7 @@ def check_y_in_bicommutant_of_exp(run: _Run):
     scale = np.sqrt((values.real ** 2 + values.imag ** 2).sum(axis=1))
     apart = _isolated(values, CLUSTER_TOL * np.maximum(1.0, scale))
     labels = run.take(cols.label)
-    if not apart.all():  # cmath.exp, as bicommutant_distance's key takes it
+    if not apart.all():  # the merge reads cmath.exp's values, not np.exp's
         labels = labels.copy()
         merged = [cmath.exp(1j * z) for z in lam[~apart].ravel().tolist()]
         labels[~apart] = _merged(np.array(merged).reshape(-1, lam.shape[1]))

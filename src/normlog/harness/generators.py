@@ -11,7 +11,7 @@ draw is hashed for every row's stream together (each row keeps its own
 counter, so its draws come in the order a lone build takes them), the
 rejection loops test every row's candidates together, and the Haar
 unitaries, diagonals and conjugations U D U* are stacks. Every instance
-is bit for bit its lone build; a lone ``make_pair`` is the stack of one.
+is bit for bit its lone build; ``make_pair`` is the stack of one.
 
 Boundary eigenvalues are placed with imaginary part exactly ``+/-pi``
 (no rounding), keeping line membership unambiguous downstream.
@@ -35,7 +35,7 @@ from ..logs import TWO_PI, _exp_gaps, _exp_stack
 from ..spectral import _fold_branch, _near, _odd_pi_distance
 from .rng import _Streams, _unitary_stack, _units
 
-__all__ = ["Family", "InstanceSpec", "make_pair", "make_pairs"]
+__all__ = ["Family", "InstanceSpec", "make_pair"]
 
 _SELF_TEST_TOL = 1e-10
 _PI = math.pi
@@ -454,35 +454,9 @@ def make_pair(spec: InstanceSpec):
     The metadata records the family's defining equation
     (``exp(X)=exp(Y)`` or ``exp(iX)=exp(Y)``) and the measured residual
     of its self-test; a residual above 1e-10 raises ConstructionFailed.
-    It is :func:`make_pairs` on a chunk of one.
+    It is :func:`_build` at the one seed.
     """
-    return make_pairs([spec])[0]
-
-
-def make_pairs(specs) -> list:
-    """``make_pair(spec)`` for each spec, built as one chunk.
-
-    The specs that differ only in their seed are built together (see
-    :func:`_build`); every result is bit for bit the lone one. When
-    specs fail, the first of them in chunk order raises what its lone
-    call would.
-    """
-    return [built[:3] for built in _make_pairs(specs)]
-
-
-def _make_pairs(specs) -> list:
-    """:func:`make_pairs`, with the self-test's e^Y of each pair as a
-    fourth entry (see :func:`_build`)."""
-    specs = list(specs)
-    groups: dict = {}  # (family, n, params) -> (first spec, chunk indices)
-    for i, spec in enumerate(specs):
-        key = (spec.family, spec.n, tuple(sorted(spec.params.items())))
-        groups.setdefault(key, (spec, []))[1].append(i)
-    out: list = [None] * len(specs)
-    for spec, idx in groups.values():
-        for i, built in zip(idx, _build(spec, [specs[i].seed for i in idx])):
-            out[i] = built
-    return _first_failure(out)
+    return _first_failure(_build(spec, [spec.seed]))[0][:3]
 
 
 def _first_failure(built: list) -> list:

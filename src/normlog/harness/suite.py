@@ -109,7 +109,11 @@ def analyze_pair(x, y, metadata: dict,
 
 
 def _window(metadata: dict) -> tuple:
-    """The branch window ``(k_lo, k_hi)`` an instance's metadata names."""
+    """The branch window ``(k_lo, k_hi)`` an instance's metadata names.
+    Raises ValueError for a bound it names that is not an integer."""
+    for key in ("k_lo", "k_hi"):
+        if key in metadata:
+            _require_int(metadata[key], key)
     return int(metadata.get("k_lo", -1)), int(metadata.get("k_hi", 0))
 
 

@@ -158,8 +158,7 @@ def simultaneous_diagonalize(a, b) -> np.ndarray:
     Diagonalizes ``a`` first, then re-diagonalizes the compression of
     ``b`` inside every eigenvalue cluster of ``a``. Returns a unitary
     ``v`` with both ``v* a v`` and ``v* b v`` diagonal. The
-    re-diagonalization is that of
-    :func:`~normlog.spectral.normal_eig_stack`, on a stack of one.
+    re-diagonalization is that of :func:`~normlog.spectral.normal_eig`.
 
     Raises
     ------
@@ -217,7 +216,7 @@ def _common_eigenbases(a: np.ndarray, b: np.ndarray, norms=None):
     reject a nearly Hermitian X whose commutator grows as u ||X||^2.
     Normality does not ensure that ``v[i]`` diagonalizes X: one large
     eigenvalue lets a block whose parts do not commute pass the test.
-    :func:`~normlog.spectral.normal_eig_stack` checks that.
+    :func:`~normlog.spectral.normal_eig` checks that.
 
     The commutators, the ``eigh`` of the ``a[i]``, the norms, the test
     and the sweep for runs of eigenvalues of ``a[i]`` closer than the

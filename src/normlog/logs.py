@@ -18,7 +18,7 @@ import numpy as np
 from .config import INV_TOL, ON_FEATURE_TOL
 from .errors import ExpNotNormal, NormLogError, NotNormal, Singular
 from .linalg import _frob_stack, as_square_matrix, commutator
-from .spectral import SpectralDecomposition, normal_eig, normal_eig_stack
+from .spectral import SpectralDecomposition, _decompose_stack, normal_eig
 
 __all__ = [
     "KurepaDecomposition",
@@ -185,7 +185,7 @@ def kurepa_decompose(y) -> KurepaDecomposition:
         when e^Y is numerically singular.
     """
     y = as_square_matrix(y)
-    attempts = normal_eig_stack(exp_general(y)[None])
+    attempts = _decompose_stack(exp_general(y)[None])
     return _unwrap(_kurepa_splits(y[None], attempts)[0])
 
 

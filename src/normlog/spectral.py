@@ -28,7 +28,6 @@ from .config import (BOUNDARY_TOL, CLUSTER_TOL, COMM_TOL, NORM_TOL,
 from .errors import (AmbiguousBoundary, NormLogError, NotCommuting,
                      SpectrumOutOfRange)
 from .linalg import (
-    _as_square_stack,
     _common_eigenbases,
     _frob_stack,
     as_square_matrix,
@@ -39,17 +38,12 @@ from .linalg import (
 )
 
 __all__ = [
-    "HLine",
-    "Points",
     "Rect",
     "Region",
     "SpectralDecomposition",
     "StripProjections",
     "borel_calculus",
     "normal_eig",
-    "normal_eig_stack",
-    "odd_line",
-    "open_branch_strip",
     "spectral_measure",
     "strip_interior",
     "strip_projections",
@@ -142,56 +136,10 @@ class Rect(Region):
         return yes, maybe
 
 
-@dataclass(frozen=True)
-class HLine(Region):
-    """The horizontal line Im z = c (always an included feature)."""
-
-    c: float
-
-    def __post_init__(self):
-        if math.isnan(self.c):
-            raise ValueError("line level must not be NaN")
-
-    def _status(self, z):
-        on = abs(z.imag - self.c) <= BOUNDARY_TOL
-        return on, on
-
-
-@dataclass(frozen=True)
-class Points(Region):
-    """Finite point set with a match radius."""
-
-    points: tuple
-    radius: float = 1e-9
-
-    def __post_init__(self):
-        if not self.radius >= 0.0:
-            raise ValueError("match radius must be a non-negative number")
-
-    def _status(self, z):
-        near = False
-        for p in self.points:
-            d = z - complex(p)
-            # hypot, not a complex abs: numpy's may differ from abs(complex)
-            near = near | (np.hypot(d.real, d.imag) <= self.radius)
-        return near, near
-
-
 def strip_interior() -> Region:
     """Open strip |Im z| < pi."""
     return Rect(im_lo=-math.pi, im_hi=math.pi,
                 incl_im_lo=False, incl_im_hi=False)
-
-
-def open_branch_strip(k: int) -> Region:
-    """Open strip (2k-1)pi < Im z < (2k+1)pi."""
-    return Rect(im_lo=(2 * k - 1) * math.pi, im_hi=(2 * k + 1) * math.pi,
-                incl_im_lo=False, incl_im_hi=False)
-
-
-def odd_line(k: int) -> Region:
-    """The line Im z = (2k+1)pi."""
-    return HLine((2 * k + 1) * math.pi)
 
 
 def _merged(values: np.ndarray) -> np.ndarray:
@@ -293,30 +241,6 @@ class SpectralDecomposition:
 
     def reconstruct(self) -> np.ndarray:
         return self.combination(self.eigenvalues)
-
-    def bicommutant_distance(self, w, key=None) -> float:
-        """Relative distance from ``w`` to the double commutant {X}''.
-
-        {X}'' is the span of the eigenprojections, whose members are
-        diagonal and constant per cluster in the eigenbasis: the distance
-        is ||M - D|| / ||w||, M = V* w V, D the cluster means of diag(M).
-        With ``key``, clusters whose key(lam) merge as normal_eig would
-        merge them share one projection, which gives the distance to
-        {key(X)}''.
-        """
-        w = as_square_matrix(w)[None]
-        return _span_distances(self.v[None], self._group_labels(key)[None],
-                               w).item()
-
-    def _group_labels(self, key=None) -> np.ndarray:
-        """Each column's group: its cluster's index, or with ``key`` the
-        smallest column of the group of clusters whose key(lam) merge as
-        normal_eig would merge them."""
-        if key is None:
-            return np.repeat(np.arange(len(self.eigenvalues)),
-                             self.multiplicities)
-        values = [complex(key(lam)) for lam in self.eigenvalues]
-        return _merged(np.repeat(values, self.multiplicities)[None])[0]
 
 
 @dataclass(frozen=True, eq=False)  # arrays have no truth value
@@ -425,7 +349,7 @@ def normal_eig(x) -> SpectralDecomposition:
     joining eigenvalues within ``CLUSTER_TOL * max(1, ||X||)`` of each
     other, so they do not depend on the order the eigenvalues are found
     in, and each is represented by its mean. This is
-    :func:`normal_eig_stack` on a stack of one.
+    :func:`_decompose_stack` on a stack of one.
 
     Raises NotNormal when ``X*X != XX*`` beyond tolerance, and
     NotCommuting when X passes that test but the basis found leaves
@@ -437,19 +361,11 @@ def normal_eig(x) -> SpectralDecomposition:
     return dec
 
 
-def normal_eig_stack(xs) -> list:
-    """Spectral decompositions of a stack of n x n matrices.
-
-    ``xs`` is a sequence of matrices or a (k, n, n) array. Entry i of the
-    result is ``normal_eig(xs[i])``, bit for bit, or the NormLogError it
-    would raise; an error leaves the other entries unchanged.
-    """
-    return list(_decompose_stack(_as_square_stack(xs)))
-
-
 def _decompose_stack(x: np.ndarray) -> _Decompositions:
-    """The decompositions of :func:`normal_eig_stack`, of a validated
-    stack, as one record.
+    """The spectral decompositions of a validated (k, n, n) stack, as one
+    record: entry i is ``normal_eig(x[i])`` bit for bit, or the
+    NormLogError it would raise, and an error leaves the other entries
+    unchanged.
 
     One commutator of the Hermitian parts per matrix decides normality,
     as :func:`~normlog.linalg.is_normal` does. A normal matrix whose
@@ -711,16 +627,18 @@ def _classify_window(lam_x: np.ndarray, lam_y: np.ndarray, k_lo: int,
     the branch window [k_lo, k_hi], as :func:`strip_projections` does.
 
     Returns ``((x_strip, x_line), (y_strip, y_line), errors)``. Column j
-    of the (k, m, k_hi - k_lo + 1) masks classifies the points against
-    open_branch_strip(k_lo + j) and odd_line(k_lo + j) by the rules of
-    those regions, in one pass over all branches; ``errors[i]`` is None,
+    of the (k, m, k_hi - k_lo + 1) masks marks, for k = k_lo + j, the
+    points in the open strip (2k-1)pi < Im z < (2k+1)pi, by the rule of
+    a :class:`Rect` with those open edges, and those on the line
+    Im z = (2k+1)pi, within ``BOUNDARY_TOL`` of it, in one pass over all
+    branches; ``errors[i]`` is None,
     or the error :func:`strip_projections` raises for row i. The range
     test reads the signed distance to the window's lowest line that the
     strips read, so a point in range is never decidedly inside strip
     k_lo, below that line.
     """
     # the odd lines (2j+1)pi, j = k_lo-1..k_hi: strip k lies between lines
-    # k-1 and k, and line k is odd_line(k)
+    # k-1 and k
     lines = np.array([(2 * j + 1) * math.pi
                       for j in range(k_lo - 1, k_hi + 1)])
     errors: list = [None] * len(lam_x)
@@ -746,5 +664,7 @@ def _classify_window(lam_x: np.ndarray, lam_y: np.ndarray, k_lo: int,
         if errors[i] is None:
             j, side = divmod(int(hits[i].argmax()), 2)
             z = (lam_x, lam_y)[side][i, ambiguous[side][i, :, j].argmax()]
-            errors[i] = open_branch_strip(k_lo + j)._ambiguity(complex(z))
+            strip = Rect(im_lo=float(lines[j]), im_hi=float(lines[j + 1]),
+                         incl_im_lo=False, incl_im_hi=False)
+            errors[i] = strip._ambiguity(complex(z))
     return classes[0], classes[1], errors

@@ -27,14 +27,13 @@ from normlog.harness.rng import random_unitary
 from normlog.linalg import dagger, frob
 from normlog.logs import kurepa_decompose, principal_log
 from normlog.spectral import (
-    Points,
     Rect,
     _fold_branch,
     borel_calculus,
     normal_eig,
 )
 
-from util import Stream, validate_decomposition, verify_pushforward
+from util import Points, Stream, validate_decomposition, verify_pushforward
 
 PI = math.pi
 SIZES = (2, 4, 8, 16)

@@ -43,13 +43,10 @@ from normlog.harness import (
     run_suite,
 )
 from normlog.linalg import dagger, frob, is_normal
-from normlog.harness.generators import _make_pairs
 from normlog.harness.suite import _FAMILY_CHECKS
 from normlog.logs import TWO_PI, _kurepa_splits, kurepa_decompose
 from normlog.report import CheckReport
 from normlog.spectral import (
-    HLine,
-    Points,
     Rect,
     SpectralDecomposition,
     normal_eig,
@@ -57,7 +54,9 @@ from normlog.spectral import (
     strip_projections,
 )
 
-from util import random_normal_matrix, record_of, validate_decomposition
+from util import (HLine, Points, _group_labels, _make_pairs,
+                  bicommutant_distance, random_normal_matrix, record_of,
+                  validate_decomposition)
 
 PI = math.pi
 
@@ -931,8 +930,8 @@ class TestDoubleCommutant:
                 rep = check_double_commutant(pair)
                 if not rep.hypothesis_met:
                     continue
-                dec_x = pair.dec_x
-                worst = max(pair.dec_y.bicommutant_distance(dec_x.projection(j))
+                dec_x, dec_y = pair.dec_x, pair.dec_y
+                worst = max(bicommutant_distance(dec_y, dec_x.projection(j))
                             for j in range(len(dec_x.eigenvalues)))
                 assert rep.residuals["double_commutant"].hex() == worst.hex()
 
@@ -1015,11 +1014,11 @@ class TestYInBicommutant:
         reports = check_y_in_bicommutant_of_exp(pairs)
         for pair, rep, planted in zip(pairs, reports, merged):
             assert rep.passed
-            groups = pair.dec_x._group_labels(key)
+            groups = _group_labels(pair.dec_x, key)
             assert (len(set(groups.tolist()))
                     < len(pair.dec_x.eigenvalues)) == planted
             assert (rep.residuals["double_commutant"].hex()
-                    == pair.dec_x.bicommutant_distance(pair.y, key).hex())
+                    == bicommutant_distance(pair.dec_x, pair.y, key).hex())
 
 
 def _fold(lam):

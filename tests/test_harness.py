@@ -28,14 +28,13 @@ from normlog.harness import (
     write_pair,
     write_report,
 )
-from normlog.harness.generators import _make_pairs, make_pairs
 from normlog.harness.rng import _gaussians, _Streams, _unitary_stack
 from normlog.harness.cli import main as cli_main
 from normlog.linalg import dagger, frob, is_normal
 from normlog.logs import TWO_PI
 from normlog.spectral import normal_eig
 
-from util import Stream, gaussian_matrix
+from util import Stream, _make_pairs, gaussian_matrix, make_pairs
 
 PI = math.pi
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -892,7 +891,8 @@ class TestCli:
                          "--report", report]) == 0
         out = capsys.readouterr().out
         assert "[PASS] modulus_equal" in out
-        doc = json.loads(open(report).read())
+        with open(report) as fh:
+            doc = json.load(fh)
         assert doc["summary"]["passed"] == 1
 
     def test_check_report_layout(self, tmp_path):
@@ -903,7 +903,8 @@ class TestCli:
                          "--n", "4", "--seed", "12", "--out", pair]) == 0
         assert cli_main(["check", "--name", "double_commutant", "--in", pair,
                          "--report", report]) == 0
-        doc = json.loads(open(report).read())
+        with open(report) as fh:
+            doc = json.load(fh)
         assert list(doc) == ["suite", "config", "results", "summary"]
         assert doc["suite"] == "normlog-check"
         assert doc["config"] == {"name": "double_commutant", "input": pair}
@@ -919,6 +920,26 @@ class TestCli:
                          "--out", pair]) == 0
         assert cli_main(["check", "--name", "difference_formula",
                          "--in", pair]) == 0
+
+    @pytest.mark.parametrize("key", ["k_lo", "k_hi"])
+    @pytest.mark.parametrize("value, shown", [
+        (1.7, "1.7"), (True, "True"), (None, "None"), ("abc", "'abc'")],
+        ids=["float", "bool", "null", "string"])
+    def test_non_integer_branch_window_exits_2(self, tmp_path, capsys, key,
+                                               value, shown):
+        # a pair file's window bound is read as written, never truncated
+        path = str(tmp_path / "pair.json")
+        assert cli_main(["generate", "--family", "ShiftedBranchPair",
+                         "--n", "4", "--seed", "0", "--out", path]) == 0
+        x, y, meta = read_pair(path)
+        meta[key] = value
+        write_pair(path, x, y, meta)
+        capsys.readouterr()
+        assert cli_main(["check", "--name", "difference_formula",
+                         "--in", path]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {key} must be an integer, got {shown}" in captured.err
+        assert "Traceback" not in captured.err and not captured.out
 
     def test_check_failure_exit_code(self, tmp_path, capsys):
         pair = str(tmp_path / "pair.json")
@@ -1043,7 +1064,8 @@ class TestCli:
         report = str(tmp_path / "suite.json")
         assert cli_main(["suite", "--config", str(cfg),
                          "--report", report]) == 0
-        doc = json.loads(open(report).read())
+        with open(report) as fh:
+            doc = json.load(fh)
         assert doc["summary"]["failed"] == 0
         assert "total" in capsys.readouterr().out
 

@@ -78,6 +78,14 @@ def test_reexports_are_public_in_their_module(package):
     ("spectral", "_gather"),
     ("checks", "_EQUATIONS"),
     ("checks", "_row_of"),
+    # the per-pair oracle, moved to tests/util.py
+    ("spectral", "HLine"),
+    ("spectral", "Points"),
+    ("spectral", "odd_line"),
+    ("spectral", "open_branch_strip"),
+    ("spectral", "normal_eig_stack"),
+    ("harness.generators", "make_pairs"),
+    ("harness.generators", "_make_pairs"),
 ])
 def test_deleted_names_are_gone(module, name):
     assert not hasattr(importlib.import_module(f"normlog.{module}"), name)
@@ -102,6 +110,12 @@ def test_pairs_take_no_measured_facts():
 def test_decompositions_have_no_validate():
     # the invariant oracle is tests/util.validate_decomposition
     assert not hasattr(normlog.SpectralDecomposition, "validate")
+
+
+@pytest.mark.parametrize("name", ["bicommutant_distance", "_group_labels"])
+def test_decompositions_have_no_bicommutant_distance(name):
+    # the per-pair distance oracle is tests/util.bicommutant_distance
+    assert not hasattr(normlog.SpectralDecomposition, name)
 
 
 def test_branch_log_takes_no_offsets():

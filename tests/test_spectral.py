@@ -16,16 +16,11 @@ from normlog.errors import (
 )
 from normlog.linalg import frob, is_normal
 from normlog.spectral import (
-    HLine,
-    Points,
     Rect,
     SpectralDecomposition,
     _fold_branch,
     borel_calculus,
     normal_eig,
-    normal_eig_stack,
-    odd_line,
-    open_branch_strip,
     spectral_measure,
     strip_interior,
     strip_projections,
@@ -33,7 +28,8 @@ from normlog.spectral import (
 
 from normlog.harness import Family, InstanceSpec, make_pair, random_unitary
 
-from util import (random_normal_matrix, scalar_normal_eig,
+from util import (HLine, Points, normal_eig_stack, odd_line,
+                  open_branch_strip, random_normal_matrix, scalar_normal_eig,
                   validate_decomposition, verify_pushforward)
 
 PI = math.pi

@@ -11,9 +11,9 @@ import util
 from normlog.checks import PairAnalysis
 from normlog.errors import ConstructionFailed
 from normlog.harness import Family, InstanceSpec, default_config, make_pair
-from normlog.harness.generators import make_pairs
 from normlog.harness.rng import random_unitary
-from normlog.spectral import SpectralDecomposition, normal_eig_stack
+from normlog.spectral import SpectralDecomposition
+from util import make_pairs, normal_eig_stack
 
 from test_spectral import _clustered_spectrum, _mixed_stack
 

@@ -1,20 +1,25 @@
 """Shared seeded builders and reference checks for the test suite."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from normlog.config import CHECK_TOL, CLUSTER_TOL, COMM_TOL
+from normlog.config import BOUNDARY_TOL, CHECK_TOL, CLUSTER_TOL, COMM_TOL
 from normlog.errors import ConstructionFailed, NotCommuting, NotNormal
 from normlog.harness import Family, mix64, random_unitary
-from normlog.linalg import (_eigh, _frob_stack, _normality_holds, dagger, frob,
+from normlog.harness.generators import _build, _first_failure
+from normlog.linalg import (_as_square_stack, _eigh, _frob_stack,
+                            _normality_holds, as_square_matrix, dagger, frob,
                             im_part, re_part)
 from normlog.logs import TWO_PI, _exp_gaps, exp_general
 from normlog.report import CheckReport
 from normlog.checks import _interior_region_family
-from normlog.spectral import (SpectralDecomposition, _Decompositions,
-                              _edge_status, _fold_branch, _odd_pi_distance,
-                              borel_calculus, normal_eig, spectral_measure)
+from normlog.spectral import (Rect, Region, SpectralDecomposition,
+                              _Decompositions, _decompose_stack, _edge_status,
+                              _fold_branch, _merged, _odd_pi_distance,
+                              _span_distances, borel_calculus, normal_eig,
+                              spectral_measure)
 
 
 _MASK = (1 << 64) - 1
@@ -110,6 +115,121 @@ def validate_decomposition(dec, x=None):
     if x is not None:
         res["reconstruction"] = frob(dec.reconstruct() - x)
     return res
+
+
+# --- Per-pair oracle: regions, decompositions and builds one pair at a time
+#
+# The library's checks classify and measure a whole chunk in array code;
+# these per-pair forms of the same rules are the reference the tests
+# compare them with.
+
+@dataclass(frozen=True)
+class HLine(Region):
+    """The horizontal line Im z = c (always an included feature)."""
+
+    c: float
+
+    def __post_init__(self):
+        if math.isnan(self.c):
+            raise ValueError("line level must not be NaN")
+
+    def _status(self, z):
+        on = abs(z.imag - self.c) <= BOUNDARY_TOL
+        return on, on
+
+
+@dataclass(frozen=True)
+class Points(Region):
+    """Finite point set with a match radius."""
+
+    points: tuple
+    radius: float = 1e-9
+
+    def __post_init__(self):
+        if not self.radius >= 0.0:
+            raise ValueError("match radius must be a non-negative number")
+
+    def _status(self, z):
+        near = False
+        for p in self.points:
+            d = z - complex(p)
+            # hypot, not a complex abs: numpy's may differ from abs(complex)
+            near = near | (np.hypot(d.real, d.imag) <= self.radius)
+        return near, near
+
+
+def open_branch_strip(k: int) -> Region:
+    """Open strip (2k-1)pi < Im z < (2k+1)pi."""
+    return Rect(im_lo=(2 * k - 1) * math.pi, im_hi=(2 * k + 1) * math.pi,
+                incl_im_lo=False, incl_im_hi=False)
+
+
+def odd_line(k: int) -> Region:
+    """The line Im z = (2k+1)pi."""
+    return HLine((2 * k + 1) * math.pi)
+
+
+def normal_eig_stack(xs) -> list:
+    """Spectral decompositions of a stack of n x n matrices.
+
+    ``xs`` is a sequence of matrices or a (k, n, n) array. Entry i of the
+    result is ``normal_eig(xs[i])``, bit for bit, or the NormLogError it
+    would raise; an error leaves the other entries unchanged.
+    """
+    return list(_decompose_stack(_as_square_stack(xs)))
+
+
+def bicommutant_distance(dec, w, key=None) -> float:
+    """Relative distance from ``w`` to the double commutant {X}'' of the
+    matrix that ``dec`` decomposes.
+
+    {X}'' is the span of the eigenprojections, whose members are
+    diagonal and constant per cluster in the eigenbasis: the distance
+    is ||M - D|| / ||w||, M = V* w V, D the cluster means of diag(M).
+    With ``key``, clusters whose key(lam) merge as normal_eig would
+    merge them share one projection, which gives the distance to
+    {key(X)}''.
+    """
+    w = as_square_matrix(w)[None]
+    return _span_distances(dec.v[None], _group_labels(dec, key)[None],
+                           w).item()
+
+
+def _group_labels(dec, key=None) -> np.ndarray:
+    """Each column's group: its cluster's index, or with ``key`` the
+    smallest column of the group of clusters whose key(lam) merge as
+    normal_eig would merge them."""
+    if key is None:
+        return np.repeat(np.arange(len(dec.eigenvalues)),
+                         dec.multiplicities)
+    values = [complex(key(lam)) for lam in dec.eigenvalues]
+    return _merged(np.repeat(values, dec.multiplicities)[None])[0]
+
+
+def make_pairs(specs) -> list:
+    """``make_pair(spec)`` for each spec, built as one chunk.
+
+    The specs that differ only in their seed are built together (see
+    ``generators._build``); every result is bit for bit the lone one.
+    When specs fail, the first of them in chunk order raises what its
+    lone call would.
+    """
+    return [built[:3] for built in _make_pairs(specs)]
+
+
+def _make_pairs(specs) -> list:
+    """:func:`make_pairs`, with the self-test's e^Y of each pair as a
+    fourth entry (see ``generators._build``)."""
+    specs = list(specs)
+    groups: dict = {}  # (family, n, params) -> (first spec, chunk indices)
+    for i, spec in enumerate(specs):
+        key = (spec.family, spec.n, tuple(sorted(spec.params.items())))
+        groups.setdefault(key, (spec, []))[1].append(i)
+    out: list = [None] * len(specs)
+    for spec, idx in groups.values():
+        for i, built in zip(idx, _build(spec, [specs[i].seed for i in idx])):
+            out[i] = built
+    return _first_failure(out)
 
 
 def verify_pushforward(dec, f, omega):
