@@ -26,16 +26,15 @@ from .config import (BOUNDARY_TOL, CHECK_TOL, CLUSTER_TOL, GATE_TOL, HERM_TOL,
                      INTEGER_TOL, STACK_ENTRIES)
 from .errors import (ExpNotNormal, NormLogError, NotNormal, Singular,
                      SpectrumOutOfRange)
-from .linalg import (_frob_stack, _modulus_stack, _same_bytes,
+from .linalg import (_frob_stack, _modulus_stack, _same_rows,
                      as_square_matrix, commutant_basis, commutator, dagger,
                      in_double_commutant, re_part)
 from .logs import TWO_PI, _exp_gaps, _kurepa_splits, _unwrap, exp_general
 from .report import CheckReport
 from .spectral import (_classify_window, _combination_stack,
                        _decompose_stack, _Decompositions, _edge_status,
-                       _fold_branch, _isolated, _merged, _near,
-                       _odd_pi_distance, _select_stack, _span_distances,
-                       _window_weights)
+                       _fold_branch, _merged, _near, _odd_pi_distance,
+                       _select_stack, _span_distances, _window_weights)
 
 # The check registry: ``check_<name>`` exists for every name here.
 CHECK_NAMES = (
@@ -88,13 +87,18 @@ class PairAnalysis:
     non-normal X, raises its error on every read.
     ``check_tol`` is the pass/fail threshold of its checks; every other
     threshold is a constant of :mod:`normlog.config`. ``[k_lo, k_hi]`` is
-    the branch window of :func:`check_difference_formula`.
+    the branch window of :func:`check_difference_formula`. X and Y of
+    different sizes raise ValueError.
     """
 
     def __init__(self, x, y, *, check_tol: float = CHECK_TOL,
                  k_lo: int = -1, k_hi: int = 0):
         self.x = as_square_matrix(x)
         self.y = as_square_matrix(y)
+        if self.x.shape != self.y.shape:
+            raise ValueError(f"X and Y must be of one size, got "
+                             f"{len(self.x)}x{len(self.x)} and "
+                             f"{len(self.y)}x{len(self.y)}")
         self.check_tol = check_tol
         self.k_lo = k_lo
         self.k_hi = k_hi
@@ -238,8 +242,9 @@ class _Chunk:
     def analyse(self, decs=(), moduli=()) -> None:
         """Decompose the operands ``decs`` names ("x", "y", "exp_y") and
         take the moduli of those ``moduli`` names ("x", "y") that the
-        chunk lacks: one stacked call each, each result bit for bit what
-        a lone pair computes. A pair's byte-equal operands (an
+        chunk lacks: one stacked call each, pair-major, each result bit
+        for bit what a lone pair computes. A pair's operands that
+        :func:`~normlog.linalg._same_rows` finds byte-equal (an
         InteriorPair's X and Y) are analysed once and share the
         result."""
         for sides, store, analyse in ((decs, self.decs, _decompose_stack),
@@ -248,21 +253,21 @@ class _Chunk:
             if not sides:
                 continue
             stacks = [getattr(self, side) for side in sides]
-            operands, slots = [], []
-            for i in range(len(self)):
-                own = []  # the pair's operands so far, with their slots
-                for m in (stack[i] for stack in stacks):
-                    slot = next((s for o, s in own if _same_bytes(o, m)), None)
-                    if slot is None:
-                        slot = len(operands)
-                        operands.append(m)
-                        own.append((m, slot))
-                    slots.append(slot)
-            results = analyse(np.stack(operands))
-            for k, side in enumerate(sides):
-                rows = slots[k::len(sides)]
+            # owner[i, s]: the first of pair i's operands byte-equal to
+            # its operand s; the owners alone are analysed
+            owner = np.tile(np.arange(len(sides)), (len(self), 1))
+            for s in range(1, len(sides)):
+                for t in range(s):
+                    same = _same_rows(stacks[t], stacks[s])
+                    owner[same, s] = owner[same, t]
+            own = owner == np.arange(len(sides))
+            slots = (np.cumsum(own) - 1).reshape(own.shape)[
+                np.arange(len(self))[:, None], owner]
+            results = analyse(np.stack(stacks, axis=1)[own])
+            for s, side in enumerate(sides):
+                rows = slots[:, s].tolist()
                 store[side] = (results.rows(rows) if store is self.decs
-                               else [results[s] for s in rows])
+                               else [results[r] for r in rows])
 
     def columns(self, side: str) -> _Decompositions:
         """The decompositions of operand ``side`` ("x", "y" or "exp_y")."""
@@ -887,16 +892,10 @@ def check_y_in_bicommutant_of_exp(run: _Run):
     cols = run.chunk.columns("x")
     lam, v, y = run.take(cols.lam), run.take(cols.v), run.take(run.chunk.y)
     # exp(iX) = V diag(e^{i lam}) V*, so {exp(iX)}'' is spanned by sums of
-    # the projections of X that share a value e^{i lam}: values that stay
-    # apart keep X's clusters, the others merge as normal_eig would merge
-    values = np.exp(1j * lam)
-    scale = np.sqrt((values.real ** 2 + values.imag ** 2).sum(axis=1))
-    apart = _isolated(values, CLUSTER_TOL * np.maximum(1.0, scale))
-    labels = run.take(cols.label)
-    if not apart.all():  # the merge reads cmath.exp's values, not np.exp's
-        labels = labels.copy()
-        merged = [cmath.exp(1j * z) for z in lam[~apart].ravel().tolist()]
-        labels[~apart] = _merged(np.array(merged).reshape(-1, lam.shape[1]))
+    # the projections of X that share a value e^{i lam}, as cmath.exp
+    # gives them: the values merge as normal_eig would merge them
+    values = [cmath.exp(1j * z) for z in lam.ravel().tolist()]
+    labels = _merged(np.array(values).reshape(lam.shape))
     folded = _combination_stack(v, 1j * _fold_branch(lam.real)[1])
     return run.rows({"double_commutant": _span_distances(v, labels, y),
                      "fold_identity": _rel(_frob_stack(folded - y),

@@ -30,7 +30,7 @@ from enum import Enum
 import numpy as np
 
 from ..errors import ConstructionFailed
-from ..linalg import dagger
+from ..linalg import _same_rows, dagger
 from ..logs import TWO_PI, _exp_gaps, _exp_stack
 from ..spectral import _fold_branch, _near, _odd_pi_distance
 from .rng import _Streams, _unitary_stack, _units
@@ -479,7 +479,8 @@ def _build(spec: InstanceSpec, seeds) -> list:
     LAPACK or BLAS call per matrix. Both sides of every self-test are
     then exponentiated as stacks. ``exp_y`` is the self-test's e^Y, bit
     for bit ``exp_general(y)``; a Y byte-equal to its X (an
-    InteriorPair's) reuses X's exponential.
+    InteriorPair's), as :func:`~normlog.linalg._same_rows` compares
+    them, reuses X's exponential.
     """
     family = Family(spec.family)
     builder, skew, _ = _BUILDERS[family]
@@ -494,8 +495,7 @@ def _build(spec: InstanceSpec, seeds) -> list:
         return out
     x, y = (x, y) if len(ok) == len(seeds) else (x[ok], y[ok])
     lhs = _exp_stack(1j * x if skew else x)  # iX, as 1j * x computes it
-    shared = (x.view(np.uint8) == y.view(np.uint8)).reshape(
-        len(ok), -1).all(axis=1) & (not skew)
+    shared = _same_rows(x, y) & (not skew)
     rhs = lhs
     if not shared.all():
         rhs = lhs.copy()

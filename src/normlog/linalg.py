@@ -41,20 +41,10 @@ __all__ = [
 
 def as_square_matrix(a) -> np.ndarray:
     """Coerce to a square complex matrix, rejecting NaN/Inf entries."""
-    return _as_square(a, 2, "a square matrix")
-
-
-def _as_square_stack(a) -> np.ndarray:
-    """Coerce to a (k, n, n) stack of square complex matrices, rejecting
-    NaN/Inf entries."""
-    return _as_square(a, 3, "a stack of square matrices")
-
-
-def _as_square(a, ndim: int, expected: str) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
-    if m.ndim != ndim or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"expected {expected}, got shape {m.shape}")
-    if m.shape[-1] < 1:
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.shape[0] < 1:
         raise ValueError("matrix dimension must be >= 1")
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
@@ -191,16 +181,11 @@ def _frob_stack(a: np.ndarray) -> np.ndarray:
     return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0])
 
 
-def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether two arrays hold the same bytes. Unlike ``==`` this tells
-    -0.0 from 0.0, and unlike comparing ``tobytes()`` it copies neither
-    contiguous array."""
-    if a is b:
-        return True
-    if a.shape != b.shape or a.dtype != b.dtype:
-        return False
+def _same_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Which rows of two stacks of one shape and dtype hold the same
+    bytes. Unlike ``==`` this tells -0.0 from 0.0."""
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    return bool((a.view(np.uint8) == b.view(np.uint8)).all())
+    return (a.view(np.uint8) == b.view(np.uint8)).reshape(len(a), -1).all(1)
 
 
 def _common_eigenbases(a: np.ndarray, b: np.ndarray, norms=None):
@@ -248,8 +233,6 @@ def _common_eigenbases(a: np.ndarray, b: np.ndarray, norms=None):
     radius = CLUSTER_TOL * np.maximum(1.0, norm_a)
     starts = np.ones(wa.shape, dtype=bool)
     starts[:, 1:] = wa[:, 1:] - wa[:, :-1] > radius[:, None]
-    if starts.all():
-        return v, errors
     at = np.flatnonzero(starts)
     length = np.diff(at, append=wa.size)
     pair, first = np.divmod(at, wa.shape[1])

@@ -76,11 +76,8 @@ def _exp_stack(x: np.ndarray) -> np.ndarray:
     squarings = [-1 if norm == 0.0 else
                  max(0, int(math.ceil(math.log2(norm / _PADE13_THETA))))
                  for norm in norms]
-    counts = sorted(set(squarings))
-    if len(counts) == 1:
-        return _exp_scaled(x, counts[0])
     out = np.empty_like(x)
-    for s in counts:
+    for s in sorted(set(squarings)):
         idx = [i for i, si in enumerate(squarings) if si == s]
         out[idx] = _exp_scaled(x[idx], s)
     return out

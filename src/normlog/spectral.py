@@ -375,14 +375,11 @@ def _decompose_stack(x: np.ndarray) -> _Decompositions:
     commute pass it, and ``eigh`` resolves Re(X) eigenvalues just outside
     the merge radius only to about u ||Re(X)|| / gap.
     The norms, the commutators, the ``eigh`` of the Re(X), the
-    products V* Re(X) V and V* Im(X) V, both tests and the sweeps of
-    :func:`_isolated` are array code over the whole stack, one BLAS or
+    products V* Re(X) V and V* Im(X) V, both tests and the clusters of
+    :func:`_clustered` are array code over the whole stack, one BLAS or
     LAPACK call per matrix, so each entry is computed as if alone. A
-    matrix whose sweeps leave only single eigenvalues has one cluster per
-    eigenvalue, ordered by Re; the others are clustered together by
-    :func:`_clustered`. A failing entry's ``eigh`` is computed and
-    discarded, so an ``eigh`` that fails to converge on it raises
-    NoConvergence for the whole stack.
+    failing entry's ``eigh`` is computed and discarded, so an ``eigh``
+    that fails to converge on it raises NoConvergence for the whole stack.
     """
     re, im = re_part(x), im_part(x)
     norms = _frob_stack(x)
@@ -399,22 +396,13 @@ def _decompose_stack(x: np.ndarray) -> _Decompositions:
                 f"{2 * comm / (NORM_TOL * norms[i] ** 2):.3g} of its bound, "
                 f"but the basis found leaves V* X V off its diagonal by "
                 f"{coupling[i]:.3e} > {COMM_TOL:.1e} * n * ||X||")
-    radius = CLUSTER_TOL * np.maximum(1.0, norms)
-    failed = np.array([error is not None for error in errors], dtype=bool)
-    multi = ~(_isolated(lams, radius) | failed)
-    # a lone eigenvalue's mean is 0 + lam, which turns -0.0 into 0.0
-    reps = lams + 0
-    row = np.arange(len(x))[:, None]
-    order = np.lexsort((reps.imag, reps.real), axis=1)
-    reps = reps[row, order]
-    start = np.ones(lams.shape, dtype=bool)
-    if multi.any():
-        order[multi], reps[multi], start[multi] = _clustered(lams[multi],
-                                                             radius[multi])
+    order, reps, start = _clustered(lams,
+                                    CLUSTER_TOL * np.maximum(1.0, norms))
     # the permuted columns laid out as the fancy index v[:, order] lays
     # them out (column-major), which the later products see
-    vt = v.swapaxes(1, 2)[row, order]
-    vt[failed], reps[failed] = 0.0, 0.0
+    vt = v.swapaxes(1, 2)[np.arange(len(x))[:, None], order]
+    failed = np.array([error is not None for error in errors], dtype=bool)
+    vt[failed], reps[failed], start[failed] = 0.0, 0.0, True
     return _Decompositions(vt, reps, start, errors)
 
 
@@ -430,25 +418,6 @@ def _diagonal_and_rest(v: np.ndarray, re: np.ndarray, im: np.ndarray):
     n = v.shape[-1]
     m_re[:, range(n), range(n)] = 0.0
     return lams, _frob_stack(m_re)
-
-
-def _isolated(lams: np.ndarray, radius: np.ndarray) -> np.ndarray:
-    """Which rows of ``lams`` two sweeps split into single values, for the
-    radii ``radius``: sorted by Re, split at gaps wider than the radius,
-    then each run likewise by Im. No edge of :func:`_components` crosses
-    such a gap, so every component is then a single value; a row with a
-    longer run may still have only single components."""
-    row = np.arange(len(lams))[:, None]
-    order = np.argsort(lams.real, axis=1)
-    re = lams.real[row, order]
-    gap = radius[:, None]
-    run = np.zeros(lams.shape)
-    np.cumsum(re[:, 1:] - re[:, :-1] > gap, axis=1, out=run[:, 1:])
-    im = lams.imag[row, order]
-    within = np.lexsort((im, run), axis=1)
-    run, im = run[row, within], im[row, within]
-    near = (run[:, 1:] == run[:, :-1]) & ~(im[:, 1:] - im[:, :-1] > gap)
-    return ~near.any(axis=1)
 
 
 def _clustered(lams: np.ndarray, radius: np.ndarray) -> tuple:

@@ -72,9 +72,17 @@ class TestPairAnalysis:
         _, y, _ = make_pair(InstanceSpec(Family.NON_NORMAL_LOG_PAIR, 4, 5))
         x, _, _ = random_normal_matrix(5, 3)
         for m in (rot, nilpotent, y, x, np.zeros((3, 3))):
-            pair = PairAnalysis(m, nilpotent)
+            # a nilpotent Jordan block of m's size
+            pair = PairAnalysis(m, np.eye(len(m), k=1))
             assert pair.normal_x == is_normal(m)
             assert pair.normal_y is False
+
+    @pytest.mark.parametrize("nx, ny", [(2, 3), (3, 2), (1, 4)])
+    def test_operands_of_different_sizes_raise(self, nx, ny):
+        with pytest.raises(ValueError) as exc:
+            PairAnalysis(np.eye(nx), np.eye(ny))
+        assert str(exc.value) == (f"X and Y must be of one size, got "
+                                  f"{nx}x{nx} and {ny}x{ny}")
 
     def test_non_normal_decomposition_raises_not_normal(self):
         pair = PairAnalysis(np.eye(2), np.array([[0, 1], [0, 0]]))

@@ -941,6 +941,22 @@ class TestCli:
         assert f"error: {key} must be an integer, got {shown}" in captured.err
         assert "Traceback" not in captured.err and not captured.out
 
+    @pytest.mark.parametrize("name", CHECK_NAMES)
+    def test_operands_of_different_sizes_exit_2(self, tmp_path, capsys, name):
+        # a pair file whose X is 2x2 and whose Y is 3x3
+        paths = [str(tmp_path / f"pair{n}.json") for n in (2, 3)]
+        for n, path in zip((2, 3), paths):
+            assert cli_main(["generate", "--family", "InteriorPair", "--n",
+                             str(n), "--seed", "0", "--out", path]) == 0
+        x, _, meta = read_pair(paths[0])
+        write_pair(paths[0], x, read_pair(paths[1])[1], meta)
+        capsys.readouterr()
+        assert cli_main(["check", "--name", name, "--in", paths[0]]) == 2
+        captured = capsys.readouterr()
+        assert ("error: X and Y must be of one size, got 2x2 and 3x3"
+                in captured.err)
+        assert "Traceback" not in captured.err and not captured.out
+
     def test_check_failure_exit_code(self, tmp_path, capsys):
         pair = str(tmp_path / "pair.json")
         cli_main(["generate", "--family", "BoundaryFlipPair", "--n", "2",

@@ -7,10 +7,9 @@ from normlog.errors import NotCommuting, NotHermitian
 from normlog.harness import random_unitary
 from normlog.harness import Family, InstanceSpec, make_pair
 from normlog.linalg import (
-    _as_square_stack,
     _frob_stack,
     _modulus_stack,
-    _same_bytes,
+    _same_rows,
     as_square_matrix,
     commutant_basis,
     dagger,
@@ -53,13 +52,6 @@ class TestSquareCoercion:
         (as_square_matrix, np.zeros((0, 0)), "matrix dimension must be >= 1"),
         (as_square_matrix, [[1.0, np.inf], [0.0, 1.0]],
          "matrix entries must be finite"),
-        (_as_square_stack, np.zeros((2, 2)),
-         "expected a stack of square matrices, got shape (2, 2)"),
-        (_as_square_stack, np.zeros((2, 2, 3)),
-         "expected a stack of square matrices, got shape (2, 2, 3)"),
-        (_as_square_stack, np.zeros((1, 0, 0)), "matrix dimension must be >= 1"),
-        (_as_square_stack, np.full((1, 2, 2), np.nan),
-         "matrix entries must be finite"),
     ])
     def test_rejection_messages(self, coerce, a, message):
         with pytest.raises(ValueError) as exc:
@@ -68,7 +60,6 @@ class TestSquareCoercion:
 
     def test_returns_complex(self):
         assert as_square_matrix([[1, 2], [3, 4]]).dtype == complex
-        assert _as_square_stack(np.zeros((3, 2, 2))).shape == (3, 2, 2)
 
 
 class TestFrob:
@@ -107,21 +98,31 @@ class TestFrobStack:
                     == np.array([frob(m) for m in view]).tobytes())
 
 
-class TestSameBytes:
+class TestSameRows:
     def test_tells_signed_zeros_apart(self):
-        a = np.diag([0.0, 1.0 + 2j])
-        b = np.diag([-0.0, 1.0 + 2j])
-        assert np.array_equal(a, b) and not _same_bytes(a, b)
-        assert _same_bytes(a, a.copy()) and _same_bytes(a, a)
-        assert not _same_bytes(a, -a) and not _same_bytes(b, b.conj())
+        a = np.diag([0.0, 1.0 + 2j])[None]
+        b = np.diag([-0.0, 1.0 + 2j])[None]
+        assert np.array_equal(a, b) and not _same_rows(a, b).any()
+        assert _same_rows(a, a.copy()).all() and _same_rows(a, a).all()
+        assert not _same_rows(a, -a).any() and not _same_rows(b, b.conj()).any()
+        assert not _same_rows(a.real, b.real).any()
 
-    def test_layouts_shapes_and_dtypes(self):
-        g = gaussian_matrix(Stream(3), 5)
-        assert _same_bytes(g.T, np.ascontiguousarray(g.T))
-        assert _same_bytes(g[::2], g[::2].copy())
-        assert not _same_bytes(g, g[:4])
-        assert not _same_bytes(g.real, g.real.astype(np.complex128))
-        assert not _same_bytes(np.zeros((2, 2)), np.zeros((2, 2), complex))
+    def test_non_contiguous_stacks(self):
+        g = np.stack([gaussian_matrix(Stream(s), 5) for s in range(4)])
+        t = g.swapaxes(1, 2)
+        assert _same_rows(t, np.ascontiguousarray(t)).all()
+        assert _same_rows(g[::2], g[::2].copy()).all()
+        assert _same_rows(g[:, ::2, 1:], g[:, ::2, 1:].copy()).all()
+        assert not _same_rows(t, g).any()
+
+    def test_mixed_stack(self):
+        # each row is decided alone: equal, one ulp apart, a signed zero
+        g = np.stack([gaussian_matrix(Stream(s), 3) for s in range(4)])
+        g[2, 1, 1] = 0.0
+        h = g.copy()
+        h[1, 2, 0] = np.nextafter(g[1, 2, 0].real, np.inf) + 1j * g[1, 2, 0].imag
+        h[2, 1, 1] = complex(0.0, -0.0)
+        assert _same_rows(g, h).tolist() == [True, False, False, True]
 
 
 class TestHermEig:

@@ -86,6 +86,9 @@ def test_reexports_are_public_in_their_module(package):
     ("spectral", "normal_eig_stack"),
     ("harness.generators", "make_pairs"),
     ("harness.generators", "_make_pairs"),
+    ("spectral", "_isolated"),
+    ("linalg", "_same_bytes"),
+    ("linalg", "_as_square_stack"),
 ])
 def test_deleted_names_are_gone(module, name):
     assert not hasattr(importlib.import_module(f"normlog.{module}"), name)

@@ -18,6 +18,7 @@ from normlog.linalg import frob, is_normal
 from normlog.spectral import (
     Rect,
     SpectralDecomposition,
+    _decompose_stack,
     _fold_branch,
     borel_calculus,
     normal_eig,
@@ -478,33 +479,15 @@ def _mixed_stack(n=4):
             bad[2], *operands[9:], bad[0]]
 
 
-def _clustered_by_merge(monkeypatch, operands):
-    """The decompositions with every operand clustered by ``_merge``, the
-    per-operand reference for the stacked sweep."""
-    with monkeypatch.context() as m:
-        m.setattr(normlog.spectral, "_isolated",
-                  lambda lams, radius: np.zeros(len(lams), dtype=bool))
-        return normal_eig_stack(operands)
-
-
-def _same_layout(got, ref):
-    return (isinstance(ref, NormLogError)
-            or (got.v.strides == ref.v.strides
-                and type(got.eigenvalues[0]) is complex))
-
-
 class TestStackedClustering:
-    def test_mixed_stack_equals_merge_and_lone(self, monkeypatch):
+    def test_mixed_stack_equals_lone(self):
         operands = _mixed_stack()
         stacked = normal_eig_stack(operands)
-        reference = _clustered_by_merge(monkeypatch, operands)
         assert [type(d) for d in stacked].count(NotNormal) == 2
         assert [type(d) for d in stacked].count(NotCommuting) == 1
         decs = [d for d in stacked if isinstance(d, SpectralDecomposition)]
         assert {len(d.eigenvalues) for d in decs} >= {1, 2, 3, 4}
-        for m, got, ref in zip(operands, stacked, reference):
-            assert _same_decomposition(got, ref)
-            assert _same_layout(got, ref)
+        for m, got in zip(operands, stacked):
             assert _same_decomposition(got, _lone(m))
         # a decomposition into single eigenvalues reproduces its matrix,
         # which needs the re-resolution of close Re eigenvalues by Im
@@ -518,31 +501,28 @@ class TestStackedClustering:
                    for z in d.eigenvalues for part in (z.real, z.imag)
                    if part == 0.0)
 
-    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
-    def test_generated_operands_equal_merge(self, family, monkeypatch):
-        for n in (1, 2, 8, 16):
-            if n == 1 and family in (Family.DISTINCT_PROJECTION_PAIR,
-                                     Family.NON_NORMAL_LOG_PAIR):
-                continue  # these need n >= 2
-            group = [m for seed in range(3)
-                     for m in make_pair(InstanceSpec(family, n, seed))[:2]]
-            stacked = normal_eig_stack(group)
-            for got, ref in zip(stacked, _clustered_by_merge(monkeypatch, group)):
-                assert _same_decomposition(got, ref)
-                assert _same_layout(got, ref)
+    def test_failed_rows_add_nothing(self):
+        # a row that failed to decompose has a zero basis, zero
+        # representatives and one cluster per column
+        record = _decompose_stack(np.stack(_mixed_stack()))
+        failed = [i for i, e in enumerate(record.errors) if e is not None]
+        assert len(failed) == 3
+        assert not record.vt[failed].any() and not record.lam[failed].any()
+        assert record.start[failed].all()
 
     def test_wrong_stacked_boundary_is_caught(self, monkeypatch):
-        # a sweep that splits at half the merge radius takes the pairs 0.7
+        # components joined at half the merge radius take the pairs 0.7
         # radii apart for single eigenvalues: the comparison with the
-        # per-operand clustering must see it
+        # scalar oracle must see it
         operands = _mixed_stack()
-        reference = _clustered_by_merge(monkeypatch, operands)
-        isolated = normlog.spectral._isolated
-        monkeypatch.setattr(normlog.spectral, "_isolated",
-                            lambda lams, radius: isolated(lams, radius / 2))
+        components = normlog.spectral._components
+        monkeypatch.setattr(normlog.spectral, "_components",
+                            lambda z, radius: components(z, radius / 2))
         mutated = normal_eig_stack(operands)
-        assert not all(_same_decomposition(got, ref)
-                       for got, ref in zip(mutated, reference))
+        assert not all(
+            isinstance(got, want) if isinstance(want, type)
+            else _same_decomposition(got, want)
+            for got, want in zip(mutated, map(scalar_normal_eig, operands)))
 
 
 def _failing_operand(error):

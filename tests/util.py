@@ -9,9 +9,8 @@ from normlog.config import BOUNDARY_TOL, CHECK_TOL, CLUSTER_TOL, COMM_TOL
 from normlog.errors import ConstructionFailed, NotCommuting, NotNormal
 from normlog.harness import Family, mix64, random_unitary
 from normlog.harness.generators import _build, _first_failure
-from normlog.linalg import (_as_square_stack, _eigh, _frob_stack,
-                            _normality_holds, as_square_matrix, dagger, frob,
-                            im_part, re_part)
+from normlog.linalg import (_eigh, _frob_stack, _normality_holds,
+                            as_square_matrix, dagger, frob, im_part, re_part)
 from normlog.logs import TWO_PI, _exp_gaps, exp_general
 from normlog.report import CheckReport
 from normlog.checks import _interior_region_family
@@ -176,7 +175,7 @@ def normal_eig_stack(xs) -> list:
     result is ``normal_eig(xs[i])``, bit for bit, or the NormLogError it
     would raise; an error leaves the other entries unchanged.
     """
-    return list(_decompose_stack(_as_square_stack(xs)))
+    return list(_decompose_stack(np.stack([as_square_matrix(x) for x in xs])))
 
 
 def bicommutant_distance(dec, w, key=None) -> float:
