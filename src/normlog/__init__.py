@@ -4,7 +4,19 @@ The toolkit decomposes normal complex matrices into eigenprojections,
 evaluates projection-valued measures over plane regions, computes
 principal logarithms, and mechanically verifies the identities that
 constrain two logarithms of the same exponential.
+
+BLAS and LAPACK run at one thread in every normlog process unless the
+caller set a thread variable. One thread fixes the reduction order, so
+reports carry the same bits on every host, and ``--jobs`` workers do not
+contend with BLAS threads. numpy reads the variables when it loads, so
+a process that imported numpy before normlog keeps its thread count.
 """
+
+import os as _os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    _os.environ.setdefault(_var, "1")
+del _os, _var
 
 __version__ = "0.1.0"
 

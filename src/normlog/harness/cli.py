@@ -79,6 +79,9 @@ def _cmd_suite(args) -> int:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ValueError(f"a config file must hold an object, got "
+                             f"{config!r}")
     else:
         config = default_config()
     doc = run_suite(config, jobs=args.jobs)

@@ -65,13 +65,15 @@ class InstanceSpec:
 
     def __post_init__(self):
         """Raises ValueError for an unknown family, an ``n`` that is not
-        an integer >= 1, or a parameter the family does not read or whose
-        value is not an integer (``violate`` and ``conjugate_pair`` also
-        take a boolean)."""
+        an integer >= 1, a ``seed`` that is not an integer, or a
+        parameter the family does not read or whose value is not an
+        integer (``violate`` and ``conjugate_pair`` also take a
+        boolean)."""
         family = Family(self.family)
         _require_int(self.n, "n")
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        _require_int(self.seed, "seed")
         _require_keys(self.params, _BUILDERS[family][2],
                       f"{family.value} params")
         for key, value in self.params.items():

@@ -164,11 +164,13 @@ def run_suite(config: dict | None = None, jobs: int = 1) -> dict:
     also be a boolean), a label a string, and ``sizes``, ``families``
     and an entry's ``checks`` lists, and for a config that
     checks nothing: ``seeds < 1``, no sizes, no family entries, or an
-    entry with an empty ``checks`` list.
+    entry with an empty ``checks`` list. Only ``config=None`` runs
+    :func:`default_config`; ``{}`` names no family entry and raises.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    config = config or default_config()
+    if config is None:
+        config = default_config()
     _require_keys(config, _CONFIG_KEYS, "config")
     base = config.get("base_seed", 0)
     _require_int(base, "base_seed")

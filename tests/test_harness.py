@@ -400,6 +400,16 @@ class TestFamilyParameters:
             InstanceSpec(Family.INTERIOR_PAIR, n, 1)
         assert InstanceSpec(Family.INTERIOR_PAIR, np.int64(4), 1).n == 4
 
+    @pytest.mark.parametrize("seed", [1.5, "3", None, True],
+                             ids=["float", "string", "null", "bool"])
+    def test_seed_must_be_an_integer(self, seed):
+        # before, 1.5, "3" and None raised TypeError inside the stream
+        # hash, and True built a pair whose metadata read "seed": true
+        with pytest.raises(ValueError,
+                           match=f"seed must be an integer, got {seed!r}"):
+            InstanceSpec(Family.INTERIOR_PAIR, 4, seed)
+        assert InstanceSpec(Family.INTERIOR_PAIR, 4, np.int64(3)).seed == 3
+
 
 class TestMatrixFormat:
     def test_round_trip_exact(self, tmp_path):
@@ -539,7 +549,8 @@ class TestSuite:
 
     def test_parallel_matches_serial_across_chunks(self):
         # 25 seeds at n = 24 run as chunks of 14 and 11 instances; n = 64
-        # is left out, where the pool's workers contend for BLAS threads
+        # is left out: the test modules load numpy before normlog, so the
+        # pool's forked workers keep numpy's BLAS threads and contend
         cfg = dict(_chunked(), sizes=[24])
         assert run_suite(cfg, jobs=2) == run_suite(cfg, jobs=1)
 
@@ -552,12 +563,7 @@ class TestSuite:
                 f"cfg = {self.CFG!r}\n"
                 "assert h.run_suite(cfg, jobs=2) == h.run_suite(cfg, jobs=1)\n"
                 "assert pool <= set(sys.modules)\n")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [os.path.join(ROOT, "src")]
-            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
-                              capture_output=True, text=True, timeout=120)
+        proc = _python("-c", code)
         assert proc.returncode == 0, proc.stderr
 
     def test_negative_controls_skip(self):
@@ -718,6 +724,17 @@ class TestSuite:
         with pytest.raises(ValueError, match="config must be an object"):
             run_suite([{"family": "InteriorPair"}])
 
+    def test_only_none_means_the_default_config(self, monkeypatch):
+        # an empty config names no family entry: it is not the default
+        calls = self._count_built(monkeypatch)
+        with pytest.raises(ValueError,
+                           match="families must name at least one entry"):
+            run_suite({})
+        for falsy in ([], False, 0):
+            with pytest.raises(ValueError, match="config must be an object"):
+                run_suite(falsy)
+        assert calls == []
+
     def test_default_and_workload_configs_accepted(self, monkeypatch):
         # every key is read; no instance is built
         monkeypatch.setattr(normlog.harness.suite, "_run_chunk",
@@ -736,6 +753,58 @@ class TestSuite:
         with pytest.raises(ValueError, match="nope"):
             run_suite(cfg)
         assert calls == []
+
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _python(*args, **thread_vars):
+    """A fresh interpreter run from the repository root, with normlog's
+    source first on ``PYTHONPATH`` and the BLAS thread variables of this
+    process unset, apart from ``thread_vars``."""
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    env.update(thread_vars)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestThreadPolicy:
+    # in fresh interpreters: the pytest process may load numpy first,
+    # and then keeps numpy's thread count
+    SHOW = ("import os, sys\n"
+            "assert 'numpy' not in sys.modules\n"
+            "import normlog\n"
+            f"print(*(os.environ.get(v) for v in {_THREAD_VARS!r}))\n")
+
+    def test_import_sets_one_thread(self):
+        proc = _python("-c", self.SHOW)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1", "1", "1"]
+
+    def test_caller_thread_count_is_kept(self):
+        proc = _python("-c", self.SHOW, OPENBLAS_NUM_THREADS="3")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["3", "1", "1"]
+
+    def test_report_at_n128_equals_the_one_thread_report(self, tmp_path):
+        # a multithreaded BLAS rounds n = 128 products differently; on a
+        # one-core host both runs are at one thread whatever the policy
+        config = tmp_path / "suite.json"
+        config.write_text(json.dumps({
+            "sizes": [128], "seeds": 1,
+            "families": [{"family": "InteriorPair"}]}))
+        reports = []
+        for thread_vars in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+            report = tmp_path / f"report{len(reports)}.json"
+            proc = _python("-m", "normlog.harness.cli", "suite", "--config",
+                           str(config), "--report", str(report),
+                           **thread_vars)
+            assert proc.returncode == 0, proc.stderr
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
 
 
 def _one_of_each() -> dict:
@@ -1018,6 +1087,19 @@ class TestCli:
         path.write_text(json.dumps(config))
         assert cli_main(["suite", "--config", str(path)]) == 2
         captured = capsys.readouterr()
+        assert message in captured.err and "Traceback" not in captured.err
+        assert "total" not in captured.out
+
+    @pytest.mark.parametrize("doc", [{}, [], None, False, 0],
+                             ids=["object", "list", "null", "false", "zero"])
+    def test_falsy_config_file_exits_2(self, tmp_path, capsys, doc):
+        # before, each of these ran the whole default suite and exited 0
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["suite", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        message = ("families must name at least one entry" if doc == {}
+                   else f"a config file must hold an object, got {doc!r}")
         assert message in captured.err and "Traceback" not in captured.err
         assert "total" not in captured.out
 
