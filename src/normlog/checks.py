@@ -24,8 +24,7 @@ import numpy as np
 
 from .config import (BOUNDARY_TOL, CHECK_TOL, CLUSTER_TOL, GATE_TOL, HERM_TOL,
                      INTEGER_TOL, STACK_ENTRIES)
-from .errors import (ExpNotNormal, NormLogError, NotNormal, Singular,
-                     SpectrumOutOfRange)
+from .errors import ExpNotNormal, NotNormal, Singular, SpectrumOutOfRange
 from .linalg import (_frob_stack, _modulus_stack, _same_rows,
                      as_square_matrix, commutant_basis, commutator, dagger,
                      in_double_commutant, re_part)
@@ -59,37 +58,21 @@ def _stack(arrays) -> np.ndarray:  # one array becomes a view, not a copy
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
-class _Row:
-    """A fact of :class:`PairAnalysis`: row 0 of ``read(chunk)``, or of
-    the chunk's scalar array of the same name, for the pair's chunk of
-    one. A failed fact raises its error on every read."""
-
-    def __init__(self, read=None, doc=None):
-        self.read, self.__doc__ = read, doc
-
-    def __set_name__(self, owner, name):
-        self.read = self.read or (lambda chunk: chunk.array(name).tolist())
-
-    def __get__(self, pair, owner=None):
-        return self if pair is None else _unwrap(self.read(pair._chunk)[0])
-
-
 class PairAnalysis:
-    """One instance (X, Y): the chunk of one.
+    """One instance (X, Y): the verifier's input.
 
-    The facts its checks share live on a chunk, which computes each once
-    for all its rows (:func:`run_checks` makes one per call). The facts
-    of a lone pair -- normality, norms, spectral decompositions, e^Y and
-    the exponential gaps, moduli, residuals and the congruence report --
-    read row 0 of its own chunk of one, made on first read, so the
-    checks run on one pair never repeat a decomposition or an
-    exponential. A fact that failed, such as the decomposition of a
-    non-normal X, raises its error on every read.
-    ``check_tol`` is the pass/fail threshold of its checks; every other
-    threshold is a constant of :mod:`normlog.config`. ``[k_lo, k_hi]`` is
-    the branch window of :func:`check_difference_formula`. X and Y of
-    different sizes raise ValueError.
+    A pair holds its operands and settings only. ``check_tol`` is the
+    pass/fail threshold of its checks; every other threshold is a
+    constant of :mod:`normlog.config`. ``[k_lo, k_hi]`` is the branch
+    window of :func:`check_difference_formula`. X and Y of different
+    sizes raise ValueError. Every fact its checks share lives on a
+    chunk, which computes each once for all its rows (:func:`run_checks`
+    makes one per call); a check run on the lone pair reads its own
+    chunk of one, made on first use, so checks run one after another
+    never repeat a decomposition or an exponential.
     """
+
+    __slots__ = ("x", "y", "check_tol", "k_lo", "k_hi", "_one")
 
     def __init__(self, x, y, *, check_tol: float = CHECK_TOL,
                  k_lo: int = -1, k_hi: int = 0):
@@ -102,36 +85,13 @@ class PairAnalysis:
         self.check_tol = check_tol
         self.k_lo = k_lo
         self.k_hi = k_hi
-
-    @cached_property
-    def _chunk(self) -> _Chunk:
-        return _Chunk.of([self])
-
-    normal_x = _Row()
-    normal_y = _Row()
-    norm_x = _Row()
-    norm_y = _Row()
-    commutator_residual = _Row(doc="Relative norm of XY - YX.")
-    real_part_residual = _Row(doc="Relative norm of Re(X) - Re(Y).")
-    hermitian_x = _Row()
-    exp_residual = _Row(lambda c: c.exp_gaps("exp(X)=exp(Y)", [0]).tolist(),
-                        "Relative gap between exp(X) and exp(Y).")
-    exp_i_residual = _Row(lambda c: c.exp_gaps("exp(iX)=exp(Y)", [0]).tolist(),
-                          "Relative gap between exp(iX) and exp(Y).")
-    congruence = _Row(lambda c: c.congruence,
-                      "The report of check_congruence_free; raises NotNormal "
-                      "if X is not normal.")
-    dec_x = _Row(lambda c: c.columns("x"), "Spectral decomposition of X, "
-                 "or its error (NotNormal if X is not normal).")
-    dec_y = _Row(lambda c: c.columns("y"), "Spectral decomposition of Y, "
-                 "or its error (NotNormal if Y is not normal).")
-    modulus_x = _Row(lambda c: c.moduli("x"))
-    modulus_y = _Row(lambda c: c.moduli("y"))
+        self._one = None
 
     @property
-    def exp_y(self) -> np.ndarray:
-        """e^Y, bit for bit ``exp_general(y)``."""
-        return self._chunk.exp_y[0]
+    def _chunk(self) -> _Chunk:
+        if self._one is None:
+            self._one = _Chunk.of([self])
+        return self._one
 
 
 def _normal(chunk: _Chunk, side: str) -> np.ndarray:
@@ -192,7 +152,13 @@ class _Chunk:
 
     @classmethod
     def of(cls, pairs) -> _Chunk:
-        """The chunk of a list of :class:`PairAnalysis`, given no facts."""
+        """The chunk of a list of :class:`PairAnalysis`, given no facts.
+        Pairs of different sizes raise ValueError."""
+        n = len(pairs[0].x)
+        other = next((len(p.x) for p in pairs if len(p.x) != n), n)
+        if other != n:
+            raise ValueError(f"the pairs of a chunk must be of one size, "
+                             f"got {n}x{n} and {other}x{other}")
         return cls(_stack([p.x for p in pairs]), _stack([p.y for p in pairs]),
                    [p.check_tol for p in pairs],
                    [(p.k_lo, p.k_hi) for p in pairs])
@@ -490,7 +456,8 @@ def _run_checks(names, chunk: _Chunk) -> list:
     chunk.analyse(*({side for read in reads for side in read[k]}
                     for k in (0, 1)))
     columns = [globals()[f"check_{name}"](chunk) for name in names]
-    return [[_unwrap(entry) for entry in row] for row in zip(*columns)]
+    return [[_unwrap(column[i]) for column in columns]
+            for i in range(len(chunk))]
 
 
 @_gated("normal", "exp")
@@ -617,7 +584,7 @@ def _read_moduli(*sides: str):  # a failed modulus ends its pair
         run.chunk.analyse(moduli=sides)
         found = [[run.chunk.moduli(side)[i] for side in sides]
                  for i in run.open.tolist()]
-        errors = [next((m for m in ms if isinstance(m, NormLogError)), None)
+        errors = [next((m for m in ms if isinstance(m, Exception)), None)
                   for ms in found]
         run.end(errors)
         run.moduli = [_stack(m) for m in zip(*(

@@ -74,8 +74,8 @@ class TestPairAnalysis:
         for m in (rot, nilpotent, y, x, np.zeros((3, 3))):
             # a nilpotent Jordan block of m's size
             pair = PairAnalysis(m, np.eye(len(m), k=1))
-            assert pair.normal_x == is_normal(m)
-            assert pair.normal_y is False
+            assert pair._chunk.array("normal_x").tolist()[0] == is_normal(m)
+            assert pair._chunk.array("normal_y").tolist()[0] is False
 
     @pytest.mark.parametrize("nx, ny", [(2, 3), (3, 2), (1, 4)])
     def test_operands_of_different_sizes_raise(self, nx, ny):
@@ -84,36 +84,69 @@ class TestPairAnalysis:
         assert str(exc.value) == (f"X and Y must be of one size, got "
                                   f"{nx}x{nx} and {ny}x{ny}")
 
-    def test_non_normal_decomposition_raises_not_normal(self):
+    def test_run_checks_of_no_names_gives_each_pair_none(self):
+        pairs = [PairAnalysis(np.eye(2), np.eye(2)) for _ in range(2)]
+        assert run_checks([], pairs) == [[], []]
+        assert run_checks([], []) == []
+
+    def test_chunk_of_pairs_of_different_sizes_raises(self):
+        pairs = [PairAnalysis(np.eye(2), np.eye(2)),
+                 PairAnalysis(np.eye(3), np.eye(3)),
+                 PairAnalysis(np.eye(2), np.eye(2))]
+        for run in (check_real_part, lambda ps: run_checks(["kurepa"], ps)):
+            with pytest.raises(ValueError) as exc:
+                run(pairs)
+            assert str(exc.value) == ("the pairs of a chunk must be of one "
+                                      "size, got 2x2 and 3x3")
+
+    def test_non_normal_decomposition_is_not_normal(self):
         pair = PairAnalysis(np.eye(2), np.array([[0, 1], [0, 0]]))
         for _ in range(2):
-            with pytest.raises(NotNormal):
-                pair.dec_y
+            assert isinstance(pair._chunk.columns("y")[0], NotNormal)
 
-    @pytest.mark.parametrize("fact, non_normal", [
-        ("congruence", "x"), ("dec_x", "x"), ("dec_y", "y")])
-    def test_failed_fact_raises_on_every_read(self, fact, non_normal):
-        nilpotent = np.array([[0, 1], [0, 0]], dtype=complex)
-        operands = {"x": (nilpotent, np.eye(2)),
-                    "y": (np.eye(2), nilpotent)}[non_normal]
-        pair = PairAnalysis(*operands)
+    # a non-normal Y is a hypothesis every check skips, so Y's failed
+    # decomposition is that of a normal Y whose parts fail to commute,
+    # which spectral_agreement's strip gate reads
+    @pytest.mark.parametrize("fact, check, error", [
+        ("congruence", "congruence_free", NotNormal),
+        ("dec_x", "congruence_free", NotNormal),
+        ("dec_y", "spectral_agreement", NotCommuting)])
+    def test_failed_fact_is_kept_and_raised_on_every_call(self, fact, check,
+                                                          error):
+        if error is NotNormal:
+            pair = PairAnalysis(np.array([[0, 1], [0, 0]], dtype=complex),
+                                np.eye(2))
+        else:
+            pair = PairAnalysis(np.eye(4), _coupled())
+        read = {"congruence": lambda c: c.congruence[0],
+                "dec_x": lambda c: c.columns("x")[0],
+                "dec_y": lambda c: c.columns("y")[0]}[fact]
         for _ in range(3):
-            with pytest.raises(NotNormal):
-                getattr(pair, fact)
+            assert isinstance(read(pair._chunk), error)
+            with pytest.raises(error):
+                run_check(check, pair)
 
     @pytest.mark.parametrize("side", ["x", "y"])
-    def test_failed_modulus_raises_on_every_read(self, side):
+    def test_failed_modulus_is_kept_and_raised_on_every_call(self, side):
         # M*M overflows, so the modulus of M fails; the other one's holds
         big = np.diag([1e200, 1.0]).astype(complex)
-        operands = {"x": (big, np.eye(2)), "y": (np.eye(2), big)}[side]
+        eye = np.eye(2, dtype=complex)
+        operands = {"x": (big, eye), "y": (eye, big)}[side]
         pair = PairAnalysis(*operands)
         other = "y" if side == "x" else "x"
+        # e^M overflows, so the exponential gate is given as met for the
+        # check to reach the moduli
+        given = normlog.checks._Chunk(
+            *(m[None] for m in operands), [CHECK_TOL], [(-1, 0)],
+            gaps=[("exp(X)=exp(Y)", 0.0)])
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(3):
+                error = pair._chunk.moduli(side)[0]
+                assert isinstance(error, ValueError)
+                assert "finite" in str(error)
                 with pytest.raises(ValueError, match="finite"):
-                    getattr(pair, f"modulus_{side}")
-            assert np.array_equal(getattr(pair, f"modulus_{other}"),
-                                  np.eye(2))
+                    normlog.checks._run_checks(("modulus_equal",), given)
+            assert np.array_equal(pair._chunk.moduli(other)[0], np.eye(2))
 
     def test_normal_input_whose_parts_fail_to_commute(self):
         # normal within NORM_TOL, but its Hermitian parts fail the tighter
@@ -121,9 +154,11 @@ class TestPairAnalysis:
         # leaves them uncoupled, and the decomposition meets criterion 1
         x = np.diag([100.0, 0.0]) + 1e-10j * np.array([[0, 1], [1, 0]])
         pair = PairAnalysis(x, x)
-        assert is_normal(x) and pair.normal_x is True
+        assert is_normal(x)
+        assert pair._chunk.array("normal_x").tolist()[0] is True
         for _ in range(2):
-            assert (validate_decomposition(pair.dec_x, x)["reconstruction"]
+            dec_x = pair._chunk.columns("x")[0]
+            assert (validate_decomposition(dec_x, x)["reconstruction"]
                     <= 1e-10 * 2 * frob(x))
 
     def test_moduli_taken_for_the_checks_that_read_them(self, monkeypatch):
@@ -132,7 +167,7 @@ class TestPairAnalysis:
                                    Family.NON_NORMAL_LOG_PAIR)
                     for seed in range(3)]
         lone = [PairAnalysis(x, y) for x, y in operands]
-        want = [(alone.modulus_x.tobytes(), alone.modulus_y.tobytes())
+        want = [tuple(alone._chunk.moduli(side)[0].tobytes() for side in "xy")
                 for alone in lone]
         calls = _spy(monkeypatch, "_modulus_stack", bytes_of=True)
         cases = {("modulus_equal",): ("x", "y"),
@@ -193,7 +228,8 @@ class TestPairAnalysis:
         assert chunk.moduli("x")[3] is not chunk.moduli("y")[3]
         for pair, (x, y) in zip(pairs, interior + [signed]):
             assert _same_attempt(_attempt(pair, "y"), _lone_attempt(y))
-            assert pair.modulus_y.tobytes() == PairAnalysis(x, y).modulus_y.tobytes()
+            assert (pair._chunk.moduli("y")[0].tobytes()
+                    == PairAnalysis(x, y)._chunk.moduli("y")[0].tobytes())
 
     @pytest.mark.parametrize("name", CHECK_NAMES)
     def test_run_checks_analyses_its_chunk_once(self, name, monkeypatch):
@@ -231,7 +267,7 @@ class TestPairAnalysis:
                 pass
         assert len(decomposed) == 3
         assert sorted(m for stack in decomposed for m in stack) == sorted(
-            m.tobytes() for m in (x, y, pair.exp_y))
+            m.tobytes() for m in (x, y, pair._chunk.exp_y[0]))
         taken = [m for stack in moduli for m in stack]
         assert len(taken) == len(set(taken)) <= 2
         assert set(taken) <= {x.tobytes(), y.tobytes()}
@@ -305,7 +341,8 @@ class TestPairAnalysis:
         x, y, _ = make_pair(InstanceSpec(Family.BOUNDARY_FLIP_PAIR, 8, 2))
         pair = PairAnalysis(x, y)
         chunk = normlog.checks._Chunk.of([pair])
-        for side, dec in (("x", pair.dec_x), ("y", pair.dec_y)):
+        for side in "xy":
+            dec = pair._chunk.columns(side)[0]
             assert [m[0].tobytes() for m in chunk.lines(side)] == [
                 spectral_measure(dec, HLine(c)).tobytes() for c in (PI, -PI)]
         assert chunk.lines("x")[0].any() or chunk.lines("x")[1].any()
@@ -358,6 +395,55 @@ class TestPairAnalysis:
         # one commutator, or the real parts of X and Y, for both checks
         assert calls == (["commutator"] if residual == "commutator"
                          else ["re_part", "re_part"])
+
+
+def _row_facts(pair):
+    """Row 0 of the pair's chunk of one: the decompositions of X and of Y
+    (or their errors) and ||X||."""
+    chunk = pair._chunk
+    return (chunk.columns("x")[0], chunk.columns("y")[0],
+            chunk.array("norm_x")[0])
+
+
+def _coupled():
+    """A normal matrix whose Hermitian parts fail the commutation test of
+    its decomposition, which raises NotCommuting."""
+    x = np.diag([100.0, 100.0 + 1e-5, 1.0, 2.0]).astype(complex)
+    x[0, 1] = x[1, 0] = 1e-2j
+    return x
+
+
+def _gate_given(pairs, equation="exp(X)=exp(Y)"):
+    """The chunk of ``pairs`` (X, Y), each given a zero gap of
+    ``equation``, so a pair whose conclusion fails reaches the check
+    body."""
+    x, y = (np.stack(ms).astype(complex) for ms in zip(*pairs))
+    return normlog.checks._Chunk(x, y, [CHECK_TOL] * len(x),
+                                 [(-1, 0)] * len(x),
+                                 gaps=[(equation, 0.0)] * len(x))
+
+
+def _norm(m):
+    return float(np.linalg.norm(m))
+
+
+def _normal_in_strip(seed):
+    """X = U D U* with D off the strip boundary and of distinct moduli,
+    and |X| = U |D| U*."""
+    u = random_unitary(3, seed)
+    d = np.array([0.5 + 1.0j, -1.5 + 0.0j, 2.0 - 0.5j]) * (1 + 0.1 * seed)
+    return conj_by(u, np.diag(d)), conj_by(u, np.diag(np.abs(d)))
+
+
+def _any_matrix(seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+
+
+def _assert_fails_with(reports, key, want):
+    for rep, value in zip(reports, want, strict=True):
+        assert rep.hypothesis_met and not rep.passed
+        assert rep.residuals[key] == pytest.approx(value, rel=1e-12)
 
 
 def _not_called(*args, **kwargs):
@@ -552,8 +638,7 @@ class TestSpectralAgreement:
                     pair = PairAnalysis(x, y)
                     rep = check_spectral_agreement(pair)
                     assert rep.hypothesis_met
-                    plain = _plain_interior_measure(pair.dec_x, pair.dec_y,
-                                                    pair.norm_x)
+                    plain = _plain_interior_measure(*_row_facts(pair))
                     got = rep.residuals["interior_measure"]
                     assert abs(got - plain) <= 1e-14, (family, n, seed)
 
@@ -598,7 +683,7 @@ class TestSpectralAgreement:
         x = conj_by(random_unitary(3, 91), np.diag([PI * 1j, -PI * 1j,
                                                    0.5 + PI * 1j]))
         pair = PairAnalysis(x, x.copy())
-        centres = _compact_family(pair.dec_x, pair.dec_y, pair.norm_x)[0]
+        centres = _compact_family(*_row_facts(pair))[0]
         assert len(centres) == 0
         rep = check_spectral_agreement(pair)
         assert rep.hypothesis_met
@@ -612,9 +697,10 @@ class TestSpectralAgreement:
     def test_one_pass_masks_equal_region_membership(self, family, n):
         x, y, _ = make_pair(InstanceSpec(family, n, 3))
         pair = PairAnalysis(x, y)
-        arrays = _compact_family(pair.dec_x, pair.dec_y, pair.norm_x)
+        dec_x, dec_y, norm_x = _row_facts(pair)
+        arrays = _compact_family(dec_x, dec_y, norm_x)
         regions = _family_regions(arrays)
-        loop = _loop_region_family(pair.dec_x, pair.dec_y, pair.norm_x)
+        loop = _loop_region_family(dec_x, dec_y, norm_x)
         assert regions == ([r for r in loop if isinstance(r, Points)]
                            + [r for r in loop if isinstance(r, Rect)])
         # probes on, inside and outside each disc rim and square edge
@@ -626,9 +712,8 @@ class TestSpectralAgreement:
              for u in (1, np.exp(1j * math.pi / 4))]
             + [(centres[:, None] + u * edge).ravel()
                for u in (1, -1, 1j, -1j, 1 + 1j)])
-        family, slots = _region_family(pair.dec_x, pair.dec_y, pair.norm_x)
-        for z in (pair.dec_x.eigenvalue_array, pair.dec_y.eigenvalue_array,
-                  probes):
+        family, slots = _region_family(dec_x, dec_y, norm_x)
+        for z in (dec_x.eigenvalue_array, dec_y.eigenvalue_array, probes):
             (slot,) = np.nonzero(slots)
             masks = normlog.checks._isolating_masks(
                 z[None], family, np.zeros_like(slot), slot)
@@ -656,6 +741,16 @@ class TestModulusEqual:
                          np.diag([1 - PI * 1j, -2 + 0j])))
         assert rep.passed
 
+    def test_unequal_moduli_fail_with_their_distance(self):
+        # |X| != |Y|: the residual is ||U|D|U* - V|E|V*|| / max(1, ||X||)
+        pairs = [(_normal_in_strip(seed), _normal_in_strip(seed + 10))
+                 for seed in range(3)]
+        reports = check_modulus_equal(_gate_given(
+            [(x, y) for (x, _), (y, _) in pairs]))
+        _assert_fails_with(reports, "modulus", [
+            _norm(mx - my) / max(1.0, _norm(x))
+            for (x, mx), (_, my) in pairs])
+
 
 class TestModulusCommute:
     def test_similarity_partner(self):
@@ -679,6 +774,16 @@ class TestModulusCommute:
         rep = check_modulus_commute(PairAnalysis(x, x.copy()))
         assert rep.passed
 
+    def test_modulus_not_commuting_with_y_fails(self):
+        # the residual is ||[|X|, Y]|| / max(1, ||X|| ||Y||)
+        pairs = [(_normal_in_strip(seed), _any_matrix(seed))
+                 for seed in range(3)]
+        reports = check_modulus_commute(_gate_given(
+            [(x, y) for (x, _), y in pairs]))
+        _assert_fails_with(reports, "modulus_commutator", [
+            _norm(mx @ y - y @ mx) / max(1.0, _norm(x) * _norm(y))
+            for (x, mx), y in pairs])
+
 
 class TestSquareCommute:
     def test_clean_boundary(self):
@@ -697,6 +802,15 @@ class TestSquareCommute:
         rep = check_square_commute(PairAnalysis(np.diag([PI * 1j]),
                                                 np.diag([-PI * 1j])))
         assert rep.passed
+
+    def test_square_not_commuting_with_y_fails(self):
+        # the residual is ||[X^2, Y]|| / max(1, ||X||^2 ||Y||)
+        pairs = [(_normal_in_strip(seed)[0], _any_matrix(seed))
+                 for seed in range(3)]
+        reports = check_square_commute(_gate_given(pairs))
+        _assert_fails_with(reports, "square_commutator", [
+            _norm(x @ x @ y - y @ x @ x) / max(1.0, _norm(x) ** 2 * _norm(y))
+            for x, y in pairs])
 
 
 class TestDifferenceFormula:
@@ -724,13 +838,14 @@ class TestDifferenceFormula:
 def _strip_sum_residual(pair):
     """The difference residual from the explicit sum over
     strip_projections: the reference for the per-cluster weights."""
-    sp = strip_projections(pair.dec_x, pair.dec_y, pair.k_lo, pair.k_hi)
-    n = pair.dec_x.n
+    dec_x, dec_y, norm_x = _row_facts(pair)
+    sp = strip_projections(dec_x, dec_y, pair.k_lo, pair.k_hi)
+    n = dec_x.n
     rhs = np.zeros((n, n), dtype=complex)
     for k in range(pair.k_lo, pair.k_hi + 1):
         rhs += 2 * k * PI * 1j * (sp.p(k) - sp.q(k))
         rhs += (2 * k + 1) * PI * 1j * (sp.e(k) - sp.f(k))
-    return frob((pair.x - pair.y) - rhs) / max(1.0, pair.norm_x)
+    return frob((pair.x - pair.y) - rhs) / max(1.0, norm_x)
 
 
 # every default suite entry whose operands are both normal, with its params
@@ -767,9 +882,9 @@ class TestDifferenceFormulaWeights:
         x = np.diag([0.5 + 1j * t for t in x_imag])
         y = np.diag([0.5 + 1j * t for t in y_imag])
         pair = PairAnalysis(x, y, k_lo=-1, k_hi=1)
-        assert pair.exp_residual <= GATE_TOL
+        assert pair._chunk.exp_gaps("exp(X)=exp(Y)", [0])[0] <= GATE_TOL
         with pytest.raises(AmbiguousBoundary) as expected:
-            strip_projections(pair.dec_x, pair.dec_y, -1, 1)
+            strip_projections(*_row_facts(pair)[:2], -1, 1)
         with pytest.raises(AmbiguousBoundary) as got:
             check_difference_formula(pair)
         assert str(got.value) == str(expected.value)
@@ -782,14 +897,15 @@ class TestDifferenceFormulaWeights:
         x = np.diag([0.5 + 1j * t for t in x_imag])
         y = np.diag([0.5 + 1j * t for t in y_imag])
         pair = PairAnalysis(x, y, k_lo=-1, k_hi=0)
-        assert pair.exp_residual <= GATE_TOL
+        gap = pair._chunk.exp_gaps("exp(X)=exp(Y)", [0])[0]
+        assert gap <= GATE_TOL
         with pytest.raises(SpectrumOutOfRange) as expected:
-            strip_projections(pair.dec_x, pair.dec_y, -1, 0)
+            strip_projections(*_row_facts(pair)[:2], -1, 0)
         rep = check_difference_formula(pair)
         assert not rep.hypothesis_met and not rep.passed
         assert rep.notes == (f"spectrum outside branch window [-1, 0]: "
                              f"{expected.value}")
-        assert rep.residuals == {"exp_gate": pair.exp_residual}
+        assert rep.residuals == {"exp_gate": gap}
 
 
 def _band_pair(d, k_lo, k_hi, seed=0):
@@ -835,7 +951,7 @@ class TestDifferenceFormulaWindow:
         assert not rep.hypothesis_met and not rep.passed
         assert rep.notes.startswith("spectrum outside branch window [-1, 0]")
         with pytest.raises(SpectrumOutOfRange):
-            strip_projections(pair.dec_x, pair.dec_y, -1, 0)
+            strip_projections(*_row_facts(pair)[:2], -1, 0)
 
 
 class TestCorollaryCases:
@@ -938,7 +1054,7 @@ class TestDoubleCommutant:
                 rep = check_double_commutant(pair)
                 if not rep.hypothesis_met:
                     continue
-                dec_x, dec_y = pair.dec_x, pair.dec_y
+                dec_x, dec_y, _ = _row_facts(pair)
                 worst = max(bicommutant_distance(dec_y, dec_x.projection(j))
                             for j in range(len(dec_x.eigenvalues)))
                 assert rep.residuals["double_commutant"].hex() == worst.hex()
@@ -960,7 +1076,7 @@ class TestDoubleCommutant:
         monkeypatch.setattr(normlog.checks, "commutant_basis", spy)
         pair = PairAnalysis(x, y)
         rep = check_double_commutant(pair)
-        assert not pair.normal_y
+        assert not pair._chunk.array("normal_y")[0]
         assert rep.passed and rep.residuals["double_commutant"] <= 1e-12
         assert len(calls) == 1
 
@@ -981,6 +1097,22 @@ class TestOneBoundaryEigenvalue:
         y = np.diag([PI * 1j, PI * 1j])
         rep = check_one_boundary_eigenvalue(PairAnalysis(x, y))
         assert not rep.hypothesis_met and not rep.passed
+
+    def test_non_commuting_pair_fails(self):
+        # a self-adjoint X with no odd-pi eigenvalue and a normal Y in the
+        # strip, in other bases: the residual is ||XY - YX|| / max(1,
+        # ||X|| ||Y||)
+        pairs = []
+        for seed in range(3):
+            x = conj_by(random_unitary(3, seed), np.diag([0.3, -1.2, 2.0]))
+            y = conj_by(random_unitary(3, seed + 10),
+                        np.diag([0.4j, -1.0 + 0.5j, 1.1]))
+            pairs.append(((x + dagger(x)) / 2, y))
+        reports = check_one_boundary_eigenvalue(_gate_given(
+            pairs, "exp(iX)=exp(Y)"))
+        _assert_fails_with(reports, "commutator", [
+            _norm(x @ y - y @ x) / max(1.0, _norm(x) * _norm(y))
+            for x, y in pairs])
 
 
 class TestYInBicommutant:
@@ -1022,11 +1154,12 @@ class TestYInBicommutant:
         reports = check_y_in_bicommutant_of_exp(pairs)
         for pair, rep, planted in zip(pairs, reports, merged):
             assert rep.passed
-            groups = _group_labels(pair.dec_x, key)
+            dec_x = pair._chunk.columns("x")[0]
+            groups = _group_labels(dec_x, key)
             assert (len(set(groups.tolist()))
-                    < len(pair.dec_x.eigenvalues)) == planted
+                    < len(dec_x.eigenvalues)) == planted
             assert (rep.residuals["double_commutant"].hex()
-                    == bicommutant_distance(pair.dec_x, pair.y, key).hex())
+                    == bicommutant_distance(dec_x, pair.y, key).hex())
 
 
 def _fold(lam):
@@ -1171,8 +1304,9 @@ class TestChunkNativeChecks:
              Family.NON_NORMAL_LOG_PAIR, Family.ODD_PI_EIGENVALUE,
              Family.SELF_ADJOINT_CONGRUENCE_FREE))]
         chunk = _chunk(specs[:2] + [odd] + specs[2:])
-        assert [p.normal_y for p in _pairs(chunk)] == [True, True, False,
-                                                       False, True, True]
+        assert [p._chunk.array("normal_y").tolist()[0]
+                for p in _pairs(chunk)] == [True, True, False, False, True,
+                                            True]
         _assert_chunk_equals_lone(chunk)
         reports = check_double_commutant(chunk)
         assert reports[2].passed and reports[0].passed
@@ -1180,8 +1314,7 @@ class TestChunkNativeChecks:
     def test_chunk_raises_the_first_pair_major_error(self):
         # the band pair raises in difference_formula; the pair after it,
         # normal but with coupled parts, in spectral_agreement
-        x = np.diag([100.0, 100.0 + 1e-5, 1.0, 2.0]).astype(complex)
-        x[0, 1] = x[1, 0] = 1e-2j
+        x = _coupled()
         broken = PairAnalysis(x, x)
         band = _band_pair(1e-9, -1, 0, seed=0)
         names = ("spectral_agreement", "difference_formula", "real_part")

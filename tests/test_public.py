@@ -89,6 +89,7 @@ def test_reexports_are_public_in_their_module(package):
     ("spectral", "_isolated"),
     ("linalg", "_same_bytes"),
     ("linalg", "_as_square_stack"),
+    ("checks", "_Row"),
 ])
 def test_deleted_names_are_gone(module, name):
     assert not hasattr(importlib.import_module(f"normlog.{module}"), name)
@@ -108,6 +109,20 @@ def test_pairs_take_no_measured_facts():
     pair = normlog.PairAnalysis(np.eye(2), np.eye(2))
     with pytest.raises(AttributeError):
         pair.exp_y = np.eye(2)
+
+
+# The facts a pair once exposed; each is read from a chunk.
+PAIR_FACTS = ["normal_x", "normal_y", "norm_x", "norm_y",
+              "commutator_residual", "real_part_residual", "hermitian_x",
+              "exp_residual", "exp_i_residual", "congruence", "dec_x",
+              "dec_y", "modulus_x", "modulus_y", "exp_y"]
+
+
+@pytest.mark.parametrize("name", PAIR_FACTS)
+def test_pairs_hold_no_facts(name):
+    pair = normlog.PairAnalysis(np.eye(2), np.eye(2))
+    assert not hasattr(normlog.PairAnalysis, name)
+    assert not hasattr(pair, name)
 
 
 def test_decompositions_have_no_validate():

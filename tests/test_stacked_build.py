@@ -188,7 +188,7 @@ class TestInteriorMeasureSlots:
             c = normlog.checks._Chunk.of(chunk)
             cols_x, cols_y = c.columns("x"), c.columns("y")
             idx = np.arange(len(chunk))
-            scales = np.array([p.norm_x for p in chunk])
+            scales = np.array([p._chunk.array("norm_x")[0] for p in chunk])
             got = normlog.checks._interior_measures(cols_x, cols_y, idx, scales)
             want = util.all_slot_interior_measures(cols_x, cols_y, idx, scales)
             assert [v.hex() for v in got.tolist()] == [
