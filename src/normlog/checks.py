@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import cached_property, wraps
+from functools import wraps
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .errors import ExpNotNormal, NotNormal, Singular, SpectrumOutOfRange
 from .linalg import (_frob_stack, _modulus_stack, _same_rows,
                      as_square_matrix, commutant_basis, commutator, dagger,
                      in_double_commutant, re_part)
-from .logs import TWO_PI, _exp_gaps, _kurepa_splits, _unwrap, exp_general
+from .logs import TWO_PI, _exp_gaps, _exp_stack, _kurepa_splits, _unwrap
 from .report import CheckReport
 from .spectral import (_classify_window, _combination_stack,
                        _decompose_stack, _Decompositions, _edge_status,
@@ -129,26 +129,26 @@ class _Chunk:
     """Pairs of one dimension checked together, and the one owner of
     their facts: the operand stacks ``x`` and ``y``, each row's check
     threshold ``tols`` and branch window ``windows`` (``(k_lo, k_hi)``),
-    each operand's decompositions (one record, its failed rows' errors
-    kept per row) and moduli, one array per scalar fact and the
-    congruence reports, each computed once for the whole chunk. A row's
-    e^Y and exponential gaps are computed when it first needs them,
-    unless given: ``exp_y`` (bit for bit ``exp_general(y)``) and ``gaps``
-    (``(equation, residual)``) hold, per row, ones already measured on
-    these same arrays, as a build's self-test does, or None. A residual
-    read from a file must not be given."""
+    and one store of each operand's decompositions (its failed rows'
+    errors kept per row) and moduli, each scalar fact, the congruence
+    reports, e^Y and each equation's exponential gaps, each computed
+    once for all its rows in stacked calls, bit for bit the lone ones.
+    ``exp_y`` (each row's e^Y) and ``gaps`` (its ``(equation,
+    residual)``), measured on these same arrays as a build's self-test
+    does, are kept if every row has one. A residual read from a file
+    must not be given."""
 
     def __init__(self, x, y, tols, windows, exp_y=None, gaps=None):
         self.x, self.y = x, y
         self.n = x.shape[1]
         self.tols, self.windows = list(tols), list(windows)
-        self.decs: dict = {}  # operand -> _Decompositions
-        self.mods: dict = {}  # operand -> each row's modulus, or its error
         self._cache: dict = {}
-        if exp_y is not None:
-            self._cache["exp_y"] = list(exp_y)
-        for i, (equation, gap) in enumerate(gaps or ()):
-            self._cached(equation, lambda: [None] * len(self))[i] = gap
+        self._exp_y = (exp_y if exp_y is not None
+                       and all(e is not None for e in exp_y) else None)
+        for equation in {eq for eq, _ in gaps or ()}:
+            given = [gap for eq, gap in gaps if eq == equation]
+            if len(given) == len(self) and None not in given:
+                self._cache[equation] = np.array(given)
 
     @classmethod
     def of(cls, pairs) -> _Chunk:
@@ -166,41 +166,28 @@ class _Chunk:
     def __len__(self) -> int:
         return len(self.x)
 
+    # an exponential that overflows holds inf or NaN, and its gap is not
+    # finite: the exponential gate skips it, so numpy does not warn
     @property
+    @np.errstate(over="ignore", invalid="ignore")
     def exp_y(self) -> np.ndarray:
-        return _stack(self._exp_y_rows(range(len(self))))
+        return self._cached("exp_y", lambda: _stack(self._exp_y)
+                            if self._exp_y else _exp_stack(self.y))
 
-    def _exp_y_rows(self, rows) -> list:
-        """The e^Y of ``rows``: each row's given one, else exp_general(y)."""
-        return self._per_row("exp_y", rows, lambda i: exp_general(self.y[i]))
+    @np.errstate(over="ignore", invalid="ignore")
+    def exp_gaps(self, equation: str) -> np.ndarray:
+        return self._cached(equation, lambda: np.array(_exp_gaps(_exp_stack(
+            1j * self.x if equation == "exp(iX)=exp(Y)" else self.x),
+            self.exp_y)))
 
-    def exp_gaps(self, equation: str, rows) -> np.ndarray:
-        """The gaps of ``equation`` at ``rows``: each row's given one,
-        else measured on its exponentials."""
-        scale = 1j if equation == "exp(iX)=exp(Y)" else 1
-
-        def gap(i):
-            e_y = self._exp_y_rows([i])[0][None]
-            return _exp_gaps(exp_general(scale * self.x[i])[None], e_y)[0]
-        return np.array(self._per_row(equation, rows, gap))
-
-    @cached_property
+    @property
     def congruence(self) -> list:
-        return _congruence_reports(self)
+        return self._cached("congruence", lambda: _congruence_reports(self))
 
     def _cached(self, key, compute):
         if key not in self._cache:
             self._cache[key] = compute()
         return self._cache[key]
-
-    def _per_row(self, key, rows, compute) -> list:
-        """Fact ``key`` at ``rows``: ``compute(i)`` for each row i that
-        lacks it."""
-        values = self._cached(key, lambda: [None] * len(self))
-        for i in rows:
-            if values[i] is None:
-                values[i] = compute(i)
-        return [values[i] for i in rows]
 
     def array(self, name: str) -> np.ndarray:
         return self._cached(name, lambda: _SCALARS[name](self))
@@ -213,9 +200,9 @@ class _Chunk:
         :func:`~normlog.linalg._same_rows` finds byte-equal (an
         InteriorPair's X and Y) are analysed once and share the
         result."""
-        for sides, store, analyse in ((decs, self.decs, _decompose_stack),
-                                      (moduli, self.mods, _modulus_stack)):
-            sides = sorted(set(sides) - set(store))
+        for kind, sides, analyse in (("columns", decs, _decompose_stack),
+                                     ("moduli", moduli, _modulus_stack)):
+            sides = sorted({s for s in sides if (kind, s) not in self._cache})
             if not sides:
                 continue
             stacks = [getattr(self, side) for side in sides]
@@ -232,24 +219,25 @@ class _Chunk:
             results = analyse(np.stack(stacks, axis=1)[own])
             for s, side in enumerate(sides):
                 rows = slots[:, s].tolist()
-                store[side] = (results.rows(rows) if store is self.decs
-                               else [results[r] for r in rows])
+                self._cache[kind, side] = (
+                    results.rows(rows) if kind == "columns"
+                    else [results[r] for r in rows])
 
     def columns(self, side: str) -> _Decompositions:
         """The decompositions of operand ``side`` ("x", "y" or "exp_y")."""
-        if side not in self.decs:
+        if ("columns", side) not in self._cache:
             self.analyse(decs=(side,))
-        return self.decs[side]
+        return self._cache["columns", side]
 
     def moduli(self, side: str) -> list:
-        if side not in self.mods:
+        if ("moduli", side) not in self._cache:
             self.analyse(moduli=(side,))
-        return self.mods[side]
+        return self._cache["moduli", side]
 
     def lines(self, side: str) -> tuple:
         """The projections onto the lines Im z = pi and -pi, stacked."""
         cols = self.columns(side)
-        return self._cached(f"lines {side}", lambda: tuple(
+        return self._cached(("lines", side), lambda: tuple(
             _select_stack(cols.v, mask) for mask in _on_lines(cols.lam)))
 
 
@@ -347,9 +335,11 @@ def _both_in_strip(run: _Run) -> np.ndarray:
 
 
 def _exp_holds(run: _Run, equation: str) -> np.ndarray:
-    rows = run.open.tolist()
-    gaps = run.chunk.exp_gaps(equation, rows)
-    run.gaps.update(zip(rows, gaps.tolist()))
+    gaps = run.take(run.chunk.exp_gaps(equation))
+    finite = np.isfinite(gaps)  # a skip keeps no gap that overflowed
+    run.skip(~finite, "an exponential is not finite; hypothesis not met")
+    gaps = gaps[finite]
+    run.gaps.update(zip(run.open.tolist(), gaps.tolist()))
     return gaps <= GATE_TOL
 
 
@@ -760,7 +750,7 @@ def check_congruence_free(chunk: _Chunk) -> list:
 
 
 def _congruence_free(run: _Run) -> None:  # and a normal Y decomposes
-    reports = [run.chunk.congruence[i] for i in run.open.tolist()]
+    reports = run.each(run.chunk.congruence)
     run.end([r if isinstance(r, Exception) else None for r in reports])
     run.skip(np.array([not r.passed for r in reports
                        if not isinstance(r, Exception)]),
@@ -871,13 +861,13 @@ def check_y_in_bicommutant_of_exp(run: _Run):
 
 
 def _split(run: _Run) -> None:
-    """Split each Y; a non-normal or singular e^Y skips, others raise."""
+    """Split each Y; a non-normal, singular or overflowed e^Y skips."""
     decs = run.chunk.columns("exp_y")
     splits = _kurepa_splits(run.take(run.chunk.y),
                             [decs[i] for i in run.open.tolist()])
     run.splits = [s for s in splits if not isinstance(s, Exception)]
     run.end([_Unmet(f"hypothesis not met: {s}")
-             if isinstance(s, (ExpNotNormal, Singular))
+             if isinstance(s, (ExpNotNormal, Singular, SpectrumOutOfRange))
              else s if isinstance(s, Exception) else None for s in splits])
 
 

@@ -27,7 +27,8 @@ class AmbiguousBoundary(NormLogError):
 
 
 class SpectrumOutOfRange(NormLogError):
-    """Eigenvalues fall outside the strip window a computation requires."""
+    """Eigenvalues fall outside the range a computation requires: a strip
+    window, or the magnitudes whose Frobenius norm is finite."""
 
 
 class Singular(NormLogError):

@@ -49,6 +49,12 @@ def exp_general(x) -> np.ndarray:
     Works for arbitrary square complex input; agrees with the spectral
     exponential ``borel_calculus(normal_eig(x), cmath.exp)`` on normal
     matrices up to rounding. It is :func:`_exp_stack` on a stack of one.
+
+    Accuracy: the s = ceil(log2(||X||_1 / theta_13)) squarings amplify
+    the rounding of the Pade step by about 2^s, so an entry's error is
+    about 2^s u ||e^X||, however small the entry: ``exp_general(diag(
+    -1e10, 0))[1, 1]`` reads 1 - 2.4e-7 (s = 31), not e^0 = 1. Past the
+    largest float the result overflows to inf and NaN entries.
     """
     return _exp_stack(as_square_matrix(x)[None])[0]
 

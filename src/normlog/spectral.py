@@ -373,7 +373,8 @@ def _decompose_stack(x: np.ndarray) -> _Decompositions:
     ||X||`` is NotCommuting: the normality test is relative to
     ``||X||^2``, so one large eigenvalue lets a block whose parts do not
     commute pass it, and ``eigh`` resolves Re(X) eigenvalues just outside
-    the merge radius only to about u ||Re(X)|| / gap.
+    the merge radius only to about u ||Re(X)|| / gap. A norm that is not
+    finite (an overflow) scales no test: its matrix is SpectrumOutOfRange.
     The norms, the commutators, the ``eigh`` of the Re(X), the
     products V* Re(X) V and V* Im(X) V, both tests and the clusters of
     :func:`_clustered` are array code over the whole stack, one BLAS or
@@ -381,9 +382,15 @@ def _decompose_stack(x: np.ndarray) -> _Decompositions:
     failing entry's ``eigh`` is computed and discarded, so an ``eigh``
     that fails to converge on it raises NoConvergence for the whole stack.
     """
-    re, im = re_part(x), im_part(x)
     norms = _frob_stack(x)
+    finite = np.isfinite(norms)
+    if not finite.all():  # decomposed as zero, then marked failed
+        x = np.where(finite[:, None, None], x, 0)
+        norms = np.where(finite, norms, 0.0)
+    re, im = re_part(x), im_part(x)
     v, errors = _common_eigenbases(re, im, norms)
+    for i in np.flatnonzero(~finite).tolist():
+        errors[i] = SpectrumOutOfRange("the matrix norm is not finite")
     lams, coupling = _diagonal_and_rest(v, re, im)
     # a normal X must be diagonal in its basis: V* X V off its diagonal
     # within COMM_TOL * n * ||X||

@@ -1,7 +1,8 @@
 """Check that tests/test_checks.py kills each listed mutant of checks.py.
 
-Each mutant zeroes a residual that is the whole conclusion of its check,
-so the mutated check could never fail. For each one, ``src/`` is copied
+Each mutant zeroes one residual of a check, so the mutated check could
+never fail on it; for four of them that residual is the whole
+conclusion of the check. For each one, ``src/`` is copied
 to a temporary directory, the replacement is applied (it must match
 exactly once), and ``python -m pytest -q -x tests/test_checks.py`` runs
 against the copy; the mutant is killed when pytest exits with 1 (a test
@@ -29,6 +30,15 @@ MUTANTS = {
                         'run.rows({"modulus_commutator": 0.0 * r})'),
     "square_commute": ('run.rows({"square_commutator": r})',
                        'run.rows({"square_commutator": 0.0 * r})'),
+    "boundary_sum": ("boundary = _frob_stack(",
+                     "boundary = 0.0 * _frob_stack("),
+    "corollary_differences": (
+        "found = [_rel(_frob_stack(m), norm_x).tolist()",
+        "found = [(0.0 * _rel(_frob_stack(m), norm_x)).tolist()"),
+    "fold_identity": ('"fold_identity": _rel(',
+                      '"fold_identity": 0.0 * _rel('),
+    "kurepa_reconstruction": ('{"reconstruction": r,',
+                              '{"reconstruction": 0.0 * r,'),
 }
 
 

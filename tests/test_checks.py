@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -144,7 +145,15 @@ class TestPairAnalysis:
                 error = pair._chunk.moduli(side)[0]
                 assert isinstance(error, ValueError)
                 assert "finite" in str(error)
-                with pytest.raises(ValueError, match="finite"):
+                # the modulus step ends the pair with the error
+                run = normlog.checks._Run("modulus_equal", given)
+                normlog.checks._read_moduli("x", "y")(run)
+                assert len(run.open) == 0
+                assert isinstance(run.entries[0], ValueError)
+                assert "finite" in str(run.entries[0])
+                # the check meets M's decomposition first, whose
+                # Frobenius norm overflows as M*M does
+                with pytest.raises(SpectrumOutOfRange, match="not finite"):
                     normlog.checks._run_checks(("modulus_equal",), given)
             assert np.array_equal(pair._chunk.moduli(other)[0], np.eye(2))
 
@@ -185,7 +194,8 @@ class TestPairAnalysis:
             chunk.analyse(moduli=taken)
             for i, ref in enumerate(want):
                 for side, ref_side in zip("xy", ref):
-                    assert (side in chunk.mods) == (side in taken)
+                    taken_here = ("moduli", side) in chunk._cache
+                    assert taken_here == (side in taken)
                     if side in taken:
                         assert chunk.moduli(side)[i].tobytes() == ref_side
 
@@ -286,8 +296,8 @@ class TestPairAnalysis:
             reports = [check_kurepa(pair) for pair in pairs]
             with monkeypatch.context() as m:
                 # each split reads the decomposition of e^Y the check made
-                for module in (normlog.checks, normlog.logs):
-                    m.setattr(module, "exp_general", _not_called)
+                m.setattr(normlog.checks, "_exp_stack", _not_called)
+                m.setattr(normlog.logs, "exp_general", _not_called)
                 m.setattr(normlog.checks, "_decompose_stack", _not_called)
                 m.setattr(normlog.logs, "normal_eig", _not_called)
                 splits = [_kurepa_splits(pair.y[None],
@@ -322,20 +332,21 @@ class TestPairAnalysis:
         # one row per pair of a chunk
         assert normlog.checks._in_strip(np.stack(rows)).tolist() == rules
 
-    def test_exponentials_only_for_the_pairs_a_gate_reaches(self,
-                                                           monkeypatch):
-        # the normality gate skips the pair with a nilpotent X before the
-        # exponential gate, so neither of its exponentials is evaluated
+    def test_exponentials_in_one_stacked_call_per_side(self, monkeypatch):
+        # a chunk given no exponential takes e^Y, then e^X, each in one
+        # stacked call over all its rows. The normality gate skips the
+        # pair with a nilpotent X before the exponential gate, so its
+        # report keeps no gap
         nilpotent = np.array([[0, 1], [0, 0]], dtype=complex)
         x = np.diag([0.5 + 1j, -1.0])
         pairs = [PairAnalysis(nilpotent, nilpotent), PairAnalysis(x, x)]
-        evaluated = []
-        exp = normlog.checks.exp_general
-        monkeypatch.setattr(normlog.checks, "exp_general",
-                            lambda m: evaluated.append(m.tobytes()) or exp(m))
+        calls = _spy(monkeypatch, "_exp_stack", bytes_of=True)
         reports = check_real_part(pairs)
         assert [r.hypothesis_met for r in reports] == [False, True]
-        assert sorted(evaluated) == sorted([x.tobytes()] * 2)
+        assert calls == [[nilpotent.tobytes(), x.tobytes()]] * 2
+        assert "exp_gate" not in reports[0].residuals
+        assert (reports[1].residuals["exp_gate"]
+                == check_real_part(PairAnalysis(x, x)).residuals["exp_gate"])
 
     def test_boundary_lines_measured_once_per_operand(self, monkeypatch):
         x, y, _ = make_pair(InstanceSpec(Family.BOUNDARY_FLIP_PAIR, 8, 2))
@@ -616,6 +627,18 @@ class TestSpectralAgreement:
         assert rep.passed
         assert rep.residuals["boundary_sum"] <= 1e-10
 
+    def test_unequal_boundary_projections_fail_with_their_distance(self):
+        # one eigenvalue on Im z = pi, its eigenvector u0 for X and v0 for
+        # Y: the residual is ||u0 u0* - v0 v0*||, not divided by a norm
+        d = np.diag([0.5 + PI * 1j, -1.0 + 0.2j, 1.5 - 1.0j])
+        bases = [(random_unitary(3, seed), random_unitary(3, seed + 10))
+                 for seed in range(3)]
+        reports = check_spectral_agreement(_gate_given(
+            [(conj_by(u, d), conj_by(v, d)) for u, v in bases]))
+        _assert_fails_with(reports, "boundary_sum", [
+            _norm(np.outer(u[:, 0], u[:, 0].conj())
+                  - np.outer(v[:, 0], v[:, 0].conj())) for u, v in bases])
+
     def test_boundary_flip_diagonal(self):
         rep = check_spectral_agreement(PairAnalysis(np.diag([PI * 1j, 0]),
                                                     np.diag([-PI * 1j, 0])))
@@ -882,7 +905,7 @@ class TestDifferenceFormulaWeights:
         x = np.diag([0.5 + 1j * t for t in x_imag])
         y = np.diag([0.5 + 1j * t for t in y_imag])
         pair = PairAnalysis(x, y, k_lo=-1, k_hi=1)
-        assert pair._chunk.exp_gaps("exp(X)=exp(Y)", [0])[0] <= GATE_TOL
+        assert pair._chunk.exp_gaps("exp(X)=exp(Y)")[0] <= GATE_TOL
         with pytest.raises(AmbiguousBoundary) as expected:
             strip_projections(*_row_facts(pair)[:2], -1, 1)
         with pytest.raises(AmbiguousBoundary) as got:
@@ -897,7 +920,7 @@ class TestDifferenceFormulaWeights:
         x = np.diag([0.5 + 1j * t for t in x_imag])
         y = np.diag([0.5 + 1j * t for t in y_imag])
         pair = PairAnalysis(x, y, k_lo=-1, k_hi=0)
-        gap = pair._chunk.exp_gaps("exp(X)=exp(Y)", [0])[0]
+        gap = pair._chunk.exp_gaps("exp(X)=exp(Y)")[0]
         assert gap <= GATE_TOL
         with pytest.raises(SpectrumOutOfRange) as expected:
             strip_projections(*_row_facts(pair)[:2], -1, 0)
@@ -977,6 +1000,23 @@ class TestCorollaryCases:
         x = np.diag([PI * 1j, -PI * 1j])
         rep = check_corollary_cases(PairAnalysis(x, x.copy()))
         assert not rep.hypothesis_met
+
+    def test_unequal_pair_fails_every_case_with_its_distance(self):
+        # X meets neither line, so all three cases apply; Y has one
+        # eigenvalue on Im z = pi, eigenvector v0, and none on -pi: the
+        # residuals are ||X - Y + 2*pi*i v0 v0*||, then ||X - Y|| twice,
+        # each over max(1, ||X||)
+        d = np.diag([0.3 + PI * 1j, -1.0 + 0.5j, 1.2 + 0.0j])
+        pairs = [(_normal_in_strip(seed)[0], random_unitary(3, seed + 10))
+                 for seed in range(3)]
+        reports = check_corollary_cases(_gate_given(
+            [(x, conj_by(v, d)) for x, v in pairs]))
+        for key, top in (("difference_top", True),
+                         ("difference_bottom", False), ("equality", False)):
+            _assert_fails_with(reports, key, [
+                _norm(x - conj_by(v, d) + top * TWO_PI * 1j
+                      * np.outer(v[:, 0], v[:, 0].conj()))
+                / max(1.0, _norm(x)) for x, v in pairs])
 
 
 class TestCongruenceFree:
@@ -1132,6 +1172,24 @@ class TestYInBicommutant:
                                                          np.diag([PI * 1j])))
         assert not rep.hypothesis_met and not rep.passed
 
+    def test_y_other_than_folded_x_fails_with_its_distance(self):
+        # X = U diag(lam) U* folds to U diag(i fold(lam)) U*; Y is a
+        # normal matrix in the strip in another basis: the residual is
+        # ||U diag(i fold(lam)) U* - Y|| / max(1, ||Y||)
+        lam = np.array([0.3 + TWO_PI, -1.2, 2.0 - TWO_PI])
+        pairs = []
+        for seed in range(3):
+            u = random_unitary(3, seed)
+            x = conj_by(u, np.diag(lam))
+            y = conj_by(random_unitary(3, seed + 10),
+                        np.diag([0.4j, -1.0 + 0.5j, 1.1]))
+            pairs.append(((x + dagger(x)) / 2, y, u))
+        reports = check_y_in_bicommutant_of_exp(_gate_given(
+            [(x, y) for x, y, _ in pairs], "exp(iX)=exp(Y)"))
+        _assert_fails_with(reports, "fold_identity", [
+            _norm(conj_by(u, np.diag(1j * _fold(lam))) - y)
+            / max(1.0, _norm(y)) for _, y, u in pairs])
+
     def test_merged_groups_equal_bicommutant_distance(self):
         # eigenvalues of X 2*pi apart share one value e^{i lam}, so their
         # projections merge in {exp(iX)}''; in a chunk with generated
@@ -1189,6 +1247,26 @@ class TestKurepaCheck:
         assert rep.hypothesis_met and not rep.passed
         assert rep.residuals["commute"] > CHECK_TOL
         assert check_kurepa(PairAnalysis(y, y)).passed
+
+    def test_reconstruction_is_the_rounding_of_the_split(self):
+        # N0 + 2*pi*i W equals Y up to rounding, which is not exactly 0
+        # on these pairs: the residual is ||N0 + 2*pi*i W - Y|| / max(1,
+        # ||Y||) of kurepa_decompose's N0 and W
+        ys = [make_pair(InstanceSpec(Family.NON_NORMAL_LOG_PAIR, n, seed))[1]
+              for n in (2, 4) for seed in range(3)]
+        want = []
+        for y in ys:
+            ref = kurepa_decompose(y)
+            want.append(_norm(ref.reconstruct() - y) / max(1.0, _norm(y)))
+        assert min(want) > 0.0
+        for n in (2, 4):
+            chunk = [PairAnalysis(y, y) for y in ys if len(y) == n]
+            for rep, value in zip(check_kurepa(chunk),
+                                  [w for w, y in zip(want, ys)
+                                   if len(y) == n], strict=True):
+                assert rep.passed
+                assert rep.residuals["reconstruction"] == pytest.approx(
+                    value, rel=1e-12, abs=0.0)
 
 
 # the sizes each family builds at, of 1, 2, 8, 16 and 64
@@ -1271,7 +1349,7 @@ class TestChunkNativeChecks:
         bare = normlog.checks._Chunk(given.x, given.y, given.tols,
                                      given.windows)
         with monkeypatch.context() as m:
-            m.setattr(normlog.checks, "exp_general", _not_called)
+            m.setattr(normlog.checks, "_exp_stack", _not_called)
             normlog.checks._run_checks(_FAMILY_CHECKS[family], given)
         for name in CHECK_NAMES:
             check = getattr(normlog.checks, f"check_{name}")
@@ -1351,6 +1429,68 @@ class TestChunkNativeChecks:
         # the rows stay pair-major
         assert [r["check"] for r in report["results"][:4]] == [
             "real_part", "difference_formula"] * 2
+
+
+# e^800 overflows; the norm of diag(1e200, 1) does (its square sums past
+# the largest float), and so does e^(1e200)
+_OVERFLOW_800 = np.diag([800.0, 1.0])
+_BIG = np.diag([1e200, 1.0])
+_NOT_FINITE = "an exponential is not finite; hypothesis not met"
+
+
+class TestNonFiniteFacts:
+    def test_overflowing_exponential_skips_without_a_warning(self):
+        # X = Y: each exponential gate skips with one note and keeps no
+        # gap, kurepa skips on its e^Y, and congruence_free, which reads
+        # no exponential, passes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports = {name: run_check(name, PairAnalysis(_OVERFLOW_800,
+                                                          _OVERFLOW_800))
+                       for name in CHECK_NAMES}
+        for name, rep in reports.items():
+            if name == "congruence_free":
+                assert rep.passed
+                continue
+            assert not rep.hypothesis_met and not rep.passed
+            assert rep.residuals == {} and rep.tolerances == {}
+            assert rep.notes == (
+                "hypothesis not met: the matrix norm is not finite"
+                if name == "kurepa" else _NOT_FINITE)
+
+    @pytest.mark.parametrize("x, y", [(_OVERFLOW_800, _OVERFLOW_800),
+                                      (_BIG, np.eye(2)), (np.eye(2), _BIG)],
+                             ids=["exp-800", "big-x", "big-y"])
+    def test_every_outcome_is_a_report_or_a_typed_error(self, x, y):
+        outcomes = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if x is _BIG or y is _BIG:  # the norm's own overflow warns
+                warnings.filterwarnings("ignore", "overflow encountered",
+                                        RuntimeWarning)
+            for name in CHECK_NAMES:
+                try:
+                    outcomes.append(run_check(name, PairAnalysis(x, y)))
+                except NormLogError as exc:
+                    outcomes.append(exc)
+        for outcome in outcomes:
+            if isinstance(outcome, CheckReport):
+                assert outcome.passed or not outcome.hypothesis_met
+            else:
+                assert isinstance(outcome, SpectrumOutOfRange)
+
+    def test_overflow_in_a_chunk_leaves_the_other_rows_as_alone(self):
+        # the stacked exponentials of a chunk given none hold the
+        # overflowed row beside rows that pass
+        specs = [InstanceSpec(Family.INTERIOR_PAIR, 2, seed)
+                 for seed in (0, 1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chunk = _chunk([specs[0], PairAnalysis(_OVERFLOW_800,
+                                                   _OVERFLOW_800), specs[1]])
+            _assert_chunk_equals_lone(chunk)
+        assert [r.notes == _NOT_FINITE
+                for r in check_real_part(chunk)] == [False, True, False]
 
 
 class TestCrossTheoremConsistency:

@@ -904,8 +904,8 @@ class TestSharedAnalysis:
                             spy(moduli, real_moduli))
         monkeypatch.setattr(normlog.harness.generators, "_exp_stack",
                             spy(exponentiated, real_exp_stack))
-        monkeypatch.setattr(normlog.checks, "exp_general",
-                            lambda m: checks_exp.append(m))
+        monkeypatch.setattr(normlog.checks, "_exp_stack",
+                            lambda ms: checks_exp.append(ms))
         run_suite(cfg)
 
         assert len(built) == 3 * len(cfg["families"])
@@ -937,7 +937,7 @@ class TestSharedAnalysis:
             for seed in range(3):
                 x, y, meta = make_pair(InstanceSpec(family, n, seed))
                 fresh = PairAnalysis(x, y)
-                gate = fresh._chunk.exp_gaps(meta["equation"], [0])[0]
+                gate = fresh._chunk.exp_gaps(meta["equation"])[0]
                 assert meta["self_test_residual"].hex() == gate.hex()
 
 
@@ -945,6 +945,19 @@ class TestCli:
     def test_version(self, capsys):
         assert cli_main(["version"]) == 0
         assert capsys.readouterr().out.strip()
+
+    def test_overflowing_pair_exits_zero_on_every_check(self, tmp_path,
+                                                        capsys):
+        # e^800 overflows: every check reading an exponential skips, and
+        # congruence_free, which reads none, passes
+        pair = str(tmp_path / "pair.json")
+        x = np.diag([800.0, 1.0])
+        write_pair(pair, x, x, {"family": "file"})
+        for name in CHECK_NAMES:
+            assert cli_main(["check", "--name", name, "--in", pair]) == 0
+            out = capsys.readouterr().out
+            status = "PASS" if name == "congruence_free" else "SKIP"
+            assert out.startswith(f"[{status}] {name}")
 
     def test_generate_check_flow(self, tmp_path, capsys):
         pair = str(tmp_path / "pair.json")

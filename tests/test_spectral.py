@@ -381,6 +381,23 @@ class TestNormalEigStack:
             assert _same_decomposition(got, alone)
             assert _same_decomposition(got, _lone(m))
 
+    def test_norm_that_overflows_is_out_of_range(self):
+        # ||diag(1e200, 1)||^2 overflows, so no test is scaled by the norm
+        # (the radius was inf, and both eigenvalues merged); an overflowed
+        # exponential's inf and NaN entries fail alike, and neither
+        # changes the row beside it
+        big = np.diag([1e200, 1.0]).astype(complex)
+        nan = np.array([[np.inf + 1j * np.nan, 0], [0, np.e]])
+        ok = make_pair(InstanceSpec(Family.INTERIOR_PAIR, 2, 0))[0]
+        with np.errstate(over="ignore"):
+            with pytest.raises(SpectrumOutOfRange, match="not finite"):
+                normal_eig(big)
+            stacked = _decompose_stack(np.stack([big, ok, nan]))
+        assert [type(e) for e in stacked.errors] == [
+            SpectrumOutOfRange, type(None), SpectrumOutOfRange]
+        assert _same_decomposition(stacked[1], normal_eig(ok))
+        assert not stacked.lam[[0, 2]].any()
+
     def test_mixed_cluster_sizes(self):
         # clusters of Re X of several sizes across the stack: the odd-pi
         # value and the repeated congruence-free value (pairs), Y's +/- i*pi

@@ -642,3 +642,32 @@ def _all_slot_masks(z, family):
                           (im, c.imag - h, 1.0), (im, c.imag + h, -1.0)):
         squares = squares & _edge_status(x[:, None, :], edge, True, sign)[0]
     return np.concatenate((discs, squares), axis=1)
+
+
+def _residual_bits(row: dict) -> dict:
+    return {key: float(value).hex() for key, value in row["residuals"].items()}
+
+
+def moved_rows(old: dict, new: dict) -> list:
+    """Each row of two suite reports (``run_suite``'s, or as ``normlog
+    suite --report`` writes them) whose verdict, note or residual bits
+    moved, or that one report lacks: ``(label, n, seed, check, what)``,
+    in the order of ``old``'s rows, then ``new``'s."""
+    rows = [{(r["family"], r["n"], r["seed"], r["check"]): r
+             for r in report["results"]} for report in (old, new)]
+    out = []
+    for key in {**rows[0], **rows[1]}:
+        if key not in rows[0] or key not in rows[1]:
+            out.append((*key, "only in " + ("new" if key in rows[1]
+                                            else "old")))
+            continue
+        a, b = rows[0][key], rows[1][key]
+        moved = [what for what, same in (
+            ("verdict", (a["passed"], a["hypothesis_met"])
+             == (b["passed"], b["hypothesis_met"])),
+            ("note", a["notes"] == b["notes"]),
+            ("residual bits", _residual_bits(a) == _residual_bits(b)))
+            if not same]
+        if moved:
+            out.append((*key, ", ".join(moved)))
+    return out
