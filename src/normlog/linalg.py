@@ -174,11 +174,14 @@ def _frob_stack(a: np.ndarray) -> np.ndarray:
 
     ``frob`` takes one dot product of the real view and one of the
     imaginary view; a stacked ``matmul`` of a row by a column makes the
-    same dot call per matrix. (``einsum`` sums in another order.)
+    same dot call per matrix. (``einsum`` sums in another order.) A norm
+    that overflows is ``inf``, without a warning.
     """
     flat = a.reshape(len(a), 1, a.shape[-2] * a.shape[-1])
     re, im = flat.real, flat.imag
-    return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0])
+    with np.errstate(over="ignore"):
+        squares = re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)
+    return np.sqrt(squares[:, 0, 0])
 
 
 def _same_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -753,19 +755,40 @@ class TestSuite:
 
 
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# glibc's malloc settings, which normlog's heap policy leaves to the caller
+_HEAP_VARS = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_",
+              "MALLOC_TOP_PAD_", "GLIBC_TUNABLES")
 
 
-def _python(*args, **thread_vars):
+def _python(*args, **policy_vars):
     """A fresh interpreter run from the repository root, with normlog's
-    source first on ``PYTHONPATH`` and the BLAS thread variables of this
-    process unset, apart from ``thread_vars``."""
-    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
-    env.update(thread_vars)
+    source first on ``PYTHONPATH`` and the BLAS thread and malloc
+    variables of this process unset, apart from ``policy_vars``."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in _THREAD_VARS + _HEAP_VARS}
+    env.update(policy_vars)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(ROOT, "src")]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def _n128_reports(tmp_path, *envs) -> list:
+    """The bytes of the n = 128 InteriorPair suite report, one run of the
+    CLI per environment in ``envs``."""
+    config = tmp_path / "suite.json"
+    config.write_text(json.dumps({
+        "sizes": [128], "seeds": 1,
+        "families": [{"family": "InteriorPair"}]}))
+    reports = []
+    for policy_vars in envs:
+        report = tmp_path / f"report{len(reports)}.json"
+        proc = _python("-m", "normlog.harness.cli", "suite", "--config",
+                       str(config), "--report", str(report), **policy_vars)
+        assert proc.returncode == 0, proc.stderr
+        reports.append(report.read_bytes())
+    return reports
 
 
 class TestThreadPolicy:
@@ -789,18 +812,46 @@ class TestThreadPolicy:
     def test_report_at_n128_equals_the_one_thread_report(self, tmp_path):
         # a multithreaded BLAS rounds n = 128 products differently; on a
         # one-core host both runs are at one thread whatever the policy
-        config = tmp_path / "suite.json"
-        config.write_text(json.dumps({
-            "sizes": [128], "seeds": 1,
-            "families": [{"family": "InteriorPair"}]}))
-        reports = []
-        for thread_vars in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
-            report = tmp_path / f"report{len(reports)}.json"
-            proc = _python("-m", "normlog.harness.cli", "suite", "--config",
-                           str(config), "--report", str(report),
-                           **thread_vars)
-            assert proc.returncode == 0, proc.stderr
-            reports.append(report.read_bytes())
+        reports = _n128_reports(tmp_path, {}, {"OPENBLAS_NUM_THREADS": "1"})
+        assert reports[0] == reports[1]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap policy sets glibc's malloc thresholds")
+class TestHeapPolicy:
+    # in fresh interpreters: glibc reads its MALLOC_*_ variables when the
+    # process starts. FAULTS prints the minor page faults per call of
+    # repeated exponentials of one 128 x 128 stack, after a warm-up
+    FAULTS = ("import resource, sys\n"
+              "assert 'numpy' not in sys.modules\n"
+              "import normlog\n"
+              "import numpy as np\n"
+              "from normlog.logs import _exp_stack\n"
+              "x = np.random.default_rng(0).standard_normal((1, 128, 128))\n"
+              "x = (x / 16).astype(complex)\n"
+              "for _ in range(3):\n"
+              "    _exp_stack(x)\n"
+              "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+              "for _ in range(20):\n"
+              "    _exp_stack(x)\n"
+              "faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+              "print((faults - before) / 20)\n")
+
+    def test_freed_temporaries_stay_in_the_heap(self):
+        # glibc's default gives the n = 128 temporaries back to the OS on
+        # each call, and the next call faults them in again
+        proc = _python("-c", self.FAULTS)
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) <= 4
+
+    def test_caller_threshold_is_kept(self):
+        proc = _python("-c", self.FAULTS, MALLOC_MMAP_THRESHOLD_="131072")
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) >= 100
+
+    def test_report_at_n128_does_not_depend_on_the_heap(self, tmp_path):
+        reports = _n128_reports(tmp_path, {},
+                                {"MALLOC_MMAP_THRESHOLD_": "131072"})
         assert reports[0] == reports[1]
 
 
@@ -958,6 +1009,28 @@ class TestCli:
             out = capsys.readouterr().out
             status = "PASS" if name == "congruence_free" else "SKIP"
             assert out.startswith(f"[{status}] {name}")
+
+    def test_norm_that_overflows_gives_each_check_its_outcome(
+            self, tmp_path, capsys):
+        # X = diag(1e200, 1): ||X||_F overflows, without a warning. e^X
+        # is not finite, so the exponential-gated checks skip; kurepa
+        # reads only Y = I and passes; the others need X's decomposition,
+        # which is SpectrumOutOfRange, and exit 2
+        pair = str(tmp_path / "pair.json")
+        write_pair(pair, np.diag([1e200, 1.0]), np.eye(2), {"family": "file"})
+        skips = {"real_part", "difference_formula", "double_commutant",
+                 "one_boundary_eigenvalue", "y_in_bicommutant_of_exp"}
+        for name in CHECK_NAMES:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = cli_main(["check", "--name", name, "--in", pair])
+            out, err = capsys.readouterr()
+            if name in skips or name == "kurepa":
+                status = "SKIP" if name in skips else "PASS"
+                assert code == 0 and out.startswith(f"[{status}] {name}")
+            else:
+                assert code == 2
+                assert err == "error: the matrix norm is not finite\n"
 
     def test_generate_check_flow(self, tmp_path, capsys):
         pair = str(tmp_path / "pair.json")

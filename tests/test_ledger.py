@@ -2,7 +2,7 @@
 
 The default config and the ``large-n`` and ``bicommutant`` workload
 configs of ``perfbench/workloads.py`` (read, never changed) run at base
-seed 20240901. Each row's (label, n, seed, check, passed,
+seeds 20240901 and 20240917. Each row's (label, n, seed, check, passed,
 hypothesis_met, note with its numbers masked) must equal its record in
 ``tests/data/verdicts.json``, and each config's rows must hash to the
 digest recorded for it. Residual bits depend on the host's BLAS, so they
@@ -29,14 +29,15 @@ from util import moved_rows
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LEDGER = os.path.join(ROOT, "tests", "data", "verdicts.json")
-SEED = 20240901
+SEEDS = (20240901, 20240917)
+NAMES = ("default", "large-n", "bicommutant")
 # verdict codes: passed, failed (hypothesis met), skipped
 _CODES = {(True, True): "P", (False, True): "F", (False, False): "S"}
 _NUMBER = re.compile(r"\d+(?:\.\d+)?(?:e[-+]?\d+)?")
 
 
 def configs() -> dict:
-    """The configs the ledger records, by name."""
+    """The configs the ledger records, by ``"<name> <base seed>"``."""
     path = os.path.join(ROOT, "perfbench", "workloads.py")
     spec = importlib.util.spec_from_file_location("_ledger_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
@@ -45,9 +46,10 @@ def configs() -> dict:
         spec.loader.exec_module(workloads)
     finally:
         del sys.modules[spec.name]
-    return {"default": dict(default_config(), base_seed=SEED),
-            **{name: workloads.WORKLOADS[name].config(SEED)
-               for name in ("large-n", "bicommutant")}}
+    return {f"{name} {seed}": (
+                dict(default_config(), base_seed=seed) if name == "default"
+                else workloads.WORKLOADS[name].config(seed))
+            for seed in SEEDS for name in NAMES}
 
 
 def _verdicts(report: dict) -> list:
@@ -110,26 +112,29 @@ def recorded() -> dict:
         return json.load(fh)
 
 
-@pytest.mark.parametrize("name", ["default", "large-n", "bicommutant"])
-def test_verdicts_match_the_ledger(name, reports, recorded):
-    got = ledger(reports[name])
-    assert moved_verdicts(recorded[name], got) == []
-    assert got["digest"] == recorded[name]["digest"]
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", NAMES)
+def test_verdicts_match_the_ledger(name, seed, reports, recorded):
+    key = f"{name} {seed}"
+    got = ledger(reports[key])
+    assert moved_verdicts(recorded[key], got) == []
+    assert got["digest"] == recorded[key]["digest"]
 
 
 def test_a_flipped_verdict_moves_its_row_and_the_digest(reports, recorded):
-    report = copy.deepcopy(reports["bicommutant"])
+    key = f"bicommutant {SEEDS[0]}"
+    report = copy.deepcopy(reports[key])
     row = next(r for r in report["results"] if r["passed"])
     row["passed"] = False
     got = ledger(report)
-    assert got["digest"] != recorded["bicommutant"]["digest"]
-    (moved,) = moved_verdicts(recorded["bicommutant"], got)
+    assert got["digest"] != recorded[key]["digest"]
+    (moved,) = moved_verdicts(recorded[key], got)
     assert moved[:3] == (f"{row['family']} {row['n']}", row["seed"],
                          row["check"])
 
 
 def test_moved_rows_names_each_moved_row(reports):
-    old = reports["bicommutant"]
+    old = reports[f"bicommutant {SEEDS[0]}"]
     assert moved_rows(old, copy.deepcopy(old)) == []
     new = copy.deepcopy(old)
     flipped, noted, nudged = (new["results"][i] for i in (0, 7, 11))
