@@ -7,37 +7,48 @@ constrain two logarithms of the same exponential.
 
 BLAS and LAPACK run at one thread in every normlog process unless the
 caller set a thread variable. One thread fixes the reduction order, so
-reports carry the same bits on every host, and ``--jobs`` workers do not
-contend with BLAS threads. numpy reads the variables when it loads, so
-a process that imported numpy before normlog keeps its thread count.
+a report's bits do not depend on the core count or on ``--jobs``, and
+``--jobs`` workers do not contend with BLAS threads. numpy reads the
+variables when it loads, so a process that imported numpy before
+normlog keeps its thread count.
 
 On glibc, importing normlog also pins malloc's mmap threshold at 32 MiB
 and its trim threshold at 64 MiB (the ceilings of glibc's own dynamic
-thresholds) unless the caller set a ``MALLOC_*_`` threshold or a
-``glibc.malloc`` tunable. A stacked kernel's freed temporaries then stay
-in the heap for the next one: a ``large-n`` pass made 56k minor page
-faults and 0.1 s of system time in 0.75 s, and now makes almost none.
-The arithmetic is unchanged.
+thresholds), each unless the caller set that threshold, by its
+``MALLOC_*_THRESHOLD_`` variable or its ``glibc.malloc`` tunable. Any
+malloc variable, ``MALLOC_TOP_PAD_`` too, turns glibc's dynamic
+thresholds off, so one the caller left unset is pinned all the same. A
+stacked kernel's freed temporaries then stay in the heap for the next
+one: a ``large-n`` pass made 56k minor page faults and 0.1 s of system
+time in 0.75 s, and now makes almost none. The arithmetic is unchanged.
 """
 
 import os as _os
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     _os.environ.setdefault(_var, "1")
-if not (_os.environ.keys() & {"MALLOC_MMAP_THRESHOLD_",
-                              "MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_"}
-        or "glibc.malloc." in _os.environ.get("GLIBC_TUNABLES", "")):
+# each threshold the caller set, by its variable or its tunable, is kept
+_tunables = {t.partition("=")[0]
+             for t in _os.environ.get("GLIBC_TUNABLES", "").split(":")}
+_pins = [(param, size) for param, size, name in (
+             (-3, 32 << 20, "mmap_threshold"),  # M_MMAP_THRESHOLD, 32 MiB
+             (-1, 64 << 20, "trim_threshold"))  # M_TRIM_THRESHOLD, 64 MiB
+         if f"MALLOC_{name.upper()}_" not in _os.environ
+         and f"glibc.malloc.{name}" not in _tunables]
+if _pins:
     import ctypes as _ctypes
     try:
         _mallopt = _ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):  # no mallopt: macOS, Windows
         pass
     else:
-        _mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, 32 MiB
-        _mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD, 64 MiB
-        del _mallopt
+        _mallopt.argtypes = (_ctypes.c_int, _ctypes.c_int)
+        _mallopt.restype = _ctypes.c_int
+        for _param, _size in _pins:
+            _mallopt(_param, _size)
+        del _mallopt, _param, _size
     del _ctypes
-del _os, _var
+del _os, _var, _tunables, _pins
 
 __version__ = "0.1.0"
 

@@ -13,7 +13,13 @@ A uniform double takes the top 53 bits of a draw, ``(z >> 11) * 2^-53``
 in [0, 1); ``uniform(lo, hi)`` is ``lo + (hi - lo) * u``, and an integer
 in [lo, hi] is ``lo + z % (hi - lo + 1)``. Gaussian variates come from
 Box-Muller on consecutive uniforms. Every draw is a pure function of
-(seed, counter), so any consumer can reproduce an instance exactly.
+(seed, counter). The uniform and integer draws take only integer
+arithmetic and correctly rounded IEEE operations, so they carry the same
+bits on every host. The Gaussians take numpy's log, cos and sin, whose
+SIMD loops may round an ulp away from libm and from each other: their
+bits, and those of the unitaries (a LAPACK QR of them), depend on
+numpy's build, the CPU and LAPACK, while on one host every draw is
+reproduced exactly.
 
 ``_Streams`` holds the streams of many seeds, one counter each, and
 hashes the next draws of all of them in one pass of wrapping numpy
@@ -22,10 +28,8 @@ instances through it. ``random_unitary(n, seed)`` orthonormalizes the
 n x n matrix of ``complex(g, g') / sqrt(2)`` over the first ``2 n^2``
 Gaussians of a fresh stream of ``seed``, row-major. It reads only its
 seed, so ``_unitary_stack`` draws the unitaries of many seeds together,
-with one stacked QR; their log, cos and sin come from ``math`` element
-by element, since numpy's vectorized transcendentals may round
-differently from libm. ``random_unitary`` is that kernel on a stack of
-one.
+with one stacked QR, and ``random_unitary`` is that kernel on a stack
+of one.
 """
 
 from __future__ import annotations
@@ -111,20 +115,15 @@ def _gaussians(seeds: np.ndarray, pairs: int) -> np.ndarray:
     consecutive uniforms u1 (shifted into (0, 1] by 2^-54) and u2 gives
     ``r cos(2 pi u2)`` then ``r sin(2 pi u2)``, r = sqrt(-2 log u1).
 
-    All counters of all seeds are hashed in one pass; log, cos and sin
-    come from ``math`` element by element.
+    All counters of all seeds are hashed in one pass, and log, cos and
+    sin are numpy's, one call each over the whole stack.
     """
     u = _units(_Streams(seeds).peek(2 * pairs))
-    k = len(seeds)
-    u1 = (u[:, 0::2] + 2.0 ** -54).ravel()
-    theta = (2.0 * math.pi * u[:, 1::2]).ravel()
-    radius = np.sqrt(-2.0 * np.fromiter(map(math.log, u1.tolist()), float,
-                                        k * pairs)).reshape(k, pairs)
-    normals = np.empty((k, 2 * pairs))
-    normals[:, 0::2] = radius * np.fromiter(map(math.cos, theta.tolist()),
-                                            float, k * pairs).reshape(k, pairs)
-    normals[:, 1::2] = radius * np.fromiter(map(math.sin, theta.tolist()),
-                                            float, k * pairs).reshape(k, pairs)
+    radius = np.sqrt(-2.0 * np.log(u[:, 0::2] + 2.0 ** -54))
+    theta = 2.0 * math.pi * u[:, 1::2]
+    normals = np.empty((len(seeds), 2 * pairs))
+    normals[:, 0::2] = radius * np.cos(theta)
+    normals[:, 1::2] = radius * np.sin(theta)
     return normals
 
 

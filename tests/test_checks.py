@@ -821,6 +821,25 @@ class TestSquareCommute:
         rep = check_square_commute(PairAnalysis(x, y))
         assert not rep.hypothesis_met and not rep.passed
 
+    def test_conjugate_pair_note_names_the_upper_member(self):
+        # the cluster order of a pair's members rests on the rounding of
+        # their real parts: each order, exact or one ulp apart, and
+        # conjugated by a unitary, gives one note
+        a, b = 0.5, 0.5 + 2 ** -53
+        u = random_unitary(3, 5)
+        pairs = []
+        for first, second in ((a, a), (a, b), (b, a)):
+            for upper_first in (True, False):
+                d = [first + PI * 1j, second - PI * 1j]
+                lam = np.array((d if upper_first else d[::-1]) + [0.25])
+                # e^Y = e^X: Y conjugates X's boundary eigenvalues
+                x, y = np.diag(lam), np.diag(lam.conj())
+                pairs += [(x, y), (conj_by(u, x), conj_by(u, y))]
+        reports = check_square_commute(_gate_given(pairs))
+        assert {rep.notes for rep in reports} == {
+            "conjugate pair on the strip boundary at 0.5+3.14159j; "
+            "hypothesis not met"}
+
     def test_corner_points_exempt(self):
         rep = check_square_commute(PairAnalysis(np.diag([PI * 1j]),
                                                 np.diag([-PI * 1j])))

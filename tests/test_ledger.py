@@ -8,7 +8,8 @@ hypothesis_met, note with its numbers masked) must equal its record in
 digest recorded for it. Residual bits depend on the host's BLAS, so they
 are not recorded (``util.moved_rows`` compares them between two reports
 of one host). A change that moves a verdict on purpose rewrites the
-record and lists the moved rows:
+record and lists the moved rows (of a newly recorded config, only their
+count):
 
     PYTHONPATH=src python tests/test_ledger.py
 """
@@ -158,7 +159,10 @@ if __name__ == "__main__":
         with open(LEDGER, encoding="utf-8") as fh:
             old = json.load(fh)
         for name, record in records.items():
-            for moved in moved_verdicts(old.get(name, {"rows": {}}), record):
+            if name not in old:
+                print(name, "newly recorded:", len(_unpack(record)), "rows")
+                continue
+            for moved in moved_verdicts(old[name], record):
                 print(name, *moved)
     with open(LEDGER, "w", encoding="utf-8") as fh:
         json.dump(records, fh, indent=1)

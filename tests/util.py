@@ -28,7 +28,9 @@ _GAMMA = 0x9E3779B97F4A7C15
 class Stream:
     """One seed's stream of the counter hash, one draw at a time: the
     reference for the stacked draws of ``normlog.harness.rng``, and the
-    source of the tests' own seeded matrices."""
+    source of the tests' own seeded matrices. ``normal`` takes libm's
+    log, cos and sin, so the library's Gaussians, which take numpy's,
+    equal it up to their rounding."""
 
     def __init__(self, seed: int):
         self.seed = seed & _MASK
