@@ -114,15 +114,18 @@ _SCALARS = {
         _frob_stack(re_part(c.x) - re_part(c.y)), c.array("norm_x")),
     "hermitian_x": lambda c: (_frob_stack(c.x - dagger(c.x))
                               <= HERM_TOL * np.maximum(1.0, c.array("norm_x"))),
+    # the radius X is clustered with
+    "cluster_radius": lambda c: CLUSTER_TOL * np.maximum(1.0,
+                                                         c.array("norm_x")),
+    "real_x": lambda c: ~(abs(c.columns("x").lam.imag)
+                          > BOUNDARY_TOL).any(axis=1),
+    "nearest_congruence": lambda c: _nearest_congruence(c.columns("x").lam),
 }
 
-# The operands each check reads: those it decomposes (a normality gate
-# reads a decomposition) and those whose modulus it takes. Every check
-# not listed decomposes X and Y.
-_READS = {"modulus_equal": (("x", "y"), ("x", "y")),
-          "modulus_commute": (("x",), ("x",)),
-          "square_commute": (("x",), ()), "congruence_free": (("x",), ()),
-          "kurepa": (("exp_y",), ())}
+# The operands each check decomposes (a normality gate reads a
+# decomposition). Every check not listed decomposes X and Y.
+_READS = {"modulus_commute": ("x",), "square_commute": ("x",),
+          "congruence_free": ("x",), "kurepa": ("exp_y",)}
 
 
 class _Chunk:
@@ -130,9 +133,9 @@ class _Chunk:
     their facts: the operand stacks ``x`` and ``y``, each row's check
     threshold ``tols`` and branch window ``windows`` (``(k_lo, k_hi)``),
     and one store of each operand's decompositions (its failed rows'
-    errors kept per row) and moduli, each scalar fact, the congruence
-    reports, e^Y and each equation's exponential gaps, each computed
-    once for all its rows in stacked calls, bit for bit the lone ones.
+    errors kept per row) and moduli, each scalar fact, e^Y and each
+    equation's exponential gaps, each computed once for all its rows in
+    stacked calls, bit for bit the lone ones.
     ``exp_y`` (each row's e^Y) and ``gaps`` (its ``(equation,
     residual)``), measured on these same arrays as a build's self-test
     does, are kept if every row has one. A residual read from a file
@@ -179,10 +182,6 @@ class _Chunk:
         return self._cached(equation, lambda: np.array(_exp_gaps(_exp_stack(
             1j * self.x if equation == "exp(iX)=exp(Y)" else self.x),
             self.exp_y)))
-
-    @property
-    def congruence(self) -> list:
-        return self._cached("congruence", lambda: _congruence_reports(self))
 
     def _cached(self, key, compute):
         if key not in self._cache:
@@ -251,12 +250,6 @@ class _Unmet(Exception):
     """A check's own hypothesis fails; the message is the skip note."""
 
 
-def _fail(name: str, note: str, residuals=None, tolerances=None) -> CheckReport:
-    return CheckReport(check_name=name, passed=False, hypothesis_met=False,
-                       residuals=residuals or {}, tolerances=tolerances or {},
-                       notes=note)
-
-
 class _Run:
     """One check over a chunk: each pair's entry once decided, and
     ``open``, the pairs every hypothesis so far held for."""
@@ -288,8 +281,12 @@ class _Run:
         done = np.array([o is not None for o in outcomes], dtype=bool)
         for j in np.flatnonzero(done).tolist():
             i, outcome = int(self.open[j]), outcomes[j]
-            self.entries[i] = (_fail(self.name, str(outcome), *self.gate(i))
-                               if isinstance(outcome, _Unmet) else outcome)
+            if isinstance(outcome, _Unmet):  # a skip keeps its tested gap
+                residuals, tols = self.gate(i)
+                outcome = CheckReport(
+                    check_name=self.name, passed=False, hypothesis_met=False,
+                    residuals=residuals, tolerances=tols, notes=str(outcome))
+            self.entries[i] = outcome
         self.open = self.open[~done]
 
     def skip(self, unmet: np.ndarray, note) -> None:
@@ -430,10 +427,10 @@ def run_checks(names, pairs) -> list:
     """Run each named check once over the chunk ``pairs``: each pair's
     reports, in the order of ``names``. The chunk's analysis is made
     once: the operands the checks read are first decomposed in one
-    stacked call, and their moduli taken in one more
-    (:meth:`_Chunk.analyse`). Raises what looping over each pair, then
-    each check, would raise first; ``check_<name>`` is looked up as
-    :func:`run_check` does."""
+    stacked call (:meth:`_Chunk.analyse`), and the first check that
+    takes moduli takes those the checks read in one more. Raises what
+    looping over each pair, then each check, would raise first;
+    ``check_<name>`` is looked up as :func:`run_check` does."""
     unknown = [name for name in names if name not in CHECK_NAMES]
     if unknown:
         raise ValueError(f"unknown checks {unknown}")
@@ -442,9 +439,8 @@ def run_checks(names, pairs) -> list:
 
 def _run_checks(names, chunk: _Chunk) -> list:
     """:func:`run_checks` over a chunk of known check names."""
-    reads = [_READS.get(name, (("x", "y"), ())) for name in names]
-    chunk.analyse(*({side for read in reads for side in read[k]}
-                    for k in (0, 1)))
+    chunk.analyse({side for name in names
+                   for side in _READS.get(name, ("x", "y"))})
     columns = [globals()[f"check_{name}"](chunk) for name in names]
     return [[_unwrap(column[i]) for column in columns]
             for i in range(len(chunk))]
@@ -606,7 +602,7 @@ def _no_boundary_conjugates(run: _Run) -> None:
     Im z = +pi, as the cluster order of a pair's members rests on
     rounding."""
     lam = run.take(run.chunk.columns("x").lam)
-    radius = CLUSTER_TOL * np.maximum(1.0, run.array("norm_x"))
+    radius = run.array("cluster_radius")
     boundary = ~(math.pi - np.abs(lam.imag) > BOUNDARY_TOL)
     corner = ((np.hypot(lam.real, lam.imag - math.pi) <= BOUNDARY_TOL)
               | (np.hypot(lam.real, lam.imag + math.pi) <= BOUNDARY_TOL))
@@ -714,31 +710,13 @@ def check_corollary_cases(run: _Run):
     return rows
 
 
-def _congruence_reports(chunk: _Chunk) -> list:
-    """Each pair's congruence report (or X's error): every eigenvalue gap
-    against its nearest nonzero multiple of 2*pi, one array."""
-    cols = chunk.columns("x")
-    gap = abs(cols.lam.real[:, :, None] - cols.lam.real[:, None, :])
+def _nearest_congruence(lam: np.ndarray) -> np.ndarray:
+    """Each row's smallest distance of a gap between the real parts of its
+    eigenvalues to the gap's nearest nonzero multiple of 2*pi, or inf."""
+    gap = abs(lam.real[:, :, None] - lam.real[:, None, :])
     # np.rint rounds half to even, as round does
     k = np.rint(gap / TWO_PI)
-    nearest = np.where(k != 0, abs(gap - TWO_PI * k), np.inf).min(axis=(1, 2))
-    real = ~(abs(cols.lam.imag) > BOUNDARY_TOL).any(axis=1)
-    out = []
-    for i, (error, real_x, near) in enumerate(zip(cols.errors, real.tolist(),
-                                                  nearest.tolist())):
-        if error or not real_x:
-            out.append(error or _fail("congruence_free", "input must be "
-                                      "self-adjoint (real spectrum)"))
-            continue
-        radius = CLUSTER_TOL * max(1.0, cols[i].norm)
-        out.append(CheckReport(
-            check_name="congruence_free", passed=near > radius,
-            hypothesis_met=True,
-            residuals={"nearest_congruence": 0.0 if math.isinf(near) else near},
-            tolerances={"nearest_congruence": radius},
-            notes="passes when every nonzero 2*pi-translate of the spectrum "
-                  "stays farther than the cluster radius from the spectrum"))
-    return out
+    return np.where(k != 0, abs(gap - TWO_PI * k), np.inf).min(axis=(1, 2))
 
 
 @_chunkwise
@@ -746,18 +724,31 @@ def check_congruence_free(chunk: _Chunk) -> list:
     """No two eigenvalues of a self-adjoint X differ by a nonzero
     multiple of 2*pi (within the cluster radius). Y is not read.
 
-    The reports are computed once per chunk and shared with
+    The distances are computed once per chunk and shared with
     :func:`check_double_commutant`, whose hypothesis they are.
     Raises NotNormal when X is not normal.
     """
-    return list(chunk.congruence)
+    run = _Run("congruence_free", chunk)
+    run.columns("x")  # a failed decomposition ends its pair
+    run.skip(~run.array("real_x"),
+             "input must be self-adjoint (real spectrum)")
+    for i, near, radius in zip(run.open.tolist(),
+                               run.array("nearest_congruence").tolist(),
+                               run.array("cluster_radius").tolist()):
+        run.entries[i] = CheckReport(
+            check_name="congruence_free", passed=near > radius,
+            hypothesis_met=True,
+            residuals={"nearest_congruence": 0.0 if math.isinf(near) else near},
+            tolerances={"nearest_congruence": radius},
+            notes="passes when every nonzero 2*pi-translate of the spectrum "
+                  "stays farther than the cluster radius from the spectrum")
+    return run.entries
 
 
 def _congruence_free(run: _Run) -> None:  # and a normal Y decomposes
-    reports = run.each(run.chunk.congruence)
-    run.end([r if isinstance(r, Exception) else None for r in reports])
-    run.skip(np.array([not r.passed for r in reports
-                       if not isinstance(r, Exception)]),
+    run.columns("x")  # a failed decomposition ends its pair
+    free = run.array("nearest_congruence") > run.array("cluster_radius")
+    run.skip(~(run.array("real_x") & free),
              "spectrum is not 2*pi-congruence-free; hypothesis not met")
     errors = run.chunk.columns("y").errors
     run.end([None if isinstance(errors[i], NotNormal) else errors[i]
@@ -799,18 +790,20 @@ def check_double_commutant(run: _Run):
     residual is the distance to that span; a non-normal Y needs the
     commutant basis.
     """
-    chunk = run.chunk
+    chunk, cols = run.chunk, run.chunk.columns("x")
     normal = run.array("normal_y")
     worst = np.zeros(len(run.open))
-    worst[normal] = _projection_distances(
-        chunk.columns("x"), chunk.columns("y"), run.open[normal])
+    worst[normal] = _projection_distances(cols, chunk.columns("y"),
+                                          run.open[normal])
     for j, i in zip(np.flatnonzero(~normal).tolist(),
                     run.open[~normal].tolist()):
-        y, dec = chunk.y[i], chunk.columns("x")[i]
+        y = chunk.y[i]
         basis = commutant_basis(y)
-        worst[j] = max(in_double_commutant(dec.projection(c), y,
-                                           basis=basis)[1]
-                       for c in range(len(dec.eigenvalues)))
+        # the eigenprojection of each cluster of X: its label's columns
+        masks = cols.label[i] == np.arange(cols.label[i, -1] + 1)[:, None]
+        bases = np.broadcast_to(cols.v[i], (len(masks),) + y.shape)
+        worst[j] = max(in_double_commutant(p, y, basis=basis)[1]
+                       for p in _select_stack(bases, masks))
     return run.rows({"double_commutant": worst,
                      "commutator": run.array("commutator_residual")},
                     notes=_FINITE_DIM_NOTE)
@@ -819,8 +812,8 @@ def check_double_commutant(run: _Run):
 def _odd_pi_hits(run: _Run) -> np.ndarray:
     """How many clusters of X lie on an odd multiple of pi."""
     cols = run.columns("x")
-    radius = CLUSTER_TOL * np.maximum(1.0, run.array("norm_x"))
-    on = _odd_pi_distance(run.take(cols.lam).real) <= radius[:, None]
+    on = (_odd_pi_distance(run.take(cols.lam).real)
+          <= run.array("cluster_radius")[:, None])
     return (on & run.take(cols.start)).sum(axis=1)
 
 
@@ -865,14 +858,13 @@ def check_y_in_bicommutant_of_exp(run: _Run):
 
 
 def _split(run: _Run) -> None:
-    """Split each Y; a non-normal, singular or overflowed e^Y skips."""
-    decs = run.chunk.columns("exp_y")
-    splits = _kurepa_splits(run.take(run.chunk.y),
-                            [decs[i] for i in run.open.tolist()])
-    run.splits = [s for s in splits if not isinstance(s, Exception)]
-    run.end([_Unmet(f"hypothesis not met: {s}")
-             if isinstance(s, (ExpNotNormal, Singular, SpectrumOutOfRange))
-             else s if isinstance(s, Exception) else None for s in splits])
+    """Split each Y (the first step: every pair is open); a non-normal,
+    singular or overflowed e^Y skips."""
+    errors, *run.splits = _kurepa_splits(run.chunk.y,
+                                         run.chunk.columns("exp_y"))
+    run.end([_Unmet(f"hypothesis not met: {e}")
+             if isinstance(e, (ExpNotNormal, Singular, SpectrumOutOfRange))
+             else e for e in errors])
 
 
 @_gated(_split)
@@ -880,12 +872,9 @@ def check_kurepa(run: _Run):
     """The principal-log splitting of Y reconstructs it, commutes, and
     carries integer branch weights whenever exp(Y) is normal. X is not
     read."""
-    splits = run.splits
-    n0, w = (_stack([getattr(s, a) for s in splits]) for a in ("n0", "w"))
+    n0, w, commute, integer = run.splits
     r = _rel(_frob_stack((n0 + TWO_PI * 1j * w) - run.take(run.chunk.y)),
              run.array("norm_y"))
     return run.rows(
-        {"reconstruction": r,
-         "commute": [s.commute_residual for s in splits],
-         "integer_spectrum": [s.integer_spectrum_residual for s in splits]},
+        {"reconstruction": r, "commute": commute, "integer_spectrum": integer},
         {"integer_spectrum": INTEGER_TOL})

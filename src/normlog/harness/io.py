@@ -48,6 +48,8 @@ def matrix_from_obj(obj: dict) -> np.ndarray:
     n = obj.get("n")
     if type(n) is not int:
         raise ValueError(f"n must be an integer, got {n!r}")
+    if "entries" not in obj:
+        raise ValueError("a matrix has no \"entries\"")
     entries = obj["entries"]
     if not (isinstance(entries, list) and len(entries) == n and all(
             isinstance(row, list) and len(row) == n and all(
@@ -71,11 +73,14 @@ def write_pair(path: str, x, y, metadata: dict) -> None:
 
 def read_pair(path: str):
     """``(x, y, metadata)`` of a pair file. Raises ValueError for a
-    document that is not an object, or a malformed matrix."""
+    document that is not an object, or a missing or malformed matrix."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError(f"a pair file must hold an object, got {doc!r}")
+    for key in ("x", "y"):
+        if key not in doc:
+            raise ValueError(f"a pair file has no matrix \"{key}\"")
     x = matrix_from_obj(doc.pop("x"))
     y = matrix_from_obj(doc.pop("y"))
     return x, y, doc

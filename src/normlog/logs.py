@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import INV_TOL, ON_FEATURE_TOL
-from .errors import ExpNotNormal, NormLogError, NotNormal, Singular
+from .errors import ExpNotNormal, NotNormal, Singular
 from .linalg import _frob_stack, as_square_matrix, commutator
-from .spectral import SpectralDecomposition, _decompose_stack, normal_eig
+from .spectral import (SpectralDecomposition, _combination_stack,
+                       _decompose_stack, _Decompositions, normal_eig)
 
 __all__ = [
     "KurepaDecomposition",
@@ -123,12 +124,25 @@ def _principal_scalar_log(lam: complex) -> complex:
     return math.log(abs(lam)) + 1j * theta
 
 
-def _require_invertible(dec: SpectralDecomposition, scale: float):
-    floor = INV_TOL * max(scale, 1e-300)
-    for lam in dec.eigenvalues:
-        if abs(lam) < floor:
-            raise Singular(f"eigenvalue {lam} below invertibility floor "
-                           f"{floor:.3e}")
+def _log_stack(v: np.ndarray, lam: np.ndarray) -> tuple:
+    """The principal logarithms V diag(Log lam) V* of a (k, n, n) stack
+    of bases and their (k, n) column eigenvalues, one stacked product
+    over libm's scalar logarithms, and each row's error: Singular, naming
+    its first column below the floor INV_TOL * sqrt(sum |lam|^2), or
+    None. A singular row's logarithm is zero, as is a failed
+    decomposition's: its eigenvalues are zero."""
+    absolute = abs(lam)
+    floor = INV_TOL * np.maximum(np.sqrt((absolute ** 2).sum(axis=1)), 1e-300)
+    low = absolute < floor[:, None]
+    errors = [Singular(f"eigenvalue {complex(lam[i, low[i].argmax()])} below "
+                       f"invertibility floor {floor[i]:.3e}")
+              if low[i].any() else None for i in range(len(lam))]
+    ok = ~low.any(axis=1)
+    logs = np.zeros(lam.shape, dtype=complex)
+    logs[ok] = np.reshape([_principal_scalar_log(z)
+                           for z in lam[ok].ravel().tolist()],
+                          (-1, lam.shape[1]))
+    return _combination_stack(v, logs), errors
 
 
 def branch_log(dec_n: SpectralDecomposition) -> np.ndarray:
@@ -137,9 +151,9 @@ def branch_log(dec_n: SpectralDecomposition) -> np.ndarray:
     eigenprojection of cluster j. Raises Singular below the
     invertibility floor.
     """
-    _require_invertible(dec_n, dec_n.norm)
-    return dec_n.combination([_principal_scalar_log(lam)
-                              for lam in dec_n.eigenvalues])
+    lam = np.repeat(dec_n.eigenvalue_array, dec_n.multiplicities)
+    (log,), (error,) = _log_stack(dec_n.v[None], lam[None])
+    return _unwrap(error or log)
 
 
 def principal_log(n_mat) -> np.ndarray:
@@ -188,35 +202,29 @@ def kurepa_decompose(y) -> KurepaDecomposition:
         when e^Y is numerically singular.
     """
     y = as_square_matrix(y)
-    attempts = _decompose_stack(exp_general(y)[None])
-    return _unwrap(_kurepa_splits(y[None], attempts)[0])
+    (error,), n0, w, commute, integer = _kurepa_splits(
+        y[None], _decompose_stack(exp_general(y)[None]))
+    if error:
+        raise error
+    return KurepaDecomposition(n0[0], w[0], commute[0].item(),
+                               integer[0].item())
 
 
-def _kurepa_splits(y: np.ndarray, attempts) -> list:
+def _kurepa_splits(y: np.ndarray, cols: _Decompositions) -> tuple:
     """:func:`kurepa_decompose` of each matrix of a validated (k, n, n)
-    stack, given ``attempts[i]``: the decomposition of e^Y as
-    ``normal_eig`` returns it, or the NormLogError it raised.
-
-    Entry i is the decomposition, bit for bit the lone one, or the error
-    the lone call raises. Past each :func:`branch_log`, the residual
-    norms and eigenvalue solves are one stacked call each over the
-    entries that split.
-    """
-    out: list = []
-    for attempt in attempts:
-        if isinstance(attempt, NotNormal):
-            error = ExpNotNormal("exp(Y) is not normal within tolerance")
-            error.__cause__ = attempt
-            attempt = error
-        try:
-            out.append(attempt if isinstance(attempt, NormLogError)
-                       else branch_log(attempt))
-        except Singular as exc:
-            out.append(exc)
-    ok = [i for i, entry in enumerate(out) if not isinstance(entry, Exception)]
-    if not ok:
-        return out
-    n0 = np.stack([out[i] for i in ok])
+    stack, given ``cols``, the decompositions of the e^Y, as ``(errors,
+    n0, w, commute, integer)``: ``errors[i]`` is the error the lone call
+    raises for matrix i, or None, and the stacks N0 and W and the two
+    residual arrays hold the matrices that split, in order, each bit for
+    bit the lone one, each taken in one stacked call."""
+    n0, singular = _log_stack(cols.v, cols.lam)
+    errors = [error or low for error, low in zip(cols.errors, singular)]
+    for i, error in enumerate(errors):
+        if isinstance(error, NotNormal):
+            errors[i] = ExpNotNormal("exp(Y) is not normal within tolerance")
+            errors[i].__cause__ = error
+    ok = [i for i, error in enumerate(errors) if error is None]
+    n0 = n0[ok]
     w = (y[ok] - n0) / (TWO_PI * 1j)
     # relative to max(1, ||N0|| ||W||), as the checks' residuals are
     commute = _frob_stack(commutator(n0, w)) / np.maximum(
@@ -225,11 +233,7 @@ def _kurepa_splits(y: np.ndarray, attempts) -> list:
     # abs() of a complex is hypot; np.rint rounds half to even, as round
     d = eigs - np.rint(eigs.real)
     integer = np.maximum(np.hypot(d.real, d.imag).max(axis=1), 0.0)
-    for j, i in enumerate(ok):
-        out[i] = KurepaDecomposition(
-            n0=n0[j], w=w[j], commute_residual=commute[j].item(),
-            integer_spectrum_residual=integer[j].item())
-    return out
+    return errors, n0, w, commute, integer
 
 
 def _unwrap(entry):

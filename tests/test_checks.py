@@ -119,7 +119,7 @@ class TestPairAnalysis:
                                 np.eye(2))
         else:
             pair = PairAnalysis(np.eye(4), _coupled())
-        read = {"congruence": lambda c: c.congruence[0],
+        read = {"congruence": lambda c: check_congruence_free(c)[0],
                 "dec_x": lambda c: c.columns("x")[0],
                 "dec_y": lambda c: c.columns("y")[0]}[fact]
         for _ in range(3):
@@ -244,8 +244,8 @@ class TestPairAnalysis:
     @pytest.mark.parametrize("name", CHECK_NAMES)
     def test_run_checks_analyses_its_chunk_once(self, name, monkeypatch):
         # run_checks decomposes every operand its checks read in one
-        # stacked call and takes their moduli in one more; no check
-        # decomposes or takes a modulus after it
+        # stacked call, and a modulus check takes the moduli in one more;
+        # no check decomposes after it
         pairs = []
         for family in Family:
             for seed in range(2):
@@ -301,7 +301,7 @@ class TestPairAnalysis:
                 m.setattr(normlog.checks, "_decompose_stack", _not_called)
                 m.setattr(normlog.logs, "normal_eig", _not_called)
                 splits = [_kurepa_splits(pair.y[None],
-                                         [_attempt(pair, "exp_y")])[0]
+                                         pair._chunk.columns("exp_y"))
                           if rep.hypothesis_met
                           else None for pair, rep in zip(pairs, reports)]
             for pair, rep, split, entry in zip(pairs, reports, splits, chunk):
@@ -311,11 +311,13 @@ class TestPairAnalysis:
                 if split is None:
                     assert not rep.hypothesis_met
                     continue
+                (error,), n0, w, commute, integer = split
+                assert error is None
                 ref = kurepa_decompose(pair.y)
-                assert split.n0.tobytes() == ref.n0.tobytes()
-                assert split.w.tobytes() == ref.w.tobytes()
-                assert split.commute_residual.hex() == ref.commute_residual.hex()
-                assert (split.integer_spectrum_residual.hex()
+                assert n0[0].tobytes() == ref.n0.tobytes()
+                assert w[0].tobytes() == ref.w.tobytes()
+                assert commute[0].item().hex() == ref.commute_residual.hex()
+                assert (integer[0].item().hex()
                         == ref.integer_spectrum_residual.hex())
             assert any(not rep.hypothesis_met for rep in reports) == (n == 2)
 
@@ -1073,7 +1075,7 @@ class TestDoubleCommutant:
         assert not rep.hypothesis_met and not rep.passed
 
     def test_congruence_report_computed_once_per_pair(self, monkeypatch):
-        real = normlog.checks._congruence_reports
+        real = normlog.checks._nearest_congruence
         calls = []
 
         def spy(*args, **kwargs):
@@ -1083,14 +1085,15 @@ class TestDoubleCommutant:
         def not_called(pair):
             raise AssertionError("double_commutant re-ran congruence_free")
 
-        monkeypatch.setattr(normlog.checks, "_congruence_reports", spy)
+        monkeypatch.setattr(normlog.checks, "_nearest_congruence", spy)
         x, y, _ = make_pair(InstanceSpec(Family.SELF_ADJOINT_CONGRUENCE_FREE,
                                          6, 12))
         pair = PairAnalysis(x, y)
         first = check_congruence_free(pair)
         monkeypatch.setattr(normlog.checks, "check_congruence_free", not_called)
         assert check_double_commutant(pair).passed
-        assert check_congruence_free(pair) is first and first.passed
+        again = check_congruence_free(pair)
+        assert again.to_dict() == first.to_dict() and first.passed
         assert len(calls) == 1
 
     def test_normal_y_needs_no_commutant_basis(self, monkeypatch):
@@ -1388,9 +1391,10 @@ class TestChunkNativeChecks:
                    for r in getattr(normlog.checks, f"check_{name}")(chunk)]
             assert met == [True, True, False, True, True]
 
-    def test_mixed_families_and_a_non_normal_y_mid_chunk(self):
-        # exp(iX) = exp(Y) with Y not normal: double_commutant takes the
-        # commutant basis for it alone
+    @staticmethod
+    def _mixed(*pairs):
+        """Five suite pairs of mixed families, n = 3, with ``pairs`` and a
+        pair whose Y is not normal (exp(iX) = exp(Y)) after the second."""
         t = np.array([[1.0, 0.7], [0.0, 1.0]], dtype=complex)
         y = np.zeros((3, 3), dtype=complex)
         y[:2, :2] = t @ np.diag([PI * 1j, -PI * 1j]) @ np.linalg.inv(t)
@@ -1400,13 +1404,39 @@ class TestChunkNativeChecks:
             (Family.SELF_ADJOINT_CONGRUENCE_FREE, Family.INTERIOR_PAIR,
              Family.NON_NORMAL_LOG_PAIR, Family.ODD_PI_EIGENVALUE,
              Family.SELF_ADJOINT_CONGRUENCE_FREE))]
-        chunk = _chunk(specs[:2] + [odd] + specs[2:])
+        return _chunk(specs[:2] + [odd, *pairs] + specs[2:])
+
+    def test_mixed_families_and_a_non_normal_y_mid_chunk(self):
+        # exp(iX) = exp(Y) with Y not normal: double_commutant takes the
+        # commutant basis for it alone
+        chunk = self._mixed()
         assert [p._chunk.array("normal_y").tolist()[0]
                 for p in _pairs(chunk)] == [True, True, False, False, True,
                                             True]
         _assert_chunk_equals_lone(chunk)
         reports = check_double_commutant(chunk)
         assert reports[2].passed and reports[0].passed
+
+    def test_no_check_builds_a_spectral_decomposition(self, monkeypatch):
+        # the checks read the chunk's stacked records only: with a row's
+        # SpectralDecomposition unavailable, every check runs on a chunk
+        # with a non-normal Y, a non-normal e^Y and a singular e^Y, and
+        # equals its chunk of one
+        def no_row(self, i):
+            raise AssertionError("a check built a SpectralDecomposition")
+
+        nilpotent = np.eye(3, k=1, dtype=complex)
+        singular = np.diag([-50.0, 1.0, 2.0]).astype(complex)
+        chunk = self._mixed(PairAnalysis(nilpotent, nilpotent),
+                            PairAnalysis(singular, singular))
+        monkeypatch.setattr(normlog.spectral._Decompositions, "__getitem__",
+                            no_row)
+        _assert_chunk_equals_lone(chunk)
+        kurepa = check_kurepa(chunk)
+        assert check_double_commutant(chunk)[2].passed
+        assert "exp(Y) is not normal" in kurepa[3].notes
+        assert "below invertibility floor" in kurepa[4].notes
+        assert not (kurepa[3].hypothesis_met or kurepa[4].hypothesis_met)
 
     def test_chunk_raises_the_first_pair_major_error(self):
         # the band pair raises in difference_formula; the pair after it,

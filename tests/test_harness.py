@@ -1133,6 +1133,27 @@ class TestCli:
         assert f"error: {key} must be an integer, got {shown}" in captured.err
         assert "Traceback" not in captured.err and not captured.out
 
+    @pytest.mark.parametrize("key, message", [
+        ("x", 'a pair file has no matrix "x"'),
+        ("y", 'a pair file has no matrix "y"'),
+        ("entries", 'a matrix has no "entries"')])
+    def test_missing_key_exits_2(self, tmp_path, capsys, key, message):
+        path = str(tmp_path / "pair.json")
+        assert cli_main(["generate", "--family", "InteriorPair", "--n", "2",
+                         "--seed", "0", "--out", path]) == 0
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        holder = doc["x"] if key == "entries" else doc  # X's entries
+        del holder[key]
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        with pytest.raises(ValueError, match=message):
+            read_pair(path)
+        capsys.readouterr()
+        assert cli_main(["check", "--name", "real_part", "--in", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and not captured.out
+
     @pytest.mark.parametrize("name", CHECK_NAMES)
     def test_operands_of_different_sizes_exit_2(self, tmp_path, capsys, name):
         # a pair file whose X is 2x2 and whose Y is 3x3
